@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Repo verification: tier-1 test suite + quickstart smoke run.
+# Repo verification: tier-1 tests, end-to-end benchmark smoke, example smokes.
 #
-#   scripts/verify.sh            # full tier-1 pytest + quickstart example
+#   scripts/verify.sh            # tier-1 pytest, e2e benchmark smoke, examples
 #   scripts/verify.sh --fast     # quickstart smoke only
 #
 # Mirrors the tier-1 gate in ROADMAP.md; run it before every commit.
@@ -13,6 +13,10 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 if [[ "${1:-}" != "--fast" ]]; then
     echo "== tier-1 test suite =="
     python -m pytest -x -q
+
+    echo "== end-to-end benchmark: harness tests + smoke run (in-run checks) =="
+    python -m pytest -q benchmarks/e2e
+    TRACES=0 benchmarks/e2e/run.sh --smoke
 fi
 
 echo "== metric-name taxonomy lint =="

@@ -95,6 +95,8 @@ class DseSession:
         self._prev_va = np.zeros(arch.net.n_bus)
         self._frame_no = 0
         self._prev_degraded: set[int] = set()
+        # the estimator kept across frames (see _estimator_for)
+        self._dse: DistributedStateEstimator | None = None
         self.reports: list[FrameReport] = []
 
     # ------------------------------------------------------------------
@@ -154,6 +156,7 @@ class DseSession:
 
         # (0) optional distributed bad-data screening on the raw frame
         bad_data_report = None
+        rows_removed = False
         if self.bad_data_policy != "off":
             from ..dse.baddata import distributed_bad_data
 
@@ -163,6 +166,7 @@ class DseSession:
                 )
                 removed = bad_data_report.removed_global_rows
                 if removed:
+                    rows_removed = True
                     keep = np.ones(len(mset), dtype=bool)
                     keep[removed] = False
                     mset = mset.subset(keep)
@@ -181,18 +185,10 @@ class DseSession:
         # behind the paper's iteration model)
         warm = (self._prev_vm, self._prev_va) if self._frame_no > 0 else None
         wall_t0 = time.perf_counter()
-        dse = DistributedStateEstimator(
-            dec,
-            mset,
-            solver=self.solver,
-            sensitivity_threshold=self.sensitivity_threshold,
-            executor=self.executor,
-            reuse_structures=self.reuse_structures,
-            warm_start=self.warm_start,
-            degrade_on_failure=self.degrade_on_failure,
-            condense=self.condense,
+        dse, values_only = self._estimator_for(mset, keep=not rows_removed)
+        result = dse.run(
+            rounds=rounds, x0=warm, z=mset.z if values_only else None
         )
-        result = dse.run(rounds=rounds, x0=warm)
         wall_elapsed = time.perf_counter() - wall_t0
         degraded = set(result.degraded_subsystems)
 
@@ -256,6 +252,37 @@ class DseSession:
         self._frame_no += 1
         self.reports.append(report)
         return report
+
+    # ------------------------------------------------------------------
+    def _estimator_for(
+        self, mset: MeasurementSet, *, keep: bool
+    ) -> tuple[DistributedStateEstimator, bool]:
+        """The frame's estimator and whether it serves ``mset`` values-only.
+
+        Subproblems, Jacobian structures and normal-equation kernels depend
+        on the measurement placement only, so the estimator built for one
+        frame serves every later frame with the same (type, element,
+        sigma) rows through ``run(z=)``.  A different placement builds a
+        new one, which replaces the kept one unless ``keep`` is false (a
+        frame thinned by bad-data removal must not evict the estimator of
+        the regular placement); ``reuse_structures=False`` keeps nothing.
+        """
+        if self._dse is not None and self._dse.mset.same_structure(mset):
+            return self._dse, True
+        dse = DistributedStateEstimator(
+            self.arch.dec,
+            mset,
+            solver=self.solver,
+            sensitivity_threshold=self.sensitivity_threshold,
+            executor=self.executor,
+            reuse_structures=self.reuse_structures,
+            warm_start=self.warm_start,
+            degrade_on_failure=self.degrade_on_failure,
+            condense=self.condense,
+        )
+        if keep and self.reuse_structures:
+            self._dse = dse
+        return dse, False
 
     # ------------------------------------------------------------------
     def _exercise_fabric(self, result, dse) -> set[int]:

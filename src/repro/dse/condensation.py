@@ -245,6 +245,8 @@ class CondensedStep2:
 
         t_start = time.perf_counter() if obs.enabled() else 0.0
         w = ms.weights
+        structure = model.jacobian_structure(est._keep)
+        kernel = self.schur.kernel
         inner_tol = tol * self.inner_tol_scale
         limit = self.max_iter if max_iter is None else max_iter
         step_norms: list[float] = []
@@ -252,10 +254,9 @@ class CondensedStep2:
         it = 0
         r = z - model.h(Vm, Va)
         for it in range(1, limit + 1):
-            H = est._jacobian_at(Vm, Va)
             # Exact gradient at the current state; only the (frozen,
             # condensed) gain operator is approximate.
-            rhs = H.T @ (w * r)
+            rhs = kernel.rhs(kernel.weighted(structure.fill_data(Vm, Va), w), r)
             try:
                 dx = self.schur.solve(rhs)
             except GainSolveError as exc:

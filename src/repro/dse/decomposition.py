@@ -97,23 +97,32 @@ class Decomposition:
 
     def quotient_edges(self) -> list[tuple[int, int]]:
         """Unique subsystem adjacency pairs (u < v)."""
-        ties = self.tie_lines
-        a = self.part[self.net.f[ties]]
-        b = self.part[self.net.t[ties]]
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        pairs = np.unique(np.column_stack([lo, hi]), axis=0)
-        return [(int(u), int(v)) for u, v in pairs]
+        if "edges" not in self._cache:
+            ties = self.tie_lines
+            a = self.part[self.net.f[ties]]
+            b = self.part[self.net.t[ties]]
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            pairs = np.unique(np.column_stack([lo, hi]), axis=0)
+            self._cache["edges"] = tuple((int(u), int(v)) for u, v in pairs)
+        return list(self._cache["edges"])
 
     def diameter(self) -> int:
-        """Diameter of the quotient graph (bounds DSE Step 2 rounds)."""
-        import networkx as nx
+        """Diameter of the quotient graph (bounds DSE Step 2 rounds).
 
-        g = nx.Graph()
-        g.add_nodes_from(range(self.m))
-        g.add_edges_from(self.quotient_edges())
-        if not nx.is_connected(g):
-            return self.m  # defensive upper bound
-        return nx.diameter(g)
+        Memoised like the edge list: a decomposition does not change after
+        construction, and every DSE frame asks.
+        """
+        if "diameter" not in self._cache:
+            import networkx as nx
+
+            g = nx.Graph()
+            g.add_nodes_from(range(self.m))
+            g.add_edges_from(self.quotient_edges())
+            # disconnected quotient graph: m is a defensive upper bound
+            self._cache["diameter"] = (
+                nx.diameter(g) if nx.is_connected(g) else self.m
+            )
+        return self._cache["diameter"]
 
     def quotient_graph(
         self,

@@ -4,8 +4,8 @@
 all scenarios share one network pattern and one measurement structure, so
 their states stack into ``(K, n)`` arrays, h(x)/H(x) evaluate as batched
 array kernels over one cached :class:`~repro.measurements.functions.JacobianStructure`,
-and each iteration performs a single block-diagonal normal-equation solve
-for the whole batch (:class:`~repro.estimation.solvers.BatchGainSolver`).
+and each iteration assembles all K normal equations in one vectorised
+numeric pass (:class:`~repro.estimation.solvers.BatchGainSolver`).
 
 Iteration semantics mirror :class:`~repro.estimation.wls.WlsEstimator`
 per scenario: each scenario tracks its own residual, step norm, iteration
@@ -110,7 +110,7 @@ class BatchEstimator:
     net, mset:
         Base network and measurement set (as for ``WlsEstimator``).
     solver:
-        ``"lu"`` (default) runs the batched block-diagonal solve.  Any
+        ``"lu"`` (default) runs the batched normal-equation kernel.  Any
         other ``WlsEstimator`` solver string is accepted but falls back to
         per-scenario serial estimation (the batched normal-equation kernel
         is LU-only).
@@ -118,8 +118,8 @@ class BatchEstimator:
         Angle reference when no PMU angles are present (default: first
         slack bus).
     max_batch:
-        Upper bound on scenarios per block solve; larger batches are
-        chunked to bound the block-matrix working set.
+        Upper bound on scenarios per batched solve; larger batches are
+        chunked to bound the stacked working set.
     """
 
     def __init__(
@@ -195,7 +195,7 @@ class BatchEstimator:
         max_iter: int = 25,
         reference_angle: float = 0.0,
     ) -> BatchEstimationResult:
-        """Estimate every scenario; one block solve per iteration per chunk.
+        """Estimate every scenario; one batched solve per iteration per chunk.
 
         Accepts :class:`BatchScenario` items, bare ``NetworkDelta`` items,
         or ``None`` (the base case).  Raises :class:`EstimationError` on an
@@ -269,6 +269,7 @@ class BatchEstimator:
 
         w = ms.weights
         structure = model.jacobian_structure(self._keep)
+        pattern = structure.pattern
         ns = self.n_states
 
         iterations = np.zeros(K, dtype=np.int64)
@@ -281,9 +282,9 @@ class BatchEstimator:
         while len(active) and it < max_iter:
             it += 1
             sel = ops.select(active)
-            H = structure.fill_batch(Vm[active], Va[active], sel)
+            data = structure.fill_batch_data(Vm[active], Va[active], sel)
             try:
-                dx = self._bsolver.solve(H, w, r[active])
+                dx = self._bsolver.solve_csc(*pattern, data, w, r[active])
             except Exception as exc:
                 raise EstimationError(
                     f"normal-equation solve failed: {exc}"

@@ -4,17 +4,24 @@ Each Gauss-Newton iteration solves ``(Hᵀ W H) dx = Hᵀ W r`` with the gain
 matrix ``G = Hᵀ W H`` symmetric positive definite for observable systems.
 Three interchangeable strategies are provided:
 
-- ``"lu"`` — sparse LU of the gain matrix (the reference direct method).
+- ``"lu"`` — direct factorisation of the gain matrix (the reference method).
 - ``"pcg"`` — preconditioned conjugate gradient (the paper's HPC solver).
 - ``"lsqr"`` — orthogonal factorisation of the weighted Jacobian, avoiding
   the squared condition number of the normal equations.
 
-Two entry points share one implementation: :func:`solve_normal_equations`
-is the stateless one-shot call; :class:`GainSolver` keeps state across
-repeated solves with the *same sparsity pattern* (the Gauss-Newton loop),
-reusing the weighted-Jacobian workspace and — for ``"lu"`` — the
-fill-reducing column ordering computed by the first symbolic analysis, so
-later iterations skip the ordering phase and only refactor numerics.
+The Jacobian's sparsity is fixed by topology and measurement placement, so
+the gain matrix's is too.  :class:`NormalEquations` is the one kernel every
+direct path shares (:class:`GainSolver`, :class:`BatchGainSolver`,
+:class:`SchurGainSolver`, :func:`build_gain`): a symbolic pass per Jacobian
+pattern builds the product map of ``G``'s lower triangle, after which every
+solve is numeric-only — gather, multiply and segment-sum the Jacobian's CSC
+``data`` into the fixed gain pattern, then factor.  Gains of order up to
+:data:`DENSE_MAX_STATES` (every DSE subsystem) go through dense LAPACK
+Cholesky; larger ones through SuperLU over the fixed pattern with a
+fill-reducing ordering computed once.  The kernel keeps no numeric history:
+a step is a function of (pattern, data, weights, residual) alone, so cold
+and warm solvers — and therefore serial, thread-pool and process-pool runs —
+agree bit for bit.
 """
 
 from __future__ import annotations
@@ -23,37 +30,253 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .pcg import pcg_solve
 
 __all__ = [
     "BatchGainSolver",
+    "DENSE_MAX_STATES",
     "GainSolveError",
     "GainSolver",
+    "NormalEquations",
     "SchurGainSolver",
     "build_gain",
     "solve_normal_equations",
 ]
+
+#: Largest gain order factored by dense Cholesky; above it the fixed pattern
+#: goes to SuperLU.  Chosen from the crossover measured by
+#: ``benchmarks/bench_gain_crossover.py`` (table in ``docs/algorithms.md``).
+DENSE_MAX_STATES = 400
 
 
 class GainSolveError(RuntimeError):
     """Raised when a normal-equation solve fails (singular / not SPD)."""
 
 
-def _weighted_copy(H: sp.csc_matrix, scale: np.ndarray) -> sp.csc_matrix:
-    """``diag(scale) @ H`` built by scaling the CSC data in place of a
-    generic sparse multiply (no COO round-trip, pattern shared with H)."""
-    return sp.csc_matrix(
-        (H.data * scale[H.indices], H.indices, H.indptr),
-        shape=H.shape,
-    )
+def _bucket_starts(idx: np.ndarray, n: int) -> np.ndarray:
+    """Start offsets (length ``n + 1``) of the ``n`` buckets ``idx`` sorts
+    into — the ``indptr`` of a compressed sparse layout."""
+    starts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(idx, minlength=n), out=starts[1:])
+    return starts
+
+
+class _SpdFactor:
+    """Factorisation of an SPD matrix whose values arrive on a fixed pattern.
+
+    The pattern is the matrix's lower triangle as sorted coordinates
+    ``(rows, cols)`` in CSC order.  :meth:`factor` takes the values on that
+    pattern; :meth:`solve` back-substitutes (vector or stacked columns).
+    Dense mode scatters into an ``n × n`` block for LAPACK ``dpotrf``;
+    sparse mode expands to the full symmetric pattern, permutes columns by
+    the COLAMD ordering SuperLU computes for the pattern on first use, and
+    refactors numerically in that (NATURAL) order from then on.  Holds one
+    factorisation at a time: an instance has a single owner.
+    """
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, n: int):
+        self.n = n
+        self.rows, self.cols = rows, cols
+        self.dense = n <= DENSE_MAX_STATES
+        # column-major flat positions of the lower triangle in the dense block
+        self._flat = cols * n + rows if self.dense else None
+        self._full: tuple | None = None
+        self._permuted: tuple | None = None
+        self._chol: np.ndarray | None = None
+        self.lu = None
+
+    # -- symbolic --------------------------------------------------------
+    def _full_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Full symmetric CSC pattern ``(indptr, indices, src)`` with
+        ``src`` mapping each entry to its lower-triangle value."""
+        if self._full is None:
+            strict = np.flatnonzero(self.rows != self.cols)
+            r = np.concatenate([self.rows, self.cols[strict]])
+            c = np.concatenate([self.cols, self.rows[strict]])
+            src = np.concatenate([np.arange(len(self.rows)), strict])
+            order = np.lexsort((r, c))
+            self._full = (
+                _bucket_starts(c, self.n).astype(np.int32),
+                r[order].astype(np.int32),
+                src[order].astype(np.int32),
+            )
+        return self._full
+
+    def matrix(self, values: np.ndarray) -> sp.csc_matrix:
+        """The full symmetric matrix as CSC (structural zeros kept)."""
+        indptr, indices, src = self._full_pattern()
+        return sp.csc_matrix((values[src], indices, indptr), shape=(self.n, self.n))
+
+    def _analyse(self, values: np.ndarray) -> tuple:
+        """Order the pattern once: SuperLU's own COLAMD analysis of the
+        matrix gives ``perm_c``; column ``j`` of the permuted matrix is
+        column ``argsort(perm_c)[j]`` of the original."""
+        G = self.matrix(values)
+        order = np.argsort(spla.splu(G).perm_c)
+        indptr, indices, src = self._full_pattern()
+        counts = np.diff(indptr)[order]
+        p_indptr = np.zeros(self.n + 1, dtype=np.int32)
+        np.cumsum(counts, out=p_indptr[1:])
+        take = np.repeat(indptr[order] - p_indptr[:-1], counts) + np.arange(len(src))
+        carrier = sp.csc_matrix(
+            (np.zeros(len(src)), indices[take], p_indptr), shape=G.shape
+        )
+        return carrier, src[take], order
+
+    # -- numeric ---------------------------------------------------------
+    def factor(self, values: np.ndarray) -> None:
+        if self.dense:
+            block = np.zeros(self.n * self.n)
+            block[self._flat] = values
+            # Fortran view of the column-major buffer: factored in place
+            c, info = dpotrf(
+                block.reshape(self.n, self.n).T, lower=1, overwrite_a=1, clean=0
+            )
+            if info != 0:
+                raise GainSolveError(
+                    f"gain matrix is not positive definite (dpotrf info={info})"
+                )
+            self._chol = c
+            return
+        try:
+            if self._permuted is None:
+                self._permuted = self._analyse(values)
+            carrier, src, _ = self._permuted
+            np.take(values, src, out=carrier.data)
+            self.lu = spla.splu(carrier, permc_spec="NATURAL")
+        except RuntimeError as exc:
+            raise GainSolveError(f"gain matrix is singular: {exc}") from exc
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        if self.dense:
+            return dpotrs(self._chol, b, lower=1)[0]
+        y = self.lu.solve(b)
+        x = np.empty_like(y)
+        x[self._permuted[2]] = y
+        return x
+
+
+class NormalEquations:
+    """Numeric-only normal equations over one fixed Jacobian CSC pattern.
+
+    Construction is the symbolic pass (fully vectorised): every pair of
+    entries sharing a Jacobian row contributes one product to an entry of
+    the gain's lower triangle; pairs are sorted by target entry once, so
+    the numeric pass is two gathers, a multiply and a segmented sum.  The
+    ``int32`` maps cost 8 bytes per product.
+
+    ``data`` arguments are the Jacobian's CSC ``data`` vector on the
+    pattern — or a ``(K, nnz)`` stack of K same-pattern Jacobians, in which
+    case every output gains a leading batch axis.
+    """
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, shape: tuple):
+        m, n = shape
+        self.indptr, self.indices, self.shape = indptr, indices, (m, n)
+        nnz = len(indices)
+        col_of = np.repeat(np.arange(n), np.diff(indptr))
+        # row-major view of the CSC entries: a stable sort by row keeps the
+        # columns of a row ascending
+        order = np.argsort(indices, kind="stable")
+        row_of = indices[order]
+        row_start = _bucket_starts(indices, m)
+        # entry e (row-major) pairs with the entries at or before it in its
+        # row, i.e. with columns <= its own: the lower triangle
+        n_pairs = np.arange(nnz) - row_start[row_of] + 1
+        pair_start = np.cumsum(n_pairs) - n_pairs
+        left = np.repeat(np.arange(nnz), n_pairs)
+        right = row_start[row_of[left]] + (
+            np.arange(len(left)) - pair_start[left]
+        )
+        a, b = order[left], order[right]
+        key = col_of[b] * n + col_of[a]          # CSC order of (row, col)
+        by_target = np.argsort(key, kind="stable")
+        key = key[by_target]
+        first = np.ones(len(key), dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        self._a = a[by_target].astype(np.int32)
+        self._b = b[by_target].astype(np.int32)
+        self._starts = np.flatnonzero(first)
+        target = key[self._starts]
+        self.spd = _SpdFactor(target % n, target // n, n)
+        # right-hand side: column sums, skipping structurally empty columns
+        self._rhs_cols = np.flatnonzero(np.diff(indptr))
+        self._rhs_starts = indptr[self._rhs_cols]
+
+    def matches(self, indptr: np.ndarray, indices: np.ndarray, shape: tuple) -> bool:
+        """True when this kernel was built for exactly this CSC pattern."""
+        return self.shape == tuple(shape) and (
+            (indptr is self.indptr and indices is self.indices)
+            or (
+                np.array_equal(indptr, self.indptr)
+                and np.array_equal(indices, self.indices)
+            )
+        )
+
+    @classmethod
+    def cached(cls, kernel, indptr, indices, shape) -> "NormalEquations":
+        """``kernel`` if it serves this pattern, else a fresh one."""
+        if kernel is not None and kernel.matches(indptr, indices, shape):
+            return kernel
+        return cls(indptr, indices, shape)
+
+    # ------------------------------------------------------------------
+    def weighted(self, data, weights):
+        """``W H`` on the pattern: the operand :meth:`gain` and :meth:`rhs`
+        share."""
+        return data * weights[self.indices]
+
+    def gain(self, data, wdata):
+        """Lower-triangle values of ``G = Hᵀ (W H)`` on the fixed pattern."""
+        prod = np.take(data, self._a, axis=-1) * np.take(wdata, self._b, axis=-1)
+        if not len(self._starts):
+            return prod
+        return np.add.reduceat(prod, self._starts, axis=-1)
+
+    def rhs(self, wdata, r):
+        """``(W H)ᵀ r``: per-column sums, structurally empty columns 0."""
+        out = np.zeros(wdata.shape[:-1] + (self.shape[1],))
+        if len(self._rhs_cols):
+            out[..., self._rhs_cols] = np.add.reduceat(
+                wdata * np.take(r, self.indices, axis=-1), self._rhs_starts, axis=-1
+            )
+        return out
+
+    def solve(self, data, weights, r) -> np.ndarray:
+        """The Gauss-Newton step(s) ``G⁻¹ Hᵀ W r``; raises
+        :class:`GainSolveError` rather than return a non-finite step."""
+        wdata = self.weighted(data, weights)
+        gain, rhs = self.gain(data, wdata), self.rhs(wdata, r)
+        if data.ndim == 1:
+            self.spd.factor(gain)
+            dx = self.spd.solve(rhs)
+        else:
+            dx = np.empty_like(rhs)
+            for k in range(len(rhs)):
+                self.spd.factor(gain[k])
+                dx[k] = self.spd.solve(rhs[k])
+        if not np.all(np.isfinite(dx)):
+            raise GainSolveError("gain solve produced non-finite step")
+        return dx
+
+
+def _canonical_csc(H: sp.spmatrix) -> sp.csc_matrix:
+    """``H`` as CSC without duplicate entries (the product map pairs
+    entries, so a duplicated position would lose its cross terms)."""
+    Hc = H.tocsc()
+    Hc.sum_duplicates()
+    return Hc
 
 
 def build_gain(H: sp.spmatrix, weights: np.ndarray) -> sp.csc_matrix:
-    """Gain matrix ``G = Hᵀ W H`` (CSC)."""
-    Hc = H.tocsc()
-    Hw = _weighted_copy(Hc, weights)
-    return (Hc.T @ Hw).tocsc()
+    """Gain matrix ``G = Hᵀ W H`` (CSC, structural zeros kept)."""
+    Hc = _canonical_csc(H)
+    kernel = NormalEquations(Hc.indptr, Hc.indices, Hc.shape)
+    return kernel.spd.matrix(
+        kernel.gain(Hc.data, kernel.weighted(Hc.data, weights))
+    )
 
 
 class GainSolver:
@@ -61,8 +284,9 @@ class GainSolver:
 
     Parameters mirror :func:`solve_normal_equations`.  The solver is safe
     to reuse across Gauss-Newton iterations and across estimate() calls of
-    the same estimator; if the Jacobian pattern changes between calls the
-    cached structure is discarded and rebuilt transparently.
+    the same estimator: the :class:`NormalEquations` kernel is built on the
+    first solve and kept while the Jacobian pattern stays the same; a new
+    pattern replaces it transparently.
     """
 
     def __init__(
@@ -75,72 +299,47 @@ class GainSolver:
         self.method = method
         self.pcg_preconditioner = pcg_preconditioner
         self.pcg_tol = pcg_tol
-        self._perm_c: np.ndarray | None = None
-        self._pattern: tuple | None = None
-
-    # ------------------------------------------------------------------
-    def _pattern_matches(self, G: sp.csc_matrix) -> bool:
-        pat = self._pattern
-        return (
-            pat is not None
-            and pat[0] == G.shape
-            and pat[1] == G.nnz
-            and np.array_equal(pat[2], G.indptr)
-            and np.array_equal(pat[3], G.indices)
-        )
-
-    def _solve_lu(self, G: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
-        try:
-            if self._perm_c is None or not self._pattern_matches(G):
-                # Analysis phase: compute the fill-reducing ordering once
-                # for this pattern.  The factorization is then *redone*
-                # below through the same NATURAL-order path warm solves
-                # take, so cold and warm solves perform bit-identical
-                # floating-point arithmetic — the property that pins
-                # serial, thread-pool and process-pool results to each
-                # other no matter which worker's solver is warm.
-                self._perm_c = spla.splu(G).perm_c.copy()
-                self._pattern = (G.shape, G.nnz, G.indptr.copy(), G.indices.copy())
-            # Apply the cached ordering up front and run SuperLU with
-            # NATURAL column order, skipping the ordering phase.
-            perm = self._perm_c
-            lu = spla.splu(G[:, perm], permc_spec="NATURAL")
-        except RuntimeError as exc:
-            raise GainSolveError(f"gain matrix is singular: {exc}") from exc
-        y = lu.solve(rhs)
-        dx = np.empty_like(y)
-        dx[perm] = y
-        return dx
+        self.kernel: NormalEquations | None = None
 
     # ------------------------------------------------------------------
     def solve(
         self, H: sp.spmatrix, weights: np.ndarray, r: np.ndarray
     ) -> np.ndarray:
         """Solve ``(Hᵀ W H) dx = Hᵀ W r`` for the Gauss-Newton step."""
+        Hc = _canonical_csc(H)
+        return self.solve_csc(Hc.indptr, Hc.indices, Hc.shape, Hc.data, weights, r)
+
+    def solve_csc(
+        self,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        shape: tuple,
+        data: np.ndarray,
+        weights: np.ndarray,
+        r: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`solve` with the Jacobian given as raw CSC arrays (a
+        :attr:`JacobianStructure.pattern` plus the ``data`` it filled), so
+        the Gauss-Newton loop constructs no sparse matrix."""
         if self.method not in ("lu", "pcg", "lsqr"):
             raise ValueError(f"unknown method {self.method!r}")
-        Hc = H.tocsc()
         if self.method == "lsqr":
             sw = np.sqrt(weights)
-            Hs = _weighted_copy(Hc, sw)
-            out = spla.lsqr(Hs, sw * r, atol=1e-14, btol=1e-14)
-            dx = out[0]
+            Hs = sp.csc_matrix((data * sw[indices], indices, indptr), shape=shape)
+            dx = spla.lsqr(Hs, sw * r, atol=1e-14, btol=1e-14)[0]
             if not np.all(np.isfinite(dx)):
                 raise GainSolveError("lsqr produced non-finite step")
             return dx
 
-        # "lu" and "pcg" both need the weighted Jacobian and the gain
-        # matrix; Hw is shared between the RHS and the gain product.
-        Hw = _weighted_copy(Hc, weights)
-        rhs = Hw.T @ r
-        G = (Hc.T @ Hw).tocsc()
+        kernel = self.kernel = NormalEquations.cached(
+            self.kernel, indptr, indices, shape
+        )
         if self.method == "lu":
-            dx = self._solve_lu(G, rhs)
-            if not np.all(np.isfinite(dx)):
-                raise GainSolveError("gain solve produced non-finite step")
-            return dx
+            return kernel.solve(data, weights, r)
+        wdata = kernel.weighted(data, weights)
         res = pcg_solve(
-            G, rhs, preconditioner=self.pcg_preconditioner, tol=self.pcg_tol
+            kernel.spd.matrix(kernel.gain(data, wdata)), kernel.rhs(wdata, r),
+            preconditioner=self.pcg_preconditioner, tol=self.pcg_tol,
         )
         if not res.converged:
             raise GainSolveError(
@@ -150,71 +349,46 @@ class GainSolver:
 
 
 class BatchGainSolver:
-    """Normal-equation solver for a block-diagonal batched Jacobian.
+    """Normal-equation solver for K same-pattern scenario Jacobians.
 
-    The batched Gauss-Newton iteration stacks K same-pattern scenario
-    Jacobians into one block-diagonal ``(K*m, K*ns)`` matrix, so the gain
-    matrix ``G = Hᵀ W H`` is block-diagonal too and one sparse LU
-    factorizes the entire batch — the block structure confines fill-in to
-    the diagonal blocks, making the batch factorization cost K independent
-    factorizations minus K-1 analysis phases.
-
-    Every scenario shares one sparsity pattern, so the fill-reducing column
-    ordering is computed for the *first block only* and tiled across the
-    batch; like :class:`GainSolver` the factorization then always runs
-    through the NATURAL-order path, keeping cold and warm solves
-    bit-identical.  The cached ordering survives changes of K (the active
-    set shrinks as scenarios converge).
+    The batched Gauss-Newton iteration evaluates K scenarios' Jacobians on
+    one sparsity pattern, so one :class:`NormalEquations` kernel assembles
+    all K gain matrices and right-hand sides in a single vectorised numeric
+    pass (a leading batch axis on every array); the K factorisations then
+    run block by block through the kernel's factor — the same arithmetic
+    the serial :class:`GainSolver` performs on each scenario.  The kernel
+    survives changes of K (the active set shrinks as scenarios converge).
     """
 
     def __init__(self) -> None:
-        self._perm_c: np.ndarray | None = None
-        self._pattern: tuple | None = None
+        self.kernel: NormalEquations | None = None
 
-    def _block_perm(self, G: sp.csc_matrix, ns: int, K: int) -> np.ndarray:
-        G0 = G[:ns, :ns].tocsc()
-        pat = self._pattern
-        if (
-            pat is None
-            or pat[0] != G0.nnz
-            or not np.array_equal(pat[1], G0.indptr)
-            or not np.array_equal(pat[2], G0.indices)
-        ):
-            self._perm_c = spla.splu(G0).perm_c.copy()
-            self._pattern = (G0.nnz, G0.indptr.copy(), G0.indices.copy())
-        return (
-            self._perm_c[None, :] + ns * np.arange(K, dtype=np.int64)[:, None]
-        ).ravel()
-
-    def solve(
-        self, H: sp.csc_matrix, weights: np.ndarray, r: np.ndarray
+    def solve_csc(
+        self,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        shape: tuple,
+        data: np.ndarray,
+        weights: np.ndarray,
+        r: np.ndarray,
     ) -> np.ndarray:
         """Solve ``(Hᵀ W H) dx = Hᵀ W r`` for all K scenarios at once.
 
-        ``H`` is the block-diagonal batched Jacobian with K blocks of shape
-        ``(m, ns)``, ``weights`` the shared per-measurement weights (length
-        m, tiled over the batch) and ``r`` the stacked residuals ``(K, m)``.
-        Returns the stacked steps ``(K, ns)``.
+        The K Jacobians share the CSC pattern ``(indptr, indices, shape)``
+        (a :attr:`JacobianStructure.pattern`) with ``shape == (m, ns)``;
+        ``data`` is their ``(K, nnz)`` value stack
+        (:meth:`JacobianStructure.fill_batch_data`), ``weights`` the shared
+        per-measurement weights (length m) and ``r`` the stacked residuals
+        ``(K, m)``.  Returns the stacked steps ``(K, ns)``.
         """
-        K, m = r.shape
-        ns = H.shape[1] // K
-        if H.shape != (K * m, K * ns):
-            raise ValueError(f"H shape {H.shape} does not tile ({K}, {m})")
-        w_big = np.tile(weights, K)
-        Hw = _weighted_copy(H, w_big)
-        rhs = Hw.T @ r.ravel()
-        G = (H.T @ Hw).tocsc()
-        try:
-            permf = self._block_perm(G, ns, K)
-            lu = spla.splu(G[:, permf], permc_spec="NATURAL")
-        except RuntimeError as exc:
-            raise GainSolveError(f"batched gain matrix is singular: {exc}") from exc
-        y = lu.solve(rhs)
-        dx = np.empty_like(y)
-        dx[permf] = y
-        if not np.all(np.isfinite(dx)):
-            raise GainSolveError("batched gain solve produced non-finite step")
-        return dx.reshape(K, ns)
+        if data.shape != (len(r), len(indices)) or r.shape[1] != shape[0]:
+            raise ValueError(
+                f"data {data.shape} / r {r.shape} do not stack on pattern {shape}"
+            )
+        kernel = self.kernel = NormalEquations.cached(
+            self.kernel, indptr, indices, shape
+        )
+        return kernel.solve(data, weights, r)
 
 
 class SchurGainSolver:
@@ -226,7 +400,7 @@ class SchurGainSolver:
 
     .. code-block:: text
 
-        G_II = L U                sparse LU (cached fill-reducing ordering)
+        G_II = L Lᵀ               the kernel's fixed-pattern factor
         W    = G_II⁻¹ G_IB        dense |I| × |B| back-substitution operator
         S    = G_BB − G_IBᵀ W     dense Schur complement (SPD → Cholesky)
 
@@ -238,11 +412,11 @@ class SchurGainSolver:
         dx_B = S⁻¹ (rhs_B − G_IBᵀ u)      boundary-sized system
         dx_I = u − W dx_B                 local back-substitution
 
-    Like :class:`GainSolver`, the sparse factorization caches the
-    fill-reducing column ordering on first use and always refactors
-    through the NATURAL-order path, so cold and warm factorizations
-    perform bit-identical floating-point arithmetic — the property that
-    pins serial, thread-pool and process-pool DSE results to each other.
+    The gain is assembled by the shared :class:`NormalEquations` kernel;
+    the split of its fixed pattern into the three blocks is index
+    bookkeeping done once per Jacobian pattern, so a refactorisation at a
+    new linearisation point is numeric-only and, like every kernel product,
+    independent of what was factored before.
     """
 
     def __init__(self, boundary: np.ndarray, n_states: int):
@@ -254,12 +428,12 @@ class SchurGainSolver:
         mask = np.ones(self.n_states, dtype=bool)
         mask[boundary] = False
         self.interior = np.flatnonzero(mask)
-        self._perm_c: np.ndarray | None = None
-        self._pattern: tuple | None = None
-        self._lu = None
+        self.kernel: NormalEquations | None = None
+        self._interior: _SpdFactor | None = None
+        self._maps: tuple | None = None
         self._S: tuple | None = None
         self._W: np.ndarray | None = None
-        self._G_IB: sp.csc_matrix | None = None
+        self._G_IB: np.ndarray | None = None
         self._factored = False
 
     @property
@@ -275,41 +449,65 @@ class SchurGainSolver:
         return self._factored
 
     # ------------------------------------------------------------------
+    def _split_pattern(self, spd: _SpdFactor) -> tuple:
+        """Where each lower-triangle gain entry lands: the interior factor
+        and scatter maps ``(row, col, src)`` for dense ``G_IB`` and ``S``."""
+        local_i = -np.ones(self.n_states, dtype=np.int64)
+        local_i[self.interior] = np.arange(self.n_interior)
+        local_b = -np.ones(self.n_states, dtype=np.int64)
+        local_b[self.boundary] = np.arange(self.n_boundary)
+        ri, ci = local_i[spd.rows], local_i[spd.cols]
+        rb, cb = local_b[spd.rows], local_b[spd.cols]
+        ii = np.flatnonzero((ri >= 0) & (ci >= 0))
+        ib = np.flatnonzero((ri >= 0) & (cb >= 0))   # entry of G_IB
+        bi = np.flatnonzero((rb >= 0) & (ci >= 0))   # entry of G_IBᵀ
+        bb = np.flatnonzero((rb >= 0) & (cb >= 0))
+        g_ii = _SpdFactor(ri[ii], ci[ii], self.n_interior)
+        g_ib = (
+            np.concatenate([ri[ib], ci[bi]]),
+            np.concatenate([cb[ib], rb[bi]]),
+            np.concatenate([ib, bi]),
+        )
+        s_bb = (
+            np.concatenate([rb[bb], cb[bb]]),
+            np.concatenate([cb[bb], rb[bb]]),
+            np.concatenate([bb, bb]),
+        )
+        return g_ii, (ii, g_ib, s_bb)
+
     def factor(self, H: sp.spmatrix, weights: np.ndarray) -> None:
         """Condense ``G = Hᵀ W H`` onto the boundary block."""
-        G = build_gain(H, weights)
-        if G.shape[0] != self.n_states:
+        Hc = _canonical_csc(H)
+        if Hc.shape[1] != self.n_states:
             raise ValueError(
-                f"gain matrix order {G.shape[0]} != n_states {self.n_states}"
+                f"gain matrix order {Hc.shape[1]} != n_states {self.n_states}"
             )
-        idx = np.concatenate([self.interior, self.boundary])
-        Gp = G[idx][:, idx].tocsc()
+        kernel = NormalEquations.cached(
+            self.kernel, Hc.indptr, Hc.indices, Hc.shape
+        )
+        if kernel is not self.kernel:
+            self.kernel = kernel
+            self._interior, self._maps = self._split_pattern(kernel.spd)
+        gain = kernel.gain(Hc.data, kernel.weighted(Hc.data, weights))
+        interior = self._interior
+        ii, (ib_r, ib_c, ib_src), (bb_r, bb_c, bb_src) = self._maps
         ni, nb = self.n_interior, self.n_boundary
+        self._factored = False
 
         if ni:
-            G_II = Gp[:ni, :ni].tocsc()
             try:
-                if self._perm_c is None or not self._ii_pattern_matches(G_II):
-                    self._perm_c = spla.splu(G_II).perm_c.copy()
-                    self._pattern = (
-                        G_II.nnz, G_II.indptr.copy(), G_II.indices.copy()
-                    )
-                self._lu = spla.splu(
-                    G_II[:, self._perm_c], permc_spec="NATURAL"
-                )
-            except RuntimeError as exc:
-                raise GainSolveError(
-                    f"interior gain block is singular: {exc}"
-                ) from exc
-        else:
-            self._lu = None
+                interior.factor(gain[ii])
+            except GainSolveError as exc:
+                raise GainSolveError(f"interior gain block: {exc}") from exc
 
         if nb:
-            self._G_IB = Gp[:ni, ni:].tocsc()
-            S = Gp[ni:, ni:].toarray()
+            self._G_IB = np.zeros((ni, nb))
+            self._G_IB[ib_r, ib_c] = gain[ib_src]
+            S = np.zeros((nb, nb))
+            S[bb_r, bb_c] = gain[bb_src]
             if ni:
-                self._W = self._solve_interior(self._G_IB.toarray())
-                S = S - self._G_IB.T @ self._W
+                self._W = interior.solve(self._G_IB)
+                S -= self._G_IB.T @ self._W
             else:
                 self._W = np.zeros((0, nb))
             try:
@@ -324,23 +522,6 @@ class SchurGainSolver:
             self._S = None
         self._factored = True
 
-    def _ii_pattern_matches(self, G_II: sp.csc_matrix) -> bool:
-        pat = self._pattern
-        return (
-            pat is not None
-            and pat[0] == G_II.nnz
-            and np.array_equal(pat[1], G_II.indptr)
-            and np.array_equal(pat[2], G_II.indices)
-        )
-
-    def _solve_interior(self, b: np.ndarray) -> np.ndarray:
-        """``G_II⁻¹ b`` through the column-permuted NATURAL factorization
-        (``b`` may be a matrix of stacked right-hand sides)."""
-        y = self._lu.solve(b)
-        x = np.empty_like(y)
-        x[self._perm_c] = y
-        return x
-
     # ------------------------------------------------------------------
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Map a full-order right-hand side to the full step ``dx``."""
@@ -350,7 +531,7 @@ class SchurGainSolver:
             raise GainSolveError("non-finite right-hand side")
         dx = np.empty(self.n_states)
         u = (
-            self._solve_interior(rhs[self.interior])
+            self._interior.solve(rhs[self.interior])
             if self.n_interior
             else np.zeros(0)
         )

@@ -135,11 +135,16 @@ class WlsEstimator:
             Va[self.reference_bus] = reference_angle
 
         w = ms.weights
-        solver = (
-            self._gain_solver
-            if self.use_cache
-            else GainSolver(self.solver, pcg_preconditioner=self.pcg_preconditioner)
-        )
+        # Cached path: the Jacobian is a data vector on the structure's
+        # fixed pattern and never becomes a sparse matrix.
+        if self.use_cache:
+            solver = self._gain_solver
+            structure = model.jacobian_structure(self._keep)
+            pattern = structure.pattern
+        else:
+            solver = GainSolver(
+                self.solver, pcg_preconditioner=self.pcg_preconditioner
+            )
         step_norms: list[float] = []
         converged = False
         it = 0
@@ -149,9 +154,13 @@ class WlsEstimator:
         # recomputed after the loop.
         r = z - model.h(Vm, Va)
         for it in range(1, max_iter + 1):
-            H = self._jacobian_at(Vm, Va)
             try:
-                dx = solver.solve(H, w, r)
+                if self.use_cache:
+                    dx = solver.solve_csc(
+                        *pattern, structure.fill_data(Vm, Va), w, r
+                    )
+                else:
+                    dx = solver.solve(self._jacobian_at(Vm, Va), w, r)
             except Exception as exc:
                 raise EstimationError(f"normal-equation solve failed: {exc}") from exc
 

@@ -199,11 +199,9 @@ class JacobianStructure:
             ptr = np.searchsorted(urows, np.arange(int(el.max()) + 2))
             counts = ptr[el + 1] - ptr[el]
             rows = np.repeat(mrows, counts)
-            gidx = (
-                np.concatenate([np.arange(ptr[e], ptr[e + 1]) for e in el])
-                if len(el)
-                else np.zeros(0, np.int64)
-            )
+            # ranges ptr[e]..ptr[e+1] of every element, back to back
+            offset = np.cumsum(counts) - counts
+            gidx = np.repeat(ptr[el] - offset, counts) + np.arange(counts.sum())
             cols = ucols[gidx]
             add_entries(rows, cols, src_id(src_va), gidx, part)
             add_entries(rows, cols + n, src_id(src_vm), gidx, part)
@@ -313,13 +311,13 @@ class JacobianStructure:
 
         # constant entries prefilled; dynamic groups refill the rest
         self._template = cval
-        self._groups: list[tuple[np.ndarray, str, int]] = []
+        # (entry positions, source name, part, gather indices into source)
+        self._groups: list[tuple[np.ndarray, str, int, np.ndarray]] = []
         for s, name in enumerate(src_names):
             for p in (1, 2):
                 pos = np.flatnonzero((src == s) & (part == p))
                 if pos.size:
-                    self._groups.append((pos, name, p))
-        self._gidx = gidx
+                    self._groups.append((pos, name, p, gidx[pos]))
 
     # ------------------------------------------------------------------
     @property
@@ -327,9 +325,24 @@ class JacobianStructure:
         """Stored entries in the assembled reduced Jacobian."""
         return len(self._perm)
 
+    @property
+    def pattern(self) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
+        """The fixed CSC pattern ``(indptr, indices, shape)`` that
+        :meth:`fill_data` values live on."""
+        return self._indptr, self._indices, (self.n_rows, self.n_cols)
+
     # ------------------------------------------------------------------
     def fill(self, Vm: np.ndarray, Va: np.ndarray) -> sp.csc_matrix:
         """Evaluate the reduced Jacobian at (Vm, Va) on the cached pattern."""
+        return sp.csc_matrix(
+            (self.fill_data(Vm, Va), self._indices, self._indptr),
+            shape=(self.n_rows, self.n_cols),
+        )
+
+    def fill_data(self, Vm: np.ndarray, Va: np.ndarray) -> np.ndarray:
+        """The reduced Jacobian's CSC ``data`` vector at (Vm, Va) — all a
+        normal-equation kernel bound to :attr:`pattern` needs, so the
+        Gauss-Newton loop builds no sparse matrix."""
         model = self.model
         V = Vm * np.exp(1j * Va)
         vnorm = V / np.abs(V)
@@ -374,13 +387,10 @@ class JacobianStructure:
             src["imag_dm"] = np.real(w[mr] * (mv * vnorm[mc]))
 
         vals = self._template.copy()
-        for pos, name, p in self._groups:
-            arr = src[name][self._gidx[pos]]
+        for pos, name, p, take in self._groups:
+            arr = src[name][take]
             vals[pos] = arr.real if p == 1 else arr.imag
-        return sp.csc_matrix(
-            (vals[self._perm], self._indices, self._indptr),
-            shape=(self.n_rows, self.n_cols),
-        )
+        return vals[self._perm]
 
     # ------------------------------------------------------------------
     # Batched (SIMD-over-scenarios) evaluation
@@ -452,16 +462,16 @@ class JacobianStructure:
             maps["imag"] = mapping(mr_, mc_, [(il, f, 0), (il, t, 1)])
         self._bmaps = maps
 
-    def fill_batch(
+    def fill_batch_data(
         self, Vm: np.ndarray, Va: np.ndarray, ops: "BatchOperators | None" = None
-    ) -> sp.csc_matrix:
-        """Block-diagonal batched Jacobian at K states on the cached pattern.
+    ) -> np.ndarray:
+        """K Jacobians on the cached pattern, as a ``(K, nnz)`` data stack.
 
         ``Vm``/``Va`` are ``(K, n_bus)`` state stacks; ``ops`` carries the
-        per-scenario admittances (base topology when omitted).  Returns the
-        ``(K*n_rows, K*n_cols)`` block-diagonal CSC whose k-th block equals
-        :meth:`fill` evaluated on scenario k — exactly for uniform
-        topology, to floating-point round-off otherwise.
+        per-scenario admittances (base topology when omitted).  Row k holds
+        the CSC ``data`` of scenario k on the shared :attr:`pattern` and
+        equals :meth:`fill_data` there — exactly for uniform topology, to
+        floating-point round-off otherwise.
         """
         model = self.model
         if ops is None:
@@ -525,23 +535,10 @@ class JacobianStructure:
             src["imag_dm"] = np.real(w[mr] * (mvK * vnorm[mc]))
 
         vals = np.repeat(self._template[:, None], K, axis=1)
-        for pos, name, p in self._groups:
-            arr = src[name][self._gidx[pos]]
+        for pos, name, p, take in self._groups:
+            arr = src[name][take]
             vals[pos] = arr.real if p == 1 else arr.imag
-        return self._block_csc(vals, K)
-
-    def _block_csc(self, vals: np.ndarray, K: int) -> sp.csc_matrix:
-        """Assemble (n_entries, K) values into the block-diagonal CSC."""
-        nnz = len(self._perm)
-        data = vals[self._perm].T.ravel()
-        m, nc = self.n_rows, self.n_cols
-        idx = self._indices.astype(np.int64)
-        indices = (idx[None, :] + m * np.arange(K)[:, None]).ravel()
-        ptr = self._indptr.astype(np.int64)
-        indptr = np.append(
-            (ptr[:-1][None, :] + nnz * np.arange(K)[:, None]).ravel(), nnz * K
-        )
-        return sp.csc_matrix((data, indices, indptr), shape=(K * m, K * nc))
+        return np.ascontiguousarray(vals[self._perm].T)
 
 
 def _dsbr_dv(

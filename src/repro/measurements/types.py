@@ -175,6 +175,19 @@ class MeasurementSet:
         """WLS weights ``1/sigma^2``."""
         return 1.0 / (self.sigma * self.sigma)
 
+    def same_structure(self, other: "MeasurementSet") -> bool:
+        """True when ``other`` holds the same (type, element, sigma) rows,
+        i.e. differs from this set in measured values at most — the
+        condition for serving it as a values-only frame over structures
+        built for this one."""
+        return (
+            len(self) == len(other)
+            and all(
+                np.array_equal(self._idx[t], other._idx[t]) for t in _TYPE_ORDER
+            )
+            and np.array_equal(self.sigma, other.sigma)
+        )
+
     def with_values(self, z: np.ndarray) -> "MeasurementSet":
         """A copy of this set with replaced measured values (same order)."""
         if len(z) != len(self):

@@ -25,7 +25,7 @@ every case is a compact payload.
 becomes *one batched solve* instead of N executor tasks.  Estimation
 frames in a flush are grouped by tolerance and pushed through a single
 :class:`~repro.estimation.batch.BatchEstimator` over the base network
-(block-diagonal normal equations, per-scenario convergence masks);
+(batched normal equations, per-scenario convergence masks);
 contingency cases drain through
 :meth:`~repro.contingency.analysis.ContingencyAnalyzer.analyze_batch`
 (one compensation-based DC solve for the whole list).  Estimation results

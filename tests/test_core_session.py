@@ -8,7 +8,13 @@ from repro.core import ArchitecturePrototype, DseSession
 from repro.dse import dse_pmu_placement
 from repro.grid import run_ac_power_flow
 from repro.grid.cases import case118, synthetic_grid
-from repro.measurements import ScadaSystem, full_placement, generate_measurements
+from repro.measurements import (
+    MeasType,
+    ScadaSystem,
+    full_placement,
+    generate_measurements,
+    inject_bad_data,
+)
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +112,65 @@ class TestSession:
         # after the cold start the innovation tracker heads toward 1.0
         assert levels[-1] < levels[0] + 1e-9
         assert len(session.reports) == 3
+
+    def test_estimator_reuse_matches_fresh_estimator_per_frame(
+        self, arch118, net118, frame118
+    ):
+        """The session serves same-placement frames values-only over one
+        kept estimator; everything it reports must equal a session that
+        builds a fresh estimator for every frame — across a placement
+        change and a frame thinned by bad-data removal."""
+        pf, base = frame118
+        rng = np.random.default_rng(3)
+        plac = full_placement(net118).merged_with(dse_pmu_placement(arch118.dec))
+
+        def scan():
+            return generate_measurements(net118, plac, pf, rng=rng)
+
+        internal = set(arch118.dec.buses(2)) - set(arch118.dec.boundary_buses(2))
+        vmag = next(
+            row for row, m in enumerate(base)
+            if m.mtype == MeasType.V_MAG and m.element in internal
+        )
+        thinned = np.ones(len(base), dtype=bool)
+        thinned[base.rows(MeasType.Q_FLOW_T)[::7]] = False
+        frames = [
+            scan(),
+            scan(),
+            scan().subset(thinned),                       # placement change
+            scan(),
+            inject_bad_data(scan(), np.array([vmag]), magnitude_sigmas=40, rng=rng),
+            scan(),
+        ]
+
+        kept = DseSession(arch118, bad_data_policy="identify")
+        fresh = DseSession(arch118, bad_data_policy="identify")
+        estimators = []
+        for ms in frames:
+            fresh._dse = None                             # build every frame
+            a = kept.process_frame(ms, truth=(pf.Vm, pf.Va))
+            b = fresh.process_frame(ms, truth=(pf.Vm, pf.Va))
+            da, db = a.to_dict(), b.to_dict()
+            for clocked in ("timings", "wall_time"):
+                da.pop(clocked), db.pop(clocked)
+            assert da == db
+            assert np.array_equal(kept._prev_vm, fresh._prev_vm)
+            assert np.array_equal(kept._prev_va, fresh._prev_va)
+            assert a.wall_time > 0
+            estimators.append(kept._dse)
+
+        assert kept.reports[4].bad_data.removed_global_rows
+        e = estimators
+        assert e[0] is e[1]                  # same placement: reused
+        assert e[2] is not e[1]              # placement changed: rebuilt
+        assert e[3] is not e[2]              # and changed back
+        assert e[4] is e[3] and e[5] is e[3]  # bad-data frame evicts nothing
+
+    def test_reuse_structures_false_keeps_no_estimator(self, arch118, frame118):
+        _, ms = frame118
+        session = DseSession(arch118, reuse_structures=False)
+        session.process_frame(ms)
+        assert session._dse is None
 
     def test_fabric_frames_actually_relayed(self, net118):
         pf = run_ac_power_flow(net118)

@@ -566,6 +566,10 @@ def _run_chaos(dec, ms, cons, dump_dir, *, seed, n_requests=14):
                 "health.slo.trips_total", slo="avail").value
         return router, report, mon, events, rehashed_at_loss, burn_events, slo_trips
     finally:
+        # the services do not own the pools passed to them; without this the
+        # surviving workers live until a cyclic GC pass happens to run
+        for svc in shards.values():
+            svc.executor.shutdown()
         obs.configure(enabled=False, health=False, reset=True,
                       health_dump_dir=None, slo=[])
 
