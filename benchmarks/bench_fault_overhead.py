@@ -51,33 +51,33 @@ def measure_fault_overhead(*, frames: int = 3, repeats: int = 3) -> dict:
     ms = generate_measurements(net, plac, pf, rng=rng)
     z = ms.z.copy()
 
-    live = LiveDseRuntime(dec, ms, fast=True)
-    live.run(z=z)  # warm the site caches outside the timed region
+    with LiveDseRuntime(dec, ms, fast=True) as live:
+        live.run(z=z)  # warm the site caches outside the timed region
 
-    idle = FaultInjector(FaultPlan(seed=0))  # no rules: nothing can fire
+        idle = FaultInjector(FaultPlan(seed=0))  # no rules: nothing can fire
 
-    def one_repeat() -> float:
-        t0 = time.perf_counter()
-        for _ in range(frames):
-            live.run(z=z)
-        return time.perf_counter() - t0
+        def one_repeat() -> float:
+            t0 = time.perf_counter()
+            for _ in range(frames):
+                live.run(z=z)
+            return time.perf_counter() - t0
 
-    # Interleave the two states so clock / cache drift over the run
-    # biases neither (same discipline as bench_obs_overhead).
-    t_off = t_on = float("inf")
-    try:
-        for _ in range(repeats):
+        # Interleave the two states so clock / cache drift over the run
+        # biases neither (same discipline as bench_obs_overhead).
+        t_off = t_on = float("inf")
+        try:
+            for _ in range(repeats):
+                faults.uninstall()
+                t_off = min(t_off, one_repeat())
+                faults.install(idle)
+                t_on = min(t_on, one_repeat())
+
             faults.uninstall()
-            t_off = min(t_off, one_repeat())
+            res_off = live.run(z=z)
             faults.install(idle)
-            t_on = min(t_on, one_repeat())
-
-        faults.uninstall()
-        res_off = live.run(z=z)
-        faults.install(idle)
-        res_on = live.run(z=z)
-    finally:
-        faults.uninstall()
+            res_on = live.run(z=z)
+        finally:
+            faults.uninstall()
 
     return {
         "case": "ieee118-live",

@@ -18,9 +18,8 @@ from repro.dse import DistributedStateEstimator
 def test_live_runtime_inproc(benchmark, dec118, mset118, pf118):
     ref = DistributedStateEstimator(dec118, mset118).run()
 
-    live = benchmark.pedantic(
-        lambda: LiveDseRuntime(dec118, mset118).run(), rounds=2, iterations=1
-    )
+    with LiveDseRuntime(dec118, mset118) as runtime:
+        live = benchmark.pedantic(runtime.run, rounds=2, iterations=1)
     assert live.errors == []
     assert np.array_equal(live.Vm, ref.Vm)
 
@@ -32,10 +31,8 @@ def test_live_runtime_inproc(benchmark, dec118, mset118, pf118):
 
 
 def test_live_runtime_tcp(benchmark, dec118, mset118, pf118):
-    live = benchmark.pedantic(
-        lambda: LiveDseRuntime(dec118, mset118, use_tcp=True).run(),
-        rounds=2, iterations=1,
-    )
+    with LiveDseRuntime(dec118, mset118, use_tcp=True) as runtime:
+        live = benchmark.pedantic(runtime.run, rounds=2, iterations=1)
     assert live.errors == []
     err = live.state_error(pf118.Vm, pf118.Va)
 

@@ -57,28 +57,28 @@ def measure_recovery_overhead(*, frames: int = 3, repeats: int = 3) -> dict:
     ms = generate_measurements(net, plac, pf, rng=rng)
     z = ms.z.copy()
 
-    live_off = LiveDseRuntime(dec, ms, fast=True)
-    live_on = LiveDseRuntime(
+    with LiveDseRuntime(dec, ms, fast=True) as live_off, LiveDseRuntime(
         dec, ms, fast=True, recovery=RecoveryConfig(lease_rounds=2)
-    )
-    live_off.run(z=z)  # warm the site caches outside the timed region
-    live_on.run(z=z)
+    ) as live_on:
+        live_off.run(z=z)  # warm the site caches outside the timed region
+        live_on.run(z=z)
 
-    def one_repeat(live: LiveDseRuntime) -> float:
-        t0 = time.perf_counter()
-        for _ in range(frames):
-            live.run(z=z)
-        return time.perf_counter() - t0
+        def one_repeat(live: LiveDseRuntime) -> float:
+            t0 = time.perf_counter()
+            for _ in range(frames):
+                live.run(z=z)
+            return time.perf_counter() - t0
 
-    # Interleave the two states so clock / cache drift over the run
-    # biases neither (same discipline as bench_fault_overhead).
-    t_off = t_on = float("inf")
-    for _ in range(repeats):
-        t_off = min(t_off, one_repeat(live_off))
-        t_on = min(t_on, one_repeat(live_on))
+        # Interleave the two states so clock / cache drift over the run
+        # biases neither (same discipline as bench_fault_overhead).
+        t_off = t_on = float("inf")
+        for _ in range(repeats):
+            t_off = min(t_off, one_repeat(live_off))
+            t_on = min(t_on, one_repeat(live_on))
 
-    res_off = live_off.run(z=z)
-    res_on = live_on.run(z=z)
+        res_off = live_off.run(z=z)
+        res_on = live_on.run(z=z)
+
     return {
         "case": "ieee118-live",
         "frames_per_repeat": frames,
@@ -108,14 +108,14 @@ def measure_frames_to_recovery(*, lease_rounds: int = 2) -> dict:
     rounds = max(1, dec.diameter()) + 20
 
     def run(plan=None):
-        live = LiveDseRuntime(
+        with LiveDseRuntime(
             dec, ms, fast=True, recv_timeout=0.5, round_deadline=2.0,
             recovery=RecoveryConfig(lease_rounds=lease_rounds),
-        )
-        if plan is None:
-            return live.run(rounds=rounds)
-        with faults.injection(FaultInjector(plan)):
-            return live.run(rounds=rounds)
+        ) as live:
+            if plan is None:
+                return live.run(rounds=rounds)
+            with faults.injection(FaultInjector(plan)):
+                return live.run(rounds=rounds)
 
     clean = run()
     kills = []

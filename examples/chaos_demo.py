@@ -74,10 +74,9 @@ def smoke_degraded_live_run() -> None:
     plan = FaultPlan(seed=11).add("mux.forward", "drop", key=(None, 0))
 
     def one_run():
-        live = LiveDseRuntime(
+        with LiveDseRuntime(
             dec, ms, fast=True, recv_timeout=0.3, round_deadline=2.0
-        )
-        with faults.injection(plan) as inj:
+        ) as live, faults.injection(plan) as inj:
             res = live.run(rounds=1)
         return res, inj.fired_summary()
 

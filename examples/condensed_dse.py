@@ -54,7 +54,8 @@ def main() -> None:
 
     # The same condensed frames over the live middleware fabric: sites
     # learn about neighbours only from the packed boundary blocks.
-    live = LiveDseRuntime(dec, mset, condense=True).run()
+    with LiveDseRuntime(dec, mset, condense=True) as runtime:
+        live = runtime.run()
     sent = sum(st.bytes_sent for st in live.sites.values())
     match = bool(
         np.array_equal(live.Vm, con.Vm) and np.array_equal(live.Va, con.Va)

@@ -83,8 +83,10 @@ def main() -> None:
             print(render_dashboard(mon.registry.collect(), events,
                                    {"blackbox": True, "trigger": "demo"},
                                    max_events=4))
+            with open(path) as fh:
+                n_records = sum(1 for _ in fh)
             print(f"\nblackbox written: {os.path.basename(path)} "
-                  f"({sum(1 for _ in open(path))} records)")
+                  f"({n_records} records)")
     finally:
         obs.configure(enabled=False, health=False, reset=True, slo=[])
 

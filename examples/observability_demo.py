@@ -66,7 +66,8 @@ def main() -> None:
 
         # 3. live thread-per-site runtime over real TCP: the mux router
         #    hop records mux.forward spans inside the sender's trace
-        live = LiveDseRuntime(dec, mset, use_tcp=True, fast=True).run()
+        with LiveDseRuntime(dec, mset, use_tcp=True, fast=True) as runtime:
+            live = runtime.run()
         hops = obs.tracer().spans_named("mux.forward")
         print(f"live TCP run: {len(live.errors)} errors, "
               f"{len(hops)} mux.forward spans at the router hop")

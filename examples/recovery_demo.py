@@ -49,16 +49,16 @@ def main() -> None:
     rounds = max(1, dec.diameter()) + 18
 
     def run(plan=None):
-        live = LiveDseRuntime(
+        with LiveDseRuntime(
             dec, ms, fast=True, recv_timeout=0.5, round_deadline=2.0,
             recovery=RecoveryConfig(lease_rounds=2),
-        )
-        if plan is None:
-            return live.run(rounds=rounds), None
-        inj = FaultInjector(plan)
-        with faults.injection(inj):
-            res = live.run(rounds=rounds)
-        return res, inj.fired_summary()
+        ) as live:
+            if plan is None:
+                return live.run(rounds=rounds), None
+            inj = FaultInjector(plan)
+            with faults.injection(inj):
+                res = live.run(rounds=rounds)
+            return res, inj.fired_summary()
 
     clean, _ = run()
     assert clean.lost_sites == [] and clean.recovered_subsystems == []

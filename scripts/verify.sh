@@ -22,34 +22,51 @@ fi
 echo "== metric-name taxonomy lint =="
 python scripts/check_metric_names.py
 
+# Example smokes run with ResourceWarning as an error, so an unclosed hub or
+# link socket (or file) fails the check.  Most such warnings fire inside a
+# destructor, where Python can only print "Exception ignored ...
+# ResourceWarning" and carry on — hence the grep on stderr.
+smoke() {
+    local log rc=0
+    log=$(mktemp)
+    python -W error::ResourceWarning "$@" 2> "$log" || rc=$?
+    cat "$log" >&2
+    if grep -q ResourceWarning "$log"; then
+        echo "verify: ResourceWarning from: $*" >&2
+        rc=1
+    fi
+    rm -f "$log"
+    return $rc
+}
+
 echo "== quickstart smoke =="
-python examples/quickstart.py
+smoke examples/quickstart.py
 
 echo "== scenario serving smoke (tiny batch) =="
-python examples/serve_scenarios.py --tiny
+smoke examples/serve_scenarios.py --tiny
 
 echo "== middleware round-trip smoke (inproc + localhost TCP) =="
-python examples/middleware_roundtrip.py
+smoke examples/middleware_roundtrip.py
 
 echo "== observability smoke (traces across workers + TCP mux hop) =="
-python examples/observability_demo.py
+smoke examples/observability_demo.py
 
 echo "== chaos smoke (seeded fault plan, retries, degraded live run) =="
-python examples/chaos_demo.py
+smoke examples/chaos_demo.py
 
 echo "== batch sweep smoke (copy-on-write forks + SIMD batch solves) =="
-python examples/batch_sweep.py
+smoke examples/batch_sweep.py
 
 echo "== condensed DSE smoke (Schur-reduced Step-2 exchange and solve) =="
-python examples/condensed_dse.py
+smoke examples/condensed_dse.py
 
 echo "== sharded serving smoke (hash-ring router, drain, no loss) =="
-python examples/serve_sharded.py --tiny
+smoke examples/serve_sharded.py --tiny
 
 echo "== health plane smoke (watchdog, SLO burn, telemetry, blackbox) =="
-python examples/health_demo.py
+smoke examples/health_demo.py
 
 echo "== recovery smoke (site kill, lease expiry, epoch-fenced failover) =="
-python examples/recovery_demo.py
+smoke examples/recovery_demo.py
 
 echo "verify: OK"

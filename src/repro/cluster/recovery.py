@@ -227,10 +227,10 @@ class MembershipView:
     the lock; the epoch fence only does atomic dict reads.
     """
 
-    def __init__(self, sites):
+    def __init__(self, sites, *, epoch0: int = 0):
         self._last: dict[str, int] = {s: -1 for s in sites}
         self._lost: dict[str, int] = {}  # site -> epoch at loss
-        self.epoch = 0
+        self.epoch = epoch0
 
     def beat(self, site: str, rnd: int) -> None:
         """Renew ``site``'s lease from a checkpoint covering round
@@ -279,15 +279,21 @@ class RecoveryCoordinator:
     :meth:`begin_round` caller wins) and depends only on round
     arithmetic, never on thread arrival order — so a seeded chaos run
     replays bit-for-bit.
+
+    ``epoch0`` is the epoch the run starts in.  A fabric that outlives the
+    run hands the next coordinator a higher one, so a frame stamped by the
+    previous run — still in flight when this one installed its fence and
+    sinks — is rejected like any other stale epoch.
     """
 
     def __init__(self, sites: dict[str, int], hosted: dict[str, list[int]],
-                 *, config: RecoveryConfig | None = None):
+                 *, config: RecoveryConfig | None = None, epoch0: int = 0):
         self.config = config or RecoveryConfig()
         self._ids = dict(sites)
         self._names = {i: n for n, i in sites.items()}
+        self._epoch0 = epoch0
         self.ring = ConsistentHashRing(sorted(sites), vnodes=self.config.vnodes)
-        self.membership = MembershipView(sorted(sites))
+        self.membership = MembershipView(sorted(sites), epoch0=epoch0)
         self._site_of: dict[int, str] = {}
         for site, subs in hosted.items():
             for sub in subs:
@@ -343,7 +349,7 @@ class RecoveryCoordinator:
             return True
         if self.membership.is_lost(name):
             return False
-        return epoch >= 0
+        return epoch >= self._epoch0
 
     # -- write side ----------------------------------------------------
     def ingest(self, dst_site: str, payload) -> None:
@@ -355,6 +361,8 @@ class RecoveryCoordinator:
                     else SubsystemCheckpoint.from_payload(payload))
         except FrameError:
             return
+        if ckpt.epoch < self._epoch0:
+            return  # left over from an earlier run on the same fabric
         sender = self._names.get(ckpt.site)
         heartbeat = ckpt.subsystem == HEARTBEAT_SUBSYSTEM
         with self._lock:

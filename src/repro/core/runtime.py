@@ -12,17 +12,24 @@ The functional result must match the in-process
 :class:`~repro.dse.algorithm.DistributedStateEstimator` — asserted in the
 tests — while the wall-clock and relay statistics are those of a real
 multi-threaded, socket-backed execution.
+
+Like the paper's prototype, the deployment — the middleware fabric and the
+site threads — is started once and outlives the frames it serves: every
+:meth:`LiveDseRuntime.run` releases one frame to the waiting sites and
+collects their result (see :class:`_Deployment`).
 """
 
 from __future__ import annotations
 
+import queue
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import obs
+from .. import faults, obs
 from ..cluster.recovery import (
     RecoveryConfig,
     RecoveryCoordinator,
@@ -140,8 +147,86 @@ class LiveDseResult:
         }
 
 
+def _site_loop(s: int, inbox: "queue.SimpleQueue", done: "queue.SimpleQueue") -> None:
+    """Resident site thread: run one released frame at a time.
+
+    Between frames the thread holds nothing but its two queues — the frame
+    callable (which closes over the runtime) is dropped before the site
+    reports done, so an abandoned runtime can be reclaimed.
+    """
+    while True:
+        frame = inbox.get()
+        if frame is None:
+            return
+        try:
+            frame(s)
+        finally:
+            frame = None
+            done.put(s)
+
+
+class _Deployment:
+    """What is deployed once and serves many frames: the started
+    middleware fabric and one waiting thread per site.
+
+    Holds no reference to the runtime that owns it, so the runtime's
+    ``weakref.finalize`` can stop it when the runtime is dropped.
+    """
+
+    def __init__(self, names, pairs, *, use_tcp: bool, fast: bool):
+        self.fabric = MiddlewareFabric(names, pairs, use_tcp=use_tcp, fast=fast)
+        #: cluster epoch the next recovery-mode frame starts in: above every
+        #: epoch this fabric has carried, so a recovery-plane frame still in
+        #: flight from the previous frame is fenced, not absorbed
+        self.epoch0 = 0
+        self._done: "queue.SimpleQueue" = queue.SimpleQueue()
+        self._inboxes = [queue.SimpleQueue() for _ in names]
+        self._threads = [
+            threading.Thread(
+                target=_site_loop, args=(s, inbox, self._done),
+                name=f"site-{s}", daemon=True,
+            )
+            for s, inbox in enumerate(self._inboxes)
+        ]
+        try:
+            self.fabric.start()
+            for t in self._threads:
+                t.start()
+        except BaseException:
+            self.stop()
+            raise
+
+    def run_frame(self, site) -> None:
+        """Release ``site(s)`` to every site thread; return when all are done."""
+        for inbox in self._inboxes:
+            inbox.put(site)
+        for _ in self._inboxes:
+            self._done.get()
+
+    def stop(self) -> None:
+        for inbox in self._inboxes:
+            inbox.put(None)
+        # idle sites leave at once; one still inside an abandoned frame gets
+        # a bounded wait and is then cut off by the closing fabric
+        deadline = time.monotonic() + 2.0
+        for t in self._threads:
+            if t.ident is not None:
+                t.join(timeout=max(0.0, deadline - time.monotonic()))
+        self.fabric.stop()
+
+
 class LiveDseRuntime:
     """Runs the two-step DSE as concurrent sites over live middleware.
+
+    The runtime is a *resident deployment*: the fabric (hub, links) and the
+    site threads are started on the first :meth:`run` and serve every later
+    frame; a frame that ends unclean (any error, degraded round, lost site,
+    fired fault) retires them, so the next frame starts on a fresh
+    deployment and can never absorb a stale update.  Site solves take turns
+    in one compute slot: a GIL-bound solve gains nothing from overlapping
+    another, and without the slot every GIL release inside a solve hands
+    the interpreter to another solving site.  :meth:`close` (or leaving the
+    ``with`` block, or dropping the last reference) stops the deployment.
 
     Parameters
     ----------
@@ -239,6 +324,54 @@ class LiveDseRuntime:
         self.fast = fast
         self.condense = condense
         self.recovery = recovery
+        #: one frame at a time per runtime (also guards the lifecycle)
+        self._run_lock = threading.Lock()
+        #: the compute slot: one site solves at a time
+        self._slot = threading.Lock()
+        #: stops the current deployment; ``None`` until the first run and
+        #: after a retire.  A ``weakref.finalize`` so a dropped runtime
+        #: stops its hub, links and site threads without a ``close()``.
+        self._stop_deployment: weakref.finalize | None = None
+        self._deployment: _Deployment | None = None
+        self._closed = False
+
+    # -- lifecycle -----------------------------------------------------
+    def _deploy(self) -> _Deployment:
+        """The resident deployment, started on first use."""
+        if self._deployment is None:
+            dec = self.dec
+            names = [f"se{s}" for s in range(dec.m)]
+            pairs: list[tuple[str, str]] | None = []
+            for u, v in dec.quotient_edges():
+                pairs.append((f"se{u}", f"se{v}"))
+                pairs.append((f"se{v}", f"se{u}"))
+            if self.recovery is not None:
+                # failover can rebind any (publisher, host) pair, so the
+                # fabric wires the full ordered-pair mesh up front
+                pairs = None
+            dep = _Deployment(names, pairs, use_tcp=self.use_tcp, fast=self.fast)
+            self._deployment = dep
+            self._stop_deployment = weakref.finalize(self, dep.stop)
+        return self._deployment
+
+    def _retire(self) -> None:
+        """Stop the current deployment; the next frame starts a new one."""
+        if self._stop_deployment is not None:
+            self._stop_deployment()
+        self._stop_deployment = self._deployment = None
+
+    def close(self) -> None:
+        """Stop the hub, links and site threads (idempotent); a later
+        :meth:`run` raises."""
+        with self._run_lock:
+            self._closed = True
+            self._retire()
+
+    def __enter__(self) -> "LiveDseRuntime":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     def run(
@@ -248,7 +381,8 @@ class LiveDseRuntime:
         tol: float = 1e-8,
         z: np.ndarray | None = None,
     ) -> LiveDseResult:
-        """Execute one live distributed estimation.
+        """Execute one live distributed estimation on the resident
+        deployment (concurrent callers take turns).
 
         ``z`` optionally overrides the system-wide measured values
         (canonical order of the constructor's ``mset``) — a values-only
@@ -256,27 +390,44 @@ class LiveDseRuntime:
         :meth:`repro.dse.algorithm.DistributedStateEstimator.run`; requires
         ``use_cache=True``.
         """
-        dec = self.dec
-        net = dec.net
         if rounds is None:
-            rounds = max(1, dec.diameter())
+            rounds = max(1, self.dec.diameter())
         if z is not None:
             if not self.use_cache:
                 raise ValueError("values-only frames (z=) require use_cache=True")
             z = np.asarray(z, dtype=float)
             if len(z) != len(self._dse.mset):
                 raise ValueError("z override length mismatch")
+        with self._run_lock:
+            if self._closed:
+                raise RuntimeError("LiveDseRuntime is closed")
+            inj = faults.active()
+            fired0 = inj.total_fired() if inj is not None else 0
+            try:
+                result = self._run_frame(self._deploy(), rounds, tol, z)
+            except BaseException:
+                self._retire()
+                raise
+            if (
+                result.errors or result.degraded or result.lost_sites
+                or result.recovered_subsystems
+                # a fired fault may have left a frame behind that no site
+                # waited for (a duplicate): not this deployment's next frame
+                or (inj is not None and inj.total_fired() != fired0)
+            ):
+                self._retire()
+            return result
 
-        names = [f"se{s}" for s in range(dec.m)]
-        pairs: list[tuple[str, str]] | None = []
-        for u, v in dec.quotient_edges():
-            pairs.append((f"se{u}", f"se{v}"))
-            pairs.append((f"se{v}", f"se{u}"))
+    def _run_frame(
+        self, deployment: _Deployment, rounds: int, tol: float,
+        z: np.ndarray | None,
+    ) -> LiveDseResult:
+        """One frame on ``deployment``: everything here is per frame."""
+        dec = self.dec
+        net = dec.net
+        fabric = deployment.fabric
+        names = fabric.names
         recovery = self.recovery
-        if recovery is not None:
-            # failover can rebind any (publisher, host) pair, so the
-            # fabric wires the full ordered-pair mesh up front
-            pairs = None
 
         Vm = np.ones(net.n_bus)
         Va = np.zeros(net.n_bus)
@@ -292,12 +443,12 @@ class LiveDseRuntime:
             coord = RecoveryCoordinator(
                 sites={name: i for i, name in enumerate(names)},
                 hosted={f"se{s}": [s] for s in range(dec.m)},
-                config=recovery,
+                config=recovery, epoch0=deployment.epoch0,
             )
 
         watches: dict[int, object] = {}
 
-        def site(s: int, fabric: MiddlewareFabric) -> None:
+        def site(s: int) -> None:
             if obs.health_enabled():
                 # a round legitimately lasts up to its deadline (or one
                 # recv timeout per neighbour); double that is a stall
@@ -342,16 +493,17 @@ class LiveDseRuntime:
             lin0 = None  # frame linearization point (condensed mode)
 
             # ---- Step 1 ----
-            t0 = time.perf_counter()
-            with obs.span("live.step1", s=s):
-                est1 = (
-                    self._dse._est1[s]
-                    if self.use_cache
-                    else WlsEstimator(subnet1, ms1, solver=self.solver)
-                )
-                z1 = self._dse._step1_z(s, z) if z is not None else None
-                res1 = est1.estimate(tol=tol, z=z1)
-            st.step1_time = time.perf_counter() - t0
+            with self._slot:
+                t0 = time.perf_counter()
+                with obs.span("live.step1", s=s):
+                    est1 = (
+                        self._dse._est1[s]
+                        if self.use_cache
+                        else WlsEstimator(subnet1, ms1, solver=self.solver)
+                    )
+                    z1 = self._dse._step1_z(s, z) if z is not None else None
+                    res1 = est1.estimate(tol=tol, z=z1)
+                st.step1_time = time.perf_counter() - t0
             for i, b in enumerate(own):
                 vm_loc[int(b)] = float(res1.Vm[i])
                 va_loc[int(b)] = float(res1.Va[i])
@@ -553,12 +705,13 @@ class LiveDseRuntime:
                     if self.condense and cached_path and lin0 is not None
                     else {}
                 )
-                t0 = time.perf_counter()
-                with obs.span("live.step2", s=s, round=r):
-                    res2 = est2.estimate(
-                        x0=(x0_vm, x0_va), tol=tol, z=z2, **kwargs
-                    )
-                st.step2_times.append(time.perf_counter() - t0)
+                with self._slot:
+                    t0 = time.perf_counter()
+                    with obs.span("live.step2", s=s, round=r):
+                        res2 = est2.estimate(
+                            x0=(x0_vm, x0_va), tol=tol, z=z2, **kwargs
+                        )
+                    st.step2_times.append(time.perf_counter() - t0)
                 prev2 = res2
 
                 scope = self._dse.exchange_sets[s]
@@ -610,12 +763,13 @@ class LiveDseRuntime:
             known_va: dict[int, float] = {}
 
             # ---- Step 1 ----
-            t0 = time.perf_counter()
-            with obs.span("live.step1", s=s):
-                est1 = self._dse._est1[s]  # recovery requires use_cache
-                z1 = self._dse._step1_z(s, z) if z is not None else None
-                res1 = est1.estimate(tol=tol, z=z1)
-            st.step1_time = time.perf_counter() - t0
+            with self._slot:
+                t0 = time.perf_counter()
+                with obs.span("live.step1", s=s):
+                    est1 = self._dse._est1[s]  # recovery requires use_cache
+                    z1 = self._dse._step1_z(s, z) if z is not None else None
+                    res1 = est1.estimate(tol=tol, z=z1)
+                st.step1_time = time.perf_counter() - t0
             for i, b in enumerate(own):
                 w.vm_loc[int(b)] = float(res1.Vm[i])
                 w.va_loc[int(b)] = float(res1.Va[i])
@@ -856,12 +1010,13 @@ class LiveDseRuntime:
                         if self.condense and cached_path and ws.lin0 is not None
                         else {}
                     )
-                    t0 = time.perf_counter()
-                    with obs.span("live.step2", s=s_, round=r):
-                        res2 = est2.estimate(
-                            x0=(x0_vm, x0_va), tol=tol, z=z2, **kwargs
-                        )
-                    st.step2_times.append(time.perf_counter() - t0)
+                    with self._slot:
+                        t0 = time.perf_counter()
+                        with obs.span("live.step2", s=s_, round=r):
+                            res2 = est2.estimate(
+                                x0=(x0_vm, x0_va), tol=tol, z=z2, **kwargs
+                            )
+                        st.step2_times.append(time.perf_counter() - t0)
                     ws.prev2 = (res2.Vm, res2.Va)
 
                     scope = self._dse.exchange_sets[s_]
@@ -908,33 +1063,24 @@ class LiveDseRuntime:
                         Vm[b] = ws.vm_loc[int(b)]
                         Va[b] = ws.va_loc[int(b)]
 
-        with MiddlewareFabric(
-            names, pairs, use_tcp=self.use_tcp, fast=self.fast
-        ) as fabric:
-            if coord is not None:
-                # replica sinks + zombie fence must be live before the
-                # first site thread can send a frame
-                for name in names:
-                    fabric.set_checkpoint_sink(
-                        name, lambda p, _n=name: coord.ingest(_n, p)
-                    )
-                fabric.set_epoch_fence(coord.fence)
-            with obs.span(
-                "live.run", m=dec.m, rounds=rounds,
-                tcp=self.use_tcp, fast=self.fast,
-            ):
-                root_ctx = obs.current_context()
-                wall_t0 = time.perf_counter()
-                threads = [
-                    threading.Thread(target=site, args=(s, fabric),
-                                     name=f"site-{s}")
-                    for s in range(dec.m)
-                ]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join()
-                wall_elapsed = time.perf_counter() - wall_t0
+        if coord is not None:
+            # this frame's replica sinks + zombie fence must be live before
+            # the first site can send a frame
+            for name in names:
+                fabric.set_checkpoint_sink(
+                    name, lambda p, _n=name: coord.ingest(_n, p)
+                )
+            fabric.set_epoch_fence(coord.fence)
+        with obs.span(
+            "live.run", m=dec.m, rounds=rounds,
+            tcp=self.use_tcp, fast=self.fast,
+        ):
+            root_ctx = obs.current_context()
+            wall_t0 = time.perf_counter()
+            deployment.run_frame(site)
+            wall_elapsed = time.perf_counter() - wall_t0
+        if coord is not None:
+            deployment.epoch0 = coord.epoch + 1
 
         if obs.enabled():
             reg = obs.metrics()

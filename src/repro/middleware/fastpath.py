@@ -133,7 +133,16 @@ def _forward_fault(src: int, dst: int, payload):
 
 
 class _TcpMuxLink:
-    """A site's single duplex connection to the TCP hub."""
+    """A site's single duplex connection to the TCP hub.
+
+    Inbound bytes are read by :meth:`pump`.  A link attached without a
+    reader thread is pumped by whoever waits for its payloads — the
+    receiving site itself, so a message costs no thread hop between the
+    socket and its consumer.  :meth:`start_reader` hands the pumping to a
+    daemon thread instead, for frames that must land while the site is busy
+    elsewhere (checkpoint replicas, lease beats) and for callback-style
+    attachments.
+    """
 
     def __init__(self, sock: socket.socket, my_id: int, deliver):
         self._sock = sock
@@ -144,43 +153,79 @@ class _TcpMuxLink:
         #: bypass the ordinary receive queue (recovery replica plane)
         self.checkpoint_sink = None
         self._closed = False
-        self._reader = threading.Thread(
-            target=self._recv_loop, name=f"mux-link-{my_id}", daemon=True
-        )
-        self._reader.start()
+        self._frames = StreamReader(mux=True)
+        #: one pumper at a time: the reassembly state is not shareable
+        self._pump_lock = threading.Lock()
+        self._wait = selectors.DefaultSelector()
+        self._wait.register(sock, selectors.EVENT_READ)
+        self._reader: threading.Thread | None = None
 
-    def _recv_loop(self) -> None:
+    @property
+    def has_reader(self) -> bool:
+        return self._reader is not None
+
+    def start_reader(self) -> None:
+        """Pump the link from a daemon thread from now on (idempotent)."""
+        if self._reader is None:
+            self._reader = threading.Thread(
+                target=self._read_loop, name=f"mux-link-{self.my_id}",
+                daemon=True,
+            )
+            self._reader.start()
+
+    def _read_loop(self) -> None:
         while True:
             try:
-                flags, _src, _dst, payload = recv_mux_frame(self._sock)
+                self.pump(None)
             except (FrameError, OSError, ValueError):
                 return
-            if flags & (FLAG_CONTROL | FLAG_TELEMETRY):
-                # control handshakes and telemetry are hub business; a
-                # telemetry frame reaching a link means a hub without a
-                # sink forwarded it — never application data either way
-                continue
-            if flags & FLAG_TRACED:
-                # metadata prefix is for the routing layer, not the app
+
+    def pump(self, timeout: float | None) -> None:
+        """Wait up to ``timeout`` seconds (``None``: indefinitely) for
+        inbound bytes, read them once and hand every completed frame on.
+
+        Raises ``TimeoutError`` when nothing arrived (or another thread
+        held the link for the whole wait), :class:`PeerClosed` /
+        ``OSError`` once the connection is gone.
+        """
+        if not self._pump_lock.acquire(timeout=-1 if timeout is None else timeout):
+            raise TimeoutError(f"mux link {self.my_id}: busy")
+        try:
+            if timeout is not None and not self._wait.select(timeout):
+                raise TimeoutError(f"mux link {self.my_id}: nothing received")
+            frames = self._frames.feed(self._sock)
+        finally:
+            self._pump_lock.release()
+        for flags, _src, _dst, payload in frames:
+            self._dispatch(flags, payload)
+
+    def _dispatch(self, flags: int, payload) -> None:
+        if flags & (FLAG_CONTROL | FLAG_TELEMETRY):
+            # control handshakes and telemetry are hub business; a
+            # telemetry frame reaching a link means a hub without a
+            # sink forwarded it — never application data either way
+            return
+        if flags & FLAG_TRACED:
+            # metadata prefix is for the routing layer, not the app
+            try:
+                payload = strip_trace_context(payload)
+            except FrameError:
+                # corrupted-in-flight frame: drop it, keep the link
+                return
+        if flags & FLAG_EPOCH:
+            try:
+                payload = strip_epoch(payload)
+            except FrameError:
+                return
+        if flags & FLAG_CHECKPOINT:
+            sink = self.checkpoint_sink
+            if sink is not None:
                 try:
-                    payload = strip_trace_context(payload)
-                except FrameError:
-                    # corrupted-in-flight frame: drop it, keep the link
-                    continue
-            if flags & FLAG_EPOCH:
-                try:
-                    payload = strip_epoch(payload)
-                except FrameError:
-                    continue
-            if flags & FLAG_CHECKPOINT:
-                sink = self.checkpoint_sink
-                if sink is not None:
-                    try:
-                        sink(payload)
-                    except Exception:  # noqa: BLE001 - sink must not kill the link
-                        pass
-                continue
-            self._deliver(payload)
+                    sink(payload)
+                except Exception:  # noqa: BLE001 - sink must not kill the link
+                    pass
+            return
+        self._deliver(payload)
 
     def send(self, dst: int, payload, *, flags: int = 0) -> None:
         try:
@@ -206,6 +251,10 @@ class _TcpMuxLink:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        # the shutdown wakes a blocked pump; once it let go, nothing else
+        # touches the selector
+        with self._pump_lock:
+            self._wait.close()
         try:
             self._sock.close()
         except OSError:  # pragma: no cover - defensive
@@ -272,9 +321,11 @@ class MuxRouter:
         self._thread.start()
         return self.endpoint
 
-    def attach(self, my_id: int, deliver) -> _TcpMuxLink:
-        """Dial the hub, register ``my_id`` (HELLO/ACK), start the link's
-        receive thread feeding ``deliver(payload)``."""
+    def attach(self, my_id: int, deliver, *, threaded: bool = True) -> _TcpMuxLink:
+        """Dial the hub and register ``my_id`` (HELLO/ACK); inbound
+        payloads go to ``deliver(payload)`` — from the link's own reader
+        thread, or, with ``threaded=False``, from whichever thread calls
+        the link's ``pump``."""
         if self.endpoint is None:
             raise RuntimeError("router not started")
         ep = parse_endpoint(self.endpoint)
@@ -287,7 +338,10 @@ class MuxRouter:
         flags, _src, _dst, _payload = recv_mux_frame(sock)
         if not flags & FLAG_CONTROL:  # pragma: no cover - protocol error
             raise FrameError("expected ACK control frame from router")
-        return _TcpMuxLink(sock, my_id, deliver)
+        link = _TcpMuxLink(sock, my_id, deliver)
+        if threaded:
+            link.start_reader()
+        return link
 
     # ------------------------------------------------------------------
     def _loop(self) -> None:
@@ -322,9 +376,12 @@ class MuxRouter:
         self._sel.register(conn, selectors.EVENT_READ, ("conn", StreamReader(mux=True)))
 
     def _drop_conn(self, sock: socket.socket) -> None:
+        # idempotent: a connection dropped while servicing another one
+        # (fault-injected disconnect, re-dial) may still have a readiness
+        # event queued in the same select() batch, which drops it again
         try:
             self._sel.unregister(sock)
-        except KeyError:  # pragma: no cover - defensive
+        except (KeyError, ValueError):
             pass
         for sid, s in list(self._routes.items()):
             if s is sock:

@@ -318,8 +318,8 @@ def send_mux_frames(sock: socket.socket, src: int, frames, *, flags: int = 0) ->
         sendmsg_all(sock, parts)
 
 
-def _parse_mux_header(header) -> tuple[int, int, int, int]:
-    version, flags, src, dst, length = MUX_HEADER.unpack(header)
+def _parse_mux_header(buf, offset: int = 0) -> tuple[int, int, int, int]:
+    version, flags, src, dst, length = MUX_HEADER.unpack_from(buf, offset)
     if version != MUX_VERSION:
         raise FrameError(f"unsupported mux frame version {version}")
     if length > MAX_FRAME:
@@ -338,85 +338,68 @@ def recv_mux_frame(sock: socket.socket) -> tuple[int, int, int, bytearray]:
 # incremental reassembly for event-driven receive loops
 # ----------------------------------------------------------------------
 class StreamReader:
-    """Non-blocking incremental frame reassembly over ``recv_into``.
+    """Incremental frame reassembly, one ``recv_into`` per :meth:`feed`.
 
-    One instance per connection in a ``selectors`` loop: each readiness
-    event calls :meth:`feed`, which drains the socket until EAGAIN and
-    returns the frames completed so far.  Legacy mode yields payload
-    buffers; mux mode yields ``(flags, src, dst, payload)`` tuples.
-    Payload buffers are freshly allocated per frame and owned by the
-    caller (nothing retains or reuses them here).
+    One instance per connection.  In a ``selectors`` loop each readiness
+    event calls :meth:`feed` on the non-blocking socket; a thread draining
+    a blocking socket calls it in a loop.  Either way a call costs a single
+    read of up to :attr:`CHUNK` bytes — however many frames that completes —
+    because every extra syscall is one more point where the calling thread
+    hands the interpreter lock to another (whatever is left in the socket
+    raises the next readiness event).  Legacy mode yields payload buffers;
+    mux mode yields ``(flags, src, dst, payload)`` tuples.  Payload buffers
+    are freshly allocated per frame and owned by the caller (nothing
+    retains or reuses them here).
     """
+
+    #: bytes asked of the socket per read
+    CHUNK = 1 << 16
 
     def __init__(self, *, mux: bool = False):
         self._mux = mux
         self._hsize = MUX_HEADER.size if mux else _LEN.size
-        self._hbuf = bytearray(self._hsize)
-        self._hview = memoryview(self._hbuf)
-        self._hgot = 0
-        self._payload: bytearray | None = None
-        self._pview: memoryview | None = None
-        self._pgot = 0
-        self._meta: tuple[int, int, int] | None = None
-
-    def _start_payload(self) -> None:
-        if self._mux:
-            flags, src, dst, length = _parse_mux_header(self._hbuf)
-            self._meta = (flags, src, dst)
-        else:
-            (length,) = _LEN.unpack(self._hbuf)
-            if length > MAX_FRAME:
-                raise FrameError(f"frame too large: {length}")
-        self._payload = bytearray(length)
-        self._pview = memoryview(self._payload)
-        self._pgot = 0
-
-    def _complete(self):
-        payload = self._payload
-        self._payload = self._pview = None
-        self._hgot = 0
-        if self._mux:
-            flags, src, dst = self._meta
-            self._meta = None
-            return flags, src, dst, payload
-        return payload
+        self._scratch = bytearray(self.CHUNK)
+        self._view = memoryview(self._scratch)
+        #: received bytes not yet returned as frames (a partial frame)
+        self._buf = bytearray()
 
     def feed(self, sock: socket.socket) -> list:
-        """Drain ``sock`` (non-blocking); return completed frames.
+        """Read ``sock`` once; return the frames completed so far.
 
         Raises :class:`PeerClosed` on EOF at a frame boundary and
         :class:`FrameError` on EOF mid-header / mid-payload — either way
         the frames completed before the error have already been returned
         by earlier calls, and the caller should close the connection.
         """
+        try:
+            r = sock.recv_into(self._scratch)
+        except (BlockingIOError, InterruptedError):
+            return []
+        buf = self._buf
+        if r == 0:
+            if not buf:
+                raise PeerClosed("peer closed connection")
+            where = "mid-header" if len(buf) < self._hsize else "mid-payload"
+            raise FrameError(f"connection closed {where}")
+        buf += self._view[:r]
         frames = []
-        while True:
-            if self._payload is None:
-                try:
-                    r = sock.recv_into(self._hview[self._hgot :])
-                except (BlockingIOError, InterruptedError):
-                    return frames
-                if r == 0:
-                    if self._hgot == 0:
-                        if frames:
-                            return frames  # deliver first; next feed raises
-                        raise PeerClosed("peer closed connection")
-                    raise FrameError("connection closed mid-header")
-                self._hgot += r
-                if self._hgot == self._hsize:
-                    self._start_payload()
-                    if len(self._payload) == 0:
-                        frames.append(self._complete())
+        hsize = self._hsize
+        off, end = 0, len(buf)
+        while end - off >= hsize:
+            body = off + hsize
+            if self._mux:
+                flags, src, dst, length = _parse_mux_header(buf, off)
             else:
-                try:
-                    r = sock.recv_into(self._pview[self._pgot :])
-                except (BlockingIOError, InterruptedError):
-                    return frames
-                if r == 0:
-                    raise FrameError("connection closed mid-payload")
-                self._pgot += r
-                if self._pgot == len(self._payload):
-                    frames.append(self._complete())
+                (length,) = _LEN.unpack_from(buf, off)
+                if length > MAX_FRAME:
+                    raise FrameError(f"frame too large: {length}")
+            if end - body < length:
+                break
+            payload = buf[body : body + length]
+            frames.append((flags, src, dst, payload) if self._mux else payload)
+            off = body + length
+        del buf[:off]
+        return frames
 
 
 # ----------------------------------------------------------------------

@@ -19,8 +19,11 @@ Two interchangeable data planes sit behind the same ``send``/``recv`` API:
 
 from __future__ import annotations
 
+import time
+
 from .. import obs
 from .client import EndpointRegistry, MWClient
+from .errors import ClientClosed, RecvTimeout
 from .fastpath import InprocMuxRouter, MuxRouter
 from .hashring import ConsistentHashRing
 from .message import (
@@ -28,6 +31,7 @@ from .message import (
     FLAG_EPOCH,
     FLAG_TELEMETRY,
     FLAG_TRACED,
+    FrameError,
     attach_epoch,
     attach_trace_context,
 )
@@ -122,6 +126,8 @@ class MiddlewareFabric:
     def _start_fast(self) -> None:
         self._hub = MuxRouter() if self.use_tcp else InprocMuxRouter()
         hub_url = self._hub.start()
+        # a TCP link gets no reader thread: recv() drains it (see there)
+        attach_opts = {"threaded": False} if self.use_tcp else {}
         for name in self.names:
             client = MWClient(name, self.registry, inproc=self.inproc)
             self.clients[name] = client
@@ -129,7 +135,7 @@ class MiddlewareFabric:
             # one duplex link per site; inbound frames land in the client's
             # buffer through the same accounting path as a served endpoint
             self._links[name] = self._hub.attach(
-                self._ids[name], client._deliver
+                self._ids[name], client._deliver, **attach_opts
             )
 
     def stop(self) -> None:
@@ -298,8 +304,10 @@ class MiddlewareFabric:
         link = self._links[name]
         if hasattr(link, "checkpoint_sink"):
             # TCP: the frame is forwarded by the hub and diverted at the
-            # receiving link's edge
+            # receiving link's edge — by a reader thread, so replicas and
+            # lease beats land while the site is not in recv()
             link.checkpoint_sink = sink
+            link.start_reader()
         else:
             # inproc: the hub delivers directly
             self._hub.set_checkpoint_sink(self._ids[name], sink)
@@ -338,11 +346,29 @@ class MiddlewareFabric:
         return self._ids[name]
 
     def recv(self, name: str, *, timeout: float = 5.0) -> bytes:
-        """Take the next payload delivered to estimator ``name``."""
-        return self.clients[name].recv(timeout=timeout)
+        """Take the next payload delivered to estimator ``name``.
+
+        On the TCP fast plane the caller drains ``name``'s link itself
+        (one socket read hands over every frame that has arrived) unless a
+        reader thread has taken the link over.
+        """
+        client = self.clients[name]
+        link = self._links.get(name)
+        if self.use_tcp and link is not None and not link.has_reader:
+            deadline = time.monotonic() + timeout
+            while not len(client.buffer):
+                try:
+                    link.pump(max(0.0, deadline - time.monotonic()))
+                except TimeoutError:
+                    raise RecvTimeout("data buffer empty") from None
+                except (FrameError, OSError, ValueError) as exc:
+                    raise ClientClosed(f"link of {name} is gone: {exc}") from exc
+            timeout = 0.0
+        return client.recv(timeout=timeout)
 
     def relay_stats(self) -> dict[tuple[str, str], tuple[int, int]]:
-        """(frames, bytes) relayed per directed pair."""
+        """(frames, bytes) relayed per directed pair, cumulative since
+        :meth:`start` — a fabric that serves many frames keeps counting."""
         if self.fast:
             by_id = self._hub.stats() if self._hub is not None else {}
             rev = {i: name for name, i in self._ids.items()}

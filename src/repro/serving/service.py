@@ -15,6 +15,8 @@ Two estimation engines are supported:
 - ``engine="live"`` — the thread-per-site
   :class:`~repro.core.runtime.LiveDseRuntime`, serving frames over live
   middleware pipelines (values-only frames through the same warm caches).
+  The service owns the runtime's resident deployment — hub, links, site
+  threads — and stops it in :meth:`ScenarioService.close` / ``abort``.
 
 Contingency batches go through
 :func:`repro.contingency.parallel.run_parallel`, sharing the service's
@@ -470,9 +472,7 @@ class ScenarioService:
         if dispatcher is not None:
             self._queue.put(_SHUTDOWN)
             dispatcher.join()
-        if self._own_executor:
-            self.executor.shutdown()
-        self._disarm_health()
+        self._release_engines()
 
     def close(self) -> None:
         """Drain the dispatcher and release owned resources (idempotent)."""
@@ -484,8 +484,15 @@ class ScenarioService:
         if dispatcher is not None:
             self._queue.put(_SHUTDOWN)
             dispatcher.join()
+        self._release_engines()
+
+    def _release_engines(self) -> None:
+        """Stop what the service owns: its executor, the live runtime's
+        resident deployment, its health watch."""
         if self._own_executor:
             self.executor.shutdown()
+        if self._runtime is not None:
+            self._runtime.close()
         self._disarm_health()
 
     def _disarm_health(self) -> None:

@@ -9,6 +9,7 @@ Example::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from ..core import ArchitecturePrototype, DseSession
@@ -61,11 +62,20 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         with_fabric=args.fabric or args.tcp,
         fabric_tcp=args.tcp,
-    ) as arch:
+    ) as arch, contextlib.ExitStack() as stack:
         placement = full_placement(net).merged_with(dse_pmu_placement(arch.dec))
         scada = ScadaSystem(net, placement, scan_period=args.scan_period,
                             seed=args.seed)
         session = DseSession(arch, solver=args.solver)
+        live = None
+        if args.live:
+            from ..core import LiveDseRuntime
+
+            # one resident deployment for the whole session: every scan is
+            # a values-only frame over it
+            live = stack.enter_context(LiveDseRuntime(
+                arch.dec, placement, use_tcp=args.tcp, solver=args.solver,
+            ))
 
         print(f"{net.name}: {arch.dec.m} subsystems on "
               f"{arch.topology.n_clusters} clusters; "
@@ -81,17 +91,12 @@ def main(argv: list[str] | None = None) -> int:
                   f"| {rep.imbalance_step2:5.3f} | {rep.migrated_weight:4d} | "
                   f"{rep.timings.total * 1e3:14.2f} | "
                   f"{rep.vm_rmse_vs_truth:.3e}")
-            if args.live:
-                from ..core import LiveDseRuntime
-
-                live = LiveDseRuntime(
-                    arch.dec, frame.mset, use_tcp=args.tcp,
-                    solver=args.solver,
-                ).run()
-                err = live.state_error(frame.pf.Vm, frame.pf.Va)
+            if live is not None:
+                res = live.run(z=frame.mset.z)
+                err = res.state_error(frame.pf.Vm, frame.pf.Va)
                 print(f"       live runtime: wall "
-                      f"{live.wall_time * 1e3:.1f} ms, Vm RMSE "
-                      f"{err['vm_rmse']:.3e}, errors: {len(live.errors)}")
+                      f"{res.wall_time * 1e3:.1f} ms, Vm RMSE "
+                      f"{err['vm_rmse']:.3e}, errors: {len(res.errors)}")
         if args.csv:
             from ..reporting import write_frames_csv
 

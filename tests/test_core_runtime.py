@@ -1,5 +1,10 @@
 """Tests for the live distributed DSE runtime."""
 
+import gc
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -136,3 +141,173 @@ class TestLiveRuntime:
         assert live.errors == []
         err = live.state_error(pf.Vm, pf.Va)
         assert err["vm_rmse"] < 5e-3
+
+
+# ---------------------------------------------------------------------------
+# Resident deployment: fabric and site threads outlive the frame
+# ---------------------------------------------------------------------------
+
+def _open_sockets() -> set[str]:
+    out = set()
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:  # the listing's own descriptor
+            continue
+        if target.startswith("socket:"):
+            out.add(target)
+    return out
+
+
+class _Footprint:
+    """Threads and sockets this process has gained since construction
+    (other tests' leftovers winding down in the background don't count)."""
+
+    def __init__(self):
+        gc.collect()
+        self._threads = set(threading.enumerate())
+        self._sockets = _open_sockets()
+
+    def gained(self) -> tuple[frozenset, frozenset]:
+        gc.collect()
+        return (
+            frozenset(set(threading.enumerate()) - self._threads),
+            frozenset(_open_sockets() - self._sockets),
+        )
+
+
+_NOTHING = (frozenset(), frozenset())
+
+
+def _frames(ms, n, seed=11):
+    rng = np.random.default_rng(seed)
+    return [ms.z + ms.sigma * rng.standard_normal(len(ms)) for _ in range(n)]
+
+
+class TestResidentDeployment:
+    @pytest.mark.parametrize("condense", [False, True])
+    @pytest.mark.parametrize("use_tcp", [False, True])
+    def test_twenty_frames_one_deployment(self, live_setup, use_tcp, condense):
+        """Twenty values-only frames on one runtime: each bit-identical to
+        the in-process DSE, all on the deployment the first one started,
+        which ``close()`` takes down to the last thread and socket."""
+        dec, ms, _ = live_setup
+        inproc = DistributedStateEstimator(dec, ms, condense=condense)
+        baseline = _Footprint()
+        live = LiveDseRuntime(dec, ms, use_tcp=use_tcp, condense=condense)
+        assert baseline.gained() == _NOTHING  # nothing starts before a run
+        after_first = deployment = None
+        for z in _frames(ms, 20):
+            res = live.run(z=z)
+            ref = inproc.run(z=z)
+            assert res.errors == []
+            assert np.array_equal(res.Vm, ref.Vm)
+            assert np.array_equal(res.Va, ref.Va)
+            if after_first is None:
+                after_first, deployment = baseline.gained(), live._deployment
+        assert live._deployment is deployment
+        assert baseline.gained() == after_first
+        assert len(after_first[0]) >= dec.m  # the site threads, at least
+        assert bool(after_first[1]) == use_tcp
+        live.close()
+        live.close()  # idempotent
+        assert baseline.gained() == _NOTHING
+        with pytest.raises(RuntimeError, match="closed"):
+            live.run()
+
+    @pytest.mark.parametrize("use_tcp", [False, True])
+    def test_dropped_runtime_is_reclaimed(self, live_setup, use_tcp):
+        """No ``close()``: dropping the last reference stops the hub, the
+        links and the site threads (they hold no reference back)."""
+        dec, ms, ref = live_setup
+        baseline = _Footprint()
+        live = LiveDseRuntime(dec, ms, use_tcp=use_tcp)
+        assert np.array_equal(live.run().Vm, ref.Vm)
+        assert baseline.gained() != _NOTHING
+        del live
+        assert baseline.gained() == _NOTHING
+
+    def test_context_manager_closes(self, live_setup):
+        dec, ms, ref = live_setup
+        baseline = _Footprint()
+        with LiveDseRuntime(dec, ms, use_tcp=True) as live:
+            assert np.array_equal(live.run().Vm, ref.Vm)
+        assert baseline.gained() == _NOTHING
+        with pytest.raises(RuntimeError, match="closed"):
+            live.run()
+
+    def test_resident_threads_are_daemons(self, live_setup):
+        dec, ms, _ = live_setup
+        before = set(threading.enumerate())
+        with LiveDseRuntime(dec, ms, use_tcp=True) as live:
+            live.run()
+            started = set(threading.enumerate()) - before
+            assert len(started) >= dec.m
+            assert all(t.daemon for t in started)
+
+    def test_site_stats_are_per_frame(self, live_setup):
+        """``LiveDseResult.sites`` counts this frame only; the fabric's
+        relay statistics keep counting across frames."""
+        dec, ms, _ = live_setup
+        with LiveDseRuntime(dec, ms, use_tcp=True) as live:
+            for k, z in enumerate(_frames(ms, 3), start=1):
+                res = live.run(z=z)
+                sites = res.sites.values()
+                assert sum(st.messages_received for st in sites) == 84
+                assert sum(st.bytes_sent for st in sites) == 26448
+                assert sum(st.bytes_received for st in sites) == 26448
+                assert all(st.checkpoints_sent == 0 for st in sites)
+                relayed = live._deployment.fabric.relay_stats().values()
+                assert sum(n for n, _ in relayed) == 84 * k
+                assert sum(b for _, b in relayed) == 26448 * k
+
+    def test_solves_are_clocked_inside_the_compute_slot(self, live_setup):
+        """One site solves at a time and clocks itself while it holds the
+        slot, so the solve times of a frame add up to at most its wall."""
+        dec, ms, _ = live_setup
+        with LiveDseRuntime(dec, ms) as live:
+            live.run()  # deployment start is not part of the claim
+            for z in _frames(ms, 3):
+                res = live.run(z=z)
+                assert res.errors == []
+                busy = sum(
+                    st.step1_time + sum(st.step2_times)
+                    for st in res.sites.values()
+                )
+                assert busy <= res.wall_time
+
+    def test_concurrent_runs_take_turns(self, live_setup):
+        """More callers than cores on one runtime, switching eagerly: the
+        run lock serialises them, so no frame sees another's barrier,
+        stats or updates and every result is the in-process DSE's."""
+        dec, ms, _ = live_setup
+        inproc = DistributedStateEstimator(dec, ms)
+        frames = _frames(ms, 8)
+        refs = [inproc.run(z=z) for z in frames]
+        out: dict[int, object] = {}
+
+        def caller(k: int, live: LiveDseRuntime) -> None:
+            out[k] = live.run(z=frames[k])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            with LiveDseRuntime(dec, ms) as live:
+                threads = [
+                    threading.Thread(target=caller, args=(k, live))
+                    for k in range(len(frames))
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120.0)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        for k, ref in enumerate(refs):
+            assert out[k].errors == []
+            assert np.array_equal(out[k].Vm, ref.Vm)
+            assert np.array_equal(out[k].Va, ref.Va)
+            assert sum(
+                st.messages_received for st in out[k].sites.values()
+            ) == 84

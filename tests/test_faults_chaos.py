@@ -13,7 +13,7 @@ import pytest
 
 from repro import faults
 from repro.core import ArchitecturePrototype, DseSession, LiveDseRuntime
-from repro.dse import decompose, dse_pmu_placement
+from repro.dse import DistributedStateEstimator, decompose, dse_pmu_placement
 from repro.faults import FaultInjector, FaultPlan
 from repro.grid import run_ac_power_flow
 from repro.grid.cases import synthetic_grid
@@ -142,6 +142,55 @@ class TestLiveRuntimeChaos:
                 dec, ms, fast=True, recv_timeout=1.0, round_deadline=5.0
             ).run(rounds=2)
         assert inj2.fired_summary() == fired
+
+
+    @pytest.mark.parametrize("use_tcp", [False, True])
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            {"action": "drop", "key": (None, 0), "count": 1},
+            # arrives after the receiver gave up on it: were the fabric
+            # kept, the next frame would take it for a fresh update
+            {"action": "delay", "key": (None, 0), "count": 1, "delay": 0.6},
+            # the extra copy outlives the frame unread and unreported
+            {"action": "duplicate", "key": (None, 0), "count": 1},
+        ],
+        ids=lambda f: f["action"],
+    )
+    def test_unclean_frame_retires_the_deployment(
+        self, live_chaos_setup, use_tcp, fault
+    ):
+        """A frame that ran under a fired fault gives up its deployment:
+        the next frame on the same runtime starts on a fresh fabric and is
+        bit-identical to the in-process DSE — no stale update absorbed."""
+        dec, ms = live_chaos_setup
+        inproc = DistributedStateEstimator(dec, ms)
+        rng = np.random.default_rng(3)
+        z1, z2, z3 = (
+            ms.z + ms.sigma * rng.standard_normal(len(ms)) for _ in range(3)
+        )
+        plan = FaultPlan(seed=1).add("mux.forward", **fault)
+        with LiveDseRuntime(
+            dec, ms, use_tcp=use_tcp, recv_timeout=0.3, round_deadline=2.0
+        ) as live:
+            assert live.run(z=z1).errors == []
+            first = live._deployment
+            with faults.injection(plan) as inj:
+                bad = live.run(z=z2)
+            assert inj.total_fired() >= 1
+            if fault["action"] != "duplicate":
+                assert 0 in bad.degraded_subsystems and bad.errors
+            assert live._deployment is None  # retired
+            if fault["action"] == "delay":
+                time.sleep(0.5)  # let the straggler land on the old fabric
+            for z in (z3, z2):
+                ref = inproc.run(z=z)
+                res = live.run(z=z)
+                assert res.errors == [] and res.degraded == {}
+                assert np.array_equal(res.Vm, ref.Vm)
+                assert np.array_equal(res.Va, ref.Va)
+            assert live._deployment is not first
+            assert live._deployment is not None  # and resident again
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.middleware import (
+    ClientClosed,
     EndpointRegistry,
     FrameError,
     InprocTransport,
@@ -210,6 +211,50 @@ class TestStreamReader:
             a.close()
             b.close()
 
+    def test_one_read_returns_whole_frames_and_keeps_the_tail(self):
+        a, b = _socketpair()
+        b.setblocking(False)
+        reader = StreamReader(mux=True)
+        try:
+            third = struct.pack(">BBHHI", 1, 0, 5, 9, 6) + b"thr"
+            send_mux_frames(a, 5, [(8, b"one"), (9, b"")])
+            a.sendall(third)  # header + half the payload
+            time.sleep(0.05)
+            frames = reader.feed(b)
+            assert [(d, bytes(p)) for _, _, d, p in frames] == [
+                (8, b"one"), (9, b""),
+            ]
+            assert reader.feed(b) == []  # nothing new on the wire
+            a.sendall(b"ee!")
+            time.sleep(0.05)
+            (last,) = reader.feed(b)
+            assert (last[2], bytes(last[3])) == (9, b"three!")
+        finally:
+            a.close()
+            b.close()
+
+    def test_frame_larger_than_one_read(self):
+        a, b = _socketpair()
+        b.setblocking(False)
+        reader = StreamReader()
+        big = bytes(range(256)) * (3 * StreamReader.CHUNK // 256) + b"tail"
+        sender = threading.Thread(target=send_frames, args=(a, [big, b"next"]))
+        sender.start()
+        try:
+            frames, reads = [], 0
+            deadline = time.time() + 5
+            while len(frames) < 2:
+                if time.time() > deadline:  # pragma: no cover
+                    pytest.fail("large frame never completed")
+                frames += reader.feed(b)
+                reads += 1
+            assert frames == [big, b"next"]
+            assert reads > 3  # reassembled across reads, not in one
+        finally:
+            sender.join(timeout=5)
+            a.close()
+            b.close()
+
     def test_eof_mid_payload_raises(self):
         a, b = _socketpair()
         b.setblocking(False)
@@ -218,6 +263,8 @@ class TestStreamReader:
             a.sendall(struct.pack(">Q", 10) + b"1234")
             a.close()
             time.sleep(0.05)
+            # one read per feed: the partial frame first, the EOF behind it
+            assert reader.feed(b) == []
             with pytest.raises(FrameError, match="mid-payload"):
                 reader.feed(b)
         finally:
@@ -401,6 +448,56 @@ class TestMuxFabric:
             assert stats[("a", "b")] == (2, 15)
             assert stats[("a", "c")] == (1, 20)
             assert stats[("b", "a")] == (0, 0)
+
+    def test_tcp_receiver_drains_its_own_link(self):
+        """No reader thread per TCP link: recv() reads the socket itself,
+        one read handing over everything that has arrived — until a
+        checkpoint sink needs frames delivered while nobody is in recv()."""
+        def readers():
+            return [
+                t for t in threading.enumerate()
+                if t.name.startswith("mux-link-")
+            ]
+
+        before = len(readers())
+        with MiddlewareFabric(
+            ["a", "b"], pairs=[("a", "b")], use_tcp=True, fast=True
+        ) as fab:
+            assert len(readers()) == before
+            fab.send_many("a", [("b", b"one"), ("b", b"two")])
+            assert bytes(fab.recv("b", timeout=2)) == b"one"
+            assert bytes(fab.recv("b", timeout=2)) == b"two"
+            assert fab.clients["b"].bytes_received == 6
+            t0 = time.monotonic()
+            with pytest.raises(TimeoutError):
+                fab.recv("b", timeout=0.1)
+            assert 0.09 <= time.monotonic() - t0 < 2.0
+            fab.set_checkpoint_sink("b", lambda p: None)
+            assert len(readers()) == before + 1
+            fab.send("a", "b", b"three")
+            assert bytes(fab.recv("b", timeout=2)) == b"three"
+        assert len(readers()) == before
+
+    def test_tcp_recv_fails_fast_when_the_hub_is_gone(self):
+        with MiddlewareFabric(
+            ["a", "b"], pairs=[("a", "b")], use_tcp=True, fast=True
+        ) as fab:
+            fab._hub.stop()
+            t0 = time.monotonic()
+            with pytest.raises(ClientClosed):
+                fab.recv("b", timeout=5)
+            assert time.monotonic() - t0 < 2.0
+
+    def test_relay_stats_accumulate_across_exchanges(self):
+        with MiddlewareFabric(["a", "b"], pairs=[("a", "b")], fast=True) as fab:
+            for k in (1, 2, 3):
+                fab.send("a", "b", b"12345")
+                fab.recv("b", timeout=2)
+                deadline = time.time() + 2
+                while fab.relay_stats()[("a", "b")] != (k, 5 * k):
+                    if time.time() > deadline:  # pragma: no cover
+                        pytest.fail("stats never caught up")
+                    time.sleep(0.01)
 
     def test_unknown_pair_rejected(self):
         with MiddlewareFabric(["a", "b"], pairs=[("a", "b")], fast=True) as fab:

@@ -38,7 +38,7 @@ from repro.cluster.recovery import (
 from repro.core import ArchitecturePrototype, DseSession, LiveDseRuntime
 from repro.core.runtime import DEGRADED_ROUNDS_RETAINED, LiveSiteStats
 from repro.core.telemetry import FrameReport
-from repro.dse import decompose, dse_pmu_placement
+from repro.dse import DistributedStateEstimator, decompose, dse_pmu_placement
 from repro.dse.condensation import CondensedStep2
 from repro.estimation import WlsEstimator
 from repro.faults import FaultInjector, FaultPlan
@@ -230,6 +230,28 @@ class TestRecoveryCoordinator:
         coord.ingest("se0", _ckpt(sub=1, site=1, rnd=100).to_payload())
         assert coord.snapshot() == before  # zombie replicas are dropped
 
+    def test_frames_of_an_earlier_run_are_stale(self):
+        """A coordinator started above epoch 0 (the fabric outlived the
+        previous run) fences and ignores whatever that run stamped."""
+        sites = {"se0": 0, "se1": 1, "se2": 2}
+        coord = RecoveryCoordinator(
+            sites, {n: [i] for n, i in sites.items()},
+            config=RecoveryConfig(lease_rounds=1), epoch0=5,
+        )
+        assert coord.epoch == 5
+        assert coord.fence(0, 4) is False
+        assert coord.fence(0, 5) is True
+        coord.ingest("se0", heartbeat_payload(1, 4, 7))
+        coord.ingest("se0", _ckpt(sub=1, site=1, epoch=4, rnd=7).to_payload())
+        assert coord.membership.last_seen("se1") == -1
+        assert coord._replicas["se0"] == {}
+        coord.ingest("se0", _ckpt(sub=1, site=1, epoch=5, rnd=0).to_payload())
+        assert coord.membership.last_seen("se1") == 0
+        assert list(coord._replicas["se0"]) == [1]
+        # a loss still bumps the epoch from where the run started
+        coord.begin_round("se0", 9)
+        assert coord.epoch > 5
+
     def test_heartbeat_renews_lease_without_storing_replica(self):
         coord = _coord(lease_rounds=1)
         for r in range(4):
@@ -406,6 +428,34 @@ class TestRegistrationStaleness:
 # Hash ring: membership churn under concurrent routing
 # ---------------------------------------------------------------------------
 
+    def test_hub_survives_dropping_a_connection_twice(self):
+        # a fault-injected disconnect closes the destination's connection
+        # while another one is being serviced; the victim's own queued
+        # readiness event then drops it a second time — which used to
+        # raise out of the hub loop and take every route down with it
+        router = MuxRouter()
+        router.start()
+        try:
+            got = []
+            l1 = router.attach(1, lambda p: None)
+            l2 = router.attach(2, got.append)
+            victim = router._routes[1]
+            router._drop_conn(victim)
+            router._drop_conn(victim)
+            l3 = router.attach(3, lambda p: None)
+            l3.send(2, b"still routing")
+            deadline = time.time() + 2
+            while not got:
+                if time.time() > deadline:  # pragma: no cover
+                    pytest.fail("hub stopped routing")
+                time.sleep(0.01)
+            assert bytes(got[0]) == b"still routing"
+        finally:
+            for link in (l1, l2, l3):
+                link.close()
+            router.stop()
+
+
 class TestHashRingChurn:
     def test_concurrent_routing_during_churn(self):
         core = [f"n{i}" for i in range(4)]
@@ -574,6 +624,41 @@ class TestLiveRecovery:
         # checkpoints were replicated by every surviving site
         for s in promoted_on:
             assert res.sites[s].checkpoints_sent > 0
+
+    @pytest.mark.parametrize("use_tcp", [False, True])
+    def test_kill_frame_then_clean_frames_on_one_runtime(
+        self, live_setup, use_tcp
+    ):
+        """The kill frame retires its deployment (dead link, bumped epoch,
+        promoted subsystem); the frames after it run on a fresh one, lose
+        nobody and are bit-identical to the in-process DSE — and, being
+        clean, stay on that one deployment."""
+        dec, ms = live_setup
+        ref = DistributedStateEstimator(dec, ms).run(rounds=8)
+        with LiveDseRuntime(
+            dec, ms, use_tcp=use_tcp, recv_timeout=0.5, round_deadline=2.0,
+            recovery=RecoveryConfig(lease_rounds=2),
+        ) as live:
+            with faults.injection(FaultInjector(KILL_SE1)):
+                hit = live.run(rounds=8)
+            assert hit.lost_sites == [1]
+            assert hit.recovered_subsystems == [1]
+            assert live._deployment is None
+            deployment = None
+            for _ in range(3):
+                res = live.run(rounds=8)
+                assert res.errors == [] and res.degraded == {}
+                assert res.lost_sites == [] and res.recovered_subsystems == []
+                assert np.array_equal(res.Vm, ref.Vm)
+                assert np.array_equal(res.Va, ref.Va)
+                # per frame: 8 rounds of one replica per site
+                assert [
+                    st.checkpoints_sent for st in res.sites.values()
+                ] == [8] * dec.m
+                deployment = deployment or live._deployment
+                assert live._deployment is deployment
+            # every frame started above the epochs of the one before it
+            assert deployment.epoch0 == 3
 
     def test_fault_plan_replays_bit_for_bit(self, live_setup):
         dec, ms = live_setup
