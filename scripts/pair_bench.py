@@ -1,0 +1,139 @@
+#!/usr/bin/env python3
+"""Interleaved parent/change runs of the end-to-end benchmark.
+
+    scripts/pair_bench.py <parent-rev> --workload ieee118_session --seeds 1-5 [--seconds 20]
+
+The host drifts by tens of percent between minutes, so a parent number
+remembered from an earlier run proves nothing.  This extracts the committed
+files of ``<parent-rev>`` into a scratch directory, then for every seed runs
+``benchmarks/e2e/run.py`` once on that copy and once on this working tree,
+back to back, alternating which side goes first, and prints each seed's
+pair and the medians of the six end-to-end metrics.  A pair counts as a win
+for the change when its value is lower (every metric is lower-is-better).
+
+The parent is extracted with ``git archive`` rather than checked out as a
+``git worktree``: it leaves nothing registered in ``.git`` and is what the
+driver itself does (committed files, fresh directory).  The change side is
+the working tree as it stands, uncommitted edits included.  Nothing under
+``benchmarks/e2e/`` is read except through ``run.py``'s output.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def parse_seeds(text: str) -> list[int]:
+    """``"1-5"`` → [1..5]; ``"1,4,9"`` → [1, 4, 9]; both forms mix."""
+    seeds: list[int] = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def extract(rev: str, into: Path) -> None:
+    """The committed files of ``rev`` under ``into``."""
+    archive = into / "parent.tar"
+    subprocess.run(
+        ["git", "-C", str(REPO), "archive", "--format=tar", "-o", str(archive), rev],
+        check=True,
+    )
+    with tarfile.open(archive) as tar:
+        tar.extractall(into / "parent", filter="data")
+    archive.unlink()
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float | None) -> dict:
+    """One untraced ``run.py`` in ``tree``; its last output line is the
+    JSON object with the metrics and the failure counts."""
+    cmd = [
+        sys.executable, "benchmarks/e2e/run.py",
+        "--workload", workload, "--seed", str(seed), "--trace", "0",
+    ]
+    if seconds is not None:
+        cmd += ["--seconds", str(seconds)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        out = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        sys.exit(
+            f"{tree}: run.py printed no result (exit {proc.returncode})\n"
+            f"{proc.stdout[-2000:]}\n{proc.stderr[-2000:]}"
+        )
+    out["metrics"] = {k: v["value"] for k, v in out["metrics"].items()}
+    return out
+
+
+def main() -> int:
+    spec = json.loads((REPO / "BENCHMARK.json").read_text())
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent_rev")
+    ap.add_argument(
+        "--workload", required=True, choices=[w["name"] for w in spec["workloads"]]
+    )
+    ap.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-5"))
+    ap.add_argument("--seconds", type=float, default=None,
+                    help="measured seconds per run (default: the benchmark's own)")
+    args = ap.parse_args()
+    metrics = [m["name"] for m in spec["end_to_end"]]
+
+    scratch = Path(tempfile.mkdtemp(prefix="pair_bench_"))
+    pairs: list[tuple[int, dict, dict]] = []
+    try:
+        extract(args.parent_rev, scratch)
+        sides = {"parent": scratch / "parent", "change": REPO}
+        print(f"# workload {args.workload}  parent {args.parent_rev}  "
+              f"seeds {args.seeds}  seconds {args.seconds or spec['run_seconds']}")
+        for k, seed in enumerate(args.seeds):
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            out = {
+                side: run_once(sides[side], args.workload, seed, args.seconds)
+                for side in order
+            }
+            pairs.append((seed, out["parent"], out["change"]))
+            cells = "  ".join(
+                f"{m} {out['parent']['metrics'][m]:.5g} -> {out['change']['metrics'][m]:.5g}"
+                for m in metrics
+            )
+            failed = "  ".join(
+                f"{side}: {out[side]['failed']}/{out[side]['attempted']} failed"
+                + ("" if out[side]["correct"] else " INCORRECT")
+                for side in ("parent", "change")
+            )
+            print(f"seed {seed} (first: {order[0]})  {cells}  [{failed}]", flush=True)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+
+    print(f"# medians over {len(pairs)} pairs (parent -> change, change wins)")
+    for m in metrics:
+        par = [p["metrics"][m] for _, p, _ in pairs]
+        chg = [c["metrics"][m] for _, _, c in pairs]
+        wins = sum(c < p for p, c in zip(par, chg))
+        a, b = statistics.median(par), statistics.median(chg)
+        rel = f"{(b - a) / a:+.1%}" if a else "n/a"
+        print(f"{m:14s} {a:.5g} -> {b:.5g}  ({rel})  {wins}/{len(pairs)}")
+    bad = [
+        (seed, side)
+        for seed, p, c in pairs
+        for side, out in (("parent", p), ("change", c))
+        if out["failed"] or not out["correct"]
+    ]
+    for seed, side in bad:
+        print(f"# seed {seed}: {side} run had failed ops or a correctness violation")
+    return 1 if any(side == "change" for _, side in bad) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

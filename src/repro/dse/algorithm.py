@@ -31,7 +31,12 @@ from ..estimation.results import EstimationResult
 from ..estimation.wls import WlsEstimator
 from ..measurements.types import _TYPE_ORDER, MeasType, MeasurementSet
 from ..middleware.message import condensed_update_nbytes, state_update_nbytes
-from ..parallel import SubsystemExecutor, make_executor, worker_context
+from ..parallel import (
+    SerialExecutor,
+    SubsystemExecutor,
+    make_executor,
+    worker_context,
+)
 from .condensation import CondensedStep2, neighbor_publication_sets
 from .decomposition import Decomposition, extract_subnetwork
 from .pseudo import (
@@ -293,6 +298,9 @@ class DistributedStateEstimator:
         self.exchange_sets = exchange_bus_sets(dec, threshold=sensitivity_threshold)
         self._nbr_pub = neighbor_publication_sets(dec) if condense else None
         self._worker_token: str | None = None
+        #: the hosted subsystems' Step-1 / Step-2 estimators as one stacked
+        #: estimator each, built the first time a serial stage runs
+        self._stacks: dict[str, WlsEstimator] = {}
 
         if auto_anchor:
             part = dec.part
@@ -467,6 +475,56 @@ class DistributedStateEstimator:
         return key
 
     # ------------------------------------------------------------------
+    # Serial in-process stages: every subsystem in one Gauss-Newton loop.
+    # ------------------------------------------------------------------
+    def _stacked_stage(
+        self,
+        stage: str,
+        members: list[WlsEstimator],
+        x0: list,
+        z: list,
+        tol: float,
+    ) -> list[tuple]:
+        """Step 1 or one Step-2 round as one stacked solve.
+
+        Returns what the executors' ``map`` returns — ``(result or
+        failure, seconds, None)`` per subsystem, each result bit for bit
+        the subsystem's own estimator's — with the stage's wall time
+        apportioned by the paper's computation weight ``Wv = Nb × Ni``
+        (buses solved × iterations taken), since no subsystem is timed on
+        its own any more.  The ``dse.<stage>.subsystem`` spans are laid
+        out back to back over those shares.
+        """
+        wall0, t0 = time.time(), time.perf_counter()
+        stack = self._stacks.get(stage)
+        if stack is None:
+            stack = self._stacks[stage] = WlsEstimator.stacked(members)
+        results = stack.estimate_blocks(x0=x0, z=z, tol=tol)
+        wall = time.perf_counter() - t0
+
+        failed = [r for r in results if isinstance(r, Exception)]
+        if failed and not self.degrade_on_failure:
+            raise failed[0]
+        weights = np.array(
+            [
+                est.net.n_bus * max(1, getattr(res, "iterations", 1))
+                for est, res in zip(members, results)
+            ],
+            dtype=float,
+        )
+        shares = wall * weights / weights.sum()
+        out = []
+        for s, (res, dt) in enumerate(zip(results, shares)):
+            if isinstance(res, Exception):
+                res = _SolveFailure(repr(res))
+            obs.span(f"dse.{stage}.subsystem", s=s, apportioned=True).record(
+                wall0, float(dt)
+            )
+            wall0 += float(dt)
+            out.append((res, float(dt), None))
+        return out
+
+    # ------------------------------------------------------------------
     def _round_wire_bytes(self, s: int, rnd: int) -> int:
         """Actual packed payload bytes subsystem ``s`` puts on the wire in
         Step-2 round ``rnd`` — the exact frame sizes the live fabric
@@ -547,6 +605,15 @@ class DistributedStateEstimator:
             if len(z) != len(self.mset):
                 raise ValueError("z override length mismatch")
         use_process = getattr(self.executor, "distributed", False)
+        # One stacked solve per stage when nothing fans the subsystems out;
+        # the frozen-gain condensed rounds stay per subsystem (their
+        # iteration counts spread too widely for lock step to pay).
+        stack1 = (
+            isinstance(self.executor, SerialExecutor)
+            and self.reuse_structures
+            and self.solver == "lu"
+        )
+        stack2 = stack1 and not self.condense
         if use_process:
             if not self.reuse_structures:
                 raise ValueError(
@@ -596,6 +663,21 @@ class DistributedStateEstimator:
                          self.degrade_on_failure)
                     )
                 step1_out = self.executor.map(_dse_step1_task, items1)
+            elif stack1:
+                step1_out = self._stacked_stage(
+                    "step1",
+                    [self._est1[s] for s in range(dec.m)],
+                    [
+                        None if x0 is None
+                        else (x0[0][dec.buses(s)], x0[1][dec.buses(s)])
+                        for s in range(dec.m)
+                    ],
+                    [
+                        None if z is None else self._step1_z(s, z)
+                        for s in range(dec.m)
+                    ],
+                    tol,
+                )
             else:
                 def step1(s: int):
                     subnet1, _, own, ms1 = self.sub1[s]
@@ -688,6 +770,14 @@ class DistributedStateEstimator:
                     for s in range(dec.m)
                 ]
                 results = self.executor.map(_dse_step2_task, items2)
+            elif stack2:
+                results = self._stacked_stage(
+                    "step2",
+                    [self._step2_cache[s][0] for s in range(dec.m)],
+                    [(x0_vm, x0_va) for _, x0_vm, x0_va in inputs],
+                    [z2 for z2, _, _ in inputs],
+                    tol,
+                )
             else:
                 def step2(s: int):
                     subnet2, bmap2, xbuses, ext, ms2 = self.sub2[s]

@@ -252,22 +252,25 @@ class CondensedStep2:
         step_norms: list[float] = []
         converged = False
         it = 0
-        r = z - model.h(Vm, Va)
+        # currents once per state: they serve the residual there and the
+        # next iteration's Jacobian fill
+        cur = model.currents(Vm, Va)
+        r = z - model.h(Vm, Va, cur)
         for it in range(1, limit + 1):
             # Exact gradient at the current state; only the (frozen,
             # condensed) gain operator is approximate.
-            rhs = kernel.rhs(kernel.weighted(structure.fill_data(Vm, Va), w), r)
+            rhs = kernel.rhs(
+                kernel.weighted(structure.fill_data(Vm, Va, cur), w), r
+            )
             try:
                 dx = self.schur.solve(rhs)
             except GainSolveError as exc:
                 raise EstimationError(
                     f"condensed normal-equation solve failed: {exc}"
                 ) from exc
-            full_dx = np.zeros(2 * n)
-            full_dx[est._keep] = dx
-            Va += full_dx[:n]
-            Vm += full_dx[n:]
-            r = z - model.h(Vm, Va)
+            est._advance(Vm, Va, dx)
+            cur = model.currents(Vm, Va)
+            r = z - model.h(Vm, Va, cur)
             step = float(np.max(np.abs(dx))) if len(dx) else 0.0
             step_norms.append(step)
             if step < inner_tol:

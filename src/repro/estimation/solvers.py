@@ -21,13 +21,17 @@ Cholesky; larger ones through SuperLU over the fixed pattern with a
 fill-reducing ordering computed once.  The kernel keeps no numeric history:
 a step is a function of (pattern, data, weights, residual) alone, so cold
 and warm solvers — and therefore serial, thread-pool and process-pool runs —
-agree bit for bit.
+agree bit for bit.  Several independent problems stack into one kernel
+(:meth:`NormalEquations.stacked`): one assembly over the block-diagonal
+Jacobian, one factor per diagonal block, each block's step again bit for bit
+that of the block's own kernel.
 """
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -49,6 +53,10 @@ __all__ = [
 #: goes to SuperLU.  Chosen from the crossover measured by
 #: ``benchmarks/bench_gain_crossover.py`` (table in ``docs/algorithms.md``).
 DENSE_MAX_STATES = 400
+
+#: Most products of the gain's product map assembled in one pass (two
+#: float64 temporaries of this length: 1 MB).
+PRODUCT_CHUNK = 65536
 
 
 class GainSolveError(RuntimeError):
@@ -86,6 +94,13 @@ class _SpdFactor:
         self._permuted: tuple | None = None
         self._chol: np.ndarray | None = None
         self.lu = None
+
+    def twin(self) -> "_SpdFactor":
+        """A second factor of the same pattern: shares the symbolic index
+        arrays (never written after construction), owns its numeric state."""
+        other = copy.copy(self)
+        other._permuted = other._chol = other.lu = None
+        return other
 
     # -- symbolic --------------------------------------------------------
     def _full_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -199,11 +214,106 @@ class NormalEquations:
         self._a = a[by_target].astype(np.int32)
         self._b = b[by_target].astype(np.int32)
         self._starts = np.flatnonzero(first)
+        # Gain entries g0:g1 are the segment sums, at ``starts``, of
+        # data[e0:e1][a] * wdata[e0:e1][b].  A long map is walked in runs
+        # of whole entries of at most PRODUCT_CHUNK products, which keeps
+        # the temporaries of a system-wide assembly cache-sized.
+        self._chunks = []
+        ends = np.append(self._starts[1:], len(self._a))
+        g0 = 0
+        while g0 < len(ends):
+            p0 = int(self._starts[g0])
+            g1 = max(g0 + 1, int(np.searchsorted(ends, p0 + PRODUCT_CHUNK, "right")))
+            p1 = int(ends[g1 - 1])
+            self._chunks.append((
+                g0, g1, 0, nnz, self._a[p0:p1], self._b[p0:p1],
+                self._starts[g0:g1] - p0 if p0 else self._starts[g0:g1],
+            ))
+            g0 = g1
         target = key[self._starts]
+        self._n_gain = len(target)
         self.spd = _SpdFactor(target % n, target // n, n)
+        # diagonal blocks (factor, state range, gain-entry range): one here
+        self.blocks = [(self.spd, (0, n), (0, len(target)))]
         # right-hand side: column sums, skipping structurally empty columns
         self._rhs_cols = np.flatnonzero(np.diff(indptr))
         self._rhs_starts = indptr[self._rhs_cols]
+
+    @classmethod
+    def stacked(
+        cls,
+        members: list["NormalEquations"],
+        rows: list[np.ndarray],
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        shape: tuple,
+    ) -> "NormalEquations":
+        """The kernel of a block-diagonal Jacobian, composed from the
+        kernels of its diagonal blocks without a symbolic pass of its own.
+
+        ``(indptr, indices, shape)`` is the stacked CSC pattern: member
+        ``b``'s columns follow member ``b - 1``'s and its row ``i`` sits at
+        stacked row ``rows[b][i]`` (increasing in ``i``).  Member ``b``'s
+        entries are then one contiguous run of the stacked ``data`` vector
+        in the member's own order, so the member's product map applies to
+        that run as it is (the maps are borrowed, not copied) and its
+        right-hand-side sums with constant offsets: every gain entry is
+        summed from the same products in the same order as in the member —
+        each block's step is bit for bit the member's.  The gain is block
+        diagonal by construction; each block keeps a factor of its own
+        (dense below :data:`DENSE_MAX_STATES`), so a block can be skipped
+        or fail alone (:meth:`solve_blocks`).
+        """
+        self = cls.__new__(cls)
+        self.indptr, self.indices, self.shape = indptr, indices, tuple(shape)
+
+        def starts(sizes: list[int]) -> np.ndarray:
+            return np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+
+        entry = starts([len(k.indices) for k in members])   # CSC entries
+        col = starts([k.shape[1] for k in members])         # states
+        seg = starts([k._n_gain for k in members])          # gain entries
+        if (
+            tuple(shape) != (sum(k.shape[0] for k in members), col[-1])
+            or not np.array_equal(
+                indptr[1:],
+                np.concatenate([k.indptr[1:] + entry[b] for b, k in enumerate(members)]),
+            )
+            or not np.array_equal(
+                indices,
+                np.concatenate([rows[b][k.indices] for b, k in enumerate(members)]),
+            )
+        ):
+            raise ValueError("stacked pattern is not the members' block diagonal")
+
+        # the members' product maps are borrowed, not copied: a member's
+        # chunks apply to its own run of the data vector as they are
+        self._chunks = [
+            (
+                int(seg[b]) + g0, int(seg[b]) + g1,
+                int(entry[b]) + e0, int(entry[b]) + e1,
+                a_, b_, starts_,
+            )
+            for b, k in enumerate(members)
+            for g0, g1, e0, e1, a_, b_, starts_ in k._chunks
+        ]
+        self._n_gain = int(seg[-1])
+        self._rhs_cols = np.concatenate(
+            [k._rhs_cols + col[b] for b, k in enumerate(members)]
+        )
+        self._rhs_starts = np.concatenate(
+            [k._rhs_starts + entry[b] for b, k in enumerate(members)]
+        )
+        self.spd = None     # no single factor: the blocks own theirs
+        self.blocks = [
+            (
+                k.spd.twin(),
+                (int(col[b]), int(col[b + 1])),
+                (int(seg[b]), int(seg[b + 1])),
+            )
+            for b, k in enumerate(members)
+        ]
+        return self
 
     def matches(self, indptr: np.ndarray, indices: np.ndarray, shape: tuple) -> bool:
         """True when this kernel was built for exactly this CSC pattern."""
@@ -230,10 +340,12 @@ class NormalEquations:
 
     def gain(self, data, wdata):
         """Lower-triangle values of ``G = Hᵀ (W H)`` on the fixed pattern."""
-        prod = np.take(data, self._a, axis=-1) * np.take(wdata, self._b, axis=-1)
-        if not len(self._starts):
-            return prod
-        return np.add.reduceat(prod, self._starts, axis=-1)
+        out = np.empty(data.shape[:-1] + (self._n_gain,))
+        for g0, g1, e0, e1, a, b, starts in self._chunks:
+            prod = np.take(data[..., e0:e1], a, axis=-1)
+            prod *= np.take(wdata[..., e0:e1], b, axis=-1)
+            out[..., g0:g1] = np.add.reduceat(prod, starts, axis=-1)
+        return out
 
     def rhs(self, wdata, r):
         """``(W H)ᵀ r``: per-column sums, structurally empty columns 0."""
@@ -247,19 +359,57 @@ class NormalEquations:
     def solve(self, data, weights, r) -> np.ndarray:
         """The Gauss-Newton step(s) ``G⁻¹ Hᵀ W r``; raises
         :class:`GainSolveError` rather than return a non-finite step."""
+        if data.ndim == 1:
+            dx, errors = self.solve_blocks(data, weights, r)
+            if errors:
+                raise errors[min(errors)]
+            return dx
         wdata = self.weighted(data, weights)
         gain, rhs = self.gain(data, wdata), self.rhs(wdata, r)
-        if data.ndim == 1:
-            self.spd.factor(gain)
-            dx = self.spd.solve(rhs)
-        else:
-            dx = np.empty_like(rhs)
-            for k in range(len(rhs)):
-                self.spd.factor(gain[k])
-                dx[k] = self.spd.solve(rhs[k])
+        dx = np.empty_like(rhs)
+        for k in range(len(rhs)):
+            self.spd.factor(gain[k])
+            dx[k] = self.spd.solve(rhs[k])
         if not np.all(np.isfinite(dx)):
             raise GainSolveError("gain solve produced non-finite step")
         return dx
+
+    def solve_blocks(
+        self, data, weights, r, active=None
+    ) -> tuple[np.ndarray, dict[int, GainSolveError]]:
+        """One Gauss-Newton step, diagonal block by diagonal block.
+
+        The gain and right-hand side are assembled for the whole pattern
+        in one pass; only the blocks listed in ``active`` (default: all)
+        are factored and solved.  Returns ``(dx, errors)``: a block that is
+        not active, whose factorisation fails or whose step comes out
+        non-finite keeps a zero step, the latter two with their
+        :class:`GainSolveError` under the block's index in ``errors`` — the
+        other blocks' steps are unaffected.
+        """
+        wdata = self.weighted(data, weights)
+        gain, rhs = self.gain(data, wdata), self.rhs(wdata, r)
+        dx = np.zeros(self.shape[1])
+        errors: dict[int, GainSolveError] = {}
+        if active is None:
+            active = range(len(self.blocks))
+        for b in active:
+            spd, (lo, hi), (g0, g1) = self.blocks[b]
+            try:
+                spd.factor(gain[g0:g1])
+            except GainSolveError as exc:
+                errors[b] = exc
+                continue
+            dx[lo:hi] = spd.solve(rhs[lo:hi])
+        if not np.all(np.isfinite(dx)):
+            for b in active:
+                _, (lo, hi), _ = self.blocks[b]
+                if not np.all(np.isfinite(dx[lo:hi])):
+                    dx[lo:hi] = 0.0
+                    errors[b] = GainSolveError(
+                        "gain solve produced non-finite step"
+                    )
+        return dx, errors
 
 
 def _canonical_csc(H: sp.spmatrix) -> sp.csc_matrix:
@@ -431,7 +581,7 @@ class SchurGainSolver:
         self.kernel: NormalEquations | None = None
         self._interior: _SpdFactor | None = None
         self._maps: tuple | None = None
-        self._S: tuple | None = None
+        self._S: np.ndarray | None = None
         self._W: np.ndarray | None = None
         self._G_IB: np.ndarray | None = None
         self._factored = False
@@ -510,12 +660,14 @@ class SchurGainSolver:
                 S -= self._G_IB.T @ self._W
             else:
                 self._W = np.zeros((0, nb))
-            try:
-                self._S = sla.cho_factor(S, lower=True)
-            except (np.linalg.LinAlgError, ValueError) as exc:
+            if not np.all(np.isfinite(S)):
+                raise GainSolveError("Schur complement is not finite")
+            self._S, info = dpotrf(S, lower=1, clean=0)
+            if info != 0:
                 raise GainSolveError(
-                    f"Schur complement is not positive definite: {exc}"
-                ) from exc
+                    "Schur complement is not positive definite "
+                    f"(dpotrf info={info})"
+                )
         else:
             self._G_IB = None
             self._W = None
@@ -541,7 +693,7 @@ class SchurGainSolver:
                 rhs_b = rhs_b - self._G_IB.T @ u
             if not np.all(np.isfinite(rhs_b)):
                 raise GainSolveError("non-finite condensed right-hand side")
-            dx_b = sla.cho_solve(self._S, rhs_b)
+            dx_b = dpotrs(self._S, rhs_b, lower=1)[0]
             dx[self.boundary] = dx_b
             if self.n_interior:
                 u = u - self._W @ dx_b

@@ -11,6 +11,7 @@ dropped.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,13 +20,30 @@ from ..grid.network import Network
 from ..measurements.functions import MeasurementModel
 from ..measurements.types import MeasType, MeasurementSet
 from .results import EstimationResult
-from .solvers import GainSolver
+from .solvers import GainSolver, NormalEquations
 
 __all__ = ["EstimationError", "WlsEstimator", "estimate_state"]
 
 
 class EstimationError(RuntimeError):
     """Raised when the estimator cannot produce a solution."""
+
+
+@dataclass(frozen=True)
+class _Block:
+    """Where one member of an estimator sits in its model: its buses, its
+    measurement rows, its free states, and the bus whose angle it pins as
+    reference (``None`` when synchronized angles determine it)."""
+
+    buses: slice
+    rows: slice | np.ndarray
+    n_rows: int
+    states: slice
+    pinned: int | None
+
+    @property
+    def n_states(self) -> int:
+        return self.states.stop - self.states.start
 
 
 class WlsEstimator:
@@ -51,6 +69,11 @@ class WlsEstimator:
         solver reuses its symbolic analysis across iterations.  The slow
         path (``False``) is the uncached reference implementation; both
         agree to floating-point round-off.
+
+    An estimator solves one or more independent *blocks* in one
+    Gauss-Newton loop (:meth:`estimate_blocks`).  The constructor builds
+    the one-block case; :meth:`stacked` joins several estimators into the
+    disjoint union of their problems, one block per member.
     """
 
     def __init__(
@@ -83,6 +106,100 @@ class WlsEstimator:
         self._gain_solver = GainSolver(
             solver, pcg_preconditioner=pcg_preconditioner
         )
+        self._keep_all = self.has_pmu_angles
+        self._blocks = [
+            _Block(
+                buses=slice(0, n),
+                rows=slice(None),
+                n_rows=len(mset),
+                states=slice(0, len(self._keep)),
+                pinned=None if self.has_pmu_angles else self.reference_bus,
+            )
+        ]
+
+    @classmethod
+    def stacked(cls, members: "list[WlsEstimator]") -> "WlsEstimator":
+        """The disjoint union of ``members`` as one estimator, one block
+        per member.
+
+        The members' networks and measurement sets are concatenated (bus
+        and branch indices offset) into one model, the free states kept
+        block-contiguous in member order, and the normal-equation kernel is
+        composed from the members' own kernels
+        (:meth:`NormalEquations.stacked`), which this call builds if they
+        are not built yet.  :meth:`estimate_blocks` then advances every
+        member with one evaluation of h(x), one Jacobian fill and one gain
+        assembly per iteration; every sum a member's solve takes is taken
+        over the same terms in the same order, so each block's result is
+        bit for bit the member's own :meth:`estimate`.  Members must use
+        the cached ``"lu"`` path.
+        """
+        if not members:
+            raise ValueError("stacked() needs at least one estimator")
+        if any(m.solver != "lu" or not m.use_cache for m in members):
+            raise ValueError("only cached 'lu' estimators stack")
+        if any(len(m._blocks) != 1 or not m.n_states for m in members):
+            raise ValueError("members must be plain, non-empty estimators")
+        net = Network.disjoint_union([m.net for m in members], name="stack")
+        bus_at = np.cumsum([0] + [m.net.n_bus for m in members])
+        branch_at = np.cumsum([0] + [m.net.n_branch for m in members])
+        n = int(bus_at[-1])
+
+        # the members' rows with their elements moved by the offsets
+        columns = [m.mset.column_arrays() for m in members]
+        mset, rows = MeasurementSet.from_columns(
+            np.concatenate([tpos for tpos, _, _ in columns]),
+            np.concatenate(
+                [
+                    elem + np.where(is_bus, bus_at[b], branch_at[b])
+                    for b, (_, elem, is_bus) in enumerate(columns)
+                ]
+            ),
+            np.concatenate([m.mset.z for m in members]),
+            np.concatenate([m.mset.sigma for m in members]),
+        )
+        rows = np.split(rows, np.cumsum([len(m.mset) for m in members])[:-1])
+
+        self = cls.__new__(cls)
+        self.net, self.mset = net, mset
+        self.model = MeasurementModel(net, mset)
+        self.solver, self.pcg_preconditioner, self.use_cache = "lu", "jacobi", True
+        self.has_pmu_angles = all(m.has_pmu_angles for m in members)
+        self.reference_bus = None
+        # member states [Va; Vm] -> union columns, member after member
+        self._keep = np.concatenate(
+            [
+                np.where(
+                    m._keep < m.net.n_bus,
+                    m._keep + bus_at[b],
+                    m._keep - m.net.n_bus + n + bus_at[b],
+                )
+                for b, m in enumerate(members)
+            ]
+        )
+        self._keep_all = False      # kept, but member after member
+        state_at = np.cumsum([0] + [m.n_states for m in members])
+        self._blocks = [
+            _Block(
+                buses=slice(int(bus_at[b]), int(bus_at[b + 1])),
+                rows=rows[b],
+                n_rows=len(rows[b]),
+                states=slice(int(state_at[b]), int(state_at[b + 1])),
+                pinned=(
+                    None
+                    if m.has_pmu_angles
+                    else int(bus_at[b]) + m.reference_bus
+                ),
+            )
+            for b, m in enumerate(members)
+        ]
+        self._gain_solver = GainSolver("lu")
+        self._gain_solver.kernel = NormalEquations.stacked(
+            [m._kernel() for m in members],
+            rows,
+            *self.model.jacobian_structure(self._keep).pattern,
+        )
+        return self
 
     @property
     def n_states(self) -> int:
@@ -93,6 +210,27 @@ class WlsEstimator:
         if self.use_cache:
             return self.model.jacobian_reduced(Vm, Va, self._keep)
         return self.model.jacobian(Vm, Va).tocsc()[:, self._keep]
+
+    def _advance(self, Vm: np.ndarray, Va: np.ndarray, dx: np.ndarray) -> None:
+        """Add the reduced step ``dx`` to the state, in place."""
+        n = len(Vm)
+        if self._keep_all:          # dx is [dVa; dVm] as it stands
+            Va += dx[:n]
+            Vm += dx[n:]
+        else:
+            full_dx = np.zeros(2 * n)
+            full_dx[self._keep] = dx
+            Va += full_dx[:n]
+            Vm += full_dx[n:]
+
+    def _kernel(self) -> NormalEquations:
+        """The cached solver's kernel for this estimator's Jacobian
+        pattern, built on first use."""
+        solver = self._gain_solver
+        solver.kernel = NormalEquations.cached(
+            solver.kernel, *self.model.jacobian_structure(self._keep).pattern
+        )
+        return solver.kernel
 
     def estimate(
         self,
@@ -113,26 +251,65 @@ class WlsEstimator:
         :class:`EstimationError` on a failed normal-equation solve (e.g.
         unobservable network).
         """
-        t_start = time.perf_counter() if obs.enabled() else 0.0
-        net, model, ms = self.net, self.model, self.mset
-        n = net.n_bus
-        if len(ms) < self.n_states:
-            raise EstimationError(
-                f"underdetermined: {len(ms)} measurements for "
-                f"{self.n_states} states"
-            )
-        if z is None:
-            z = ms.z
-        elif len(z) != len(ms):
-            raise ValueError("z override length mismatch")
+        if len(self._blocks) != 1:
+            raise TypeError("a stacked estimator answers estimate_blocks()")
+        (res,) = self.estimate_blocks(
+            x0=[x0], z=[z], tol=tol, max_iter=max_iter,
+            reference_angle=reference_angle,
+        )
+        if isinstance(res, EstimationError):
+            raise res
+        return res
 
-        if x0 is None:
-            Vm = np.ones(n)
-            Va = np.full(n, reference_angle)
-        else:
-            Vm, Va = x0[0].copy(), x0[1].copy()
-        if not self.has_pmu_angles:
-            Va[self.reference_bus] = reference_angle
+    def estimate_blocks(
+        self,
+        *,
+        x0: list | None = None,
+        z: list | None = None,
+        tol: float = 1e-8,
+        max_iter: int = 25,
+        reference_angle: float = 0.0,
+    ) -> list[EstimationResult | EstimationError]:
+        """One Gauss-Newton loop over every block; one outcome per block.
+
+        ``x0[b]`` / ``z[b]`` are block ``b``'s warm start and measured
+        values (``None`` entries, or ``None`` for the whole list: flat
+        start / the set's own values), in the block's own bus and row
+        order.  Blocks iterate in lock step and are judged separately: a
+        block stops — and is no longer factored or solved — the iteration
+        its own step norm falls below ``tol``, and keeps its own iteration
+        count, step norms and ``converged`` flag; one that is
+        underdetermined, whose gain does not factor or whose step is
+        non-finite yields its :class:`EstimationError` in place of a
+        result while the others carry on.
+        """
+        t_start = time.perf_counter() if obs.enabled() else 0.0
+        model, ms, blocks = self.model, self.mset, self._blocks
+        n, nb = self.net.n_bus, len(blocks)
+        x0 = [None] * nb if x0 is None else x0
+        z = [None] * nb if z is None else z
+        if len(x0) != nb or len(z) != nb:
+            raise ValueError(f"need one x0 and one z entry per block ({nb})")
+
+        results: list[EstimationResult | EstimationError | None] = [None] * nb
+        Vm = np.ones(n)
+        Va = np.full(n, reference_angle)
+        zz = ms.z if all(v is None for v in z) else ms.z.copy()
+        for b, blk in enumerate(blocks):
+            if blk.n_rows < blk.n_states:
+                results[b] = EstimationError(
+                    f"underdetermined: {blk.n_rows} measurements for "
+                    f"{blk.n_states} states"
+                )
+                continue
+            if z[b] is not None:
+                if len(z[b]) != blk.n_rows:
+                    raise ValueError("z override length mismatch")
+                zz[blk.rows] = z[b]
+            if x0[b] is not None:
+                Vm[blk.buses], Va[blk.buses] = x0[b]
+            if blk.pinned is not None:
+                Va[blk.pinned] = reference_angle
 
         w = ms.weights
         # Cached path: the Jacobian is a data vector on the structure's
@@ -145,53 +322,94 @@ class WlsEstimator:
             solver = GainSolver(
                 self.solver, pcg_preconditioner=self.pcg_preconditioner
             )
-        step_norms: list[float] = []
-        converged = False
+        # the direct cached solver works block by block; the iterative and
+        # uncached ones see one block, the whole problem
+        kernel = self._kernel() if self.use_cache and self.solver == "lu" else None
+        if kernel is None and nb != 1:
+            raise ValueError("only cached 'lu' estimators stack")
+        state_starts = [blk.states.start for blk in blocks]
+        step_norms: list[list[float]] = [[] for _ in range(nb)]
+
+        def finish(b: int, converged: bool) -> None:
+            blk = blocks[b]
+            rb, wb = r[blk.rows], w[blk.rows]
+            # copies: the other blocks keep iterating on Vm / Va
+            results[b] = EstimationResult(
+                converged=converged,
+                iterations=it,
+                Vm=Vm[blk.buses].copy(),
+                Va=Va[blk.buses].copy(),
+                residuals=rb,
+                objective=float(rb @ (wb * rb)),
+                dof=len(rb) - blk.n_states,
+                step_norms=step_norms[b],
+            )
+
+        active = [b for b in range(nb) if results[b] is None]
         it = 0
-        # The residual is evaluated once per state: initially, and after
-        # every update — the final iteration's post-update evaluation is
-        # reused for the reported residuals/objective instead of being
-        # recomputed after the loop.
-        r = z - model.h(Vm, Va)
-        for it in range(1, max_iter + 1):
+        # Currents are evaluated once per state — initially, and after
+        # every update — and serve both the residual there and the next
+        # iteration's Jacobian; the final iteration's post-update residual
+        # is the reported one.
+        cur = model.currents(Vm, Va)
+        r = zz - model.h(Vm, Va, cur)
+        while active and it < max_iter:
+            it += 1
             try:
-                if self.use_cache:
-                    dx = solver.solve_csc(
-                        *pattern, structure.fill_data(Vm, Va), w, r
+                if kernel is not None:
+                    dx, errors = kernel.solve_blocks(
+                        structure.fill_data(Vm, Va, cur), w, r, active
                     )
+                elif self.use_cache:
+                    dx, errors = solver.solve_csc(
+                        *pattern, structure.fill_data(Vm, Va, cur), w, r
+                    ), {}
                 else:
-                    dx = solver.solve(self._jacobian_at(Vm, Va), w, r)
+                    dx, errors = solver.solve(self._jacobian_at(Vm, Va), w, r), {}
             except Exception as exc:
-                raise EstimationError(f"normal-equation solve failed: {exc}") from exc
+                dx, errors = np.zeros(self.n_states), dict.fromkeys(active, exc)
+            for b, exc in errors.items():
+                results[b] = EstimationError(
+                    f"normal-equation solve failed: {exc}"
+                )
+                results[b].__cause__ = exc
+            if errors:
+                active = [b for b in active if b not in errors]
+                if not active:
+                    break
 
-            full_dx = np.zeros(2 * n)
-            full_dx[self._keep] = dx
-            Va += full_dx[:n]
-            Vm += full_dx[n:]
-            r = z - model.h(Vm, Va)
-            step = float(np.max(np.abs(dx))) if len(dx) else 0.0
-            step_norms.append(step)
-            if step < tol:
-                converged = True
-                break
+            self._advance(Vm, Va, dx)
+            cur = model.currents(Vm, Va)
+            r = zz - model.h(Vm, Va, cur)
+            steps = (
+                np.maximum.reduceat(np.abs(dx), state_starts).tolist()
+                if len(dx)
+                else [0.0] * nb
+            )
+            running = []
+            for b in active:
+                step_norms[b].append(steps[b])
+                if steps[b] < tol:
+                    finish(b, True)
+                else:
+                    running.append(b)
+            active = running
+        for b in active:
+            finish(b, False)
 
-        objective = float(r @ (w * r))
         if obs.enabled():
             reg = obs.metrics()
             reg.histogram("wls.estimate.seconds", solver=self.solver).observe(
                 time.perf_counter() - t_start
             )
-            reg.counter("wls.iterations_total", solver=self.solver).inc(it)
-        return EstimationResult(
-            converged=converged,
-            iterations=it,
-            Vm=Vm,
-            Va=Va,
-            residuals=r,
-            objective=objective,
-            dof=len(ms) - self.n_states,
-            step_norms=step_norms,
-        )
+            reg.counter("wls.iterations_total", solver=self.solver).inc(
+                sum(
+                    res.iterations
+                    for res in results
+                    if isinstance(res, EstimationResult)
+                )
+            )
+        return results
 
 
 def estimate_state(

@@ -14,7 +14,7 @@ dictionary, which is the format used by the bundled IEEE cases in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -333,6 +333,42 @@ class Network:
 
             return replace(self)
         return delta.apply_to(self)
+
+    @classmethod
+    def disjoint_union(
+        cls, nets: "list[Network]", *, name: str = "union"
+    ) -> "Network":
+        """The members side by side as one network with no branch between
+        them: member ``k``'s buses, branches and generators follow member
+        ``k - 1``'s, terminal indices shifted by the bus offset, every
+        other column concatenated as is.  Members may share external bus
+        numbers (overlapping extracts of one grid), so the union numbers
+        its buses ``0..n-1``.
+        """
+        if not nets:
+            raise NetworkError("disjoint union of no networks")
+        if any(net.base_mva != nets[0].base_mva for net in nets):
+            raise NetworkError("disjoint union over different MVA bases")
+        offsets = np.cumsum([0] + [net.n_bus for net in nets[:-1]])
+        cols = {
+            f.name: np.concatenate([getattr(net, f.name) for net in nets])
+            for f in fields(cls)
+            if f.name not in ("base_mva", "name", "_id_to_idx", "bus_ids")
+        }
+        for col in ("f", "t", "gen_bus"):
+            cols[col] = np.concatenate(
+                [getattr(net, col) + off for net, off in zip(nets, offsets)]
+            )
+        n = sum(net.n_bus for net in nets)
+        union = cls(
+            base_mva=nets[0].base_mva,
+            bus_ids=np.arange(n, dtype=np.int64),
+            name=name,
+            _id_to_idx={k: k for k in range(n)},
+            **cols,
+        )
+        union.validate()
+        return union
 
     def copy(self) -> "Network":
         """Deep copy (all arrays owned by the copy)."""

@@ -188,9 +188,12 @@ class JacobianStructure:
                 np.zeros(len(rows)) if cval is None else np.asarray(cval, float)
             )
 
-        def src_id(name: str) -> int:
+        src_sizes: list[int] = []
+
+        def src_id(name: str, size: int) -> int:
             if name not in src_names:
                 src_names.append(name)
+                src_sizes.append(size)
             return src_names.index(name)
 
         def add_block(mrows, el, urows, ucols, src_va, src_vm, part):
@@ -203,8 +206,8 @@ class JacobianStructure:
             offset = np.cumsum(counts) - counts
             gidx = np.repeat(ptr[el] - offset, counts) + np.arange(counts.sum())
             cols = ucols[gidx]
-            add_entries(rows, cols, src_id(src_va), gidx, part)
-            add_entries(rows, cols + n, src_id(src_vm), gidx, part)
+            add_entries(rows, cols, src_id(src_va, len(urows)), gidx, part)
+            add_entries(rows, cols + n, src_id(src_vm, len(urows)), gidx, part)
 
         # V_MAG / PMU_VA: constant identity entries.
         el = ms.elements(MeasType.V_MAG)
@@ -290,15 +293,19 @@ class JacobianStructure:
             gidx = np.concatenate(e_gidx)
             part = np.concatenate(e_part)
             cval = np.concatenate(e_cval)
+            for parts in (e_rows, e_cols, e_src, e_gidx, e_part, e_cval):
+                parts.clear()       # the pieces are large on a stacked model
         else:
             rows = cols = gidx = np.zeros(0, np.int64)
             src = np.zeros(0, np.int16)
             part = np.zeros(0, np.int8)
             cval = np.zeros(0)
 
-        mask = col_lut[cols] >= 0
-        rows, cols = rows[mask], col_lut[cols[mask]]
-        src, gidx, part, cval = src[mask], gidx[mask], part[mask], cval[mask]
+        cols = col_lut[cols]
+        mask = cols >= 0
+        if not mask.all():
+            rows, cols = rows[mask], cols[mask]
+            src, gidx, part, cval = src[mask], gidx[mask], part[mask], cval[mask]
         n_entries = len(rows)
 
         skel = sp.coo_matrix(
@@ -307,23 +314,42 @@ class JacobianStructure:
         ).tocsc()
         self._indices = skel.indices
         self._indptr = skel.indptr
-        self._perm = skel.data.astype(np.int64)
 
-        # constant entries prefilled; dynamic groups refill the rest
-        self._template = cval
-        # (entry positions, source name, part, gather indices into source)
-        self._groups: list[tuple[np.ndarray, str, int, np.ndarray]] = []
-        for s, name in enumerate(src_names):
-            for p in (1, 2):
-                pos = np.flatnonzero((src == s) & (part == p))
-                if pos.size:
-                    self._groups.append((pos, name, p, gidx[pos]))
+        # Fill plan: every data entry's position in the concatenation of
+        # the derivative sources (``src_names`` order; a complex source as
+        # its real block then its imaginary block) and, last, the constant
+        # entries.  One gather through it assembles the CSC ``data``.
+        sizes = np.array(src_sizes, dtype=np.int64)
+        is_complex = np.array([not name.startswith("imag") for name in src_names])
+        base = np.concatenate([[0], np.cumsum(sizes * (1 + is_complex))])
+        const = src == -1
+        where = np.empty(n_entries, dtype=np.int64)
+        where[const] = base[-1] + np.arange(np.count_nonzero(const))
+        s_dyn = src[~const]
+        where[~const] = (
+            base[s_dyn] + gidx[~const] + (part[~const] == 2) * sizes[s_dyn]
+        )
+        self._sources = list(zip(src_names, is_complex.tolist()))
+        self._const = cval[const]
+        self._fill_plan = where[skel.data.astype(np.int64)]
+
+    def _assemble(self, src: dict, const: np.ndarray) -> np.ndarray:
+        """The data entries (leading axis) from the evaluated derivative
+        sources and the constant entries, through the fill plan."""
+        parts = []
+        for name, is_complex in self._sources:
+            arr = src[name]
+            parts.append(arr.real)
+            if is_complex:
+                parts.append(arr.imag)
+        parts.append(const)
+        return np.concatenate(parts)[self._fill_plan]
 
     # ------------------------------------------------------------------
     @property
     def nnz(self) -> int:
         """Stored entries in the assembled reduced Jacobian."""
-        return len(self._perm)
+        return len(self._fill_plan)
 
     @property
     def pattern(self) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
@@ -339,26 +365,28 @@ class JacobianStructure:
             shape=(self.n_rows, self.n_cols),
         )
 
-    def fill_data(self, Vm: np.ndarray, Va: np.ndarray) -> np.ndarray:
+    def fill_data(
+        self, Vm: np.ndarray, Va: np.ndarray, cur: tuple | None = None
+    ) -> np.ndarray:
         """The reduced Jacobian's CSC ``data`` vector at (Vm, Va) — all a
         normal-equation kernel bound to :attr:`pattern` needs, so the
-        Gauss-Newton loop builds no sparse matrix."""
+        Gauss-Newton loop builds no sparse matrix.  ``cur`` is the model's
+        :meth:`~MeasurementModel.currents` at the same state, when the
+        caller already evaluated them for ``h``."""
         model = self.model
-        V = Vm * np.exp(1j * Va)
+        V, Ib, i_f, i_t = model.currents(Vm, Va) if cur is None else cur
         vnorm = V / np.abs(V)
         src: dict[str, np.ndarray] = {}
 
         if self._need_inj:
             ir, ic, iv, idg = self._inj
-            Ib = model.ybus @ V
             src["inj_dva"] = 1j * V[ir] * np.conj(idg * Ib[ir] - iv * V[ic])
             src["inj_dvm"] = V[ir] * np.conj(iv) * np.conj(vnorm[ic]) + idg * (
                 np.conj(Ib[ir]) * vnorm[ir]
             )
         if self._need_f:
             fr, fc, fv, ift = self._fside
-            term = model.net.f
-            ibr = model.yf @ V
+            term, ibr = model.net.f, i_f
             src["f_dva"] = 1j * (
                 np.conj(ibr[fr]) * (ift * V[fc])
                 - V[term[fr]] * np.conj(fv) * np.conj(V[fc])
@@ -368,8 +396,7 @@ class JacobianStructure:
             ) * (ift * vnorm[fc])
         if self._need_t:
             tr, tc, tv, itt = self._tside
-            term = model.net.t
-            ibr = model.yt @ V
+            term, ibr = model.net.t, i_t
             src["t_dva"] = 1j * (
                 np.conj(ibr[tr]) * (itt * V[tc])
                 - V[term[tr]] * np.conj(tv) * np.conj(V[tc])
@@ -379,18 +406,13 @@ class JacobianStructure:
             ) * (itt * vnorm[tc])
         if self._need_imag:
             mr, mc, mv = self._imag
-            i_f = model.yf @ V
             mag = np.abs(i_f)
             scale = np.where(mag > 1e-9, 1.0 / np.maximum(mag, 1e-9), 0.0)
             w = np.conj(i_f) * scale
             src["imag_da"] = np.real(w[mr] * (mv * (1j * V[mc])))
             src["imag_dm"] = np.real(w[mr] * (mv * vnorm[mc]))
 
-        vals = self._template.copy()
-        for pos, name, p, take in self._groups:
-            arr = src[name][take]
-            vals[pos] = arr.real if p == 1 else arr.imag
-        return vals[self._perm]
+        return self._assemble(src, self._const)
 
     # ------------------------------------------------------------------
     # Batched (SIMD-over-scenarios) evaluation
@@ -534,11 +556,8 @@ class JacobianStructure:
             src["imag_da"] = np.real(w[mr] * (mvK * (1j * V[mc])))
             src["imag_dm"] = np.real(w[mr] * (mvK * vnorm[mc]))
 
-        vals = np.repeat(self._template[:, None], K, axis=1)
-        for pos, name, p, take in self._groups:
-            arr = src[name][take]
-            vals[pos] = arr.real if p == 1 else arr.imag
-        return np.ascontiguousarray(vals[self._perm].T)
+        const = np.repeat(self._const[:, None], K, axis=1)
+        return np.ascontiguousarray(self._assemble(src, const).T)
 
 
 def _dsbr_dv(
@@ -596,45 +615,71 @@ class MeasurementModel:
                     f">= {bound}"
                 )
 
-    # ------------------------------------------------------------------
-    def h(self, Vm: np.ndarray, Va: np.ndarray) -> np.ndarray:
-        """Evaluate the measurement function at state (Vm, Va)."""
-        net, ms = self.net, self.mset
-        V = Vm * np.exp(1j * Va)
-        out = np.empty(len(ms))
-
-        need_sbus = ms.count(MeasType.P_INJ) or ms.count(MeasType.Q_INJ)
-        if need_sbus:
-            sbus = V * np.conj(self.ybus @ V)
-        need_sf = (
-            ms.count(MeasType.P_FLOW_F)
-            or ms.count(MeasType.Q_FLOW_F)
-            or ms.count(MeasType.I_MAG_F)
+        # Which currents the set needs, and the gather plan of h(x): every
+        # row's position in the concatenated sources
+        # [Vm | Va | Sbus (re, im interleaved) | Sf | |If| | St].
+        has = {t: bool(mset.count(t)) for t in MeasType}
+        self._cur_inj = has[MeasType.P_INJ] or has[MeasType.Q_INJ]
+        self._cur_f = (
+            has[MeasType.P_FLOW_F] or has[MeasType.Q_FLOW_F]
+            or has[MeasType.I_MAG_F]
         )
-        if need_sf:
-            i_f = self.yf @ V
-            sf = V[net.f] * np.conj(i_f)
-        if ms.count(MeasType.P_FLOW_T) or ms.count(MeasType.Q_FLOW_T):
-            st = V[net.t] * np.conj(self.yt @ V)
+        self._cur_t = has[MeasType.P_FLOW_T] or has[MeasType.Q_FLOW_T]
+        n, nl = net.n_bus, net.n_branch
+        base = 2 * n
+        plan = np.empty(len(mset), dtype=np.int64)
 
-        def put(t: MeasType, values: np.ndarray) -> None:
-            rows = ms.rows(t)
-            if rows.size:
-                out[rows] = values[ms.elements(t)]
+        def place(t: MeasType, offset: int, stride: int) -> None:
+            plan[mset.rows(t)] = offset + stride * mset.elements(t)
 
-        put(MeasType.V_MAG, Vm)
-        put(MeasType.PMU_VA, Va)
-        if need_sbus:
-            put(MeasType.P_INJ, sbus.real)
-            put(MeasType.Q_INJ, sbus.imag)
-        if need_sf:
-            put(MeasType.P_FLOW_F, sf.real)
-            put(MeasType.Q_FLOW_F, sf.imag)
-            put(MeasType.I_MAG_F, np.abs(i_f))
-        if ms.count(MeasType.P_FLOW_T) or ms.count(MeasType.Q_FLOW_T):
-            put(MeasType.P_FLOW_T, st.real)
-            put(MeasType.Q_FLOW_T, st.imag)
-        return out
+        place(MeasType.V_MAG, 0, 1)
+        place(MeasType.PMU_VA, n, 1)
+        if self._cur_inj:
+            place(MeasType.P_INJ, base, 2)
+            place(MeasType.Q_INJ, base + 1, 2)
+            base += 2 * n
+        if self._cur_f:
+            place(MeasType.P_FLOW_F, base, 2)
+            place(MeasType.Q_FLOW_F, base + 1, 2)
+            place(MeasType.I_MAG_F, base + 2 * nl, 1)
+            base += 3 * nl
+        if self._cur_t:
+            place(MeasType.P_FLOW_T, base, 2)
+            place(MeasType.Q_FLOW_T, base + 1, 2)
+        self._h_plan = plan
+
+    # ------------------------------------------------------------------
+    def currents(self, Vm: np.ndarray, Va: np.ndarray) -> tuple:
+        """Bus voltages and the currents this measurement set needs at
+        (Vm, Va): ``(V, Ybus@V, Yf@V, Yt@V)`` with ``None`` for a product
+        no measurement uses.  :meth:`h` and
+        :meth:`JacobianStructure.fill_data` both start from these, so a
+        Gauss-Newton loop evaluates them once per state and hands them to
+        both."""
+        V = Vm * np.exp(1j * Va)
+        return (
+            V,
+            self.ybus @ V if self._cur_inj else None,
+            self.yf @ V if self._cur_f else None,
+            self.yt @ V if self._cur_t else None,
+        )
+
+    def h(
+        self, Vm: np.ndarray, Va: np.ndarray, cur: tuple | None = None
+    ) -> np.ndarray:
+        """Evaluate the measurement function at state (Vm, Va); ``cur`` is
+        :meth:`currents` at that state when already evaluated."""
+        net = self.net
+        V, Ib, i_f, i_t = self.currents(Vm, Va) if cur is None else cur
+        parts = [Vm, Va]
+        if Ib is not None:
+            parts.append((V * np.conj(Ib)).view(float))
+        if i_f is not None:
+            parts.append((V[net.f] * np.conj(i_f)).view(float))
+            parts.append(np.abs(i_f))
+        if i_t is not None:
+            parts.append((V[net.t] * np.conj(i_t)).view(float))
+        return np.concatenate(parts)[self._h_plan]
 
     # ------------------------------------------------------------------
     def jacobian(self, Vm: np.ndarray, Va: np.ndarray) -> sp.csr_matrix:

@@ -110,23 +110,77 @@ class MeasurementSet:
         for t in _TYPE_ORDER:
             by_type[t].sort(key=lambda m: m.element)
 
-        self._ordered: list[Measurement] = []
+        ordered: list[Measurement] = []
         self._idx: dict[MeasType, np.ndarray] = {}
         self._rows: dict[MeasType, np.ndarray] = {}
         row = 0
         for t in _TYPE_ORDER:
             ms = by_type[t]
-            self._ordered.extend(ms)
+            ordered.extend(ms)
             self._idx[t] = np.array([m.element for m in ms], dtype=np.int64)
             self._rows[t] = np.arange(row, row + len(ms), dtype=np.int64)
             row += len(ms)
-        self.z = np.array([m.value for m in self._ordered], dtype=float)
-        self.sigma = np.array([m.sigma for m in self._ordered], dtype=float)
+        self.z = np.array([m.value for m in ordered], dtype=float)
+        self.sigma = np.array([m.sigma for m in ordered], dtype=float)
+        self._records: list[Measurement] | None = ordered
         self._columns: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    @classmethod
+    def from_columns(
+        cls,
+        type_pos: np.ndarray,
+        elements: np.ndarray,
+        values: np.ndarray,
+        sigmas: np.ndarray,
+    ) -> tuple["MeasurementSet", np.ndarray]:
+        """The set of the measurements ``(_TYPE_ORDER[type_pos[i]],
+        elements[i], values[i], sigmas[i])``, built from the four columns
+        without a :class:`Measurement` record per row (records are made on
+        first per-row access).  Returns ``(mset, rows)`` with ``rows[i]``
+        the canonical row of input ``i``."""
+        type_pos = np.asarray(type_pos, dtype=np.int64)
+        elements = np.asarray(elements, dtype=np.int64)
+        if np.any(np.asarray(sigmas) <= 0):
+            raise ValueError("sigma must be positive")
+        if np.any(elements < 0):
+            raise ValueError("element index must be non-negative")
+        # stable: equal (type, element) rows keep their input order
+        order = np.lexsort((elements, type_pos))
+        bounds = np.searchsorted(type_pos[order], np.arange(len(_TYPE_ORDER) + 1))
+        self = cls.__new__(cls)
+        sorted_elements = elements[order]
+        self._idx = {
+            t: sorted_elements[bounds[i]:bounds[i + 1]]
+            for i, t in enumerate(_TYPE_ORDER)
+        }
+        self._rows = {
+            t: np.arange(bounds[i], bounds[i + 1], dtype=np.int64)
+            for i, t in enumerate(_TYPE_ORDER)
+        }
+        self.z = np.asarray(values, dtype=float)[order]
+        self.sigma = np.asarray(sigmas, dtype=float)[order]
+        self._records = None
+        self._columns = None
+        rows = np.empty(len(order), dtype=np.int64)
+        rows[order] = np.arange(len(order))
+        return self, rows
+
+    @property
+    def _ordered(self) -> list[Measurement]:
+        """One record per row, canonical order."""
+        if self._records is None:
+            tpos, elem, _ = self.column_arrays()
+            self._records = [
+                Measurement(_TYPE_ORDER[t], e, v, s)
+                for t, e, v, s in zip(
+                    tpos.tolist(), elem.tolist(), self.z.tolist(), self.sigma.tolist()
+                )
+            ]
+        return self._records
 
     # -- container protocol -------------------------------------------------
     def __len__(self) -> int:
-        return len(self._ordered)
+        return len(self.z)
 
     def __iter__(self):
         return iter(self._ordered)

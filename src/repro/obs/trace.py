@@ -175,6 +175,15 @@ class Span:
         if self.context.sampled and self._sink is not None:
             self._sink._record(self.to_dict(time.perf_counter() - self._t0))
 
+    def record(self, start: float, duration: float) -> None:
+        """Finish a span that was never entered with a given wall-clock
+        ``start`` and ``duration`` — a share of its parent's interval that
+        was not timed on its own (one block of a stacked solve)."""
+        self._wall0 = start
+        self._ended = True
+        if self.context.sampled and self._sink is not None:
+            self._sink._record(self.to_dict(duration))
+
     def to_dict(self, duration: float) -> dict:
         return {
             "kind": "span",
@@ -205,6 +214,9 @@ class _NoopSpan:
         pass
 
     def end(self) -> None:
+        pass
+
+    def record(self, start, duration) -> None:
         pass
 
     def __enter__(self):
