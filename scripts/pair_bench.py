@@ -2,14 +2,21 @@
 """Interleaved parent/change runs of the end-to-end benchmark.
 
     scripts/pair_bench.py <parent-rev> --workload ieee118_session --seeds 1-5 [--seconds 20]
+    scripts/pair_bench.py <parent-rev> --workload all --seeds 1-5
 
 The host drifts by tens of percent between minutes, so a parent number
 remembered from an earlier run proves nothing.  This extracts the committed
-files of ``<parent-rev>`` into a scratch directory, then for every seed runs
-``benchmarks/e2e/run.py`` once on that copy and once on this working tree,
-back to back, alternating which side goes first, and prints each seed's
-pair and the medians of the six end-to-end metrics.  A pair counts as a win
-for the change when its value is lower (every metric is lower-is-better).
+files of ``<parent-rev>`` into a scratch directory once, then for every
+workload named (``all``: every workload of ``BENCHMARK.json``) and every
+seed runs ``benchmarks/e2e/run.py`` once on that copy and once on this
+working tree, back to back, alternating which side goes first, and prints
+one table per workload: each seed's pair and the medians of the six
+end-to-end metrics.  A pair counts as a win for the change when its value
+is lower (every metric is lower-is-better).  Each median line ends in the
+no-regression verdict against the metric's ``BENCHMARK.json`` bound:
+``worse`` (the change's median is above the parent's by more than the
+bound), ``unresolved`` (it is not, but the parent's own runs spread wider
+than the bound and the change does not beat every one of them), or ``ok``.
 
 The parent is extracted with ``git archive`` rather than checked out as a
 ``git worktree``: it leaves nothing registered in ``.git`` and is what the
@@ -76,45 +83,31 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float | None) -> dic
     return out
 
 
-def main() -> int:
-    spec = json.loads((REPO / "BENCHMARK.json").read_text())
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("parent_rev")
-    ap.add_argument(
-        "--workload", required=True, choices=[w["name"] for w in spec["workloads"]]
-    )
-    ap.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-5"))
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="measured seconds per run (default: the benchmark's own)")
-    args = ap.parse_args()
-    metrics = [m["name"] for m in spec["end_to_end"]]
-
-    scratch = Path(tempfile.mkdtemp(prefix="pair_bench_"))
+def compare(sides: dict, workload: str, args, spec: dict) -> bool:
+    """One workload's table; true when no change-side run failed an op or
+    a correctness check."""
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    metrics = list(bounds)
     pairs: list[tuple[int, dict, dict]] = []
-    try:
-        extract(args.parent_rev, scratch)
-        sides = {"parent": scratch / "parent", "change": REPO}
-        print(f"# workload {args.workload}  parent {args.parent_rev}  "
-              f"seeds {args.seeds}  seconds {args.seconds or spec['run_seconds']}")
-        for k, seed in enumerate(args.seeds):
-            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            out = {
-                side: run_once(sides[side], args.workload, seed, args.seconds)
-                for side in order
-            }
-            pairs.append((seed, out["parent"], out["change"]))
-            cells = "  ".join(
-                f"{m} {out['parent']['metrics'][m]:.5g} -> {out['change']['metrics'][m]:.5g}"
-                for m in metrics
-            )
-            failed = "  ".join(
-                f"{side}: {out[side]['failed']}/{out[side]['attempted']} failed"
-                + ("" if out[side]["correct"] else " INCORRECT")
-                for side in ("parent", "change")
-            )
-            print(f"seed {seed} (first: {order[0]})  {cells}  [{failed}]", flush=True)
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
+    print(f"# workload {workload}  parent {args.parent_rev}  "
+          f"seeds {args.seeds}  seconds {args.seconds or spec['run_seconds']}")
+    for k, seed in enumerate(args.seeds):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        out = {
+            side: run_once(sides[side], workload, seed, args.seconds)
+            for side in order
+        }
+        pairs.append((seed, out["parent"], out["change"]))
+        cells = "  ".join(
+            f"{m} {out['parent']['metrics'][m]:.5g} -> {out['change']['metrics'][m]:.5g}"
+            for m in metrics
+        )
+        failed = "  ".join(
+            f"{side}: {out[side]['failed']}/{out[side]['attempted']} failed"
+            + ("" if out[side]["correct"] else " INCORRECT")
+            for side in ("parent", "change")
+        )
+        print(f"seed {seed} (first: {order[0]})  {cells}  [{failed}]", flush=True)
 
     print(f"# medians over {len(pairs)} pairs (parent -> change, change wins)")
     for m in metrics:
@@ -123,7 +116,14 @@ def main() -> int:
         wins = sum(c < p for p, c in zip(par, chg))
         a, b = statistics.median(par), statistics.median(chg)
         rel = f"{(b - a) / a:+.1%}" if a else "n/a"
-        print(f"{m:14s} {a:.5g} -> {b:.5g}  ({rel})  {wins}/{len(pairs)}")
+        if a and (b - a) / a > bounds[m]:
+            verdict = "worse"
+        elif a and (max(par) - min(par)) / a > bounds[m] and max(chg) >= min(par):
+            verdict = "unresolved"
+        else:
+            verdict = "ok"
+        print(f"{m:14s} {a:.5g} -> {b:.5g}  ({rel})  {wins}/{len(pairs)}  "
+              f"bound {bounds[m]:.0%}: {verdict}")
     bad = [
         (seed, side)
         for seed, p, c in pairs
@@ -132,7 +132,33 @@ def main() -> int:
     ]
     for seed, side in bad:
         print(f"# seed {seed}: {side} run had failed ops or a correctness violation")
-    return 1 if any(side == "change" for _, side in bad) else 0
+    return not any(side == "change" for _, side in bad)
+
+
+def main() -> int:
+    spec = json.loads((REPO / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in spec["workloads"]]
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent_rev")
+    ap.add_argument(
+        "--workload", required=True, nargs="+", choices=[*names, "all"],
+        help="one or more workload names, or 'all'; one table each",
+    )
+    ap.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-5"))
+    ap.add_argument("--seconds", type=float, default=None,
+                    help="measured seconds per run (default: the benchmark's own)")
+    args = ap.parse_args()
+    workloads = names if "all" in args.workload else args.workload
+
+    scratch = Path(tempfile.mkdtemp(prefix="pair_bench_"))
+    try:
+        extract(args.parent_rev, scratch)
+        sides = {"parent": scratch / "parent", "change": REPO}
+        # every table is printed, whatever an earlier one found
+        clean = [compare(sides, w, args, spec) for w in workloads]
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    return 0 if all(clean) else 1
 
 
 if __name__ == "__main__":

@@ -38,7 +38,8 @@ from ..cluster.recovery import (
 )
 from ..dse.algorithm import DistributedStateEstimator
 from ..dse.decomposition import Decomposition
-from ..estimation.wls import WlsEstimator
+from ..dse.stepper import SubsystemStepper
+from ..estimation.results import state_error
 from ..measurements.types import MeasurementSet
 from ..middleware.errors import ClientClosed, MiddlewareError
 from ..middleware.message import (
@@ -50,7 +51,7 @@ from ..middleware.message import (
 )
 from ..middleware.router import MiddlewareFabric
 
-__all__ = ["LiveSiteStats", "LiveDseResult", "LiveDseRuntime"]
+__all__ = ["LiveSiteStats", "LiveDseResult", "LiveDseRuntime", "pack_update"]
 
 #: per-site cap on retained degraded-round indices (the full count lives
 #: in ``degraded_total``) — a week-long soak stays O(1) memory per site
@@ -89,31 +90,24 @@ class LiveSiteStats:
             ]
 
 
-class _HostedSub:
-    """Mutable Step-2 state for one subsystem hosted on a site thread
-    (recovery mode hosts can carry more than their own after failover)."""
+def pack_update(form: str, src: int, ids, vm, va, *, values_only: bool = False):
+    """One publication-plan entry in its wire form: a ``"state"`` update
+    (ids, Vm, Va) or a ``"condensed"`` boundary block (source subsystem,
+    ids unless ``values_only``, Vm, Va)."""
+    if form == "condensed":
+        return pack_condensed_update(src, ids, vm, va, values_only=values_only)
+    return pack_state_update(ids, vm, va)
 
-    __slots__ = ("s", "vm_loc", "va_loc", "prev2", "lin0")
 
-    def __init__(self, s: int):
-        self.s = s
-        self.vm_loc: dict[int, float] = {}
-        self.va_loc: dict[int, float] = {}
-        self.prev2: tuple | None = None  # (Vm, Va) over the extended net
-        self.lin0: tuple | None = None  # condensation linearisation point
-
-    @classmethod
-    def from_checkpoint(cls, ck: SubsystemCheckpoint) -> "_HostedSub":
-        w = cls(ck.subsystem)
-        w.vm_loc = {int(b): float(v) for b, v in zip(ck.own_ids, ck.own_vm)}
-        w.va_loc = {int(b): float(v) for b, v in zip(ck.own_ids, ck.own_va)}
-        if ck.warm_vm is not None:
-            w.prev2 = (ck.warm_vm, ck.warm_va)
-        if ck.lin_vm is not None:
-            # float64 state round-trips the wire bit-exactly, so this hits
-            # the donor's factorisation cache — no re-condensation
-            w.lin0 = (ck.lin_vm, ck.lin_va)
-        return w
+def unpack_update(form: str, raw) -> tuple:
+    """Inverse of :func:`pack_update`: ``(src, ids, Vm, Va)`` as views over
+    ``raw`` (the caller copies what it keeps).  ``src`` is ``None`` for a
+    state update, ``ids`` is ``None`` for a values-only condensed block;
+    a malformed buffer raises :class:`~repro.middleware.message.FrameError`."""
+    if form == "condensed":
+        src, _values_only, ids, vm, va = unpack_condensed_update(raw, copy=False)
+        return src, ids, vm, va
+    return (None, *unpack_state_update(raw, copy=False))
 
 
 @dataclass
@@ -139,12 +133,7 @@ class LiveDseResult:
         return sorted(self.degraded)
 
     def state_error(self, Vm_true: np.ndarray, Va_true: np.ndarray) -> dict:
-        dva = self.Va - Va_true
-        dva -= dva.mean()
-        return {
-            "vm_rmse": float(np.sqrt(np.mean((self.Vm - Vm_true) ** 2))),
-            "va_rmse": float(np.sqrt(np.mean(dva**2))),
-        }
+        return state_error(self.Vm, self.Va, Vm_true, Va_true)
 
 
 def _site_loop(s: int, inbox: "queue.SimpleQueue", done: "queue.SimpleQueue") -> None:
@@ -218,6 +207,16 @@ class _Deployment:
 class LiveDseRuntime:
     """Runs the two-step DSE as concurrent sites over live middleware.
 
+    Each site is a transport shell around a
+    :class:`~repro.dse.stepper.SubsystemStepper` hosting its subsystem over
+    one shared :class:`~repro.dse.algorithm.DistributedStateEstimator`'s
+    warm subproblem store: the stepper owns the numerics and the schedule,
+    the shell owns the compute slot, the sends and receives, the deadlines,
+    the barriers and — in recovery mode — the lease beats, the checkpoint
+    replication and the promotions.  A round in which a site missed a
+    neighbour is solved by the stepper on a freshly built estimator over
+    the pseudo measurements it did hear.
+
     The runtime is a *resident deployment*: the fabric (hub, links) and the
     site threads are started on the first :meth:`run` and serve every later
     frame; a frame that ends unclean (any error, degraded round, lost site,
@@ -249,11 +248,6 @@ class LiveDseRuntime:
         liveness under hard faults is bounded by ``rounds x deadline``
         instead of ``rounds x neighbours x recv_timeout``.  ``None``
         (default) keeps the per-message-timeout-only behaviour.
-    use_cache:
-        Reuse each site's estimators (cached Jacobian patterns,
-        factorization orderings, merged pseudo structures) across Step-2
-        rounds; rounds where a neighbour timed out fall back to a freshly
-        built estimator over the partial pseudo set.
     fast:
         Use the fabric's multiplexed fast path (single router hub, pooled
         duplex links, batched neighbour sends) instead of one relay
@@ -266,8 +260,7 @@ class LiveDseRuntime:
         compact per-neighbour boundary blocks
         (:func:`~repro.middleware.message.pack_condensed_update`) — bus
         ids ride only the round-0 frames, later rounds are values-only
-        over the receiver's a-priori ordering.  Requires
-        ``use_cache=True``.
+        over the receiver's a-priori ordering.
     recovery:
         Self-healing mode (a :class:`~repro.cluster.recovery.RecoveryConfig`;
         ``None`` — the default — is bitwise-inert): every round each site
@@ -277,8 +270,7 @@ class LiveDseRuntime:
         rounds is declared lost, its subsystems are promoted onto the
         successors holding their replicas, and the mux hub fences the
         zombie's epoch-stamped frames so it can never corrupt a
-        post-failover round.  Requires ``fast=True`` and
-        ``use_cache=True``.
+        post-failover round.  Requires ``fast=True``.
     """
 
     def __init__(
@@ -291,36 +283,26 @@ class LiveDseRuntime:
         sensitivity_threshold: float = 0.5,
         recv_timeout: float = 10.0,
         round_deadline: float | None = None,
-        use_cache: bool = True,
         fast: bool = True,
         condense: bool = False,
         recovery: RecoveryConfig | None = None,
     ):
-        if condense and not use_cache:
-            raise ValueError(
-                "condense=True requires use_cache=True (the condensed "
-                "operator lives in the per-site caches)"
-            )
-        if recovery is not None and not (fast and use_cache):
+        if recovery is not None and not fast:
             raise ValueError(
                 "recovery needs fast=True (checkpoint/epoch frames ride "
-                "the mux hub) and use_cache=True (promoted subsystems "
-                "reuse the shared per-site estimator caches)"
+                "the mux hub)"
             )
-        # Reuse the in-process DSE's subproblem construction and checks
-        # (including its per-subsystem estimator caches).
+        # The in-process DSE's subproblem construction and checks; every
+        # site's stepper borrows its per-subsystem estimator caches.
         self._dse = DistributedStateEstimator(
             dec, mset, solver=solver,
             sensitivity_threshold=sensitivity_threshold,
-            reuse_structures=use_cache,
             condense=condense,
         )
         self.dec = dec
-        self.solver = solver
         self.recv_timeout = recv_timeout
         self.round_deadline = round_deadline
         self.use_tcp = use_tcp
-        self.use_cache = use_cache
         self.fast = fast
         self.condense = condense
         self.recovery = recovery
@@ -387,17 +369,11 @@ class LiveDseRuntime:
         ``z`` optionally overrides the system-wide measured values
         (canonical order of the constructor's ``mset``) — a values-only
         frame over the warm site estimators, mirroring
-        :meth:`repro.dse.algorithm.DistributedStateEstimator.run`; requires
-        ``use_cache=True``.
+        :meth:`repro.dse.algorithm.DistributedStateEstimator.run`.
         """
         if rounds is None:
             rounds = max(1, self.dec.diameter())
-        if z is not None:
-            if not self.use_cache:
-                raise ValueError("values-only frames (z=) require use_cache=True")
-            z = np.asarray(z, dtype=float)
-            if len(z) != len(self._dse.mset):
-                raise ValueError("z override length mismatch")
+        z = self._dse._frame_z(z)
         with self._run_lock:
             if self._closed:
                 raise RuntimeError("LiveDseRuntime is closed")
@@ -423,11 +399,12 @@ class LiveDseRuntime:
         z: np.ndarray | None,
     ) -> LiveDseResult:
         """One frame on ``deployment``: everything here is per frame."""
-        dec = self.dec
+        dec, dse = self.dec, self._dse
         net = dec.net
         fabric = deployment.fabric
         names = fabric.names
         recovery = self.recovery
+        form = "condensed" if self.condense else "state"
 
         Vm = np.ones(net.n_bus)
         Va = np.zeros(net.n_bus)
@@ -435,8 +412,8 @@ class LiveDseRuntime:
         errors: list[str] = []
         err_lock = threading.Lock()
         barrier = threading.Barrier(dec.m)
-        # Each site writes only its own buses; reads of neighbour values
-        # happen via the wire, never via these arrays.
+        # Each site writes only the buses it hosts; reads of neighbour
+        # values happen via the wire, never via these arrays.
         result_lock = threading.Lock()
         coord: RecoveryCoordinator | None = None
         if recovery is not None:
@@ -464,10 +441,7 @@ class LiveDseRuntime:
                 # site threads start with a fresh contextvars context, so
                 # the root span is handed over explicitly
                 with obs.span("live.site", parent=root_ctx, s=s):
-                    if coord is None:
-                        _site_body(s, fabric)
-                    else:
-                        _site_body_rec(s, fabric)
+                    site_body(s)
             except Exception as exc:  # crash must not deadlock the barrier
                 with err_lock:
                     errors.append(f"site {s} failed: {exc!r}")
@@ -477,36 +451,42 @@ class LiveDseRuntime:
                 if tok is not None:
                     obs.health().disarm(tok)
 
-        def _site_body(s: int, fabric: MiddlewareFabric) -> None:
+        def site_body(s: int) -> None:
+            # The transport shell of one site.  Without recovery it hosts
+            # subsystem ``s`` for the whole frame and its neighbours sit at
+            # fixed addresses; with recovery the coordinator steps below
+            # let it adopt a lost peer's subsystems (or shed its own) and
+            # address every frame by the live subsystem → site binding.
+            me = f"se{s}"
             st = stats[s]
-            subnet1, _, own, ms1 = self._dse.sub1[s]
-            subnet2, bmap2, xbuses, ext, ms2 = self._dse.sub2[s]
-            nbrs = [int(b) for b in dec.neighbors(s)]
-            publish = self._dse.exchange_sets[s]
+            stepper = SubsystemStepper(dse, [s], tol=tol, z=z)
 
-            # local state, keyed by global bus index
-            vm_loc = {int(b): 1.0 for b in own}
-            va_loc = {int(b): 0.0 for b in own}
-            known_vm: dict[int, float] = {}
-            known_va: dict[int, float] = {}
-            prev2 = None  # previous round's extended solution (warm start)
-            lin0 = None  # frame linearization point (condensed mode)
+            def fail(r: int, what: str) -> None:
+                with err_lock:
+                    errors.append(f"site {s} round {r}: {what}")
+
+            def checkpoint(s_: int, rnd: int) -> bytes:
+                return SubsystemCheckpoint(
+                    subsystem=s_, site=s, epoch=coord.epoch, round=rnd,
+                    **stepper.checkpoint(s_),
+                ).to_payload()
 
             # ---- Step 1 ----
             with self._slot:
                 t0 = time.perf_counter()
                 with obs.span("live.step1", s=s):
-                    est1 = (
-                        self._dse._est1[s]
-                        if self.use_cache
-                        else WlsEstimator(subnet1, ms1, solver=self.solver)
-                    )
-                    z1 = self._dse._step1_z(s, z) if z is not None else None
-                    res1 = est1.estimate(tol=tol, z=z1)
+                    stepper.step1()
                 st.step1_time = time.perf_counter() - t0
-            for i, b in enumerate(own):
-                vm_loc[int(b)] = float(res1.Vm[i])
-                va_loc[int(b)] = float(res1.Va[i])
+
+            if coord is not None:
+                # Bootstrap replica seed (round -1), handed to the
+                # coordinator before the first barrier: a replica exists
+                # before any data frame can kill a site, and before any
+                # ordering race on the hub — per-round checkpoints ride
+                # the fabric from round 0 on.
+                succ = coord.successor(s)
+                if succ is not None:
+                    coord.ingest(succ, checkpoint(s, -1))
 
             try:
                 barrier.wait()
@@ -518,6 +498,41 @@ class LiveDseRuntime:
                 tok = watches.get(s)
                 if tok is not None:
                     obs.health().beat(tok)
+                if coord is not None:
+                    for ck in coord.begin_round(me, r):
+                        stepper.adopt(ck)
+                        st.promoted_subsystems.append(ck.subsystem)
+                        if obs.health_enabled():
+                            obs.health().site_recovered(
+                                me, subsystem=ck.subsystem, round=r,
+                                checkpoint_round=ck.round,
+                            )
+                    # shed subsystems promoted away from us: our lease
+                    # expired while we were cut off, and the hub now
+                    # fences our frames
+                    for s_ in [k for k in stepper.hosted if not coord.owns(me, k)]:
+                        stepper.shed(s_)
+                    if not stepper.hosted:
+                        # passive zombie: nothing left to solve; keep the
+                        # barrier cadence so the lockstep schedule holds
+                        try:
+                            barrier.wait()
+                        except threading.BrokenBarrierError:
+                            return
+                        continue
+
+                    # Lease beat to every live peer: checkpoints reach only
+                    # the ring successor, so a lease riding on them alone
+                    # would starve the moment that successor died.
+                    hb = heartbeat_payload(s, coord.epoch, r)
+                    for peer in names:
+                        if peer == me or coord.is_lost(peer):
+                            continue
+                        try:
+                            fabric.send_checkpoint(me, peer, hb, epoch=coord.epoch)
+                        except (MiddlewareError, ConnectionError, OSError):
+                            pass  # a dead peer's inbox is not our liveness
+
                 degraded_round = False
                 with obs.span("live.exchange", s=s, round=r):
                     round_t1 = (
@@ -525,425 +540,80 @@ class LiveDseRuntime:
                         if self.round_deadline is None
                         else time.monotonic() + self.round_deadline
                     )
-                    if self.condense:
-                        # Per-neighbour condensed boundary blocks: each
-                        # neighbour gets only the tie-endpoint buses its
-                        # extended network reads.  Round 0 carries the bus
-                        # ids; later rounds are values-only over the
-                        # receiver's a-priori ordering.
-                        parts = []
-                        for nb in nbrs:
-                            ids = self._dse._nbr_pub[s][nb]
-                            parts.append((f"se{nb}", pack_condensed_update(
-                                s, ids,
-                                np.array([vm_loc[int(b)] for b in ids]),
-                                np.array([va_loc[int(b)] for b in ids]),
-                                values_only=r > 0,
-                            )))
-                    else:
-                        payload = pack_state_update(
-                            publish.astype(np.int64),
-                            np.array([vm_loc[int(b)] for b in publish]),
-                            np.array([va_loc[int(b)] for b in publish]),
+                    # Condensed blocks carry their bus ids on round 0 and
+                    # are values-only over the receiver's a-priori ordering
+                    # afterwards — except in recovery mode, where a frame
+                    # must stay self-describing when the receiving host
+                    # changes under failover.
+                    values_only = coord is None and r > 0
+                    parts = [
+                        (
+                            f"se{nb}" if coord is None else coord.site_of(nb),
+                            pack_update(
+                                wire, s_, ids, vm, va, values_only=values_only
+                            ),
                         )
-                        parts = [(f"se{nb}", payload) for nb in nbrs]
+                        for s_, nb, ids, vm, va, wire in stepper.publications()
+                    ]
                     # the whole neighbour burst rides one syscall on the
                     # fast plane (legacy falls back to per-pipeline sends);
                     # sending inside the span stamps the frames with this
                     # trace's context, so the router hop joins the trace
                     try:
-                        fabric.send_many(f"se{s}", parts)
+                        fabric.send_many(
+                            me, parts,
+                            epoch=None if coord is None else coord.epoch,
+                        )
                         st.bytes_sent += sum(len(p) for _, p in parts)
                     except (MiddlewareError, ConnectionError, OSError) as exc:
                         # this site is cut off from the fabric; keep
                         # solving on last-known values, flag the round
-                        with err_lock:
-                            errors.append(
-                                f"site {s} round {r}: send failed: {exc!r}"
-                            )
+                        fail(r, f"send failed: {exc!r}")
                         degraded_round = True
 
-                    for _ in nbrs:
+                    # one update back per update out (stepper.publications)
+                    for _ in parts:
                         timeout = self.recv_timeout
                         if round_t1 is not None:
                             remaining = round_t1 - time.monotonic()
                             if remaining <= 0:
-                                with err_lock:
-                                    errors.append(
-                                        f"site {s} round {r}: "
-                                        "round deadline exceeded"
-                                    )
-                                degraded_round = True
-                                break
-                            timeout = min(timeout, remaining)
-                        try:
-                            raw = fabric.recv(f"se{s}", timeout=timeout)
-                        except TimeoutError:
-                            with err_lock:
-                                errors.append(
-                                    f"site {s} round {r}: "
-                                    "neighbour update timed out"
-                                )
-                            degraded_round = True
-                            continue
-                        except (ClientClosed, MiddlewareError) as exc:
-                            with err_lock:
-                                errors.append(
-                                    f"site {s} round {r}: recv failed: "
-                                    f"{exc!r}"
-                                )
-                            degraded_round = True
-                            break
-                        st.bytes_received += len(raw)
-                        st.messages_received += 1
-                        try:
-                            # views over the wire buffer; values are copied
-                            # into the known_* dicts below, so no aliasing
-                            # escapes
-                            if self.condense:
-                                src_id, _vo, ids, vms, vas = (
-                                    unpack_condensed_update(raw, copy=False)
-                                )
-                                if ids is None:
-                                    # values-only frame: resolve the bus
-                                    # ids from the shared a-priori
-                                    # per-neighbour publication sets
-                                    ids = self._dse._nbr_pub[int(src_id)][s]
-                                    if len(ids) != len(vms):
-                                        raise FrameError(
-                                            "condensed update length "
-                                            "mismatch"
-                                        )
-                            else:
-                                ids, vms, vas = unpack_state_update(
-                                    raw, copy=False
-                                )
-                        except (FrameError, ValueError, KeyError) as exc:
-                            # corrupted in flight; the neighbour's update
-                            # is lost for this round
-                            with err_lock:
-                                errors.append(
-                                    f"site {s} round {r}: corrupt update: "
-                                    f"{exc!r}"
-                                )
-                            degraded_round = True
-                            continue
-                        for b, vm_b, va_b in zip(ids, vms, vas):
-                            known_vm[int(b)] = float(vm_b)
-                            known_va[int(b)] = float(va_b)
-                if degraded_round:
-                    st.record_degraded(r)
-                    if obs.enabled():
-                        obs.metrics().counter(
-                            "live.degraded_rounds_total"
-                        ).inc()
-                    if obs.health_enabled():
-                        obs.health().frame_degraded(f"se{s}", round=r)
-
-                # pseudo measurements at the external boundary buses we know
-                ext_known = [int(b) for b in ext if int(b) in known_vm]
-                cached_path = self.use_cache and len(ext_known) == len(ext)
-                if cached_path:
-                    # Full neighbour coverage: refill the cached merged
-                    # structure's pseudo values instead of rebuilding.
-                    est2, z_tmpl, rows_vm, rows_va, src, rows_ms2 = (
-                        self._dse._step2_cache[s]
-                    )
-                    z2 = z_tmpl.copy()
-                    if z is not None:
-                        z2[rows_ms2] = self._dse._step2_meas_z(s, z)
-                    z2[rows_vm] = [known_vm[int(b)] for b in src]
-                    z2[rows_va] = [known_va[int(b)] for b in src]
-                else:
-                    from ..dse.pseudo import pseudo_measurements
-
-                    pseudo = pseudo_measurements(
-                        bmap2[np.array(ext_known, dtype=np.int64)]
-                        if ext_known else np.zeros(0, np.int64),
-                        np.array([known_vm[b] for b in ext_known]),
-                        np.array([known_va[b] for b in ext_known]),
-                    )
-                    ms2_round = (
-                        ms2.with_values(self._dse._step2_meas_z(s, z))
-                        if z is not None
-                        else ms2
-                    )
-                    est2 = WlsEstimator(
-                        subnet2, ms2_round.merged_with(pseudo), solver=self.solver
-                    )
-                    z2 = None
-
-                if prev2 is not None:
-                    # Warm start from the previous round's extended solve,
-                    # with the external boundary refreshed from the latest
-                    # neighbour publications — the same schedule as
-                    # DistributedStateEstimator's warm_start path.
-                    x0_vm = prev2.Vm.copy()
-                    x0_va = prev2.Va.copy()
-                    if ext_known:
-                        idx = bmap2[np.array(ext_known, dtype=np.int64)]
-                        x0_vm[idx] = [known_vm[b] for b in ext_known]
-                        x0_va[idx] = [known_va[b] for b in ext_known]
-                else:
-                    x0_vm = np.ones(len(xbuses))
-                    x0_va = np.zeros(len(xbuses))
-                    for i, b in enumerate(xbuses):
-                        b = int(b)
-                        if b in vm_loc:
-                            x0_vm[i], x0_va[i] = vm_loc[b], va_loc[b]
-                        elif b in known_vm:
-                            x0_vm[i], x0_va[i] = known_vm[b], known_va[b]
-                    if self.condense:
-                        # Round 0's start is the frame's Step-1 publication
-                        # over the extended network — the same history-free
-                        # linearization point the in-process DSE condenses
-                        # at, so the operators (and the results) match.
-                        lin0 = (x0_vm.copy(), x0_va.copy())
-
-                kwargs = (
-                    {"lin_point": lin0}
-                    if self.condense and cached_path and lin0 is not None
-                    else {}
-                )
-                with self._slot:
-                    t0 = time.perf_counter()
-                    with obs.span("live.step2", s=s, round=r):
-                        res2 = est2.estimate(
-                            x0=(x0_vm, x0_va), tol=tol, z=z2, **kwargs
-                        )
-                    st.step2_times.append(time.perf_counter() - t0)
-                prev2 = res2
-
-                scope = self._dse.exchange_sets[s]
-                local = bmap2[scope]
-                for g, l in zip(scope, local):
-                    vm_loc[int(g)] = float(res2.Vm[l])
-                    va_loc[int(g)] = float(res2.Va[l])
-
-                try:
-                    barrier.wait()
-                except threading.BrokenBarrierError:
-                    return
-
-            with result_lock:
-                for b in own:
-                    Vm[b] = vm_loc[int(b)]
-                    Va[b] = va_loc[int(b)]
-
-        def _make_ckpt(w: _HostedSub, site_idx: int, rnd: int):
-            own_ = self._dse.sub1[w.s][2]
-            own_ids = np.asarray(own_, dtype=np.int64)
-            return SubsystemCheckpoint(
-                subsystem=w.s, site=site_idx, epoch=coord.epoch, round=rnd,
-                own_ids=own_ids,
-                own_vm=np.array([w.vm_loc[int(b)] for b in own_ids]),
-                own_va=np.array([w.va_loc[int(b)] for b in own_ids]),
-                warm_vm=None if w.prev2 is None else np.asarray(w.prev2[0], float),
-                warm_va=None if w.prev2 is None else np.asarray(w.prev2[1], float),
-                lin_vm=None if w.lin0 is None else w.lin0[0],
-                lin_va=None if w.lin0 is None else w.lin0[1],
-            )
-
-        def _site_body_rec(s: int, fabric: MiddlewareFabric) -> None:
-            # Recovery-aware variant of _site_body: a site can host more
-            # than one subsystem after failover, addresses frames by the
-            # coordinator's live subsystem→site binding, and replicates a
-            # checkpoint per hosted subsystem every round.  Numerics per
-            # subsystem are identical to the base path.
-            me = f"se{s}"
-            st = stats[s]
-            subnet1, _, own, ms1 = self._dse.sub1[s]
-
-            w = _HostedSub(s)
-            w.vm_loc = {int(b): 1.0 for b in own}
-            w.va_loc = {int(b): 0.0 for b in own}
-            hosted: dict[int, _HostedSub] = {s: w}
-            nbrs_of = {s: [int(b) for b in dec.neighbors(s)]}
-            known_vm: dict[int, float] = {}
-            known_va: dict[int, float] = {}
-
-            # ---- Step 1 ----
-            with self._slot:
-                t0 = time.perf_counter()
-                with obs.span("live.step1", s=s):
-                    est1 = self._dse._est1[s]  # recovery requires use_cache
-                    z1 = self._dse._step1_z(s, z) if z is not None else None
-                    res1 = est1.estimate(tol=tol, z=z1)
-                st.step1_time = time.perf_counter() - t0
-            for i, b in enumerate(own):
-                w.vm_loc[int(b)] = float(res1.Vm[i])
-                w.va_loc[int(b)] = float(res1.Va[i])
-
-            # Bootstrap replica seed (round -1), handed to the coordinator
-            # before the first barrier: a replica exists before any data
-            # frame can kill a site, and before any ordering race on the
-            # hub — per-round checkpoints ride the fabric from round 0 on.
-            succ = coord.successor(s)
-            if succ is not None:
-                coord.ingest(succ, _make_ckpt(w, s, -1).to_payload())
-
-            try:
-                barrier.wait()
-            except threading.BrokenBarrierError:
-                return
-
-            # ---- Step 2 rounds ----
-            for r in range(rounds):
-                tok = watches.get(s)
-                if tok is not None:
-                    obs.health().beat(tok)
-                for ck in coord.begin_round(me, r):
-                    nw = _HostedSub.from_checkpoint(ck)
-                    hosted[nw.s] = nw
-                    nbrs_of[nw.s] = [int(b) for b in dec.neighbors(nw.s)]
-                    st.promoted_subsystems.append(nw.s)
-                    if obs.health_enabled():
-                        obs.health().site_recovered(
-                            me, subsystem=nw.s, round=r,
-                            checkpoint_round=ck.round,
-                        )
-                # shed subsystems promoted away from us: our lease expired
-                # while we were cut off, and the hub now fences our frames
-                for s_ in [k for k in hosted if not coord.owns(me, k)]:
-                    hosted.pop(s_)
-                if not hosted:
-                    # passive zombie: nothing left to solve; keep the
-                    # barrier cadence so the lockstep schedule holds
-                    try:
-                        barrier.wait()
-                    except threading.BrokenBarrierError:
-                        return
-                    continue
-
-                # Lease beat to every live peer: checkpoints reach only
-                # the ring successor, so a lease riding on them alone
-                # would starve the moment that successor died.
-                hb = heartbeat_payload(s, coord.epoch, r)
-                for peer in names:
-                    if peer == me or coord.is_lost(peer):
-                        continue
-                    try:
-                        fabric.send_checkpoint(me, peer, hb, epoch=coord.epoch)
-                    except (MiddlewareError, ConnectionError, OSError):
-                        pass  # a dead peer's inbox is not our liveness
-
-                degraded_round = False
-                with obs.span("live.exchange", s=s, round=r):
-                    round_t1 = (
-                        None
-                        if self.round_deadline is None
-                        else time.monotonic() + self.round_deadline
-                    )
-                    parts = []
-                    for s_, ws in sorted(hosted.items()):
-                        for nb in nbrs_of[s_]:
-                            dst = coord.site_of(nb)
-                            if self.condense:
-                                ids = self._dse._nbr_pub[s_][nb]
-                                vals = (
-                                    np.array([ws.vm_loc[int(b)] for b in ids]),
-                                    np.array([ws.va_loc[int(b)] for b in ids]),
-                                )
-                            else:
-                                ids = self._dse.exchange_sets[s_]
-                                vals = (
-                                    np.array([ws.vm_loc[int(b)] for b in ids]),
-                                    np.array([ws.va_loc[int(b)] for b in ids]),
-                                )
-                            if dst == me:
-                                # co-hosted neighbour: absorb locally
-                                # (self-pairs are not wired on the fabric)
-                                for b, vm_b, va_b in zip(ids, *vals):
-                                    known_vm[int(b)] = float(vm_b)
-                                    known_va[int(b)] = float(va_b)
-                                continue
-                            if self.condense:
-                                # ids ride every round in recovery mode: a
-                                # frame must stay self-describing when the
-                                # receiving host changes under failover
-                                payload = pack_condensed_update(
-                                    s_, ids, vals[0], vals[1],
-                                    values_only=False,
-                                )
-                            else:
-                                payload = pack_state_update(
-                                    ids.astype(np.int64), vals[0], vals[1]
-                                )
-                            parts.append((dst, payload))
-                    try:
-                        fabric.send_many(me, parts, epoch=coord.epoch)
-                        st.bytes_sent += sum(len(p) for _, p in parts)
-                    except (MiddlewareError, ConnectionError, OSError) as exc:
-                        with err_lock:
-                            errors.append(
-                                f"site {s} round {r}: send failed: {exc!r}"
-                            )
-                        degraded_round = True
-
-                    expected = sum(
-                        1
-                        for s_ in hosted
-                        for nb in nbrs_of[s_]
-                        if coord.site_of(nb) != me
-                    )
-                    for _ in range(expected):
-                        timeout = self.recv_timeout
-                        if round_t1 is not None:
-                            remaining = round_t1 - time.monotonic()
-                            if remaining <= 0:
-                                with err_lock:
-                                    errors.append(
-                                        f"site {s} round {r}: "
-                                        "round deadline exceeded"
-                                    )
+                                fail(r, "round deadline exceeded")
                                 degraded_round = True
                                 break
                             timeout = min(timeout, remaining)
                         try:
                             raw = fabric.recv(me, timeout=timeout)
                         except TimeoutError:
-                            with err_lock:
-                                errors.append(
-                                    f"site {s} round {r}: "
-                                    "neighbour update timed out"
-                                )
+                            fail(r, "neighbour update timed out")
                             degraded_round = True
                             continue
                         except (ClientClosed, MiddlewareError) as exc:
-                            with err_lock:
-                                errors.append(
-                                    f"site {s} round {r}: recv failed: "
-                                    f"{exc!r}"
-                                )
+                            fail(r, f"recv failed: {exc!r}")
                             degraded_round = True
                             break
                         st.bytes_received += len(raw)
                         st.messages_received += 1
                         try:
-                            if self.condense:
-                                _src, _vo, ids, vms, vas = (
-                                    unpack_condensed_update(raw, copy=False)
-                                )
-                                if ids is None:
+                            src, ids, vms, vas = unpack_update(form, raw)
+                            if ids is None:
+                                if coord is not None:
                                     raise FrameError(
                                         "values-only condensed frame in "
                                         "recovery mode"
                                     )
-                            else:
-                                ids, vms, vas = unpack_state_update(
-                                    raw, copy=False
-                                )
+                                # resolve the bus ids from the shared
+                                # a-priori publication plan
+                                ids = dse.publication_plan[src][s][0]
+                                if len(ids) != len(vms):
+                                    raise FrameError(
+                                        "condensed update length mismatch"
+                                    )
+                            stepper.absorb(ids, vms, vas)
                         except (FrameError, ValueError, KeyError) as exc:
-                            with err_lock:
-                                errors.append(
-                                    f"site {s} round {r}: corrupt update: "
-                                    f"{exc!r}"
-                                )
+                            # corrupted in flight; the neighbour's update
+                            # is lost for this round
+                            fail(r, f"corrupt update: {exc!r}")
                             degraded_round = True
-                            continue
-                        for b, vm_b, va_b in zip(ids, vms, vas):
-                            known_vm[int(b)] = float(vm_b)
-                            known_va[int(b)] = float(va_b)
                 if degraded_round:
                     st.record_degraded(r)
                     if obs.enabled():
@@ -953,95 +623,25 @@ class LiveDseRuntime:
                     if obs.health_enabled():
                         obs.health().frame_degraded(me, round=r)
 
-                for s_, ws in sorted(hosted.items()):
-                    subnet2, bmap2, xbuses, ext, ms2 = self._dse.sub2[s_]
-                    ext_known = [int(b) for b in ext if int(b) in known_vm]
-                    cached_path = len(ext_known) == len(ext)
-                    if cached_path:
-                        est2, z_tmpl, rows_vm, rows_va, src, rows_ms2 = (
-                            self._dse._step2_cache[s_]
-                        )
-                        z2 = z_tmpl.copy()
-                        if z is not None:
-                            z2[rows_ms2] = self._dse._step2_meas_z(s_, z)
-                        z2[rows_vm] = [known_vm[int(b)] for b in src]
-                        z2[rows_va] = [known_va[int(b)] for b in src]
-                    else:
-                        from ..dse.pseudo import pseudo_measurements
-
-                        pseudo = pseudo_measurements(
-                            bmap2[np.array(ext_known, dtype=np.int64)]
-                            if ext_known else np.zeros(0, np.int64),
-                            np.array([known_vm[b] for b in ext_known]),
-                            np.array([known_va[b] for b in ext_known]),
-                        )
-                        ms2_round = (
-                            ms2.with_values(self._dse._step2_meas_z(s_, z))
-                            if z is not None
-                            else ms2
-                        )
-                        est2 = WlsEstimator(
-                            subnet2, ms2_round.merged_with(pseudo),
-                            solver=self.solver,
-                        )
-                        z2 = None
-
-                    if ws.prev2 is not None:
-                        x0_vm = ws.prev2[0].copy()
-                        x0_va = ws.prev2[1].copy()
-                        if ext_known:
-                            idx = bmap2[np.array(ext_known, dtype=np.int64)]
-                            x0_vm[idx] = [known_vm[b] for b in ext_known]
-                            x0_va[idx] = [known_va[b] for b in ext_known]
-                    else:
-                        x0_vm = np.ones(len(xbuses))
-                        x0_va = np.zeros(len(xbuses))
-                        for i, b in enumerate(xbuses):
-                            b = int(b)
-                            if b in ws.vm_loc:
-                                x0_vm[i], x0_va[i] = ws.vm_loc[b], ws.va_loc[b]
-                            elif b in known_vm:
-                                x0_vm[i], x0_va[i] = known_vm[b], known_va[b]
-                        if self.condense:
-                            ws.lin0 = (x0_vm.copy(), x0_va.copy())
-
-                    kwargs = (
-                        {"lin_point": ws.lin0}
-                        if self.condense and cached_path and ws.lin0 is not None
-                        else {}
-                    )
-                    with self._slot:
-                        t0 = time.perf_counter()
-                        with obs.span("live.step2", s=s_, round=r):
-                            res2 = est2.estimate(
-                                x0=(x0_vm, x0_va), tol=tol, z=z2, **kwargs
-                            )
-                        st.step2_times.append(time.perf_counter() - t0)
-                    ws.prev2 = (res2.Vm, res2.Va)
-
-                    scope = self._dse.exchange_sets[s_]
-                    local = bmap2[scope]
-                    for g, l in zip(scope, local):
-                        ws.vm_loc[int(g)] = float(res2.Vm[l])
-                        ws.va_loc[int(g)] = float(res2.Va[l])
+                with self._slot:
+                    t0 = time.perf_counter()
+                    with obs.span("live.step2", s=s, round=r):
+                        stepper.step2_round(r)
+                    st.step2_times.append(time.perf_counter() - t0)
 
                 # ---- checkpoint replication ----
-                if r % recovery.checkpoint_every == 0:
-                    for s_, ws in sorted(hosted.items()):
+                if coord is not None and r % recovery.checkpoint_every == 0:
+                    for s_ in stepper.hosted:
                         succ = coord.successor(s_)
                         if succ is None or succ == me:
                             continue
-                        pay = _make_ckpt(ws, s, r).to_payload()
+                        pay = checkpoint(s_, r)
                         try:
                             fabric.send_checkpoint(
                                 me, succ, pay, epoch=coord.epoch
                             )
                         except (MiddlewareError, ConnectionError, OSError) as exc:
-                            with err_lock:
-                                errors.append(
-                                    f"site {s} round {r}: checkpoint send "
-                                    f"failed: {exc!r}"
-                                )
+                            fail(r, f"checkpoint send failed: {exc!r}")
                             continue
                         st.checkpoints_sent += 1
                         st.checkpoint_bytes += len(pay)
@@ -1058,10 +658,10 @@ class LiveDseRuntime:
                     return
 
             with result_lock:
-                for s_, ws in hosted.items():
-                    for b in self._dse.sub1[s_][2]:
-                        Vm[b] = ws.vm_loc[int(b)]
-                        Va[b] = ws.va_loc[int(b)]
+                for s_ in stepper.hosted:
+                    own = dse.sub1[s_][2]
+                    Vm[own] = stepper.Vm[own]
+                    Va[own] = stepper.Va[own]
 
         if coord is not None:
             # this frame's replica sinks + zombie fence must be live before

@@ -25,10 +25,10 @@ from ..dse.algorithm import BYTES_PER_EXCHANGED_BUS, DistributedStateEstimator
 from ..dse.sensitivity import exchange_bus_sets
 from ..measurements.types import MeasurementSet
 from ..middleware.errors import ClientClosed, MiddlewareError
-from ..middleware.message import pack_condensed_update, pack_state_update
 from ..parallel import make_executor
 from .architecture import ArchitecturePrototype
 from .noise import NoiseLevelEstimator
+from .runtime import pack_update
 from .telemetry import FrameReport, PhaseBreakdown
 
 __all__ = ["DseSession"]
@@ -286,12 +286,11 @@ class DseSession:
 
     # ------------------------------------------------------------------
     def _exercise_fabric(self, result, dse) -> set[int]:
-        """Move each subsystem's exchange set through the live pipelines.
-
-        Under ``condense`` the payloads are the compact per-neighbour
-        condensed frames (matching what the DSE's byte accounting
-        charges); otherwise each subsystem's full exchange set rides a
-        legacy state-update frame to every neighbour.
+        """Move the final state through the live pipelines, one frame per
+        entry of the estimator's publication plan — the frames a live site
+        packs and the DSE's byte accounting charges (per-neighbour
+        condensed blocks under ``condense``, the full exchange set as a
+        state update to every neighbour otherwise).
 
         Fault-tolerant: a site whose sends fail is cut off from the fabric
         and marked degraded; a site that cannot collect its full neighbour
@@ -303,25 +302,17 @@ class DseSession:
         dec = arch.dec
         degraded: set[int] = set()
         for s in range(dec.m):
-            pub = self.exchange_sets[s]
-            payload = pack_state_update(
-                dec.net.bus_ids[pub], result.Vm[pub], result.Va[pub]
-            )
-            for nb in dec.neighbors(s):
-                if self.condense:
-                    ids = dse._nbr_pub[s][int(nb)]
-                    payload = pack_condensed_update(
-                        s, ids, result.Vm[ids], result.Va[ids]
-                    )
+            for nb, (ids, form) in dse.publication_plan[s].items():
+                payload = pack_update(form, s, ids, result.Vm[ids], result.Va[ids])
                 try:
-                    arch.fabric.send(f"se{s}", f"se{int(nb)}", payload)
+                    arch.fabric.send(f"se{s}", f"se{nb}", payload)
                 except (MiddlewareError, ConnectionError, OSError):
                     # the sender is cut off; its neighbours will miss the
                     # update and surface on the receive side
                     degraded.add(s)
         # drain every site's buffer
         for s in range(dec.m):
-            for _ in range(len(dec.neighbors(s))):
+            for _ in dse.publication_plan[s]:
                 try:
                     arch.fabric.recv(f"se{s}", timeout=self.fabric_timeout)
                 except TimeoutError:

@@ -32,6 +32,7 @@ from .sensitivity import (
     exchange_bus_sets,
     sensitive_internal_buses,
 )
+from .stepper import SubsystemStepper
 
 __all__ = [
     "Decomposition",
@@ -50,6 +51,7 @@ __all__ = [
     "DistributedStateEstimator",
     "DseResult",
     "SubsystemRecord",
+    "SubsystemStepper",
     "BYTES_PER_EXCHANGED_BUS",
     "CondensedStep2",
     "neighbor_publication_sets",

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from ..estimation.results import EstimationResult
+from ..estimation.results import EstimationResult, state_error
 from ..estimation.wls import WlsEstimator
 from ..measurements.functions import MeasurementModel
 from ..measurements.types import MeasType, MeasurementSet
@@ -44,14 +44,7 @@ class HierarchicalResult:
     bytes_to_coordinator: int = 0
 
     def state_error(self, Vm_true: np.ndarray, Va_true: np.ndarray) -> dict:
-        dva = self.Va - Va_true
-        dva -= dva.mean()
-        return {
-            "vm_rmse": float(np.sqrt(np.mean((self.Vm - Vm_true) ** 2))),
-            "va_rmse": float(np.sqrt(np.mean(dva**2))),
-            "vm_max": float(np.max(np.abs(self.Vm - Vm_true))),
-            "va_max": float(np.max(np.abs(dva))),
-        }
+        return state_error(self.Vm, self.Va, Vm_true, Va_true)
 
 
 class HierarchicalStateEstimator:

@@ -6,7 +6,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["EstimationResult"]
+__all__ = ["EstimationResult", "state_error"]
+
+
+def state_error(
+    Vm: np.ndarray, Va: np.ndarray, Vm_true: np.ndarray, Va_true: np.ndarray
+) -> dict:
+    """Accuracy metrics of a state ``(Vm, Va)`` against a known true state.
+
+    Angles are compared after removing any common reference shift, since
+    a SCADA-only estimate is only determined up to the slack reference.
+    """
+    dva = Va - Va_true
+    dva -= dva.mean()
+    return {
+        "vm_rmse": float(np.sqrt(np.mean((Vm - Vm_true) ** 2))),
+        "va_rmse": float(np.sqrt(np.mean(dva**2))),
+        "vm_max": float(np.max(np.abs(Vm - Vm_true))),
+        "va_max": float(np.max(np.abs(dva))),
+    }
 
 
 @dataclass
@@ -46,16 +64,5 @@ class EstimationResult:
         return self.Vm * np.exp(1j * self.Va)
 
     def state_error(self, Vm_true: np.ndarray, Va_true: np.ndarray) -> dict:
-        """Accuracy metrics against a known true state.
-
-        Angles are compared after removing any common reference shift, since
-        a SCADA-only estimate is only determined up to the slack reference.
-        """
-        dva = self.Va - Va_true
-        dva -= dva.mean()
-        return {
-            "vm_rmse": float(np.sqrt(np.mean((self.Vm - Vm_true) ** 2))),
-            "va_rmse": float(np.sqrt(np.mean(dva**2))),
-            "vm_max": float(np.max(np.abs(self.Vm - Vm_true))),
-            "va_max": float(np.max(np.abs(dva))),
-        }
+        """Accuracy metrics against a known true state (:func:`state_error`)."""
+        return state_error(self.Vm, self.Va, Vm_true, Va_true)

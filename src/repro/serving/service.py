@@ -182,7 +182,6 @@ class ScenarioService:
                 mset,
                 solver=solver,
                 sensitivity_threshold=sensitivity_threshold,
-                use_cache=True,
                 use_tcp=use_tcp,
                 fast=fast,
             )

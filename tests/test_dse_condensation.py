@@ -294,11 +294,6 @@ class TestLiveCondensed:
         received = sum(st.bytes_received for st in live.sites.values())
         assert sent == received == inproc.total_bytes_exchanged
 
-    def test_condense_requires_cache(self, setup14):
-        dec, ms = setup14
-        with pytest.raises(ValueError, match="use_cache"):
-            LiveDseRuntime(dec, ms, condense=True, use_cache=False)
-
     def test_fault_drop_degrades_not_hangs(self):
         """A dropped condensed frame degrades the receiving site's round
         (partial-coverage fallback) without breaking the run."""

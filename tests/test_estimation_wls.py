@@ -159,3 +159,29 @@ class TestConvergenceBehaviour:
         assert res.converged
         err = res.state_error(pf.Vm, pf.Va)
         assert err["vm_rmse"] < 5e-3
+
+
+class TestStateError:
+    def test_every_result_type_reports_the_same_four_numbers(self):
+        """One ``state_error`` behind ``EstimationResult``, ``DseResult``,
+        ``HierarchicalResult`` and ``LiveDseResult`` (which used to lack the
+        two max-error keys)."""
+        from repro.core.runtime import LiveDseResult
+        from repro.dse import DseResult, HierarchicalResult
+        from repro.estimation.results import EstimationResult, state_error
+
+        rng = np.random.default_rng(4)
+        Vm_true, Va_true = 1 + 0.05 * rng.standard_normal(9), rng.standard_normal(9)
+        Vm, Va = Vm_true + 1e-3 * rng.standard_normal(9), Va_true + 1e-3 * rng.standard_normal(9)
+        want = state_error(Vm, Va, Vm_true, Va_true)
+        assert set(want) == {"vm_rmse", "va_rmse", "vm_max", "va_max"}
+        assert want["vm_max"] == np.abs(Vm - Vm_true).max() >= want["vm_rmse"] > 0
+        for res in (
+            EstimationResult(True, 1, Vm, Va, np.zeros(0), 0.0, 0),
+            DseResult(Vm, Va, 1, {}, []),
+            HierarchicalResult(Vm, Va, np.zeros(1), {}, 0),
+            LiveDseResult(Vm, Va, 1, 0.0, {}),
+        ):
+            assert res.state_error(Vm_true, Va_true) == want
+        # a common reference shift is not an angle error
+        assert state_error(Vm, Va_true + 0.3, Vm, Va_true)["va_max"] < 1e-12

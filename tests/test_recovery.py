@@ -577,11 +577,6 @@ class TestLiveRecovery:
         dec, ms = live_setup
         with pytest.raises(ValueError, match="recovery needs"):
             LiveDseRuntime(dec, ms, fast=False, recovery=RecoveryConfig())
-        with pytest.raises(ValueError, match="recovery needs"):
-            LiveDseRuntime(
-                dec, ms, fast=True, use_cache=False,
-                recovery=RecoveryConfig(),
-            )
 
     def test_clean_run_is_bitwise_inert(self, live_setup):
         dec, ms = live_setup
