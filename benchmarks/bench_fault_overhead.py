@@ -5,7 +5,7 @@ The fault layer must be free when unused: every instrumented call site
 itself with a single ``faults.active() is None`` check, and an installed
 injector whose plan has no rules resolves each event with one dict
 lookup.  This benchmark measures the live IEEE-118 values-only frame
-loop — site threads, the mux fast path, real wire bytes — in both
+loop — site threads, the mux hub, real wire bytes — in both
 states: no injector installed vs an installed empty-plan injector.
 
 The PR-5 acceptance gate pins the installed-but-idle overhead at ≤ 5% on
@@ -51,7 +51,7 @@ def measure_fault_overhead(*, frames: int = 3, repeats: int = 3) -> dict:
     ms = generate_measurements(net, plac, pf, rng=rng)
     z = ms.z.copy()
 
-    with LiveDseRuntime(dec, ms, fast=True) as live:
+    with LiveDseRuntime(dec, ms) as live:
         live.run(z=z)  # warm the site caches outside the timed region
 
         idle = FaultInjector(FaultPlan(seed=0))  # no rules: nothing can fire

@@ -3,7 +3,7 @@
 Two measurements back the PR-10 acceptance gate:
 
 1. **Checkpoint overhead** — the live IEEE-118 values-only frame loop
-   (site threads, mux fast path, real wire bytes) with recovery off vs
+   (site threads, mux hub, real wire bytes) with recovery off vs
    recovery on.  With no faults injected the recovery plane only packs
    and ships checkpoints and heartbeats; the gate pins that cost at
    ≤ 5% on hosts with at least 2 cores (single-core hosts record the
@@ -57,8 +57,8 @@ def measure_recovery_overhead(*, frames: int = 3, repeats: int = 3) -> dict:
     ms = generate_measurements(net, plac, pf, rng=rng)
     z = ms.z.copy()
 
-    with LiveDseRuntime(dec, ms, fast=True) as live_off, LiveDseRuntime(
-        dec, ms, fast=True, recovery=RecoveryConfig(lease_rounds=2)
+    with LiveDseRuntime(dec, ms) as live_off, LiveDseRuntime(
+        dec, ms, recovery=RecoveryConfig(lease_rounds=2)
     ) as live_on:
         live_off.run(z=z)  # warm the site caches outside the timed region
         live_on.run(z=z)
@@ -109,7 +109,7 @@ def measure_frames_to_recovery(*, lease_rounds: int = 2) -> dict:
 
     def run(plan=None):
         with LiveDseRuntime(
-            dec, ms, fast=True, recv_timeout=0.5, round_deadline=2.0,
+            dec, ms, recv_timeout=0.5, round_deadline=2.0,
             recovery=RecoveryConfig(lease_rounds=lease_rounds),
         ) as live:
             if plan is None:

@@ -16,10 +16,8 @@ Run directly for a human-readable table::
 
     PYTHONPATH=src python benchmarks/bench_scaleout_throughput.py
 
-or let ``record_bench.py`` call the ``bench_*`` functions and persist the
-numbers to ``BENCH_pr2.json``.  Process backends only help on multi-core
-hosts; the recorder enforces the ≥3× contingency-throughput gate only when
-at least 4 cores are available.
+Process backends only help on multi-core hosts: the ≥3× contingency-
+throughput bound they were accepted against needs at least 4 cores.
 """
 
 from __future__ import annotations

@@ -109,7 +109,7 @@ def _capacity(rows: list[dict]) -> float:
 
 
 def measure_serving_capacity() -> dict:
-    """The full capacity comparison (the ``BENCH_pr8.json`` payload)."""
+    """The full capacity comparison."""
     dec, ms = _setup118()
     mix = ScenarioMix(ms, frame_weight=1.0)
     thru0 = _probe_throughput(dec, ms)

@@ -84,9 +84,9 @@ def test_table4_fastpath_projection(benchmark):
     untouched, and the overhead stays linear in size."""
     topo = pnnl_testbed()
     legacy = MiddlewareCostModel()
-    # conservative fast-path calibration: the local measurement
-    # (bench_middleware_fastpath) shows >2x relay-rate improvement and a
-    # pooled link amortises the per-transfer pipeline setup away
+    # conservative fast-path calibration: the local measurement taken when
+    # the hub landed showed >2x relay-rate improvement, and a long-lived
+    # link amortises the per-transfer pipeline setup away
     fast = MiddlewareCostModel(relay_rate=2 * legacy.relay_rate,
                                pipeline_overhead=1e-4)
     rows = benchmark(_rows, topo, legacy)

@@ -6,8 +6,9 @@ Run with::
 
 Exercises the PR-5 fault-tolerance layer end to end in a few seconds:
 
-- a transient dial failure on a pooled ``MWClient`` healed transparently
-  by the typed-error retry policy (one retry, zero payload loss);
+- one frame dropped and one cut in half at the mux hub hop: each surfaces
+  at the receiver as a typed error (decode failure, receive timeout), the
+  fabric stays up and the next frame arrives intact;
 - a seeded ``FaultPlan`` that starves one estimator site of every
   neighbour update during a live distributed run — the run completes,
   the affected site is flagged degraded, and nothing hangs;
@@ -30,35 +31,49 @@ from repro.grid import run_ac_power_flow
 from repro.grid.cases import synthetic_grid
 from repro.measurements import full_placement, generate_measurements
 from repro.middleware import (
-    EndpointRegistry,
-    InprocTransport,
-    MWClient,
-    RetryPolicy,
+    FrameError,
+    MiddlewareFabric,
+    RecvTimeout,
+    pack_state_update,
+    unpack_state_update,
 )
 
 
-def smoke_retry_heals_transient_dial_fault() -> None:
-    """A dial refused once by the injector succeeds on the retry."""
-    transport = InprocTransport()
-    registry = EndpointRegistry()
-    sender = MWClient(
-        "snd", registry, inproc=transport,
-        retry=RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0),
+def smoke_hop_faults_fail_typed() -> None:
+    """A dropped and a truncated frame are typed errors, never bad data."""
+    ids = np.arange(6, dtype=np.int64)
+    vm, va = np.linspace(0.98, 1.02, 6), np.linspace(-0.1, 0.1, 6)
+    update = pack_state_update(ids, vm, va)
+    # per (src, dst) pair the hub sees frames in order: 1st dropped,
+    # 2nd halved, 3rd untouched
+    plan = (
+        FaultPlan(seed=0)
+        .add("mux.forward", "drop", key=(0, 1), count=1)
+        .add("mux.forward", "corrupt", key=(0, 1), count=1)
     )
-    receiver = MWClient("rcv", registry, inproc=transport)
-    receiver.serve("inproc://chaos-demo-rcv")
-    try:
-        plan = FaultPlan(seed=0).add("client.dial", "fail", count=1)
-        with faults.injection(plan) as inj:
-            sender.send("rcv", b"survives the refused dial")
-        assert receiver.recv(timeout=2.0) == b"survives the refused dial"
-        assert sender.retries == 1, "expected exactly one retry"
-        assert inj.total_fired("client.dial") == 1
-        print(f"retry policy    : 1 dial refused, healed after "
-              f"{sender.retries} retry, payload intact")
-    finally:
-        sender.close()
-        receiver.close()
+    with MiddlewareFabric(["snd", "rcv"], pairs=[("snd", "rcv")]) as fab, \
+            faults.injection(plan) as inj:
+        for _ in range(3):
+            fab.send("snd", "rcv", update)
+        try:
+            unpack_state_update(fab.recv("rcv", timeout=2.0))
+        except FrameError:
+            pass
+        else:
+            raise AssertionError("a halved state update must not decode")
+        got = unpack_state_update(fab.recv("rcv", timeout=2.0))
+        assert all(np.array_equal(g, w) for g, w in zip(got, (ids, vm, va)))
+        try:
+            fab.recv("rcv", timeout=0.1)
+        except RecvTimeout:
+            pass
+        else:
+            raise AssertionError("the dropped frame must not arrive")
+        assert inj.total_fired("mux.forward") == 2
+        relayed, _ = fab.relay_stats()[("snd", "rcv")]
+        assert relayed == 2, "a dropped frame is not a relayed frame"
+        print(f"hop faults      : 1 frame dropped (typed timeout), 1 halved "
+              f"(typed decode error), {relayed} relayed, next frame intact")
 
 
 def smoke_degraded_live_run() -> None:
@@ -75,7 +90,7 @@ def smoke_degraded_live_run() -> None:
 
     def one_run():
         with LiveDseRuntime(
-            dec, ms, fast=True, recv_timeout=0.3, round_deadline=2.0
+            dec, ms, recv_timeout=0.3, round_deadline=2.0
         ) as live, faults.injection(plan) as inj:
             res = live.run(rounds=1)
         return res, inj.fired_summary()
@@ -97,7 +112,7 @@ def smoke_degraded_live_run() -> None:
 
 
 def main() -> None:
-    smoke_retry_heals_transient_dial_fault()
+    smoke_hop_faults_fail_typed()
     smoke_degraded_live_run()
     print("chaos demo: OK")
 

@@ -63,10 +63,9 @@ def main() -> None:
         print(f"slo: {fired[0].detail['slo']} burning, "
               f"autoscaler hint {mon.slo.hint_for(stats):+d}")
 
-        # 3. telemetry deltas over the fast mux fabric
+        # 3. telemetry deltas over the mux fabric
         agg = TelemetryAggregator()
-        with MiddlewareFabric(["hub", "site-a"], pairs=[("site-a", "hub")],
-                              fast=True) as fab:
+        with MiddlewareFabric(["hub", "site-a"], pairs=[("site-a", "hub")]) as fab:
             fab.enable_telemetry(agg.ingest)
             pub = TelemetryPublisher("site-a", mon.registry)
             pub.publish(lambda p: fab.send_telemetry("site-a", p))

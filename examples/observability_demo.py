@@ -66,7 +66,7 @@ def main() -> None:
 
         # 3. live thread-per-site runtime over real TCP: the mux router
         #    hop records mux.forward spans inside the sender's trace
-        with LiveDseRuntime(dec, mset, use_tcp=True, fast=True) as runtime:
+        with LiveDseRuntime(dec, mset, use_tcp=True) as runtime:
             live = runtime.run()
         hops = obs.tracer().spans_named("mux.forward")
         print(f"live TCP run: {len(live.errors)} errors, "

@@ -50,7 +50,7 @@ def main() -> None:
 
     def run(plan=None):
         with LiveDseRuntime(
-            dec, ms, fast=True, recv_timeout=0.5, round_deadline=2.0,
+            dec, ms, recv_timeout=0.5, round_deadline=2.0,
             recovery=RecoveryConfig(lease_rounds=2),
         ) as live:
             if plan is None:

@@ -17,6 +17,11 @@ if [[ "${1:-}" != "--fast" ]]; then
     echo "== end-to-end benchmark: harness tests + smoke run (in-run checks) =="
     python -m pytest -q benchmarks/e2e
     TRACES=0 benchmarks/e2e/run.sh --smoke
+
+    # tier-1 does not collect benchmarks/, and this is the only
+    # direct-socket-vs-relay measurement left (paper Table III, ~3 s)
+    echo "== paper Table III: direct socket vs the hub (shape checks) =="
+    python -m pytest -q benchmarks/bench_table3_middleware_local.py --benchmark-disable
 fi
 
 echo "== metric-name taxonomy lint =="
@@ -51,7 +56,7 @@ smoke examples/middleware_roundtrip.py
 echo "== observability smoke (traces across workers + TCP mux hop) =="
 smoke examples/observability_demo.py
 
-echo "== chaos smoke (seeded fault plan, retries, degraded live run) =="
+echo "== chaos smoke (seeded fault plan, typed hop faults, degraded live run) =="
 smoke examples/chaos_demo.py
 
 echo "== batch sweep smoke (copy-on-write forks + SIMD batch solves) =="

@@ -24,10 +24,11 @@ dse
     hierarchical baseline.
 cluster
     Simulated HPC clusters: discrete-event engine, topology and cost models,
-    an MPI-like communicator, and a real thread-based executor.
+    an MPI-like communicator, and the simulated executor.
 middleware
-    MeDICi-style pipeline middleware: URL endpoints, TCP / in-process
-    transports, relay pipelines and the client API.
+    MeDICi-style relay middleware: a mux router hub (localhost TCP or
+    in-process) with one duplex link per estimator, the framed wire
+    formats, and the fabric whose send / recv are the client API.
 parallel
     Pluggable subsystem executors (serial / thread pool) shared by the DSE
     fan-out and the parallel contingency analyzer.

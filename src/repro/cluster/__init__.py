@@ -8,7 +8,6 @@ from .executor import (
     PhaseTiming,
     SimExecutor,
     TaskSpec,
-    ThreadExecutor,
 )
 from .recovery import (
     MembershipView,
@@ -41,7 +40,6 @@ __all__ = [
     "PhaseTiming",
     "ExchangeTiming",
     "SimExecutor",
-    "ThreadExecutor",
     "SubsystemCheckpoint",
     "MembershipView",
     "RecoveryConfig",

@@ -1,19 +1,14 @@
-"""Task executors: simulated clusters and a real thread pool.
+"""Task executor for the simulated clusters.
 
 :class:`SimExecutor` replays a computation/communication plan on a
 :class:`~repro.cluster.topology.ClusterTopology` in virtual time — compute
 phases schedule tasks onto cluster cores (LPT greedy), exchange phases move
-messages over the links (optionally through the middleware relay).
-
-:class:`ThreadExecutor` runs real callables on a thread pool and reports
-wall-clock per task — the "local fabric" used when measuring this machine
-instead of the simulated testbed.
+messages over the links (optionally through the middleware relay).  Real
+callables run on :mod:`repro.parallel`'s backends instead.
 """
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .costmodel import MiddlewareCostModel
@@ -25,7 +20,6 @@ __all__ = [
     "PhaseTiming",
     "ExchangeTiming",
     "SimExecutor",
-    "ThreadExecutor",
 ]
 
 
@@ -136,32 +130,3 @@ class SimExecutor:
         makespan = max(per_pair.values(), default=0.0)
         return ExchangeTiming(makespan=makespan, per_pair=per_pair,
                               total_bytes=total)
-
-
-class ThreadExecutor:
-    """Real thread-pool execution with per-task wall times."""
-
-    def __init__(self, max_workers: int = 4):
-        if max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        self.max_workers = max_workers
-
-    def map(self, fn, items) -> tuple[list, list[float], float]:
-        """Run ``fn(item)`` for each item; returns (results, task_times,
-        wall_time)."""
-        results: list = [None] * len(items)
-        times: list[float] = [0.0] * len(items)
-
-        def wrapped(i_item):
-            i, item = i_item
-            t0 = time.perf_counter()
-            out = fn(item)
-            return i, out, time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            for i, out, dt in pool.map(wrapped, list(enumerate(items))):
-                results[i] = out
-                times[i] = dt
-        wall = time.perf_counter() - t0
-        return results, times, wall

@@ -12,7 +12,7 @@ from .noise import NoiseLevelEstimator, innovation_noise_level
 from .runtime import LiveDseResult, LiveDseRuntime, LiveSiteStats
 from .session import DseSession
 from .simulation import DseTimeline, simulate_dse_message_level
-from .telemetry import FrameReport, PhaseBreakdown, Timer
+from .telemetry import FrameReport, PhaseBreakdown
 from .weights import (
     IterationModel,
     PAPER_ITERATION_MODEL,
@@ -48,5 +48,4 @@ __all__ = [
     "simulate_dse_message_level",
     "FrameReport",
     "PhaseBreakdown",
-    "Timer",
 ]

@@ -55,17 +55,15 @@ class ArchitecturePrototype:
         seed: int = 0,
         with_fabric: bool = False,
         fabric_tcp: bool = False,
-        fabric_fast: bool = False,
     ) -> "ArchitecturePrototype":
         """Decompose ``net`` and wire the architecture around it.
 
         ``subsystem_sizes`` forces exact subsystem bus counts (e.g. the
         paper's 14,13,... split); otherwise a balanced ``m_subsystems``-way
-        decomposition is computed.  ``with_fabric`` starts live middleware
-        pipelines between neighbouring estimators (in-process queues, or
-        localhost TCP with ``fabric_tcp=True``; the multiplexed fast plane
-        with ``fabric_fast=True``); without it, communication is accounted
-        analytically on the simulated testbed only.
+        decomposition is computed.  ``with_fabric`` starts a live middleware
+        fabric wiring neighbouring estimators (in-process queues, or
+        localhost TCP with ``fabric_tcp=True``); without it, communication
+        is accounted analytically on the simulated testbed only.
         """
         topology = topology or pnnl_testbed()
         if subsystem_sizes is not None:
@@ -86,9 +84,7 @@ class ArchitecturePrototype:
             for u, v in dec.quotient_edges():
                 pairs.append((f"se{u}", f"se{v}"))
                 pairs.append((f"se{v}", f"se{u}"))
-            fabric = MiddlewareFabric(
-                names, pairs, use_tcp=fabric_tcp, fast=fabric_fast
-            )
+            fabric = MiddlewareFabric(names, pairs, use_tcp=fabric_tcp)
             fabric.start()
 
         return cls(

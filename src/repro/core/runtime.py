@@ -162,8 +162,8 @@ class _Deployment:
     ``weakref.finalize`` can stop it when the runtime is dropped.
     """
 
-    def __init__(self, names, pairs, *, use_tcp: bool, fast: bool):
-        self.fabric = MiddlewareFabric(names, pairs, use_tcp=use_tcp, fast=fast)
+    def __init__(self, names, pairs, *, use_tcp: bool):
+        self.fabric = MiddlewareFabric(names, pairs, use_tcp=use_tcp)
         #: cluster epoch the next recovery-mode frame starts in: above every
         #: epoch this fabric has carried, so a recovery-plane frame still in
         #: flight from the previous frame is fenced, not absorbed
@@ -233,7 +233,7 @@ class LiveDseRuntime:
         The decomposition and the system-wide measurement snapshot (each
         site only ever touches its own assigned rows).
     use_tcp:
-        Real localhost TCP pipelines instead of in-process queues.
+        A real localhost TCP hub instead of in-process queues.
     solver, sensitivity_threshold:
         Passed through to the local estimators.
     recv_timeout:
@@ -248,11 +248,6 @@ class LiveDseRuntime:
         liveness under hard faults is bounded by ``rounds x deadline``
         instead of ``rounds x neighbours x recv_timeout``.  ``None``
         (default) keeps the per-message-timeout-only behaviour.
-    fast:
-        Use the fabric's multiplexed fast path (single router hub, pooled
-        duplex links, batched neighbour sends) instead of one relay
-        pipeline per pair.  Same bytes on the wire, same barrier schedule
-        — the result stays bit-identical to the in-process DSE either way.
     condense:
         Condensed Step 2 (see
         :class:`~repro.dse.algorithm.DistributedStateEstimator`): each
@@ -270,7 +265,7 @@ class LiveDseRuntime:
         rounds is declared lost, its subsystems are promoted onto the
         successors holding their replicas, and the mux hub fences the
         zombie's epoch-stamped frames so it can never corrupt a
-        post-failover round.  Requires ``fast=True``.
+        post-failover round.
     """
 
     def __init__(
@@ -283,15 +278,9 @@ class LiveDseRuntime:
         sensitivity_threshold: float = 0.5,
         recv_timeout: float = 10.0,
         round_deadline: float | None = None,
-        fast: bool = True,
         condense: bool = False,
         recovery: RecoveryConfig | None = None,
     ):
-        if recovery is not None and not fast:
-            raise ValueError(
-                "recovery needs fast=True (checkpoint/epoch frames ride "
-                "the mux hub)"
-            )
         # The in-process DSE's subproblem construction and checks; every
         # site's stepper borrows its per-subsystem estimator caches.
         self._dse = DistributedStateEstimator(
@@ -303,7 +292,6 @@ class LiveDseRuntime:
         self.recv_timeout = recv_timeout
         self.round_deadline = round_deadline
         self.use_tcp = use_tcp
-        self.fast = fast
         self.condense = condense
         self.recovery = recovery
         #: one frame at a time per runtime (also guards the lifecycle)
@@ -331,7 +319,7 @@ class LiveDseRuntime:
                 # failover can rebind any (publisher, host) pair, so the
                 # fabric wires the full ordered-pair mesh up front
                 pairs = None
-            dep = _Deployment(names, pairs, use_tcp=self.use_tcp, fast=self.fast)
+            dep = _Deployment(names, pairs, use_tcp=self.use_tcp)
             self._deployment = dep
             self._stop_deployment = weakref.finalize(self, dep.stop)
         return self._deployment
@@ -555,10 +543,9 @@ class LiveDseRuntime:
                         )
                         for s_, nb, ids, vm, va, wire in stepper.publications()
                     ]
-                    # the whole neighbour burst rides one syscall on the
-                    # fast plane (legacy falls back to per-pipeline sends);
-                    # sending inside the span stamps the frames with this
-                    # trace's context, so the router hop joins the trace
+                    # the whole neighbour burst rides one syscall; sending
+                    # inside the span stamps the frames with this trace's
+                    # context, so the router hop joins the trace
                     try:
                         fabric.send_many(
                             me, parts,
@@ -671,10 +658,7 @@ class LiveDseRuntime:
                     name, lambda p, _n=name: coord.ingest(_n, p)
                 )
             fabric.set_epoch_fence(coord.fence)
-        with obs.span(
-            "live.run", m=dec.m, rounds=rounds,
-            tcp=self.use_tcp, fast=self.fast,
-        ):
+        with obs.span("live.run", m=dec.m, rounds=rounds, tcp=self.use_tcp):
             root_ctx = obs.current_context()
             wall_t0 = time.perf_counter()
             deployment.run_frame(site)

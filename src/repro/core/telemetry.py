@@ -1,54 +1,16 @@
 """Telemetry records for architecture sessions.
 
 :class:`FrameReport` / :class:`PhaseBreakdown` carry the per-frame numbers
-and serialize to plain dicts (:meth:`FrameReport.to_dict`), the one schema
-shared by ``benchmarks/record_bench.py`` and the JSONL exporter in
-:mod:`repro.obs.export`.
-
-:class:`Timer` predates the span-based tracing in :mod:`repro.obs` and is
-deprecated in its favour; it is kept (re-entrant and exception-safe) for
-existing consumers.
+and serialize to plain dicts (:meth:`FrameReport.to_dict`), the schema the
+JSONL exporter in :mod:`repro.obs.export` writes.  Timing itself is
+:func:`repro.obs.span`'s job.
 """
 
 from __future__ import annotations
 
-import time
-import warnings
 from dataclasses import dataclass, field
 
-__all__ = ["Timer", "PhaseBreakdown", "FrameReport"]
-
-
-class Timer:
-    """Context-manager wall-clock timer.
-
-    .. deprecated::
-        Superseded by :func:`repro.obs.span`, which times, nests and
-        exports; ``Timer`` only measures.  It stays for backward
-        compatibility with :class:`FrameReport` consumers.
-
-    Safe to re-enter: one instance can be reused sequentially or nested
-    (start times are kept on a stack, so an inner interval does not
-    clobber an outer one), and ``__exit__`` records the elapsed time even
-    when the body raised.  ``elapsed`` holds the most recently closed
-    interval.
-    """
-
-    def __init__(self):
-        self.elapsed = 0.0
-        self._starts: list[float] = []
-
-    def __enter__(self):
-        warnings.warn(
-            "repro.core.telemetry.Timer is deprecated; use repro.obs.span",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._starts.append(time.perf_counter())
-        return self
-
-    def __exit__(self, *exc):
-        self.elapsed = time.perf_counter() - self._starts.pop()
+__all__ = ["PhaseBreakdown", "FrameReport"]
 
 
 @dataclass

@@ -1,16 +1,15 @@
 """Deterministic fault injection at runtime.
 
 A :class:`FaultInjector` is consulted from the instrumented call sites
-(transport sends, client dials, mux forwards, pool task submission,
-simulated link transfers).  Each call site asks :meth:`decide` with its
+(mux forwards, pool task submission, simulated link transfers).  Each call site asks :meth:`decide` with its
 layer and key; the injector returns the :class:`Decision` to apply —
 ``NO_FAULT`` almost always — and the call site acts on it.
 
 Determinism: the ``(layer, key)`` pair indexes a private event counter,
 and each probabilistic draw is ``blake2b(seed, layer, key, seq)`` mapped
 to ``[0, 1)``.  Counters advance only on matching events, events at one
-key are sequential by construction (one connection's sends, one pair's
-forwards), so the same seed over the same workload fires the same
+key are sequential by construction (one pair's forwards, one task
+list's indices), so the same seed over the same workload fires the same
 faults — regardless of thread scheduling across keys.
 
 The injector is installed process-wide with :func:`repro.faults.install`

@@ -20,10 +20,6 @@ change any decision: the same seed replays the same faults.
 
 Layers
 ------
-``transport.send``
-    A framed connection's send path; key = the destination URL.
-``client.dial``
-    ``MWClient`` dialling a destination; key = the destination URL.
 ``mux.forward``
     The mux hub forwarding one frame; key = ``(src_id, dst_id)``.
 ``worker``
@@ -38,8 +34,8 @@ Actions
 ``duplicate``   deliver the frame twice
 ``corrupt``     truncate the payload (framing stays valid; the
                 application-level decode fails loudly)
-``disconnect``  hard-fail the connection (``ConnectionResetError``)
-``fail``        raise the layer's typed error (dial refused, link down)
+``disconnect``  hard-fail the destination's connection to the hub
+``fail``        raise the layer's typed error (link down)
 ``kill``        terminate the worker process mid-task
 ``hang``        stall the worker for ``rule.delay`` seconds
 """
@@ -51,8 +47,6 @@ from dataclasses import dataclass, field, replace
 __all__ = ["FaultRule", "FaultPlan", "LAYERS", "ACTIONS"]
 
 LAYERS = (
-    "transport.send",
-    "client.dial",
     "mux.forward",
     "worker",
     "simmpi.link",
@@ -71,8 +65,6 @@ ACTIONS = (
 
 #: actions that make sense per layer (validated when a rule is added)
 _LAYER_ACTIONS = {
-    "transport.send": {"drop", "delay", "duplicate", "corrupt", "disconnect"},
-    "client.dial": {"fail", "delay"},
     "mux.forward": {"drop", "delay", "duplicate", "corrupt", "disconnect"},
     "worker": {"kill", "hang"},
     "simmpi.link": {"drop", "fail", "delay"},
@@ -88,8 +80,8 @@ class FaultRule:
     layer, action:
         Injection point and what to do there (see the module docstring).
     match:
-        Key filter.  Keys are layer-specific: a string (URL / site name),
-        an int (worker task index) or a tuple (``(src, dst)`` pair).  A
+        Key filter.  Keys are layer-specific: an int (worker task index)
+        or a tuple (``(src, dst)`` pair).  A
         value of ``None`` in the tuple position acts as a wildcard; an
         empty dict matches every key.  Recognised fields: ``key`` (exact
         or wildcard-tuple match).
@@ -185,7 +177,7 @@ class FaultPlan:
         cls,
         seed: int,
         *,
-        layers=("transport.send", "mux.forward"),
+        layers=("mux.forward",),
         n_rules: int = 3,
         max_probability: float = 0.3,
         max_delay: float = 0.005,
@@ -196,7 +188,7 @@ class FaultPlan:
         Used by the chaos-fuzz tests: every run logs its seed, and
         re-running with that seed rebuilds the exact plan.  Actions are
         drawn from the layer's valid set (``kill``/``hang`` excluded from
-        transport layers by construction; ``disconnect`` optionally).
+        the mux layer by construction; ``disconnect`` optionally).
         """
         import numpy as np
 

@@ -1,9 +1,8 @@
-"""MeDICi-style middleware: endpoints, transports, pipelines, clients."""
+"""MeDICi-style middleware: endpoints, the mux hub fabric, wire formats."""
 
-from .client import DataBuffer, EndpointRegistry, MWClient
+from .client import DataBuffer, MWClient
 from .endpoints import Endpoint, parse_endpoint
 from .errors import (
-    DEFAULT_RETRY,
     ClientClosed,
     ConnectFailed,
     DeadlineExceeded,
@@ -20,24 +19,15 @@ from .message import (
     FrameError,
     PeerClosed,
     StreamReader,
+    pack_extension,
     pack_state_update,
-    recv_frame,
     recv_mux_frame,
-    send_frame,
-    send_frames,
     send_mux_frame,
     send_mux_frames,
+    split_extension,
     unpack_state_update,
 )
-from .pipeline import MifComponent, MifPipeline
 from .router import MiddlewareFabric
-from .transports import (
-    Connection,
-    InprocTransport,
-    Listener,
-    TcpTransport,
-    transport_for,
-)
 
 __all__ = [
     "Endpoint",
@@ -49,15 +39,13 @@ __all__ = [
     "ClientClosed",
     "DeadlineExceeded",
     "RetryPolicy",
-    "DEFAULT_RETRY",
     "FrameError",
     "PeerClosed",
     "MAX_FRAME",
     "MUX_HEADER",
     "StreamReader",
-    "send_frame",
-    "send_frames",
-    "recv_frame",
+    "pack_extension",
+    "split_extension",
     "send_mux_frame",
     "send_mux_frames",
     "recv_mux_frame",
@@ -67,15 +55,7 @@ __all__ = [
     "EmptyRing",
     "pack_state_update",
     "unpack_state_update",
-    "Connection",
-    "Listener",
-    "TcpTransport",
-    "InprocTransport",
-    "transport_for",
-    "MifComponent",
-    "MifPipeline",
     "DataBuffer",
-    "EndpointRegistry",
     "MWClient",
     "MiddlewareFabric",
 ]

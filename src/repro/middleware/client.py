@@ -1,49 +1,22 @@
-"""Middleware client: the interface-layer API the estimators call.
+"""Per-site endpoint: the interface-layer objects an estimator owns.
 
-``MWClient`` provides the paper's ``MW_Client_Send`` / ``MW_Client_Recv``
-(Figure 6): a state estimator names the destination estimator; the client
-resolves its URL through the registry and moves the data, with the
-middleware pipelines doing the routing.  Received data lands in a local
-:class:`DataBuffer` that the data processor drains.
-
-Fast-path behaviour (on by default):
-
-- **Persistent connection pooling** — ``send`` keeps one long-lived
-  connection per destination URL (lazy dial, reuse across sends, idle
-  reaping after ``pool_idle_timeout``, one transparent re-dial on a broken
-  pipe).  ``pool=False`` restores the legacy connect-per-message pattern
-  (kept for the overhead benchmarks).
-- **Event-driven receive** — a TCP server runs one ``selectors`` loop over
-  the listening socket and every accepted connection (frames reassembled
-  incrementally via ``recv_into``, no per-connection polling threads);
-  inproc servers block on their queues and are woken by EOF sentinels.
-- **Batch coalescing** — ``send_many`` rides all frames to one destination
-  on a single scatter-gather syscall.
+The paper's ``MW_Client_Send`` / ``MW_Client_Recv`` (Figure 6) are
+:meth:`MiddlewareFabric.send <repro.middleware.router.MiddlewareFabric.send>`
+and :meth:`~repro.middleware.router.MiddlewareFabric.recv`: an estimator
+names the destination estimator and the fabric's hub does the routing.
+What each site keeps for itself lives here — the local :class:`DataBuffer`
+the data processor drains, and the byte accounting around it
+(:class:`MWClient`, one per site, ``fabric.clients[name]``).
 """
 
 from __future__ import annotations
 
 import queue
-import selectors
-import socket
-import threading
-import time
 
-from .. import faults, obs
-from .errors import (
-    ClientClosed,
-    ConnectFailed,
-    DeadlineExceeded,
-    MiddlewareError,
-    RecvTimeout,
-    RetryPolicy,
-    SendFailed,
-)
-from .errors import DEFAULT_RETRY
-from .message import FrameError, PeerClosed, StreamReader
-from .transports import InprocTransport, transport_for
+from .. import obs
+from .errors import ClientClosed, RecvTimeout
 
-__all__ = ["DataBuffer", "EndpointRegistry", "MWClient"]
+__all__ = ["DataBuffer", "MWClient"]
 
 #: queue sentinel: buffer closed (latched so every blocked reader wakes)
 _CLOSED = object()
@@ -92,338 +65,29 @@ class DataBuffer:
         return self._q.qsize()
 
 
-class EndpointRegistry:
-    """Name → endpoint URL resolution (each estimator is uniquely
-    identified by a URL; section IV-A)."""
-
-    def __init__(self):
-        self._names: dict[str, str] = {}
-
-    def register(self, name: str, url: str) -> None:
-        self._names[name] = url
-
-    def resolve(self, name: str) -> str:
-        try:
-            return self._names[name]
-        except KeyError as exc:
-            raise KeyError(f"unknown estimator {name!r}") from exc
-
-    def names(self) -> list[str]:
-        return sorted(self._names)
-
-
 class MWClient:
-    """Per-site middleware client.
+    """One site's end of the fabric: its data buffer and byte counters.
 
-    Parameters
-    ----------
-    name:
-        This estimator's name.
-    registry:
-        Shared name → URL registry.  ``send`` resolves the *destination
-        inbound* URL (usually a pipeline inbound endpoint routed to the
-        destination site).
-    inproc:
-        Shared in-process transport when inproc URLs are used.
-    pool:
-        Keep one persistent connection per destination URL (default).
-        ``False`` dials a fresh connection per message — the legacy
-        pattern, kept for overhead comparisons.
-    pool_idle_timeout:
-        Close pooled connections unused for this many seconds (reaped
-        opportunistically on the next send).
-    retry:
-        :class:`~repro.middleware.errors.RetryPolicy` for pooled sends.
-        Any failure mid-send discards the connection unconditionally (a
-        partial write leaves the stream unframeable — reuse would corrupt
-        every later message) and retries on a fresh dial with backoff;
-        once the budget is spent the caller sees a single typed
-        :class:`~repro.middleware.errors.SendFailed`.  ``None`` disables
-        retries (one attempt, typed error on failure).
-    send_deadline:
-        Overall wall-clock budget per ``send``/``send_many`` call across
-        all retries, in seconds (``None`` = unbounded).  Exceeding it
-        raises :class:`~repro.middleware.errors.SendFailed` (from a
-        :class:`~repro.middleware.errors.DeadlineExceeded`).
+    The fabric's link for this site hands every received application
+    payload to :meth:`_deliver`; ``bytes_sent`` is kept by the fabric's
+    send calls (application bytes, extension blocks excluded).
     """
 
-    def __init__(
-        self,
-        name: str,
-        registry: EndpointRegistry,
-        *,
-        inproc: InprocTransport | None = None,
-        pool: bool = True,
-        pool_idle_timeout: float = 30.0,
-        retry: RetryPolicy | None = DEFAULT_RETRY,
-        send_deadline: float | None = None,
-    ):
+    def __init__(self, name: str):
         self.name = name
-        self.registry = registry
-        self.inproc = inproc
-        self.pool = pool
-        self.pool_idle_timeout = pool_idle_timeout
-        self.retry = retry
-        self.send_deadline = send_deadline
-        self.retries = 0
         self.buffer = DataBuffer()
-        self._listener = None
-        self._thread: threading.Thread | None = None
-        self._stop = threading.Event()
-        self._pool: dict[str, object] = {}
-        self._pool_last: dict[str, float] = {}
-        self._pool_lock = threading.Lock()
-        self._accepted: list = []
-        self._waker: socket.socket | None = None
         self.bytes_sent = 0
         self.bytes_received = 0
-        self.dials = 0
-
-    # ------------------------------------------------------------------
-    # receive side
-    # ------------------------------------------------------------------
-    def serve(self, url: str) -> str:
-        """Start receiving at ``url``; returns the bound URL (tcp port 0 is
-        resolved to the actual port) and registers it under this name."""
-        transport = transport_for(url, inproc=self.inproc)
-        self._listener = transport.listen(url)
-        bound = self._listener.endpoint.url
-        self.registry.register(self.name, bound)
-        target = (
-            self._serve_loop_tcp
-            if self._listener.endpoint.scheme == "tcp"
-            else self._serve_loop_inproc
-        )
-        self._thread = threading.Thread(
-            target=target, name=f"mw-{self.name}", daemon=True
-        )
-        self._thread.start()
-        return bound
 
     def _deliver(self, payload) -> None:
-        """Account for and enqueue one received payload (also the sink for
-        fast-path mux links attached by the fabric)."""
+        """Account for and enqueue one received payload."""
         self.bytes_received += len(payload)
         if obs.enabled():
             obs.metrics().counter("mw.client.frames_received_total").inc()
         self.buffer.put(payload)
 
-    # -- TCP: one selector loop over the listener and every connection --
-    def _serve_loop_tcp(self) -> None:
-        sel = selectors.DefaultSelector()
-        lsock = self._listener._sock
-        lsock.setblocking(False)
-        wake_r, wake_w = socket.socketpair()
-        wake_r.setblocking(False)
-        self._waker = wake_w
-        sel.register(lsock, selectors.EVENT_READ, ("accept", None))
-        sel.register(wake_r, selectors.EVENT_READ, ("wake", None))
-        try:
-            while not self._stop.is_set():
-                for key, _ in sel.select():
-                    kind, reader = key.data
-                    if kind == "wake":
-                        try:
-                            key.fileobj.recv(64)
-                        except OSError:  # pragma: no cover - shutdown race
-                            pass
-                    elif kind == "accept":
-                        try:
-                            conn, _ = lsock.accept()
-                        except OSError:
-                            continue
-                        conn.setblocking(False)
-                        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                        sel.register(
-                            conn, selectors.EVENT_READ, ("conn", StreamReader())
-                        )
-                    else:
-                        sock = key.fileobj
-                        try:
-                            for payload in reader.feed(sock):
-                                self._deliver(payload)
-                        except (PeerClosed, FrameError, OSError):
-                            try:
-                                sel.unregister(sock)
-                            except KeyError:  # pragma: no cover - defensive
-                                pass
-                            sock.close()
-        finally:
-            for key in list(sel.get_map().values()):
-                try:
-                    sel.unregister(key.fileobj)
-                    key.fileobj.close()
-                except (OSError, KeyError):  # pragma: no cover - defensive
-                    pass
-            sel.close()
-            wake_r.close()
-
-    # -- inproc: blocking accept/recv, woken by queue sentinels --
-    def _serve_loop_inproc(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn = self._listener.accept()
-            except (TimeoutError, OSError):
-                if self._stop.is_set():
-                    break
-                continue
-            self._accepted.append(conn)
-            threading.Thread(
-                target=self._drain, args=(conn,), daemon=True
-            ).start()
-
-    def _drain(self, conn) -> None:
-        try:
-            while not self._stop.is_set():
-                try:
-                    payload = conn.recv_bytes()  # blocks; EOF sentinel wakes
-                except Exception:
-                    break
-                self._deliver(payload)
-        finally:
-            conn.close()
-
-    # ------------------------------------------------------------------
-    # send side: persistent pooled connections
-    # ------------------------------------------------------------------
-    def _dial(self, url: str):
-        inj = faults.active()
-        if inj is not None:
-            d = inj.decide("client.dial", url)
-            if d:
-                if d.action == "delay":
-                    if d.delay:
-                        time.sleep(d.delay)
-                else:  # "fail"
-                    self.dials += 1
-                    raise ConnectFailed(f"fault injection: dial to {url} failed")
-        transport = transport_for(url, inproc=self.inproc)
-        self.dials += 1
-        try:
-            return transport.connect(url)
-        except ConnectFailed:
-            raise
-        except (ConnectionError, OSError) as exc:  # pragma: no cover - defensive
-            raise ConnectFailed(f"cannot connect to {url}: {exc}") from exc
-
-    def _checkout(self, url: str):
-        """Pooled connection for ``url``: lazy dial + idle reaping."""
-        now = time.monotonic()
-        with self._pool_lock:
-            for u in [
-                u
-                for u, last in self._pool_last.items()
-                if u != url and now - last > self.pool_idle_timeout
-            ]:
-                self._pool.pop(u).close()
-                del self._pool_last[u]
-            conn = self._pool.get(url)
-            if conn is None:
-                conn = self._dial(url)
-                self._pool[url] = conn
-            self._pool_last[url] = now
-            return conn
-
-    def _discard(self, url: str, conn) -> None:
-        with self._pool_lock:
-            if self._pool.get(url) is conn:
-                del self._pool[url]
-                self._pool_last.pop(url, None)
-        conn.close()
-
-    def _send_pooled(self, url: str, op) -> None:
-        """Run ``op`` on a pooled connection under the retry policy.
-
-        Partial-write safety: *any* failure mid-``op`` discards the
-        connection unconditionally — after an interrupted write the
-        stream position is unknown and reuse would corrupt every later
-        frame — so each retry always runs on a fresh dial.
-        """
-        policy = self.retry
-        attempts = policy.max_attempts if policy is not None else 1
-        deadline = (
-            None
-            if self.send_deadline is None
-            else time.monotonic() + self.send_deadline
-        )
-        last: BaseException | None = None
-        for attempt in range(1, attempts + 1):
-            if attempt > 1:
-                self.retries += 1
-                if obs.enabled():
-                    obs.metrics().counter("mw.client.retries_total").inc()
-            try:
-                conn = self._checkout(url)
-            except (ConnectionError, OSError, MiddlewareError) as exc:
-                last = exc
-            else:
-                try:
-                    op(conn)
-                    return
-                except (ConnectionError, OSError, RuntimeError) as exc:
-                    if isinstance(exc, FrameError):
-                        raise  # framing errors are not connection failures
-                    # stale pool entry, peer restart, or a mid-write
-                    # failure: the connection is unusable either way
-                    self._discard(url, conn)
-                    last = exc
-            if attempt < attempts and policy is not None:
-                try:
-                    policy.sleep(attempt, deadline=deadline)
-                except DeadlineExceeded as exc:
-                    raise SendFailed(
-                        f"send to {url} abandoned at the deadline "
-                        f"after {attempt} attempt(s): {last!r}"
-                    ) from exc
-        if isinstance(last, ConnectFailed):
-            raise last  # dial never succeeded; keep ConnectionRefusedError
-        raise SendFailed(
-            f"send to {url} failed after {attempts} attempt(s): {last!r}"
-        ) from last
-
-    def send(self, destination: str, payload: bytes) -> None:
-        """``MW_Client_Send``: deliver ``payload`` toward ``destination``.
-
-        ``destination`` may be a registered estimator name or a raw URL
-        (e.g. a middleware pipeline inbound endpoint).
-        """
-        url = destination if "://" in destination else self.registry.resolve(destination)
-        if not self.pool:
-            transport = transport_for(url, inproc=self.inproc)
-            self.dials += 1
-            with transport.connect(url) as conn:
-                conn.send_bytes(payload)
-        else:
-            self._send_pooled(url, lambda conn: conn.send_bytes(payload))
-        self.bytes_sent += len(payload)
-        if obs.enabled():
-            reg = obs.metrics()
-            reg.counter("mw.client.frames_sent_total").inc()
-            reg.counter("mw.client.bytes_sent_total").inc(len(payload))
-
-    def send_many(self, destination: str, payloads) -> None:
-        """Deliver several payloads toward one destination, coalesced into
-        a single scatter-gather syscall on TCP."""
-        payloads = list(payloads)
-        if not payloads:
-            return
-        url = destination if "://" in destination else self.registry.resolve(destination)
-        if not self.pool:
-            transport = transport_for(url, inproc=self.inproc)
-            self.dials += 1
-            with transport.connect(url) as conn:
-                conn.send_many(payloads)
-        else:
-            self._send_pooled(url, lambda conn: conn.send_many(payloads))
-        nbytes = sum(len(p) for p in payloads)
-        self.bytes_sent += nbytes
-        if obs.enabled():
-            reg = obs.metrics()
-            reg.counter("mw.client.frames_sent_total").inc(len(payloads))
-            reg.counter("mw.client.bytes_sent_total").inc(nbytes)
-
     def recv(self, timeout: float | None = 5.0) -> bytes:
-        """``MW_Client_Recv``: take the next payload from the local buffer.
+        """Take the next payload from the local buffer.
 
         Raises :class:`~repro.middleware.errors.RecvTimeout` (a
         ``TimeoutError``) when nothing arrives in time, and
@@ -434,22 +98,4 @@ class MWClient:
         return self.buffer.get(timeout=timeout)
 
     def close(self) -> None:
-        self._stop.set()
         self.buffer.close()  # wake anyone blocked in recv
-        with self._pool_lock:
-            for conn in self._pool.values():
-                conn.close()
-            self._pool.clear()
-            self._pool_last.clear()
-        if self._waker is not None:
-            try:
-                self._waker.send(b"x")
-            except OSError:  # pragma: no cover - already closed
-                pass
-            self._waker.close()
-            self._waker = None
-        if self._listener is not None:
-            self._listener.close()
-        for conn in self._accepted:
-            conn.close()
-        self._accepted.clear()

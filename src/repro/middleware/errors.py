@@ -2,18 +2,18 @@
 
 The middleware used to leak raw ``OSError`` / ``RuntimeError`` from
 whichever socket primitive failed first, which callers could neither
-classify nor handle uniformly.  Every failure that crosses the
-``MWClient`` / fabric API now maps onto this hierarchy:
+classify nor handle uniformly.  Every failure that crosses the fabric
+or serving API now maps onto this hierarchy:
 
 ``MiddlewareError``
     base class (subclasses ``RuntimeError`` so legacy ``except
     RuntimeError`` call sites keep working)
 ``ConnectFailed``
-    dialling the destination failed (refused, unreachable, dial fault)
+    the destination cannot be reached (refused, unreachable, no live
+    replica)
 ``SendFailed``
-    a send could not be completed after the retry budget; the pooled
-    connection involved has been discarded (never reused after a
-    partial write)
+    a send could not be completed: the site's link to the hub is closed
+    or broken
 ``RecvTimeout``
     no payload arrived within the receive timeout (subclasses
     ``TimeoutError`` — existing ``except TimeoutError`` degradation
@@ -26,8 +26,8 @@ classify nor handle uniformly.  Every failure that crosses the
     an operation-level deadline (per-frame exchange round, serving
     request) expired (also a ``TimeoutError``)
 
-:class:`RetryPolicy` is the one retry/backoff/jitter implementation used
-by the client pool (and available to callers): exponential backoff with
+:class:`RetryPolicy` is the one retry/backoff/jitter implementation (the
+serving tier's shard router retries with it): exponential backoff with
 deterministic decorrelated jitter — the jitter sequence is derived from
 the policy's seed, so a faulted run retries on the same schedule every
 replay.
@@ -64,7 +64,7 @@ class ConnectFailed(MiddlewareError, ConnectionRefusedError):
 
 
 class SendFailed(MiddlewareError):
-    """A send could not be delivered within the retry budget."""
+    """A send could not be delivered (closed or broken link)."""
 
 
 class RecvTimeout(MiddlewareError, TimeoutError):
@@ -133,7 +133,3 @@ class RetryPolicy:
         if delay > 0:
             time.sleep(delay)
 
-
-#: the default policy used by MWClient pooled sends; one transparent
-#: re-dial (the pre-fault-layer behaviour) plus one backed-off retry
-DEFAULT_RETRY = RetryPolicy(max_attempts=3, base_delay=0.01, max_delay=0.2)

@@ -1,13 +1,11 @@
-"""Multiplexed fast-path data plane: one router hop, pooled duplex links.
+"""The mux data plane: one router hop, one long-lived duplex link per site.
 
-The legacy data plane dials a fresh TCP connection per message and runs one
-relay pipeline per (src, dst) pair.  The fast path replaces that with a
-single **mux router**: every site keeps exactly one long-lived duplex
-connection to the hub, frames carry ``(src, dst)`` ids in a compact binary
-header (:data:`~repro.middleware.message.MUX_HEADER`), and the hub forwards
-a frame to the destination's connection without re-dialing — store-and-
-forward routing with per-pair statistics, like the per-pair pipelines, but
-over ``m`` sockets instead of ``m²`` dials.
+Every site keeps exactly one connection to a single **mux router** hub;
+frames carry ``(src, dst)`` ids in a compact binary header
+(:data:`~repro.middleware.message.MUX_HEADER`), and the hub forwards a
+frame to the destination's connection without dialing — store-and-forward
+routing with per-pair statistics (a directed pair is the paper's one-way
+MeDICi pipeline) over ``m`` sockets.
 
 Two interchangeable hubs:
 
@@ -17,6 +15,11 @@ Two interchangeable hubs:
   header+payload via scatter-gather ``sendmsg``.
 - :class:`InprocMuxRouter` — queue-based, for single-process fabrics; the
   router thread blocks on its inbox (event-driven, no timeouts).
+
+Both run every data frame through the same :func:`_route` sequence —
+telemetry sink, extension check, epoch fence, route lookup, fault hook,
+count, forward — and differ only in how a destination is looked up,
+written to and disconnected.
 
 Attachment protocol (TCP): a site dials the hub, sends a HELLO control
 frame carrying its id, and waits for the hub's ACK before returning — so
@@ -33,7 +36,6 @@ import threading
 import time
 
 from .. import faults, obs
-from ..obs import SpanContext
 from .endpoints import parse_endpoint
 from .errors import SendFailed
 from .message import (
@@ -41,95 +43,162 @@ from .message import (
     FLAG_CONTROL,
     FLAG_EPOCH,
     FLAG_TELEMETRY,
-    FLAG_TRACED,
     FrameError,
     MUX_HEADER,
     MUX_VERSION,
     PeerClosed,
     StreamReader,
-    read_epoch,
-    read_trace_context,
     recv_mux_frame,
     send_mux_frame,
     send_mux_frames,
     sendmsg_all,
-    strip_epoch,
-    strip_trace_context,
+    split_extension,
 )
-from .transports import _size_socket_buffers
 
-__all__ = ["MuxRouter", "InprocMuxRouter"]
+__all__ = ["MuxRouter", "InprocMuxRouter", "SOCKET_BUFFER_BYTES"]
+
+#: Explicit per-socket kernel buffer size.  Containers frequently ship a
+#: tiny tcp_wmem default (16 KiB here); under sustained one-way
+#: small-message load the window collapses to zero and delivery degrades
+#: to the ~200 ms TCP persist-timer cadence.  Sizing both buffers up
+#: front keeps the window open and the hub at full rate.
+SOCKET_BUFFER_BYTES = 1 << 20
 
 
-def _hop_span(flags: int, payload, src: int, dst: int):
-    """Router-hop span parented to the *sender's* span via the trace
-    context carried in the frame (wire-level context propagation); returns
-    ``None`` when the frame is untraced or observability is off here."""
-    if not (flags & FLAG_TRACED) or not obs.enabled():
-        return None
+def _size_socket_buffers(sock: socket.socket) -> None:
     try:
-        trace_id, span_id, sampled = read_trace_context(payload)
-    except FrameError:  # pragma: no cover - malformed peer
-        return None
-    return obs.span(
-        "mux.forward",
-        parent=SpanContext(trace_id, span_id, sampled),
-        src=src, dst=dst, nbytes=len(payload),
-    )
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, SOCKET_BUFFER_BYTES)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, SOCKET_BUFFER_BYTES)
+    except OSError:  # pragma: no cover - platform without the knob
+        pass
 
 
-def _fence_ok(fence, src: int, flags: int, payload) -> bool:
-    """Apply an epoch fence to an epoch-stamped frame.
-
-    A frame whose prefix can't be read is fenced (it claims an epoch it
-    can't prove); a fence callback that *raises* fails open — a broken
-    fence must not take down the data plane.
-    """
-    try:
-        epoch = read_epoch(payload, flags)
-    except FrameError:
-        return False
+def _fence_ok(fence, src: int, epoch: int) -> bool:
+    """Ask the epoch fence about a frame; a fence callback that *raises*
+    fails open — a broken fence must not take down the data plane."""
     try:
         return bool(fence(src, epoch))
     except Exception:  # noqa: BLE001 - fence must not kill the hub
         return True
 
 
-#: sentinel from :func:`_forward_fault`: swallow the frame entirely
-_DROP = object()
-#: sentinel from :func:`_forward_fault`: hard-disconnect the destination
-_KILL_DST = object()
+def _forward_fault(src: int, dst: int, payload) -> tuple[tuple, bool]:
+    """Mux-hop fault hook.
 
-
-def _forward_fault(src: int, dst: int, payload):
-    """Mux-hop fault hook shared by both hubs.
-
-    Returns ``(payloads, verdict)`` where ``payloads`` is the tuple of
-    payloads to forward (empty on drop, two copies on duplicate, a
-    truncated frame on corrupt — the header is re-packed so the framing
-    stays valid and only the application decode fails) and ``verdict`` is
-    ``None``, :data:`_DROP` or :data:`_KILL_DST`.  A ``delay`` sleeps
-    *in the hub loop* — intentionally: the hub is the store-and-forward
-    stage, so hub latency is what a slow link looks like to every site.
+    Returns ``(payloads, kill_dst)``: the payloads to forward (none on a
+    drop or a disconnect, two copies on duplicate, a truncated frame on
+    corrupt — the header is re-packed so the framing stays valid and only
+    the decode fails) and whether to hard-disconnect the destination.  A
+    ``delay`` sleeps *in the hub loop* — intentionally: the hub is the
+    store-and-forward stage, so hub latency is what a slow link looks like
+    to every site.
     """
     inj = faults.active()
-    if inj is None:
-        return (payload,), None
-    d = inj.decide("mux.forward", (src, dst))
+    d = inj.decide("mux.forward", (src, dst)) if inj is not None else None
     if not d:
-        return (payload,), None
+        return (payload,), False
     if d.action == "drop":
-        return (), _DROP
+        return (), False
     if d.action == "delay":
         if d.delay:
             time.sleep(d.delay)
-        return (payload,), None
+        return (payload,), False
     if d.action == "duplicate":
-        return (payload, payload), None
+        return (payload, payload), False
     if d.action == "corrupt":
-        return (payload[: len(payload) // 2],), None
+        return (payload[: len(payload) // 2],), False
     # "disconnect"
-    return (), _KILL_DST
+    return (), True
+
+
+def _discard(hub, *, fenced: bool = False) -> None:
+    """Count one frame the hub swallowed (fenced, or dropped)."""
+    with hub._stats_lock:
+        if fenced:
+            hub.frames_fenced += 1
+        else:
+            hub.frames_dropped += 1
+    if obs.enabled():
+        if fenced:
+            obs.metrics().counter("mux.frames_fenced_total").inc()
+        else:
+            obs.metrics().counter("mux.frames_dropped_total").inc()
+
+
+def _route(hub, flags: int, src: int, dst: int, payload) -> None:
+    """One non-control frame through ``hub`` — the sequence both hubs run.
+
+    The hub supplies ``_target(dst, flags)`` (where frames for ``dst`` go,
+    ``None`` when nowhere), ``_forward(target, flags, src, dst, frame,
+    app)`` (hand one copy on — ``frame`` is the payload as framed, ``app``
+    its application bytes; ``False`` when the destination is gone) and
+    ``_kill(dst)`` (hard-disconnect).  The frame is counted *before* it is
+    handed on, so whoever holds a payload finds it in :meth:`stats`; a
+    forward that fails takes its count back.
+    """
+    if flags & FLAG_TELEMETRY:
+        sink = hub._telemetry_sink
+        if sink is not None:
+            try:
+                sink(bytes(payload))
+            except Exception:  # noqa: BLE001 - sink must not kill the hub
+                pass
+        if obs.enabled():
+            obs.metrics().counter("mux.telemetry_frames_total").inc()
+        return
+    fence = hub._epoch_fence
+    try:
+        ctx, epoch, app = split_extension(flags, payload)
+    except FrameError:
+        # the frame claims metadata it does not carry; a claimed epoch the
+        # fence cannot read is treated as a stale one
+        _discard(hub, fenced=bool(flags & FLAG_EPOCH) and fence is not None)
+        return
+    if epoch is not None and fence is not None and not _fence_ok(fence, src, epoch):
+        _discard(hub, fenced=True)
+        return
+    target = hub._target(dst, flags)
+    if target is None:
+        _discard(hub)
+        return
+    copies = [(payload, app)]
+    if faults.active() is not None:
+        faulted, kill_dst = _forward_fault(src, dst, payload)
+        if kill_dst:
+            hub._kill(dst)
+        copies = []
+        for p in faulted:
+            try:
+                p_app = app if p is payload else split_extension(flags, p)[2]
+            except FrameError:
+                continue  # cut inside its extension block: nothing to deliver
+            copies.append((p, p_app))
+        if not copies:
+            _discard(hub)
+            return
+    nbytes = len(payload)
+    with hub._stats_lock:
+        rec = hub._stats.setdefault((src, dst), [0, 0])
+        rec[0] += 1
+        rec[1] += nbytes
+    # the router-hop span joins the *sender's* trace through the context
+    # the frame carries; it covers the first copy only
+    hop = obs.NOOP_SPAN
+    if ctx is not None:
+        hop = obs.span("mux.forward", parent=ctx, src=src, dst=dst, nbytes=nbytes)
+    for frame, app in copies:
+        with hop:
+            ok = hub._forward(target, flags, src, dst, frame, app)
+        if not ok:
+            with hub._stats_lock:
+                rec[0] -= 1
+                rec[1] -= nbytes
+            return
+        hop = obs.NOOP_SPAN
+    if obs.enabled():
+        m = obs.metrics()
+        m.counter("mux.frames_forwarded_total").inc()
+        m.counter("mux.bytes_forwarded_total").inc(nbytes)
 
 
 class _TcpMuxLink:
@@ -153,7 +222,7 @@ class _TcpMuxLink:
         #: bypass the ordinary receive queue (recovery replica plane)
         self.checkpoint_sink = None
         self._closed = False
-        self._frames = StreamReader(mux=True)
+        self._frames = StreamReader()
         #: one pumper at a time: the reassembly state is not shareable
         self._pump_lock = threading.Lock()
         self._wait = selectors.DefaultSelector()
@@ -205,18 +274,13 @@ class _TcpMuxLink:
             # telemetry frame reaching a link means a hub without a
             # sink forwarded it — never application data either way
             return
-        if flags & FLAG_TRACED:
-            # metadata prefix is for the routing layer, not the app
-            try:
-                payload = strip_trace_context(payload)
-            except FrameError:
-                # corrupted-in-flight frame: drop it, keep the link
-                return
-        if flags & FLAG_EPOCH:
-            try:
-                payload = strip_epoch(payload)
-            except FrameError:
-                return
+        try:
+            # the extension block is for the routing layer, not the app
+            _ctx, _epoch, payload = split_extension(flags, payload)
+        except FrameError:
+            # cut in flight inside its extension block: drop the frame,
+            # keep the link
+            return
         if flags & FLAG_CHECKPOINT:
             sink = self.checkpoint_sink
             if sink is not None:
@@ -227,21 +291,20 @@ class _TcpMuxLink:
             return
         self._deliver(payload)
 
-    def send(self, dst: int, payload, *, flags: int = 0) -> None:
-        try:
-            with self._send_lock:
-                send_mux_frame(self._sock, self.my_id, dst, payload, flags=flags)
-        except OSError as exc:
-            raise SendFailed(f"mux link {self.my_id} -> {dst}: {exc}") from exc
+    def send(self, dst: int, payload, *, flags: int = 0, ext=b"") -> None:
+        self.send_many([(dst, payload)], flags=flags, ext=ext)
 
-    def send_many(self, frames, *, flags: int = 0) -> None:
+    def send_many(self, frames, *, flags: int = 0, ext=b"") -> None:
         """``frames`` is an iterable of ``(dst, payload)``; all of them
-        ride one scatter-gather syscall."""
+        ride one scatter-gather syscall, each behind the same extension
+        block ``ext``."""
         try:
             with self._send_lock:
-                send_mux_frames(self._sock, self.my_id, frames, flags=flags)
+                send_mux_frames(
+                    self._sock, self.my_id, frames, flags=flags, ext=ext
+                )
         except OSError as exc:
-            raise SendFailed(f"mux link {self.my_id} batch send: {exc}") from exc
+            raise SendFailed(f"mux link {self.my_id} send: {exc}") from exc
 
     def close(self) -> None:
         if self._closed:
@@ -373,7 +436,7 @@ class MuxRouter:
             return
         conn.setblocking(False)
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._sel.register(conn, selectors.EVENT_READ, ("conn", StreamReader(mux=True)))
+        self._sel.register(conn, selectors.EVENT_READ, ("conn", StreamReader()))
 
     def _drop_conn(self, sock: socket.socket) -> None:
         # idempotent: a connection dropped while servicing another one
@@ -410,65 +473,22 @@ class MuxRouter:
                     self._drop_conn(sock)
                     return
                 continue
-            if flags & FLAG_TELEMETRY:
-                sink = self._telemetry_sink
-                if sink is not None:
-                    try:
-                        sink(bytes(payload))
-                    except Exception:  # noqa: BLE001 - sink must not kill the hub
-                        pass
-                if obs.enabled():
-                    obs.metrics().counter("mux.telemetry_frames_total").inc()
-                continue
-            if flags & FLAG_EPOCH and self._epoch_fence is not None:
-                if not _fence_ok(self._epoch_fence, src, flags, payload):
-                    with self._stats_lock:
-                        self.frames_fenced += 1
-                    if obs.enabled():
-                        obs.metrics().counter("mux.frames_fenced_total").inc()
-                    continue
-            out = self._routes.get(dst)
-            if out is None:
-                with self._stats_lock:
-                    self.frames_dropped += 1
-                if obs.enabled():
-                    obs.metrics().counter("mux.frames_dropped_total").inc()
-                continue
-            if faults.active() is not None:
-                outs, verdict = _forward_fault(src, dst, payload)
-                if verdict is _KILL_DST:
-                    self._drop_conn(out)
-                if verdict is not None:  # frame swallowed either way
-                    with self._stats_lock:
-                        self.frames_dropped += 1
-                    continue
-            else:
-                outs = (payload,)
-            hop = _hop_span(flags, payload, src, dst)
-            failed = False
-            for p in outs:
-                header = MUX_HEADER.pack(MUX_VERSION, flags, src, dst, len(p))
-                try:
-                    if hop is not None:
-                        with hop:
-                            sendmsg_all(out, [header, p])
-                        hop = None  # span covers the first copy only
-                    else:
-                        sendmsg_all(out, [header, p])
-                except OSError:
-                    self._drop_conn(out)
-                    failed = True
-                    break
-            if failed:
-                continue
-            with self._stats_lock:
-                rec = self._stats.setdefault((src, dst), [0, 0])
-                rec[0] += 1
-                rec[1] += len(payload)
-            if obs.enabled():
-                m = obs.metrics()
-                m.counter("mux.frames_forwarded_total").inc()
-                m.counter("mux.bytes_forwarded_total").inc(len(payload))
+            _route(self, flags, src, dst, payload)
+
+    def _target(self, dst: int, flags: int) -> socket.socket | None:
+        return self._routes.get(dst)
+
+    def _kill(self, dst: int) -> None:
+        self._drop_conn(self._routes[dst])
+
+    def _forward(self, out, flags, src, dst, frame, app) -> bool:
+        header = MUX_HEADER.pack(MUX_VERSION, flags, src, dst, len(frame))
+        try:
+            sendmsg_all(out, [header, frame])
+        except OSError:
+            self._drop_conn(out)
+            return False
+        return True
 
     # ------------------------------------------------------------------
     def stats(self) -> dict[tuple[int, int], tuple[int, int]]:
@@ -503,17 +523,16 @@ class _InprocMuxLink:
         self.my_id = my_id
         self._closed = False
 
-    def send(self, dst: int, payload, *, flags: int = 0) -> None:
-        if self._closed:
-            raise SendFailed(f"mux link {self.my_id} closed")
-        self._router._inbox.put((self.my_id, dst, payload, flags))
+    def send(self, dst: int, payload, *, flags: int = 0, ext=b"") -> None:
+        self.send_many([(dst, payload)], flags=flags, ext=ext)
 
-    def send_many(self, frames, *, flags: int = 0) -> None:
+    def send_many(self, frames, *, flags: int = 0, ext=b"") -> None:
         if self._closed:
             raise SendFailed(f"mux link {self.my_id} closed")
         inbox = self._router._inbox
         for dst, payload in frames:
-            inbox.put((self.my_id, dst, payload, flags))
+            # the hub sees what a socket would carry: block, then payload
+            inbox.put((self.my_id, dst, ext + payload if ext else payload, flags))
 
     def close(self) -> None:
         self._closed = True
@@ -580,80 +599,27 @@ class InprocMuxRouter:
                 return
             src, dst, payload, flags = item
             if self._dead and (src in self._dead or dst in self._dead):
-                with self._stats_lock:
-                    self.frames_dropped += 1
+                _discard(self)
                 continue
-            if flags & FLAG_TELEMETRY:
-                sink = self._telemetry_sink
-                if sink is not None:
-                    try:
-                        sink(bytes(payload))
-                    except Exception:  # noqa: BLE001 - sink must not kill the hub
-                        pass
-                if obs.enabled():
-                    obs.metrics().counter("mux.telemetry_frames_total").inc()
-                continue
-            if flags & FLAG_EPOCH and self._epoch_fence is not None:
-                if not _fence_ok(self._epoch_fence, src, flags, payload):
-                    with self._stats_lock:
-                        self.frames_fenced += 1
-                    if obs.enabled():
-                        obs.metrics().counter("mux.frames_fenced_total").inc()
-                    continue
-            is_ckpt = bool(flags & FLAG_CHECKPOINT)
-            deliver = self._ckpt_sinks.get(dst) if is_ckpt else self._deliver.get(dst)
-            if deliver is None:
-                with self._stats_lock:
-                    self.frames_dropped += 1
-                if obs.enabled():
-                    obs.metrics().counter("mux.frames_dropped_total").inc()
-                continue
-            nbytes = len(payload)
-            if faults.active() is not None:
-                copies, verdict = _forward_fault(src, dst, payload)
-                if verdict is _KILL_DST:
-                    # hard-disconnect: the site stops receiving anything,
-                    # and its own frames stop routing (socket-death parity)
-                    self._deliver.pop(dst, None)
-                    self._dead.add(dst)
-                if verdict is not None:
-                    with self._stats_lock:
-                        self.frames_dropped += 1
-                    continue
-            else:
-                copies = (payload,)
-            hop = _hop_span(flags, payload, src, dst)
-            delivered = []
-            for p in copies:
-                if flags & FLAG_TRACED:
-                    try:
-                        p = strip_trace_context(p)
-                    except FrameError:
-                        continue  # corrupted-in-flight frame
-                if flags & FLAG_EPOCH:
-                    try:
-                        p = strip_epoch(p)
-                    except FrameError:
-                        continue
-                delivered.append(p)
-            for i, p in enumerate(delivered):
-                try:
-                    if hop is not None and i == 0:
-                        with hop:
-                            deliver(p)
-                    else:
-                        deliver(p)
-                except Exception:  # noqa: BLE001 - a sink must not kill the hub
-                    if not is_ckpt:
-                        raise
-            with self._stats_lock:
-                rec = self._stats.setdefault((src, dst), [0, 0])
-                rec[0] += 1
-                rec[1] += nbytes
-            if obs.enabled():
-                m = obs.metrics()
-                m.counter("mux.frames_forwarded_total").inc()
-                m.counter("mux.bytes_forwarded_total").inc(nbytes)
+            _route(self, flags, src, dst, payload)
+
+    def _target(self, dst: int, flags: int):
+        sinks = self._ckpt_sinks if flags & FLAG_CHECKPOINT else self._deliver
+        return sinks.get(dst)
+
+    def _kill(self, dst: int) -> None:
+        # hard-disconnect: the site stops receiving anything, and its own
+        # frames stop routing (socket-death parity)
+        self._deliver.pop(dst, None)
+        self._dead.add(dst)
+
+    def _forward(self, deliver, flags, src, dst, frame, app) -> bool:
+        try:
+            deliver(app)
+        except Exception:  # noqa: BLE001 - a sink must not kill the hub
+            if not flags & FLAG_CHECKPOINT:
+                raise
+        return True
 
     def stats(self) -> dict[tuple[int, int], tuple[int, int]]:
         with self._stats_lock:

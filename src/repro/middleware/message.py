@@ -1,19 +1,21 @@
 """Wire framing and payload serialisation.
 
-Two frame formats share the middleware sockets:
+Every middleware socket carries **mux frames**: a compact 10-byte header
+``(version, flags, src, dst, length)`` so many logical streams share one
+long-lived connection and the hub forwards by destination id without
+re-dialing (the EOF-protocol role of the paper's Figure 7 connector).
+Metadata a frame carries besides its application payload — the sender's
+trace context, the cluster epoch — rides in one **extension block** at the
+head of the payload, announced by header flags; :func:`pack_extension` and
+:func:`split_extension` are its only encoder and decoder.  A frame with
+``flags == 0`` has no block: header + application bytes, nothing else.
 
-- **legacy frames** — an 8-byte big-endian unsigned length followed by the
-  payload (the EOF-protocol role of the paper's Figure 7 connector);
-- **mux frames** — a compact 10-byte header ``(version, flags, src, dst,
-  length)`` so many logical streams share one pooled connection and a
-  router hop can forward by destination id without re-dialing.
-
-Both paths are zero-copy where the kernel allows it: receives land in
-preallocated buffers via ``recv_into`` (one kernel→user copy per frame,
-no chunk-list reassembly) and sends use scatter-gather ``sendmsg`` so the
-header and payload never get concatenated in userspace.  ``StreamReader``
-is the incremental, non-blocking reassembler the event-driven receive
-loops (``selectors``-based) feed from.
+The path is zero-copy where the kernel allows it: receives land in
+preallocated buffers via ``recv_into`` (one kernel→user copy per read, no
+chunk-list reassembly) and sends use scatter-gather ``sendmsg`` so header,
+extension block and payload never get concatenated in userspace.
+``StreamReader`` is the incremental, non-blocking reassembler the
+event-driven receive loops (``selectors``-based) feed from.
 
 Payload helpers pack the measurement-exchange records (bus ids + Vm/Va
 pairs) into flat ``numpy`` buffers in a single allocation;
@@ -28,6 +30,13 @@ import struct
 
 import numpy as np
 
+from ..obs.trace import (
+    TRACE_CTX_SIZE,
+    SpanContext,
+    pack_span_context,
+    unpack_span_context,
+)
+
 __all__ = [
     "FrameError",
     "PeerClosed",
@@ -39,20 +48,11 @@ __all__ = [
     "FLAG_TELEMETRY",
     "FLAG_CHECKPOINT",
     "FLAG_EPOCH",
-    "TRACE_CTX",
-    "EPOCH_CTX",
-    "attach_trace_context",
-    "read_trace_context",
-    "strip_trace_context",
-    "attach_epoch",
-    "read_epoch",
-    "strip_epoch",
+    "pack_extension",
+    "split_extension",
     "pack_telemetry",
     "unpack_telemetry",
     "sendmsg_all",
-    "send_frame",
-    "send_frames",
-    "recv_frame",
     "send_mux_frame",
     "send_mux_frames",
     "recv_mux_frame",
@@ -70,13 +70,13 @@ _LEN = struct.Struct(">Q")
 #: refuse frames above this size (sanity bound, 1 GiB)
 MAX_FRAME = 1 << 30
 
-#: multiplexed fast-path header: version, flags, src id, dst id, payload length
+#: mux frame header: version, flags, src id, dst id, payload length
 MUX_HEADER = struct.Struct(">BBHHI")
 MUX_VERSION = 1
 #: control frame (connection registration HELLO / ACK), not forwarded data
 FLAG_CONTROL = 0x01
-#: the payload starts with a packed trace context (wire-level context
-#: propagation: the router hop and the receiver join the sender's trace)
+#: the extension block carries the sender's span context (wire-level
+#: context propagation: the router hop and the receiver join the trace)
 FLAG_TRACED = 0x02
 #: telemetry frame (compact metric deltas for the health plane's
 #: aggregation sink) — consumed at the mux hub, never forwarded to a dst
@@ -85,84 +85,72 @@ FLAG_TELEMETRY = 0x04
 #: the dst like data, but diverted to the dst's checkpoint sink instead of
 #: the ordinary receive queue
 FLAG_CHECKPOINT = 0x08
-#: the payload carries a packed cluster-epoch prefix (after the trace
-#: context when both flags are set); the mux hub may fence stale epochs
+#: the extension block carries the cluster epoch (after the span context
+#: when both flags are set); the mux hub may fence stale epochs
 FLAG_EPOCH = 0x10
 
-#: trace-context prefix carried by FLAG_TRACED payloads:
-#: sampled flag, trace id, span id (17 bytes)
-TRACE_CTX = struct.Struct(">BQQ")
-
-#: cluster-epoch prefix carried by FLAG_EPOCH payloads (8 bytes)
+#: cluster-epoch field of the extension block (8 bytes)
 EPOCH_CTX = struct.Struct(">Q")
 
 #: scatter-gather batches stay well under IOV_MAX (1024 on Linux)
 _IOV_BATCH = 256
 
 
-def attach_trace_context(payload, ctx) -> tuple[bytes, int]:
-    """Prefix ``payload`` with the packed span context ``ctx``.
+class FrameError(RuntimeError):
+    """Raised on malformed frames or broken connections."""
 
-    Returns ``(new_payload, FLAG_TRACED)``; the mux sender ORs the flag
-    into the frame header so the router and the receiving link know the
-    first :data:`TRACE_CTX` bytes are metadata, not application data.
+
+class PeerClosed(FrameError):
+    """Orderly EOF at a frame boundary (peer closed between frames)."""
+
+
+# ----------------------------------------------------------------------
+# header extension block
+# ----------------------------------------------------------------------
+def pack_extension(ctx: SpanContext | None, epoch: int | None) -> tuple[int, bytes]:
+    """Encode the metadata a frame carries ahead of its application bytes.
+
+    Returns ``(flags, block)``: the sender ORs ``flags`` into the frame
+    header and puts ``block`` — ``[span context][epoch]``, each present
+    only when given — in front of the payload (its own ``sendmsg`` buffer,
+    never concatenated).  ``(None, None)`` gives ``(0, b"")``: such a frame
+    is byte-identical to one that knows nothing of extensions.
     """
-    prefix = TRACE_CTX.pack(1 if ctx.sampled else 0, ctx.trace_id, ctx.span_id)
-    return prefix + payload, FLAG_TRACED
+    flags, block = 0, b""
+    if ctx is not None:
+        flags, block = FLAG_TRACED, pack_span_context(ctx)
+    if epoch is not None:
+        flags, block = flags | FLAG_EPOCH, block + EPOCH_CTX.pack(epoch)
+    return flags, block
 
 
-def read_trace_context(payload) -> tuple[int, int, bool]:
-    """Read ``(trace_id, span_id, sampled)`` from a traced payload's
-    prefix without consuming it (the router peeks; only the final
-    receiver strips)."""
-    if len(payload) < TRACE_CTX.size:
-        raise FrameError("traced payload shorter than its trace context")
-    sampled, trace_id, span_id = TRACE_CTX.unpack_from(payload, 0)
-    return trace_id, span_id, bool(sampled)
+def split_extension(flags: int, buf) -> tuple[SpanContext | None, int | None, object]:
+    """Inverse of :func:`pack_extension` on a received payload.
 
-
-def strip_trace_context(payload):
-    """Remove the trace-context prefix, returning the application payload.
-
-    Mutable buffers (``bytearray``) are trimmed in place (no new
-    allocation); immutable ones are sliced.
+    Returns ``(ctx, epoch, application payload)``; ``buf`` is not modified
+    (the hub reads the fields and forwards the frame whole, the receiving
+    edge keeps only the application bytes — ``buf`` itself when the flags
+    announce no block).  The one length check: a payload shorter than the
+    block its flags announce raises :class:`FrameError`, whichever field
+    the cut fell in.
     """
-    if isinstance(payload, bytearray):
-        del payload[: TRACE_CTX.size]
-        return payload
-    return payload[TRACE_CTX.size :]
-
-
-def attach_epoch(payload, epoch: int) -> tuple[bytes, int]:
-    """Prefix ``payload`` with the packed cluster epoch.
-
-    Returns ``(new_payload, FLAG_EPOCH)``.  The epoch prefix sits *inside*
-    the trace context on the wire (``[trace][epoch][app]``): callers attach
-    the epoch first, then trace-wrap, so the mux hub still peeks the trace
-    context at offset 0 and reads the epoch at a flag-dependent offset.
-    """
-    return EPOCH_CTX.pack(epoch) + payload, FLAG_EPOCH
-
-
-def read_epoch(payload, flags: int) -> int:
-    """Read the cluster epoch from an epoch-stamped payload without
-    consuming it (the hub peeks when fencing; only the final receiver
-    strips)."""
-    off = TRACE_CTX.size if flags & FLAG_TRACED else 0
-    if len(payload) < off + EPOCH_CTX.size:
-        raise FrameError("epoch-stamped payload shorter than its prefix")
-    return EPOCH_CTX.unpack_from(payload, off)[0]
-
-
-def strip_epoch(payload):
-    """Remove the epoch prefix (call after :func:`strip_trace_context`
-    when both flags are set), returning the application payload."""
-    if len(payload) < EPOCH_CTX.size:
-        raise FrameError("epoch-stamped payload shorter than its prefix")
-    if isinstance(payload, bytearray):
-        del payload[: EPOCH_CTX.size]
-        return payload
-    return payload[EPOCH_CTX.size :]
+    size = (TRACE_CTX_SIZE if flags & FLAG_TRACED else 0) + (
+        EPOCH_CTX.size if flags & FLAG_EPOCH else 0
+    )
+    if not size:
+        return None, None, buf
+    if len(buf) < size:
+        raise FrameError(
+            f"payload of {len(buf)} bytes is shorter than its "
+            f"{size}-byte extension block"
+        )
+    ctx = unpack_span_context(buf) if flags & FLAG_TRACED else None
+    epoch = (
+        EPOCH_CTX.unpack_from(buf, size - EPOCH_CTX.size)[0]
+        if flags & FLAG_EPOCH
+        else None
+    )
+    return ctx, epoch, buf[size:]
 
 
 #: telemetry payload header: version, flags (reserved), site-name length
@@ -202,14 +190,6 @@ def unpack_telemetry(buf) -> tuple[str, list]:
     site = bytes(buf[off : off + nlen]).decode("utf-8")
     records = json.loads(bytes(buf[off + nlen :]).decode("utf-8"))
     return site, records
-
-
-class FrameError(RuntimeError):
-    """Raised on malformed frames or broken connections."""
-
-
-class PeerClosed(FrameError):
-    """Orderly EOF at a frame boundary (peer closed between frames)."""
 
 
 # ----------------------------------------------------------------------
@@ -263,57 +243,33 @@ def _recv_exact(sock: socket.socket, n: int, *, eof_ok: bool = False) -> bytearr
     return buf
 
 
-def send_frame(sock: socket.socket, payload) -> None:
-    """Send one length-prefixed legacy frame (header + payload, one syscall)."""
-    if len(payload) > MAX_FRAME:
-        raise FrameError(f"frame too large: {len(payload)}")
-    sendmsg_all(sock, [_LEN.pack(len(payload)), payload])
-
-
-def send_frames(sock: socket.socket, payloads) -> None:
-    """Batch-coalesced send: many legacy frames ride one ``sendmsg``."""
-    parts = []
-    for payload in payloads:
-        if len(payload) > MAX_FRAME:
-            raise FrameError(f"frame too large: {len(payload)}")
-        parts.append(_LEN.pack(len(payload)))
-        parts.append(payload)
-    if parts:
-        sendmsg_all(sock, parts)
-
-
-def recv_frame(sock: socket.socket) -> bytearray:
-    """Receive one length-prefixed legacy frame."""
-    header = _recv_exact(sock, _LEN.size, eof_ok=True)
-    (length,) = _LEN.unpack(header)
+# ----------------------------------------------------------------------
+# mux frames
+# ----------------------------------------------------------------------
+def _frame_parts(flags: int, src: int, dst: int, ext, payload) -> list:
+    length = len(ext) + len(payload)
     if length > MAX_FRAME:
         raise FrameError(f"frame too large: {length}")
-    return _recv_exact(sock, length)
+    return [MUX_HEADER.pack(MUX_VERSION, flags, src, dst, length), ext, payload]
 
 
-# ----------------------------------------------------------------------
-# multiplexed fast-path frames
-# ----------------------------------------------------------------------
 def send_mux_frame(
-    sock: socket.socket, src: int, dst: int, payload, *, flags: int = 0
+    sock: socket.socket, src: int, dst: int, payload, *, flags: int = 0, ext=b""
 ) -> None:
-    """Send one mux frame (header + payload scatter-gathered)."""
-    if len(payload) > MAX_FRAME:
-        raise FrameError(f"frame too large: {len(payload)}")
-    header = MUX_HEADER.pack(MUX_VERSION, flags, src, dst, len(payload))
-    sendmsg_all(sock, [header, payload])
+    """Send one mux frame; header, extension block ``ext`` (see
+    :func:`pack_extension`) and payload are scatter-gathered."""
+    sendmsg_all(sock, _frame_parts(flags, src, dst, ext, payload))
 
 
-def send_mux_frames(sock: socket.socket, src: int, frames, *, flags: int = 0) -> None:
+def send_mux_frames(
+    sock: socket.socket, src: int, frames, *, flags: int = 0, ext=b""
+) -> None:
     """Batch-coalesced mux send: ``frames`` is an iterable of
     ``(dst, payload)`` pairs; all headers + payloads ride one syscall.
-    ``flags`` applies to every frame of the burst."""
+    ``flags`` and ``ext`` apply to every frame of the burst."""
     parts = []
     for dst, payload in frames:
-        if len(payload) > MAX_FRAME:
-            raise FrameError(f"frame too large: {len(payload)}")
-        parts.append(MUX_HEADER.pack(MUX_VERSION, flags, src, dst, len(payload)))
-        parts.append(payload)
+        parts += _frame_parts(flags, src, dst, ext, payload)
     if parts:
         sendmsg_all(sock, parts)
 
@@ -346,18 +302,15 @@ class StreamReader:
     read of up to :attr:`CHUNK` bytes — however many frames that completes —
     because every extra syscall is one more point where the calling thread
     hands the interpreter lock to another (whatever is left in the socket
-    raises the next readiness event).  Legacy mode yields payload buffers;
-    mux mode yields ``(flags, src, dst, payload)`` tuples.  Payload buffers
-    are freshly allocated per frame and owned by the caller (nothing
-    retains or reuses them here).
+    raises the next readiness event).  Frames come back as ``(flags, src,
+    dst, payload)`` tuples; payload buffers are freshly allocated per frame
+    and owned by the caller (nothing retains or reuses them here).
     """
 
     #: bytes asked of the socket per read
     CHUNK = 1 << 16
 
-    def __init__(self, *, mux: bool = False):
-        self._mux = mux
-        self._hsize = MUX_HEADER.size if mux else _LEN.size
+    def __init__(self):
         self._scratch = bytearray(self.CHUNK)
         self._view = memoryview(self._scratch)
         #: received bytes not yet returned as frames (a partial frame)
@@ -379,24 +332,18 @@ class StreamReader:
         if r == 0:
             if not buf:
                 raise PeerClosed("peer closed connection")
-            where = "mid-header" if len(buf) < self._hsize else "mid-payload"
+            where = "mid-header" if len(buf) < MUX_HEADER.size else "mid-payload"
             raise FrameError(f"connection closed {where}")
         buf += self._view[:r]
         frames = []
-        hsize = self._hsize
+        hsize = MUX_HEADER.size
         off, end = 0, len(buf)
         while end - off >= hsize:
             body = off + hsize
-            if self._mux:
-                flags, src, dst, length = _parse_mux_header(buf, off)
-            else:
-                (length,) = _LEN.unpack_from(buf, off)
-                if length > MAX_FRAME:
-                    raise FrameError(f"frame too large: {length}")
+            flags, src, dst, length = _parse_mux_header(buf, off)
             if end - body < length:
                 break
-            payload = buf[body : body + length]
-            frames.append((flags, src, dst, payload) if self._mux else payload)
+            frames.append((flags, src, dst, buf[body : body + length]))
             off = body + length
         del buf[:off]
         return frames
@@ -494,7 +441,7 @@ def pack_condensed_update(
     tie-adjacent boundary buses (not the full exchange set), bus ids
     shrink to ``uint32``, and after the first round the ordering is known
     to the receiver so ``values_only=True`` drops the id block entirely —
-    8 + 16n bytes against the legacy 8 + 24n over a strictly larger bus
+    8 + 16n bytes against the state form's 8 + 24n over a strictly larger bus
     set.  ``src`` identifies the publishing subsystem so the receiver can
     match a values-only frame to the cached ordering.
     """

@@ -2,10 +2,7 @@
 
 One schema everywhere: spans export as the dicts produced by
 :meth:`repro.obs.trace.Span.to_dict`, metrics as registry snapshots, and
-per-frame session records as :meth:`repro.core.telemetry.FrameReport.to_dict`
-— the same dicts ``benchmarks/record_bench.py`` embeds in its BENCH
-artifacts, so a recorded session and a benchmark run are mutually
-readable.
+per-frame session records as :meth:`repro.core.telemetry.FrameReport.to_dict`.
 
 - :func:`export_jsonl` / :func:`load_jsonl` — line-per-record dump of a
   session (``kind`` is ``span`` / ``metric`` / ``frame`` / ``meta``);

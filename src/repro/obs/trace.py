@@ -162,8 +162,7 @@ class Span:
         finally:
             # Restore the contextvar even when the sink raises — otherwise
             # this thread's "current span" leaks past the with-block and
-            # every later span silently parents into a dead trace (the
-            # same shape as the PR 4 re-entrant Timer fix).
+            # every later span silently parents into a dead trace.
             if self._token is not None:
                 _current.reset(self._token)
                 self._token = None

@@ -18,8 +18,7 @@ sequence replay bit-for-bit.
 
 The resulting :class:`LoadReport` is the row of a capacity curve:
 offered rate, achieved scenarios/s, client-view p50/p99 latency and the
-typed shed split — what ``benchmarks/bench_serving_capacity.py`` sweeps
-into ``BENCH_pr8.json``.
+typed shed split — what ``benchmarks/bench_serving_capacity.py`` sweeps.
 """
 
 from __future__ import annotations

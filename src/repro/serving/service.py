@@ -95,9 +95,6 @@ class ScenarioService:
         to trade for throughput).
     solver, sensitivity_threshold, rounds, tol:
         Estimation defaults, forwarded to the engine.
-    fast:
-        Forwarded to the live engine: multiplexed fast-path fabric
-        (default) vs legacy per-pair pipelines.
     batch_solve:
         Drain flushes through the SIMD path: estimation frames through one
         :class:`~repro.estimation.batch.BatchEstimator` (grouped by
@@ -134,7 +131,6 @@ class ScenarioService:
         rounds: int | None = None,
         tol: float = 1e-8,
         use_tcp: bool = False,
-        fast: bool = True,
         batch_solve: bool = False,
         request_timeout: float | None = None,
         max_queue: int | None = None,
@@ -183,7 +179,6 @@ class ScenarioService:
                 solver=solver,
                 sensitivity_threshold=sensitivity_threshold,
                 use_tcp=use_tcp,
-                fast=fast,
             )
         self.analyzer = analyzer or ContingencyAnalyzer(
             dec.net, method=contingency_method

@@ -13,7 +13,6 @@ from repro.cluster import (
     SimEngine,
     SimExecutor,
     TaskSpec,
-    ThreadExecutor,
     Timeout,
     WlsCostModel,
     calibrate_wls_cost,
@@ -328,16 +327,3 @@ class TestSimExecutor:
         ex = SimExecutor(pnnl_testbed())
         with pytest.raises(KeyError):
             ex.run_phase([TaskSpec("x", "bogus", 1.0)])
-
-
-class TestThreadExecutor:
-    def test_results_ordered(self):
-        ex = ThreadExecutor(max_workers=4)
-        results, times, wall = ex.map(lambda x: x * x, [1, 2, 3, 4])
-        assert results == [1, 4, 9, 16]
-        assert len(times) == 4
-        assert wall > 0
-
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            ThreadExecutor(max_workers=0)

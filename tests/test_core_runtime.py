@@ -42,25 +42,6 @@ class TestLiveRuntime:
         assert np.array_equal(live.Vm, ref.Vm)
         assert np.array_equal(live.Va, ref.Va)
 
-    @pytest.mark.parametrize("use_tcp", [False, True])
-    def test_bitwise_match_legacy_pipelines(self, live_setup, use_tcp):
-        """The legacy per-pair pipeline plane stays bit-identical too."""
-        dec, ms, ref = live_setup
-        live = LiveDseRuntime(dec, ms, use_tcp=use_tcp, fast=False).run()
-        assert live.errors == []
-        assert np.array_equal(live.Vm, ref.Vm)
-        assert np.array_equal(live.Va, ref.Va)
-
-    def test_fast_and_legacy_planes_bitwise_equal(self, live_setup):
-        """Same bytes, same barrier schedule: the multiplexed fast path
-        and the per-pair pipelines produce identical results."""
-        dec, ms, _ = live_setup
-        fast = LiveDseRuntime(dec, ms, fast=True).run()
-        legacy = LiveDseRuntime(dec, ms, fast=False).run()
-        assert fast.errors == [] and legacy.errors == []
-        assert np.array_equal(fast.Vm, legacy.Vm)
-        assert np.array_equal(fast.Va, legacy.Va)
-
     def test_site_stats_recorded(self, live_setup):
         dec, ms, _ = live_setup
         live = LiveDseRuntime(dec, ms).run()
@@ -98,22 +79,20 @@ class TestLiveRuntime:
         assert live.wall_time > 0
 
     def test_empty_fault_plan_keeps_bitwise_parity(self, live_setup):
-        """An installed injector with no rules leaves both data planes
-        bit-identical — the hooks are consulted but never fire."""
+        """An installed injector with no rules leaves the data plane
+        bit-identical — the hook is consulted but never fires."""
         from repro import faults
         from repro.faults import FaultPlan
 
         dec, ms, ref = live_setup
         with faults.injection(FaultPlan(seed=7)) as inj:
-            fast = LiveDseRuntime(dec, ms, fast=True).run()
-            legacy = LiveDseRuntime(dec, ms, fast=False).run()
+            live = LiveDseRuntime(dec, ms).run()
         assert inj.total_fired() == 0
-        for live in (fast, legacy):
-            assert live.errors == []
-            assert live.degraded == {}
-            assert live.degraded_subsystems == []
-            assert np.array_equal(live.Vm, ref.Vm)
-            assert np.array_equal(live.Va, ref.Va)
+        assert live.errors == []
+        assert live.degraded == {}
+        assert live.degraded_subsystems == []
+        assert np.array_equal(live.Vm, ref.Vm)
+        assert np.array_equal(live.Va, ref.Va)
 
     def test_starved_site_runs_degraded_round(self, live_setup):
         """Dropping every update bound for one site starves it for the
@@ -123,7 +102,7 @@ class TestLiveRuntime:
 
         dec, ms, _ = live_setup
         plan = FaultPlan(seed=0).add("mux.forward", "drop", key=(None, 0))
-        live = LiveDseRuntime(dec, ms, fast=True, recv_timeout=0.3)
+        live = LiveDseRuntime(dec, ms, recv_timeout=0.3)
         with faults.injection(plan):
             res = live.run(rounds=1)
         assert res.degraded == {0: [0]}

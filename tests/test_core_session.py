@@ -174,19 +174,25 @@ class TestSession:
 
     def test_fabric_frames_actually_relayed(self, net118):
         pf = run_ac_power_flow(net118)
-        with ArchitecturePrototype.assemble(
-            net118, m_subsystems=4, seed=0, with_fabric=True
-        ) as arch:
-            rng = np.random.default_rng(2)
-            plac = full_placement(net118).merged_with(dse_pmu_placement(arch.dec))
-            ms = generate_measurements(net118, plac, pf, rng=rng)
-            session = DseSession(arch)
-            session.process_frame(ms)
-            stats = arch.fabric.relay_stats()
-            relayed = sum(frames for frames, _ in stats.values())
-            # every subsystem published to every neighbour
-            expect = sum(len(arch.dec.neighbors(s)) for s in range(4))
-            assert relayed == expect
+        for fabric_tcp in (False, True):
+            with ArchitecturePrototype.assemble(
+                net118, m_subsystems=4, seed=0, with_fabric=True,
+                fabric_tcp=fabric_tcp,
+            ) as arch:
+                rng = np.random.default_rng(2)
+                plac = full_placement(net118).merged_with(
+                    dse_pmu_placement(arch.dec)
+                )
+                ms = generate_measurements(net118, plac, pf, rng=rng)
+                session = DseSession(arch)
+                session.process_frame(ms)
+                # exact the moment the frame returns: the hub counts a
+                # frame before the receiving site can hold it
+                stats = arch.fabric.relay_stats()
+                relayed = sum(frames for frames, _ in stats.values())
+                # every subsystem published to every neighbour
+                expect = sum(len(arch.dec.neighbors(s)) for s in range(4))
+                assert relayed == expect
 
     def test_centralized_sim_time(self, arch118, frame118):
         _, ms = frame118

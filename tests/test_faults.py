@@ -1,9 +1,8 @@
 """Unit tests for repro.faults and the resilience primitives it exercises.
 
 Covers the plan/injector determinism contract, the retry policy, the
-shutdown-aware data buffer, the typed error hierarchy, the transport
-fault hook, retry-driven sends through ``MWClient``, serving load
-shedding, and the simulated-cluster link failures.
+shutdown-aware data buffer, the typed error hierarchy, the mux-hop fault
+hook, serving load shedding, and the simulated-cluster link failures.
 """
 
 import threading
@@ -15,9 +14,8 @@ from repro import faults
 from repro.cluster import ClusterSpec, ClusterTopology, LinkSpec, SimComm, SimEngine
 from repro.cluster.simmpi import SimLinkDown
 from repro.faults import Decision, FaultInjector, FaultPlan, FaultRule, NO_FAULT
-from repro.middleware.client import DataBuffer, EndpointRegistry, MWClient
+from repro.middleware.client import DataBuffer, MWClient
 from repro.middleware.errors import (
-    DEFAULT_RETRY,
     ClientClosed,
     ConnectFailed,
     DeadlineExceeded,
@@ -26,7 +24,7 @@ from repro.middleware.errors import (
     RetryPolicy,
     SendFailed,
 )
-from repro.middleware.transports import InprocTransport, _faulted_payloads
+from repro.middleware.fastpath import _forward_fault
 
 
 @pytest.fixture(autouse=True)
@@ -54,7 +52,7 @@ class TestFaultPlan:
 
     def test_action_layer_mismatch_rejected(self):
         with pytest.raises(ValueError, match="not valid for layer"):
-            FaultRule(layer="transport.send", action="kill")
+            FaultRule(layer="mux.forward", action="kill")
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -79,7 +77,7 @@ class TestFaultPlan:
         assert not rule.matches((1, 2, 3))  # arity mismatch
 
     def test_empty_match_matches_everything(self):
-        rule = FaultRule(layer="transport.send", action="drop")
+        rule = FaultRule(layer="mux.forward", action="drop")
         assert rule.matches("tcp://a:1") and rule.matches(("x", "y"))
 
     def test_random_plan_is_seed_determined(self):
@@ -87,7 +85,7 @@ class TestFaultPlan:
         b = FaultPlan.random(1234, n_rules=5)
         assert a == b
         assert a != FaultPlan.random(1235, n_rules=5)
-        assert all(r.layer in ("transport.send", "mux.forward") for r in a.rules)
+        assert all(r.layer == "mux.forward" for r in a.rules)
 
 
 # ---------------------------------------------------------------------------
@@ -151,14 +149,14 @@ class TestInjectorDeterminism:
         assert not inj.decide("worker", 2)
 
     def test_after_skips_leading_events(self):
-        plan = FaultPlan(seed=0).add("transport.send", "drop", after=2)
+        plan = FaultPlan(seed=0).add("mux.forward", "drop", after=2)
         inj = FaultInjector(plan)
-        got = [bool(inj.decide("transport.send", "u")) for _ in range(4)]
+        got = [bool(inj.decide("mux.forward", "u")) for _ in range(4)]
         assert got == [False, False, True, True]
 
     def test_no_rules_for_layer_is_no_fault(self):
         inj = FaultInjector(FaultPlan(seed=0).add("worker", "kill"))
-        assert inj.decide("transport.send", "u") is NO_FAULT
+        assert inj.decide("mux.forward", "u") is NO_FAULT
 
     def test_total_fired_filters_by_layer(self):
         plan = FaultPlan(seed=0).add("worker", "kill").add("mux.forward", "drop")
@@ -284,8 +282,7 @@ class TestDataBufferClose:
             buf.get(timeout=1.0)
 
     def test_client_close_wakes_recv(self):
-        client = MWClient("x", EndpointRegistry(), inproc=InprocTransport())
-        client.serve("inproc://fault-close-x")
+        client = MWClient("x")
         done = []
 
         def blocked():
@@ -302,120 +299,28 @@ class TestDataBufferClose:
 
 
 # ---------------------------------------------------------------------------
-# transport fault hook
+# mux-hop fault hook
 # ---------------------------------------------------------------------------
 class TestFaultedPayloads:
     def test_no_injector_passthrough(self):
-        assert _faulted_payloads("u", b"abc") == (b"abc",)
-
-    def test_keyless_connections_never_faulted(self):
-        with faults.injection(FaultPlan(seed=0).add("transport.send", "drop")):
-            assert _faulted_payloads(None, b"abc") == (b"abc",)
+        assert _forward_fault(1, 2, b"abc") == ((b"abc",), False)
 
     def test_actions(self):
         plan = (
             FaultPlan(seed=0)
-            .add("transport.send", "drop", key="u-drop")
-            .add("transport.send", "duplicate", key="u-dup")
-            .add("transport.send", "corrupt", key="u-corrupt")
-            .add("transport.send", "disconnect", key="u-dc")
+            .add("mux.forward", "drop", key=(1, 2))
+            .add("mux.forward", "duplicate", key=(1, 3))
+            .add("mux.forward", "corrupt", key=(1, 4))
+            .add("mux.forward", "disconnect", key=(1, 5))
         )
         with faults.injection(plan):
-            assert _faulted_payloads("u-drop", b"abcdef") == ()
-            assert _faulted_payloads("u-dup", b"ab") == (b"ab", b"ab")
-            assert _faulted_payloads("u-corrupt", b"abcdef") == (b"abc",)
-            with pytest.raises(ConnectionResetError):
-                _faulted_payloads("u-dc", b"abcdef")
-            # unmatched keys proceed untouched
-            assert _faulted_payloads("other", b"xy") == (b"xy",)
-
-
-# ---------------------------------------------------------------------------
-# client dial faults and retries
-# ---------------------------------------------------------------------------
-class TestClientRetries:
-    def _pair(self, suffix, **kwargs):
-        t = InprocTransport()
-        registry = EndpointRegistry()
-        sender = MWClient("snd", registry, inproc=t, **kwargs)
-        receiver = MWClient("rcv", registry, inproc=t)
-        receiver.serve(f"inproc://fault-rcv-{suffix}")
-        return sender, receiver
-
-    def test_dial_fault_exhausts_budget_as_connect_failed(self):
-        sender, receiver = self._pair(
-            "a", retry=RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
-        )
-        try:
-            plan = FaultPlan(seed=0).add("client.dial", "fail")
-            with faults.injection(plan) as inj:
-                with pytest.raises(ConnectFailed):
-                    sender.send("rcv", b"x")
-                assert inj.total_fired("client.dial") == 2
-            assert sender.retries == 1
-        finally:
-            sender.close()
-            receiver.close()
-
-    def test_transient_dial_fault_retried_transparently(self):
-        sender, receiver = self._pair(
-            "b", retry=RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
-        )
-        try:
-            plan = FaultPlan(seed=0).add("client.dial", "fail", count=1)
-            with faults.injection(plan):
-                sender.send("rcv", b"payload")
-            assert receiver.recv(timeout=2.0) == b"payload"
-            assert sender.retries == 1
-        finally:
-            sender.close()
-            receiver.close()
-
-    def test_retry_none_fails_on_first_error(self):
-        sender, receiver = self._pair("c", retry=None)
-        try:
-            plan = FaultPlan(seed=0).add("client.dial", "fail", count=1)
-            with faults.injection(plan):
-                with pytest.raises(ConnectFailed):
-                    sender.send("rcv", b"x")
-            assert sender.retries == 0
-        finally:
-            sender.close()
-            receiver.close()
-
-    def test_disconnect_fault_retried_to_success(self):
-        sender, receiver = self._pair(
-            "d", retry=RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
-        )
-        try:
-            url = sender.registry.resolve("rcv")
-            plan = FaultPlan(seed=0).add(
-                "transport.send", "disconnect", key=url, count=1
-            )
-            with faults.injection(plan):
-                sender.send("rcv", b"recovered")
-            assert receiver.recv(timeout=2.0) == b"recovered"
-            assert sender.retries == 1
-        finally:
-            sender.close()
-            receiver.close()
-
-    def test_send_deadline_bounds_retry_storm(self):
-        sender, receiver = self._pair(
-            "e",
-            retry=RetryPolicy(max_attempts=50, base_delay=0.05, jitter=0.0),
-            send_deadline=0.05,
-        )
-        try:
-            plan = FaultPlan(seed=0).add("client.dial", "fail")
-            with faults.injection(plan):
-                t0 = time.monotonic()
-                with pytest.raises(SendFailed):
-                    sender.send("rcv", b"x")
-                assert time.monotonic() - t0 < 2.0
-        finally:
-            sender.close()
-            receiver.close()
+            assert _forward_fault(1, 2, b"abcdef") == ((), False)
+            assert _forward_fault(1, 3, b"ab") == ((b"ab", b"ab"), False)
+            assert _forward_fault(1, 4, b"abcdef") == ((b"abc",), False)
+            # the destination's connection dies; nothing is forwarded
+            assert _forward_fault(1, 5, b"abcdef") == ((), True)
+            # unmatched pairs proceed untouched
+            assert _forward_fault(2, 1, b"xy") == ((b"xy",), False)
 
 
 # ---------------------------------------------------------------------------

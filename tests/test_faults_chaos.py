@@ -47,7 +47,7 @@ def _fuzz_fabric(plan: FaultPlan):
     delivered = missed = 0
     inj = FaultInjector(plan)
     with faults.injection(inj):
-        with MiddlewareFabric(list(SITES), fast=True) as fabric:
+        with MiddlewareFabric(list(SITES)) as fabric:
             for rnd in range(ROUNDS):
                 payload = bytes([rnd]) * 64
                 for src in SITES:
@@ -126,7 +126,7 @@ class TestLiveRuntimeChaos:
         t0 = time.monotonic()
         with faults.injection(plan) as inj:
             res = LiveDseRuntime(
-                dec, ms, fast=True, recv_timeout=1.0, round_deadline=5.0
+                dec, ms, recv_timeout=1.0, round_deadline=5.0
             ).run(rounds=2)
         assert time.monotonic() - t0 < 120.0
         fired = inj.fired_summary()
@@ -139,7 +139,7 @@ class TestLiveRuntimeChaos:
         # round), so a fresh run under the same plan fires identically
         with faults.injection(plan) as inj2:
             LiveDseRuntime(
-                dec, ms, fast=True, recv_timeout=1.0, round_deadline=5.0
+                dec, ms, recv_timeout=1.0, round_deadline=5.0
             ).run(rounds=2)
         assert inj2.fired_summary() == fired
 
@@ -212,7 +212,7 @@ def _run_acceptance(net, ms, plan):
     ``(report, fired_summary, pool_respawns)``."""
     with ProcessPoolBackend(2) as pool:
         with ArchitecturePrototype.assemble(
-            net, m_subsystems=9, seed=0, with_fabric=True, fabric_fast=True
+            net, m_subsystems=9, seed=0, with_fabric=True
         ) as arch:
             session = DseSession(
                 arch, executor=pool, degrade_on_failure=True,

@@ -193,7 +193,7 @@ class TestDseParity:
         dec, ms = dse118
         rng = np.random.default_rng(42)
         dse = DistributedStateEstimator(dec, ms)
-        live = LiveDseRuntime(dec, ms, fast=True)
+        live = LiveDseRuntime(dec, ms)
         for _ in range(2):
             z = ms.z + rng.normal(0.0, 1e-4, size=len(ms.z))
             ref = dse.run(z=z)

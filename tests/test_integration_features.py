@@ -1,6 +1,4 @@
-"""Integration tests: session bad-data policy, contingency CLI, QoS stats."""
-
-import time
+"""Integration tests: session bad-data policy, contingency CLI."""
 
 import numpy as np
 import pytest
@@ -15,7 +13,6 @@ from repro.measurements import (
     generate_measurements,
     inject_bad_data,
 )
-from repro.middleware import MiddlewareFabric
 from repro.tools.contingency import main as contingency_main
 
 
@@ -98,22 +95,3 @@ class TestContingencyCli:
         assert contingency_main(
             ["--case", "case14", "--scheme", "static", "--top", "2"]
         ) == 0
-
-
-class TestPipelineQoS:
-    def test_latency_stats_populated(self):
-        with MiddlewareFabric(["a", "b"], pairs=[("a", "b")]) as fab:
-            for _ in range(5):
-                fab.send("a", "b", b"payload")
-                fab.recv("b", timeout=2)
-            time.sleep(0.05)
-            stats = fab.pipelines[("a", "b")].components[0].latency_stats()
-        assert stats["count"] == 5
-        assert 0 < stats["mean"] < 1.0
-        assert stats["p50"] <= stats["p95"] <= stats["max"]
-
-    def test_empty_stats(self):
-        from repro.middleware import MifComponent
-
-        stats = MifComponent("idle").latency_stats()
-        assert stats["count"] == 0

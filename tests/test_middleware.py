@@ -1,20 +1,17 @@
 """Tests for the MeDICi-style middleware."""
 
 import threading
-import time
 
 import numpy as np
 import pytest
 
 from repro.middleware import (
-    EndpointRegistry,
+    DataBuffer,
     FrameError,
-    InprocTransport,
-    MifComponent,
-    MifPipeline,
+    InprocMuxRouter,
     MiddlewareFabric,
+    MuxRouter,
     MWClient,
-    TcpTransport,
     pack_state_update,
     parse_endpoint,
     unpack_state_update,
@@ -72,177 +69,87 @@ class TestStateUpdatePacking:
 
 
 class TestInprocTransport:
-    def test_connect_without_listener(self):
-        t = InprocTransport()
-        with pytest.raises(ConnectionRefusedError):
-            t.connect("inproc://nobody")
+    """The fabric's in-process transport: the queue hub and its links."""
 
-    def test_duplicate_bind_rejected(self):
-        t = InprocTransport()
-        t.listen("inproc://x")
-        with pytest.raises(ValueError, match="already bound"):
-            t.listen("inproc://x")
+    def test_connect_without_listener(self):
+        with pytest.raises(RuntimeError, match="not started"):
+            InprocMuxRouter().attach(1, lambda p: None)
 
     def test_send_recv(self):
-        t = InprocTransport()
-        listener = t.listen("inproc://srv")
-        client = t.connect("inproc://srv")
-        server = listener.accept(timeout=1)
-        client.send_bytes(b"ping")
-        assert server.recv_bytes(timeout=1) == b"ping"
-        server.send_bytes(b"pong")
-        assert client.recv_bytes(timeout=1) == b"pong"
+        hub = InprocMuxRouter()
+        hub.start()
+        at_client, at_server = DataBuffer(), DataBuffer()
+        try:
+            client = hub.attach(1, at_client.put)
+            server = hub.attach(2, at_server.put)
+            client.send(2, b"ping")
+            assert at_server.get(timeout=1) == b"ping"
+            server.send(1, b"pong")
+            assert at_client.get(timeout=1) == b"pong"
+        finally:
+            hub.stop()
 
     def test_recv_timeout(self):
-        t = InprocTransport()
-        listener = t.listen("inproc://srv2")
-        client = t.connect("inproc://srv2")
-        server = listener.accept(timeout=1)
-        with pytest.raises(TimeoutError):
-            server.recv_bytes(timeout=0.05)
+        with MiddlewareFabric(["a", "b"], pairs=[("a", "b")]) as fab:
+            with pytest.raises(TimeoutError):
+                fab.recv("b", timeout=0.05)
 
     def test_scheme_mismatch(self):
-        t = InprocTransport()
-        with pytest.raises(ValueError):
-            t.listen("tcp://127.0.0.1:0")
+        with pytest.raises(ValueError, match="tcp endpoint"):
+            MuxRouter().start("inproc://hub")
 
 
 class TestTcpTransport:
+    """The fabric's TCP transport: the selector hub over localhost sockets."""
+
     def test_roundtrip_frames(self):
-        t = TcpTransport()
-        listener = t.listen("tcp://127.0.0.1:0")
-        got = []
-
-        def server():
-            conn = listener.accept(timeout=2)
-            got.append(conn.recv_bytes(timeout=2))
-            conn.send_bytes(b"ack")
-            conn.close()
-
-        th = threading.Thread(target=server, daemon=True)
-        th.start()
-        client = t.connect(listener.endpoint.url)
-        client.send_bytes(b"hello" * 1000)
-        assert client.recv_bytes(timeout=2) == b"ack"
-        th.join(timeout=2)
-        assert got[0] == b"hello" * 1000
-        client.close()
-        listener.close()
+        pairs = [("a", "b"), ("b", "a")]
+        with MiddlewareFabric(["a", "b"], pairs=pairs, use_tcp=True) as fab:
+            fab.send("a", "b", b"hello" * 1000)
+            assert fab.recv("b", timeout=2) == b"hello" * 1000
+            fab.send("b", "a", b"ack")
+            assert fab.recv("a", timeout=2) == b"ack"
 
     def test_port_zero_resolved(self):
-        t = TcpTransport()
-        listener = t.listen("tcp://127.0.0.1:0")
-        assert listener.endpoint.port > 0
-        listener.close()
+        router = MuxRouter()
+        try:
+            assert parse_endpoint(router.start("tcp://127.0.0.1:0")).port > 0
+        finally:
+            router.stop()
 
     def test_large_frame(self):
-        t = TcpTransport()
-        listener = t.listen("tcp://127.0.0.1:0")
+        """Larger than the socket buffers and many reads long: the hub's
+        non-blocking forward and both reassemblers see partial writes."""
         payload = bytes(np.random.default_rng(0).integers(0, 256, 2_000_000, dtype=np.uint8))
-        got = []
-
-        def server():
-            conn = listener.accept(timeout=2)
-            got.append(conn.recv_bytes(timeout=5))
-            conn.close()
-
-        th = threading.Thread(target=server, daemon=True)
-        th.start()
-        client = t.connect(listener.endpoint.url)
-        client.send_bytes(payload)
-        th.join(timeout=5)
-        assert got[0] == payload
-        client.close()
-        listener.close()
-
-
-class TestPipeline:
-    def test_relay_inproc(self):
-        t = InprocTransport()
-        sink = t.listen("inproc://sink")
-        pipeline = MifPipeline(inproc=t)
-        comp = MifComponent("relay")
-        pipeline.add_mif_component(comp)
-        comp.set_in_endpoint("inproc://pipe-in")
-        comp.set_out_endpoint("inproc://sink")
-        pipeline.start()
-        try:
-            conn = t.connect("inproc://pipe-in")
-            conn.send_bytes(b"data123")
-            server = sink.accept(timeout=2)
-            assert server.recv_bytes(timeout=2) == b"data123"
-            time.sleep(0.05)
-            assert comp.frames_relayed == 1
-            assert comp.bytes_relayed == 7
-        finally:
-            pipeline.stop()
-
-    def test_transform_applied(self):
-        t = InprocTransport()
-        sink = t.listen("inproc://sink-t")
-        pipeline = MifPipeline(inproc=t)
-        comp = MifComponent("upper", transform=lambda p: p.upper())
-        pipeline.add_mif_component(comp)
-        comp.set_in_endpoint("inproc://pipe-t")
-        comp.set_out_endpoint("inproc://sink-t")
-        pipeline.start()
-        try:
-            conn = t.connect("inproc://pipe-t")
-            conn.send_bytes(b"abc")
-            server = sink.accept(timeout=2)
-            assert server.recv_bytes(timeout=2) == b"ABC"
-        finally:
-            pipeline.stop()
-
-    def test_missing_endpoints_rejected(self):
-        pipeline = MifPipeline(inproc=InprocTransport())
-        pipeline.add_mif_component(MifComponent("incomplete"))
-        with pytest.raises(ValueError, match="missing endpoints"):
-            pipeline.start()
-
-    def test_double_start_rejected(self):
-        t = InprocTransport()
-        t.listen("inproc://s2")
-        pipeline = MifPipeline(inproc=t)
-        comp = MifComponent("x")
-        pipeline.add_mif_component(comp)
-        comp.set_in_endpoint("inproc://p2")
-        comp.set_out_endpoint("inproc://s2")
-        pipeline.start()
-        try:
-            with pytest.raises(RuntimeError):
-                pipeline.start()
-        finally:
-            pipeline.stop()
+        with MiddlewareFabric(["a", "b"], pairs=[("a", "b")], use_tcp=True) as fab:
+            sender = threading.Thread(target=fab.send, args=("a", "b", payload))
+            sender.start()
+            try:
+                assert fab.recv("b", timeout=10) == payload
+            finally:
+                sender.join(timeout=10)
+            assert not sender.is_alive()
 
 
 class TestMWClient:
+    """``MW_Client_Send`` / ``MW_Client_Recv``: estimators address each
+    other by name; each site's endpoint keeps its own buffer and counters."""
+
     def test_named_send(self):
-        t = InprocTransport()
-        registry = EndpointRegistry()
-        alice = MWClient("alice", registry, inproc=t)
-        bob = MWClient("bob", registry, inproc=t)
-        alice.serve("inproc://alice")
-        bob.serve("inproc://bob")
-        try:
-            alice.send("bob", b"hi bob")
-            assert bob.recv(timeout=2) == b"hi bob"
-            assert alice.bytes_sent == 6
-            assert bob.bytes_received == 6
-        finally:
-            alice.close()
-            bob.close()
+        pairs = [("alice", "bob")]
+        with MiddlewareFabric(["alice", "bob"], pairs=pairs) as fab:
+            fab.send("alice", "bob", b"hi bob")
+            assert fab.clients["bob"].recv(timeout=2) == b"hi bob"
+            assert fab.clients["alice"].bytes_sent == 6
+            assert fab.clients["bob"].bytes_received == 6
 
     def test_unknown_destination(self):
-        registry = EndpointRegistry()
-        client = MWClient("solo", registry, inproc=InprocTransport())
-        with pytest.raises(KeyError, match="unknown estimator"):
-            client.send("ghost", b"x")
+        with MiddlewareFabric(["solo"]) as fab:
+            with pytest.raises(KeyError, match="no pipeline for solo -> ghost"):
+                fab.send("solo", "ghost", b"x")
 
     def test_recv_timeout(self):
-        t = InprocTransport()
-        client = MWClient("x", EndpointRegistry(), inproc=t)
-        client.serve("inproc://x")
+        client = MWClient("x")
         try:
             with pytest.raises(TimeoutError):
                 client.recv(timeout=0.05)
@@ -270,7 +177,6 @@ class TestFabric:
         with MiddlewareFabric(["a", "b"], pairs=[("a", "b")]) as fab:
             fab.send("a", "b", b"12345")
             fab.recv("b", timeout=2)
-            time.sleep(0.05)
             frames, nbytes = fab.relay_stats()[("a", "b")]
             assert frames == 1
             assert nbytes == 5

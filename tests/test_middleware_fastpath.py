@@ -1,12 +1,14 @@
-"""Tests for the middleware fast path: pooling, mux framing, zero-copy.
+"""Tests for the mux data plane: framing, the hub fabric, zero-copy.
 
 Covers the frame edge cases (MAX_FRAME boundary, oversized rejection on
-both ends, mid-header / mid-payload disconnects, interleaved concurrent
-senders over one pooled connection), the pooled ``MWClient`` lifecycle
-(reuse, reconnect, idle reaping), the mux router data plane, and the
-zero-copy pack/unpack contracts.
+both ends, mid-header / mid-payload disconnects), the incremental
+reassembler, a site's one pooled link shared by concurrent senders, the
+mux router data plane (routing, statistics counted before delivery,
+frames cut inside their extension block), and the zero-copy pack/unpack
+contracts.
 """
 
+import queue
 import socket
 import struct
 import threading
@@ -15,27 +17,25 @@ import time
 import numpy as np
 import pytest
 
+from repro import faults, obs
+from repro.faults import FaultPlan
 from repro.middleware import (
     ClientClosed,
-    EndpointRegistry,
     FrameError,
-    InprocTransport,
+    InprocMuxRouter,
     MiddlewareFabric,
     MuxRouter,
-    MWClient,
     PeerClosed,
     StreamReader,
-    TcpTransport,
+    pack_extension,
     pack_state_update,
-    recv_frame,
     recv_mux_frame,
-    send_frame,
-    send_frames,
     send_mux_frame,
     send_mux_frames,
     unpack_state_update,
 )
 from repro.middleware import message as message_mod
+from repro.middleware.message import FLAG_EPOCH, FLAG_TRACED, MUX_HEADER
 
 
 def _socketpair():
@@ -51,8 +51,8 @@ class TestFrameEdgeCases:
         monkeypatch.setattr(message_mod, "MAX_FRAME", 64)
         a, b = _socketpair()
         try:
-            send_frame(a, b"x" * 64)  # exactly MAX_FRAME: allowed
-            assert recv_frame(b) == b"x" * 64
+            send_mux_frame(a, 1, 2, b"x" * 64)  # exactly MAX_FRAME: allowed
+            assert recv_mux_frame(b)[3] == b"x" * 64
         finally:
             a.close()
             b.close()
@@ -62,25 +62,27 @@ class TestFrameEdgeCases:
         a, b = _socketpair()
         try:
             with pytest.raises(FrameError, match="too large"):
-                send_frame(a, b"x" * 65)
-            with pytest.raises(FrameError, match="too large"):
-                send_frames(a, [b"ok", b"x" * 65])
-            with pytest.raises(FrameError, match="too large"):
                 send_mux_frame(a, 1, 2, b"x" * 65)
             with pytest.raises(FrameError, match="too large"):
-                send_mux_frames(a, 1, [(2, b"x" * 65)])
+                send_mux_frames(a, 1, [(2, b"ok"), (2, b"x" * 65)])
+            # the extension block counts toward the frame
+            flags, ext = pack_extension(None, 7)
+            with pytest.raises(FrameError, match="too large"):
+                send_mux_frame(a, 1, 2, b"x" * 60, flags=flags, ext=ext)
         finally:
             a.close()
             b.close()
 
     def test_oversized_rejected_on_recv(self, monkeypatch):
+        """The incremental reader refuses an over-limit header too."""
         a, b = _socketpair()
+        b.setblocking(False)
         try:
-            # handcrafted legacy header advertising an over-limit frame
-            a.sendall(struct.pack(">Q", 65))
+            a.sendall(MUX_HEADER.pack(1, 0, 3, 4, 65))
+            time.sleep(0.05)
             monkeypatch.setattr(message_mod, "MAX_FRAME", 64)
             with pytest.raises(FrameError, match="too large"):
-                recv_frame(b)
+                StreamReader().feed(b)
         finally:
             a.close()
             b.close()
@@ -88,7 +90,7 @@ class TestFrameEdgeCases:
     def test_oversized_rejected_on_mux_recv(self, monkeypatch):
         a, b = _socketpair()
         try:
-            a.sendall(message_mod.MUX_HEADER.pack(1, 0, 3, 4, 65))
+            a.sendall(MUX_HEADER.pack(1, 0, 3, 4, 65))
             monkeypatch.setattr(message_mod, "MAX_FRAME", 64)
             with pytest.raises(FrameError, match="too large"):
                 recv_mux_frame(b)
@@ -98,21 +100,21 @@ class TestFrameEdgeCases:
 
     def test_closed_mid_header(self):
         a, b = _socketpair()
-        a.sendall(b"\x00\x00\x00")  # 3 of 8 header bytes
+        a.sendall(b"\x01\x00\x00")  # 3 of 10 header bytes
         a.close()
         try:
             with pytest.raises(FrameError, match="mid-frame"):
-                recv_frame(b)
+                recv_mux_frame(b)
         finally:
             b.close()
 
     def test_closed_mid_payload(self):
         a, b = _socketpair()
-        a.sendall(struct.pack(">Q", 10) + b"abcd")  # 4 of 10 payload bytes
+        a.sendall(MUX_HEADER.pack(1, 0, 3, 4, 10) + b"abcd")  # 4 of 10 bytes
         a.close()
         try:
             with pytest.raises(FrameError, match="mid-frame"):
-                recv_frame(b)
+                recv_mux_frame(b)
         finally:
             b.close()
 
@@ -121,7 +123,7 @@ class TestFrameEdgeCases:
         a.close()
         try:
             with pytest.raises(PeerClosed):
-                recv_frame(b)
+                recv_mux_frame(b)
         finally:
             b.close()
 
@@ -139,7 +141,7 @@ class TestFrameEdgeCases:
     def test_mux_version_mismatch_rejected(self):
         a, b = _socketpair()
         try:
-            a.sendall(message_mod.MUX_HEADER.pack(99, 0, 0, 0, 0))
+            a.sendall(MUX_HEADER.pack(99, 0, 0, 0, 0))
             with pytest.raises(FrameError, match="version"):
                 recv_mux_frame(b)
         finally:
@@ -150,12 +152,16 @@ class TestFrameEdgeCases:
         a, b = _socketpair()
         try:
             payloads = [b"one", b"", b"three" * 100]
-            send_frames(a, payloads)
+            send_mux_frames(a, 1, [(2, p) for p in payloads])
             for expect in payloads:
-                assert recv_frame(b) == expect
+                assert recv_mux_frame(b) == (0, 1, 2, expect)
         finally:
             a.close()
             b.close()
+
+
+def _frame(dst: int, payload: bytes) -> bytes:
+    return MUX_HEADER.pack(1, 0, 5, dst, len(payload)) + payload
 
 
 class TestStreamReader:
@@ -164,7 +170,7 @@ class TestStreamReader:
         b.setblocking(False)
         reader = StreamReader()
         try:
-            wire = struct.pack(">Q", 5) + b"hello"
+            wire = _frame(8, b"hello")
             for i, byte in enumerate(wire):
                 a.sendall(bytes([byte]))
                 # tiny wait so the byte is visible to the reader
@@ -177,7 +183,7 @@ class TestStreamReader:
                         pytest.fail("frame never completed")
                 if i < len(wire) - 1:
                     assert frames == []
-            assert frames == [b"hello"]
+            assert frames == [(0, 5, 8, b"hello")]
         finally:
             a.close()
             b.close()
@@ -187,10 +193,10 @@ class TestStreamReader:
         b.setblocking(False)
         reader = StreamReader()
         try:
-            send_frames(a, [b"x", b"yy", b"zzz"])
+            send_mux_frames(a, 5, [(8, b"x"), (8, b"yy"), (8, b"zzz")])
             time.sleep(0.05)
             frames = reader.feed(b)
-            assert frames == [b"x", b"yy", b"zzz"]
+            assert [p for _, _, _, p in frames] == [b"x", b"yy", b"zzz"]
         finally:
             a.close()
             b.close()
@@ -198,14 +204,14 @@ class TestStreamReader:
     def test_mux_mode_metadata(self):
         a, b = _socketpair()
         b.setblocking(False)
-        reader = StreamReader(mux=True)
+        reader = StreamReader()
         try:
-            send_mux_frames(a, 5, [(8, b"p1"), (9, b"p2")])
+            send_mux_frames(a, 5, [(8, b"p1"), (9, b"p2")], flags=FLAG_EPOCH)
             time.sleep(0.05)
             frames = reader.feed(b)
-            assert [(s, d, bytes(p)) for _, s, d, p in frames] == [
-                (5, 8, b"p1"),
-                (5, 9, b"p2"),
+            assert [(f, s, d, bytes(p)) for f, s, d, p in frames] == [
+                (FLAG_EPOCH, 5, 8, b"p1"),
+                (FLAG_EPOCH, 5, 9, b"p2"),
             ]
         finally:
             a.close()
@@ -214,7 +220,7 @@ class TestStreamReader:
     def test_one_read_returns_whole_frames_and_keeps_the_tail(self):
         a, b = _socketpair()
         b.setblocking(False)
-        reader = StreamReader(mux=True)
+        reader = StreamReader()
         try:
             third = struct.pack(">BBHHI", 1, 0, 5, 9, 6) + b"thr"
             send_mux_frames(a, 5, [(8, b"one"), (9, b"")])
@@ -238,7 +244,9 @@ class TestStreamReader:
         b.setblocking(False)
         reader = StreamReader()
         big = bytes(range(256)) * (3 * StreamReader.CHUNK // 256) + b"tail"
-        sender = threading.Thread(target=send_frames, args=(a, [big, b"next"]))
+        sender = threading.Thread(
+            target=send_mux_frames, args=(a, 5, [(8, big), (8, b"next")])
+        )
         sender.start()
         try:
             frames, reads = [], 0
@@ -248,7 +256,7 @@ class TestStreamReader:
                     pytest.fail("large frame never completed")
                 frames += reader.feed(b)
                 reads += 1
-            assert frames == [big, b"next"]
+            assert [p for _, _, _, p in frames] == [big, b"next"]
             assert reads > 3  # reassembled across reads, not in one
         finally:
             sender.join(timeout=5)
@@ -260,7 +268,7 @@ class TestStreamReader:
         b.setblocking(False)
         reader = StreamReader()
         try:
-            a.sendall(struct.pack(">Q", 10) + b"1234")
+            a.sendall(MUX_HEADER.pack(1, 0, 5, 8, 10) + b"1234")
             a.close()
             time.sleep(0.05)
             # one read per feed: the partial frame first, the EOF behind it
@@ -272,119 +280,33 @@ class TestStreamReader:
 
 
 # ----------------------------------------------------------------------
-# socket timeout hygiene
-# ----------------------------------------------------------------------
-class TestTimeoutRestored:
-    def test_recv_bytes_restores_socket_timeout(self):
-        t = TcpTransport()
-        listener = t.listen("tcp://127.0.0.1:0")
-        got = []
-
-        def server():
-            conn = listener.accept(timeout=2)
-            got.append(conn)
-
-        th = threading.Thread(target=server, daemon=True)
-        th.start()
-        client = t.connect(listener.endpoint.url)
-        th.join(timeout=2)
-        try:
-            assert client._sock.gettimeout() is None
-            with pytest.raises(TimeoutError):
-                client.recv_bytes(timeout=0.05)
-            # the per-call timeout must not leak into the socket state
-            assert client._sock.gettimeout() is None
-        finally:
-            client.close()
-            for conn in got:
-                conn.close()
-            listener.close()
-
-
-# ----------------------------------------------------------------------
-# pooled client
+# a site's one pooled link
 # ----------------------------------------------------------------------
 class TestPooledClient:
-    def _tcp_pair(self, **kw):
-        registry = EndpointRegistry()
-        rx = MWClient("rx", registry)
-        rx.serve("tcp://127.0.0.1:0")
-        tx = MWClient("tx", registry, **kw)
-        return registry, rx, tx
+    """What client-side connection pooling came to: a site dials the hub
+    once and every send of every thread rides that one duplex link."""
 
     def test_connection_reused_across_sends(self):
-        _, rx, tx = self._tcp_pair()
-        try:
+        with MiddlewareFabric(
+            ["tx", "rx"], pairs=[("tx", "rx")], use_tcp=True
+        ) as fab:
             for i in range(10):
-                tx.send("rx", b"m%d" % i)
+                fab.send("tx", "rx", b"m%d" % i)
             for i in range(10):
-                assert rx.recv(timeout=2) == b"m%d" % i
-            assert tx.dials == 1
-        finally:
-            tx.close()
-            rx.close()
-
-    def test_unpooled_dials_per_message(self):
-        _, rx, tx = self._tcp_pair(pool=False)
-        try:
-            for i in range(3):
-                tx.send("rx", b"x")
-            for _ in range(3):
-                rx.recv(timeout=2)
-            assert tx.dials == 3
-        finally:
-            tx.close()
-            rx.close()
-
-    def test_reconnect_after_broken_connection(self):
-        registry, rx, tx = self._tcp_pair()
-        try:
-            tx.send("rx", b"first")
-            assert rx.recv(timeout=2) == b"first"
-            # break the pooled connection out from under the client
-            url = registry.resolve("rx")
-            tx._pool[url].close()
-            tx.send("rx", b"second")  # transparent re-dial
-            assert rx.recv(timeout=2) == b"second"
-            assert tx.dials == 2
-        finally:
-            tx.close()
-            rx.close()
-
-    def test_idle_connections_reaped(self):
-        t = InprocTransport()
-        registry = EndpointRegistry()
-        a = MWClient("a", registry, inproc=t)
-        b = MWClient("b", registry, inproc=t)
-        a.serve("inproc://a")
-        b.serve("inproc://b")
-        tx = MWClient("tx", registry, inproc=t, pool_idle_timeout=0.05)
-        try:
-            tx.send("a", b"x")
-            assert len(tx._pool) == 1
-            time.sleep(0.1)
-            tx.send("b", b"y")  # reaps the idle connection to a
-            assert len(tx._pool) == 1
-            assert registry.resolve("a") not in tx._pool
-            tx.send("a", b"z")  # re-dial
-            assert tx.dials == 3
-            assert a.recv(timeout=2) == b"x"
-            assert a.recv(timeout=2) == b"z"
-            assert b.recv(timeout=2) == b"y"
-        finally:
-            tx.close()
-            a.close()
-            b.close()
+                assert fab.recv("rx", timeout=2) == b"m%d" % i
+            # one registered connection per site, however many sends
+            assert len(fab._hub._routes) == 2
 
     def test_interleaved_concurrent_senders_one_connection(self):
-        """Many threads share one pooled connection; frames never tear."""
-        _, rx, tx = self._tcp_pair()
+        """Many threads share one link; frames never tear."""
         n_threads, n_msgs = 8, 25
-        try:
+        with MiddlewareFabric(
+            ["tx", "rx"], pairs=[("tx", "rx")], use_tcp=True
+        ) as fab:
             def sender(tid):
                 for i in range(n_msgs):
                     # distinct fill byte and length per (thread, message)
-                    tx.send("rx", bytes([tid]) * (100 + tid * 13 + i))
+                    fab.send("tx", "rx", bytes([tid]) * (100 + tid * 13 + i))
 
             threads = [
                 threading.Thread(target=sender, args=(tid,), daemon=True)
@@ -396,29 +318,23 @@ class TestPooledClient:
                 th.join(timeout=10)
             counts = {}
             for _ in range(n_threads * n_msgs):
-                payload = bytes(rx.recv(timeout=5))
+                payload = bytes(fab.recv("rx", timeout=5))
                 tid = payload[0]
                 assert payload == bytes([tid]) * len(payload)  # untorn
                 counts[tid] = counts.get(tid, 0) + 1
             assert counts == {tid: n_msgs for tid in range(1, n_threads + 1)}
-            assert tx.dials == 1
-        finally:
-            tx.close()
-            rx.close()
+            assert len(fab._hub._routes) == 2
 
     def test_send_many_coalesces_in_order(self):
-        _, rx, tx = self._tcp_pair()
-        try:
-            tx.send_many("rx", [b"a", b"bb", b"ccc"])
-            assert [bytes(rx.recv(timeout=2)) for _ in range(3)] == [
+        with MiddlewareFabric(
+            ["tx", "rx"], pairs=[("tx", "rx")], use_tcp=True
+        ) as fab:
+            fab.send_many("tx", [("rx", b"a"), ("rx", b"bb"), ("rx", b"ccc")])
+            assert [bytes(fab.recv("rx", timeout=2)) for _ in range(3)] == [
                 b"a",
                 b"bb",
                 b"ccc",
             ]
-            assert tx.dials == 1
-        finally:
-            tx.close()
-            rx.close()
 
 
 # ----------------------------------------------------------------------
@@ -429,21 +345,13 @@ class TestMuxFabric:
     def test_roundtrip_and_stats(self, use_tcp):
         pairs = [("a", "b"), ("b", "a"), ("a", "c")]
         with MiddlewareFabric(
-            ["a", "b", "c"], pairs=pairs, use_tcp=use_tcp, fast=True
+            ["a", "b", "c"], pairs=pairs, use_tcp=use_tcp
         ) as fab:
             fab.send("a", "b", b"hello")
             assert bytes(fab.recv("b", timeout=2)) == b"hello"
             fab.send_many("a", [("b", b"x" * 10), ("c", b"y" * 20)])
             assert bytes(fab.recv("b", timeout=2)) == b"x" * 10
             assert bytes(fab.recv("c", timeout=2)) == b"y" * 20
-            deadline = time.time() + 2
-            while (
-                fab.relay_stats()[("a", "b")][0] < 2
-                or fab.relay_stats()[("a", "c")][0] < 1
-            ):
-                if time.time() > deadline:  # pragma: no cover
-                    pytest.fail("stats never caught up")
-                time.sleep(0.01)
             stats = fab.relay_stats()
             assert stats[("a", "b")] == (2, 15)
             assert stats[("a", "c")] == (1, 20)
@@ -461,7 +369,7 @@ class TestMuxFabric:
 
         before = len(readers())
         with MiddlewareFabric(
-            ["a", "b"], pairs=[("a", "b")], use_tcp=True, fast=True
+            ["a", "b"], pairs=[("a", "b")], use_tcp=True
         ) as fab:
             assert len(readers()) == before
             fab.send_many("a", [("b", b"one"), ("b", b"two")])
@@ -480,7 +388,7 @@ class TestMuxFabric:
 
     def test_tcp_recv_fails_fast_when_the_hub_is_gone(self):
         with MiddlewareFabric(
-            ["a", "b"], pairs=[("a", "b")], use_tcp=True, fast=True
+            ["a", "b"], pairs=[("a", "b")], use_tcp=True
         ) as fab:
             fab._hub.stop()
             t0 = time.monotonic()
@@ -489,25 +397,55 @@ class TestMuxFabric:
             assert time.monotonic() - t0 < 2.0
 
     def test_relay_stats_accumulate_across_exchanges(self):
-        with MiddlewareFabric(["a", "b"], pairs=[("a", "b")], fast=True) as fab:
-            for k in (1, 2, 3):
-                fab.send("a", "b", b"12345")
-                fab.recv("b", timeout=2)
-                deadline = time.time() + 2
-                while fab.relay_stats()[("a", "b")] != (k, 5 * k):
-                    if time.time() > deadline:  # pragma: no cover
-                        pytest.fail("stats never caught up")
-                    time.sleep(0.01)
+        """A hub counts a frame before it hands it on: whoever holds the
+        payload finds it in the statistics, every time, on both hubs."""
+        for use_tcp in (False, True):
+            with MiddlewareFabric(
+                ["a", "b"], pairs=[("a", "b")], use_tcp=use_tcp
+            ) as fab:
+                for k in range(1, 501):
+                    fab.send("a", "b", b"12345")
+                    fab.recv("b", timeout=2)
+                    assert fab.relay_stats()[("a", "b")] == (k, 5 * k)
+
+    @pytest.mark.parametrize("hub_cls", [InprocMuxRouter, MuxRouter])
+    def test_frame_cut_inside_its_extension_block_is_dropped(self, hub_cls):
+        """A frame whose payload ends inside the block its flags announce
+        — sent that way, or cut by a ``corrupt`` fault at the hop — is
+        dropped and counted at the hub, never delivered empty or shifted."""
+        hub = hub_cls()
+        hub.start()
+        got = queue.SimpleQueue()
+        ctx = obs.SpanContext(trace_id=1, span_id=2, sampled=True)
+        flags, ext = pack_extension(ctx, 9)
+        assert flags == FLAG_TRACED | FLAG_EPOCH and len(ext) == 25
+        try:
+            sender = hub.attach(1, lambda p: None)
+            hub.attach(2, got.put)
+            for cut in range(len(ext)):  # every truncation of the block
+                sender.send(2, ext[:cut], flags=flags)
+            # a small traced payload halved in flight ends inside the block
+            with faults.injection(FaultPlan(seed=0).add("mux.forward", "corrupt")):
+                sender.send(2, b"abc", flags=flags, ext=ext)
+                sender.send(2, b"intact", flags=0)  # halved, but no block
+                # frames are handled in order: once this one is here,
+                # everything before it is accounted
+                assert bytes(got.get(timeout=2)) == b"int"
+            assert got.empty()
+            assert hub.frames_dropped == len(ext) + 1
+            assert hub.stats() == {(1, 2): (1, 6)}
+        finally:
+            hub.stop()
 
     def test_unknown_pair_rejected(self):
-        with MiddlewareFabric(["a", "b"], pairs=[("a", "b")], fast=True) as fab:
+        with MiddlewareFabric(["a", "b"], pairs=[("a", "b")]) as fab:
             with pytest.raises(KeyError, match="no pipeline"):
                 fab.send("b", "a", b"x")
             with pytest.raises(KeyError, match="no pipeline"):
                 fab.send_many("b", [("a", b"x")])
 
     def test_state_update_through_fast_fabric(self):
-        with MiddlewareFabric(["s0", "s1"], pairs=[("s0", "s1")], fast=True) as fab:
+        with MiddlewareFabric(["s0", "s1"], pairs=[("s0", "s1")]) as fab:
             payload = pack_state_update(
                 np.array([7, 8]), np.array([1.01, 0.99]), np.array([0.05, -0.02])
             )
@@ -534,7 +472,7 @@ class TestMuxFabric:
             router.stop()
 
     def test_bytes_accounting(self):
-        with MiddlewareFabric(["a", "b"], pairs=[("a", "b")], fast=True) as fab:
+        with MiddlewareFabric(["a", "b"], pairs=[("a", "b")]) as fab:
             fab.send("a", "b", b"12345")
             fab.recv("b", timeout=2)
             assert fab.clients["a"].bytes_sent == 5

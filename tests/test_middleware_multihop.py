@@ -1,6 +1,4 @@
-"""Tests for multi-hop pipeline routing and warm-started DSE."""
-
-import time
+"""Tests for warm-started DSE."""
 
 import numpy as np
 import pytest
@@ -9,82 +7,6 @@ from repro.dse import DistributedStateEstimator, decompose, dse_pmu_placement
 from repro.grid import run_ac_power_flow
 from repro.grid.cases import case118
 from repro.measurements import full_placement, generate_measurements
-from repro.middleware import InprocTransport, MifComponent, MifPipeline
-
-
-class TestMultiHopPipelines:
-    """Pipelines chain naturally: the outbound endpoint of one relay can be
-    the inbound endpoint of another — the hierarchical routing structure of
-    the architecture's Figure 1 top layer."""
-
-    def _chain(self, hops: int):
-        t = InprocTransport()
-        sink = t.listen("inproc://final-sink")
-        pipelines = []
-        next_out = "inproc://final-sink"
-        entry = None
-        for h in reversed(range(hops)):
-            pipeline = MifPipeline(inproc=t)
-            comp = MifComponent(f"hop{h}")
-            pipeline.add_mif_component(comp)
-            comp.set_in_endpoint(f"inproc://hop-{h}")
-            comp.set_out_endpoint(next_out)
-            pipeline.start()
-            pipelines.append(pipeline)
-            next_out = f"inproc://hop-{h}"
-            entry = comp.in_endpoint
-        return t, sink, pipelines, entry
-
-    def test_two_hop_delivery(self):
-        t, sink, pipelines, entry = self._chain(2)
-        try:
-            conn = t.connect(entry)
-            conn.send_bytes(b"through two relays")
-            server = sink.accept(timeout=2)
-            assert server.recv_bytes(timeout=2) == b"through two relays"
-        finally:
-            for p in pipelines:
-                p.stop()
-
-    def test_each_hop_counts_frames(self):
-        t, sink, pipelines, entry = self._chain(3)
-        try:
-            conn = t.connect(entry)
-            for _ in range(4):
-                conn.send_bytes(b"x" * 64)
-            server = sink.accept(timeout=2)
-            for _ in range(4):
-                server.recv_bytes(timeout=2)
-            time.sleep(0.1)
-            for p in pipelines:
-                assert p.components[0].frames_relayed == 4
-        finally:
-            for p in pipelines:
-                p.stop()
-
-    def test_transforms_compose_in_order(self):
-        t = InprocTransport()
-        sink = t.listen("inproc://c-sink")
-        p2 = MifPipeline(inproc=t)
-        c2 = MifComponent("suffix", transform=lambda b: b + b"!")
-        p2.add_mif_component(c2)
-        c2.set_in_endpoint("inproc://c-mid")
-        c2.set_out_endpoint("inproc://c-sink")
-        p2.start()
-        p1 = MifPipeline(inproc=t)
-        c1 = MifComponent("upper", transform=lambda b: b.upper())
-        p1.add_mif_component(c1)
-        c1.set_in_endpoint("inproc://c-entry")
-        c1.set_out_endpoint("inproc://c-mid")
-        p1.start()
-        try:
-            conn = t.connect("inproc://c-entry")
-            conn.send_bytes(b"abc")
-            server = sink.accept(timeout=2)
-            assert server.recv_bytes(timeout=2) == b"ABC!"
-        finally:
-            p1.stop()
-            p2.stop()
 
 
 class TestWarmStartedDse:

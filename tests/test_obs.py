@@ -4,20 +4,19 @@ Covers the metrics registry (including the exact-sum concurrent-increment
 regression the registry replaces ad-hoc counters for), span trees and
 context propagation across threads / process-pool workers / the TCP mux
 wire, the exporters and the obsreport CLI, the telemetry serialization
-round-trip, the deprecated-but-re-entrant Timer, and the bit-identical
-estimator-output guarantee with observability on vs off.
+round-trip, and the bit-identical estimator-output guarantee with
+observability on vs off.
 """
 
 import json
 import threading
-import warnings
 
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.core import LiveDseRuntime
-from repro.core.telemetry import FrameReport, PhaseBreakdown, Timer
+from repro.core.telemetry import FrameReport, PhaseBreakdown
 from repro.dse import DistributedStateEstimator, decompose, dse_pmu_placement
 from repro.measurements import full_placement, generate_measurements
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
@@ -281,7 +280,7 @@ class TestDseTraces:
 class TestWirePropagation:
     def test_mux_forward_spans_join_live_trace(self, dse14, obs_on):
         dec, ms = dse14
-        live = LiveDseRuntime(dec, ms, use_tcp=True, fast=True).run()
+        live = LiveDseRuntime(dec, ms, use_tcp=True).run()
         assert live.errors == []
         spans, by_name = _frame_tree(obs.tracer())
         (root,) = by_name["live.run"]
@@ -299,7 +298,7 @@ class TestWirePropagation:
     def test_live_results_unchanged_by_tracing(self, dse14, obs_on):
         dec, ms = dse14
         ref = DistributedStateEstimator(dec, ms).run()
-        live = LiveDseRuntime(dec, ms, use_tcp=True, fast=True).run()
+        live = LiveDseRuntime(dec, ms, use_tcp=True).run()
         assert np.array_equal(live.Vm, ref.Vm)
         assert np.array_equal(live.Va, ref.Va)
 
@@ -377,36 +376,6 @@ class TestExport:
 
 # -- telemetry (satellites 2 + 3) -------------------------------------------
 class TestTelemetry:
-    def test_timer_deprecated_but_working(self):
-        t = Timer()
-        with pytest.warns(DeprecationWarning):
-            with t:
-                pass
-        assert t.elapsed >= 0.0
-
-    def test_timer_reentrant_nesting(self):
-        t = Timer()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with t:
-                with t:
-                    pass
-                inner = t.elapsed
-            outer = t.elapsed
-        assert outer >= inner >= 0.0
-
-    def test_timer_exception_safe(self):
-        t = Timer()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValueError):
-                with t:
-                    raise ValueError("body failed")
-            assert t.elapsed >= 0.0
-            with t:  # reusable after the exception
-                pass
-        assert t._starts == []
-
     def test_phase_breakdown_roundtrip(self):
         pb = PhaseBreakdown(
             step1=0.1, redistribution=0.02,

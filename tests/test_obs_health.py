@@ -466,8 +466,7 @@ class TestTelemetry:
         pub = TelemetryPublisher("se1", reg)
         agg = TelemetryAggregator()
         delivered = []
-        with MiddlewareFabric(["hub", "se1"], pairs=[("se1", "hub")],
-                              fast=True) as fab:
+        with MiddlewareFabric(["hub", "se1"], pairs=[("se1", "hub")]) as fab:
             fab.enable_telemetry(agg.ingest)
             fab.send("se1", "hub", b"app-frame")     # normal traffic
             publish = pub.bind(fab, "se1")

@@ -20,10 +20,15 @@ from repro.measurements import (
     generate_measurements,
 )
 from repro.middleware import (
-    InprocTransport,
+    DataBuffer,
+    FrameError,
+    InprocMuxRouter,
+    pack_extension,
     pack_state_update,
+    split_extension,
     unpack_state_update,
 )
+from repro.obs import SpanContext
 from repro.partition import (
     WeightedGraph,
     edge_cut,
@@ -53,14 +58,40 @@ class TestWireFormatProperties:
     @settings(max_examples=30, deadline=None)
     @given(payload=st.binary(max_size=4096))
     def test_inproc_transport_preserves_bytes(self, payload):
-        """Property: any byte string survives the transport unchanged."""
-        t = InprocTransport()
-        listener = t.listen("inproc://fuzz")
-        client = t.connect("inproc://fuzz")
-        server = listener.accept(timeout=1)
-        client.send_bytes(payload)
-        assert server.recv_bytes(timeout=1) == payload
-        listener.close()
+        """Property: any byte string survives the in-process hub unchanged."""
+        hub = InprocMuxRouter()
+        hub.start()
+        arrived = DataBuffer()
+        try:
+            hub.attach(2, arrived.put)
+            hub.attach(1, lambda p: None).send(2, payload)
+            assert arrived.get(timeout=1) == payload
+        finally:
+            hub.stop()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        trace=st.none() | st.tuples(
+            st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), st.booleans()
+        ),
+        epoch=st.none() | st.integers(0, 2**64 - 1),
+        payload=st.binary(max_size=512),
+    )
+    def test_extension_block_roundtrip_and_truncation(self, trace, epoch, payload):
+        """Property: for every subset of {trace, epoch}, pack → split is the
+        identity, no field costs no byte, and a buffer cut anywhere inside
+        the block is a typed error — never a shifted payload."""
+        ctx = None if trace is None else SpanContext(*trace)
+        flags, ext = pack_extension(ctx, epoch)
+        assert len(ext) == (17 if ctx else 0) + (8 if epoch is not None else 0)
+        assert (flags == 0) == (ext == b"")
+        for buf in (ext + payload, bytearray(ext + payload)):
+            got_ctx, got_epoch, app = split_extension(flags, buf)
+            assert (got_ctx, got_epoch, bytes(app)) == (ctx, epoch, payload)
+            assert flags or app is buf  # nothing to strip: the buffer itself
+        for cut in range(len(ext)):
+            with pytest.raises(FrameError):
+                split_extension(flags, ext[:cut])
 
 
 class TestSimEngineProperties:

@@ -9,7 +9,7 @@ Contracts under test:
 - :class:`RecoveryCoordinator` promotes a lost site's subsystems onto
   the first live hash-ring successor holding a replica, hands each
   promotion out exactly once, and fences zombie frames;
-- the mux fast path diverts ``FLAG_CHECKPOINT`` frames into sinks and
+- the mux hub diverts ``FLAG_CHECKPOINT`` frames into sinks and
   drops epoch-fenced frames at the hub (both transports);
 - a TCP re-dial under the same site id atomically retires the stale
   registration; an inproc re-attach revives a fault-disconnected id;
@@ -271,7 +271,7 @@ class TestCheckpointPlane:
     def test_checkpoint_diverted_to_sink(self, use_tcp):
         got = []
         with MiddlewareFabric(
-            ["a", "b"], pairs=[("a", "b")], use_tcp=use_tcp, fast=True
+            ["a", "b"], pairs=[("a", "b")], use_tcp=use_tcp
         ) as fab:
             fab.set_checkpoint_sink("b", got.append)
             fab.send_checkpoint("a", "b", b"replica-bytes", epoch=3)
@@ -285,16 +285,9 @@ class TestCheckpointPlane:
             with pytest.raises(TimeoutError):
                 fab.recv("b", timeout=0.1)
 
-    def test_checkpoint_needs_fast_plane(self):
-        with MiddlewareFabric(["a", "b"], pairs=[("a", "b")]) as fab:
-            with pytest.raises(RuntimeError, match="fast plane"):
-                fab.send_checkpoint("a", "b", b"x")
-            with pytest.raises(RuntimeError, match="fast plane"):
-                fab.set_checkpoint_sink("b", lambda p: None)
-
     def test_sink_exception_does_not_kill_plane(self):
         with MiddlewareFabric(
-            ["a", "b"], pairs=[("a", "b"), ("b", "a")], fast=True
+            ["a", "b"], pairs=[("a", "b"), ("b", "a")]
         ) as fab:
             fab.set_checkpoint_sink("b", lambda p: 1 / 0)
             fab.send_checkpoint("a", "b", b"boom")
@@ -306,7 +299,7 @@ class TestEpochFence:
     @pytest.mark.parametrize("use_tcp", [False, True])
     def test_fenced_frames_dropped_at_hub(self, use_tcp):
         with MiddlewareFabric(
-            ["a", "b"], pairs=[("a", "b")], use_tcp=use_tcp, fast=True
+            ["a", "b"], pairs=[("a", "b")], use_tcp=use_tcp
         ) as fab:
             a_id = fab.site_id("a")
             fab.set_epoch_fence(lambda src, epoch: not (
@@ -322,17 +315,13 @@ class TestEpochFence:
                 time.sleep(0.01)
 
     def test_unstamped_frames_pass_unfenced(self):
-        with MiddlewareFabric(
-            ["a", "b"], pairs=[("a", "b")], fast=True
-        ) as fab:
+        with MiddlewareFabric(["a", "b"], pairs=[("a", "b")]) as fab:
             fab.set_epoch_fence(lambda src, epoch: False)  # rejects all
             fab.send("a", "b", b"legacy frame")  # no FLAG_EPOCH
             assert bytes(fab.recv("b", timeout=2)) == b"legacy frame"
 
     def test_fence_exception_fails_open(self):
-        with MiddlewareFabric(
-            ["a", "b"], pairs=[("a", "b")], fast=True
-        ) as fab:
+        with MiddlewareFabric(["a", "b"], pairs=[("a", "b")]) as fab:
             def broken(src, epoch):
                 raise RuntimeError("fence bug")
             fab.set_epoch_fence(broken)
@@ -567,17 +556,12 @@ KILL_SE1 = FaultPlan(seed=2026).add(
 
 def _live(dec, ms, *, recovery=None, condense=False, rounds=8):
     return LiveDseRuntime(
-        dec, ms, fast=True, recv_timeout=0.5, round_deadline=2.0,
+        dec, ms, recv_timeout=0.5, round_deadline=2.0,
         condense=condense, recovery=recovery,
     ).run(rounds=rounds)
 
 
 class TestLiveRecovery:
-    def test_recovery_needs_fast_and_cache(self, live_setup):
-        dec, ms = live_setup
-        with pytest.raises(ValueError, match="recovery needs"):
-            LiveDseRuntime(dec, ms, fast=False, recovery=RecoveryConfig())
-
     def test_clean_run_is_bitwise_inert(self, live_setup):
         dec, ms = live_setup
         on = _live(dec, ms, recovery=RecoveryConfig(lease_rounds=2))
@@ -697,7 +681,7 @@ class TestLiveRecovery:
             "mux.forward", "drop", key=(0, 1), count=1
         )
         with ArchitecturePrototype.assemble(
-            net, m_subsystems=3, seed=0, with_fabric=True, fabric_fast=True
+            net, m_subsystems=3, seed=0, with_fabric=True
         ) as arch:
             session = DseSession(
                 arch, degrade_on_failure=True, fabric_timeout=0.3
@@ -753,7 +737,7 @@ class TestIeee118ChaosAcceptance:
 
         def run(plan=None):
             live = LiveDseRuntime(
-                dec, ms, fast=True, recv_timeout=0.5, round_deadline=2.0,
+                dec, ms, recv_timeout=0.5, round_deadline=2.0,
                 recovery=RecoveryConfig(lease_rounds=2),
             )
             if plan is None:

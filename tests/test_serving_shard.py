@@ -607,7 +607,7 @@ class TestLoadgen:
 class TestFabricSharding:
     def test_send_keyed_routes_by_ring(self):
         names = ["se0", "se1", "se2"]
-        with MiddlewareFabric(names, fast=True) as fabric:
+        with MiddlewareFabric(names) as fabric:
             ring = fabric.enable_sharding(["se1", "se2"])
             assert ring.nodes == frozenset({"se1", "se2"})
             dst = fabric.send_keyed("se0", ("grid", 7), b"frame")
@@ -617,7 +617,7 @@ class TestFabricSharding:
             assert fabric.shard_for(("k",), exclude="se1") == "se2"
 
     def test_send_keyed_requires_enable(self):
-        with MiddlewareFabric(["a", "b"], fast=True) as fabric:
+        with MiddlewareFabric(["a", "b"]) as fabric:
             with pytest.raises(RuntimeError, match="enable_sharding"):
                 fabric.send_keyed("a", "k", b"x")
 
