@@ -6,8 +6,12 @@ keeps the fill-reducing LU ordering across iterations, reused DSE
 subproblems/estimators across Step-2 rounds, warm starts between rounds,
 and a pluggable executor for the per-subsystem fan-out.  This ablation
 switches the knobs on one at a time on the IEEE-118 DSE (9 subsystems) and
-checks that the fully optimised configuration (a) is at least 1.5× faster
-than the seed-style cold path and (b) matches it to ≤ 1e-10.
+checks that the fully optimised configuration (a) is faster than the cold
+path — new estimators, hence new patterns and kernels, every round — and
+(b) matches it to ≤ 1e-10.  The cold path used to derive every Jacobian
+from scratch as well (1.8–2.0 s a run, 17–24× behind); since every
+estimator fills a pattern it built, what is left to save is the building:
+1.3–1.7× on the 2-core sandbox, gated at 1.15×.
 """
 
 import time
@@ -15,7 +19,6 @@ import time
 import numpy as np
 
 from repro.dse import DistributedStateEstimator
-from repro.estimation.wls import WlsEstimator
 from repro.parallel import SerialExecutor, ThreadPoolBackend
 
 
@@ -67,31 +70,6 @@ def test_ablation_hotpath_dse(dec118, mset118):
         assert float(np.abs(res.Va - ref.Va).max()) < 1e-10, name
 
     t_hot = dict(rows)["+ warm starts"]
-    assert t_seed / t_hot >= 1.5, (
+    assert t_seed / t_hot >= 1.15, (
         f"cached+warm DSE only {t_seed / t_hot:.2f}x faster than seed"
     )
-
-
-def test_ablation_hotpath_wls(net118, mset118):
-    """Single-estimator view: structure cache + LU ordering reuse."""
-    t0 = time.perf_counter()
-    cold_est = WlsEstimator(net118, mset118, use_cache=False)
-    cold_res = cold_est.estimate()
-    t_cold = time.perf_counter() - t0
-
-    est = WlsEstimator(net118, mset118, use_cache=True)
-    t0 = time.perf_counter()
-    first = est.estimate()
-    t_first = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    second = est.estimate()  # pattern + ordering caches now warm
-    t_second = time.perf_counter() - t0
-
-    print("\nA6 — WLS estimator caching (IEEE 118, full telemetry)")
-    print(f"  uncached estimate        : {t_cold * 1e3:8.1f} ms")
-    print(f"  cached, first estimate   : {t_first * 1e3:8.1f} ms")
-    print(f"  cached, repeat estimate  : {t_second * 1e3:8.1f} ms")
-
-    assert float(np.abs(first.Vm - cold_res.Vm).max()) < 1e-10
-    assert np.array_equal(first.Vm, second.Vm)
-    assert np.array_equal(first.Va, second.Va)

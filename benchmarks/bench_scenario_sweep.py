@@ -13,7 +13,7 @@ Two measurements back the batching layer's claims:
 
 Run directly for a human-readable report::
 
-    PYTHONPATH=src python benchmarks/bench_batch_sweep.py
+    PYTHONPATH=src python benchmarks/bench_scenario_sweep.py
 """
 
 from __future__ import annotations

@@ -1,0 +1,214 @@
+#!/usr/bin/env python3
+"""Same bits as another revision: one fixed matrix of estimates, hashed.
+
+    scripts/same_bits.py <rev>
+
+A change that claims to move no number proves it here instead of with a
+hand-made scratch script.  ``<rev>`` is extracted with ``pair_bench``'s
+``git archive`` helper (committed files, fresh directory, nothing registered
+in ``.git``); this file's matrix then runs once against that tree's ``src``
+and once against the working tree's, each in its own interpreter, and the
+rows are compared:
+
+- IEEE-118 in-process DSE: {serial, ``threads:2``, ``processes:2``} ×
+  {reference, condensed Step 2} × {cold run, two values-only frames};
+- the 37-area 1 480-bus grid: {reference, condensed}, cold;
+- ``LiveDseRuntime``: {in-proc, TCP} × {reference, condensed}, two frames;
+- ``BatchEstimator``: K ∈ {1, 6, 16} value frames, and a chunk of six value
+  frames with three branch-outage what-ifs.
+
+One line per row: sha1 of ``Vm‖Va``, the Gauss-Newton iteration total, and
+``equal`` or ``DIFFERENT`` (with the largest absolute difference).  Exits
+non-zero on any difference.  The matrix touches public API only, so it runs
+unchanged in both trees; it needs a revision, which is why it is not part of
+``scripts/verify.sh``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from pair_bench import REPO, extract  # noqa: E402
+
+
+# ---------------------------------------------------------------------
+# the matrix (runs with one tree's ``src`` on PYTHONPATH)
+# ---------------------------------------------------------------------
+def matrix() -> None:
+    """Print one JSON line per row: name, sha1, iterations, the state."""
+    import numpy as np
+
+    from repro import obs
+    from repro.core.runtime import LiveDseRuntime
+    from repro.dse import (
+        DistributedStateEstimator,
+        decompose,
+        decompose_by_areas,
+        dse_pmu_placement,
+    )
+    from repro.estimation.batch import BatchEstimator, BatchScenario
+    from repro.grid import NetworkDelta, run_ac_power_flow
+    from repro.grid.cases import case118, synthetic_grid
+    from repro.measurements import full_placement, generate_measurements
+
+    def emit(name: str, states: list, iterations: int) -> None:
+        x = np.concatenate([np.concatenate([vm, va]) for vm, va in states])
+        print(json.dumps({
+            "row": name,
+            "sha1": hashlib.sha1(x.tobytes()).hexdigest(),
+            "iterations": int(iterations),
+            "x": x.tolist(),
+        }), flush=True)
+
+    def dse_iterations(res) -> int:
+        return sum(
+            r.step1_result.iterations + sum(e.iterations for e in r.step2_results)
+            for r in res.records.values()
+        )
+
+    def case(net, dec, flat_start=False):
+        pf = run_ac_power_flow(net, flat_start=flat_start)
+        plac = full_placement(net).merged_with(dse_pmu_placement(dec))
+        ms = generate_measurements(net, plac, pf, rng=np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        frames = [ms.z + ms.sigma * rng.standard_normal(len(ms)) for _ in range(2)]
+        return ms, frames
+
+    net = case118()
+    dec = decompose(net, 9, seed=0)
+    ms, frames = case(net, dec)
+    modes = (("reference", False), ("condensed", True))
+
+    for executor in ("serial", "threads:2", "processes:2"):
+        for mode, condense in modes:
+            dse = DistributedStateEstimator(
+                dec, ms, executor=executor, condense=condense
+            )
+            try:
+                res = dse.run()
+                emit(f"ieee118 {executor} {mode} cold", [(res.Vm, res.Va)],
+                     dse_iterations(res))
+                states, iters = [], 0
+                for z in frames:
+                    res = dse.run(z=z, x0=(res.Vm, res.Va))
+                    states.append((res.Vm, res.Va))
+                    iters += dse_iterations(res)
+                emit(f"ieee118 {executor} {mode} frames", states, iters)
+            finally:
+                dse.executor.shutdown()
+
+    wecc = synthetic_grid(n_areas=37, buses_per_area=40, seed=11)
+    wdec = decompose_by_areas(wecc)
+    wms, _ = case(wecc, wdec, flat_start=True)
+    for mode, condense in modes:
+        res = DistributedStateEstimator(wdec, wms, condense=condense).run()
+        emit(f"wecc37 {mode} cold", [(res.Vm, res.Va)], dse_iterations(res))
+
+    # live sites keep no per-solve record: count through the obs counter
+    obs.configure(enabled=True)
+    for plane, use_tcp in (("inproc", False), ("tcp", True)):
+        for mode, condense in modes:
+            obs.metrics().reset()
+            with LiveDseRuntime(dec, ms, use_tcp=use_tcp, condense=condense) as live:
+                states = [(r.Vm, r.Va) for r in (live.run(z=z) for z in frames)]
+            iters = sum(
+                m["value"] for m in obs.metrics().collect()
+                if m["name"] == "wls.iterations_total"
+            )
+            emit(f"live {plane} {mode} frames", states, iters)
+    obs.configure(enabled=False)
+
+    central = generate_measurements(
+        net, full_placement(net), run_ac_power_flow(net),
+        rng=np.random.default_rng(0),
+    )
+    rng = np.random.default_rng(2)
+    draws = [
+        central.z + central.sigma * rng.standard_normal(len(central))
+        for _ in range(16)
+    ]
+    batch = BatchEstimator(net, central, max_batch=16)
+    chunks = {f"batch K={K} value frames": [BatchScenario(z=z) for z in draws[:K]]
+              for K in (1, 6, 16)}
+    chunks["batch 6 value + 3 what-if"] = [
+        BatchScenario(z=z) for z in draws[:6]
+    ] + [BatchScenario(delta=NetworkDelta.branch_outage(b)) for b in (0, 2, 40)]
+    for name, scenarios in chunks.items():
+        out = batch.estimate_batch(scenarios)
+        emit(name, [(r.Vm, r.Va) for r in out], int(out.iterations.sum()))
+
+
+# ---------------------------------------------------------------------
+# the comparison
+# ---------------------------------------------------------------------
+def run_matrix(tree: Path) -> dict[str, dict]:
+    """The matrix's rows with ``tree/src`` first on the import path."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--matrix"],
+        env=env, cwd=tree, capture_output=True, text=True,
+    )
+    if proc.returncode:
+        sys.exit(f"{tree}: matrix failed (exit {proc.returncode})\n"
+                 f"{proc.stdout[-2000:]}\n{proc.stderr[-4000:]}")
+    rows = (
+        json.loads(line) for line in proc.stdout.splitlines() if line.startswith("{")
+    )
+    return {row["row"]: row for row in rows}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("rev", nargs="?", help="revision to compare the working tree with")
+    ap.add_argument("--matrix", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.matrix:
+        matrix()
+        return 0
+    if args.rev is None:
+        ap.error("a revision is required")
+
+    scratch = Path(tempfile.mkdtemp(prefix="same_bits_"))
+    try:
+        extract(args.rev, scratch)
+        theirs = run_matrix(scratch / "parent")
+        ours = run_matrix(REPO)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+
+    different = 0
+    for name, row in ours.items():
+        ref = theirs.get(name)
+        same = (
+            ref is not None
+            and ref["sha1"] == row["sha1"]
+            and ref["iterations"] == row["iterations"]
+        )
+        verdict = "equal"
+        if not same:
+            different += 1
+            verdict = "DIFFERENT"
+            if ref is None:
+                verdict += " (row missing at the revision)"
+            elif len(ref["x"]) == len(row["x"]):
+                gap = max(abs(a - b) for a, b in zip(ref["x"], row["x"]))
+                verdict += (f" (max |dx| {gap:.3e}, iterations "
+                            f"{ref['iterations']} -> {row['iterations']})")
+        print(f"{name:36s} {row['sha1'][:16]}  iters {row['iterations']:5d}  {verdict}")
+    missing = sorted(set(theirs) - set(ours))
+    for name in missing:
+        print(f"{name:36s} missing in the working tree  DIFFERENT")
+    return 1 if different or missing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

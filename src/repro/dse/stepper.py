@@ -268,7 +268,7 @@ class SubsystemStepper:
         for s in self.hosted:
             subnet1, _, own, ms1 = dse.sub1[s]
             fresh = None if dse.reuse_structures else partial(
-                WlsEstimator, subnet1, ms1, solver=dse.solver, use_cache=False
+                WlsEstimator, subnet1, ms1, solver=dse.solver
             )
             x0 = None if self.x0 is None else (self.x0[0][own], self.x0[1][own])
             # always explicit: a pool worker's own set may hold other values
@@ -366,10 +366,7 @@ class SubsystemStepper:
         if self.z is not None:
             ms2 = ms2.with_values(dse._step2_meas_z(s, self.z))
         pseudo = pseudo_measurements(bmap2[heard], self.Vm[heard], self.Va[heard])
-        return WlsEstimator(
-            subnet2, ms2.merged_with(pseudo), solver=dse.solver,
-            use_cache=dse.reuse_structures,
-        )
+        return WlsEstimator(subnet2, ms2.merged_with(pseudo), solver=dse.solver)
 
     # -- solving ---------------------------------------------------------
     def _solve(self, stage: str, jobs: list[tuple]) -> list[tuple]:

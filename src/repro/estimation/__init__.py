@@ -26,7 +26,6 @@ from .pcg import (
 )
 from .results import EstimationResult
 from .solvers import (
-    BatchGainSolver,
     GainSolveError,
     GainSolver,
     SchurGainSolver,
@@ -41,7 +40,6 @@ __all__ = [
     "BatchEstimator",
     "BatchEstimationResult",
     "BatchScenario",
-    "BatchGainSolver",
     "EstimationError",
     "EstimationResult",
     "GainSolveError",

@@ -11,20 +11,23 @@ Three interchangeable strategies are provided:
 
 The Jacobian's sparsity is fixed by topology and measurement placement, so
 the gain matrix's is too.  :class:`NormalEquations` is the one kernel every
-direct path shares (:class:`GainSolver`, :class:`BatchGainSolver`,
-:class:`SchurGainSolver`, :func:`build_gain`): a symbolic pass per Jacobian
-pattern builds the product map of ``G``'s lower triangle, after which every
-solve is numeric-only — gather, multiply and segment-sum the Jacobian's CSC
-``data`` into the fixed gain pattern, then factor.  Gains of order up to
-:data:`DENSE_MAX_STATES` (every DSE subsystem) go through dense LAPACK
-Cholesky; larger ones through SuperLU over the fixed pattern with a
+direct path shares (:class:`GainSolver`, :class:`SchurGainSolver`,
+:func:`build_gain`, the estimator's Gauss-Newton loop): a symbolic pass per
+Jacobian pattern builds the product map of ``G``'s lower triangle, after
+which every solve is numeric-only — gather, multiply and segment-sum the
+Jacobian's CSC ``data`` into the fixed gain pattern, then factor.  Gains of
+order up to :data:`DENSE_MAX_STATES` (every DSE subsystem) go through dense
+LAPACK Cholesky; larger ones through SuperLU over the fixed pattern with a
 fill-reducing ordering computed once.  The kernel keeps no numeric history:
 a step is a function of (pattern, data, weights, residual) alone, so cold
 and warm solvers — and therefore serial, thread-pool and process-pool runs —
-agree bit for bit.  Several independent problems stack into one kernel
-(:meth:`NormalEquations.stacked`): one assembly over the block-diagonal
-Jacobian, one factor per diagonal block, each block's step again bit for bit
-that of the block's own kernel.
+agree bit for bit.  Independent problems share one kernel as *blocks*
+(:meth:`NormalEquations.solve_blocks`), in either of two stackings: different
+problems side by side (:meth:`NormalEquations.stacked` — one assembly over
+the block-diagonal Jacobian, one factor per diagonal block), or K same-pattern
+problems as the rows of a ``(K, nnz)`` data stack (one vectorised assembly,
+the one factor used K times).  Either way a block's step is bit for bit that
+of the block solved alone, and a block that fails does so alone.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from .pcg import pcg_solve
 
 __all__ = [
-    "BatchGainSolver",
     "DENSE_MAX_STATES",
     "GainSolveError",
     "GainSolver",
@@ -184,7 +186,7 @@ class NormalEquations:
 
     ``data`` arguments are the Jacobian's CSC ``data`` vector on the
     pattern — or a ``(K, nnz)`` stack of K same-pattern Jacobians, in which
-    case every output gains a leading batch axis.
+    case every output gains a leading axis of length K.
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, shape: tuple):
@@ -233,8 +235,8 @@ class NormalEquations:
         target = key[self._starts]
         self._n_gain = len(target)
         self.spd = _SpdFactor(target % n, target // n, n)
-        # diagonal blocks (factor, state range, gain-entry range): one here
-        self.blocks = [(self.spd, (0, n), (0, len(target)))]
+        # diagonal blocks (factor, state slice, gain-entry slice): one here
+        self._parts = [(self.spd, slice(0, n), slice(0, len(target)))]
         # right-hand side: column sums, skipping structurally empty columns
         self._rhs_cols = np.flatnonzero(np.diff(indptr))
         self._rhs_starts = indptr[self._rhs_cols]
@@ -305,15 +307,24 @@ class NormalEquations:
             [k._rhs_starts + entry[b] for b, k in enumerate(members)]
         )
         self.spd = None     # no single factor: the blocks own theirs
-        self.blocks = [
+        self._parts = [
             (
                 k.spd.twin(),
-                (int(col[b]), int(col[b + 1])),
-                (int(seg[b]), int(seg[b + 1])),
+                slice(int(col[b]), int(col[b + 1])),
+                slice(int(seg[b]), int(seg[b + 1])),
             )
             for b, k in enumerate(members)
         ]
         return self
+
+    @property
+    def blocks(self) -> list[tuple]:
+        """``(factor, (first state, end), (first gain entry, end))`` of every
+        diagonal block."""
+        return [
+            (spd, (at.start, at.stop), (g.start, g.stop))
+            for spd, at, g in self._parts
+        ]
 
     def matches(self, indptr: np.ndarray, indices: np.ndarray, shape: tuple) -> bool:
         """True when this kernel was built for exactly this CSC pattern."""
@@ -357,55 +368,63 @@ class NormalEquations:
         return out
 
     def solve(self, data, weights, r) -> np.ndarray:
-        """The Gauss-Newton step(s) ``G⁻¹ Hᵀ W r``; raises
+        """The Gauss-Newton step ``G⁻¹ Hᵀ W r``; raises
         :class:`GainSolveError` rather than return a non-finite step."""
-        if data.ndim == 1:
-            dx, errors = self.solve_blocks(data, weights, r)
-            if errors:
-                raise errors[min(errors)]
-            return dx
-        wdata = self.weighted(data, weights)
-        gain, rhs = self.gain(data, wdata), self.rhs(wdata, r)
-        dx = np.empty_like(rhs)
-        for k in range(len(rhs)):
-            self.spd.factor(gain[k])
-            dx[k] = self.spd.solve(rhs[k])
-        if not np.all(np.isfinite(dx)):
-            raise GainSolveError("gain solve produced non-finite step")
+        dx, errors = self.solve_blocks(data, weights, r)
+        if errors:
+            raise errors[min(errors)]
         return dx
 
     def solve_blocks(
         self, data, weights, r, active=None
     ) -> tuple[np.ndarray, dict[int, GainSolveError]]:
-        """One Gauss-Newton step, diagonal block by diagonal block.
+        """One Gauss-Newton step, block by block.
 
-        The gain and right-hand side are assembled for the whole pattern
-        in one pass; only the blocks listed in ``active`` (default: all)
-        are factored and solved.  Returns ``(dx, errors)``: a block that is
-        not active, whose factorisation fails or whose step comes out
-        non-finite keeps a zero step, the latter two with their
-        :class:`GainSolveError` under the block's index in ``errors`` — the
-        other blocks' steps are unaffected.
+        The gain and right-hand side are assembled in one pass, then each
+        block is factored and solved on its own.  The blocks are either
+
+        - the diagonal blocks of this kernel's pattern (``data`` a vector,
+          ``r`` a vector): only the blocks listed in ``active`` (default:
+          all) are factored and solved, the rest keep a zero step; or
+        - K replicas of a one-block kernel (``data`` a ``(K, nnz)`` stack
+          of Jacobians on the one pattern, ``r`` their ``(K, m)``
+          residuals): row ``j`` is block ``active[j]`` (default ``j``) and
+          goes through the one factor in turn.
+
+        Returns ``(dx, errors)``, ``dx`` shaped like the right-hand side: a
+        block whose factorisation fails or whose step comes out non-finite
+        keeps a zero step, with its :class:`GainSolveError` under the
+        block's index in ``errors`` — the other blocks' steps are
+        unaffected.
         """
         wdata = self.weighted(data, weights)
         gain, rhs = self.gain(data, wdata), self.rhs(wdata, r)
-        dx = np.zeros(self.shape[1])
+        dx = np.zeros(rhs.shape)
         errors: dict[int, GainSolveError] = {}
-        if active is None:
-            active = range(len(self.blocks))
-        for b in active:
-            spd, (lo, hi), (g0, g1) = self.blocks[b]
+        # each block's factor, its place in rhs / dx, and in the gain values
+        if data.ndim == 2:
+            if self.spd is None:
+                raise ValueError("a data stack needs a one-block kernel")
+            if active is None:
+                active = range(len(data))
+            if len(active) != len(data):
+                raise ValueError("a data stack needs one row per active block")
+            where = [(self.spd, j, j) for j in range(len(data))]
+        elif active is None:
+            active, where = range(len(self._parts)), self._parts
+        else:
+            where = [self._parts[b] for b in active]
+        for b, (spd, at, g) in zip(active, where):
             try:
-                spd.factor(gain[g0:g1])
+                spd.factor(gain[g])
             except GainSolveError as exc:
                 errors[b] = exc
                 continue
-            dx[lo:hi] = spd.solve(rhs[lo:hi])
+            dx[at] = spd.solve(rhs[at])
         if not np.all(np.isfinite(dx)):
-            for b in active:
-                _, (lo, hi), _ = self.blocks[b]
-                if not np.all(np.isfinite(dx[lo:hi])):
-                    dx[lo:hi] = 0.0
+            for b, (_, at, _) in zip(active, where):
+                if not np.all(np.isfinite(dx[at])):
+                    dx[at] = 0.0
                     errors[b] = GainSolveError(
                         "gain solve produced non-finite step"
                     )
@@ -496,49 +515,6 @@ class GainSolver:
                 f"PCG did not converge (rel. residual {res.residual_norm:.2e})"
             )
         return res.x
-
-
-class BatchGainSolver:
-    """Normal-equation solver for K same-pattern scenario Jacobians.
-
-    The batched Gauss-Newton iteration evaluates K scenarios' Jacobians on
-    one sparsity pattern, so one :class:`NormalEquations` kernel assembles
-    all K gain matrices and right-hand sides in a single vectorised numeric
-    pass (a leading batch axis on every array); the K factorisations then
-    run block by block through the kernel's factor — the same arithmetic
-    the serial :class:`GainSolver` performs on each scenario.  The kernel
-    survives changes of K (the active set shrinks as scenarios converge).
-    """
-
-    def __init__(self) -> None:
-        self.kernel: NormalEquations | None = None
-
-    def solve_csc(
-        self,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        shape: tuple,
-        data: np.ndarray,
-        weights: np.ndarray,
-        r: np.ndarray,
-    ) -> np.ndarray:
-        """Solve ``(Hᵀ W H) dx = Hᵀ W r`` for all K scenarios at once.
-
-        The K Jacobians share the CSC pattern ``(indptr, indices, shape)``
-        (a :attr:`JacobianStructure.pattern`) with ``shape == (m, ns)``;
-        ``data`` is their ``(K, nnz)`` value stack
-        (:meth:`JacobianStructure.fill_batch_data`), ``weights`` the shared
-        per-measurement weights (length m) and ``r`` the stacked residuals
-        ``(K, m)``.  Returns the stacked steps ``(K, ns)``.
-        """
-        if data.shape != (len(r), len(indices)) or r.shape[1] != shape[0]:
-            raise ValueError(
-                f"data {data.shape} / r {r.shape} do not stack on pattern {shape}"
-            )
-        kernel = self.kernel = NormalEquations.cached(
-            self.kernel, indptr, indices, shape
-        )
-        return kernel.solve(data, weights, r)
 
 
 class SchurGainSolver:

@@ -33,7 +33,8 @@ class EstimationError(RuntimeError):
 class _Block:
     """Where one member of an estimator sits in its model: its buses, its
     measurement rows, its free states, and the bus whose angle it pins as
-    reference (``None`` when synchronized angles determine it)."""
+    reference (``None`` when synchronized angles determine it).  A plain
+    estimator has one, spanning everything; its replicas share it."""
 
     buses: slice
     rows: slice | np.ndarray
@@ -63,17 +64,13 @@ class WlsEstimator:
         (default: the network's first slack bus).
     pcg_preconditioner:
         Preconditioner for ``solver="pcg"``.
-    use_cache:
-        When true (default), iterations refill the precomputed Jacobian
-        sparsity pattern instead of re-deriving it, and the normal-equation
-        solver reuses its symbolic analysis across iterations.  The slow
-        path (``False``) is the uncached reference implementation; both
-        agree to floating-point round-off.
 
     An estimator solves one or more independent *blocks* in one
     Gauss-Newton loop (:meth:`estimate_blocks`).  The constructor builds
-    the one-block case; :meth:`stacked` joins several estimators into the
-    disjoint union of their problems, one block per member.
+    the one-block case, which also answers for K *replicas* of itself — K
+    starts, measurement vectors and branch-status vectors on its one
+    model; :meth:`stacked` joins several estimators into the disjoint
+    union of their problems, one block per member.
     """
 
     def __init__(
@@ -84,14 +81,12 @@ class WlsEstimator:
         solver: str = "lu",
         reference_bus: int | None = None,
         pcg_preconditioner="jacobi",
-        use_cache: bool = True,
     ):
         self.net = net
         self.mset = mset
         self.model = MeasurementModel(net, mset)
         self.solver = solver
         self.pcg_preconditioner = pcg_preconditioner
-        self.use_cache = use_cache
         self.has_pmu_angles = mset.count(MeasType.PMU_VA) > 0
         if reference_bus is None:
             slacks = net.slack_buses
@@ -132,12 +127,12 @@ class WlsEstimator:
         assembly per iteration; every sum a member's solve takes is taken
         over the same terms in the same order, so each block's result is
         bit for bit the member's own :meth:`estimate`.  Members must use
-        the cached ``"lu"`` path.
+        the ``"lu"`` solver.
         """
         if not members:
             raise ValueError("stacked() needs at least one estimator")
-        if any(m.solver != "lu" or not m.use_cache for m in members):
-            raise ValueError("only cached 'lu' estimators stack")
+        if any(m.solver != "lu" for m in members):
+            raise ValueError("only 'lu' estimators stack")
         if any(len(m._blocks) != 1 or not m.n_states for m in members):
             raise ValueError("members must be plain, non-empty estimators")
         net = Network.disjoint_union([m.net for m in members], name="stack")
@@ -163,7 +158,7 @@ class WlsEstimator:
         self = cls.__new__(cls)
         self.net, self.mset = net, mset
         self.model = MeasurementModel(net, mset)
-        self.solver, self.pcg_preconditioner, self.use_cache = "lu", "jacobi", True
+        self.solver, self.pcg_preconditioner = "lu", "jacobi"
         self.has_pmu_angles = all(m.has_pmu_angles for m in members)
         self.reference_bus = None
         # member states [Va; Vm] -> union columns, member after member
@@ -207,24 +202,24 @@ class WlsEstimator:
         return len(self._keep)
 
     def _jacobian_at(self, Vm: np.ndarray, Va: np.ndarray):
-        if self.use_cache:
-            return self.model.jacobian_reduced(Vm, Va, self._keep)
-        return self.model.jacobian(Vm, Va).tocsc()[:, self._keep]
+        """The reduced Jacobian at (Vm, Va) as a sparse matrix."""
+        return self.model.jacobian_reduced(Vm, Va, self._keep)
 
     def _advance(self, Vm: np.ndarray, Va: np.ndarray, dx: np.ndarray) -> None:
-        """Add the reduced step ``dx`` to the state, in place."""
+        """Add the reduced step ``dx`` to the state, in place (one state,
+        or a stack of them along a trailing axis)."""
         n = len(Vm)
         if self._keep_all:          # dx is [dVa; dVm] as it stands
             Va += dx[:n]
             Vm += dx[n:]
         else:
-            full_dx = np.zeros(2 * n)
+            full_dx = np.zeros((2 * n, *dx.shape[1:]))
             full_dx[self._keep] = dx
             Va += full_dx[:n]
             Vm += full_dx[n:]
 
     def _kernel(self) -> NormalEquations:
-        """The cached solver's kernel for this estimator's Jacobian
+        """The direct solver's kernel for this estimator's Jacobian
         pattern, built on first use."""
         solver = self._gain_solver
         solver.kernel = NormalEquations.cached(
@@ -266,6 +261,7 @@ class WlsEstimator:
         *,
         x0: list | None = None,
         z: list | None = None,
+        status: list | None = None,
         tol: float = 1e-8,
         max_iter: int = 25,
         reference_angle: float = 0.0,
@@ -275,27 +271,52 @@ class WlsEstimator:
         ``x0[b]`` / ``z[b]`` are block ``b``'s warm start and measured
         values (``None`` entries, or ``None`` for the whole list: flat
         start / the set's own values), in the block's own bus and row
-        order.  Blocks iterate in lock step and are judged separately: a
-        block stops — and is no longer factored or solved — the iteration
-        its own step norm falls below ``tol``, and keeps its own iteration
-        count, step norms and ``converged`` flag; one that is
-        underdetermined, whose gain does not factor or whose step is
-        non-finite yields its :class:`EstimationError` in place of a
-        result while the others carry on.
+        order.  On a stacked estimator the blocks are its members.  On a
+        plain one they are K *replicas* of its one problem, K being the
+        lists' length: the states become ``(n, K)`` stacks on the one
+        model and Jacobian pattern, and ``status[b]`` may give replica
+        ``b`` its own branch-status vector (a what-if on the base
+        topology's pattern; ``None``: the network's own).
+
+        Blocks iterate in lock step and are judged separately: a block
+        stops — and is no longer factored or solved, a replica no longer
+        evaluated — the iteration its own step norm falls below ``tol``,
+        and keeps its own iteration count, step norms and ``converged``
+        flag; one that is underdetermined, whose gain does not factor or
+        whose step is non-finite yields its :class:`EstimationError` in
+        place of a result while the others carry on.  A replica on the
+        network's own topology gives bit for bit what :meth:`estimate`
+        gives for its ``x0`` / ``z``.
         """
         t_start = time.perf_counter() if obs.enabled() else 0.0
-        model, ms, blocks = self.model, self.mset, self._blocks
-        n, nb = self.net.n_bus, len(blocks)
-        x0 = [None] * nb if x0 is None else x0
-        z = [None] * nb if z is None else z
-        if len(x0) != nb or len(z) != nb:
-            raise ValueError(f"need one x0 and one z entry per block ({nb})")
+        model, ms, net = self.model, self.mset, self.net
+        n, blocks = net.n_bus, self._blocks
+        given = [v for v in (x0, z, status) if v is not None]
+        if len(blocks) == 1 and given:
+            blocks = blocks * len(given[0])
+        nb = len(blocks)
+        if not nb or any(len(v) != nb for v in given):
+            raise ValueError(f"need one x0 / z / status entry per block ({nb})")
+        x0, z, status = ([None] * nb if v is None else v for v in (x0, z, status))
+        whatif = any(s is not None for s in status)
+        if whatif and len(self._blocks) != 1:
+            raise ValueError("branch status is per replica of a plain estimator")
+        replicas = whatif or nb > len(self._blocks)
 
+        # Where a block lives.  A union is one (n,) state and its blocks are
+        # bus / row slices of it; replicas are the columns of an (n, K)
+        # stack — column j is block active[j], the stack closing up as
+        # replicas finish — and index as (slice, *at) with at = (j,).
         results: list[EstimationResult | EstimationError | None] = [None] * nb
-        Vm = np.ones(n)
-        Va = np.full(n, reference_angle)
-        zz = ms.z if all(v is None for v in z) else ms.z.copy()
+        Vm = np.ones((n, nb) if replicas else n)
+        Va = np.full(Vm.shape, reference_angle)
+        zz = ms.z
+        if replicas:
+            zz = np.repeat(zz[:, None], nb, axis=1)
+        elif any(v is not None for v in z):
+            zz = zz.copy()
         for b, blk in enumerate(blocks):
+            at = (b,) if replicas else ()
             if blk.n_rows < blk.n_states:
                 results[b] = EstimationError(
                     f"underdetermined: {blk.n_rows} measurements for "
@@ -305,40 +326,43 @@ class WlsEstimator:
             if z[b] is not None:
                 if len(z[b]) != blk.n_rows:
                     raise ValueError("z override length mismatch")
-                zz[blk.rows] = z[b]
+                zz[(blk.rows, *at)] = z[b]
             if x0[b] is not None:
-                Vm[blk.buses], Va[blk.buses] = x0[b]
+                Vm[(blk.buses, *at)], Va[(blk.buses, *at)] = x0[b]
             if blk.pinned is not None:
-                Va[blk.pinned] = reference_angle
+                Va[(blk.pinned, *at)] = reference_angle
+        # per-replica admittances only when some replica flips a branch;
+        # otherwise the model's own operators serve every column
+        adm = None
+        if whatif:
+            adm = model.admittance_stack(np.array(
+                [net.br_status if s is None else s for s in status], dtype=float
+            ))
 
         w = ms.weights
-        # Cached path: the Jacobian is a data vector on the structure's
-        # fixed pattern and never becomes a sparse matrix.
-        if self.use_cache:
-            solver = self._gain_solver
-            structure = model.jacobian_structure(self._keep)
-            pattern = structure.pattern
-        else:
-            solver = GainSolver(
-                self.solver, pcg_preconditioner=self.pcg_preconditioner
-            )
-        # the direct cached solver works block by block; the iterative and
-        # uncached ones see one block, the whole problem
-        kernel = self._kernel() if self.use_cache and self.solver == "lu" else None
-        if kernel is None and nb != 1:
-            raise ValueError("only cached 'lu' estimators stack")
-        state_starts = [blk.states.start for blk in blocks]
+        # The Jacobian is a data vector on the structure's fixed pattern
+        # and never becomes a sparse matrix.  The direct solver's kernel
+        # works block by block; an iterative solver sees one block, the
+        # whole problem.
+        structure = model.jacobian_structure(self._keep)
+        kernel = self._kernel() if self.solver == "lu" else None
+        if kernel is None and (replicas or nb != 1):
+            raise ValueError("only 'lu' estimators stack")
+        state_starts = [blk.states.start for blk in self._blocks]
         step_norms: list[list[float]] = [[] for _ in range(nb)]
 
         def finish(b: int, converged: bool) -> None:
             blk = blocks[b]
-            rb, wb = r[blk.rows], w[blk.rows]
+            at = (active.index(b),) if replicas else ()
+            rb, wb = r[(blk.rows, *at)], w[blk.rows]
+            if replicas:    # a strided dot product sums in another order
+                rb = rb.copy()
             # copies: the other blocks keep iterating on Vm / Va
             results[b] = EstimationResult(
                 converged=converged,
                 iterations=it,
-                Vm=Vm[blk.buses].copy(),
-                Va=Va[blk.buses].copy(),
+                Vm=Vm[(blk.buses, *at)].copy(),
+                Va=Va[(blk.buses, *at)].copy(),
                 residuals=rb,
                 objective=float(rb @ (wb * rb)),
                 dof=len(rb) - blk.n_states,
@@ -351,48 +375,59 @@ class WlsEstimator:
         # every update — and serve both the residual there and the next
         # iteration's Jacobian; the final iteration's post-update residual
         # is the reported one.
-        cur = model.currents(Vm, Va)
+        cur = model.currents(Vm, Va, adm)
         r = zz - model.h(Vm, Va, cur)
         while active and it < max_iter:
             it += 1
+            data = structure.fill_data(Vm, Va, cur, adm)
             try:
                 if kernel is not None:
+                    # a stack goes to the kernel scenario by scenario, as
+                    # rows (.T of one state's vectors is the vectors)
                     dx, errors = kernel.solve_blocks(
-                        structure.fill_data(Vm, Va, cur), w, r, active
+                        np.ascontiguousarray(data.T), w, r.T, active
                     )
-                elif self.use_cache:
-                    dx, errors = solver.solve_csc(
-                        *pattern, structure.fill_data(Vm, Va, cur), w, r
-                    ), {}
+                    dx = dx.T
                 else:
-                    dx, errors = solver.solve(self._jacobian_at(Vm, Va), w, r), {}
+                    dx = self._gain_solver.solve_csc(*structure.pattern, data, w, r)
+                    errors = {}
             except Exception as exc:
-                dx, errors = np.zeros(self.n_states), dict.fromkeys(active, exc)
+                dx = np.zeros((self.n_states, *Vm.shape[1:]))
+                errors = dict.fromkeys(active, exc)
             for b, exc in errors.items():
                 results[b] = EstimationError(
                     f"normal-equation solve failed: {exc}"
                 )
                 results[b].__cause__ = exc
-            if errors:
-                active = [b for b in active if b not in errors]
-                if not active:
-                    break
+            if len(errors) == len(active):
+                active = []
+                break
 
             self._advance(Vm, Va, dx)
-            cur = model.currents(Vm, Va)
+            cur = model.currents(Vm, Va, adm)
             r = zz - model.h(Vm, Va, cur)
-            steps = (
-                np.maximum.reduceat(np.abs(dx), state_starts).tolist()
-                if len(dx)
-                else [0.0] * nb
-            )
+            if not len(dx):
+                steps = dict.fromkeys(active, 0.0)
+            elif replicas:
+                steps = dict(zip(active, np.abs(dx).max(axis=0).tolist()))
+            else:
+                steps = np.maximum.reduceat(np.abs(dx), state_starts).tolist()
             running = []
             for b in active:
+                if b in errors:
+                    continue
                 step_norms[b].append(steps[b])
                 if steps[b] < tol:
                     finish(b, True)
                 else:
                     running.append(b)
+            if replicas and len(running) < len(active):
+                # the stack closes up over the replicas still running
+                cols = [active.index(b) for b in running]
+                Vm, Va, zz, r, adm, *cur = (
+                    a if a is None else a[:, cols]
+                    for a in (Vm, Va, zz, r, adm, *cur)
+                )
             active = running
         for b in active:
             finish(b, False)

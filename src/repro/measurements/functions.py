@@ -9,6 +9,16 @@ magnitudes second (the estimator handles reference-angle elimination).
 All evaluation is vectorised per measurement type: bus-power rows come from
 row slices of ``dS/dV``, branch-flow rows from ``dSf/dV``/``dSt/dV``, exactly
 the MATPOWER derivative formulation.
+
+There is one set of evaluators.  ``currents``, ``h`` and
+``JacobianStructure.fill_data`` take one state, ``(n,)`` arrays, or a stack
+of K scenario states ``(n, K)`` with the scenario axis *trailing*: a row
+gather ``V[ir]`` or a product ``Ybus @ V`` is then the same call for both,
+so the one-state path pays nothing for the stack and column k of a stacked
+result is bit for bit the one-state result.  Scenarios that differ in
+branch status share the model too: their admittances arrive as data
+(``admittance_stack``) and re-value the operators on the base network's
+patterns.
 """
 
 from __future__ import annotations
@@ -18,100 +28,10 @@ import scipy.sparse as sp
 
 from ..grid.network import Network
 from ..grid.powerflow import dsbus_dv
-from ..grid.ybus import (
-    BranchAdmittances,
-    batch_branch_admittances,
-    branch_admittances,
-    build_yf_yt,
-    build_ybus,
-)
+from ..grid.ybus import batch_branch_admittances, build_yf_yt, build_ybus
 from .types import MeasType, MeasurementSet
 
-__all__ = ["BatchOperators", "JacobianStructure", "MeasurementModel"]
-
-
-class BatchOperators:
-    """Per-scenario admittance values + current kernels for a scenario batch.
-
-    Batched evaluation stacks K scenarios that share one network *pattern*
-    but may differ in branch status.  The four branch admittance terms are
-    held as ``(n_branch, Ka)`` columns with ``Ka == K`` when scenarios
-    differ topologically and ``Ka == 1`` (a broadcast view of the base
-    admittances) when they do not — the uniform case then reuses the
-    model's exact sparse operators, keeping floating-point drift against
-    the serial path to a minimum.
-    """
-
-    def __init__(
-        self,
-        model: "MeasurementModel",
-        adm: BranchAdmittances,
-        Ka: int,
-        is_base: bool = False,
-    ):
-        self.model = model
-        self.adm = adm
-        self.Ka = Ka
-        # True only for the broadcast base-topology instance; a batch
-        # select()-ed down to one scenario still carries its own column.
-        self.is_base = is_base
-        self._stack: np.ndarray | None = None
-
-    @classmethod
-    def for_status(
-        cls, model: "MeasurementModel", status: np.ndarray | None = None
-    ) -> "BatchOperators":
-        """Build operators for K status rows (``None`` = base topology)."""
-        if status is None:
-            a = branch_admittances(model.net)
-            adm = BranchAdmittances(
-                yff=a.yff[:, None], yft=a.yft[:, None],
-                ytf=a.ytf[:, None], ytt=a.ytt[:, None],
-            )
-            return cls(model, adm, 1, is_base=True)
-        adm = batch_branch_admittances(model.net, status)
-        return cls(model, adm, adm.yff.shape[1])
-
-    def select(self, idx: np.ndarray) -> "BatchOperators":
-        """Operators restricted to the scenario columns ``idx``."""
-        if self.is_base:
-            return self
-        a = self.adm
-        return BatchOperators(
-            self.model,
-            BranchAdmittances(
-                yff=a.yff[:, idx], yft=a.yft[:, idx],
-                ytf=a.ytf[:, idx], ytt=a.ytt[:, idx],
-            ),
-            len(idx),
-        )
-
-    @property
-    def adm_stack(self) -> np.ndarray:
-        """``(4*n_branch, Ka)`` stack ``[yff; yft; ytf; ytt]`` consumed by
-        the pattern mapping matrices."""
-        if self._stack is None:
-            a = self.adm
-            self._stack = np.concatenate([a.yff, a.yft, a.ytf, a.ytt], axis=0)
-        return self._stack
-
-    def currents(self, V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Branch and bus currents for bus voltages ``V`` of shape (n, K).
-
-        Returns ``(If, It, Ibus)`` — from-/to-end branch currents (nl, K)
-        and net bus current injections (n, K).
-        """
-        model, net = self.model, self.model.net
-        if self.is_base:
-            # Base topology: the exact sparse operators apply column-wise.
-            return model.yf @ V, model.yt @ V, model.ybus @ V
-        a = self.adm
-        If = a.yff * V[net.f] + a.yft * V[net.t]
-        It = a.ytf * V[net.f] + a.ytt * V[net.t]
-        cfT, ctT = model._incidence()
-        ysh = net.Gs + 1j * net.Bs
-        Ibus = cfT @ If + ctT @ It + ysh[:, None] * V
-        return If, It, Ibus
+__all__ = ["JacobianStructure", "MeasurementModel"]
 
 
 def _union_with_terminal(
@@ -164,6 +84,7 @@ class JacobianStructure:
         self.keep = np.asarray(keep, dtype=np.int64)
         self.n_rows = len(ms)
         self.n_cols = len(self.keep)
+        self._bmaps: dict | None = None
 
         col_lut = -np.ones(2 * n, dtype=np.int64)
         col_lut[self.keep] = np.arange(self.n_cols)
@@ -366,26 +287,46 @@ class JacobianStructure:
         )
 
     def fill_data(
-        self, Vm: np.ndarray, Va: np.ndarray, cur: tuple | None = None
+        self,
+        Vm: np.ndarray,
+        Va: np.ndarray,
+        cur: tuple | None = None,
+        adm: np.ndarray | None = None,
     ) -> np.ndarray:
-        """The reduced Jacobian's CSC ``data`` vector at (Vm, Va) — all a
+        """The reduced Jacobian's CSC ``data`` at (Vm, Va) — all a
         normal-equation kernel bound to :attr:`pattern` needs, so the
-        Gauss-Newton loop builds no sparse matrix.  ``cur`` is the model's
+        Gauss-Newton loop builds no sparse matrix.
+
+        A state of shape ``(n,)`` gives the data vector ``(nnz,)``; a stack
+        ``(n, K)`` of K scenarios on this one pattern gives ``(nnz, K)``,
+        column k bit for bit the vector of state k.  The scenario axis
+        trails so that the row gathers (``V[ir]``) are the same call for
+        both shapes; only the per-pattern constants differ, broadcasting as
+        columns over a stack.  ``cur`` is the model's
         :meth:`~MeasurementModel.currents` at the same state, when the
-        caller already evaluated them for ``h``."""
+        caller already evaluated them for ``h``; ``adm`` is a stack's
+        per-scenario branch admittances
+        (:meth:`~MeasurementModel.admittance_stack`), which re-value the
+        operator entries on the patterns scenario by scenario.
+        """
         model = self.model
-        V, Ib, i_f, i_t = model.currents(Vm, Va) if cur is None else cur
+        V, Ib, i_f, i_t = model.currents(Vm, Va, adm) if cur is None else cur
         vnorm = V / np.abs(V)
+        stack = V.ndim == 2
         src: dict[str, np.ndarray] = {}
 
         if self._need_inj:
             ir, ic, iv, idg = self._inj
+            if stack:
+                iv, idg = self._as_columns("inj", adm, iv, idg)
             src["inj_dva"] = 1j * V[ir] * np.conj(idg * Ib[ir] - iv * V[ic])
             src["inj_dvm"] = V[ir] * np.conj(iv) * np.conj(vnorm[ic]) + idg * (
                 np.conj(Ib[ir]) * vnorm[ir]
             )
         if self._need_f:
             fr, fc, fv, ift = self._fside
+            if stack:
+                fv, ift = self._as_columns("f", adm, fv, ift)
             term, ibr = model.net.f, i_f
             src["f_dva"] = 1j * (
                 np.conj(ibr[fr]) * (ift * V[fc])
@@ -396,6 +337,8 @@ class JacobianStructure:
             ) * (ift * vnorm[fc])
         if self._need_t:
             tr, tc, tv, itt = self._tside
+            if stack:
+                tv, itt = self._as_columns("t", adm, tv, itt)
             term, ibr = model.net.t, i_t
             src["t_dva"] = 1j * (
                 np.conj(ibr[tr]) * (itt * V[tc])
@@ -406,36 +349,52 @@ class JacobianStructure:
             ) * (itt * vnorm[tc])
         if self._need_imag:
             mr, mc, mv = self._imag
+            if stack:
+                (mv,) = self._as_columns("imag", adm, mv)
             mag = np.abs(i_f)
             scale = np.where(mag > 1e-9, 1.0 / np.maximum(mag, 1e-9), 0.0)
             w = np.conj(i_f) * scale
             src["imag_da"] = np.real(w[mr] * (mv * (1j * V[mc])))
             src["imag_dm"] = np.real(w[mr] * (mv * vnorm[mc]))
 
-        return self._assemble(src, self._const)
+        const = self._const
+        if stack:
+            const = np.broadcast_to(const[:, None], (len(const), V.shape[1]))
+        return self._assemble(src, const)
 
-    # ------------------------------------------------------------------
-    # Batched (SIMD-over-scenarios) evaluation
-    # ------------------------------------------------------------------
-    def _ensure_batch_maps(self) -> None:
+    def _as_columns(
+        self, key: str, adm: np.ndarray | None, vals: np.ndarray, *masks: np.ndarray
+    ) -> tuple:
+        """Pattern ``key``'s operator values and indicator masks as columns,
+        to broadcast over a stack's scenario axis — the values re-valued
+        scenario by scenario when ``adm`` carries their branch admittances."""
+        if adm is None:
+            vals = vals[:, None]
+        else:
+            M, shunt = self._batch_maps()[key]
+            vals = M @ adm if shunt is None else M @ adm + shunt[:, None]
+        return (vals, *(m[:, None] for m in masks))
+
+    def _batch_maps(self) -> dict:
         """Sparse maps from per-scenario admittances to pattern values.
 
         The union patterns (``_inj``/``_fside``/``_tside``/``_imag``) store
         the *base* operator values; per-scenario values on the identical
-        pattern are ``M @ [yff; yft; ytf; ytt] + const`` where ``M`` scatters
-        each branch's four admittance terms to its pattern positions and
-        ``const`` carries the (topology-independent) shunt diagonal.  Built
-        once per structure; the searchsorted lookups rely on the patterns
-        being row-major sorted, which ``_union_with_terminal`` guarantees.
+        pattern are ``M @ [yff; yft; ytf; ytt] (+ shunt)`` where ``M``
+        scatters each branch's four admittance terms to its pattern
+        positions and ``shunt`` carries the (topology-independent) shunt
+        diagonal of the bus pattern.  Built once per structure; the
+        searchsorted lookups rely on the patterns being row-major sorted,
+        which ``_union_with_terminal`` guarantees.
         """
-        if getattr(self, "_bmaps", None) is not None:
-            return
+        if self._bmaps is not None:
+            return self._bmaps
         net = self.model.net
         n, nl = net.n_bus, net.n_branch
         il = np.arange(nl)
-        maps: dict[str, tuple[sp.csr_matrix, np.ndarray]] = {}
+        maps: dict[str, tuple[sp.csr_matrix, np.ndarray | None]] = {}
 
-        def mapping(rows, cols, contribs, const=None):
+        def mapping(rows, cols, contribs, shunt=None):
             keys = rows.astype(np.int64) * n + cols.astype(np.int64)
             ne = len(keys)
             mr: list[np.ndarray] = []
@@ -459,10 +418,11 @@ class JacobianStructure:
                 ),
                 shape=(ne, 4 * nl),
             ).tocsr()
+            if shunt is None:
+                return M, None
             c = np.zeros(ne, complex)
-            if const is not None:
-                b = np.arange(n, dtype=np.int64)
-                c[np.searchsorted(keys, b * n + b)] = const
+            b = np.arange(n, dtype=np.int64)
+            c[np.searchsorted(keys, b * n + b)] = shunt
             return M, c
 
         f, t = net.f, net.t
@@ -471,7 +431,7 @@ class JacobianStructure:
             maps["inj"] = mapping(
                 ir, ic,
                 [(f, f, 0), (f, t, 1), (t, f, 2), (t, t, 3)],
-                const=net.Gs + 1j * net.Bs,
+                shunt=net.Gs + 1j * net.Bs,
             )
         if self._need_f:
             fr, fc, _, _ = self._fside
@@ -483,81 +443,7 @@ class JacobianStructure:
             mr_, mc_, _ = self._imag
             maps["imag"] = mapping(mr_, mc_, [(il, f, 0), (il, t, 1)])
         self._bmaps = maps
-
-    def fill_batch_data(
-        self, Vm: np.ndarray, Va: np.ndarray, ops: "BatchOperators | None" = None
-    ) -> np.ndarray:
-        """K Jacobians on the cached pattern, as a ``(K, nnz)`` data stack.
-
-        ``Vm``/``Va`` are ``(K, n_bus)`` state stacks; ``ops`` carries the
-        per-scenario admittances (base topology when omitted).  Row k holds
-        the CSC ``data`` of scenario k on the shared :attr:`pattern` and
-        equals :meth:`fill_data` there — exactly for uniform topology, to
-        floating-point round-off otherwise.
-        """
-        model = self.model
-        if ops is None:
-            ops = model.batch_operators()
-        Vm = np.atleast_2d(Vm)
-        Va = np.atleast_2d(Va)
-        K = Vm.shape[0]
-        V = (Vm * np.exp(1j * Va)).T  # (n, K)
-        vnorm = V / np.abs(V)
-        self._ensure_batch_maps()
-        uniform = ops.is_base
-        stack = None if uniform else ops.adm_stack
-        src: dict[str, np.ndarray] = {}
-
-        if self._need_inj or self._need_f or self._need_t or self._need_imag:
-            If, It, Ibus = ops.currents(V)
-
-        if self._need_inj:
-            ir, ic, iv, idg = self._inj
-            ivK = (
-                iv[:, None]
-                if uniform
-                else self._bmaps["inj"][0] @ stack + self._bmaps["inj"][1][:, None]
-            )
-            dg = idg[:, None]
-            src["inj_dva"] = 1j * V[ir] * np.conj(dg * Ibus[ir] - ivK * V[ic])
-            src["inj_dvm"] = V[ir] * np.conj(ivK) * np.conj(vnorm[ic]) + dg * (
-                np.conj(Ibus[ir]) * vnorm[ir]
-            )
-        if self._need_f:
-            fr, fc, fv, ift = self._fside
-            fvK = fv[:, None] if uniform else self._bmaps["f"][0] @ stack
-            term = model.net.f
-            iftc = ift[:, None]
-            src["f_dva"] = 1j * (
-                np.conj(If[fr]) * (iftc * V[fc])
-                - V[term[fr]] * np.conj(fvK) * np.conj(V[fc])
-            )
-            src["f_dvm"] = V[term[fr]] * np.conj(fvK) * np.conj(vnorm[fc]) + np.conj(
-                If[fr]
-            ) * (iftc * vnorm[fc])
-        if self._need_t:
-            tr, tc, tv, itt = self._tside
-            tvK = tv[:, None] if uniform else self._bmaps["t"][0] @ stack
-            term = model.net.t
-            ittc = itt[:, None]
-            src["t_dva"] = 1j * (
-                np.conj(It[tr]) * (ittc * V[tc])
-                - V[term[tr]] * np.conj(tvK) * np.conj(V[tc])
-            )
-            src["t_dvm"] = V[term[tr]] * np.conj(tvK) * np.conj(vnorm[tc]) + np.conj(
-                It[tr]
-            ) * (ittc * vnorm[tc])
-        if self._need_imag:
-            mr, mc, mv = self._imag
-            mvK = mv[:, None] if uniform else self._bmaps["imag"][0] @ stack
-            mag = np.abs(If)
-            scale = np.where(mag > 1e-9, 1.0 / np.maximum(mag, 1e-9), 0.0)
-            w = np.conj(If) * scale
-            src["imag_da"] = np.real(w[mr] * (mvK * (1j * V[mc])))
-            src["imag_dm"] = np.real(w[mr] * (mvK * vnorm[mc]))
-
-        const = np.repeat(self._const[:, None], K, axis=1)
-        return np.ascontiguousarray(self._assemble(src, const).T)
+        return maps
 
 
 def _dsbr_dv(
@@ -602,7 +488,6 @@ class MeasurementModel:
         self.n_state = 2 * net.n_bus
         self._jac_structs: dict[bytes | None, JacobianStructure] = {}
         self._incT: tuple[sp.csr_matrix, sp.csr_matrix] | None = None
-        self._base_ops: BatchOperators | None = None
 
         for t in MeasType:
             el = mset.elements(t)
@@ -617,7 +502,7 @@ class MeasurementModel:
 
         # Which currents the set needs, and the gather plan of h(x): every
         # row's position in the concatenated sources
-        # [Vm | Va | Sbus (re, im interleaved) | Sf | |If| | St].
+        # [Vm | Va | Pbus | Qbus | Pf | Qf | |If| | Pt | Qt].
         has = {t: bool(mset.count(t)) for t in MeasType}
         self._cur_inj = has[MeasType.P_INJ] or has[MeasType.Q_INJ]
         self._cur_f = (
@@ -629,56 +514,107 @@ class MeasurementModel:
         base = 2 * n
         plan = np.empty(len(mset), dtype=np.int64)
 
-        def place(t: MeasType, offset: int, stride: int) -> None:
-            plan[mset.rows(t)] = offset + stride * mset.elements(t)
+        def place(t: MeasType, offset: int) -> None:
+            plan[mset.rows(t)] = offset + mset.elements(t)
 
-        place(MeasType.V_MAG, 0, 1)
-        place(MeasType.PMU_VA, n, 1)
+        place(MeasType.V_MAG, 0)
+        place(MeasType.PMU_VA, n)
         if self._cur_inj:
-            place(MeasType.P_INJ, base, 2)
-            place(MeasType.Q_INJ, base + 1, 2)
+            place(MeasType.P_INJ, base)
+            place(MeasType.Q_INJ, base + n)
             base += 2 * n
         if self._cur_f:
-            place(MeasType.P_FLOW_F, base, 2)
-            place(MeasType.Q_FLOW_F, base + 1, 2)
-            place(MeasType.I_MAG_F, base + 2 * nl, 1)
+            place(MeasType.P_FLOW_F, base)
+            place(MeasType.Q_FLOW_F, base + nl)
+            place(MeasType.I_MAG_F, base + 2 * nl)
             base += 3 * nl
         if self._cur_t:
-            place(MeasType.P_FLOW_T, base, 2)
-            place(MeasType.Q_FLOW_T, base + 1, 2)
+            place(MeasType.P_FLOW_T, base)
+            place(MeasType.Q_FLOW_T, base + nl)
         self._h_plan = plan
 
     # ------------------------------------------------------------------
-    def currents(self, Vm: np.ndarray, Va: np.ndarray) -> tuple:
+    # Evaluation.  A state is ``(n,)`` arrays — or ``(n, K)`` stacks of K
+    # scenarios, the scenario axis trailing: every row gather and sparse
+    # product below is then the same call for both shapes, and column k of
+    # a stacked result is bit for bit the result at state k.
+    # ------------------------------------------------------------------
+    def admittance_stack(self, status: np.ndarray) -> np.ndarray:
+        """Branch admittances re-valued for K branch-status rows
+        ``(K, n_branch)``: the ``(4·n_branch, K)`` stack
+        ``[yff; yft; ytf; ytt]``, one column per scenario, that
+        :meth:`currents` and :meth:`JacobianStructure.fill_data` take as
+        ``adm``.  This is what lets K what-if scenarios share one model:
+        the patterns are the base network's, only these values differ."""
+        a = batch_branch_admittances(self.net, status)
+        return np.concatenate([a.yff, a.yft, a.ytf, a.ytt])
+
+    def currents(
+        self, Vm: np.ndarray, Va: np.ndarray, adm: np.ndarray | None = None
+    ) -> tuple:
         """Bus voltages and the currents this measurement set needs at
         (Vm, Va): ``(V, Ybus@V, Yf@V, Yt@V)`` with ``None`` for a product
         no measurement uses.  :meth:`h` and
         :meth:`JacobianStructure.fill_data` both start from these, so a
         Gauss-Newton loop evaluates them once per state and hands them to
-        both."""
+        both.  With ``adm`` (:meth:`admittance_stack`, states ``(n, K)``)
+        column k flows through scenario k's admittances instead of the
+        base operators."""
         V = Vm * np.exp(1j * Va)
-        return (
-            V,
-            self.ybus @ V if self._cur_inj else None,
-            self.yf @ V if self._cur_f else None,
-            self.yt @ V if self._cur_t else None,
-        )
+        if adm is None:
+            return (
+                V,
+                self.ybus @ V if self._cur_inj else None,
+                self.yf @ V if self._cur_f else None,
+                self.yt @ V if self._cur_t else None,
+            )
+        net = self.net
+        if V.shape != (net.n_bus, adm.shape[1]):
+            raise ValueError(
+                f"states {V.shape} do not pair with admittances {adm.shape}"
+            )
+        yff, yft, ytf, ytt = adm.reshape(4, net.n_branch, -1)
+        Vf, Vt = V[net.f], V[net.t]
+        i_f = yff * Vf + yft * Vt
+        i_t = ytf * Vf + ytt * Vt
+        Ib = None
+        if self._cur_inj:
+            cfT, ctT = self._incidence()
+            Ib = cfT @ i_f + ctT @ i_t + (net.Gs + 1j * net.Bs)[:, None] * V
+        return V, Ib, i_f if self._cur_f else None, i_t if self._cur_t else None
+
+    def _incidence(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        """Transposed branch incidence one-hots ``(CfT, CtT)``, each
+        ``n_bus x n_branch``, for accumulating branch currents to buses."""
+        if self._incT is None:
+            net = self.net
+            nl, n = net.n_branch, net.n_bus
+            il = np.arange(nl)
+            ones = np.ones(nl)
+            cfT = sp.coo_matrix((ones, (net.f, il)), shape=(n, nl)).tocsr()
+            ctT = sp.coo_matrix((ones, (net.t, il)), shape=(n, nl)).tocsr()
+            self._incT = (cfT, ctT)
+        return self._incT
 
     def h(
         self, Vm: np.ndarray, Va: np.ndarray, cur: tuple | None = None
     ) -> np.ndarray:
-        """Evaluate the measurement function at state (Vm, Va); ``cur`` is
-        :meth:`currents` at that state when already evaluated."""
+        """Evaluate the measurement function at state (Vm, Va) — ``(m,)``,
+        or ``(m, K)`` for a stack; ``cur`` is :meth:`currents` at that
+        state when already evaluated (and the way a stack's per-scenario
+        admittances come in)."""
         net = self.net
         V, Ib, i_f, i_t = self.currents(Vm, Va) if cur is None else cur
         parts = [Vm, Va]
         if Ib is not None:
-            parts.append((V * np.conj(Ib)).view(float))
+            s = V * np.conj(Ib)
+            parts += [s.real, s.imag]
         if i_f is not None:
-            parts.append((V[net.f] * np.conj(i_f)).view(float))
-            parts.append(np.abs(i_f))
+            s = V[net.f] * np.conj(i_f)
+            parts += [s.real, s.imag, np.abs(i_f)]
         if i_t is not None:
-            parts.append((V[net.t] * np.conj(i_t)).view(float))
+            s = V[net.t] * np.conj(i_t)
+            parts += [s.real, s.imag]
         return np.concatenate(parts)[self._h_plan]
 
     # ------------------------------------------------------------------
@@ -796,91 +732,6 @@ class MeasurementModel:
         or re-slicing columns on every call.
         """
         return self.jacobian_structure(keep).fill(Vm, Va)
-
-    # ------------------------------------------------------------------
-    # Batched (SIMD-over-scenarios) evaluation
-    # ------------------------------------------------------------------
-    def _incidence(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """Transposed branch incidence one-hots ``(CfT, CtT)``, each
-        ``n_bus x n_branch``, for accumulating branch currents to buses."""
-        if self._incT is None:
-            net = self.net
-            nl, n = net.n_branch, net.n_bus
-            il = np.arange(nl)
-            ones = np.ones(nl)
-            cfT = sp.coo_matrix((ones, (net.f, il)), shape=(n, nl)).tocsr()
-            ctT = sp.coo_matrix((ones, (net.t, il)), shape=(n, nl)).tocsr()
-            self._incT = (cfT, ctT)
-        return self._incT
-
-    def batch_operators(self, status: np.ndarray | None = None) -> BatchOperators:
-        """Batch evaluation operators for K branch-status rows.
-
-        ``status=None`` means every scenario shares the base topology; that
-        (cached) instance broadcasts one admittance column over the batch.
-        """
-        if status is None:
-            if self._base_ops is None:
-                self._base_ops = BatchOperators.for_status(self)
-            return self._base_ops
-        return BatchOperators.for_status(self, status)
-
-    def h_batch(
-        self, Vm: np.ndarray, Va: np.ndarray, ops: BatchOperators | None = None
-    ) -> np.ndarray:
-        """Evaluate h(x) for K stacked states at once.
-
-        ``Vm``/``Va`` are ``(K, n_bus)``; returns ``(K, len(mset))`` with
-        row k equal to :meth:`h` on scenario k (exactly for uniform
-        topology, to round-off otherwise).
-        """
-        net, ms = self.net, self.mset
-        if ops is None:
-            ops = self.batch_operators()
-        Vm = np.atleast_2d(Vm)
-        Va = np.atleast_2d(Va)
-        K = Vm.shape[0]
-        V = (Vm * np.exp(1j * Va)).T  # (n, K)
-        out = np.empty((K, len(ms)))
-
-        def put(t: MeasType, values: np.ndarray) -> None:
-            """Scatter (n_el, K) values into the output rows for type t."""
-            rows = ms.rows(t)
-            if rows.size:
-                out[:, rows] = values[ms.elements(t)].T
-
-        put(MeasType.V_MAG, Vm.T)
-        put(MeasType.PMU_VA, Va.T)
-
-        need_flow = (
-            ms.count(MeasType.P_INJ)
-            or ms.count(MeasType.Q_INJ)
-            or ms.count(MeasType.P_FLOW_F)
-            or ms.count(MeasType.Q_FLOW_F)
-            or ms.count(MeasType.I_MAG_F)
-            or ms.count(MeasType.P_FLOW_T)
-            or ms.count(MeasType.Q_FLOW_T)
-        )
-        if need_flow:
-            If, It, Ibus = ops.currents(V)
-            if ms.count(MeasType.P_INJ) or ms.count(MeasType.Q_INJ):
-                sbus = V * np.conj(Ibus)
-                put(MeasType.P_INJ, sbus.real)
-                put(MeasType.Q_INJ, sbus.imag)
-            if (
-                ms.count(MeasType.P_FLOW_F)
-                or ms.count(MeasType.Q_FLOW_F)
-                or ms.count(MeasType.I_MAG_F)
-            ):
-                sf = V[net.f] * np.conj(If)
-                put(MeasType.P_FLOW_F, sf.real)
-                put(MeasType.Q_FLOW_F, sf.imag)
-                put(MeasType.I_MAG_F, np.abs(If))
-            if ms.count(MeasType.P_FLOW_T) or ms.count(MeasType.Q_FLOW_T):
-                st = V[net.t] * np.conj(It)
-                put(MeasType.P_FLOW_T, st.real)
-                put(MeasType.Q_FLOW_T, st.imag)
-        return out
 
     # ------------------------------------------------------------------
     def residual(self, z: np.ndarray, Vm: np.ndarray, Va: np.ndarray) -> np.ndarray:

@@ -27,22 +27,30 @@ every case is a compact payload.
 becomes *one batched solve* instead of N executor tasks.  Estimation
 frames in a flush are grouped by tolerance and pushed through a single
 :class:`~repro.estimation.batch.BatchEstimator` over the base network
-(batched normal equations, per-scenario convergence masks);
-contingency cases drain through
+(each frame a replica block of one Gauss-Newton loop, converging — or
+failing — on its own); contingency cases drain through
 :meth:`~repro.contingency.analysis.ContingencyAnalyzer.analyze_batch`
 (one compensation-based DC solve for the whole list).  Estimation results
 are then central WLS :class:`~repro.estimation.results.EstimationResult`
 values rather than DSE frames — same state to round-off, no per-area
 telemetry — and ``rounds`` is ignored (there is no coordination loop).
+
+The service builds only the estimation engine its drain path uses: the
+``engine`` for fan-out, the batched estimator (on the first flush that
+needs it) for ``batch_solve=True`` — which therefore asks nothing of the
+placement beyond central observability (no PMU anchor per subsystem).
 """
 
 from __future__ import annotations
 
+import math
 import queue
 import threading
 import time
 from concurrent.futures import Future, as_completed
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .. import obs
 from ..contingency.analysis import ContingencyAnalyzer
@@ -50,6 +58,8 @@ from ..contingency.parallel import run_parallel
 from ..contingency.screening import Contingency
 from ..dse.algorithm import DistributedStateEstimator
 from ..dse.decomposition import Decomposition
+from ..estimation.batch import BatchEstimator, BatchScenario
+from ..estimation.wls import EstimationError
 from ..measurements.types import MeasurementSet
 from ..middleware.errors import DeadlineExceeded
 from ..parallel import SubsystemExecutor, make_executor
@@ -83,7 +93,8 @@ class ScenarioService:
         shared with the caller.
     engine:
         ``"dse"`` (in-process estimator) or ``"live"`` (thread-per-site
-        middleware runtime) for estimation requests.
+        middleware runtime) for estimation requests; not built when
+        ``batch_solve`` drains them instead.
     analyzer:
         Contingency analyzer; built from ``dec.net`` with
         ``contingency_method`` when omitted.
@@ -160,7 +171,10 @@ class ScenarioService:
         self._mset = mset
         self._batch_estimator = None  # lazily built on first batched flush
 
-        if engine == "dse":
+        # the batched drain never reaches a per-frame engine: build none
+        self._dse = self._runtime = None
+        per_frame = None if self.batch_solve else engine
+        if per_frame == "dse":
             self._dse = DistributedStateEstimator(
                 dec,
                 mset,
@@ -168,11 +182,9 @@ class ScenarioService:
                 sensitivity_threshold=sensitivity_threshold,
                 executor=self.executor,
             )
-            self._runtime = None
-        else:
+        elif per_frame == "live":
             from ..core.runtime import LiveDseRuntime
 
-            self._dse = None
             self._runtime = LiveDseRuntime(
                 dec,
                 mset,
@@ -212,15 +224,30 @@ class ScenarioService:
             )
         if self._closed:
             raise RuntimeError("ScenarioService is closed")
-        if (
-            isinstance(request, EstimationRequest)
-            and request.delta is not None
-            and not self.batch_solve
-        ):
-            raise ValueError(
-                "scenario deltas need a batched drain path; build the "
-                "service with batch_solve=True"
-            )
+        if isinstance(request, EstimationRequest):
+            if request.delta is not None and not self.batch_solve:
+                raise ValueError(
+                    "scenario deltas need a batched drain path; build the "
+                    "service with batch_solve=True"
+                )
+            if request.z is not None:
+                # a frame from outside the program: it must not reach a
+                # solve it would fail for every request coalesced with it
+                try:
+                    z = np.asarray(request.z, dtype=float)
+                except (TypeError, ValueError):
+                    raise ValueError("z is not a float vector") from None
+                # Finite iff its dot product with itself is (per-unit
+                # values do not overflow a square).  Not np.isfinite(z):
+                # a ufunc over more than 500 elements drops the interpreter
+                # lock, a dispatcher woken by the previous put takes it and
+                # starts its flush window mid-burst — measured, bursts then
+                # split into more batches (2.07 -> 2.14-2.43 per burst).
+                if z.shape != (len(self._mset),) or not math.isfinite(z @ z):
+                    raise ValueError(
+                        f"z must be {len(self._mset)} finite values in the "
+                        f"measurement set's order, got shape {z.shape}"
+                    )
         self._ensure_dispatcher()
         fut: Future = Future()
         if self.max_queue is not None and self._queue.qsize() >= self.max_queue:
@@ -387,11 +414,9 @@ class ScenarioService:
             return self._dse.run(rounds=req.rounds, tol=req.tol, z=req.z)
         return self._runtime.run(rounds=req.rounds, tol=req.tol, z=req.z)
 
-    def _batched_estimator(self):
+    def _batched_estimator(self) -> BatchEstimator:
         """The service's SIMD estimation engine (built on first use)."""
         if self._batch_estimator is None:
-            from ..estimation.batch import BatchEstimator
-
             self._batch_estimator = BatchEstimator(
                 self._dec.net,
                 self._mset,
@@ -404,14 +429,13 @@ class ScenarioService:
         """Drain a flush's estimation frames as one batched solve per tol.
 
         Frames sharing a tolerance stack into one
-        :meth:`~repro.estimation.batch.BatchEstimator.estimate_batch`
-        call; each future resolves to its scenario's
-        :class:`~repro.estimation.results.EstimationResult`.  A solve
-        failure (e.g. a delta that islands the network) fails every
-        future in that tolerance group — the block solve is shared.
+        :meth:`~repro.estimation.batch.BatchEstimator.outcomes` call; each
+        future resolves to its scenario's
+        :class:`~repro.estimation.results.EstimationResult`, or fails with
+        its scenario's own :class:`~repro.estimation.wls.EstimationError`
+        (e.g. a delta that islands the network) while the rest of the
+        flush resolves.
         """
-        from ..estimation.batch import BatchScenario
-
         groups: dict[float, list] = {}
         for it in ests:
             groups.setdefault(float(it[0].tol), []).append(it)
@@ -421,14 +445,17 @@ class ScenarioService:
                 BatchScenario(delta=it[0].delta, z=it[0].z) for it in group
             ]
             try:
-                batch = est.estimate_batch(scenarios, tol=tol)
+                outcomes = est.outcomes(scenarios, tol=tol)
             except BaseException as exc:
                 for _, fut, _ in group:
                     if not fut.done():
                         fut.set_exception(exc)
             else:
-                for it, res in zip(group, batch.results):
-                    self._resolve(it, res, size)
+                for it, res in zip(group, outcomes):
+                    if isinstance(res, EstimationError):
+                        it[1].set_exception(res)
+                    else:
+                        self._resolve(it, res, size)
 
     def _resolve(self, item, value, batch_size: int) -> None:
         request, fut, t_submit = item

@@ -1,12 +1,14 @@
 """Copy-on-write scenario forking and the batched (SIMD) estimator.
 
 The batched stack optimises a sweep of *nearly identical* problems:
-scenarios are compact deltas against one base network, admittances /
-measurement functions / Jacobians evaluate as batched kernels, and each
-Gauss-Newton iteration performs one block-diagonal solve for the whole
-batch.  The contract under test is *numerical equivalence with the serial
-path*: bitwise for K=1 (delegated outright) and ≤1e-10 for K>1 — including
-scenarios that do not converge, which must be reported identically.
+scenarios are compact deltas against one base network, and a batch of them
+runs as K replica blocks of the one Gauss-Newton loop
+(``WlsEstimator.estimate_blocks``) on one model, one Jacobian pattern and
+one kernel.  The contract under test is *equivalence with the serial
+path*: bit for bit while no scenario of a chunk flips a branch, ≤1e-10 of
+the estimator on the forked network (with equal iteration counts) when one
+does — including scenarios that do not converge, which must be reported
+identically, and scenarios that fail, which must fail alone.
 """
 
 import dataclasses
@@ -27,6 +29,7 @@ from repro.estimation import (
     WlsEstimator,
 )
 from repro.estimation.outputs import area_interchange
+from repro.estimation.solvers import NormalEquations
 from repro.grid import (
     DcCompensationSolver,
     DeltaError,
@@ -35,7 +38,8 @@ from repro.grid import (
     run_dc_power_flow_batch,
 )
 from repro.grid.ybus import batch_branch_admittances, branch_admittances
-from repro.measurements import full_placement, generate_measurements
+from repro.measurements import MeasurementModel, full_placement, generate_measurements
+from repro.measurements.functions import JacobianStructure
 
 # A 2-branch outage that keeps both bundled cases connected.
 SAFE_PAIR = (0, 2)
@@ -44,6 +48,18 @@ SAFE_PAIR = (0, 2)
 def _mset(net, pf, seed=7):
     rng = np.random.default_rng(seed)
     return generate_measurements(net, full_placement(net), pf, rng=rng)
+
+
+def _same_solve(got, ref):
+    """``got`` is bit for bit the serial estimator's ``ref``."""
+    assert np.array_equal(got.Vm, ref.Vm)
+    assert np.array_equal(got.Va, ref.Va)
+    assert np.array_equal(got.residuals, ref.residuals)
+    assert got.iterations == ref.iterations
+    assert got.step_norms == ref.step_norms
+    assert got.converged == ref.converged
+    assert got.objective == ref.objective
+    assert got.dof == ref.dof
 
 
 def _net_arrays_equal(a, b):
@@ -220,10 +236,28 @@ class TestBatchEstimator:
             [BatchScenario(z=z) for z in zs]
         )
         assert len(batch) == 32
+        serial = WlsEstimator(net14, ms)
         for z, got in zip(zs, batch):
-            ref = WlsEstimator(net14, ms).estimate(z=z)
-            assert np.allclose(got.Vm, ref.Vm, atol=1e-10)
-            assert np.allclose(got.Va, ref.Va, atol=1e-10)
+            _same_solve(got, serial.estimate(z=z))
+
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_small_value_stacks_equal_serial(self, K, net118, pf118):
+        """No scenario flips a branch: every replica is the serial solve,
+        bit for bit, warm starts included."""
+        ms = _mset(net118, pf118)
+        rng = np.random.default_rng(5)
+        serial = WlsEstimator(net118, ms)
+        warm = serial.estimate()
+        scenarios = [
+            BatchScenario(
+                z=ms.z + ms.sigma * rng.standard_normal(len(ms)),
+                x0=(warm.Vm, warm.Va) if k % 2 else None,
+            )
+            for k in range(K)
+        ]
+        batch = BatchEstimator(net118, ms).estimate_batch(scenarios)
+        for sc, got in zip(scenarios, batch):
+            _same_solve(got, serial.estimate(z=sc.z, x0=sc.x0))
 
     def test_nonconverged_reported_identically(self, net14, pf14):
         ms = _mset(net14, pf14)
@@ -246,7 +280,21 @@ class TestBatchEstimator:
         )
         assert batch.converged.all()
         assert batch[0].iterations < batch[1].iterations
-        assert np.allclose(batch[1].Vm, ref.Vm, atol=1e-10)
+        assert np.array_equal(batch[1].Vm, ref.Vm)
+        assert np.array_equal(batch[2].Va, ref.Va)
+
+    def test_max_iter_reported_per_scenario(self, net14, pf14):
+        """One warm replica converges inside the budget, the cold ones do
+        not: each reports its own flag and count, as the serial solve."""
+        ms = _mset(net14, pf14)
+        serial = WlsEstimator(net14, ms)
+        warm = serial.estimate()
+        scenarios = [None, BatchScenario(x0=(warm.Vm, warm.Va)), None]
+        batch = BatchEstimator(net14, ms).estimate_batch(scenarios, max_iter=2)
+        assert batch.converged.tolist() == [False, True, False]
+        assert batch.iterations.tolist() == [2, 1, 2]
+        _same_solve(batch[0], serial.estimate(max_iter=2))
+        _same_solve(batch[1], serial.estimate(x0=(warm.Vm, warm.Va), max_iter=2))
 
     def test_chunking_respects_max_batch(self, net14, pf14):
         ms = _mset(net14, pf14)
@@ -254,7 +302,45 @@ class TestBatchEstimator:
         batch = est.estimate_batch([None] * 7)
         ref = est.estimate()
         for got in batch:
-            assert np.allclose(got.Vm, ref.Vm, atol=1e-10)
+            assert np.array_equal(got.Vm, ref.Vm)
+
+    def test_one_model_per_estimator(self, net14, pf14, monkeypatch):
+        """One MeasurementModel, one Jacobian structure and one kernel over
+        a BatchEstimator's life, whatever the chunks look like."""
+        ms = _mset(net14, pf14)
+        built = {cls: 0 for cls in (MeasurementModel, JacobianStructure, NormalEquations)}
+        for cls in built:
+            init = cls.__init__
+
+            def counting(self, *args, _cls=cls, _init=init, **kwargs):
+                built[_cls] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        outage = NetworkDelta.branch_outage(SAFE_PAIR[0])
+        est = BatchEstimator(net14, ms, max_batch=3)
+        est.estimate_batch([None])                      # K = 1
+        est.estimate_batch([outage])                    # K = 1 what-if
+        est.estimate_batch([None] * 7)                  # chunks of 3, 3, 1
+        est.estimate_batch([BatchScenario(z=ms.z), outage, None])   # mixed
+        assert list(built.values()) == [1, 1, 1]
+
+    def test_failing_scenario_fails_alone(self, net14, pf14):
+        """An islanding what-if ends in its own EstimationError; the
+        scenarios stacked with it come out as if it were not there."""
+        ms = _mset(net14, pf14)
+        _, islanding = enumerate_n1(net14)
+        bad = outage_delta(islanding[0])
+        safe = NetworkDelta.branch_outage(SAFE_PAIR[0])
+        est = BatchEstimator(net14, ms)
+        outcomes = est.outcomes([None, bad, safe])
+        assert isinstance(outcomes[1], EstimationError)
+        alone = est.outcomes([None, safe])
+        for got, ref in zip([outcomes[0], outcomes[2]], alone):
+            _same_solve(got, ref)
+        ref = WlsEstimator(net14.fork(safe), ms).estimate()
+        assert outcomes[2].iterations == ref.iterations
+        assert np.allclose(outcomes[2].Vm, ref.Vm, atol=1e-10)
 
     def test_islanding_delta_raises_like_serial(self, net14, pf14):
         ms = _mset(net14, pf14)
@@ -374,6 +460,101 @@ class TestServingBatchSolve:
         assert all(r.value.converged for r in con_res)
         # the whole flush coalesced: every result saw a multi-request batch
         assert d_res.batch_size >= 3
+
+    @staticmethod
+    def _islanding(net):
+        return outage_delta(enumerate_n1(net)[1][0])
+
+    def test_bad_z_is_refused_at_admission(self, svc_parts):
+        """A wrong-length (or non-finite) z never reaches the solve it
+        would fail for everything coalesced with it — on either drain."""
+        from repro.serving import ScenarioService
+
+        dec, ms = svc_parts
+        nan_z = ms.z.copy()
+        nan_z[3] = np.nan
+        for batch_solve in (True, False):
+            with ScenarioService(
+                dec, ms, batch_solve=batch_solve, max_batch=3, flush_latency=5.0
+            ) as svc:
+                good = [svc.submit_estimation(z=ms.z) for _ in range(2)]
+                for bad in (ms.z[:-1], nan_z, ["a"] * len(ms)):
+                    with pytest.raises(ValueError, match="z"):
+                        svc.submit_estimation(z=bad)
+                good.append(svc.submit_estimation())
+                res = [f.result(timeout=60) for f in good]
+                assert all(np.all(np.isfinite(r.value.Vm)) for r in res)
+                assert svc.stats.to_dict()["n_shed"] == 0
+
+    def test_failing_whatif_fails_its_own_future(self, svc_parts, net14):
+        from repro.serving import ScenarioService
+
+        dec, ms = svc_parts
+        with ScenarioService(
+            dec, ms, batch_solve=True, max_batch=4, flush_latency=5.0
+        ) as svc:
+            good = [svc.submit_estimation(z=ms.z) for _ in range(2)]
+            bad = svc.submit_estimation(delta=self._islanding(net14))
+            good.append(svc.submit_estimation(
+                delta=NetworkDelta.branch_outage(SAFE_PAIR[0])
+            ))
+            res = [f.result(timeout=60) for f in good]
+            with pytest.raises(EstimationError):
+                bad.result(timeout=60)
+            stats = svc.stats.to_dict()
+        assert all(r.value.converged and r.batch_size == 4 for r in res)
+        assert stats["n_requests"] == 3 and stats["n_shed"] == 0
+
+    def test_bad_request_through_a_router(self, svc_parts, net14):
+        """Two shards: the bad request's flush-mates resolve on the shard
+        they were routed to — not re-hashed, not shed."""
+        from repro.serving import EstimationRequest, ScenarioService, ShardRouter
+
+        dec, ms = svc_parts
+        with ShardRouter(
+            {
+                name: ScenarioService(
+                    dec, ms, batch_solve=True, max_batch=4, flush_latency=5.0
+                )
+                for name in ("s0", "s1")
+            }
+        ) as router:
+            key = ("", "frame", "same-flush")
+            with pytest.raises(ValueError, match="z"):
+                router.submit(EstimationRequest(z=ms.z[:-1]), key=key)
+            good = [
+                router.submit(EstimationRequest(z=ms.z), key=key) for _ in range(3)
+            ]
+            bad = router.submit(
+                EstimationRequest(delta=self._islanding(net14)), key=key
+            )
+            res = [f.result(timeout=60) for f in good]
+            with pytest.raises(EstimationError):
+                bad.result(timeout=60)
+            stats = router.stats_snapshot()
+        assert len({r.shard for r in res}) == 1
+        assert all(r.value.converged and r.batch_size == 4 for r in res)
+        # the bad what-if failed typed at the caller (as it would alone);
+        # nothing else was shed, spilled, re-hashed or cost a replica
+        assert stats["router"]["completed"] == 3 and stats["router"]["shed"] == 1
+        assert stats["router"]["rehashed"] == stats["router"]["spilled"] == 0
+        assert stats["router"]["replicas_lost"] == 0
+        assert sum(s["n_shed"] for s in stats["shards"].values()) == 0
+
+    def test_batched_service_builds_no_per_frame_engine(self, net14, pf14):
+        """The batched drain is a central solve: no DSE or live runtime is
+        built for it, so the placement needs no PMU anchor per subsystem."""
+        from repro.dse import decompose
+        from repro.serving import ScenarioService
+
+        dec, ms = decompose(net14, 2, seed=0), _mset(net14, pf14)
+        with pytest.raises(ValueError, match="synchronized angle"):
+            ScenarioService(dec, ms)
+        for engine in ("dse", "live"):
+            with ScenarioService(dec, ms, engine=engine, batch_solve=True) as svc:
+                assert svc._dse is None and svc._runtime is None
+                got = svc.submit_estimation().result(timeout=60).value
+        assert np.array_equal(got.Vm, WlsEstimator(net14, ms).estimate().Vm)
 
     def test_delta_requires_batch_solve(self, svc_parts):
         from repro.serving import ScenarioService

@@ -103,11 +103,26 @@ class TestGainSolverParity:
             Vm = Vm + dx[net14.n_bus :]
 
     def test_estimator_cache_toggle(self, net118, ms118):
-        hot = WlsEstimator(net118, ms118, use_cache=True).estimate()
-        cold = WlsEstimator(net118, ms118, use_cache=False).estimate()
-        assert hot.iterations == cold.iterations
-        assert float(np.abs(hot.Vm - cold.Vm).max()) < 1e-10
-        assert float(np.abs(hot.Va - cold.Va).max()) < 1e-10
+        """The estimator (cached pattern, fill plan, kernel) against the
+        uncached reference: Gauss-Newton spelled out with the model's
+        one-shot sparse Jacobian and a one-shot normal-equation solve."""
+        hot = WlsEstimator(net118, ms118).estimate()
+        model = MeasurementModel(net118, ms118)
+        n = net118.n_bus
+        keep = np.delete(np.arange(2 * n), int(net118.slack_buses[0]))
+        Vm, Va = np.ones(n), np.zeros(n)
+        for iterations in range(1, 26):
+            H = model.jacobian(Vm, Va).tocsc()[:, keep]
+            dx = np.zeros(2 * n)
+            dx[keep] = solve_normal_equations(
+                H, ms118.weights, ms118.z - model.h(Vm, Va), method="lu"
+            )
+            Va, Vm = Va + dx[:n], Vm + dx[n:]
+            if np.abs(dx).max() < 1e-8:
+                break
+        assert hot.iterations == iterations
+        assert float(np.abs(hot.Vm - Vm).max()) < 1e-10
+        assert float(np.abs(hot.Va - Va).max()) < 1e-10
 
     def test_repeated_estimates_identical(self, net118, ms118):
         est = WlsEstimator(net118, ms118)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.grid import run_ac_power_flow
 from repro.measurements import (
@@ -122,3 +123,114 @@ class TestJacobian:
         model = MeasurementModel(net14, MeasurementSet([]))
         H = model.jacobian(pf14.Vm, pf14.Va)
         assert H.shape == (0, 28)
+
+
+# ---------------------------------------------------------------------------
+# One set of evaluators: a trailing scenario axis
+# ---------------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def step2_subsystem(net118, pf118):
+    """One IEEE-118 Step-2 problem: extended subnetwork, PMU anchors and
+    boundary pseudo measurements, every state column kept."""
+    from repro.dse import DistributedStateEstimator, decompose, dse_pmu_placement
+    from repro.measurements import generate_measurements
+
+    dec = decompose(net118, 9, seed=0)
+    plac = full_placement(net118).merged_with(dse_pmu_placement(dec))
+    ms = generate_measurements(net118, plac, pf118, rng=np.random.default_rng(0))
+    dse = DistributedStateEstimator(dec, ms)
+    dse.run()
+    est = dse._step2_cache[4][0]
+    return est.net, est.mset, est._keep
+
+
+def _central(net, pf, pmus=False):
+    """The central problem; with ``pmus`` also phasors and current
+    magnitudes (every measurement type, every state column kept)."""
+    from repro.measurements import generate_measurements
+
+    plac, keep = full_placement(net), np.arange(2 * net.n_bus)
+    if pmus:
+        plac = plac.merged_with(pmu_placement(net))
+    else:
+        keep = np.delete(keep, int(net.slack_buses[0]))
+    ms = generate_measurements(net, plac, pf, rng=np.random.default_rng(0))
+    return net, ms, keep, pf.Vm, pf.Va
+
+
+@pytest.fixture(params=["case14", "case118", "step2"])
+def problem(request):
+    """``(net, mset, keep, Vm, Va)``: a model and a state to perturb."""
+    if request.param == "step2":
+        net, ms, keep = request.getfixturevalue("step2_subsystem")
+        return net, ms, keep, np.ones(net.n_bus), np.zeros(net.n_bus)
+    tag = request.param[4:]
+    return _central(
+        request.getfixturevalue("net" + tag), request.getfixturevalue("pf" + tag),
+        pmus=tag == "14",
+    )
+
+
+class TestScenarioAxis:
+    @staticmethod
+    def _stack(Vm, Va, K, seed=1):
+        rng = np.random.default_rng(seed)
+        return (
+            Vm[:, None] * (1 + 0.01 * rng.standard_normal((len(Vm), K))),
+            Va[:, None] + 0.01 * rng.standard_normal((len(Va), K)),
+        )
+
+    @pytest.mark.parametrize("K", [1, 2, 9])
+    def test_stack_equals_column_by_column(self, problem, K):
+        """h and fill_data on an (n, K) stack are, column by column and bit
+        for bit, the K one-state calls."""
+        net, ms, keep, Vm, Va = problem
+        model = MeasurementModel(net, ms)
+        structure = model.jacobian_structure(keep)
+        VmK, VaK = self._stack(Vm, Va, K)
+        hK = model.h(VmK, VaK)
+        dK = structure.fill_data(VmK, VaK)
+        assert hK.shape == (len(ms), K) and dK.shape == (structure.nnz, K)
+        for k in range(K):
+            vm, va = VmK[:, k].copy(), VaK[:, k].copy()
+            assert np.array_equal(hK[:, k], model.h(vm, va))
+            assert np.array_equal(dK[:, k], structure.fill_data(vm, va))
+
+    def test_per_scenario_status_matches_forked_model(self, problem):
+        """With its own branch status a column sits within 1e-12 of a model
+        built on the forked network; a column left on the base status
+        within 1e-12 of the base model."""
+        from repro.grid import NetworkDelta
+
+        net, ms, keep, Vm, Va = problem
+        model = MeasurementModel(net, ms)
+        structure = model.jacobian_structure(keep)
+        deltas = [None, NetworkDelta.branch_outage(0), NetworkDelta.branch_outage(2, 5)]
+        VmK, VaK = self._stack(Vm, Va, len(deltas))
+        adm = model.admittance_stack(np.array([
+            net.br_status if d is None else d.branch_status_of(net) for d in deltas
+        ]))
+        cur = model.currents(VmK, VaK, adm)
+        hK = model.h(VmK, VaK, cur)
+        dK = structure.fill_data(VmK, VaK, cur, adm)
+        assert np.array_equal(dK, structure.fill_data(VmK, VaK, adm=adm))
+        indptr, indices, shape = structure.pattern
+        for k, d in enumerate(deltas):
+            ref = MeasurementModel(net if d is None else net.fork(d), ms)
+            vm, va = VmK[:, k].copy(), VaK[:, k].copy()
+            assert np.abs(hK[:, k] - ref.h(vm, va)).max() < 1e-12
+            H = sp.csc_matrix((dK[:, k], indices, indptr), shape=shape)
+            gap = H - ref.jacobian_reduced(vm, va, keep)
+            assert gap.nnz == 0 or np.abs(gap.data).max() < 1e-12
+
+    def test_admittances_need_a_matching_stack(self, net14, pf14):
+        net, ms, keep, Vm, Va = _central(net14, pf14)
+        model = MeasurementModel(net, ms)
+        adm = model.admittance_stack(np.tile(net.br_status, (3, 1)))
+        assert adm.shape == (4 * net.n_branch, 3)
+        with pytest.raises(ValueError, match="admittances"):
+            model.currents(Vm, Va, adm)
+        with pytest.raises(ValueError, match="admittances"):
+            model.currents(*self._stack(Vm, Va, 2), adm)
+        with pytest.raises(ValueError):
+            model.admittance_stack(np.ones((2, net.n_branch + 1)))

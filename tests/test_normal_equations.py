@@ -16,7 +16,6 @@ from repro.dse import DistributedStateEstimator, decompose, dse_pmu_placement
 from repro.estimation import solvers
 from repro.estimation.batch import BatchEstimator, BatchScenario
 from repro.estimation.solvers import (
-    BatchGainSolver,
     GainSolveError,
     GainSolver,
     NormalEquations,
@@ -107,13 +106,32 @@ class TestKernelArithmetic:
         rng = np.random.default_rng(1)
         data = H.data * (1.0 + 0.01 * rng.standard_normal((4, H.nnz)))
         rs = r + 0.01 * rng.standard_normal((4, len(r)))
-        batch = BatchGainSolver().solve_csc(
-            H.indptr, H.indices, H.shape, data, w, rs
+        batch, errors = NormalEquations(H.indptr, H.indices, H.shape).solve_blocks(
+            data, w, rs
         )
+        assert not errors and batch.shape == (4, H.shape[1])
         solver = GainSolver()
         for k in range(4):
             one = solver.solve_csc(H.indptr, H.indices, H.shape, data[k], w, rs[k])
             assert np.array_equal(batch[k], one)
+
+    def test_stacked_block_fails_alone(self, central118):
+        """Replica 1 of 3 has an indefinite gain: its error alone, the
+        other two bit-equal to their solo solves; rows carry the labels
+        ``active`` gives them."""
+        _, H, w, r = central118
+        rng = np.random.default_rng(2)
+        data = H.data * (1.0 + 0.01 * rng.standard_normal((3, H.nnz)))
+        data[1] = 0.0                      # G = 0: dpotrf stops at column 1
+        rs = r + 0.01 * rng.standard_normal((3, len(r)))
+        kernel = NormalEquations(H.indptr, H.indices, H.shape)
+        dx, errors = kernel.solve_blocks(data, w, rs, [7, 8, 9])
+        assert list(errors) == [8] and isinstance(errors[8], GainSolveError)
+        assert not dx[1].any()
+        for k in (0, 2):
+            assert np.array_equal(dx[k], kernel.solve(data[k], w, rs[k]))
+        with pytest.raises(ValueError, match="one row per active block"):
+            kernel.solve_blocks(data, w, rs, [0, 1])
 
     def test_new_pattern_replaces_kernel(self, central118):
         _, H, w, r = central118
@@ -166,11 +184,11 @@ class TestOrderingRegression:
 
     def test_batch_gain_solver(self, system, request):
         _, H, w, r = request.getfixturevalue(system)
-        solver = BatchGainSolver()
+        kernel = NormalEquations(H.indptr, H.indices, H.shape)
         data, rs = np.tile(H.data, (4, 1)), np.tile(r, (4, 1))
         for _ in range(2):
-            solver.solve_csc(H.indptr, H.indices, H.shape, data, w, rs)
-        assert _fill(solver.kernel.spd.lu) == _fill(spla.splu(build_gain(H, w)))
+            assert not kernel.solve_blocks(data, w, rs)[1]
+        assert _fill(kernel.spd.lu) == _fill(spla.splu(build_gain(H, w)))
 
     def test_schur_interior_block(self, system, request):
         est, H, w, _ = request.getfixturevalue(system)
@@ -233,11 +251,11 @@ class TestTypedFailure:
             monkeypatch.setattr(solvers, "DENSE_MAX_STATES", limit)
             with pytest.raises(GainSolveError):
                 GainSolver().solve(H, w, r)
-            with pytest.raises(GainSolveError):
-                BatchGainSolver().solve_csc(
-                    H.indptr, H.indices, H.shape,
-                    np.tile(H.data, (2, 1)), w, np.tile(r, (2, 1)),
-                )
+            dx, errors = NormalEquations(H.indptr, H.indices, H.shape).solve_blocks(
+                np.tile(H.data, (2, 1)), w, np.tile(r, (2, 1))
+            )
+            assert sorted(errors) == [0, 1] and not dx.any()
+            assert all(isinstance(e, GainSolveError) for e in errors.values())
             with pytest.raises(GainSolveError):
                 SchurGainSolver(np.arange(n - 4, n), n).factor(H, w)
 
@@ -248,11 +266,12 @@ class TestTypedFailure:
         r[3] = bad
         with pytest.raises(GainSolveError):
             GainSolver().solve(H, w, r)
-        with pytest.raises(GainSolveError):
-            BatchGainSolver().solve_csc(
-                H.indptr, H.indices, H.shape,
-                np.tile(H.data, (2, 1)), w, np.stack([r, r]),
-            )
+        # a stack reports per block: the poisoned replica alone
+        dx, errors = NormalEquations(H.indptr, H.indices, H.shape).solve_blocks(
+            np.tile(H.data, (2, 1)), w, np.stack([r, central118[3]])
+        )
+        assert list(errors) == [0] and isinstance(errors[0], GainSolveError)
+        assert not dx[0].any() and np.all(np.isfinite(dx[1])) and dx[1].any()
         schur = SchurGainSolver(np.arange(0, est.n_states, 9), est.n_states)
         schur.factor(H, w)
         with pytest.raises(GainSolveError):

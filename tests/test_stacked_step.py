@@ -407,8 +407,6 @@ class TestStackedKernel:
             WlsEstimator.stacked([])
         with pytest.raises(ValueError):
             WlsEstimator.stacked([WlsEstimator(subnet, ms1, solver="pcg")])
-        with pytest.raises(ValueError):
-            WlsEstimator.stacked([WlsEstimator(subnet, ms1, use_cache=False)])
         stack = WlsEstimator.stacked([dse._est1[0], dse._est1[1]])
         with pytest.raises(ValueError):
             WlsEstimator.stacked([stack])
