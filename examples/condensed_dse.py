@@ -6,9 +6,10 @@ Run with::
 
 Each subsystem eliminates its internal states from the extended gain
 matrix onto the boundary buses via a Schur complement (factored once per
-frame topology), so every Step-2 round solves a boundary-sized system,
-back-substitutes the interior locally, and puts only compact
-per-neighbour boundary blocks on the wire.  The example runs the
+frame, at the solution of the exact first round), so every later Step-2
+round solves a boundary-sized system, back-substitutes the interior
+locally, and every round puts only compact per-neighbour boundary blocks
+on the wire.  The example runs the
 reference and the condensed path on IEEE-118, checks final-state parity,
 and round-trips the condensed wire frames through the live middleware
 runtime.

@@ -1,27 +1,31 @@
 #!/usr/bin/env python3
 """Same bits as another revision: one fixed matrix of estimates, hashed.
 
-    scripts/same_bits.py <rev>
+    scripts/same_bits.py <rev> [--tol 1e-9]
 
-A change that claims to move no number proves it here instead of with a
-hand-made scratch script.  ``<rev>`` is extracted with ``pair_bench``'s
+A change that claims to move no number — or to move the states by no more
+than a stated tolerance — proves it here instead of with a hand-made
+scratch script.  ``<rev>`` is extracted with ``pair_bench``'s
 ``git archive`` helper (committed files, fresh directory, nothing registered
 in ``.git``); this file's matrix then runs once against that tree's ``src``
 and once against the working tree's, each in its own interpreter, and the
 rows are compared:
 
-- IEEE-118 in-process DSE: {serial, ``threads:2``, ``processes:2``} ×
-  {reference, condensed Step 2} × {cold run, two values-only frames};
+- IEEE-118 in-process DSE: Step 1 alone, then {serial, ``threads:2``,
+  ``processes:2``} × {reference, condensed Step 2} × {cold run, two
+  values-only frames};
 - the 37-area 1 480-bus grid: {reference, condensed}, cold;
 - ``LiveDseRuntime``: {in-proc, TCP} × {reference, condensed}, two frames;
 - ``BatchEstimator``: K ∈ {1, 6, 16} value frames, and a chunk of six value
   frames with three branch-outage what-ifs.
 
 One line per row: sha1 of ``Vm‖Va``, the Gauss-Newton iteration total, and
-``equal`` or ``DIFFERENT`` (with the largest absolute difference).  Exits
-non-zero on any difference.  The matrix touches public API only, so it runs
-unchanged in both trees; it needs a revision, which is why it is not part of
-``scripts/verify.sh``.
+``equal`` or ``DIFFERENT`` — a differing row adds ``max|dVm|``, ``max|dVa|``
+and both trees' iteration totals.  Exits non-zero on any difference; with
+``--tol`` (default 0) a row whose states differ by no more than that,
+whatever its iteration total, reads ``within tol`` and does not count.  The
+matrix touches public API only, so it runs unchanged in both trees; it needs
+a revision, which is why it is not part of ``scripts/verify.sh``.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from pair_bench import REPO, extract  # noqa: E402
 # the matrix (runs with one tree's ``src`` on PYTHONPATH)
 # ---------------------------------------------------------------------
 def matrix() -> None:
-    """Print one JSON line per row: name, sha1, iterations, the state."""
+    """Print one JSON line per row: name, sha1, iterations, the states."""
     import numpy as np
 
     from repro import obs
@@ -66,7 +70,8 @@ def matrix() -> None:
             "row": name,
             "sha1": hashlib.sha1(x.tobytes()).hexdigest(),
             "iterations": int(iterations),
-            "x": x.tolist(),
+            "vm": np.concatenate([vm for vm, _ in states]).tolist(),
+            "va": np.concatenate([va for _, va in states]).tolist(),
         }), flush=True)
 
     def dse_iterations(res) -> int:
@@ -88,6 +93,8 @@ def matrix() -> None:
     ms, frames = case(net, dec)
     modes = (("reference", False), ("condensed", True))
 
+    res = DistributedStateEstimator(dec, ms).run(rounds=0)
+    emit("ieee118 serial step 1 only", [(res.Vm, res.Va)], dse_iterations(res))
     for executor in ("serial", "threads:2", "processes:2"):
         for mode, condense in modes:
             dse = DistributedStateEstimator(
@@ -169,6 +176,9 @@ def run_matrix(tree: Path) -> dict[str, dict]:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("rev", nargs="?", help="revision to compare the working tree with")
+    ap.add_argument("--tol", type=float, default=0.0,
+                    help="largest |dVm| / |dVa| a differing row may show "
+                         "and still pass (default 0: every bit)")
     ap.add_argument("--matrix", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.matrix:
@@ -185,24 +195,27 @@ def main() -> int:
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
+    def gap(a: list, b: list) -> float:
+        if len(a) != len(b):
+            return float("inf")
+        return max((abs(x - y) for x, y in zip(a, b)), default=0.0)
+
     different = 0
     for name, row in ours.items():
         ref = theirs.get(name)
-        same = (
-            ref is not None
-            and ref["sha1"] == row["sha1"]
-            and ref["iterations"] == row["iterations"]
-        )
         verdict = "equal"
-        if not same:
+        if ref is None:
             different += 1
-            verdict = "DIFFERENT"
-            if ref is None:
-                verdict += " (row missing at the revision)"
-            elif len(ref["x"]) == len(row["x"]):
-                gap = max(abs(a - b) for a, b in zip(ref["x"], row["x"]))
-                verdict += (f" (max |dx| {gap:.3e}, iterations "
-                            f"{ref['iterations']} -> {row['iterations']})")
+            verdict = "DIFFERENT (row missing at the revision)"
+        elif (ref["sha1"], ref["iterations"]) != (row["sha1"], row["iterations"]):
+            d_vm, d_va = gap(ref["vm"], row["vm"]), gap(ref["va"], row["va"])
+            inside = args.tol > 0 and max(d_vm, d_va) <= args.tol
+            different += not inside
+            verdict = (
+                f"{'within tol' if inside else 'DIFFERENT'} "
+                f"(max|dVm| {d_vm:.3e}, max|dVa| {d_va:.3e}, iterations "
+                f"{ref['iterations']} -> {row['iterations']})"
+            )
         print(f"{name:36s} {row['sha1'][:16]}  iters {row['iterations']:5d}  {verdict}")
     missing = sorted(set(theirs) - set(ours))
     for name in missing:

@@ -159,9 +159,8 @@ class DistributedStateEstimator:
         retained as the ``False`` reference path).
     warm_start:
         Start each Step-2 re-evaluation from the subsystem's previous-round
-        extended solution (external boundary values refreshed from the
-        neighbours' latest publications) rather than from the Step-1
-        publication alone.
+        extended solution, unchanged, rather than from the published state
+        alone.
     degrade_on_failure:
         Off by default (a failed solve raises, the seed behaviour).  When
         on, a per-subsystem solve that raises falls back to the
@@ -175,12 +174,12 @@ class DistributedStateEstimator:
         When on, each subsystem's extended gain matrix is condensed onto
         its boundary buses via a Schur complement
         (:class:`~repro.dse.condensation.CondensedStep2`) — factored once
-        per frame topology and reused across rounds and frames — so each
-        Step-2 round solves a boundary-sized system and back-substitutes
-        interior states locally, and each round exchanges only compact
-        per-neighbour boundary blocks (the condensed wire form of
-        :mod:`repro.middleware.message`).  Requires
-        ``reuse_structures=True``.
+        per frame, at the solution of the frame's first (exact) Step-2
+        round, and reused by every later round — so those rounds solve a
+        boundary-sized system and back-substitute interior states locally,
+        and each round exchanges only compact per-neighbour boundary
+        blocks (the condensed wire form of :mod:`repro.middleware.message`).
+        Requires ``reuse_structures=True``.
     """
 
     def __init__(
@@ -365,25 +364,19 @@ class DistributedStateEstimator:
         published_vm: np.ndarray,
         published_va: np.ndarray,
         last2: dict,
-        ext: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Step-2 start ``(x0_vm, x0_va)`` over subsystem ``s``'s extended
-        network: its previous-round solution with the external boundary
-        buses ``ext`` refreshed from the published state (all of them by
-        default; a host that missed a neighbour passes the ones it heard),
-        or the published state alone on the first round."""
-        _, bmap2, xbuses, all_ext, _ = self.sub2[s]
+        network: where its previous round stopped, unchanged, or the
+        published state on the first round.  What the neighbours said
+        since is in the pseudo-measurement values of ``z``; writing it
+        over the start's external buses too would push the start off the
+        round's own fixed point (the extended solve's estimate of those
+        buses sits ~1e-3 pu from the published value in every round) and
+        cost every round its warm start."""
         if self.warm_start and s in last2:
-            ext = all_ext if ext is None else ext
-            x0_vm, x0_va = last2[s]
-            x0_vm, x0_va = x0_vm.copy(), x0_va.copy()
-            ext_local = bmap2[ext]
-            x0_vm[ext_local] = published_vm[ext]
-            x0_va[ext_local] = published_va[ext]
-        else:
-            x0_vm = published_vm[xbuses]
-            x0_va = published_va[xbuses]
-        return x0_vm, x0_va
+            return last2[s]
+        xbuses = self.sub2[s][2]
+        return published_vm[xbuses], published_va[xbuses]
 
     # ------------------------------------------------------------------
     # Process-pool support: worker-resident warm DSE state, keyed by a

@@ -3,13 +3,13 @@
 The reference Step 2 re-evaluates each subsystem's *full* extended network
 every round, so the per-round solve scales with subsystem size even though
 only the boundary couples neighbours.  Condensation freezes the extended
-gain matrix ``G = Hᵀ W H`` at a canonical linearization point and
-eliminates the interior states onto the boundary once per frame topology
+gain matrix ``G = Hᵀ W H`` at a linearization point and eliminates the
+interior states onto the boundary once per frame
 (:class:`~repro.estimation.solvers.SchurGainSolver`):
 
 .. code-block:: text
 
-    S = G_BB − G_BI G_II⁻¹ G_IB          once per topology
+    S = G_BB − G_BI G_II⁻¹ G_IB          once per frame
     dx_B = S⁻¹ (rhs_B − G_IBᵀ G_II⁻¹ rhs_I)   per iteration (boundary-sized)
     dx_I = G_II⁻¹ rhs_I − W dx_B              local back-substitution
 
@@ -17,21 +17,34 @@ Each iteration still evaluates the *exact* residual and Jacobian at the
 current state — ``rhs = H(x)ᵀ W (z − h(x))`` — so the fixed point of the
 iteration is the exact WLS stationary point (``H(x*)ᵀ W r(x*) = 0``);
 freezing only the gain operator turns Gauss-Newton into a quasi-Newton
-scheme with linear convergence near the solution.  The iteration is run
-to a tighter internal tolerance to keep final-state parity with the
-reference path at ≤1e-8, and falls back to the exact reference solve on
-the rare frame where the frozen operator does not contract fast enough.
+scheme with linear convergence.  How fast it contracts depends on how far
+the frozen point is from where the iteration runs, so the operator is
+frozen *there*: round 0 of a frame is the wrapped estimator's exact
+Gauss-Newton solve, and every later round iterates with the gain
+condensed at that round-0 solution (3–5e-3 pu closer than the Step-1
+publication, which on stiff areas is the difference between a contraction
+of 0.7 and one of 0.06–0.12 per iteration).  The iteration runs to a
+tighter internal tolerance to keep final-state parity with the reference
+path at ≤1e-8, and falls back to the exact solve on the rare round where
+the frozen operator does not contract fast enough.
+
+The iteration itself is not written here: it is the one masked
+Gauss-Newton loop (:meth:`WlsEstimator.estimate_blocks`) given each
+block's frozen operator as data.  :func:`frozen_round` runs it for any
+number of subsystems in lock step — over the union of their estimators on
+a serial host, over one estimator everywhere else — and a block's bits do
+not depend on how many ride along.
 
 The linearization point must be *history-free* for the repo's
 bit-identical-across-executors property to survive condensation: a process
 worker may first touch a subsystem's cache on any round, so an operator
 frozen "at the first state seen" would differ between serial and pooled
-runs.  The DSE therefore passes the frame's Step-1 publication (restricted
-to the extended network) as an explicit ``lin_point`` with every call —
-the same arrays on every executor — and :class:`CondensedStep2` refactors
-only when the point actually changes (exact array match), so all rounds of
-a frame share one factorization, repeated identical frames reuse it, and
-tracking frames refactor once per frame.
+runs.  The round-0 solution is a function of the frame's inputs alone —
+the same arrays on every executor and host — and the stepper passes it as
+an explicit ``lin_point`` with every later call.  :class:`CondensedStep2`
+refactors only when the point actually changes (exact array match), so
+all frozen rounds of a frame share one factorization, repeated identical
+frames reuse it, and tracking frames refactor once per frame.
 """
 
 from __future__ import annotations
@@ -46,7 +59,7 @@ from ..estimation.solvers import GainSolveError, SchurGainSolver
 from ..estimation.wls import EstimationError, WlsEstimator
 from .decomposition import Decomposition
 
-__all__ = ["CondensedStep2", "neighbor_publication_sets"]
+__all__ = ["CondensedStep2", "frozen_round", "neighbor_publication_sets"]
 
 
 def neighbor_publication_sets(dec: Decomposition) -> dict[int, dict[int, np.ndarray]]:
@@ -81,13 +94,16 @@ class CondensedStep2:
     Wraps the warm extended-network estimator of one subsystem and exposes
     the same ``estimate(x0=, tol=, z=)`` call surface, so the in-process
     algorithm, the process-pool task functions and the live runtime use it
-    unchanged through ``_step2_cache``.
+    unchanged through ``_step2_cache``.  It owns the subsystem's Schur
+    operator, the linearization point it was factored at and the fallback
+    count; the iteration is :func:`frozen_round`.
 
     Parameters
     ----------
     est:
         The subsystem's cached extended-network estimator (owns the
-        Jacobian pattern caches the condensed iteration reuses).
+        Jacobian pattern and the normal-equation kernel the condensed
+        operator is factored through, and solves round 0 and fallbacks).
     boundary_buses_local:
         Local bus indices of the coupling set — the subsystem's own
         boundary buses plus the external boundary buses; both of each
@@ -97,10 +113,10 @@ class CondensedStep2:
         (tighter than the reference's ``step < tol``) so its linear tail
         still lands within reference parity.
     max_iter:
-        Iteration cap for the linearly-convergent frozen-gain loop
+        Iteration cap for the linearly-convergent frozen-gain iteration
         (higher than Gauss-Newton's since each iteration is much cheaper);
-        on hitting the cap without converging the call falls back to the
-        wrapped reference estimator.
+        a round that has not converged inside it falls back to the wrapped
+        exact estimator.
     """
 
     def __init__(
@@ -137,60 +153,31 @@ class CondensedStep2:
         return self.schur.n_interior
 
     # ------------------------------------------------------------------
-    def factor(
-        self, Vm: np.ndarray | None = None, Va: np.ndarray | None = None
-    ) -> None:
-        """Condense the gain operator at the given linearization point.
+    def factor(self, Vm: np.ndarray, Va: np.ndarray) -> None:
+        """Condense the gain operator at the linearization point
+        ``(Vm, Va)`` over the extended network.
 
-        Defaults to the subnetwork's case voltage profile (the only
-        history-free point available without caller input).  The DSE
-        instead passes the frame's Step-1 publication through
-        :meth:`estimate`'s ``lin_point``, which lands here via
-        :meth:`_ensure_factored`.
+        Numeric-only: the Jacobian is a data vector on the wrapped
+        estimator's fixed pattern and the gain is assembled by that
+        estimator's own kernel, which the Schur solver adopts — no sparse
+        matrix, no second symbolic pass.  The DSE reaches this through
+        :meth:`estimate`'s ``lin_point``.
         """
         est = self.est
-        if Vm is None:
-            Vm = est.net.Vm0
-        if Va is None:
-            Va = est.net.Va0
         t0 = time.perf_counter()
-        H = est._jacobian_at(
+        kernel = est._kernel()
+        data = est.model.jacobian_structure(est._keep).fill_data(
             np.asarray(Vm, dtype=float), np.asarray(Va, dtype=float)
         )
-        self.schur.factor(H, est.mset.weights)
+        self.schur.factor_gain(
+            kernel, kernel.gain(data, kernel.weighted(data, est.mset.weights))
+        )
         self.factor_time += time.perf_counter() - t0
         self.factor_count += 1
         if obs.enabled():
             obs.metrics().counter("dse.condensation.factorizations_total").inc()
 
-    def _ensure_factored(
-        self, lin_point: tuple[np.ndarray, np.ndarray] | None
-    ) -> None:
-        """Factor on demand; with a ``lin_point``, refactor only when the
-        point differs from the cached one (exact match), so every round of
-        a frame — on any executor — shares the identical operator and
-        repeated identical frames skip the refactorization entirely."""
-        if lin_point is None:
-            if not self.schur.factored:
-                self.factor()
-            return
-        vm, va = lin_point
-        cached = self._lin_cache
-        if (
-            cached is not None
-            and np.array_equal(cached[0], vm)
-            and np.array_equal(cached[1], va)
-        ):
-            return
-        self.factor(vm, va)
-        self._lin_cache = (
-            np.array(vm, dtype=float, copy=True),
-            np.array(va, dtype=float, copy=True),
-        )
-
-    def lin_point_cached(
-        self, lin_point: tuple[np.ndarray, np.ndarray] | None
-    ) -> bool:
+    def lin_point_cached(self, lin_point: tuple[np.ndarray, np.ndarray]) -> bool:
         """True when ``lin_point`` exactly matches the operator already
         factored, i.e. :meth:`estimate` would reuse the factorization.
 
@@ -199,13 +186,26 @@ class CondensedStep2:
         (float64 both sides), so a failover successor restoring a donor's
         checkpoint hits the cache instead of re-condensing the subsystem.
         """
-        if lin_point is None:
-            return self.schur.factored
         cached = self._lin_cache
         return (
             cached is not None
             and np.array_equal(cached[0], lin_point[0])
             and np.array_equal(cached[1], lin_point[1])
+        )
+
+    def _ensure_factored(self, lin_point: tuple[np.ndarray, np.ndarray]) -> None:
+        """Refactor only when ``lin_point`` differs from the cached one
+        (exact match), so every frozen round of a frame — on any executor —
+        shares the identical operator and repeated identical frames skip
+        the refactorization entirely."""
+        if self.lin_point_cached(lin_point):
+            return
+        self._lin_cache = None
+        vm, va = lin_point
+        self.factor(vm, va)
+        self._lin_cache = (
+            np.array(vm, dtype=float, copy=True),
+            np.array(va, dtype=float, copy=True),
         )
 
     # ------------------------------------------------------------------
@@ -219,94 +219,78 @@ class CondensedStep2:
         z: np.ndarray | None = None,
         lin_point: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> EstimationResult:
-        """Frozen-gain iteration over the condensed operator.
+        """One Step-2 re-evaluation of the subsystem.
 
         Mirrors :meth:`WlsEstimator.estimate` (same signature, same
-        :class:`EstimationResult`) plus ``lin_point`` — the linearization
-        point to condense at (refactors only when it changes); raises
-        :class:`EstimationError` on a failed solve.
+        :class:`EstimationResult`) plus ``lin_point``, the linearization
+        point of the frozen-gain iteration (refactors only when it
+        changes; ``max_iter`` overrides that iteration's cap).  Without
+        one — round 0 of a frame, before there is a solution to freeze
+        at — the call is the wrapped estimator's exact Gauss-Newton solve.
+        Raises :class:`EstimationError` on a failed solve.
         """
-        est = self.est
-        net, model, ms = est.net, est.model, est.mset
-        n = net.n_bus
-        if z is None:
-            z = ms.z
-        elif len(z) != len(ms):
-            raise ValueError("z override length mismatch")
-        self._ensure_factored(lin_point)
-
-        if x0 is None:
-            Vm = np.ones(n)
-            Va = np.full(n, reference_angle)
-        else:
-            Vm, Va = x0[0].copy(), x0[1].copy()
-        if not est.has_pmu_angles:
-            Va[est.reference_bus] = reference_angle
-
-        t_start = time.perf_counter() if obs.enabled() else 0.0
-        w = ms.weights
-        structure = model.jacobian_structure(est._keep)
-        kernel = self.schur.kernel
-        inner_tol = tol * self.inner_tol_scale
-        limit = self.max_iter if max_iter is None else max_iter
-        step_norms: list[float] = []
-        converged = False
-        it = 0
-        # currents once per state: they serve the residual there and the
-        # next iteration's Jacobian fill
-        cur = model.currents(Vm, Va)
-        r = z - model.h(Vm, Va, cur)
-        for it in range(1, limit + 1):
-            # Exact gradient at the current state; only the (frozen,
-            # condensed) gain operator is approximate.
-            rhs = kernel.rhs(
-                kernel.weighted(structure.fill_data(Vm, Va, cur), w), r
-            )
-            try:
-                dx = self.schur.solve(rhs)
-            except GainSolveError as exc:
-                raise EstimationError(
-                    f"condensed normal-equation solve failed: {exc}"
-                ) from exc
-            est._advance(Vm, Va, dx)
-            cur = model.currents(Vm, Va)
-            r = z - model.h(Vm, Va, cur)
-            step = float(np.max(np.abs(dx))) if len(dx) else 0.0
-            step_norms.append(step)
-            if step < inner_tol:
-                converged = True
-                break
-            if not np.isfinite(step) or step > 1e3:
-                # Diverging (frozen operator far from contracting): stop
-                # burning iterations and take the fallback below.
-                break
-
-        if not converged:
-            # Stiff frame: the frozen operator is not contracting fast
-            # enough.  Fall back to the exact reference solve — itself a
-            # deterministic function of the same (x0, z, tol) inputs, so
-            # parity and cross-executor determinism survive the fallback.
-            self.fallbacks += 1
-            if obs.enabled():
-                obs.metrics().counter("dse.condensation.fallbacks_total").inc()
-            return est.estimate(
+        if lin_point is None:
+            return self.est.estimate(
                 x0=x0, tol=tol, reference_angle=reference_angle, z=z
             )
-
-        objective = float(r @ (w * r))
-        if obs.enabled():
-            reg = obs.metrics()
-            reg.histogram("wls.estimate.seconds", solver="schur").observe(
-                time.perf_counter() - t_start
-            )
-            reg.counter("wls.iterations_total", solver="schur").inc(it)
-        return EstimationResult(
-            converged=True,
-            iterations=it,
-            Vm=Vm,
-            Va=Va,
-            residuals=r,
-            objective=objective,
-            dof=len(ms) - est.n_states,
-            step_norms=step_norms,
+        (res,) = frozen_round(
+            self.est, [self], x0=[x0], z=[z], lin_points=[lin_point], tol=tol,
+            max_iter=max_iter, reference_angle=reference_angle,
         )
+        if isinstance(res, EstimationError):
+            raise res
+        return res
+
+
+def frozen_round(
+    stack: WlsEstimator,
+    conds: list[CondensedStep2],
+    *,
+    x0: list,
+    z: list,
+    lin_points: list,
+    tol: float = 1e-8,
+    max_iter: int | None = None,
+    reference_angle: float = 0.0,
+) -> list[EstimationResult | EstimationError]:
+    """One frozen-gain re-evaluation of every ``conds[b]``, in lock step.
+
+    ``stack`` holds the wrapped estimators as its blocks — their
+    :meth:`WlsEstimator.stacked` union, or for one subsystem its estimator
+    itself — and runs them through the one masked loop
+    (:meth:`WlsEstimator.estimate_blocks`) with each block's condensed
+    operator, frozen at ``lin_points[b]``, in place of the gain: every
+    iteration evaluates the exact right-hand side over the whole stack
+    once and asks each still-running block's own operator for its step, so
+    a block's iterates are the same bits however many blocks ride along.
+    A block stops on ``step < tol * inner_tol_scale``.  One that has not
+    converged inside its own ``max_iter``, or trips the divergence guard,
+    is re-solved alone by its exact estimator (``fallbacks``) — a
+    deterministic function of the same ``(x0, z, tol)``, so parity and
+    cross-executor determinism survive the fallback.  One outcome per
+    block, a failed block's :class:`EstimationError` in its place.
+    """
+    for cond, lin in zip(conds, lin_points):
+        try:
+            cond._ensure_factored(lin)
+        except GainSolveError:
+            pass    # the unfactored operator fails its own block in the loop
+    limits = [c.max_iter if max_iter is None else max_iter for c in conds]
+    results = stack.estimate_blocks(
+        x0=x0, z=z, tol=[tol * c.inner_tol_scale for c in conds],
+        max_iter=max(limits), reference_angle=reference_angle,
+        operators=[c.schur for c in conds],
+    )
+    for b, (cond, res) in enumerate(zip(conds, results)):
+        if isinstance(res, EstimationError) or (
+            res.converged and res.iterations <= limits[b]
+        ):
+            continue
+        # Stiff frame: the frozen operator is not contracting fast enough.
+        cond.fallbacks += 1
+        if obs.enabled():
+            obs.metrics().counter("dse.condensation.fallbacks_total").inc()
+        (results[b],) = cond.est.estimate_blocks(
+            x0=[x0[b]], z=[z[b]], tol=tol, reference_angle=reference_angle
+        )
+    return results

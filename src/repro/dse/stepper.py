@@ -32,6 +32,7 @@ from .. import obs
 from ..estimation.results import EstimationResult
 from ..estimation.wls import WlsEstimator
 from ..parallel import SerialExecutor, worker_context
+from .condensation import frozen_round
 from .pseudo import pseudo_measurements
 
 __all__ = ["SubsystemRecord", "SubsystemStepper"]
@@ -304,19 +305,13 @@ class SubsystemStepper:
         jobs = []
         with obs.span("dse.exchange", round=rnd):
             for s in self.hosted:
-                _, _, xbuses, ext, _ = dse.sub2[s]
+                ext = dse.sub2[s][3]
                 heard = ext[self.known[ext]]
-                if dse.condense and s not in self.lin:
-                    # Freeze the gain operator at the frame's Step-1
-                    # publication over the extended network: the same
-                    # history-free arrays on every executor and host, so
-                    # all rounds of a frame share one factorization.
-                    self.lin[s] = (Vm[xbuses], Va[xbuses])
                 if dse.reuse_structures and len(heard) == len(ext):
                     z2, x0_vm, x0_va = dse._step2_inputs(s, Vm, Va, self.last2, self.z)
                     jobs.append((s, None, (x0_vm, x0_va), z2, self.lin.get(s)))
                 else:
-                    start = dse._step2_start(s, Vm, Va, self.last2, heard)
+                    start = dse._step2_start(s, Vm, Va, self.last2)
                     jobs.append((s, partial(self._fresh_step2, s, heard), start, None, None))
 
         delta = 0.0
@@ -341,6 +336,13 @@ class SubsystemStepper:
                     _count_degraded_solve()
                     continue
                 self.last2[s] = (res.Vm, res.Va)
+                if dse.condense and s not in self.lin:
+                    # Freeze the gain operator where the iteration lives:
+                    # at the solution of the frame's first (exact) round.
+                    # A function of the frame's inputs alone — the same
+                    # arrays on every executor and host — so the later
+                    # rounds share one factorization wherever they run.
+                    self.lin[s] = self.last2[s]
                 rec.step2_results.append(res)
                 scope = (
                     dse.sub1[s][2] if dse.update_scope == "all"
@@ -377,10 +379,11 @@ class SubsystemStepper:
         Which way is chosen from what the stepper can observe: a process
         pool gets compact tasks for its warm workers; a serial executor
         hosting the whole decomposition on cached direct-solver estimators
-        runs the stage as one stacked Gauss-Newton loop (the frozen-gain
-        condensed rounds stay per subsystem — their iteration counts
-        spread too widely for lock step to pay); everything else fans the
-        subsystems out through the executor.
+        runs the stage as one stacked loop — exact Gauss-Newton, or the
+        frozen-gain iteration once every subsystem has its linearization
+        point (a round where only some do, after a degraded solve, is not
+        one loop); everything else fans the subsystems out through the
+        executor.
         """
         dse, tol, degrade = self.dse, self.tol, self.dse.degrade_on_failure
         if self._pool_key is not None:
@@ -398,8 +401,8 @@ class SubsystemStepper:
             isinstance(dse.executor, SerialExecutor)
             and dse.reuse_structures
             and dse.solver == "lu"
-            and (stage == "step1" or not dse.condense)
             and len(self.hosted) == dse.dec.m
+            and len({lin is None for *_, lin in jobs}) == 1
         ):
             return self._stacked_stage(stage, jobs)
 
@@ -414,7 +417,9 @@ class SubsystemStepper:
         return dse.executor.map(solve, jobs)
 
     def _stacked_stage(self, stage: str, jobs: list[tuple]) -> list[tuple]:
-        """Step 1 or one Step-2 round as one stacked solve.
+        """Step 1 or one Step-2 round as one stacked solve — the exact
+        Gauss-Newton loop, or (every job carrying its linearization point)
+        the frozen-gain one.
 
         Each result is bit for bit the subsystem's own estimator's; the
         stage's wall time is apportioned by the paper's computation weight
@@ -425,15 +430,23 @@ class SubsystemStepper:
         """
         dse = self.dse
         wall0, t0 = time.time(), time.perf_counter()
-        members = [_cached_estimator(dse, stage, s) for s in self.hosted]
+        cached = [_cached_estimator(dse, stage, s) for s in self.hosted]
+        # a condensed Step 2 stacks the exact estimators it wraps
+        condensed = stage == "step2" and dse.condense
+        members = [cond.est for cond in cached] if condensed else cached
         stack = dse._stacks.get(stage)
         if stack is None:
             stack = dse._stacks[stage] = WlsEstimator.stacked(members)
-        results = stack.estimate_blocks(
+        inputs = dict(
             x0=[x0 for _, _, x0, _, _ in jobs],
             z=[z for _, _, _, z, _ in jobs],
             tol=self.tol,
         )
+        lins = [lin for *_, lin in jobs]
+        if lins[0] is None:
+            results = stack.estimate_blocks(**inputs)
+        else:
+            results = frozen_round(stack, cached, lin_points=lins, **inputs)
         wall = time.perf_counter() - t0
 
         failed = [r for r in results if isinstance(r, Exception)]

@@ -376,7 +376,7 @@ class NormalEquations:
         return dx
 
     def solve_blocks(
-        self, data, weights, r, active=None
+        self, data, weights, r, active=None, operators=None
     ) -> tuple[np.ndarray, dict[int, GainSolveError]]:
         """One Gauss-Newton step, block by block.
 
@@ -391,6 +391,11 @@ class NormalEquations:
           residuals): row ``j`` is block ``active[j]`` (default ``j``) and
           goes through the one factor in turn.
 
+        With ``operators`` — one frozen gain operator per diagonal block
+        (:class:`SchurGainSolver`), factored by the caller — no gain is
+        assembled or factored: block ``b``'s step is
+        ``operators[b].solve`` of its slice of the exact right-hand side.
+
         Returns ``(dx, errors)``, ``dx`` shaped like the right-hand side: a
         block whose factorisation fails or whose step comes out non-finite
         keeps a zero step, with its :class:`GainSolveError` under the
@@ -398,9 +403,20 @@ class NormalEquations:
         unaffected.
         """
         wdata = self.weighted(data, weights)
-        gain, rhs = self.gain(data, wdata), self.rhs(wdata, r)
+        rhs = self.rhs(wdata, r)
         dx = np.zeros(rhs.shape)
         errors: dict[int, GainSolveError] = {}
+        if operators is not None:
+            if data.ndim != 1:
+                raise ValueError("frozen operators serve diagonal blocks only")
+            for b in range(len(self._parts)) if active is None else active:
+                at = self._parts[b][1]
+                try:
+                    dx[at] = operators[b].solve(rhs[at])
+                except GainSolveError as exc:
+                    errors[b] = exc
+            return dx, errors
+        gain = self.gain(data, wdata)
         # each block's factor, its place in rhs / dx, and in the gain values
         if data.ndim == 2:
             if self.spd is None:
@@ -570,10 +586,6 @@ class SchurGainSolver:
     def n_interior(self) -> int:
         return len(self.interior)
 
-    @property
-    def factored(self) -> bool:
-        return self._factored
-
     # ------------------------------------------------------------------
     def _split_pattern(self, spd: _SpdFactor) -> tuple:
         """Where each lower-triangle gain entry lands: the interior factor
@@ -602,19 +614,29 @@ class SchurGainSolver:
         return g_ii, (ii, g_ib, s_bb)
 
     def factor(self, H: sp.spmatrix, weights: np.ndarray) -> None:
-        """Condense ``G = Hᵀ W H`` onto the boundary block."""
+        """Condense ``G = Hᵀ W H`` onto the boundary block (the matrix
+        entry point: the kernel for ``H``'s pattern is built here and kept
+        while the pattern stays the same)."""
         Hc = _canonical_csc(H)
-        if Hc.shape[1] != self.n_states:
-            raise ValueError(
-                f"gain matrix order {Hc.shape[1]} != n_states {self.n_states}"
-            )
         kernel = NormalEquations.cached(
             self.kernel, Hc.indptr, Hc.indices, Hc.shape
         )
+        self.factor_gain(
+            kernel, kernel.gain(Hc.data, kernel.weighted(Hc.data, weights))
+        )
+
+    def factor_gain(self, kernel: NormalEquations, gain: np.ndarray) -> None:
+        """Condense the gain given as the lower-triangle values ``gain`` on
+        ``kernel``'s fixed pattern — numeric-only for a caller that already
+        owns the kernel of its Jacobian pattern (an estimator's), which
+        this solver then adopts instead of building a second one."""
+        if kernel.shape[1] != self.n_states:
+            raise ValueError(
+                f"gain matrix order {kernel.shape[1]} != n_states {self.n_states}"
+            )
         if kernel is not self.kernel:
             self.kernel = kernel
             self._interior, self._maps = self._split_pattern(kernel.spd)
-        gain = kernel.gain(Hc.data, kernel.weighted(Hc.data, weights))
         interior = self._interior
         ii, (ib_r, ib_c, ib_src), (bb_r, bb_c, bb_src) = self._maps
         ni, nb = self.n_interior, self.n_boundary

@@ -22,7 +22,11 @@ from ..measurements.types import MeasType, MeasurementSet
 from .results import EstimationResult
 from .solvers import GainSolver, NormalEquations
 
-__all__ = ["EstimationError", "WlsEstimator", "estimate_state"]
+__all__ = ["DIVERGED", "EstimationError", "WlsEstimator", "estimate_state"]
+
+#: A frozen-gain block whose step norm (pu / rad) passes this is diverging:
+#: its operator is too far from where the iteration runs to contract.
+DIVERGED = 1e3
 
 
 class EstimationError(RuntimeError):
@@ -262,9 +266,10 @@ class WlsEstimator:
         x0: list | None = None,
         z: list | None = None,
         status: list | None = None,
-        tol: float = 1e-8,
+        tol: float | list[float] = 1e-8,
         max_iter: int = 25,
         reference_angle: float = 0.0,
+        operators: list | None = None,
     ) -> list[EstimationResult | EstimationError]:
         """One Gauss-Newton loop over every block; one outcome per block.
 
@@ -280,13 +285,22 @@ class WlsEstimator:
 
         Blocks iterate in lock step and are judged separately: a block
         stops — and is no longer factored or solved, a replica no longer
-        evaluated — the iteration its own step norm falls below ``tol``,
-        and keeps its own iteration count, step norms and ``converged``
-        flag; one that is underdetermined, whose gain does not factor or
-        whose step is non-finite yields its :class:`EstimationError` in
-        place of a result while the others carry on.  A replica on the
-        network's own topology gives bit for bit what :meth:`estimate`
-        gives for its ``x0`` / ``z``.
+        evaluated — the iteration its own step norm falls below ``tol``
+        (one value, or one per block), and keeps its own iteration count,
+        step norms and ``converged`` flag; one that is underdetermined,
+        whose gain does not factor or whose step is non-finite yields its
+        :class:`EstimationError` in place of a result while the others
+        carry on.  A replica on the network's own topology gives bit for
+        bit what :meth:`estimate` gives for its ``x0`` / ``z``.
+
+        ``operators`` turns the loop into the frozen-gain iteration of the
+        condensed DSE Step 2: one factored
+        :class:`~repro.estimation.solvers.SchurGainSolver` per block (a
+        union's members, or a plain estimator's one problem) supplies the
+        block's step from the exact right-hand side, so an iteration
+        assembles and factors no gain.  Convergence is then linear, and a
+        block whose step norm passes :data:`DIVERGED` stops unconverged
+        (the caller owns the fallback).
         """
         t_start = time.perf_counter() if obs.enabled() else 0.0
         model, ms, net = self.model, self.mset, self.net
@@ -302,6 +316,11 @@ class WlsEstimator:
         if whatif and len(self._blocks) != 1:
             raise ValueError("branch status is per replica of a plain estimator")
         replicas = whatif or nb > len(self._blocks)
+        if operators is not None and (replicas or len(operators) != nb):
+            raise ValueError("need one frozen operator per block, no replicas")
+        tols = [tol] * nb if np.ndim(tol) == 0 else list(tol)
+        if len(tols) != nb:
+            raise ValueError(f"need one tol, or one per block ({nb})")
 
         # Where a block lives.  A union is one (n,) state and its blocks are
         # bus / row slices of it; replicas are the columns of an (n, K)
@@ -346,8 +365,8 @@ class WlsEstimator:
         # whole problem.
         structure = model.jacobian_structure(self._keep)
         kernel = self._kernel() if self.solver == "lu" else None
-        if kernel is None and (replicas or nb != 1):
-            raise ValueError("only 'lu' estimators stack")
+        if kernel is None and (replicas or nb != 1 or operators is not None):
+            raise ValueError("only 'lu' estimators stack or take frozen operators")
         state_starts = [blk.states.start for blk in self._blocks]
         step_norms: list[list[float]] = [[] for _ in range(nb)]
 
@@ -385,7 +404,7 @@ class WlsEstimator:
                     # a stack goes to the kernel scenario by scenario, as
                     # rows (.T of one state's vectors is the vectors)
                     dx, errors = kernel.solve_blocks(
-                        np.ascontiguousarray(data.T), w, r.T, active
+                        np.ascontiguousarray(data.T), w, r.T, active, operators
                     )
                     dx = dx.T
                 else:
@@ -417,8 +436,10 @@ class WlsEstimator:
                 if b in errors:
                     continue
                 step_norms[b].append(steps[b])
-                if steps[b] < tol:
+                if steps[b] < tols[b]:
                     finish(b, True)
+                elif operators is not None and steps[b] > DIVERGED:
+                    finish(b, False)
                 else:
                     running.append(b)
             if replicas and len(running) < len(active):
@@ -434,10 +455,11 @@ class WlsEstimator:
 
         if obs.enabled():
             reg = obs.metrics()
-            reg.histogram("wls.estimate.seconds", solver=self.solver).observe(
+            solver = self.solver if operators is None else "schur"
+            reg.histogram("wls.estimate.seconds", solver=solver).observe(
                 time.perf_counter() - t_start
             )
-            reg.counter("wls.iterations_total", solver=self.solver).inc(
+            reg.counter("wls.iterations_total", solver=solver).inc(
                 sum(
                     res.iterations
                     for res in results

@@ -214,18 +214,34 @@ def test_symbolic_pass_runs_once_per_estimator(dse118, monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(NormalEquations, "__init__", counting_init)
-    dse = DistributedStateEstimator(dec, ms)
     rng = np.random.default_rng(5)
-    # frame 1 starts flat, where many Jacobian entries are exactly zero;
-    # frame 2 warm-starts from its solution
-    first = dse.run(z=ms.z)
-    dse.run(z=ms.z + ms.sigma * rng.standard_normal(len(ms)), x0=(first.Vm, first.Va))
-    estimators = [dse._est1[s] for s in range(dec.m)]
-    estimators += [dse._step2_cache[s][0] for s in range(dec.m)]
-    assert len(built) == len(estimators)
-    assert {id(k) for k in built} == {
-        id(e._gain_solver.kernel) for e in estimators
-    }
+    # a condensed Step 2 factors its Schur operator through the kernel of
+    # the estimator it wraps: no second kernel for the same pattern
+    for condense in (False, True):
+        built.clear()
+        dse = DistributedStateEstimator(dec, ms, condense=condense)
+        # frame 1 starts flat, where many Jacobian entries are exactly
+        # zero; frame 2 warm-starts from its solution
+        first = dse.run(z=ms.z)
+        dse.run(
+            z=ms.z + ms.sigma * rng.standard_normal(len(ms)),
+            x0=(first.Vm, first.Va),
+        )
+        estimators = [dse._est1[s] for s in range(dec.m)]
+        estimators += [
+            getattr(dse._step2_cache[s][0], "est", dse._step2_cache[s][0])
+            for s in range(dec.m)
+        ]
+        assert len(built) == len(estimators)
+        assert {id(k) for k in built} == {
+            id(e._gain_solver.kernel) for e in estimators
+        }
+        if condense:
+            assert all(
+                dse._step2_cache[s][0].schur.kernel
+                is dse._step2_cache[s][0].est._gain_solver.kernel
+                for s in range(dec.m)
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -302,9 +302,10 @@ class TestStackedStages:
         finally:
             threaded.executor.shutdown()
         assert threaded._stacks == {}
+        # a condensed Step 2 stacks too: round 0 exact, the rest frozen-gain
         condensed = DistributedStateEstimator(dec, ms, condense=True)
         condensed.run()
-        assert set(condensed._stacks) == {"step1"}
+        assert set(condensed._stacks) == {"step1", "step2"}
         pcg = DistributedStateEstimator(dec, ms, solver="pcg")
         pcg.run(rounds=1)
         assert pcg._stacks == {}
