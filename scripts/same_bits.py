@@ -17,7 +17,16 @@ rows are compared:
 - the 37-area 1 480-bus grid: {reference, condensed}, cold;
 - ``LiveDseRuntime``: {in-proc, TCP} × {reference, condensed}, two frames;
 - ``BatchEstimator``: K ∈ {1, 6, 16} value frames, and a chunk of six value
-  frames with three branch-outage what-ifs.
+  frames with three branch-outage what-ifs;
+- post-estimation statistics on IEEE-118, centrally and on subsystem 2's
+  Step-1 problem: ``normalized_residuals`` (hashed in the ``Vm`` slot) and
+  ``state_covariance`` (``vm_std‖va_std``);
+- ``identify_bad_data`` and ``huber_estimate`` on a seeded 3-gross-error
+  IEEE-118 set (identification also hashes ``removed_rows``),
+  ``HierarchicalStateEstimator.run()``, and three frames through
+  ``DseSession(bad_data_policy="identify")`` — clean, one 40 σ ``V_MAG``
+  error inside subsystem 2, clean — hashing every frame's state plus its
+  ``removed_global_rows``.
 
 One line per row: sha1 of ``Vm‖Va``, the Gauss-Newton iteration total, and
 ``equal`` or ``DIFFERENT`` — a differing row adds ``max|dVm|``, ``max|dVa|``
@@ -52,17 +61,31 @@ def matrix() -> None:
     import numpy as np
 
     from repro import obs
+    from repro.core import ArchitecturePrototype, DseSession
     from repro.core.runtime import LiveDseRuntime
     from repro.dse import (
         DistributedStateEstimator,
+        HierarchicalStateEstimator,
         decompose,
         decompose_by_areas,
         dse_pmu_placement,
     )
+    from repro.estimation import (
+        WlsEstimator,
+        huber_estimate,
+        identify_bad_data,
+        normalized_residuals,
+        state_covariance,
+    )
     from repro.estimation.batch import BatchEstimator, BatchScenario
     from repro.grid import NetworkDelta, run_ac_power_flow
     from repro.grid.cases import case118, synthetic_grid
-    from repro.measurements import full_placement, generate_measurements
+    from repro.measurements import (
+        MeasType,
+        full_placement,
+        generate_measurements,
+        inject_bad_data,
+    )
 
     def emit(name: str, states: list, iterations: int) -> None:
         x = np.concatenate([np.concatenate([vm, va]) for vm, va in states])
@@ -152,6 +175,57 @@ def matrix() -> None:
     for name, scenarios in chunks.items():
         out = batch.estimate_batch(scenarios)
         emit(name, [(r.Vm, r.Va) for r in out], int(out.iterations.sum()))
+
+    # post-estimation statistics, identification, Huber, the hierarchical
+    # baseline and the screened session; lists of rows ride as float arrays
+    none = np.zeros(0)
+    bad = inject_bad_data(
+        central, np.array([30, 150, 400]), magnitude_sigmas=25,
+        rng=np.random.default_rng(3),
+    )
+    sub = DistributedStateEstimator(dec, ms).sub1[2]
+    for name, est in (
+        ("central", WlsEstimator(net, bad)),
+        ("subsystem 2", WlsEstimator(sub[0], sub[3])),
+    ):
+        res = est.estimate()
+        emit(f"normalized residuals {name}",
+             [(normalized_residuals(est, res), none)], res.iterations)
+        cov = state_covariance(est, res)
+        emit(f"state covariance {name}", [(cov.vm_std, cov.va_std)], res.iterations)
+    report = identify_bad_data(net, bad)
+    emit("identify 3 gross errors",
+         [(report.result.Vm, report.result.Va),
+          (np.array(report.removed_rows, dtype=float), none)],
+         report.result.iterations)
+    res = huber_estimate(net, bad)
+    emit("huber 3 gross errors", [(res.Vm, res.Va)], res.iterations)
+    res = HierarchicalStateEstimator(dec, ms).run()
+    emit("hierarchical", [(res.Vm, res.Va)], res.coordinator_iterations + sum(
+        r.iterations for r in res.local_results.values()
+    ))
+    internal = set(dec.buses(2)) - set(dec.boundary_buses(2))
+    vmag = next(
+        row for row, m in enumerate(ms)
+        if m.mtype == MeasType.V_MAG and m.element in internal
+    )
+    scans = [ms.with_values(z) for z in (*frames, frames[0])]
+    scans[1] = inject_bad_data(
+        scans[1], np.array([vmag]), magnitude_sigmas=40,
+        rng=np.random.default_rng(4),
+    )
+    arch = ArchitecturePrototype.assemble(net, m_subsystems=9, seed=0)
+    try:
+        session = DseSession(arch, bad_data_policy="identify")
+        states = []
+        for scan in scans:
+            removed = session.process_frame(scan).bad_data.removed_global_rows
+            # the session publishes no state; its tracking start is the frame's
+            states += [(session._prev_vm, session._prev_va),
+                       (np.array(removed, dtype=float), none)]
+        emit("session identify 3 frames", states, sum(r.rounds for r in session.reports))
+    finally:
+        arch.close()
 
 
 # ---------------------------------------------------------------------

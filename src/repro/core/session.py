@@ -154,19 +154,23 @@ class DseSession:
         if t is None:
             t = float(self._frame_no)
 
-        # (0) optional distributed bad-data screening on the raw frame
+        # (0) optional distributed bad-data screening on the raw frame, on
+        # the placement's kept estimator: a clean frame constructs nothing
         bad_data_report = None
-        rows_removed = False
+        screened = None
         if self.bad_data_policy != "off":
             from ..dse.baddata import distributed_bad_data
 
             with obs.span("session.bad_data", policy=self.bad_data_policy):
+                screened = self._estimator_for(mset, keep=True)
                 bad_data_report = distributed_bad_data(
-                    dec, mset, identify=(self.bad_data_policy == "identify")
+                    screened[0],
+                    mset.z if screened[1] else None,
+                    identify=(self.bad_data_policy == "identify"),
                 )
                 removed = bad_data_report.removed_global_rows
                 if removed:
-                    rows_removed = True
+                    screened = None     # the thinned frame is another placement
                     keep = np.ones(len(mset), dtype=bool)
                     keep[removed] = False
                     mset = mset.subset(keep)
@@ -185,7 +189,11 @@ class DseSession:
         # behind the paper's iteration model)
         warm = (self._prev_vm, self._prev_va) if self._frame_no > 0 else None
         wall_t0 = time.perf_counter()
-        dse, values_only = self._estimator_for(mset, keep=not rows_removed)
+        # a frame thinned by bad-data removal must not evict the estimator
+        # of the regular placement
+        dse, values_only = screened or self._estimator_for(
+            mset, keep=self.bad_data_policy == "off"
+        )
         result = dse.run(
             rounds=rounds, x0=warm, z=mset.z if values_only else None
         )

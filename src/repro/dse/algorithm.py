@@ -49,7 +49,12 @@ from .pseudo import (
 from .sensitivity import exchange_bus_sets
 from .stepper import SubsystemRecord, SubsystemStepper
 
-__all__ = ["SubsystemRecord", "DseResult", "DistributedStateEstimator"]
+__all__ = [
+    "SubsystemRecord",
+    "DseResult",
+    "DistributedStateEstimator",
+    "step1_problem",
+]
 
 #: bytes per exchanged bus state: (Vm, Va) float64 pair plus a bus id.
 BYTES_PER_EXCHANGED_BUS = 2 * 8 + 8
@@ -82,6 +87,37 @@ def _localized_perm(
     elem[mask] = bus_map[eg[mask]]
     elem[~mask] = branch_map[eg[~mask]]
     return np.lexsort((elem, tidx))
+
+
+def step1_problem(
+    dec: Decomposition,
+    mset: MeasurementSet,
+    rows: np.ndarray,
+    s: int,
+    *,
+    solver: str = "lu",
+) -> tuple:
+    """Subsystem ``s``'s Step-1 problem — WLS on its isolated internal
+    network — built here and nowhere else: the DSE, its bad-data screen and
+    the hierarchical baseline's level 1 all solve this.
+
+    ``rows`` are the system-wide ``mset``'s rows the subsystem may use
+    (``assign_measurements(dec, mset).step1[s]``).  Returns ``(subnet,
+    bus_map, localized set, estimator, perm)`` with local row ``i`` being
+    global row ``rows[perm][i]``: ``z[rows][perm]`` is a values-only frame's
+    local vector.  The subsystem's first bus is the local slack, hence the
+    angle reference where the set holds no synchronized angle.
+    """
+    own = dec.buses(s)
+    subnet, bmap, brmap = extract_subnetwork(
+        dec.net, own, dec.internal_branches(s), reference_bus=int(own[0]),
+        name=f"sub{s}.step1",
+    )
+    local = localize_measurements(mset, rows, bmap, brmap)
+    return (
+        subnet, bmap, local, WlsEstimator(subnet, local, solver=solver),
+        _localized_perm(mset, rows, bmap, brmap),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +305,9 @@ class DistributedStateEstimator:
             own = dec.buses(s)
             internal = dec.internal_branches(s)
             ref = int(own[0])
-            subnet1, bmap1, brmap1 = extract_subnetwork(
-                net, own, internal, reference_bus=ref, name=f"sub{s}.step1"
-            )
-            ms1 = localize_measurements(
-                self.mset, self.assignment.step1[s], bmap1, brmap1
+            rows1 = self.assignment.step1[s]
+            subnet1, bmap1, ms1, self._est1[s], perm1 = step1_problem(
+                dec, self.mset, rows1, s, solver=self.solver
             )
             self.sub1[s] = (subnet1, bmap1, own, ms1)
 
@@ -285,11 +319,16 @@ class DistributedStateEstimator:
             subnet2, bmap2, brmap2 = extract_subnetwork(
                 net, xbuses, xbranches, reference_bus=ref, name=f"sub{s}.step2"
             )
-            rows2 = np.concatenate(
-                [self.assignment.step1[s], self.assignment.step2_extra[s]]
-            )
+            rows2 = np.concatenate([rows1, self.assignment.step2_extra[s]])
             ms2 = localize_measurements(self.mset, rows2, bmap2, brmap2)
             self.sub2[s] = (subnet2, bmap2, xbuses, ext, ms2)
+            # Values-only frames and local-row -> global-row maps: the
+            # permutations taking global-row z slices into the canonical
+            # order of the localized sets.
+            self._z_index[s] = (
+                rows1, perm1, rows2,
+                _localized_perm(self.mset, rows2, bmap2, brmap2),
+            )
 
             if not self.reuse_structures:
                 continue
@@ -298,7 +337,6 @@ class DistributedStateEstimator:
             # external boundary buses), so the merged measurement set,
             # the estimator and all of its cached structures are built
             # once and only the pseudo *values* change per round.
-            self._est1[s] = WlsEstimator(subnet1, ms1, solver=self.solver)
             ext_local = bmap2[ext]
             pseudo0 = pseudo_measurements(
                 ext_local, np.ones(len(ext)), np.zeros(len(ext))
@@ -315,15 +353,6 @@ class DistributedStateEstimator:
                 bnd_local = bmap2[np.concatenate([boundary, ext])]
                 est2 = CondensedStep2(est2, bnd_local)
             self._step2_cache[s] = (est2, full0.z, rows_vm, rows_va, src, rows_ms2)
-            # Values-only frame support: permutations taking global-row z
-            # slices into the canonical order of the localized sets.
-            rows1 = self.assignment.step1[s]
-            self._z_index[s] = (
-                rows1,
-                _localized_perm(self.mset, rows1, bmap1, brmap1),
-                rows2,
-                _localized_perm(self.mset, rows2, bmap2, brmap2),
-            )
 
     # ------------------------------------------------------------------
     # Values-only frames: fresh measurement vectors over the cached

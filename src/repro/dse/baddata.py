@@ -3,9 +3,10 @@
 One operational advantage of distributing the estimation is *locality*: a
 gross error in one subsystem's telemetry fails that subsystem's chi-square
 test without contaminating the others, and identification runs on the
-small local problem instead of the interconnection-wide one.  This module
-runs the standard detection/identification machinery per subsystem on the
-DSE Step-1 problems.
+small local problem instead of the interconnection-wide one.  The screen is
+the DSE's own Step 1 (its estimators, executor and values-only frame path)
+plus a chi-square test per subsystem; identification masks rows of the
+suspect subsystem's Step-1 estimator.  Nothing is built per frame.
 """
 
 from __future__ import annotations
@@ -14,11 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..estimation.baddata import BadDataReport, chi_square_test, identify_bad_data
-from ..estimation.wls import WlsEstimator
-from ..measurements.types import MeasurementSet
-from .decomposition import Decomposition, extract_subnetwork
-from .pseudo import assign_measurements, localize_measurements
+from ..estimation.baddata import chi_square_test, identify_rows
+from ..estimation.wls import EstimationError
+from .stepper import SubsystemStepper
 
 __all__ = ["SubsystemBadData", "DistributedBadDataReport", "distributed_bad_data"]
 
@@ -63,37 +62,31 @@ class DistributedBadDataReport:
 
 
 def distributed_bad_data(
-    dec: Decomposition,
-    mset: MeasurementSet,
+    dse,
+    z: np.ndarray | None = None,
     *,
     alpha: float = 0.01,
     identify: bool = True,
-    solver: str = "lu",
 ) -> DistributedBadDataReport:
     """Run chi-square detection (and optional LNR identification) on every
-    subsystem's Step-1 problem.
+    subsystem's Step-1 problem of ``dse``, a
+    :class:`~repro.dse.algorithm.DistributedStateEstimator`.
 
-    ``removed_global_rows`` refer to rows of the full ``mset``, so the
-    caller can build the cleaned system-wide measurement set with
-    ``mset.subset(...)``.
+    ``z`` is a values-only frame over the estimator's measurement set
+    (default: the set's own values).  ``removed_global_rows`` refer to rows
+    of that set, so the caller can build the cleaned system-wide
+    measurement set with ``mset.subset(...)``.
     """
-    assignment = assign_measurements(dec, mset)
+    z = dse._frame_z(z)
+    stepper = SubsystemStepper(dse, range(dse.dec.m), z=z)
+    stepper.step1()
     out: dict[int, SubsystemBadData] = {}
-
-    for s in range(dec.m):
-        own = dec.buses(s)
-        internal = dec.internal_branches(s)
-        subnet, bmap, brmap = extract_subnetwork(
-            dec.net, own, internal, reference_bus=int(own[0]), name=f"bd{s}"
-        )
-        rows = assignment.step1[s]
-        local = localize_measurements(mset, rows, bmap, brmap)
-
-        est = WlsEstimator(subnet, local, solver=solver)
-        result = est.estimate()
+    for s, record in stepper.records.items():
+        result = record.step1_result
+        if result is None:      # degraded: there is no estimate to test
+            raise EstimationError(record.failures[-1])
         passes = chi_square_test(result, alpha=alpha)
-
-        rec = SubsystemBadData(
+        rec = out[s] = SubsystemBadData(
             s=s,
             initially_passed=passes,
             passes_chi_square=passes,
@@ -101,30 +94,15 @@ def distributed_bad_data(
             dof=result.dof,
         )
         if not passes and identify:
-            report: BadDataReport = identify_bad_data(
-                subnet, local, alpha=alpha, solver=solver
+            rows, perm = dse._z_index[s][:2]
+            rec.removed_local_rows, _, rec.passes_chi_square = identify_rows(
+                dse._est1[s],
+                z=None if z is None else dse._step1_z(s, z),
+                alpha=alpha,
             )
-            rec.removed_local_rows = list(report.removed_rows)
-            # Map local row positions back to global mset rows.  The local
-            # set preserves the canonical relative order of the selected
-            # global rows, so position i in `local` corresponds to the i-th
-            # row (in canonical order) of the selection.
-            order = _canonical_positions(mset, rows)
+            # local row i is global row rows[perm][i] (the DSE's own
+            # values-only permutation)
             rec.removed_global_rows = sorted(
-                int(order[i]) for i in report.removed_rows
+                rows[perm][rec.removed_local_rows].tolist()
             )
-            rec.passes_chi_square = report.passes_chi_square
-        out[s] = rec
-
     return DistributedBadDataReport(subsystems=out)
-
-
-def _canonical_positions(mset: MeasurementSet, rows: np.ndarray) -> np.ndarray:
-    """Global row ids ordered as they appear in the localized subset.
-
-    ``localize_measurements`` re-canonicalises; since the selected rows keep
-    their relative canonical order and element order is preserved under the
-    identity-like bus/branch remapping within a subsystem, the sorted-rows
-    order matches the local order.
-    """
-    return np.sort(np.asarray(rows, dtype=np.int64))

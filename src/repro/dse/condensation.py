@@ -157,21 +157,14 @@ class CondensedStep2:
         """Condense the gain operator at the linearization point
         ``(Vm, Va)`` over the extended network.
 
-        Numeric-only: the Jacobian is a data vector on the wrapped
-        estimator's fixed pattern and the gain is assembled by that
-        estimator's own kernel, which the Schur solver adopts — no sparse
-        matrix, no second symbolic pass.  The DSE reaches this through
+        Numeric-only: the gain is the wrapped estimator's own
+        (:meth:`WlsEstimator.gain_at`), assembled by its kernel, which the
+        Schur solver adopts — no sparse matrix, no second symbolic pass.  The DSE reaches this through
         :meth:`estimate`'s ``lin_point``.
         """
-        est = self.est
         t0 = time.perf_counter()
-        kernel = est._kernel()
-        data = est.model.jacobian_structure(est._keep).fill_data(
-            np.asarray(Vm, dtype=float), np.asarray(Va, dtype=float)
-        )
-        self.schur.factor_gain(
-            kernel, kernel.gain(data, kernel.weighted(data, est.mset.weights))
-        )
+        kernel, _, gain = self.est.gain_at(Vm, Va)
+        self.schur.factor_gain(kernel, gain)
         self.factor_time += time.perf_counter() - t0
         self.factor_count += 1
         if obs.enabled():

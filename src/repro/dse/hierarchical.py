@@ -20,12 +20,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..estimation.results import EstimationResult, state_error
-from ..estimation.wls import WlsEstimator
 from ..measurements.functions import MeasurementModel
 from ..measurements.types import MeasType, MeasurementSet
 from ..middleware.message import state_update_nbytes
-from .decomposition import Decomposition, extract_subnetwork
-from .pseudo import assign_measurements, localize_measurements
+from .algorithm import step1_problem
+from .decomposition import Decomposition
+from .pseudo import assign_measurements
 
 __all__ = ["HierarchicalResult", "HierarchicalStateEstimator"]
 
@@ -65,6 +65,11 @@ class HierarchicalStateEstimator:
         self.mset = mset
         self.solver = solver
         self.assignment = assign_measurements(dec, mset)
+        #: level 1 is the DSE's Step 1: the same problems, built the same way
+        self._level1 = [
+            step1_problem(dec, mset, self.assignment.step1[s], s, solver=solver)[3]
+            for s in range(dec.m)
+        ]
 
     def run(self, *, coord_iters: int = 5, tol: float = 1e-10) -> HierarchicalResult:
         """Run local estimations, then the coordinator alignment."""
@@ -75,17 +80,9 @@ class HierarchicalStateEstimator:
         local_times: dict[int, float] = {}
 
         # ---- Level 1: local estimations with local references ----
-        for s in range(dec.m):
+        for s, est in enumerate(self._level1):
             own = dec.buses(s)
-            internal = dec.internal_branches(s)
-            subnet, bmap, _ = extract_subnetwork(
-                net, own, internal, reference_bus=int(own[0]), name=f"ba{s}"
-            )
-            ms = localize_measurements(
-                self.mset, self.assignment.step1[s], bmap, self._branch_map(internal)
-            )
             t0 = time.perf_counter()
-            est = WlsEstimator(subnet, ms, solver=self.solver, reference_bus=bmap[own[0]])
             res = est.estimate(tol=1e-8)
             local_times[s] = time.perf_counter() - t0
             local_results[s] = res
@@ -146,11 +143,6 @@ class HierarchicalStateEstimator:
         )
 
     # ------------------------------------------------------------------
-    def _branch_map(self, branches: np.ndarray) -> np.ndarray:
-        bm = -np.ones(self.dec.net.n_branch, dtype=np.int64)
-        bm[branches] = np.arange(len(branches))
-        return bm
-
     def _coordination_rows(self) -> np.ndarray:
         """Measurement rows the coordinator uses: tie-line flows, boundary
         injections and PMU angles."""

@@ -9,21 +9,22 @@ Standard WLS post-processing (Abur & Expósito, ch. 5):
   the residual covariance ``Ω = R - H G⁻¹ Hᵀ``.
 - :func:`identify_bad_data` — the largest-normalized-residual loop: remove
   the worst measurement, re-estimate, repeat until the test passes.
+
+Nothing here builds or factors a gain of its own: the residual covariance
+solves against the estimator's factor (:meth:`WlsEstimator.factor_at`), and a
+removed measurement is a zero in the ``weights`` given to its loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.stats import chi2
 
 from ..grid.network import Network
 from ..measurements.types import MeasurementSet
 from .results import EstimationResult
-from .solvers import build_gain
 from .wls import WlsEstimator
 
 __all__ = [
@@ -47,41 +48,22 @@ def chi_square_test(result: EstimationResult, *, alpha: float = 0.01) -> bool:
 
 
 def normalized_residuals(
-    estimator: WlsEstimator, result: EstimationResult
+    estimator: WlsEstimator, result: EstimationResult, weights=None
 ) -> np.ndarray:
     """Normalized residuals ``|r_i| / sqrt(Ω_ii)``.
 
-    ``Ω = R - H G⁻¹ Hᵀ`` is the residual covariance; its diagonal is
-    computed column-block-wise through the sparse gain factorisation, so
-    only ``m`` solves of the factored system are needed (no dense m×m
-    matrix is formed).
+    ``Ω = R - H G⁻¹ Hᵀ`` is the residual covariance; its diagonal comes
+    from multi-right-hand-side solves against the estimator's gain factor
+    at the solution (no dense m×m matrix is formed).  ``weights`` are the
+    row weights ``result`` was estimated with (default: the set's own); a
+    row of zero weight took no part in the estimate and reads 0.
     """
-    ms = estimator.mset
-    Vm, Va = result.Vm, result.Va
-    H = estimator.model.jacobian(Vm, Va).tocsc()[:, estimator._keep]
-    w = ms.weights
-    G = build_gain(H, w)
-    lu = spla.splu(G.tocsc())
-
-    # diag(H G^-1 Ht) = sum over columns of (H G^-1 Ht) ∘ I; compute via
-    # S = G^-1 Ht (n x m) in blocks, then diag = sum(H ∘ Sᵀ, axis=1).
-    Ht = H.T.tocsc()
-    m = H.shape[0]
-    diag_hght = np.empty(m)
-    block = 256
-    Hcsr = H.tocsr()
-    for lo in range(0, m, block):
-        hi = min(lo + block, m)
-        rhs = Ht[:, lo:hi].toarray()
-        S = lu.solve(rhs)
-        seg = Hcsr[lo:hi].multiply(S.T[: hi - lo])
-        diag_hght[lo:hi] = np.asarray(seg.sum(axis=1)).ravel()
-
-    Rdiag = ms.sigma**2
-    omega = Rdiag - diag_hght
+    w = estimator.mset.weights if weights is None else np.asarray(weights, float)
+    factor, H = estimator.factor_at(result.Vm, result.Va, w)
+    with np.errstate(divide="ignore"):      # zero weight: R = inf, reads 0
+        omega = 1.0 / w - factor.quadratic_diagonal(H)
     # Leverage points can drive Ω_ii to ~0; floor it to keep ratios finite.
-    omega = np.maximum(omega, 1e-12)
-    return np.abs(result.residuals) / np.sqrt(omega)
+    return np.abs(result.residuals) / np.sqrt(np.maximum(omega, 1e-12))
 
 
 @dataclass
@@ -92,6 +74,37 @@ class BadDataReport:
     removed_rows: list[int]
     result: EstimationResult
     passes_chi_square: bool
+
+
+def identify_rows(
+    estimator: WlsEstimator,
+    *,
+    z: np.ndarray | None = None,
+    alpha: float = 0.01,
+    nr_threshold: float = 3.0,
+    max_removals: int = 20,
+) -> tuple[list[int], EstimationResult, bool]:
+    """The largest-normalized-residual loop on one estimator.
+
+    Estimates (values ``z``, default the set's own), tests, zeroes the
+    weight of the row with the largest normalized residual above
+    ``nr_threshold``, and repeats.  Returns ``(removed rows, last result,
+    whether it passes the chi-square test)``; the result keeps every row's
+    residual, its ``dof`` and ``objective`` count the rows still weighted.
+    """
+    w = estimator.mset.weights      # computed from sigma: ours to write into
+    removed: list[int] = []
+    while True:
+        result = estimator.estimate(z=z, weights=w)
+        passes = chi_square_test(result, alpha=alpha)
+        if passes or len(removed) >= max_removals:
+            return removed, result, passes
+        rn = normalized_residuals(estimator, result, w)
+        worst = int(np.argmax(rn))
+        if rn[worst] < nr_threshold:
+            return removed, result, passes
+        removed.append(worst)
+        w[worst] = 0.0
 
 
 def identify_bad_data(
@@ -106,33 +119,19 @@ def identify_bad_data(
     """Largest-normalized-residual identification loop.
 
     Estimates, tests, removes the measurement with the largest normalized
-    residual above ``nr_threshold``, and repeats.  Row indices in
-    ``removed_rows`` refer to the *original* measurement set.
+    residual above ``nr_threshold``, and repeats (:func:`identify_rows` on
+    one estimator of ``mset``).  Row indices in ``removed_rows`` refer to
+    the *original* measurement set; ``result`` is reported over ``clean``.
     """
-    current = mset
-    # Track original row identity through removals.
-    orig_rows = list(range(len(mset)))
-    removed: list[int] = []
-
-    for _ in range(max_removals + 1):
-        est = WlsEstimator(net, current, solver=solver)
-        result = est.estimate()
-        if chi_square_test(result, alpha=alpha):
-            return BadDataReport(
-                clean=current, removed_rows=removed, result=result,
-                passes_chi_square=True,
-            )
-        rn = normalized_residuals(est, result)
-        worst = int(np.argmax(rn))
-        if rn[worst] < nr_threshold or len(removed) >= max_removals:
-            return BadDataReport(
-                clean=current, removed_rows=removed, result=result,
-                passes_chi_square=False,
-            )
-        removed.append(orig_rows[worst])
-        keep = np.ones(len(current), dtype=bool)
-        keep[worst] = False
-        orig_rows = [r for k, r in zip(keep, orig_rows) if k]
-        current = current.subset(keep)
-
-    raise AssertionError("unreachable")  # pragma: no cover
+    removed, result, passes = identify_rows(
+        WlsEstimator(net, mset, solver=solver),
+        alpha=alpha, nr_threshold=nr_threshold, max_removals=max_removals,
+    )
+    keep = np.ones(len(mset), dtype=bool)
+    keep[removed] = False
+    return BadDataReport(
+        clean=mset.subset(keep),
+        removed_rows=removed,
+        result=replace(result, residuals=result.residuals[keep]),
+        passes_chi_square=passes,
+    )

@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
+import scipy.sparse as sp
 from scipy.stats import norm
 
 from .results import EstimationResult
-from .solvers import build_gain
 from .wls import WlsEstimator
 
 __all__ = ["StateCovariance", "state_covariance"]
@@ -55,23 +54,12 @@ def state_covariance(
 ) -> StateCovariance:
     """Diagonal of ``G⁻¹`` at the solution, mapped back to bus order.
 
-    Computed column-block-wise through the sparse LU of the gain matrix
-    (no dense inverse is formed).
+    Multi-right-hand-side solves against the estimator's own gain factor
+    (:meth:`WlsEstimator.factor_at`; no dense inverse is formed).
     """
     n = estimator.net.n_bus
-    H = estimator.model.jacobian(result.Vm, result.Va).tocsc()[:, estimator._keep]
-    G = build_gain(H, estimator.mset.weights)
-    lu = spla.splu(G.tocsc())
-
-    k = G.shape[0]
-    diag = np.empty(k)
-    block = 256
-    for lo in range(0, k, block):
-        hi = min(lo + block, k)
-        rhs = np.zeros((k, hi - lo))
-        rhs[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
-        S = lu.solve(rhs)
-        diag[lo:hi] = S[lo:hi, :].diagonal()
+    factor, _ = estimator.factor_at(result.Vm, result.Va)
+    diag = factor.quadratic_diagonal(sp.identity(estimator.n_states, format="csr"))
 
     var = np.zeros(2 * n)
     var[estimator._keep] = np.maximum(diag, 0.0)

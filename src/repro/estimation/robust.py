@@ -5,19 +5,21 @@ drags the whole solution (hence the bad-data post-processing).  The Huber
 M-estimator bounds each measurement's influence instead: residuals beyond
 ``gamma`` standard deviations get down-weighted by ``gamma/|r_N|``.
 Solved by iteratively reweighted least squares around the Gauss-Newton
-loop — a robustness extension of the paper's estimation layer.
+loop — a robustness extension of the paper's estimation layer.  Only the
+reweighting lives here: an iteration is one step of the estimator's own
+loop (``estimate(max_iter=1)``) given the Huber weights as data.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ..grid.network import Network
-from ..measurements.functions import MeasurementModel
-from ..measurements.types import MeasType, MeasurementSet
+from ..measurements.types import MeasurementSet
 from .results import EstimationResult
-from .solvers import solve_normal_equations
-from .wls import EstimationError
+from .wls import WlsEstimator
 
 __all__ = ["huber_estimate"]
 
@@ -44,60 +46,23 @@ def huber_estimate(
 
     Returns an :class:`EstimationResult`; ``objective`` is the final
     *weighted* quadratic objective under the converged robust weights.
+    Raises :class:`~repro.estimation.wls.EstimationError` on an
+    underdetermined set or a failed solve.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    model = MeasurementModel(net, mset)
-    n = net.n_bus
-    has_pmu = mset.count(MeasType.PMU_VA) > 0
-    if reference_bus is None:
-        slacks = net.slack_buses
-        reference_bus = int(slacks[0]) if len(slacks) else 0
-    keep = (
-        np.arange(2 * n)
-        if has_pmu
-        else np.delete(np.arange(2 * n), reference_bus)
-    )
-    if len(mset) < len(keep):
-        raise EstimationError("underdetermined robust estimation")
-
-    Vm = np.ones(n)
-    Va = np.zeros(n)
-    base_w = mset.weights
-    w = base_w.copy()
+    est = WlsEstimator(net, mset, solver=solver, reference_bus=reference_bus)
+    res = est.estimate(max_iter=0)      # the residuals at the flat start
     step_norms: list[float] = []
-    converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        r = mset.z - model.h(Vm, Va)
         # Huber reweighting on standardized residuals.
-        rn = np.abs(r) / mset.sigma
+        rn = np.abs(res.residuals) / mset.sigma
         scale = np.where(rn > gamma, gamma / np.maximum(rn, 1e-12), 1.0)
-        w = base_w * scale
-
-        H = model.jacobian(Vm, Va).tocsc()[:, keep]
-        try:
-            dx = solve_normal_equations(H, w, r, method=solver)
-        except Exception as exc:
-            raise EstimationError(f"robust solve failed: {exc}") from exc
-        full = np.zeros(2 * n)
-        full[keep] = dx
-        Va += full[:n]
-        Vm += full[n:]
-        step = float(np.max(np.abs(dx))) if len(dx) else 0.0
-        step_norms.append(step)
-        if step < tol:
-            converged = True
+        res = est.estimate(
+            x0=(res.Vm, res.Va), weights=mset.weights * scale, tol=tol, max_iter=1
+        )
+        step_norms += res.step_norms
+        if res.converged:
             break
-
-    r = mset.z - model.h(Vm, Va)
-    return EstimationResult(
-        converged=converged,
-        iterations=it,
-        Vm=Vm,
-        Va=Va,
-        residuals=r,
-        objective=float(r @ (w * r)),
-        dof=len(mset) - len(keep),
-        step_norms=step_norms,
-    )
+    return replace(res, iterations=it, step_norms=step_norms)

@@ -174,6 +174,17 @@ class _SpdFactor:
         x[self._permuted[2]] = y
         return x
 
+    def quadratic_diagonal(self, B: sp.spmatrix) -> np.ndarray:
+        """``diag(B G⁻¹ Bᵀ)`` for the factored ``G``: one multi-right-hand-
+        side solve per 256 rows of the sparse ``B``, so nothing larger than
+        ``n × 256`` is ever dense."""
+        B = B.tocsr()
+        out = np.empty(B.shape[0])
+        for lo in range(0, len(out), 256):
+            rhs = B[lo : lo + 256].toarray().T
+            out[lo : lo + 256] = np.einsum("ij,ij->j", rhs, self.solve(rhs))
+        return out
+
 
 class NormalEquations:
     """Numeric-only normal equations over one fixed Jacobian CSC pattern.
@@ -346,8 +357,9 @@ class NormalEquations:
     # ------------------------------------------------------------------
     def weighted(self, data, weights):
         """``W H`` on the pattern: the operand :meth:`gain` and :meth:`rhs`
-        share."""
-        return data * weights[self.indices]
+        share.  ``weights`` is one vector, or one row per row of a ``data``
+        stack."""
+        return data * weights[..., self.indices]
 
     def gain(self, data, wdata):
         """Lower-triangle values of ``G = Hᵀ (W H)`` on the fixed pattern."""

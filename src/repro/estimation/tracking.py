@@ -70,7 +70,9 @@ class TrackingEstimator:
         self.reset()
 
     def reset(self) -> None:
-        """Forget the trajectory (e.g. after a topology change)."""
+        """Forget the trajectory and the kept estimator (e.g. after a
+        topology change)."""
+        self._est: WlsEstimator | None = None
         self._level_vm: np.ndarray | None = None
         self._level_va: np.ndarray | None = None
         self._trend_vm: np.ndarray | None = None
@@ -89,19 +91,24 @@ class TrackingEstimator:
         )
 
     def step(self, mset: MeasurementSet, **estimate_kwargs) -> TrackedFrame:
-        """Process one scan: predict, measure innovation, estimate, smooth."""
-        from ..measurements.functions import MeasurementModel
+        """Process one scan: predict, measure innovation, estimate, smooth.
 
+        One estimator is kept per measurement placement: scans that differ
+        in values only are served through its ``estimate(z=)``.
+        """
         vm_pred, va_pred = self.predict()
-        model = MeasurementModel(self.net, mset)
-        innov = (mset.z - model.h(vm_pred, va_pred)) / mset.sigma
+        if self._est is None or not self._est.mset.same_structure(mset):
+            self._est = WlsEstimator(self.net, mset, solver=self.solver)
+        est = self._est
+        innov = (mset.z - est.model.h(vm_pred, va_pred)) / mset.sigma
         innovation_rms = float(np.sqrt(np.mean(innov * innov))) if len(innov) else 0.0
         anomaly = self._level_vm is not None and (
             innovation_rms > self.anomaly_threshold
         )
 
-        est = WlsEstimator(self.net, mset, solver=self.solver)
-        result = est.estimate(x0=(vm_pred.copy(), va_pred.copy()), **estimate_kwargs)
+        result = est.estimate(
+            x0=(vm_pred.copy(), va_pred.copy()), z=mset.z, **estimate_kwargs
+        )
 
         # Holt smoothing update.
         if self._level_vm is None or anomaly:

@@ -14,6 +14,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .. import obs
 from ..grid.network import Network
@@ -231,6 +232,31 @@ class WlsEstimator:
         )
         return solver.kernel
 
+    def gain_at(self, Vm: np.ndarray, Va: np.ndarray, weights=None) -> tuple:
+        """``(kernel, data, gain)`` at ``(Vm, Va)``: this estimator's kernel,
+        the reduced Jacobian's CSC ``data`` and the values of ``G = Hᵀ W H``
+        on the kernel's gain pattern (``weights``: ``W``'s diagonal, default
+        the set's own).  Numeric-only: no matrix, no symbolic pass."""
+        kernel = self._kernel()
+        data = self.model.jacobian_structure(self._keep).fill_data(
+            np.asarray(Vm, dtype=float), np.asarray(Va, dtype=float)
+        )
+        w = self.mset.weights if weights is None else weights
+        return kernel, data, kernel.gain(data, kernel.weighted(data, w))
+
+    def factor_at(self, Vm: np.ndarray, Va: np.ndarray, weights=None) -> tuple:
+        """``(factor, H)``: the kernel's factor holding :meth:`gain_at`'s
+        ``G``, and the reduced Jacobian — what the residual and state
+        covariances solve against.  It is the factor the Gauss-Newton loop
+        uses, valid until this estimator's next solve; a gain that is not
+        positive definite raises ``GainSolveError``."""
+        if len(self._blocks) != 1:
+            raise TypeError("a stacked estimator has one factor per member")
+        kernel, data, gain = self.gain_at(Vm, Va, weights)
+        kernel.spd.factor(gain)
+        H = sp.csc_matrix((data, kernel.indices, kernel.indptr), shape=kernel.shape)
+        return kernel.spd, H
+
     def estimate(
         self,
         *,
@@ -239,12 +265,15 @@ class WlsEstimator:
         max_iter: int = 25,
         reference_angle: float = 0.0,
         z: np.ndarray | None = None,
+        weights: np.ndarray | None = None,
     ) -> EstimationResult:
         """Run Gauss-Newton from ``x0`` (default flat start).
 
         ``z`` optionally overrides the measured values of the estimator's
         measurement set (same canonical order, e.g. a fresh telemetry scan
-        or updated pseudo measurements over an unchanged structure).
+        or updated pseudo measurements over an unchanged structure), and
+        ``weights`` its row weights ``1/σ²`` (a zero removes the row; see
+        :meth:`estimate_blocks`).
 
         Returns an :class:`EstimationResult`; raises
         :class:`EstimationError` on a failed normal-equation solve (e.g.
@@ -253,7 +282,7 @@ class WlsEstimator:
         if len(self._blocks) != 1:
             raise TypeError("a stacked estimator answers estimate_blocks()")
         (res,) = self.estimate_blocks(
-            x0=[x0], z=[z], tol=tol, max_iter=max_iter,
+            x0=[x0], z=[z], weights=[weights], tol=tol, max_iter=max_iter,
             reference_angle=reference_angle,
         )
         if isinstance(res, EstimationError):
@@ -266,6 +295,7 @@ class WlsEstimator:
         x0: list | None = None,
         z: list | None = None,
         status: list | None = None,
+        weights: list | None = None,
         tol: float | list[float] = 1e-8,
         max_iter: int = 25,
         reference_angle: float = 0.0,
@@ -282,6 +312,13 @@ class WlsEstimator:
         model and Jacobian pattern, and ``status[b]`` may give replica
         ``b`` its own branch-status vector (a what-if on the base
         topology's pattern; ``None``: the network's own).
+
+        ``weights[b]`` is block ``b``'s row weights, data of the call like
+        its ``z`` (``None``: the set's own ``1/σ²``) — a reweighting scheme
+        (Huber) or a row mask (bad-data removal) is a caller passing other
+        data to the same loop.  A zero removes its row: it adds nothing to
+        gain, right-hand side or objective and is not counted in ``dof`` or
+        in the underdetermined check; its residual is still reported.
 
         Blocks iterate in lock step and are judged separately: a block
         stops — and is no longer factored or solved, a replica no longer
@@ -305,13 +342,15 @@ class WlsEstimator:
         t_start = time.perf_counter() if obs.enabled() else 0.0
         model, ms, net = self.model, self.mset, self.net
         n, blocks = net.n_bus, self._blocks
-        given = [v for v in (x0, z, status) if v is not None]
+        given = [v for v in (x0, z, status, weights) if v is not None]
         if len(blocks) == 1 and given:
             blocks = blocks * len(given[0])
         nb = len(blocks)
         if not nb or any(len(v) != nb for v in given):
-            raise ValueError(f"need one x0 / z / status entry per block ({nb})")
-        x0, z, status = ([None] * nb if v is None else v for v in (x0, z, status))
+            raise ValueError(f"need one x0/z/status/weights entry per block ({nb})")
+        x0, z, status, weights = (
+            [None] * nb if v is None else v for v in (x0, z, status, weights)
+        )
         whatif = any(s is not None for s in status)
         if whatif and len(self._blocks) != 1:
             raise ValueError("branch status is per replica of a plain estimator")
@@ -334,11 +373,20 @@ class WlsEstimator:
             zz = np.repeat(zz[:, None], nb, axis=1)
         elif any(v is not None for v in z):
             zz = zz.copy()
+        w = ms.weights
+        if any(v is not None for v in weights):
+            w = np.repeat(w[:, None], nb, axis=1) if replicas else w.copy()
+        used = [blk.n_rows for blk in blocks]   # rows of non-zero weight
         for b, blk in enumerate(blocks):
             at = (b,) if replicas else ()
-            if blk.n_rows < blk.n_states:
+            if weights[b] is not None:
+                if len(weights[b]) != blk.n_rows:
+                    raise ValueError("weights length mismatch")
+                w[(blk.rows, *at)] = weights[b]
+                used[b] = int(np.count_nonzero(weights[b]))
+            if used[b] < blk.n_states:
                 results[b] = EstimationError(
-                    f"underdetermined: {blk.n_rows} measurements for "
+                    f"underdetermined: {used[b]} measurements for "
                     f"{blk.n_states} states"
                 )
                 continue
@@ -358,7 +406,6 @@ class WlsEstimator:
                 [net.br_status if s is None else s for s in status], dtype=float
             ))
 
-        w = ms.weights
         # The Jacobian is a data vector on the structure's fixed pattern
         # and never becomes a sparse matrix.  The direct solver's kernel
         # works block by block; an iterative solver sees one block, the
@@ -373,7 +420,8 @@ class WlsEstimator:
         def finish(b: int, converged: bool) -> None:
             blk = blocks[b]
             at = (active.index(b),) if replicas else ()
-            rb, wb = r[(blk.rows, *at)], w[blk.rows]
+            rb = r[(blk.rows, *at)]
+            wb = w[(blk.rows, *at)] if w.ndim == 2 else w[blk.rows]
             if replicas:    # a strided dot product sums in another order
                 rb = rb.copy()
             # copies: the other blocks keep iterating on Vm / Va
@@ -384,7 +432,7 @@ class WlsEstimator:
                 Va=Va[(blk.buses, *at)].copy(),
                 residuals=rb,
                 objective=float(rb @ (wb * rb)),
-                dof=len(rb) - blk.n_states,
+                dof=used[b] - blk.n_states,
                 step_norms=step_norms[b],
             )
 
@@ -404,7 +452,7 @@ class WlsEstimator:
                     # a stack goes to the kernel scenario by scenario, as
                     # rows (.T of one state's vectors is the vectors)
                     dx, errors = kernel.solve_blocks(
-                        np.ascontiguousarray(data.T), w, r.T, active, operators
+                        np.ascontiguousarray(data.T), w.T, r.T, active, operators
                     )
                     dx = dx.T
                 else:
@@ -449,6 +497,8 @@ class WlsEstimator:
                     a if a is None else a[:, cols]
                     for a in (Vm, Va, zz, r, adm, *cur)
                 )
+                if w.ndim == 2:
+                    w = w[:, cols]
             active = running
         for b in active:
             finish(b, False)

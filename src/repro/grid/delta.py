@@ -192,7 +192,8 @@ class NetworkDelta:
             kw[iname], kw[vname] = _keep_last(idx, val)
         return NetworkDelta(**kw)
 
-    def _check_bounds(self, net) -> None:
+    def check_bounds(self, net) -> None:
+        """Raise :class:`DeltaError` if an override indexes past ``net``."""
         if len(self.br_idx) and self.br_idx.max() >= net.n_branch:
             raise DeltaError(
                 f"branch override {self.br_idx.max()} >= n_branch {net.n_branch}"
@@ -212,7 +213,7 @@ class NetworkDelta:
         :class:`~repro.grid.network.Network` that must be treated as
         read-only.
         """
-        self._check_bounds(net)
+        self.check_bounds(net)
         patch: dict = {}
 
         def patched(arr: np.ndarray, idx: np.ndarray, val: np.ndarray):
@@ -242,6 +243,7 @@ class NetworkDelta:
 
     def branch_status_of(self, net) -> np.ndarray:
         """The scenario's full branch-status vector (owned array)."""
+        self.check_bounds(net)
         status = net.br_status.copy()
         if len(self.br_idx):
             status[self.br_idx] = self.br_val.astype(status.dtype)

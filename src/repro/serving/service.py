@@ -230,9 +230,11 @@ class ScenarioService:
                     "scenario deltas need a batched drain path; build the "
                     "service with batch_solve=True"
                 )
+            # a delta or a frame from outside the program: it must not
+            # reach a solve it would fail for every request coalesced with it
+            if request.delta is not None:
+                request.delta.check_bounds(self._dec.net)
             if request.z is not None:
-                # a frame from outside the program: it must not reach a
-                # solve it would fail for every request coalesced with it
                 try:
                     z = np.asarray(request.z, dtype=float)
                 except (TypeError, ValueError):

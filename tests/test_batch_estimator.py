@@ -486,6 +486,31 @@ class TestServingBatchSolve:
                 assert all(np.all(np.isfinite(r.value.Vm)) for r in res)
                 assert svc.stats.to_dict()["n_shed"] == 0
 
+    def test_out_of_range_delta_is_refused_at_admission(self, svc_parts, net14):
+        """One what-if naming a branch the network does not have, in a
+        flush of six: refused typed at ``submit`` — it used to raise inside
+        the batched solve and fail every future coalesced with it."""
+        from repro.serving import ScenarioService
+
+        dec, ms = svc_parts
+        beyond = NetworkDelta.branch_outage(net14.n_branch)
+        with pytest.raises(DeltaError, match="n_branch"):
+            beyond.branch_status_of(net14)
+        with ScenarioService(
+            dec, ms, batch_solve=True, max_batch=5, flush_latency=5.0
+        ) as svc:
+            good = [svc.submit_estimation(z=ms.z) for _ in range(3)]
+            with pytest.raises(ValueError, match="n_branch"):
+                svc.submit_estimation(delta=beyond)
+            good += [
+                svc.submit_estimation(delta=NetworkDelta.branch_outage(b))
+                for b in SAFE_PAIR
+            ]
+            res = [f.result(timeout=60) for f in good]
+            stats = svc.stats.to_dict()
+        assert all(r.value.converged and r.batch_size == 5 for r in res)
+        assert stats["n_requests"] == 5 and stats["n_shed"] == 0
+
     def test_failing_whatif_fails_its_own_future(self, svc_parts, net14):
         from repro.serving import ScenarioService
 

@@ -9,7 +9,7 @@ from repro.dse import (
     distributed_bad_data,
     dse_pmu_placement,
 )
-from repro.estimation import estimate_state, is_observable
+from repro.estimation import EstimationError, estimate_state, is_observable
 from repro.grid import run_ac_power_flow
 from repro.measurements import (
     MeasType,
@@ -43,7 +43,7 @@ def _internal_vmag_row(dec, ms, s):
 class TestDistributedBadData:
     def test_clean_telemetry_all_pass(self, bd_setup):
         dec, ms = bd_setup
-        report = distributed_bad_data(dec, ms)
+        report = distributed_bad_data(DistributedStateEstimator(dec, ms))
         assert report.suspect_subsystems == []
         assert report.removed_global_rows == []
         assert report.clean_after_identification
@@ -54,7 +54,7 @@ class TestDistributedBadData:
         rng = np.random.default_rng(1)
         row = _internal_vmag_row(dec, ms, 4)
         bad = inject_bad_data(ms, np.array([row]), magnitude_sigmas=30, rng=rng)
-        report = distributed_bad_data(dec, bad)
+        report = distributed_bad_data(DistributedStateEstimator(dec, bad))
         assert report.suspect_subsystems == [4]
 
     def test_identified_row_is_the_injected_one(self, bd_setup):
@@ -62,7 +62,7 @@ class TestDistributedBadData:
         rng = np.random.default_rng(2)
         row = _internal_vmag_row(dec, ms, 2)
         bad = inject_bad_data(ms, np.array([row]), magnitude_sigmas=30, rng=rng)
-        report = distributed_bad_data(dec, bad)
+        report = distributed_bad_data(DistributedStateEstimator(dec, bad))
         assert report.removed_global_rows == [row]
         assert report.clean_after_identification
 
@@ -71,7 +71,7 @@ class TestDistributedBadData:
         rng = np.random.default_rng(3)
         rows = [_internal_vmag_row(dec, ms, s) for s in (1, 6)]
         bad = inject_bad_data(ms, np.array(rows), magnitude_sigmas=30, rng=rng)
-        report = distributed_bad_data(dec, bad)
+        report = distributed_bad_data(DistributedStateEstimator(dec, bad))
         keep = np.ones(len(bad), dtype=bool)
         keep[report.removed_global_rows] = False
         clean = bad.subset(keep)
@@ -83,7 +83,7 @@ class TestDistributedBadData:
         rng = np.random.default_rng(4)
         rows = [_internal_vmag_row(dec, ms, s) for s in (1, 6)]
         bad = inject_bad_data(ms, np.array(rows), magnitude_sigmas=30, rng=rng)
-        report = distributed_bad_data(dec, bad)
+        report = distributed_bad_data(DistributedStateEstimator(dec, bad))
         assert report.suspect_subsystems == [1, 6]
 
     def test_detect_only_mode(self, bd_setup):
@@ -91,9 +91,34 @@ class TestDistributedBadData:
         rng = np.random.default_rng(5)
         row = _internal_vmag_row(dec, ms, 3)
         bad = inject_bad_data(ms, np.array([row]), magnitude_sigmas=30, rng=rng)
-        report = distributed_bad_data(dec, bad, identify=False)
+        report = distributed_bad_data(
+            DistributedStateEstimator(dec, bad), identify=False
+        )
         assert report.suspect_subsystems == [3]
         assert report.removed_global_rows == []
+
+
+    def test_values_only_frame_and_degraded_step1(self, bd_setup):
+        """The screen takes a values-only frame over the estimator's set —
+        same report as an estimator built on that frame — and a subsystem
+        whose Step 1 failed (degraded) has no estimate to test: typed."""
+        dec, ms = bd_setup
+        rng = np.random.default_rng(6)
+        row = _internal_vmag_row(dec, ms, 5)
+        bad = inject_bad_data(ms, np.array([row]), magnitude_sigmas=30, rng=rng)
+        dse = DistributedStateEstimator(dec, ms, degrade_on_failure=True)
+        report = distributed_bad_data(dse, bad.z)
+        fresh = distributed_bad_data(DistributedStateEstimator(dec, bad))
+        assert report.removed_global_rows == fresh.removed_global_rows == [row]
+        assert report.subsystems[5].removed_local_rows == (
+            fresh.subsystems[5].removed_local_rows
+        )
+        with pytest.raises(ValueError, match="length"):
+            distributed_bad_data(dse, bad.z[:-1])
+        nan_z = ms.z.copy()
+        nan_z[row] = np.nan
+        with pytest.raises(EstimationError):
+            distributed_bad_data(dse, nan_z)
 
 
 class TestFailureInjection:

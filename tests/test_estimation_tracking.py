@@ -3,10 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.estimation import TrackingEstimator, estimate_state
+from repro.estimation import TrackingEstimator, WlsEstimator, estimate_state
 from repro.grid import run_ac_power_flow
 from repro.grid.cases import case14, case118
-from repro.measurements import ScadaSystem, full_placement, generate_measurements
+from repro.measurements import (
+    ScadaSystem,
+    full_placement,
+    generate_measurements,
+    scada_placement,
+)
 
 
 class TestTrackingEstimator:
@@ -89,6 +94,38 @@ class TestTrackingEstimator:
         vm_pred, _ = tracker.predict()
         assert np.all(vm_pred == 1.0)
         assert tracker.frames == []
+
+    def test_one_estimator_per_placement(self, net14, pf14, monkeypatch):
+        """Same-placement scans are served values-only by one kept
+        estimator, bit for bit what a rebuild per scan gives; a placement
+        change rebuilds and ``reset()`` forgets."""
+        built = []
+        init = WlsEstimator.__init__
+        monkeypatch.setattr(
+            WlsEstimator, "__init__",
+            lambda self, *a, **kw: (built.append(self), init(self, *a, **kw))[1],
+        )
+        rng = np.random.default_rng(9)
+        scans = [
+            generate_measurements(net14, full_placement(net14), pf14, rng=rng)
+            for _ in range(4)
+        ]
+        kept, rebuilt = TrackingEstimator(net14), TrackingEstimator(net14)
+        for ms in scans:
+            a = kept.step(ms)
+            rebuilt._est = None
+            b = rebuilt.step(ms)
+            assert np.array_equal(a.result.Vm, b.result.Vm)
+            assert np.array_equal(a.result.Va, b.result.Va)
+            assert a.result.iterations == b.result.iterations
+            assert a.innovation_rms == b.innovation_rms
+        assert len(built) == 1 + len(scans)
+        other = generate_measurements(net14, scada_placement(net14), pf14, rng=rng)
+        first = kept._est
+        kept.step(other)
+        assert kept._est is not first and kept._est.mset.same_structure(other)
+        kept.reset()
+        assert kept._est is None
 
     def test_parameter_validation(self, net14):
         with pytest.raises(ValueError):

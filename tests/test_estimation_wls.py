@@ -2,18 +2,39 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse.linalg as spla
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.estimation import EstimationError, WlsEstimator, estimate_state
+from repro.core import ArchitecturePrototype, DseSession
+from repro.dse import (
+    DistributedStateEstimator,
+    HierarchicalStateEstimator,
+    decompose,
+    distributed_bad_data,
+    dse_pmu_placement,
+)
+from repro.estimation import (
+    EstimationError,
+    WlsEstimator,
+    build_gain,
+    estimate_state,
+    identify_bad_data,
+    is_observable,
+    normalized_residuals,
+    state_covariance,
+)
+from repro.estimation.solvers import NormalEquations
 from repro.grid import run_ac_power_flow
 from repro.grid.cases import case14, synthetic_grid
 from repro.measurements import (
     MeasType,
     Measurement,
+    MeasurementModel,
     MeasurementSet,
     full_placement,
     generate_measurements,
+    inject_bad_data,
     pmu_placement,
     scada_placement,
     true_values,
@@ -185,3 +206,229 @@ class TestStateError:
             assert res.state_error(Vm_true, Va_true) == want
         # a common reference shift is not an angle error
         assert state_error(Vm, Va_true + 0.3, Vm, Va_true)["va_max"] < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Weights are data of the one loop; the gain factor is the estimator's own.
+# ---------------------------------------------------------------------------
+def _reference_omega(est, res):
+    """The residual covariance diagonal ``R - diag(H G⁻¹ Hᵀ)`` as the
+    previous ``normalized_residuals`` computed it (``build_gain`` + ``splu``,
+    a second symbolic pass), unfloored — kept as the reference."""
+    H = est.model.jacobian(res.Vm, res.Va).tocsc()[:, est._keep]
+    lu = spla.splu(build_gain(H, est.mset.weights).tocsc())
+    S = lu.solve(H.T.toarray())
+    hgh = np.asarray(H.tocsr().multiply(S.T).sum(axis=1)).ravel()
+    return est.mset.sigma**2 - hgh
+
+
+def _reference_state_variances(est, res):
+    """``diag(G⁻¹)`` as the previous ``state_covariance`` computed it."""
+    H = est.model.jacobian(res.Vm, res.Va).tocsc()[:, est._keep]
+    lu = spla.splu(build_gain(H, est.mset.weights).tocsc())
+    return np.maximum(lu.solve(np.eye(H.shape[1])).diagonal(), 0.0)
+
+
+class _Counter:
+    """Counts calls of ``owner.name`` while active (constructions when
+    ``name`` is ``__init__``)."""
+
+    def __init__(self, monkeypatch, *targets):
+        self.calls = {}
+        for owner, name in targets:
+            key = f"{getattr(owner, '__name__', owner)}.{name}"
+            self.calls[key] = 0
+            monkeypatch.setattr(owner, name, self._wrap(key, getattr(owner, name)))
+
+    def _wrap(self, key, fn):
+        def counted(*args, **kwargs):
+            self.calls[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    def take(self) -> list[int]:
+        """The counts since the last ``take``, in target order."""
+        out = list(self.calls.values())
+        self.calls = dict.fromkeys(self.calls, 0)
+        return out
+
+
+@pytest.fixture(scope="module")
+def noisy14(net14, pf14):
+    rng = np.random.default_rng(21)
+    return generate_measurements(net14, full_placement(net14), pf14, rng=rng)
+
+
+class TestWeightsAreData:
+    @settings(max_examples=25, deadline=None)
+    @given(dropped=st.sets(st.integers(0, 121), max_size=40))
+    def test_row_mask_equals_subset_estimator(self, net14, noisy14, dropped):
+        """A zero weight is a removed row: the masked solve on the one
+        estimator is the subset set's own estimator."""
+        ms = noisy14
+        assert len(ms) == 122
+        mask = np.ones(len(ms), dtype=bool)
+        mask[sorted(dropped)] = False
+        assume(is_observable(net14, ms.subset(mask)))
+        ref = WlsEstimator(net14, ms.subset(mask)).estimate()
+        res = WlsEstimator(net14, ms).estimate(weights=mask * ms.weights)
+        assert np.max(np.abs(res.Vm - ref.Vm)) <= 1e-12
+        assert np.max(np.abs(res.Va - ref.Va)) <= 1e-12
+        assert (res.iterations, res.dof) == (ref.iterations, ref.dof)
+        assert res.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-12)
+        # every row's residual is still reported
+        assert len(res.residuals) == len(ms)
+        assert np.allclose(res.residuals[mask], ref.residuals, atol=1e-11)
+
+    def test_own_weights_move_no_bit(self, net14, noisy14):
+        est = WlsEstimator(net14, noisy14)
+        a, b = est.estimate(), est.estimate(weights=noisy14.weights)
+        assert np.array_equal(a.Vm, b.Vm) and np.array_equal(a.Va, b.Va)
+        assert (a.objective, a.dof, a.step_norms) == (b.objective, b.dof, b.step_norms)
+
+    def test_wrong_length_weights_raise(self, net14, noisy14):
+        est = WlsEstimator(net14, noisy14)
+        with pytest.raises(ValueError, match="weights length"):
+            est.estimate(weights=noisy14.weights[:-1])
+        with pytest.raises(ValueError, match="per block"):
+            est.estimate_blocks(z=[None, None], weights=[None])
+
+    def test_masking_past_the_states_is_underdetermined(self, net14, noisy14):
+        w = noisy14.weights
+        w[20:] = 0.0
+        with pytest.raises(EstimationError, match="underdetermined: 20"):
+            WlsEstimator(net14, noisy14).estimate(weights=w)
+
+    def test_masked_block_leaves_the_others_alone(self, net14, pf14):
+        sets = [
+            generate_measurements(
+                net14, full_placement(net14), pf14, rng=np.random.default_rng(k)
+            )
+            for k in range(3)
+        ]
+        stack = WlsEstimator.stacked([WlsEstimator(net14, ms) for ms in sets])
+        w = sets[1].weights
+        w[[3, 40, 77]] = 0.0
+        plain = stack.estimate_blocks()
+        masked = stack.estimate_blocks(weights=[None, w, None])
+        for b in (0, 2):
+            assert np.array_equal(masked[b].Vm, plain[b].Vm)
+            assert np.array_equal(masked[b].Va, plain[b].Va)
+            assert masked[b].objective == plain[b].objective
+        alone = WlsEstimator(net14, sets[1]).estimate(weights=w)
+        assert np.array_equal(masked[1].Vm, alone.Vm)
+        assert masked[1].dof == plain[1].dof - 3
+
+    def test_replicas_take_their_own_weights(self, net14, noisy14):
+        est = WlsEstimator(net14, noisy14)
+        w = noisy14.weights
+        w[[5, 60]] = 0.0
+        base, masked = est.estimate(), est.estimate(weights=w)
+        out = est.estimate_blocks(weights=[None, w, None])
+        assert np.array_equal(out[0].Vm, base.Vm) and np.array_equal(out[2].Va, base.Va)
+        assert np.array_equal(out[1].Vm, masked.Vm)
+        assert (out[1].dof, out[1].objective) == (masked.dof, masked.objective)
+
+    @pytest.mark.parametrize("bad_rows", [(), (123,), (30, 150, 400)])
+    def test_statistics_agree_with_the_reference_forms(self, net118, pf118, bad_rows):
+        rng = np.random.default_rng(3)
+        ms = generate_measurements(net118, full_placement(net118), pf118, rng=rng)
+        if bad_rows:
+            ms = inject_bad_data(ms, np.array(bad_rows), magnitude_sigmas=30, rng=rng)
+        est = WlsEstimator(net118, ms)
+        res = est.estimate()
+        omega = _reference_omega(est, res)
+        ref = np.abs(res.residuals) / np.sqrt(np.maximum(omega, 1e-12))
+        rn = normalized_residuals(est, res)
+        live = omega > 1e-12            # rows the floor does not decide
+        assert np.allclose(rn[live], ref[live], rtol=1e-8, atol=0)
+        assert int(np.argmax(rn)) == int(np.argmax(ref))
+        cov = state_covariance(est, res)
+        var = np.zeros(2 * net118.n_bus)
+        var[est._keep] = _reference_state_variances(est, res)
+        assert np.allclose(cov.va_std, np.sqrt(var[:118]), rtol=1e-8, atol=0)
+        assert np.allclose(cov.vm_std, np.sqrt(var[118:]), rtol=1e-8, atol=0)
+
+    def test_identification_builds_one_estimator(self, net118, pf118, monkeypatch):
+        rng = np.random.default_rng(5)
+        ms = generate_measurements(net118, full_placement(net118), pf118, rng=rng)
+        bad = inject_bad_data(ms, np.array([10, 200, 333]), magnitude_sigmas=25, rng=rng)
+        count = _Counter(
+            monkeypatch, (WlsEstimator, "__init__"), (NormalEquations, "__init__")
+        )
+        report = identify_bad_data(net118, bad)
+        assert sorted(report.removed_rows) == [10, 200, 333]
+        assert len(report.result.residuals) == len(report.clean)
+        assert count.take() == [1, 1]
+
+    def test_screened_session_builds_nothing_on_a_known_placement(
+        self, net118, pf118, monkeypatch
+    ):
+        """The bad-data screen is the kept estimator's own Step 1: a clean
+        frame of a known placement constructs nothing, and on a frame with a
+        gross error neither the screen nor the identification does."""
+        import repro.dse.algorithm as algorithm
+
+        arch = ArchitecturePrototype.assemble(net118, m_subsystems=9, seed=0)
+        try:
+            dec = arch.dec
+            plac = full_placement(net118).merged_with(dse_pmu_placement(dec))
+            rng = np.random.default_rng(8)
+
+            def scan():
+                return generate_measurements(net118, plac, pf118, rng=rng)
+
+            session = DseSession(arch, bad_data_policy="identify")
+            unscreened = DseSession(arch)
+            for _ in range(2):                      # warm: stacks built
+                session.process_frame(scan())
+                unscreened.process_frame(scan())
+            clean = [scan() for _ in range(4)]
+            count = _Counter(
+                monkeypatch,
+                (WlsEstimator, "__init__"),
+                (NormalEquations, "__init__"),
+                (MeasurementModel, "__init__"),
+                (algorithm, "extract_subnetwork"),
+            )
+            # one model a frame is the session's noise-level estimate,
+            # screened or not
+            unscreened.process_frame(clean[0])
+            assert count.take() == [0, 0, 1, 0]
+            assert not session.process_frame(clean[1]).bad_data.removed_global_rows
+            assert count.take() == [0, 0, 1, 0]
+
+            internal = set(dec.buses(2)) - set(dec.boundary_buses(2))
+            row = next(
+                r for r, m in enumerate(clean[2])
+                if m.mtype == MeasType.V_MAG and m.element in internal
+            )
+            bad = inject_bad_data(clean[2], np.array([row]), magnitude_sigmas=40, rng=rng)
+            kept = session._dse
+            count.take()
+            report = distributed_bad_data(kept, bad.z)
+            assert report.removed_global_rows == [row]
+            assert report.suspect_subsystems == [2]
+            assert count.take() == [0, 0, 0, 0]
+            # the frame itself builds the thinned placement's DSE, no more
+            session.process_frame(bad)
+            in_frame = count.take()
+            keep = np.ones(len(bad), dtype=bool)
+            keep[row] = False
+            DistributedStateEstimator(dec, bad.subset(keep)).run()
+            unscreened.process_frame(clean[3])
+            assert in_frame == count.take()
+            assert session._dse is kept
+        finally:
+            arch.close()
+
+    def test_hierarchical_level_one_is_the_dse_step_one(self, net118, pf118):
+        dec = decompose(net118, 9, seed=0)
+        plac = full_placement(net118).merged_with(dse_pmu_placement(dec))
+        ms = generate_measurements(net118, plac, pf118, rng=np.random.default_rng(0))
+        step1 = DistributedStateEstimator(dec, ms).run(rounds=0)
+        local = HierarchicalStateEstimator(dec, ms).run().local_results
+        for s, rec in step1.records.items():
+            assert np.array_equal(local[s].Vm, rec.step1_result.Vm)
+            assert np.array_equal(local[s].Va, rec.step1_result.Va)
+            assert local[s].iterations == rec.step1_result.iterations
