@@ -16,8 +16,13 @@ rows are compared:
   values-only frames};
 - the 37-area 1 480-bus grid: {reference, condensed}, cold;
 - ``LiveDseRuntime``: {in-proc, TCP} × {reference, condensed}, two frames;
-- ``BatchEstimator``: K ∈ {1, 6, 16} value frames, and a chunk of six value
-  frames with three branch-outage what-ifs;
+- ``BatchEstimator``: K ∈ {1, 6, 16} value frames, a chunk of six value
+  frames with three branch-outage what-ifs, and a chunk of 16 what-ifs
+  over every tenth safe N-1 branch;
+- a slow-tail frame: IEEE-14 at 300 σ noise with three 1 000 σ gross
+  errors, whose Gauss-Newton tail contracts slowly and unevenly enough that
+  a held factor meets a step that does not contract and is re-factored
+  (the frozen tail's fallback path);
 - post-estimation statistics on IEEE-118, centrally and on subsystem 2's
   Step-1 problem: ``normalized_residuals`` (hashed in the ``Vm`` slot) and
   ``state_covariance`` (``vm_std‖va_std``);
@@ -62,6 +67,7 @@ def matrix() -> None:
 
     from repro import obs
     from repro.core import ArchitecturePrototype, DseSession
+    from repro.contingency import enumerate_n1
     from repro.core.runtime import LiveDseRuntime
     from repro.dse import (
         DistributedStateEstimator,
@@ -79,7 +85,7 @@ def matrix() -> None:
     )
     from repro.estimation.batch import BatchEstimator, BatchScenario
     from repro.grid import NetworkDelta, run_ac_power_flow
-    from repro.grid.cases import case118, synthetic_grid
+    from repro.grid.cases import case14, case118, synthetic_grid
     from repro.measurements import (
         MeasType,
         full_placement,
@@ -172,9 +178,25 @@ def matrix() -> None:
     chunks["batch 6 value + 3 what-if"] = [
         BatchScenario(z=z) for z in draws[:6]
     ] + [BatchScenario(delta=NetworkDelta.branch_outage(b)) for b in (0, 2, 40)]
+    chunks["batch K=16 what-ifs"] = [
+        BatchScenario(delta=NetworkDelta.branch_outage(c.branch))
+        for c in enumerate_n1(net)[0][::10][:16]
+    ]
     for name, scenarios in chunks.items():
         out = batch.estimate_batch(scenarios)
         emit(name, [(r.Vm, r.Va) for r in out], int(out.iterations.sum()))
+
+    net14 = case14()
+    ms14 = generate_measurements(
+        net14, full_placement(net14), run_ac_power_flow(net14),
+        rng=np.random.default_rng(0),
+    )
+    rng = np.random.default_rng(26)
+    z14 = ms14.z + 300 * ms14.sigma * rng.standard_normal(len(ms14))
+    gross = rng.choice(len(ms14), 3, replace=False)
+    z14[gross] += rng.choice([-1.0, 1.0], 3) * 1000 * ms14.sigma[gross]
+    res = WlsEstimator(net14, ms14).estimate(z=z14, max_iter=60)
+    emit("ieee14 slow-tail frame", [(res.Vm, res.Va)], res.iterations)
 
     # post-estimation statistics, identification, Huber, the hierarchical
     # baseline and the screened session; lists of rows ride as float arrays

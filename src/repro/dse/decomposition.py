@@ -147,13 +147,12 @@ class Decomposition:
         return WeightedGraph.from_edges(self.m, edges, vwgt=vwgt, ewgt=ewgt)
 
     def is_internally_connected(self) -> bool:
-        """True when every subsystem induces a connected subgraph."""
-        pairs = self.net.adjacency_pairs()
-        for s in range(self.m):
-            comps = subgraph_components(self.net.n_bus, pairs, self.buses(s))
-            if len(comps) > 1:
-                return False
-        return True
+        """True when every subsystem induces a connected subgraph: the
+        branches inside subsystems leave one component per subsystem."""
+        n, pairs = self.net.n_bus, self.net.adjacency_pairs()
+        inside = pairs[self.part[pairs[:, 0]] == self.part[pairs[:, 1]]]
+        comps = subgraph_components(n, inside, np.arange(n))
+        return len(comps) == len(np.unique(self.part))
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +196,7 @@ def decompose(
                 )
             else:
                 part = _grow_regions(net, m, adj, seed=seed + k)
-                part = _balance_connected(net, part, m, pairs, adj, tol=tol)
+                part = _balance_connected(net, part, m, adj, tol=tol)
             sizes = np.bincount(part, minlength=m)
             if sizes.min() == 0:
                 continue
@@ -234,7 +233,7 @@ def _kway_connected(
             members = np.flatnonzero(part == s)
             if not members.size:
                 continue
-            comps = subgraph_components(net.n_bus, pairs, members)
+            comps = _components(adj, members)
             if len(comps) <= 1:
                 continue
             comps.sort(key=len, reverse=True)
@@ -252,7 +251,7 @@ def _kway_connected(
         if not dirty:
             break
 
-    return _balance_connected(net, part, m, pairs, adj, tol=tol)
+    return _balance_connected(net, part, m, adj, tol=tol)
 
 
 def _grow_regions(
@@ -334,11 +333,44 @@ def _bfs_distance(adj: list[list[int]], src: int, n: int) -> np.ndarray:
     return dist
 
 
+def _components(adj: list[list[int]], members: np.ndarray) -> list[np.ndarray]:
+    """Connected components of the subgraph ``members`` induces, as
+    :func:`~repro.grid.islands.subgraph_components` returns them (sorted
+    arrays, ordered by smallest bus), by search over the adjacency lists —
+    no sparse graph is built for a subsystem-sized question."""
+    left = set(members.tolist())
+    comps = []
+    for v in sorted(left):
+        if v not in left:
+            continue
+        left.remove(v)
+        comp, stack = [v], [v]
+        while stack:
+            for u in adj[stack.pop()]:
+                if u in left:
+                    left.remove(u)
+                    comp.append(u)
+                    stack.append(u)
+        comps.append(np.array(sorted(comp), dtype=np.int64))
+    return comps
+
+
+def _connected(adj: list[list[int]], members: np.ndarray) -> bool:
+    """True when the non-empty ``members`` induce a connected subgraph."""
+    left = set(members.tolist())
+    stack = [left.pop()]
+    while stack:
+        for u in adj[stack.pop()]:
+            if u in left:
+                left.remove(u)
+                stack.append(u)
+    return not left
+
+
 def _balance_connected(
     net: Network,
     part: np.ndarray,
     m: int,
-    pairs: np.ndarray,
     adj: list[list[int]],
     *,
     tol: float,
@@ -367,7 +399,7 @@ def _balance_connected(
             if not targets:
                 continue
             rest = members[members != v]
-            if len(rest) and len(subgraph_components(n, pairs, rest)) > 1:
+            if len(rest) and not _connected(adj, rest):
                 continue  # removal would split the donor
             t = min(targets, key=lambda t: sizes[t])
             if best is None or sizes[t] < best[0]:
@@ -416,7 +448,7 @@ def decompose_with_sizes(
     best_err = None
     for k in range(attempts):
         part = _grow_regions(net, m, adj, seed=seed + k, targets=sizes)
-        part = _move_to_targets(net, part, sizes, pairs, adj, max_moves=max_moves)
+        part = _move_to_targets(part, sizes, pairs, adj, max_moves=max_moves)
         counts = np.bincount(part, minlength=m)
         dec = Decomposition(net=net, part=part, m=m)
         if not dec.is_internally_connected():
@@ -435,7 +467,6 @@ def decompose_with_sizes(
 
 
 def _move_to_targets(
-    net: Network,
     part: np.ndarray,
     targets: np.ndarray,
     pairs: np.ndarray,
@@ -447,7 +478,6 @@ def _move_to_targets(
     keeping donors connected."""
     part = part.copy()
     m = len(targets)
-    n = net.n_bus
     from collections import deque
 
     def _shift_one(a: int, b: int) -> bool:
@@ -458,7 +488,7 @@ def _move_to_targets(
             if not any(part[u] == b for u in adj[v]):
                 continue
             rest = members[members != v]
-            if len(rest) and len(subgraph_components(n, pairs, rest)) > 1:
+            if len(rest) and not _connected(adj, rest):
                 continue
             part[v] = b
             return True

@@ -98,4 +98,5 @@ def hybrid_estimate(
         objective=float(r @ (w * r)),
         dof=len(combined) - n_states,
         step_norms=list(stage1.step_norms),
+        factorizations=stage1.factorizations,
     )

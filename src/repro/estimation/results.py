@@ -47,6 +47,12 @@ class EstimationResult:
         Degrees of freedom ``m - n_states`` (redundancy of the fit).
     step_norms:
         Max-norm of the state update per iteration (convergence record).
+    factorizations:
+        Iterations that assembled and factored a fresh gain (``pcg`` /
+        ``lsqr``: every iteration).  The others solved against a frozen
+        operator: the Gauss-Newton loop's held factor in the linear tail,
+        or a condensed Step-2 round's Schur operator.  0 for estimators
+        outside the Gauss-Newton loop.
     """
 
     converged: bool
@@ -57,6 +63,7 @@ class EstimationResult:
     objective: float
     dof: int
     step_norms: list[float] = field(default_factory=list)
+    factorizations: int = 0
 
     @property
     def V(self) -> np.ndarray:

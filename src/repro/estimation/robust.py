@@ -54,7 +54,7 @@ def huber_estimate(
     est = WlsEstimator(net, mset, solver=solver, reference_bus=reference_bus)
     res = est.estimate(max_iter=0)      # the residuals at the flat start
     step_norms: list[float] = []
-    it = 0
+    it = factorizations = 0
     for it in range(1, max_iter + 1):
         # Huber reweighting on standardized residuals.
         rn = np.abs(res.residuals) / mset.sigma
@@ -63,6 +63,9 @@ def huber_estimate(
             x0=(res.Vm, res.Va), weights=mset.weights * scale, tol=tol, max_iter=1
         )
         step_norms += res.step_norms
+        factorizations += res.factorizations
         if res.converged:
             break
-    return replace(res, iterations=it, step_norms=step_norms)
+    return replace(
+        res, iterations=it, step_norms=step_norms, factorizations=factorizations
+    )

@@ -27,7 +27,10 @@ problems side by side (:meth:`NormalEquations.stacked` — one assembly over
 the block-diagonal Jacobian, one factor per diagonal block), or K same-pattern
 problems as the rows of a ``(K, nnz)`` data stack (one vectorised assembly,
 the one factor used K times).  Either way a block's step is bit for bit that
-of the block solved alone, and a block that fails does so alone.
+of the block solved alone, and a block that fails does so alone.  A block may
+instead be solved against a frozen operator its caller holds — a condensed
+Schur operator, or a factor the kernel kept from an earlier call
+(:class:`_HeldFactor`) — in which case it is neither assembled nor factored.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import copy
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dpptrs
 
 from .pcg import pcg_solve
 
@@ -65,6 +68,25 @@ class GainSolveError(RuntimeError):
     """Raised when a normal-equation solve fails (singular / not SPD)."""
 
 
+def _runs(starts: np.ndarray, n_products: int, limit: int) -> list[tuple]:
+    """The segments beginning at ``starts`` (``n_products`` products in
+    all) in runs of whole segments of at most ``limit`` products, one
+    segment at least: ``(first segment, end segment, first product, end
+    product)`` per run."""
+    if not len(starts):
+        return []
+    if n_products <= limit:
+        return [(0, len(starts), 0, n_products)]
+    ends = np.append(starts[1:], n_products)
+    runs, h0 = [], 0
+    while h0 < len(starts):
+        p0 = int(starts[h0])
+        h1 = max(h0 + 1, int(np.searchsorted(ends, p0 + limit, "right")))
+        runs.append((h0, h1, p0, int(ends[h1 - 1])))
+        h0 = h1
+    return runs
+
+
 def _bucket_starts(idx: np.ndarray, n: int) -> np.ndarray:
     """Start offsets (length ``n + 1``) of the ``n`` buckets ``idx`` sorts
     into — the ``indptr`` of a compressed sparse layout."""
@@ -79,10 +101,11 @@ class _SpdFactor:
     The pattern is the matrix's lower triangle as sorted coordinates
     ``(rows, cols)`` in CSC order.  :meth:`factor` takes the values on that
     pattern; :meth:`solve` back-substitutes (vector or stacked columns).
-    Dense mode scatters into an ``n × n`` block for LAPACK ``dpotrf``;
-    sparse mode expands to the full symmetric pattern, permutes columns by
-    the COLAMD ordering SuperLU computes for the pattern on first use, and
-    refactors numerically in that (NATURAL) order from then on.  Holds one
+    Dense mode scatters into an ``n × n`` block of its own, refilled and
+    factored in place by LAPACK ``dpotrf`` on every call; sparse mode
+    expands to the full symmetric pattern, permutes columns by the COLAMD
+    ordering SuperLU computes for the pattern on first use, and refactors
+    numerically in that (NATURAL) order from then on.  Holds one
     factorisation at a time: an instance has a single owner.
     """
 
@@ -94,14 +117,16 @@ class _SpdFactor:
         self._flat = cols * n + rows if self.dense else None
         self._full: tuple | None = None
         self._permuted: tuple | None = None
+        self._block: np.ndarray | None = None
         self._chol: np.ndarray | None = None
+        self._lower: np.ndarray | None = None
         self.lu = None
 
     def twin(self) -> "_SpdFactor":
         """A second factor of the same pattern: shares the symbolic index
         arrays (never written after construction), owns its numeric state."""
         other = copy.copy(self)
-        other._permuted = other._chol = other.lu = None
+        other._permuted = other._block = other._chol = other.lu = None
         return other
 
     # -- symbolic --------------------------------------------------------
@@ -145,7 +170,14 @@ class _SpdFactor:
     # -- numeric ---------------------------------------------------------
     def factor(self, values: np.ndarray) -> None:
         if self.dense:
-            block = np.zeros(self.n * self.n)
+            # one buffer per factor, not one per call: held factors outlive
+            # the call that made them, and a fresh n × n block per call
+            # left the heap fragmented around them (+3 MB peak RSS on a
+            # two-thread replica service)
+            if self._block is None:
+                self._block = np.empty(self.n * self.n)
+            block, self._chol = self._block, None
+            block.fill(0.0)         # the last factor's fill-in is not zero
             block[self._flat] = values
             # Fortran view of the column-major buffer: factored in place
             c, info = dpotrf(
@@ -184,6 +216,40 @@ class _SpdFactor:
             rhs = B[lo : lo + 256].toarray().T
             out[lo : lo + 256] = np.einsum("ij,ij->j", rhs, self.solve(rhs))
         return out
+
+    def lower_packed(self) -> np.ndarray:
+        """The dense Cholesky factor's lower triangle, packed column by
+        column (LAPACK ``'L'`` packed storage): half the factor's bytes."""
+        if self._lower is None:
+            self._lower = np.tri(self.n, dtype=bool).ravel("F")
+        return self._chol.ravel("F")[self._lower]
+
+
+class _HeldFactor:
+    """A gain factor kept past the solve that made it, as a frozen operator.
+
+    The Gauss-Newton loop holds a block's factor through the block's linear
+    tail (:meth:`NormalEquations.solve_blocks`' ``hold``).  A dense factor is
+    held as its packed lower triangle and solved with ``dpptrs``; a sparse
+    one keeps the SuperLU object its factorisation created, with the column
+    order.  Every path holds this one form — a union block, a plain
+    estimator, a replica of a stack — so a held block's steps are the same
+    bits however the block was stacked.
+    """
+
+    def __init__(self, spd: _SpdFactor):
+        self.n = spd.n
+        if spd.dense:
+            self._packed, self._lu, self._order = spd.lower_packed(), None, None
+        else:
+            self._packed, self._lu, self._order = None, spd.lu, spd._permuted[2]
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        if self._lu is None:
+            return dpptrs(self.n, self._packed, b, lower=1)[0]
+        x = np.empty_like(b)
+        x[self._order] = self._lu.solve(b)
+        return x
 
 
 class NormalEquations:
@@ -232,22 +298,18 @@ class NormalEquations:
         # of whole entries of at most PRODUCT_CHUNK products, which keeps
         # the temporaries of a system-wide assembly cache-sized.
         self._chunks = []
-        ends = np.append(self._starts[1:], len(self._a))
-        g0 = 0
-        while g0 < len(ends):
-            p0 = int(self._starts[g0])
-            g1 = max(g0 + 1, int(np.searchsorted(ends, p0 + PRODUCT_CHUNK, "right")))
-            p1 = int(ends[g1 - 1])
+        for g0, g1, p0, p1 in _runs(self._starts, len(self._a), PRODUCT_CHUNK):
             self._chunks.append((
                 g0, g1, 0, nnz, self._a[p0:p1], self._b[p0:p1],
                 self._starts[g0:g1] - p0 if p0 else self._starts[g0:g1],
             ))
-            g0 = g1
         target = key[self._starts]
         self._n_gain = len(target)
         self.spd = _SpdFactor(target % n, target // n, n)
-        # diagonal blocks (factor, state slice, gain-entry slice): one here
+        # diagonal blocks (factor, state slice, gain-entry slice) and the
+        # product-map chunks each block's gain entries come from: one here
         self._parts = [(self.spd, slice(0, n), slice(0, len(target)))]
+        self._part_chunks = [self._chunks]
         # right-hand side: column sums, skipping structurally empty columns
         self._rhs_cols = np.flatnonzero(np.diff(indptr))
         self._rhs_starts = indptr[self._rhs_cols]
@@ -301,15 +363,18 @@ class NormalEquations:
 
         # the members' product maps are borrowed, not copied: a member's
         # chunks apply to its own run of the data vector as they are
-        self._chunks = [
-            (
-                int(seg[b]) + g0, int(seg[b]) + g1,
-                int(entry[b]) + e0, int(entry[b]) + e1,
-                a_, b_, starts_,
-            )
+        self._part_chunks = [
+            [
+                (
+                    int(seg[b]) + g0, int(seg[b]) + g1,
+                    int(entry[b]) + e0, int(entry[b]) + e1,
+                    a_, b_, starts_,
+                )
+                for g0, g1, e0, e1, a_, b_, starts_ in k._chunks
+            ]
             for b, k in enumerate(members)
-            for g0, g1, e0, e1, a_, b_, starts_ in k._chunks
         ]
+        self._chunks = [c for chunks in self._part_chunks for c in chunks]
         self._n_gain = int(seg[-1])
         self._rhs_cols = np.concatenate(
             [k._rhs_cols + col[b] for b, k in enumerate(members)]
@@ -361,13 +426,24 @@ class NormalEquations:
         stack."""
         return data * weights[..., self.indices]
 
-    def gain(self, data, wdata):
-        """Lower-triangle values of ``G = Hᵀ (W H)`` on the fixed pattern."""
+    def gain(self, data, wdata, parts=None):
+        """Lower-triangle values of ``G = Hᵀ (W H)`` on the fixed pattern;
+        with ``parts``, of those diagonal blocks only (every other entry is
+        left unset)."""
         out = np.empty(data.shape[:-1] + (self._n_gain,))
-        for g0, g1, e0, e1, a, b, starts in self._chunks:
-            prod = np.take(data[..., e0:e1], a, axis=-1)
-            prod *= np.take(wdata[..., e0:e1], b, axis=-1)
-            out[..., g0:g1] = np.add.reduceat(prod, starts, axis=-1)
+        chunks = self._chunks if parts is None else [
+            c for p in parts for c in self._part_chunks[p]
+        ]
+        # a stack of K Jacobians multiplies every temporary by K: its
+        # chunks are walked in runs of PRODUCT_CHUNK / K products
+        limit = PRODUCT_CHUNK // max(1, data.size // max(1, data.shape[-1]))
+        for g0, g1, e0, e1, a, b, starts in chunks:
+            for h0, h1, p0, p1 in _runs(starts, len(a), limit):
+                prod = np.take(data[..., e0:e1], a[p0:p1], axis=-1)
+                prod *= np.take(wdata[..., e0:e1], b[p0:p1], axis=-1)
+                out[..., g0 + h0 : g0 + h1] = np.add.reduceat(
+                    prod, starts[h0:h1] - p0 if p0 else starts[h0:h1], axis=-1
+                )
         return out
 
     def rhs(self, wdata, r):
@@ -388,48 +464,46 @@ class NormalEquations:
         return dx
 
     def solve_blocks(
-        self, data, weights, r, active=None, operators=None
+        self, data, weights, r, active=None, operators=None, hold=None
     ) -> tuple[np.ndarray, dict[int, GainSolveError]]:
         """One Gauss-Newton step, block by block.
 
-        The gain and right-hand side are assembled in one pass, then each
-        block is factored and solved on its own.  The blocks are either
+        The right-hand side is assembled for every block and the gain for
+        every block that factors, in one pass each; then each block is
+        solved on its own.  The blocks are either
 
         - the diagonal blocks of this kernel's pattern (``data`` a vector,
           ``r`` a vector): only the blocks listed in ``active`` (default:
-          all) are factored and solved, the rest keep a zero step; or
+          all) are solved, the rest keep a zero step; or
         - K replicas of a one-block kernel (``data`` a ``(K, nnz)`` stack
           of Jacobians on the one pattern, ``r`` their ``(K, m)``
           residuals): row ``j`` is block ``active[j]`` (default ``j``) and
           goes through the one factor in turn.
 
-        With ``operators`` — one frozen gain operator per diagonal block
-        (:class:`SchurGainSolver`), factored by the caller — no gain is
-        assembled or factored: block ``b``'s step is
-        ``operators[b].solve`` of its slice of the exact right-hand side.
+        ``operators`` maps a block to a frozen gain operator (anything with
+        ``solve(rhs) -> dx``): that block's step is the operator's solve of
+        its slice of the exact right-hand side, and no gain is assembled or
+        factored for it.  The operators are the caller's (a condensed
+        round's :class:`SchurGainSolver`) or factors held here: ``hold``
+        maps a block to a step bound, and a block factored by this call
+        whose step comes out below its bound has its factor added to
+        ``operators`` (in place, as a :class:`_HeldFactor`) for the
+        caller's next call to solve against.
 
         Returns ``(dx, errors)``, ``dx`` shaped like the right-hand side: a
-        block whose factorisation fails or whose step comes out non-finite
-        keeps a zero step, with its :class:`GainSolveError` under the
-        block's index in ``errors`` — the other blocks' steps are
-        unaffected.
+        block whose factorisation or operator fails, or whose step comes
+        out non-finite, keeps a zero step, with its
+        :class:`GainSolveError` under the block's index in ``errors`` — the
+        other blocks' steps are unaffected.
         """
         wdata = self.weighted(data, weights)
         rhs = self.rhs(wdata, r)
         dx = np.zeros(rhs.shape)
         errors: dict[int, GainSolveError] = {}
-        if operators is not None:
-            if data.ndim != 1:
-                raise ValueError("frozen operators serve diagonal blocks only")
-            for b in range(len(self._parts)) if active is None else active:
-                at = self._parts[b][1]
-                try:
-                    dx[at] = operators[b].solve(rhs[at])
-                except GainSolveError as exc:
-                    errors[b] = exc
-            return dx, errors
-        gain = self.gain(data, wdata)
-        # each block's factor, its place in rhs / dx, and in the gain values
+        ops = {} if operators is None else operators
+        hold = {} if hold is None else hold
+        # where each block sits in rhs / dx, and — for the blocks that
+        # factor — its factor and its place in the gain values
         if data.ndim == 2:
             if self.spd is None:
                 raise ValueError("a data stack needs a one-block kernel")
@@ -437,22 +511,44 @@ class NormalEquations:
                 active = range(len(data))
             if len(active) != len(data):
                 raise ValueError("a data stack needs one row per active block")
-            where = [(self.spd, j, j) for j in range(len(data))]
-        elif active is None:
-            active, where = range(len(self._parts)), self._parts
+            at = range(len(data))
+            rows = [j for j, b in enumerate(active) if b not in ops]
+            factored = {active[j]: (self.spd, k) for k, j in enumerate(rows)}
+            if len(rows) == len(data):
+                gain = self.gain(data, wdata)
+            elif rows:
+                gain = self.gain(data[rows], wdata[rows])
         else:
-            where = [self._parts[b] for b in active]
-        for b, (spd, at, g) in zip(active, where):
+            if active is None:
+                active = range(len(self._parts))
+            at = [self._parts[b][1] for b in active]
+            factored = {
+                b: (self._parts[b][0], self._parts[b][2])
+                for b in active
+                if b not in ops
+            }
+            if factored:
+                gain = self.gain(data, wdata, factored)
+        for b, a in zip(active, at):
+            if b in ops:
+                try:
+                    dx[a] = ops[b].solve(rhs[a])
+                except GainSolveError as exc:
+                    errors[b] = exc
+                continue
+            spd, g = factored[b]
             try:
                 spd.factor(gain[g])
             except GainSolveError as exc:
                 errors[b] = exc
                 continue
-            dx[at] = spd.solve(rhs[at])
+            dx[a] = spd.solve(rhs[a])
+            if b in hold and np.abs(dx[a]).max() < hold[b]:
+                ops[b] = _HeldFactor(spd)
         if not np.all(np.isfinite(dx)):
-            for b, (_, at, _) in zip(active, where):
-                if not np.all(np.isfinite(dx[at])):
-                    dx[at] = 0.0
+            for b, a in zip(active, at):
+                if not np.all(np.isfinite(dx[a])):
+                    dx[a] = 0.0
                     errors[b] = GainSolveError(
                         "gain solve produced non-finite step"
                     )

@@ -330,6 +330,18 @@ class WlsEstimator:
         carry on.  A replica on the network's own topology gives bit for
         bit what :meth:`estimate` gives for its ``x0`` / ``z``.
 
+        *Frozen tail.*  Gauss-Newton on a problem with non-zero residuals
+        ends in a linear tail, where the gain barely moves between
+        iterations.  With the ``"lu"`` solver, a block whose step — from a
+        fresh factor — falls below ``√tol`` and below its previous step
+        keeps that factor, and its later iterations evaluate the exact
+        right-hand side ``HᵀW r`` but assemble and factor no gain: the
+        held operator is O(√tol) from the current gain, so it moves each
+        later step by O(tol) and leaves the fixed point where it was.  A
+        held block whose step stops contracting drops the factor and
+        re-factors on its next iteration.  ``factorizations`` on a result
+        counts the iterations that did factor.
+
         ``operators`` turns the loop into the frozen-gain iteration of the
         condensed DSE Step 2: one factored
         :class:`~repro.estimation.solvers.SchurGainSolver` per block (a
@@ -337,7 +349,8 @@ class WlsEstimator:
         block's step from the exact right-hand side, so an iteration
         assembles and factors no gain.  Convergence is then linear, and a
         block whose step norm passes :data:`DIVERGED` stops unconverged
-        (the caller owns the fallback).
+        (the caller owns the fallback).  Given and held operators are one
+        mapping to the kernel (:meth:`NormalEquations.solve_blocks`).
         """
         t_start = time.perf_counter() if obs.enabled() else 0.0
         model, ms, net = self.model, self.mset, self.net
@@ -416,6 +429,13 @@ class WlsEstimator:
             raise ValueError("only 'lu' estimators stack or take frozen operators")
         state_starts = [blk.states.start for blk in self._blocks]
         step_norms: list[list[float]] = [[] for _ in range(nb)]
+        factorizations = [0] * nb
+        # Frozen gain operators by block, one mapping for the kernel: the
+        # caller's (a condensed round's, stopped at DIVERGED) and the
+        # loop's own, a block's factor held through its linear tail.
+        ops = {} if operators is None else dict(enumerate(operators))
+        given = set(ops)
+        roots = [float(np.sqrt(t)) for t in tols]
 
         def finish(b: int, converged: bool) -> None:
             blk = blocks[b]
@@ -434,6 +454,7 @@ class WlsEstimator:
                 objective=float(rb @ (wb * rb)),
                 dof=used[b] - blk.n_states,
                 step_norms=step_norms[b],
+                factorizations=factorizations[b],
             )
 
         active = [b for b in range(nb) if results[b] is None]
@@ -447,12 +468,24 @@ class WlsEstimator:
         while active and it < max_iter:
             it += 1
             data = structure.fill_data(Vm, Va, cur, adm)
+            # a block either solves against a factor it holds, or factors
+            # afresh and keeps that factor if its step comes out below √tol
+            # and below its last one (hold: block → that bound)
+            held, hold = set(), {}
+            for b in active:
+                if b in ops:
+                    if b not in given:
+                        held.add(b)
+                    continue
+                factorizations[b] += 1
+                if step_norms[b]:
+                    hold[b] = min(roots[b], step_norms[b][-1])
             try:
                 if kernel is not None:
                     # a stack goes to the kernel scenario by scenario, as
                     # rows (.T of one state's vectors is the vectors)
                     dx, errors = kernel.solve_blocks(
-                        np.ascontiguousarray(data.T), w.T, r.T, active, operators
+                        np.ascontiguousarray(data.T), w.T, r.T, active, ops, hold
                     )
                     dx = dx.T
                 else:
@@ -486,10 +519,16 @@ class WlsEstimator:
                 step_norms[b].append(steps[b])
                 if steps[b] < tols[b]:
                     finish(b, True)
-                elif operators is not None and steps[b] > DIVERGED:
+                elif b in given and steps[b] > DIVERGED:
                     finish(b, False)
                 else:
                     running.append(b)
+            # a held factor lives while its block runs and contracts
+            for b in [b for b in ops if b not in given]:
+                if b not in running or (
+                    b in held and step_norms[b][-1] >= step_norms[b][-2]
+                ):
+                    del ops[b]
             if replicas and len(running) < len(active):
                 # the stack closes up over the replicas still running
                 cols = [active.index(b) for b in running]
@@ -509,12 +548,12 @@ class WlsEstimator:
             reg.histogram("wls.estimate.seconds", solver=solver).observe(
                 time.perf_counter() - t_start
             )
+            done = [res for res in results if isinstance(res, EstimationResult)]
             reg.counter("wls.iterations_total", solver=solver).inc(
-                sum(
-                    res.iterations
-                    for res in results
-                    if isinstance(res, EstimationResult)
-                )
+                sum(res.iterations for res in done)
+            )
+            reg.counter("wls.factorizations_total", solver=solver).inc(
+                sum(res.factorizations for res in done)
             )
         return results
 

@@ -1,12 +1,15 @@
 """Tests for network decomposition and subnetwork extraction."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dse import Decomposition, decompose, decompose_by_areas, extract_subnetwork
-from repro.grid import is_single_island, run_ac_power_flow
+from repro.dse.decomposition import _components, _connected
+from repro.grid import is_single_island, run_ac_power_flow, subgraph_components
 from repro.grid.cases import case14, case118, synthetic_grid
 
 
@@ -54,6 +57,60 @@ class TestDecompose:
         assert dec.sizes().sum() == net.n_bus
         assert np.all(dec.sizes() > 0)
         assert dec.is_internally_connected()
+
+
+def _digest(part):
+    return hashlib.sha1(np.asarray(part, dtype=np.int64).tobytes()).hexdigest()
+
+
+class TestPinnedPartitions:
+    """The connectivity checks are searches over ``decompose``'s adjacency
+    lists rather than a sparse graph per call; the partitions they produce
+    are pinned, bus for bus, to the ones the sparse-graph checks gave."""
+
+    @pytest.mark.parametrize(
+        "m, seed, digest",
+        [
+            (3, 0, "7a6cc61291fa911c9bbc7bb6b50612b65cd537ca"),
+            (3, 1, "7a6cc61291fa911c9bbc7bb6b50612b65cd537ca"),
+            (3, 2, "7a6cc61291fa911c9bbc7bb6b50612b65cd537ca"),
+            (9, 0, "e134d178e932c129e48ada33023d9f7531dfd0b0"),
+            (9, 1, "884c811056e1fe9ae2ffcde049be4e028e7e4b96"),
+            (9, 2, "884c811056e1fe9ae2ffcde049be4e028e7e4b96"),
+        ],
+    )
+    def test_decompose_case118(self, net118, m, seed, digest):
+        assert _digest(decompose(net118, m, seed=seed).part) == digest
+
+    def test_paper_sizes_and_areas(self, net118):
+        from repro.dse import decompose_with_sizes
+
+        dec = decompose_with_sizes(net118, TestDecomposeWithSizes.PAPER_SIZES)
+        assert _digest(dec.part) == "1b6fa917a16fc33073c65eb58460876baaf550f2"
+        wecc = synthetic_grid(n_areas=37, buses_per_area=40, seed=11)
+        assert (
+            _digest(decompose_by_areas(wecc).part)
+            == "ad52e7bbd70d4990591da01ccf0b7a41373aa5d9"
+        )
+
+    def test_components_match_the_sparse_graph(self, net118):
+        pairs = net118.adjacency_pairs()
+        adj = [[] for _ in range(net118.n_bus)]
+        for u, v in pairs:
+            adj[u].append(int(v))
+            adj[v].append(int(u))
+        rng = np.random.default_rng(0)
+        for size in (1, 5, 13, 40, 118):
+            members = np.sort(rng.choice(net118.n_bus, size, replace=False))
+            got = _components(adj, members)
+            ref = subgraph_components(net118.n_bus, pairs, members)
+            assert [c.tolist() for c in got] == [c.tolist() for c in ref]
+            assert _connected(adj, members) == (len(ref) == 1)
+
+    def test_split_subsystem_is_not_connected(self, net14):
+        part = np.ones(14, dtype=np.int64)
+        part[[0, 13]] = 0               # buses 1 and 14 share no branch
+        assert not Decomposition(net=net14, part=part, m=2).is_internally_connected()
 
 
 class TestDecomposeByAreas:

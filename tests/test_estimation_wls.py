@@ -1,9 +1,12 @@
 """Tests for the WLS estimator core."""
 
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ArchitecturePrototype, DseSession
@@ -24,6 +27,7 @@ from repro.estimation import (
     normalized_residuals,
     state_covariance,
 )
+from repro.estimation import solvers
 from repro.estimation.solvers import NormalEquations
 from repro.grid import run_ac_power_flow
 from repro.grid.cases import case14, synthetic_grid
@@ -180,6 +184,162 @@ class TestConvergenceBehaviour:
         assert res.converged
         err = res.state_error(pf.Vm, pf.Va)
         assert err["vm_rmse"] < 5e-3
+
+
+# ---------------------------------------------------------------------------
+# The frozen tail: a factor held below √tol moves no converged answer.
+# ---------------------------------------------------------------------------
+def _refactoring_reference(est, z, tol=1e-8, max_iter=60):
+    """Gauss-Newton that factors a fresh gain on every iteration — the loop
+    without its frozen tail — spelled as one-iteration estimates, each of
+    which factors once and has no previous step to hold a factor on."""
+    x0, steps = None, []
+    for _ in range(max_iter):
+        res = est.estimate(x0=x0, z=z, tol=tol, max_iter=1)
+        steps += res.step_norms
+        x0 = (res.Vm, res.Va)
+        if res.converged:
+            break
+    return replace(res, iterations=len(steps), step_norms=steps)
+
+
+def _first_hold(steps, tol=1e-8):
+    """The iteration whose fresh factor the loop holds, read off the step
+    norms: the first step below √tol and below its predecessor."""
+    for k in range(1, len(steps)):
+        if tol <= steps[k] < min(np.sqrt(tol), steps[k - 1]):
+            return k + 1
+    return None
+
+
+def _gross_frame(ms, seed, scale, n_gross, magnitude):
+    """``ms``'s values with noise at ``scale`` σ and ``n_gross`` errors of
+    ``magnitude`` σ: the larger the residuals, the slower the linear tail."""
+    rng = np.random.default_rng(seed)
+    z = ms.z + scale * ms.sigma * rng.standard_normal(len(ms))
+    rows = rng.choice(len(ms), n_gross, replace=False)
+    z[rows] += rng.choice([-1.0, 1.0], n_gross) * magnitude * ms.sigma[rows]
+    return z
+
+
+@pytest.fixture(scope="module")
+def central(net14, pf14, net118, pf118):
+    """One estimator per case over its full placement."""
+    out = {}
+    for name, net, pf in (("14", net14, pf14), ("118", net118, pf118)):
+        rng = np.random.default_rng(0)
+        ms = generate_measurements(net, full_placement(net), pf, rng=rng)
+        out[name] = WlsEstimator(net, ms)
+    return out
+
+
+class TestFrozenTail:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        case=st.sampled_from(["14", "118"]),
+        seed=st.integers(0, 10_000),
+        scale=st.sampled_from([0.1, 1.0, 20.0, 300.0]),
+        n_gross=st.integers(0, 5),
+        magnitude=st.sampled_from([20.0, 300.0, 1000.0]),
+    )
+    @example(case="14", seed=26, scale=300.0, n_gross=3, magnitude=1000.0)
+    @example(case="14", seed=1314, scale=300.0, n_gross=0, magnitude=20.0)
+    def test_tail_keeps_the_refactoring_answer(
+        self, central, case, seed, scale, n_gross, magnitude
+    ):
+        """A frame that converges when every iteration factors converges
+        here too, within 1e-9 of that answer.  The exception is a knife
+        edge of the stopping rule (the second example: a tail contracting
+        by 0.72, whose last reference step is 0.99 tol): one path stops an
+        iteration later, and the two answers differ by no more than the
+        stopping error each carries, ``tol·ρ/(1−ρ)``."""
+        tol = 1e-8
+        est = central[case]
+        z = _gross_frame(est.mset, seed, scale, n_gross, magnitude)
+        try:
+            ref = _refactoring_reference(est, z, tol=tol)
+        except EstimationError:
+            assume(False)
+        assume(ref.converged)
+        res = est.estimate(z=z, tol=tol, max_iter=60)
+        assert res.converged
+        assert res.factorizations <= res.iterations
+        gap = max(np.max(np.abs(res.Vm - ref.Vm)), np.max(np.abs(res.Va - ref.Va)))
+        if res.iterations == ref.iterations:
+            assert gap <= 1e-9
+        else:
+            assert abs(res.iterations - ref.iterations) == 1
+            rho = ref.step_norms[-1] / ref.step_norms[-2]
+            assert gap <= 2 * tol * rho / (1 - rho)
+
+    def test_a_tail_that_stops_contracting_refactors(self, central):
+        """The example frame's held factor meets a step that does not
+        contract: the block drops it and factors again instead of stopping,
+        and lands on the reference's answer in as many iterations."""
+        est = central["14"]
+        z = _gross_frame(est.mset, 26, 300.0, 3, 1000.0)
+        ref = _refactoring_reference(est, z)
+        res = est.estimate(z=z, max_iter=60)
+        hold = _first_hold(res.step_norms)
+        assert hold is not None and res.factorizations > hold
+        assert res.converged and res.iterations == ref.iterations
+        assert np.max(np.abs(res.Vm - ref.Vm)) <= 1e-9
+
+    def test_no_held_factor_outlives_its_loop(
+        self, central, net118, pf118, monkeypatch
+    ):
+        """Every factor the loop holds is in the kernel's operator mapping
+        while it lives — so at most one per block — and gone when
+        ``estimate_blocks`` returns: replicas with a what-if, a union of
+        DSE subsystems, and a block that drops its factor and holds again."""
+        made = []
+        init = solvers._HeldFactor.__init__
+
+        def recording(self, spd):
+            init(self, spd)
+            made.append(weakref.ref(self))
+
+        solve_blocks = NormalEquations.solve_blocks
+
+        def watched(self, data, weights, r, active=None, operators=None, hold=None):
+            out = solve_blocks(self, data, weights, r, active, operators, hold)
+            held = [
+                op for op in (operators or {}).values()
+                if isinstance(op, solvers._HeldFactor)
+            ]
+            assert sum(ref() is not None for ref in made) == len(held)
+            return out
+
+        monkeypatch.setattr(solvers._HeldFactor, "__init__", recording)
+        monkeypatch.setattr(NormalEquations, "solve_blocks", watched)
+
+        est118 = central["118"]
+        rng = np.random.default_rng(1)
+        zs = [
+            est118.mset.z + est118.mset.sigma * rng.standard_normal(len(est118.mset))
+            for _ in range(3)
+        ]
+        outage = net118.br_status.copy()
+        outage[0] = 0
+        dec = decompose(net118, 9, seed=0)
+        plac = full_placement(net118).merged_with(dse_pmu_placement(dec))
+        ms = generate_measurements(net118, plac, pf118, rng=np.random.default_rng(2))
+        dse = DistributedStateEstimator(dec, ms)
+        union = WlsEstimator.stacked([dse._est1[s] for s in range(dec.m)])
+        est14 = central["14"]
+        runs = [
+            lambda: est118.estimate_blocks(z=[*zs, None], status=[None] * 3 + [outage]),
+            lambda: union.estimate_blocks(),
+            lambda: [est14.estimate(
+                z=_gross_frame(est14.mset, 26, 300.0, 3, 1000.0), max_iter=60
+            )],
+        ]
+        for run in runs:
+            made.clear()
+            results = run()
+            assert made and all(ref() is None for ref in made)
+            assert all(r.factorizations < r.iterations for r in results)
+        assert len(made) > 1                    # the last frame held twice
 
 
 class TestStateError:

@@ -123,6 +123,8 @@ class TestGainSolverParity:
         assert hot.iterations == iterations
         assert float(np.abs(hot.Vm - Vm).max()) < 1e-10
         assert float(np.abs(hot.Va - Va).max()) < 1e-10
+        # the estimator's tail ran on a held factor; the reference's did not
+        assert hot.factorizations < hot.iterations
 
     def test_repeated_estimates_identical(self, net118, ms118):
         est = WlsEstimator(net118, ms118)

@@ -245,6 +245,117 @@ def test_symbolic_pass_runs_once_per_estimator(dse118, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# frozen operators: a caller's or a held factor, one path through the kernel
+# ---------------------------------------------------------------------------
+
+class TestFrozenOperators:
+    @pytest.fixture()
+    def assembled(self, monkeypatch):
+        """The gain rows / diagonal blocks each assembly call covers."""
+        seen = []
+        gain = NormalEquations.gain
+
+        def recording(self, data, wdata, parts=None):
+            seen.append(len(data) if data.ndim == 2 else list(parts))
+            return gain(self, data, wdata, parts)
+
+        monkeypatch.setattr(NormalEquations, "gain", recording)
+        return seen
+
+    def test_replica_with_an_operator_is_not_assembled(self, central118, assembled):
+        """A hold bound keeps replica 1's factor in the mapping; the next
+        call solves it against that factor and assembles the other two
+        rows only — each of them still its solo solve, bit for bit."""
+        _, H, w, r = central118
+        rng = np.random.default_rng(3)
+        data = H.data * (1.0 + 0.01 * rng.standard_normal((3, H.nnz)))
+        rs = r + 0.01 * rng.standard_normal((3, len(r)))
+        kernel = NormalEquations(H.indptr, H.indices, H.shape)
+        solo = [kernel.solve(data[k], w, rs[k]) for k in range(3)]
+        assembled.clear()
+        ops = {}
+        dx, errors = kernel.solve_blocks(data, w, rs, [0, 1, 2], ops, {1: np.inf})
+        assert not errors and assembled == [3]
+        assert list(ops) == [1] and isinstance(ops[1], solvers._HeldFactor)
+        assert all(np.array_equal(dx[k], solo[k]) for k in range(3))
+        dx, errors = kernel.solve_blocks(data, w, rs, [0, 1, 2], ops)
+        assert not errors and assembled == [3, 2]
+        rhs = kernel.rhs(kernel.weighted(data[1], w), rs[1])
+        assert np.array_equal(dx[1], ops[1].solve(rhs))
+        np.testing.assert_allclose(dx[1], solo[1], rtol=1e-9, atol=1e-14)
+        assert np.array_equal(dx[0], solo[0]) and np.array_equal(dx[2], solo[2])
+
+    def test_union_block_with_an_operator_is_not_assembled(self, dse118, assembled):
+        dec, ms = dse118
+        dse = DistributedStateEstimator(dec, ms)
+        stack = WlsEstimator.stacked([dse._est1[s] for s in range(3)])
+        kernel = stack._kernel()
+        rng = np.random.default_rng(4)
+        Vm = 1.0 + 0.01 * rng.standard_normal(stack.net.n_bus)
+        Va = 0.01 * rng.standard_normal(stack.net.n_bus)
+        data = stack.model.jacobian_structure(stack._keep).fill_data(Vm, Va)
+        r = stack.mset.z - stack.model.h(Vm, Va)
+        w = stack.mset.weights
+        ops = {}
+        first, _ = kernel.solve_blocks(data, w, r, None, ops, {0: np.inf, 2: 0.0})
+        assert list(ops) == [0]             # a zero bound holds nothing
+        again, errors = kernel.solve_blocks(data, w, r, None, ops)
+        assert not errors and assembled[-1] == [1, 2]
+        for b, (_, (lo, hi), _) in enumerate(kernel.blocks):
+            if b:
+                assert np.array_equal(again[lo:hi], first[lo:hi])
+            else:
+                np.testing.assert_allclose(again[lo:hi], first[lo:hi], rtol=1e-9)
+
+    def test_stacks_equal_solo_solves_with_the_tail_frozen(self, central118, dse118):
+        """Replicas (no what-if) and union blocks hold and freeze exactly as
+        the plain estimator does alone: same bits, same step norms, same
+        iteration and factorisation counts."""
+        est, _, _, _ = central118
+        ms = est.mset
+        rng = np.random.default_rng(5)
+        zs = [ms.z + ms.sigma * rng.standard_normal(len(ms)) for _ in range(4)]
+        dec, dms = dse118
+        dse = DistributedStateEstimator(dec, dms)
+        members = [dse._est1[s] for s in range(dec.m)]
+        pairs = list(zip(est.estimate_blocks(z=zs), [est.estimate(z=z) for z in zs]))
+        pairs += zip(
+            WlsEstimator.stacked(members).estimate_blocks(),
+            [m.estimate() for m in members],
+        )
+        for got, ref in pairs:
+            assert np.array_equal(got.Vm, ref.Vm) and np.array_equal(got.Va, ref.Va)
+            assert got.step_norms == ref.step_norms
+            assert (got.iterations, got.factorizations) == (
+                ref.iterations, ref.factorizations
+            )
+        assert all(got.factorizations < got.iterations for got, _ in pairs)
+
+    def test_executors_and_live_agree_with_the_tail_frozen(self, dse118):
+        from repro.core import LiveDseRuntime
+
+        dec, ms = dse118
+        z = ms.z + ms.sigma * np.random.default_rng(6).standard_normal(len(ms))
+        serial = DistributedStateEstimator(dec, ms).run(z=z)
+        recs = serial.records.values()
+        assert all(
+            r.step1_result.factorizations < r.step1_result.iterations for r in recs
+        )
+        states = []
+        for executor in ("threads:2", "processes:2"):
+            dse = DistributedStateEstimator(dec, ms, executor=executor)
+            try:
+                states.append(dse.run(z=z))
+            finally:
+                dse.executor.shutdown()
+        with LiveDseRuntime(dec, ms) as live:
+            states.append(live.run(z=z))
+        for got in states:
+            assert np.array_equal(got.Vm, serial.Vm)
+            assert np.array_equal(got.Va, serial.Va)
+
+
+# ---------------------------------------------------------------------------
 # typed failure, never a garbage step
 # ---------------------------------------------------------------------------
 
