@@ -43,8 +43,7 @@ def wecc_setup():
     rng = np.random.default_rng(0)
     placement = full_placement(net).merged_with(dse_pmu_placement(arch.dec))
     mset = generate_measurements(net, placement, pf, rng=rng)
-    yield net, pf, arch, mset
-    arch.close()
+    return net, pf, arch, mset
 
 
 def test_wecc_scale_frame(benchmark, wecc_setup):

@@ -45,7 +45,6 @@ def test_fig6_end_to_end_frame(benchmark, net118, pf118):
     assert tm.exchange < 0.5 * tm.total
     # accuracy within measurement noise
     assert report.vm_rmse_vs_truth < 3e-3
-    arch.close()
 
 
 def test_fig6_exchange_volume_small(net118, pf118, dec118, mset118):

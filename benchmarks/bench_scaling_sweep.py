@@ -39,28 +39,28 @@ def _one_point(n_areas: int) -> dict:
     net = synthetic_grid(n_areas=n_areas, buses_per_area=BUSES_PER_AREA,
                          seed=21)
     pf = run_ac_power_flow(net, flat_start=True)
-    with ArchitecturePrototype.assemble(
+    arch = ArchitecturePrototype.assemble(
         net, m_subsystems=n_areas, topology=_topology(), seed=0
-    ) as arch:
-        arch.dec = decompose_by_areas(net)
-        arch.mapper = ClusterMapper(arch.topology, seed=0)
-        rng = np.random.default_rng(0)
-        plac = full_placement(net).merged_with(dse_pmu_placement(arch.dec))
-        ms = generate_measurements(net, plac, pf, rng=rng)
-        session = DseSession(arch)
-        rep = session.process_frame(ms, truth=(pf.Vm, pf.Va))
+    )
+    arch.dec = decompose_by_areas(net)
+    arch.mapper = ClusterMapper(arch.topology, seed=0)
+    rng = np.random.default_rng(0)
+    plac = full_placement(net).merged_with(dse_pmu_placement(arch.dec))
+    ms = generate_measurements(net, plac, pf, rng=rng)
+    session = DseSession(arch)
+    rep = session.process_frame(ms, truth=(pf.Vm, pf.Va))
 
-        # Per-subsystem step-1 durations for the load-insensitive
-        # parallelism metric (serial work / parallel makespan).
-        from repro.dse import DistributedStateEstimator
+    # Per-subsystem step-1 durations for the load-insensitive
+    # parallelism metric (serial work / parallel makespan).
+    from repro.dse import DistributedStateEstimator
 
-        dse = DistributedStateEstimator(arch.dec, ms)
-        records = dse.run(rounds=1).records
-        step1_times = [r.step1_time for r in records.values()]
+    dse = DistributedStateEstimator(arch.dec, ms)
+    records = dse.run(rounds=1).records
+    step1_times = [r.step1_time for r in records.values()]
 
-        t0 = time.perf_counter()
-        estimate_state(net, ms)
-        cen = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    estimate_state(net, ms)
+    cen = time.perf_counter() - t0
     return {
         "areas": n_areas,
         "buses": net.n_bus,

@@ -45,13 +45,13 @@ def main() -> None:
     obs.configure(enabled=True, reset=True)
     try:
         # 1. one architecture-session frame -> one trace tree
-        with ArchitecturePrototype.assemble(net, m_subsystems=2, seed=0) as arch:
-            scada = ScadaSystem(net, plac, seed=0)
-            session = DseSession(arch)
-            frame = next(iter(scada.frames(1)))
-            rep = session.process_frame(frame.mset, t=frame.t)
-            print(f"session frame: {rep.rounds} rounds, "
-                  f"{rep.bytes_exchanged} B exchanged")
+        arch = ArchitecturePrototype.assemble(net, m_subsystems=2, seed=0)
+        scada = ScadaSystem(net, plac, seed=0)
+        session = DseSession(arch)
+        frame = next(iter(scada.frames(1)))
+        rep = session.process_frame(frame.mset, t=frame.t)
+        print(f"session frame: {rep.rounds} rounds, "
+              f"{rep.bytes_exchanged} B exchanged")
 
         # 2. the same estimation over a process pool: subsystem solves run
         #    in worker pids, their spans come back into this trace

@@ -45,46 +45,46 @@ def main() -> None:
     pf = run_ac_power_flow(net, flat_start=True)
     print(f"power flow converged in {pf.iterations} iterations")
 
-    with ArchitecturePrototype.assemble(
+    arch = ArchitecturePrototype.assemble(
         net, m_subsystems=37, topology=wecc_topology(), seed=0
-    ) as arch:
-        # Decompose along balancing-authority boundaries instead of the
-        # default graph partition.
-        arch.dec = decompose_by_areas(net)
-        from repro.core import ClusterMapper
+    )
+    # Decompose along balancing-authority boundaries instead of the
+    # default graph partition.
+    arch.dec = decompose_by_areas(net)
+    from repro.core import ClusterMapper
 
-        arch.mapper = ClusterMapper(arch.topology, seed=0)
+    arch.mapper = ClusterMapper(arch.topology, seed=0)
 
-        dec = arch.dec
-        print(f"decomposition: {dec.m} subsystems, {len(dec.tie_lines)} tie "
-              f"lines, quotient diameter {dec.diameter()}")
+    dec = arch.dec
+    print(f"decomposition: {dec.m} subsystems, {len(dec.tie_lines)} tie "
+          f"lines, quotient diameter {dec.diameter()}")
 
-        rng = np.random.default_rng(0)
-        placement = full_placement(net).merged_with(dse_pmu_placement(dec))
-        mset = generate_measurements(net, placement, pf, rng=rng)
+    rng = np.random.default_rng(0)
+    placement = full_placement(net).merged_with(dse_pmu_placement(dec))
+    mset = generate_measurements(net, placement, pf, rng=rng)
 
-        session = DseSession(arch)
-        report = session.process_frame(mset, truth=(pf.Vm, pf.Va))
+    session = DseSession(arch)
+    report = session.process_frame(mset, truth=(pf.Vm, pf.Va))
 
-        print(f"\nmapping {dec.m} subsystems onto {arch.mapper.p} control-"
-              f"centre clusters; Step-1 imbalance {report.imbalance_step1:.3f}, "
-              f"Step-2 imbalance {report.imbalance_step2:.3f}")
-        tm = report.timings
-        print(f"simulated distributed timeline: step1 {tm.step1 * 1e3:.1f} ms, "
-              f"exchange {tm.exchange * 1e3:.1f} ms, "
-              f"step2 {tm.step2 * 1e3:.1f} ms, total {tm.total * 1e3:.1f} ms")
+    print(f"\nmapping {dec.m} subsystems onto {arch.mapper.p} control-"
+          f"centre clusters; Step-1 imbalance {report.imbalance_step1:.3f}, "
+          f"Step-2 imbalance {report.imbalance_step2:.3f}")
+    tm = report.timings
+    print(f"simulated distributed timeline: step1 {tm.step1 * 1e3:.1f} ms, "
+          f"exchange {tm.exchange * 1e3:.1f} ms, "
+          f"step2 {tm.step2 * 1e3:.1f} ms, total {tm.total * 1e3:.1f} ms")
 
-        # Centralized comparison: one whole-system WLS on one cluster.
-        t0 = time.perf_counter()
-        cen = estimate_state(net, mset)
-        cen_wall = time.perf_counter() - t0
-        cen_sim = session.centralized_sim_time(cen_wall)
-        print(f"\ncentralized WLS wall time {cen_wall * 1e3:.1f} ms -> "
-              f"simulated single-cluster time {cen_sim * 1e3:.1f} ms")
-        print(f"distributed vs centralized (simulated): "
-              f"{tm.total * 1e3:.1f} ms vs {cen_sim * 1e3:.1f} ms")
-        print(f"accuracy: distributed Vm RMSE {report.vm_rmse_vs_truth:.2e}, "
-              f"centralized {cen.state_error(pf.Vm, pf.Va)['vm_rmse']:.2e}")
+    # Centralized comparison: one whole-system WLS on one cluster.
+    t0 = time.perf_counter()
+    cen = estimate_state(net, mset)
+    cen_wall = time.perf_counter() - t0
+    cen_sim = session.centralized_sim_time(cen_wall)
+    print(f"\ncentralized WLS wall time {cen_wall * 1e3:.1f} ms -> "
+          f"simulated single-cluster time {cen_sim * 1e3:.1f} ms")
+    print(f"distributed vs centralized (simulated): "
+          f"{tm.total * 1e3:.1f} ms vs {cen_sim * 1e3:.1f} ms")
+    print(f"accuracy: distributed Vm RMSE {report.vm_rmse_vs_truth:.2e}, "
+          f"centralized {cen.state_error(pf.Vm, pf.Va)['vm_rmse']:.2e}")
 
 
 if __name__ == "__main__":

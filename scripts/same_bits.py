@@ -237,17 +237,14 @@ def matrix() -> None:
         rng=np.random.default_rng(4),
     )
     arch = ArchitecturePrototype.assemble(net, m_subsystems=9, seed=0)
-    try:
-        session = DseSession(arch, bad_data_policy="identify")
-        states = []
-        for scan in scans:
-            removed = session.process_frame(scan).bad_data.removed_global_rows
-            # the session publishes no state; its tracking start is the frame's
-            states += [(session._prev_vm, session._prev_va),
-                       (np.array(removed, dtype=float), none)]
-        emit("session identify 3 frames", states, sum(r.rounds for r in session.reports))
-    finally:
-        arch.close()
+    session = DseSession(arch, bad_data_policy="identify")
+    states = []
+    for scan in scans:
+        removed = session.process_frame(scan).bad_data.removed_global_rows
+        # the session publishes no state; its tracking start is the frame's
+        states += [(session._prev_vm, session._prev_va),
+                   (np.array(removed, dtype=float), none)]
+    emit("session identify 3 frames", states, sum(r.rounds for r in session.reports))
 
 
 # ---------------------------------------------------------------------

@@ -11,7 +11,6 @@ from .mapper import ClusterMapper, Mapping
 from .noise import NoiseLevelEstimator, innovation_noise_level
 from .runtime import LiveDseResult, LiveDseRuntime, LiveSiteStats
 from .session import DseSession
-from .simulation import DseTimeline, simulate_dse_message_level
 from .telemetry import FrameReport, PhaseBreakdown
 from .weights import (
     IterationModel,
@@ -44,8 +43,6 @@ __all__ = [
     "LiveDseRuntime",
     "LiveDseResult",
     "LiveSiteStats",
-    "DseTimeline",
-    "simulate_dse_message_level",
     "FrameReport",
     "PhaseBreakdown",
 ]

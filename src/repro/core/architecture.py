@@ -1,22 +1,21 @@
 """The system-architecture prototype: wiring all substrates together.
 
 ``ArchitecturePrototype`` owns the pieces of the paper's Figure 1: the
-decomposed power system, the HPC cluster topology, the mapping method, the
-cost models used to replay execution on the simulated testbed, and
-(optionally) a live middleware fabric whose pipelines actually move the
-pseudo-measurement bytes between the estimator sites.
+decomposed power system, the HPC cluster topology, the mapping method and
+the cost models used to replay execution on the simulated testbed.
+Estimator sites that exchange pseudo-measurements over a live middleware
+fabric are :class:`repro.core.runtime.LiveDseRuntime`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..cluster.costmodel import MiddlewareCostModel, WlsCostModel
 from ..cluster.executor import SimExecutor
 from ..cluster.topology import ClusterTopology, pnnl_testbed
 from ..dse.decomposition import Decomposition, decompose
 from ..grid.network import Network
-from ..middleware.router import MiddlewareFabric
 from .mapper import ClusterMapper
 from .weights import IterationModel, PAPER_ITERATION_MODEL
 
@@ -39,7 +38,6 @@ class ArchitecturePrototype:
     wls_cost: WlsCostModel
     middleware_cost: MiddlewareCostModel
     iteration_model: IterationModel
-    fabric: MiddlewareFabric | None = field(default=None)
 
     @classmethod
     def assemble(
@@ -53,17 +51,13 @@ class ArchitecturePrototype:
         wls_cost: WlsCostModel | None = None,
         middleware_cost: MiddlewareCostModel | None = None,
         seed: int = 0,
-        with_fabric: bool = False,
-        fabric_tcp: bool = False,
     ) -> "ArchitecturePrototype":
         """Decompose ``net`` and wire the architecture around it.
 
         ``subsystem_sizes`` forces exact subsystem bus counts (e.g. the
         paper's 14,13,... split); otherwise a balanced ``m_subsystems``-way
-        decomposition is computed.  ``with_fabric`` starts a live middleware
-        fabric wiring neighbouring estimators (in-process queues, or
-        localhost TCP with ``fabric_tcp=True``); without it, communication
-        is accounted analytically on the simulated testbed only.
+        decomposition is computed.  Communication is accounted analytically
+        on the simulated testbed.
         """
         topology = topology or pnnl_testbed()
         if subsystem_sizes is not None:
@@ -77,16 +71,6 @@ class ArchitecturePrototype:
         executor = SimExecutor(topology, middleware=middleware_cost)
         wls_cost = wls_cost or WlsCostModel()
 
-        fabric = None
-        if with_fabric:
-            names = [f"se{s}" for s in range(dec.m)]
-            pairs = []
-            for u, v in dec.quotient_edges():
-                pairs.append((f"se{u}", f"se{v}"))
-                pairs.append((f"se{v}", f"se{u}"))
-            fabric = MiddlewareFabric(names, pairs, use_tcp=fabric_tcp)
-            fabric.start()
-
         return cls(
             net=net,
             dec=dec,
@@ -96,17 +80,4 @@ class ArchitecturePrototype:
             wls_cost=wls_cost,
             middleware_cost=middleware_cost,
             iteration_model=iteration_model,
-            fabric=fabric,
         )
-
-    def close(self) -> None:
-        """Stop the middleware fabric (if any)."""
-        if self.fabric is not None:
-            self.fabric.stop()
-            self.fabric = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()

@@ -37,6 +37,7 @@ def innovation_noise_level(
     """
     model = MeasurementModel(net, mset)
     r = (mset.z - model.h(Vm_prev, Va_prev)) / mset.sigma
+    r = r[np.isfinite(r)]       # a non-finite meter says nothing about noise
     level = float(np.sqrt(np.mean(r * r))) if len(r) else 1.0
     return float(np.clip(level, *clip))
 

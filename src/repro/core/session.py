@@ -7,8 +7,7 @@ on an :class:`~repro.core.architecture.ArchitecturePrototype`:
 2. map subsystems to clusters for Step 1 (compute balance);
 3. run every subsystem's Step-1 WLS (real computation, wall-clocked);
 4. update weights, remap for Step 2, charge the data redistribution;
-5. run the Step-2 exchange + re-evaluation rounds, optionally pushing the
-   pseudo-measurement bytes through live middleware pipelines;
+5. run the Step-2 exchange + re-evaluation rounds;
 6. aggregate the solution and replay all measured durations on the
    simulated cluster testbed to obtain the distributed execution timeline.
 """
@@ -24,11 +23,9 @@ from ..cluster.executor import MessageSpec, TaskSpec
 from ..dse.algorithm import BYTES_PER_EXCHANGED_BUS, DistributedStateEstimator
 from ..dse.sensitivity import exchange_bus_sets
 from ..measurements.types import MeasurementSet
-from ..middleware.errors import ClientClosed, MiddlewareError
 from ..parallel import make_executor
 from .architecture import ArchitecturePrototype
 from .noise import NoiseLevelEstimator
-from .runtime import pack_update
 from .telemetry import FrameReport, PhaseBreakdown
 
 __all__ = ["DseSession"]
@@ -54,11 +51,6 @@ class DseSession:
         :class:`~repro.dse.algorithm.DistributedStateEstimator`
         (``condense`` switches Step 2 to the Schur-complement condensed
         mode: boundary-sized solves, compact per-neighbour wire frames).
-    fabric_timeout:
-        Receive timeout (seconds) while draining the live middleware
-        exchange.  A site that misses updates — dead peer, dropped or
-        corrupted frames — is recorded in the frame report's
-        ``degraded_subsystems`` instead of failing the frame.
     """
 
     def __init__(
@@ -73,7 +65,6 @@ class DseSession:
         warm_start: bool = True,
         degrade_on_failure: bool = False,
         condense: bool = False,
-        fabric_timeout: float = 5.0,
     ):
         if bad_data_policy not in ("off", "detect", "identify"):
             raise ValueError("bad_data_policy must be off|detect|identify")
@@ -86,7 +77,6 @@ class DseSession:
         self.warm_start = warm_start
         self.degrade_on_failure = degrade_on_failure
         self.condense = condense
-        self.fabric_timeout = fabric_timeout
         self.noise_estimator = NoiseLevelEstimator(arch.net)
         self.exchange_sets = exchange_bus_sets(
             arch.dec, threshold=sensitivity_threshold
@@ -206,11 +196,6 @@ class DseSession:
                 dec, x, map1, self.exchange_sets
             )
 
-        # (5) optional: push real pseudo-measurement bytes through pipelines
-        if arch.fabric is not None:
-            with obs.span("session.fabric_exchange"):
-                degraded |= self._exercise_fabric(result, dse)
-
         # (6) replay on the simulated testbed
         with obs.span("session.replay_sim"):
             timings = self._replay(result, map1, map2, moved)
@@ -291,44 +276,6 @@ class DseSession:
         if keep and self.reuse_structures:
             self._dse = dse
         return dse, False
-
-    # ------------------------------------------------------------------
-    def _exercise_fabric(self, result, dse) -> set[int]:
-        """Move the final state through the live pipelines, one frame per
-        entry of the estimator's publication plan — the frames a live site
-        packs and the DSE's byte accounting charges (per-neighbour
-        condensed blocks under ``condense``, the full exchange set as a
-        state update to every neighbour otherwise).
-
-        Fault-tolerant: a site whose sends fail is cut off from the fabric
-        and marked degraded; a site that cannot collect its full neighbour
-        set (dead peer, dropped/corrupt frames, timeout) is marked
-        degraded too.  Returns the degraded site ids — a clean fabric
-        returns an empty set and behaves exactly as before.
-        """
-        arch = self.arch
-        dec = arch.dec
-        degraded: set[int] = set()
-        for s in range(dec.m):
-            for nb, (ids, form) in dse.publication_plan[s].items():
-                payload = pack_update(form, s, ids, result.Vm[ids], result.Va[ids])
-                try:
-                    arch.fabric.send(f"se{s}", f"se{nb}", payload)
-                except (MiddlewareError, ConnectionError, OSError):
-                    # the sender is cut off; its neighbours will miss the
-                    # update and surface on the receive side
-                    degraded.add(s)
-        # drain every site's buffer
-        for s in range(dec.m):
-            for _ in dse.publication_plan[s]:
-                try:
-                    arch.fabric.recv(f"se{s}", timeout=self.fabric_timeout)
-                except TimeoutError:
-                    degraded.add(s)
-                except (ClientClosed, MiddlewareError):
-                    degraded.add(s)
-                    break
-        return degraded
 
     # ------------------------------------------------------------------
     def _replay(self, result, map1, map2, moved_weight) -> PhaseBreakdown:

@@ -78,11 +78,11 @@ class FrameReport:
     va_rmse_vs_truth: float | None = None
     centralized_sim_time: float | None = None
     bad_data: object | None = None  # DistributedBadDataReport when enabled
-    #: subsystems that completed this frame degraded (failed solves,
-    #: missed exchanges, dead middleware peers); empty on a clean frame
+    #: subsystems whose solve failed this frame and fell back to their
+    #: prior state (``degrade_on_failure``); empty on a clean frame
     degraded_subsystems: list = field(default_factory=list)
     #: subsystems that were degraded last frame and completed cleanly this
-    #: frame (failover promotion landed, or the fault cleared)
+    #: frame (the fault cleared)
     recovered_subsystems: list = field(default_factory=list)
 
     def to_dict(self) -> dict:

@@ -99,6 +99,7 @@ def distributed_bad_data(
                 dse._est1[s],
                 z=None if z is None else dse._step1_z(s, z),
                 alpha=alpha,
+                result=result,      # the screen's: its first pass
             )
             # local row i is global row rows[perm][i] (the DSE's own
             # values-only permutation)

@@ -61,6 +61,15 @@ from .decomposition import Decomposition
 
 __all__ = ["CondensedStep2", "frozen_round", "neighbor_publication_sets"]
 
+#: A frozen-gain block stops on ``step < tol * FROZEN_TOL_SCALE``, tighter
+#: than the reference's ``step < tol``, so its linear tail still lands
+#: within reference parity.
+FROZEN_TOL_SCALE = 0.1
+#: Iteration cap of a frozen-gain round (above Gauss-Newton's, each
+#: iteration being much cheaper); a block that has not converged inside it
+#: falls back to the wrapped exact estimator.
+FROZEN_MAX_ITER = 150
+
 
 def neighbor_publication_sets(dec: Decomposition) -> dict[int, dict[int, np.ndarray]]:
     """Per-neighbour condensed publication sets.
@@ -108,24 +117,15 @@ class CondensedStep2:
         Local bus indices of the coupling set — the subsystem's own
         boundary buses plus the external boundary buses; both of each
         bus's states (Va, Vm) become boundary states of the Schur split.
-    inner_tol_scale:
-        The frozen-gain iteration stops on ``step < tol * inner_tol_scale``
-        (tighter than the reference's ``step < tol``) so its linear tail
-        still lands within reference parity.
-    max_iter:
-        Iteration cap for the linearly-convergent frozen-gain iteration
-        (higher than Gauss-Newton's since each iteration is much cheaper);
-        a round that has not converged inside it falls back to the wrapped
-        exact estimator.
+
+    ``max_iter`` (:data:`FROZEN_MAX_ITER`) is this subsystem's frozen-round
+    cap.
     """
 
     def __init__(
         self,
         est: WlsEstimator,
         boundary_buses_local: np.ndarray,
-        *,
-        inner_tol_scale: float = 0.1,
-        max_iter: int = 150,
     ):
         self.est = est
         n = est.net.n_bus
@@ -136,8 +136,7 @@ class CondensedStep2:
         bpos = pos[cand]
         self.boundary_states = np.sort(bpos[bpos >= 0])
         self.schur = SchurGainSolver(self.boundary_states, est.n_states)
-        self.inner_tol_scale = float(inner_tol_scale)
-        self.max_iter = int(max_iter)
+        self.max_iter = FROZEN_MAX_ITER
         self.factor_time = 0.0
         self.factor_count = 0
         self.fallbacks = 0
@@ -256,7 +255,7 @@ def frozen_round(
     iteration evaluates the exact right-hand side over the whole stack
     once and asks each still-running block's own operator for its step, so
     a block's iterates are the same bits however many blocks ride along.
-    A block stops on ``step < tol * inner_tol_scale``.  One that has not
+    A block stops on ``step < tol * FROZEN_TOL_SCALE``.  One that has not
     converged inside its own ``max_iter``, or trips the divergence guard,
     is re-solved alone by its exact estimator (``fallbacks``) — a
     deterministic function of the same ``(x0, z, tol)``, so parity and
@@ -270,7 +269,7 @@ def frozen_round(
             pass    # the unfactored operator fails its own block in the loop
     limits = [c.max_iter if max_iter is None else max_iter for c in conds]
     results = stack.estimate_blocks(
-        x0=x0, z=z, tol=[tol * c.inner_tol_scale for c in conds],
+        x0=x0, z=z, tol=tol * FROZEN_TOL_SCALE,
         max_iter=max(limits), reference_angle=reference_angle,
         operators=[c.schur for c in conds],
     )

@@ -83,19 +83,23 @@ def identify_rows(
     alpha: float = 0.01,
     nr_threshold: float = 3.0,
     max_removals: int = 20,
+    result: EstimationResult | None = None,
 ) -> tuple[list[int], EstimationResult, bool]:
     """The largest-normalized-residual loop on one estimator.
 
     Estimates (values ``z``, default the set's own), tests, zeroes the
     weight of the row with the largest normalized residual above
-    ``nr_threshold``, and repeats.  Returns ``(removed rows, last result,
+    ``nr_threshold``, and repeats.  ``result`` is the first pass when the
+    caller already holds it (this estimator's flat-start solve of ``z``
+    with the set's own weights).  Returns ``(removed rows, last result,
     whether it passes the chi-square test)``; the result keeps every row's
     residual, its ``dof`` and ``objective`` count the rows still weighted.
     """
     w = estimator.mset.weights      # computed from sigma: ours to write into
     removed: list[int] = []
-    while True:
+    if result is None:
         result = estimator.estimate(z=z, weights=w)
+    while True:
         passes = chi_square_test(result, alpha=alpha)
         if passes or len(removed) >= max_removals:
             return removed, result, passes
@@ -105,6 +109,7 @@ def identify_rows(
             return removed, result, passes
         removed.append(worst)
         w[worst] = 0.0
+        result = estimator.estimate(z=z, weights=w)
 
 
 def identify_bad_data(

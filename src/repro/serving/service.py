@@ -7,16 +7,9 @@ coalesces them into batches — bounded by ``max_batch`` and a flush-latency
 window — and fans each batch out across the shared executor with dynamic
 balancing.  Results stream back through futures as they resolve.
 
-Two estimation engines are supported:
-
-- ``engine="dse"`` — the in-process
-  :class:`~repro.dse.algorithm.DistributedStateEstimator` (warm caches,
-  any executor backend including process pools);
-- ``engine="live"`` — the thread-per-site
-  :class:`~repro.core.runtime.LiveDseRuntime`, serving frames over live
-  middleware pipelines (values-only frames through the same warm caches).
-  The service owns the runtime's resident deployment — hub, links, site
-  threads — and stops it in :meth:`ScenarioService.close` / ``abort``.
+Estimation frames run values-only on one in-process
+:class:`~repro.dse.algorithm.DistributedStateEstimator` (warm caches, any
+executor backend including process pools).
 
 Contingency batches go through
 :func:`repro.contingency.parallel.run_parallel`, sharing the service's
@@ -36,7 +29,7 @@ values rather than DSE frames — same state to round-off, no per-area
 telemetry — and ``rounds`` is ignored (there is no coordination loop).
 
 The service builds only the estimation engine its drain path uses: the
-``engine`` for fan-out, the batched estimator (on the first flush that
+DSE for fan-out, the batched estimator (on the first flush that
 needs it) for ``batch_solve=True`` — which therefore asks nothing of the
 placement beyond central observability (no PMU anchor per subsystem).
 """
@@ -91,10 +84,6 @@ class ScenarioService:
         Any :func:`repro.parallel.make_executor` spec; spec-created
         executors are owned (and shut down) by the service, instances are
         shared with the caller.
-    engine:
-        ``"dse"`` (in-process estimator) or ``"live"`` (thread-per-site
-        middleware runtime) for estimation requests; not built when
-        ``batch_solve`` drains them instead.
     analyzer:
         Contingency analyzer; built from ``dec.net`` with
         ``contingency_method`` when omitted.
@@ -132,7 +121,6 @@ class ScenarioService:
         mset: MeasurementSet,
         *,
         executor: "SubsystemExecutor | str | int | None" = None,
-        engine: str = "dse",
         analyzer: ContingencyAnalyzer | None = None,
         contingency_method: str = "dc",
         max_batch: int = 32,
@@ -141,13 +129,10 @@ class ScenarioService:
         sensitivity_threshold: float = 0.5,
         rounds: int | None = None,
         tol: float = 1e-8,
-        use_tcp: bool = False,
         batch_solve: bool = False,
         request_timeout: float | None = None,
         max_queue: int | None = None,
     ):
-        if engine not in ("dse", "live"):
-            raise ValueError("engine must be 'dse' or 'live'")
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if flush_latency < 0:
@@ -158,7 +143,6 @@ class ScenarioService:
             raise ValueError("max_queue must be >= 1 (or None)")
         self._own_executor = not isinstance(executor, SubsystemExecutor)
         self.executor = make_executor(executor)
-        self.engine = engine
         self.max_batch = int(max_batch)
         self.flush_latency = float(flush_latency)
         self.request_timeout = request_timeout
@@ -171,26 +155,15 @@ class ScenarioService:
         self._mset = mset
         self._batch_estimator = None  # lazily built on first batched flush
 
-        # the batched drain never reaches a per-frame engine: build none
-        self._dse = self._runtime = None
-        per_frame = None if self.batch_solve else engine
-        if per_frame == "dse":
+        # the batched drain never reaches the per-frame DSE: build none
+        self._dse = None
+        if not self.batch_solve:
             self._dse = DistributedStateEstimator(
                 dec,
                 mset,
                 solver=solver,
                 sensitivity_threshold=sensitivity_threshold,
                 executor=self.executor,
-            )
-        elif per_frame == "live":
-            from ..core.runtime import LiveDseRuntime
-
-            self._runtime = LiveDseRuntime(
-                dec,
-                mset,
-                solver=solver,
-                sensitivity_threshold=sensitivity_threshold,
-                use_tcp=use_tcp,
             )
         self.analyzer = analyzer or ContingencyAnalyzer(
             dec.net, method=contingency_method
@@ -399,7 +372,9 @@ class ScenarioService:
                 for it in ests:
                     req = it[0]
                     try:
-                        value = self._run_estimation(req)
+                        value = self._dse.run(
+                            rounds=req.rounds, tol=req.tol, z=req.z
+                        )
                     except BaseException as exc:
                         it[1].set_exception(exc)
                     else:
@@ -410,11 +385,6 @@ class ScenarioService:
             reg = obs.metrics()
             reg.counter("serving.batches_total").inc()
             reg.histogram("serving.batch_size").observe(size)
-
-    def _run_estimation(self, req: EstimationRequest):
-        if self._dse is not None:
-            return self._dse.run(rounds=req.rounds, tol=req.tol, z=req.z)
-        return self._runtime.run(rounds=req.rounds, tol=req.tol, z=req.z)
 
     def _batched_estimator(self) -> BatchEstimator:
         """The service's SIMD estimation engine (built on first use)."""
@@ -510,12 +480,9 @@ class ScenarioService:
         self._release_engines()
 
     def _release_engines(self) -> None:
-        """Stop what the service owns: its executor, the live runtime's
-        resident deployment, its health watch."""
+        """Stop what the service owns: its executor and its health watch."""
         if self._own_executor:
             self.executor.shutdown()
-        if self._runtime is not None:
-            self._runtime.close()
         self._disarm_health()
 
     def _disarm_health(self) -> None:
@@ -532,7 +499,7 @@ class ScenarioService:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"ScenarioService(engine={self.engine!r}, "
-            f"executor={self.executor!r}, max_batch={self.max_batch}, "
+            f"ScenarioService(executor={self.executor!r}, "
+            f"max_batch={self.max_batch}, "
             f"flush_latency={self.flush_latency})"
         )

@@ -3,7 +3,7 @@
 Example::
 
     python -m repro.tools.run_session --case case118 --subsystems 9 --frames 3
-    python -m repro.tools.run_session --case synthetic:12x20 --fabric --tcp
+    python -m repro.tools.run_session --case synthetic:12x20 --live --tcp
 """
 
 from __future__ import annotations
@@ -32,10 +32,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=int, default=3, help="SCADA frames to run")
     p.add_argument("--scan-period", type=float, default=4.0)
     p.add_argument("--solver", default="lu", choices=["lu", "pcg", "lsqr"])
-    p.add_argument("--fabric", action="store_true",
-                   help="move pseudo measurements through live middleware")
     p.add_argument("--tcp", action="store_true",
-                   help="use real localhost TCP pipelines (implies --fabric)")
+                   help="with --live: a real localhost TCP hub instead of "
+                        "the in-process one")
     p.add_argument("--live", action="store_true",
                    help="run each frame on the live multi-threaded runtime "
                         "(concurrent estimator sites over middleware)")
@@ -56,13 +55,10 @@ def main(argv: list[str] | None = None) -> int:
         obs.configure(enabled=True, reset=True)
     run_ac_power_flow(net, flat_start=True)  # fail fast on unsolvable cases
 
-    with ArchitecturePrototype.assemble(
-        net,
-        m_subsystems=args.subsystems,
-        seed=args.seed,
-        with_fabric=args.fabric or args.tcp,
-        fabric_tcp=args.tcp,
-    ) as arch, contextlib.ExitStack() as stack:
+    arch = ArchitecturePrototype.assemble(
+        net, m_subsystems=args.subsystems, seed=args.seed
+    )
+    with contextlib.ExitStack() as stack:
         placement = full_placement(net).merged_with(dse_pmu_placement(arch.dec))
         scada = ScadaSystem(net, placement, scan_period=args.scan_period,
                             seed=args.seed)

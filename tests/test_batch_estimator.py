@@ -567,18 +567,17 @@ class TestServingBatchSolve:
         assert sum(s["n_shed"] for s in stats["shards"].values()) == 0
 
     def test_batched_service_builds_no_per_frame_engine(self, net14, pf14):
-        """The batched drain is a central solve: no DSE or live runtime is
-        built for it, so the placement needs no PMU anchor per subsystem."""
+        """The batched drain is a central solve: no DSE is built for it,
+        so the placement needs no PMU anchor per subsystem."""
         from repro.dse import decompose
         from repro.serving import ScenarioService
 
         dec, ms = decompose(net14, 2, seed=0), _mset(net14, pf14)
         with pytest.raises(ValueError, match="synchronized angle"):
             ScenarioService(dec, ms)
-        for engine in ("dse", "live"):
-            with ScenarioService(dec, ms, engine=engine, batch_solve=True) as svc:
-                assert svc._dse is None and svc._runtime is None
-                got = svc.submit_estimation().result(timeout=60).value
+        with ScenarioService(dec, ms, batch_solve=True) as svc:
+            assert svc._dse is None
+            got = svc.submit_estimation().result(timeout=60).value
         assert np.array_equal(got.Vm, WlsEstimator(net14, ms).estimate().Vm)
 
     def test_delta_requires_batch_solve(self, svc_parts):

@@ -119,30 +119,28 @@ class TestTimingProperties:
 
 class TestDegradedLinks:
     def test_degraded_link_slows_dse_timeline(self, net118, pf118):
-        """A congested inter-cluster link stretches the message-level DSE
-        timeline (the runtime-behaviour question the paper raises)."""
-        from repro.core import ClusterMapper, simulate_dse_message_level
-        from repro.dse import (
-            DistributedStateEstimator,
-            decompose,
-            dse_pmu_placement,
-        )
+        """A congested inter-cluster link stretches the session's testbed
+        replay of a DSE frame (the runtime-behaviour question the paper
+        raises)."""
+        from repro.core import ArchitecturePrototype, DseSession
+        from repro.dse import dse_pmu_placement
         from repro.measurements import full_placement, generate_measurements
 
-        dec = decompose(net118, 9, seed=0)
-        rng = np.random.default_rng(0)
-        plac = full_placement(net118).merged_with(dse_pmu_placement(dec))
-        ms = generate_measurements(net118, plac, pf118, rng=rng)
-        result = DistributedStateEstimator(dec, ms).run()
-
-        healthy = pnnl_testbed()
         degraded = pnnl_testbed()
         slow = LinkSpec(latency=0.2, bandwidth=1e5)  # a sick WAN link
         degraded.add_link("nwiceb", "chinook", slow)
         degraded.add_link("nwiceb", "catamount", slow)
         degraded.add_link("catamount", "chinook", slow)
 
-        mapping = ClusterMapper(healthy, seed=0).map_step1(dec, 1.0)
-        t_ok = simulate_dse_message_level(dec, result, mapping, healthy)
-        t_bad = simulate_dse_message_level(dec, result, mapping, degraded)
-        assert t_bad.total_time > t_ok.total_time + 0.5
+        totals = []
+        for topology in (pnnl_testbed(), degraded):
+            arch = ArchitecturePrototype.assemble(
+                net118, m_subsystems=9, topology=topology, seed=0
+            )
+            plac = full_placement(net118).merged_with(dse_pmu_placement(arch.dec))
+            ms = generate_measurements(
+                net118, plac, pf118, rng=np.random.default_rng(0)
+            )
+            totals.append(DseSession(arch).process_frame(ms).timings.total)
+        t_ok, t_bad = totals
+        assert t_bad > t_ok + 0.5

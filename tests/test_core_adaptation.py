@@ -16,9 +16,7 @@ from repro.measurements import full_placement, generate_measurements
 
 @pytest.fixture()
 def arch118f():
-    arch = ArchitecturePrototype.assemble(case118(), m_subsystems=9, seed=0)
-    yield arch
-    arch.close()
+    return ArchitecturePrototype.assemble(case118(), m_subsystems=9, seed=0)
 
 
 class TestBranchOutage:
@@ -154,7 +152,6 @@ class TestClusterOutage:
         mapping = arch.mapper.map_step1(arch.dec, 1.0)
         with pytest.raises(ValueError, match="surviving"):
             apply_cluster_outage(arch, "solo", mapping)
-        arch.close()
 
     def test_session_continues_after_failure(self, arch118f):
         """A frame processes successfully on the degraded topology."""

@@ -19,9 +19,7 @@ from repro.measurements import (
 
 @pytest.fixture(scope="module")
 def arch118(net118):
-    arch = ArchitecturePrototype.assemble(net118, m_subsystems=9, seed=0)
-    yield arch
-    arch.close()
+    return ArchitecturePrototype.assemble(net118, m_subsystems=9, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -41,17 +39,7 @@ class TestAssemble:
         topo = ClusterTopology(clusters=[ClusterSpec(name="solo")])
         arch = ArchitecturePrototype.assemble(net118, m_subsystems=4, topology=topo)
         assert arch.mapper.p == 1
-        arch.close()
 
-    def test_fabric_lifecycle(self, net118):
-        arch = ArchitecturePrototype.assemble(
-            net118, m_subsystems=4, with_fabric=True
-        )
-        assert arch.fabric is not None
-        names = set(arch.fabric.clients)
-        assert names == {f"se{s}" for s in range(4)}
-        arch.close()
-        assert arch.fabric is None
 
 
 class TestSession:
@@ -172,28 +160,6 @@ class TestSession:
         session.process_frame(ms)
         assert session._dse is None
 
-    def test_fabric_frames_actually_relayed(self, net118):
-        pf = run_ac_power_flow(net118)
-        for fabric_tcp in (False, True):
-            with ArchitecturePrototype.assemble(
-                net118, m_subsystems=4, seed=0, with_fabric=True,
-                fabric_tcp=fabric_tcp,
-            ) as arch:
-                rng = np.random.default_rng(2)
-                plac = full_placement(net118).merged_with(
-                    dse_pmu_placement(arch.dec)
-                )
-                ms = generate_measurements(net118, plac, pf, rng=rng)
-                session = DseSession(arch)
-                session.process_frame(ms)
-                # exact the moment the frame returns: the hub counts a
-                # frame before the receiving site can hold it
-                stats = arch.fabric.relay_stats()
-                relayed = sum(frames for frames, _ in stats.values())
-                # every subsystem published to every neighbour
-                expect = sum(len(arch.dec.neighbors(s)) for s in range(4))
-                assert relayed == expect
-
     def test_centralized_sim_time(self, arch118, frame118):
         _, ms = frame118
         session = DseSession(arch118)
@@ -203,10 +169,10 @@ class TestSession:
     def test_session_on_scada_stream(self):
         """End-to-end: SCADA frames through the architecture."""
         net = synthetic_grid(n_areas=4, buses_per_area=10, seed=5)
-        with ArchitecturePrototype.assemble(net, m_subsystems=4, seed=0) as arch:
-            plac = full_placement(net).merged_with(dse_pmu_placement(arch.dec))
-            scada = ScadaSystem(net, plac, seed=0)
-            session = DseSession(arch)
-            for frame in scada.frames(2):
-                rep = session.process_frame(frame.mset, t=frame.t)
-                assert rep.timings.total > 0
+        arch = ArchitecturePrototype.assemble(net, m_subsystems=4, seed=0)
+        plac = full_placement(net).merged_with(dse_pmu_placement(arch.dec))
+        scada = ScadaSystem(net, plac, seed=0)
+        session = DseSession(arch)
+        for frame in scada.frames(2):
+            rep = session.process_frame(frame.mset, t=frame.t)
+            assert rep.timings.total > 0

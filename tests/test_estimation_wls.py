@@ -530,57 +530,95 @@ class TestWeightsAreData:
         import repro.dse.algorithm as algorithm
 
         arch = ArchitecturePrototype.assemble(net118, m_subsystems=9, seed=0)
-        try:
-            dec = arch.dec
-            plac = full_placement(net118).merged_with(dse_pmu_placement(dec))
-            rng = np.random.default_rng(8)
+        dec = arch.dec
+        plac = full_placement(net118).merged_with(dse_pmu_placement(dec))
+        rng = np.random.default_rng(8)
 
-            def scan():
-                return generate_measurements(net118, plac, pf118, rng=rng)
+        def scan():
+            return generate_measurements(net118, plac, pf118, rng=rng)
 
-            session = DseSession(arch, bad_data_policy="identify")
-            unscreened = DseSession(arch)
-            for _ in range(2):                      # warm: stacks built
-                session.process_frame(scan())
-                unscreened.process_frame(scan())
-            clean = [scan() for _ in range(4)]
-            count = _Counter(
-                monkeypatch,
-                (WlsEstimator, "__init__"),
-                (NormalEquations, "__init__"),
-                (MeasurementModel, "__init__"),
-                (algorithm, "extract_subnetwork"),
-            )
-            # one model a frame is the session's noise-level estimate,
-            # screened or not
-            unscreened.process_frame(clean[0])
-            assert count.take() == [0, 0, 1, 0]
-            assert not session.process_frame(clean[1]).bad_data.removed_global_rows
-            assert count.take() == [0, 0, 1, 0]
+        session = DseSession(arch, bad_data_policy="identify")
+        unscreened = DseSession(arch)
+        for _ in range(2):                      # warm: stacks built
+            session.process_frame(scan())
+            unscreened.process_frame(scan())
+        clean = [scan() for _ in range(4)]
+        count = _Counter(
+            monkeypatch,
+            (WlsEstimator, "__init__"),
+            (NormalEquations, "__init__"),
+            (MeasurementModel, "__init__"),
+            (algorithm, "extract_subnetwork"),
+        )
+        # one model a frame is the session's noise-level estimate,
+        # screened or not
+        unscreened.process_frame(clean[0])
+        assert count.take() == [0, 0, 1, 0]
+        assert not session.process_frame(clean[1]).bad_data.removed_global_rows
+        assert count.take() == [0, 0, 1, 0]
 
-            internal = set(dec.buses(2)) - set(dec.boundary_buses(2))
-            row = next(
-                r for r, m in enumerate(clean[2])
-                if m.mtype == MeasType.V_MAG and m.element in internal
-            )
-            bad = inject_bad_data(clean[2], np.array([row]), magnitude_sigmas=40, rng=rng)
-            kept = session._dse
-            count.take()
-            report = distributed_bad_data(kept, bad.z)
-            assert report.removed_global_rows == [row]
-            assert report.suspect_subsystems == [2]
-            assert count.take() == [0, 0, 0, 0]
-            # the frame itself builds the thinned placement's DSE, no more
-            session.process_frame(bad)
-            in_frame = count.take()
-            keep = np.ones(len(bad), dtype=bool)
-            keep[row] = False
-            DistributedStateEstimator(dec, bad.subset(keep)).run()
-            unscreened.process_frame(clean[3])
-            assert in_frame == count.take()
-            assert session._dse is kept
-        finally:
-            arch.close()
+        internal = set(dec.buses(2)) - set(dec.boundary_buses(2))
+        row = next(
+            r for r, m in enumerate(clean[2])
+            if m.mtype == MeasType.V_MAG and m.element in internal
+        )
+        bad = inject_bad_data(clean[2], np.array([row]), magnitude_sigmas=40, rng=rng)
+        kept = session._dse
+        count.take()
+        report = distributed_bad_data(kept, bad.z)
+        assert report.removed_global_rows == [row]
+        assert report.suspect_subsystems == [2]
+        assert count.take() == [0, 0, 0, 0]
+        # the frame itself builds the thinned placement's DSE, no more
+        session.process_frame(bad)
+        in_frame = count.take()
+        keep = np.ones(len(bad), dtype=bool)
+        keep[row] = False
+        DistributedStateEstimator(dec, bad.subset(keep)).run()
+        unscreened.process_frame(clean[3])
+        assert in_frame == count.take()
+        assert session._dse is kept
+
+    def test_identification_reuses_the_screens_step1(
+        self, net118, pf118, monkeypatch
+    ):
+        """On a screened session frame with one gross error, identification
+        starts from the screen's Step-1 result for the suspect subsystem
+        instead of solving it again, and removes the same rows as the loop
+        that solves it itself."""
+        from repro.estimation.baddata import identify_rows
+
+        arch = ArchitecturePrototype.assemble(net118, m_subsystems=9, seed=0)
+        dec = arch.dec
+        plac = full_placement(net118).merged_with(dse_pmu_placement(dec))
+        rng = np.random.default_rng(8)
+        clean = generate_measurements(net118, plac, pf118, rng=rng)
+        internal = set(dec.buses(2)) - set(dec.boundary_buses(2))
+        row = next(
+            r for r, m in enumerate(clean)
+            if m.mtype == MeasType.V_MAG and m.element in internal
+        )
+        bad = inject_bad_data(clean, np.array([row]), magnitude_sigmas=40, rng=rng)
+        session = DseSession(arch, bad_data_policy="identify")
+        session.process_frame(clean)
+        suspect = session._dse._est1[2]
+        solves = []
+        blocks = WlsEstimator.estimate_blocks
+
+        def counted(est, *args, **kwargs):
+            solves.append(est)
+            return blocks(est, *args, **kwargs)
+
+        monkeypatch.setattr(WlsEstimator, "estimate_blocks", counted)
+        report = session.process_frame(bad).bad_data
+        assert report.removed_global_rows == [row]
+        # only the re-solve after removing the row: the first pass is the
+        # screen's own Step 1, solved in the stacked loop
+        assert sum(est is suspect for est in solves) == 1
+        solves.clear()
+        removed, _, passes = identify_rows(suspect, z=session._dse._step1_z(2, bad.z))
+        assert sum(est is suspect for est in solves) == 2
+        assert removed == report.subsystems[2].removed_local_rows and passes
 
     def test_hierarchical_level_one_is_the_dse_step_one(self, net118, pf118):
         dec = decompose(net118, 9, seed=0)

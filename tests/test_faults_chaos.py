@@ -194,9 +194,9 @@ class TestLiveRuntimeChaos:
 
 
 # ---------------------------------------------------------------------------
-# ISSUE 5 acceptance scenario: IEEE-118, 9 subsystems, fast fabric,
-# supervised process pool; hard-disconnect one site mid-exchange and kill
-# one pool worker — complete, degrade exactly, reproduce exactly.
+# Acceptance scenario: IEEE-118, 9 subsystems; kill one pool worker under a
+# session frame and hard-disconnect one site at the live hub — complete,
+# degrade exactly, reproduce exactly.
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -208,27 +208,28 @@ def ms118_9(net118, pf118):
 
 
 def _run_acceptance(net, ms, plan):
-    """One fresh end-to-end run of the acceptance scenario; returns
-    ``(report, fired_summary, pool_respawns)``."""
-    with ProcessPoolBackend(2) as pool:
-        with ArchitecturePrototype.assemble(
-            net, m_subsystems=9, seed=0, with_fabric=True
-        ) as arch:
-            session = DseSession(
-                arch, executor=pool, degrade_on_failure=True,
-                fabric_timeout=0.3,
-            )
-            with faults.injection(plan) as inj:
-                report = session.process_frame(ms)
-            fired = inj.fired_summary()
-        respawns = pool.respawns
-    return report, fired, respawns
+    """One fresh run of both halves under ``plan``: a session frame on a
+    supervised process pool, then a live frame on the mux hub.  Returns
+    ``(session state, report, live result, fired_summary, pool_respawns)``."""
+    arch = ArchitecturePrototype.assemble(net, m_subsystems=9, seed=0)
+    with faults.injection(plan) as inj:
+        with ProcessPoolBackend(2) as pool:
+            session = DseSession(arch, executor=pool, degrade_on_failure=True)
+            report = session.process_frame(ms)
+            respawns = pool.respawns
+        with LiveDseRuntime(arch.dec, ms, recv_timeout=0.3) as live:
+            res = live.run()
+    state = (session._prev_vm, session._prev_va)
+    return state, report, res, inj.fired_summary(), respawns
 
 
 class TestAcceptanceScenario:
+    # an exact (src, dst) key: which neighbour's frame reaches the hub
+    # first is a race between site threads, so a (None, 8) wildcard would
+    # fire on another key from run to run
     PLAN = (
         FaultPlan(seed=2026)
-        .add("mux.forward", "disconnect", key=(None, 8), count=1)
+        .add("mux.forward", "disconnect", key=(3, 8), count=1)
         .add("worker", "kill", key=3, count=1)
     )
 
@@ -237,23 +238,30 @@ class TestAcceptanceScenario:
     ):
         dec = decompose(net118, 9, seed=0)
         # the disconnected site misses everything; each of its neighbours
-        # misses exactly the one update it would have sent them
+        # misses the updates it would have sent them
         expected = sorted({8} | {int(b) for b in dec.neighbors(8)})
 
         t0 = time.monotonic()
-        report, fired, respawns = _run_acceptance(net118, ms118_9, self.PLAN)
-        elapsed = time.monotonic() - t0
+        state, report, live, fired, respawns = _run_acceptance(
+            net118, ms118_9, self.PLAN
+        )
+        assert time.monotonic() - t0 < 300.0  # bounded by deadlines, not hangs
 
-        assert elapsed < 300.0  # bounded by deadlines, not by hangs
-        assert report.degraded_subsystems == expected
-        # the killed worker broke the pool once; the supervisor respawned
-        # it warm and the re-run completed without further faults
+        # pool half: the killed worker broke the pool once; the supervisor
+        # respawned it warm and the re-run gives the serial estimate
         assert respawns >= 1
+        assert report.degraded_subsystems == []
+        ref = DistributedStateEstimator(dec, ms118_9).run()
+        assert np.array_equal(state[0], ref.Vm)
+        assert np.array_equal(state[1], ref.Va)
         kills = [
             (k, n) for (layer, k, act), n in fired.items()
             if layer == "worker" and act == "kill"
         ]
         assert kills == [(3, 1)]
+
+        # hub half: exactly the cut-off site and its neighbours degrade
+        assert live.degraded_subsystems == expected
         disconnects = [
             (k, n) for (layer, k, act), n in fired.items()
             if layer == "mux.forward" and act == "disconnect"
@@ -261,9 +269,13 @@ class TestAcceptanceScenario:
         assert len(disconnects) == 1
         assert disconnects[0][0][1] == 8 and disconnects[0][1] == 1
 
-        # identical seed, fresh stack: identical faults, identical report
-        report2, fired2, _ = _run_acceptance(net118, ms118_9, self.PLAN)
+        # identical seed, fresh stack: identical faults, identical outcome
+        state2, report2, live2, fired2, _ = _run_acceptance(
+            net118, ms118_9, self.PLAN
+        )
         assert fired2 == fired
-        assert report2.degraded_subsystems == report.degraded_subsystems
+        assert np.array_equal(state2[0], state[0])
+        assert np.array_equal(state2[1], state[1])
         assert report2.rounds == report.rounds
         assert report2.bytes_exchanged == report.bytes_exchanged
+        assert live2.degraded_subsystems == live.degraded_subsystems

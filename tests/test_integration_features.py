@@ -18,9 +18,7 @@ from repro.tools.contingency import main as contingency_main
 
 @pytest.fixture(scope="module")
 def arch_bd():
-    arch = ArchitecturePrototype.assemble(case118(), m_subsystems=9, seed=0)
-    yield arch
-    arch.close()
+    return ArchitecturePrototype.assemble(case118(), m_subsystems=9, seed=0)
 
 
 @pytest.fixture(scope="module")

@@ -30,16 +30,16 @@ class TestWarmStartedDse:
         from repro.core import ArchitecturePrototype, DseSession
 
         rng = np.random.default_rng(1)
-        with ArchitecturePrototype.assemble(net118, m_subsystems=9, seed=0) as arch:
-            plac = full_placement(net118).merged_with(dse_pmu_placement(arch.dec))
-            session = DseSession(arch)
-            walls = []
-            for _ in range(3):
-                ms = generate_measurements(net118, plac, pf118, rng=rng)
-                rep = session.process_frame(ms)
-                walls.append(rep.wall_time)
-            # warm frames are not slower than the cold first frame (exact
-            # speedup varies with machine load; the iteration-count win is
-            # asserted deterministically in the test above)
-            assert min(walls[1:]) < walls[0] * 1.5
-            assert len(session.reports) == 3
+        arch = ArchitecturePrototype.assemble(net118, m_subsystems=9, seed=0)
+        plac = full_placement(net118).merged_with(dse_pmu_placement(arch.dec))
+        session = DseSession(arch)
+        walls = []
+        for _ in range(3):
+            ms = generate_measurements(net118, plac, pf118, rng=rng)
+            rep = session.process_frame(ms)
+            walls.append(rep.wall_time)
+        # warm frames are not slower than the cold first frame (exact
+        # speedup varies with machine load; the iteration-count win is
+        # asserted deterministically in the test above)
+        assert min(walls[1:]) < walls[0] * 1.5
+        assert len(session.reports) == 3

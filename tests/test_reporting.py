@@ -112,14 +112,14 @@ class TestCsv:
 
         net = synthetic_grid(n_areas=3, buses_per_area=8, seed=0)
         pf = run_ac_power_flow(net, flat_start=True)
-        with ArchitecturePrototype.assemble(net, m_subsystems=3, seed=0) as arch:
-            plac = full_placement(net).merged_with(dse_pmu_placement(arch.dec))
-            ms = generate_measurements(
-                net, plac, pf, rng=np.random.default_rng(0)
-            )
-            session = DseSession(arch)
-            session.process_frame(ms, truth=(pf.Vm, pf.Va))
-            out = frame_table(session.reports)
-            assert "sim total" in out
-            write_frames_csv(session.reports, tmp_path / "s.csv")
-            assert (tmp_path / "s.csv").exists()
+        arch = ArchitecturePrototype.assemble(net, m_subsystems=3, seed=0)
+        plac = full_placement(net).merged_with(dse_pmu_placement(arch.dec))
+        ms = generate_measurements(
+            net, plac, pf, rng=np.random.default_rng(0)
+        )
+        session = DseSession(arch)
+        session.process_frame(ms, truth=(pf.Vm, pf.Va))
+        out = frame_table(session.reports)
+        assert "sim total" in out
+        write_frames_csv(session.reports, tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").exists()

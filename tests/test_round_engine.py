@@ -132,11 +132,11 @@ class TestMappingHosts:
         are the mapping's edge cut — ``We`` of Expression 5 — plus one
         frame header per direction of every cut quotient edge."""
         dec, ms = grid118
-        with ArchitecturePrototype.assemble(case118(), m_subsystems=9, seed=0) as arch:
-            assert np.array_equal(arch.dec.part, dec.part)
-            dse = DistributedStateEstimator(dec, ms)
-            map1 = arch.mapper.map_step1(dec, 0.5)
-            map2, _ = arch.mapper.remap_step2(dec, 0.5, map1, dse.exchange_sets)
+        arch = ArchitecturePrototype.assemble(case118(), m_subsystems=9, seed=0)
+        assert np.array_equal(arch.dec.part, dec.part)
+        dse = DistributedStateEstimator(dec, ms)
+        map1 = arch.mapper.map_step1(dec, 0.5)
+        map2, _ = arch.mapper.remap_step2(dec, 0.5, map1, dse.exchange_sets)
         hosting = [hosted for hosted in map2.as_dict().values()]
         assert len(hosting) == 3 and sorted(map(len, hosting)) != [1, 1, 7]
 

@@ -8,7 +8,6 @@ traceback text.
 """
 
 import multiprocessing
-import threading
 import time
 
 import numpy as np
@@ -289,37 +288,8 @@ class TestScenarioService:
             svc.submit_estimation()
         assert _no_leaked_workers()
 
-    @pytest.mark.parametrize("how", ["close", "abort"])
-    def test_live_engine_owns_and_stops_its_runtime(self, dse14, how):
-        """``engine="live"`` serves every frame on one resident deployment
-        and takes it down — site threads, hub, links — with the service."""
-        dec, ms = dse14
-        rng = np.random.default_rng(2)
-        frames = [
-            ms.z + ms.sigma * rng.standard_normal(len(ms)) for _ in range(3)
-        ]
-        inproc = DistributedStateEstimator(dec, ms)
-        before = set(threading.enumerate())
-        svc = ScenarioService(dec, ms, engine="live", use_tcp=True)
-        deployments = set()
-        for z in frames:
-            got = svc.submit_estimation(z=z).result(timeout=60).value
-            ref = inproc.run(z=z)
-            assert got.errors == []
-            assert np.array_equal(got.Vm, ref.Vm)
-            assert np.array_equal(got.Va, ref.Va)
-            deployments.add(id(svc._runtime._deployment))
-        assert len(deployments) == 1
-        assert set(threading.enumerate()) - before
-        getattr(svc, how)()
-        assert not set(threading.enumerate()) - before
-        with pytest.raises(RuntimeError, match="closed"):
-            svc._runtime.run()
-
     def test_rejects_bad_options(self, dse14):
         dec, ms = dse14
-        with pytest.raises(ValueError, match="engine"):
-            ScenarioService(dec, ms, engine="quantum")
         with pytest.raises(ValueError, match="max_batch"):
             ScenarioService(dec, ms, max_batch=0)
         with pytest.raises(ValueError, match="flush_latency"):
@@ -354,4 +324,3 @@ class TestScenarioService:
         # the session keeps its pool after the service closes
         assert session.executor.map(_square, [3]) == [9]
         session.executor.shutdown()
-        arch.close()

@@ -83,6 +83,7 @@ class TestSessionCli:
     def test_with_inproc_fabric(self, capsys):
         rc = session_main(
             ["--case", "synthetic:4x10", "--subsystems", "4", "--frames", "1",
-             "--fabric"]
+             "--live"]
         )
         assert rc == 0
+        assert "live runtime" in capsys.readouterr().out
