@@ -16,7 +16,7 @@ from repro.cluster import ClusterSpec, ClusterTopology
 from repro.contingency import (
     ContingencyAnalyzer,
     enumerate_n1,
-    run_parallel_threads,
+    run_parallel,
     simulate_parallel_analysis,
 )
 
@@ -50,10 +50,10 @@ def test_ablation_counter_balancing_threads(benchmark, net118):
     safe, _ = enumerate_n1(net118)
 
     rep_dyn = benchmark.pedantic(
-        run_parallel_threads, args=(analyzer, safe),
+        run_parallel, args=(analyzer, safe),
         kwargs={"n_workers": 4, "scheme": "dynamic"}, rounds=2, iterations=1,
     )
-    rep_sta = run_parallel_threads(analyzer, safe, n_workers=4, scheme="static")
+    rep_sta = run_parallel(analyzer, safe, n_workers=4, scheme="static")
 
     print("\nA5 — real-thread N-1 sweep of the IEEE 118 system "
           f"({len(safe)} cases, 4 workers)")

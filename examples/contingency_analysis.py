@@ -16,7 +16,7 @@ import numpy as np
 from repro.contingency import (
     ContingencyAnalyzer,
     enumerate_n1,
-    run_parallel_threads,
+    run_parallel,
     simulate_parallel_analysis,
 )
 from repro.cluster import ClusterSpec, ClusterTopology
@@ -47,7 +47,7 @@ def main() -> None:
     analyzer = ContingencyAnalyzer.from_estimate(
         net, estimate, method="dc", rating_margin=1.5
     )
-    report = run_parallel_threads(analyzer, safe, n_workers=4, scheme="dynamic")
+    report = run_parallel(analyzer, safe, n_workers=4, scheme="dynamic")
     insecure = [r for r in report.results if not r.secure]
     print(f"\nDC screening of {len(safe)} contingencies in "
           f"{report.makespan * 1e3:.1f} ms on 4 workers "

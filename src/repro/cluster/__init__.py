@@ -1,6 +1,6 @@
 """Simulated HPC cluster substrate: event engine, topology, MPI, executors."""
 
-from .costmodel import MiddlewareCostModel, WlsCostModel, calibrate_wls_cost
+from .costmodel import MiddlewareCostModel
 from .parallel_pcg import ParallelPcgResult, simulate_parallel_pcg
 from .executor import (
     ExchangeTiming,
@@ -30,9 +30,7 @@ __all__ = [
     "ClusterTopology",
     "LinkSpec",
     "pnnl_testbed",
-    "WlsCostModel",
     "MiddlewareCostModel",
-    "calibrate_wls_cost",
     "ParallelPcgResult",
     "simulate_parallel_pcg",
     "TaskSpec",

@@ -1,58 +1,17 @@
-"""Compute and communication cost models.
+"""Communication cost model used by the simulated executor.
 
-Deterministic analytic costs used by the simulated executor:
-
-- :class:`WlsCostModel` — time for a subsystem's WLS estimation as a
-  function of bus count and Gauss-Newton iterations, the quantity the
-  paper's vertex weight ``Wv = Nb × Ni`` abstracts.  Constants can be
-  calibrated against the real estimator with :func:`calibrate_wls_cost`.
-- :class:`MiddlewareCostModel` — transfer times with and without the
-  MeDICi-style relay, reproducing the paper's observation that relay
-  overhead is linear in data size with a ~0.4 GB/s relay rate.
+:class:`MiddlewareCostModel` — transfer times with and without the
+MeDICi-style relay, reproducing the paper's observation that relay overhead
+is linear in data size with a ~0.4 GB/s relay rate.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from .topology import LinkSpec
 
-__all__ = ["WlsCostModel", "MiddlewareCostModel", "calibrate_wls_cost"]
-
-
-@dataclass(frozen=True)
-class WlsCostModel:
-    """``t = iterations * (setup + per_bus * n_bus^exponent) / speed``.
-
-    ``speed`` rescales for cluster core performance (1.0 = the calibration
-    machine).  The default constants are calibrated on this repository's
-    estimator (see ``calibrate_wls_cost``): per-iteration cost is dominated
-    by the sparse Jacobian build + gain factorisation, close to linear in
-    subsystem size at control-centre scales.
-    """
-
-    setup: float = 8e-4
-    per_bus: float = 6e-5
-    exponent: float = 1.1
-
-    def iteration_time(self, n_bus: int, *, speed: float = 1.0) -> float:
-        """Cost of one Gauss-Newton iteration (seconds)."""
-        if n_bus < 0:
-            raise ValueError("n_bus must be non-negative")
-        if speed <= 0:
-            raise ValueError("speed must be positive")
-        return (self.setup + self.per_bus * n_bus**self.exponent) / speed
-
-    def estimation_time(
-        self, n_bus: int, iterations: float, *, speed: float = 1.0
-    ) -> float:
-        """Cost of a full estimation: ``iterations`` Gauss-Newton steps."""
-        if iterations < 0:
-            raise ValueError("iterations must be non-negative")
-        return iterations * self.iteration_time(n_bus, speed=speed)
+__all__ = ["MiddlewareCostModel"]
 
 
 @dataclass(frozen=True)
@@ -90,44 +49,3 @@ class MiddlewareCostModel:
         """Absolute middleware overhead (T2-T1 / T4-T3 columns; Fig. 8)."""
         return self.relayed_time(nbytes, link) - self.direct_time(nbytes, link)
 
-
-def calibrate_wls_cost(
-    sizes=(10, 20, 40, 80),
-    *,
-    repeats: int = 3,
-    seed: int = 0,
-) -> WlsCostModel:
-    """Fit :class:`WlsCostModel` constants against the real estimator.
-
-    Runs the actual WLS estimator on synthetic grids of the given sizes and
-    regresses per-iteration time on bus count (fixed exponent).  Returns a
-    fitted model for *this* machine.
-    """
-    from ..estimation.wls import WlsEstimator
-    from ..grid.cases import synthetic_grid
-    from ..grid.powerflow import run_ac_power_flow
-    from ..measurements.generator import generate_measurements
-    from ..measurements.placement import full_placement
-
-    xs, ys = [], []
-    for n in sizes:
-        net = synthetic_grid(n_areas=1, buses_per_area=int(n), seed=seed)
-        pf = run_ac_power_flow(net, flat_start=True)
-        rng = np.random.default_rng(seed)
-        ms = generate_measurements(net, full_placement(net), pf, rng=rng)
-        est = WlsEstimator(net, ms)
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            res = est.estimate()
-            dt = (time.perf_counter() - t0) / max(res.iterations, 1)
-            best = min(best, dt)
-        xs.append(float(n))
-        ys.append(best)
-
-    exponent = 1.1
-    A = np.column_stack([np.ones(len(xs)), np.asarray(xs) ** exponent])
-    coef, *_ = np.linalg.lstsq(A, np.asarray(ys), rcond=None)
-    setup = max(float(coef[0]), 1e-6)
-    per_bus = max(float(coef[1]), 1e-9)
-    return WlsCostModel(setup=setup, per_bus=per_bus, exponent=exponent)

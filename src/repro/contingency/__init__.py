@@ -9,7 +9,6 @@ from .analysis import ContingencyAnalyzer, ContingencyResult, Violation
 from .parallel import (
     ParallelAnalysisReport,
     run_parallel,
-    run_parallel_threads,
     simulate_parallel_analysis,
 )
 from .screening import Contingency, apply_outage, enumerate_n1
@@ -23,6 +22,5 @@ __all__ = [
     "Violation",
     "ParallelAnalysisReport",
     "run_parallel",
-    "run_parallel_threads",
     "simulate_parallel_analysis",
 ]

@@ -9,7 +9,8 @@ variable per-case solve times cannot starve or overload anyone.
 
 Both schemes are provided on two fabrics:
 
-- real threads (:func:`run_parallel_threads`) with a lock-protected counter;
+- any executor backend (:func:`run_parallel`; threads by default), the
+  pool's shared work queue as the counter;
 - the simulated testbed (:func:`simulate_parallel_analysis`), where per-case
   durations are replayed on cluster cores in virtual time, letting the
   static/dynamic makespan gap be measured deterministically.
@@ -39,7 +40,6 @@ from .screening import Contingency
 __all__ = [
     "ParallelAnalysisReport",
     "run_parallel",
-    "run_parallel_threads",
     "simulate_parallel_analysis",
 ]
 
@@ -244,24 +244,6 @@ def _run_process_pool(analyzer, contingencies, executor, scheme, results):
         busy[w] += dt
         cases[w] += 1
     return cases, busy
-
-
-def run_parallel_threads(
-    analyzer: ContingencyAnalyzer,
-    contingencies: list[Contingency],
-    *,
-    n_workers: int = 4,
-    scheme: str = "dynamic",
-    executor: SubsystemExecutor | None = None,
-) -> ParallelAnalysisReport:
-    """Back-compat wrapper over :func:`run_parallel` (thread default)."""
-    return run_parallel(
-        analyzer,
-        contingencies,
-        executor=executor,
-        n_workers=n_workers,
-        scheme=scheme,
-    )
 
 
 def simulate_parallel_analysis(

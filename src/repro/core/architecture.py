@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..cluster.costmodel import MiddlewareCostModel, WlsCostModel
+from ..cluster.costmodel import MiddlewareCostModel
 from ..cluster.executor import SimExecutor
 from ..cluster.topology import ClusterTopology, pnnl_testbed
 from ..dse.decomposition import Decomposition, decompose
@@ -35,7 +35,6 @@ class ArchitecturePrototype:
     topology: ClusterTopology
     mapper: ClusterMapper
     executor: SimExecutor
-    wls_cost: WlsCostModel
     middleware_cost: MiddlewareCostModel
     iteration_model: IterationModel
 
@@ -48,7 +47,6 @@ class ArchitecturePrototype:
         subsystem_sizes=None,
         topology: ClusterTopology | None = None,
         iteration_model: IterationModel = PAPER_ITERATION_MODEL,
-        wls_cost: WlsCostModel | None = None,
         middleware_cost: MiddlewareCostModel | None = None,
         seed: int = 0,
     ) -> "ArchitecturePrototype":
@@ -69,7 +67,6 @@ class ArchitecturePrototype:
         mapper = ClusterMapper(topology, iteration_model=iteration_model, seed=seed)
         middleware_cost = middleware_cost or MiddlewareCostModel()
         executor = SimExecutor(topology, middleware=middleware_cost)
-        wls_cost = wls_cost or WlsCostModel()
 
         return cls(
             net=net,
@@ -77,7 +74,6 @@ class ArchitecturePrototype:
             topology=topology,
             mapper=mapper,
             executor=executor,
-            wls_cost=wls_cost,
             middleware_cost=middleware_cost,
             iteration_model=iteration_model,
         )

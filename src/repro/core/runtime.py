@@ -234,7 +234,7 @@ class LiveDseRuntime:
         site only ever touches its own assigned rows).
     use_tcp:
         A real localhost TCP hub instead of in-process queues.
-    solver, sensitivity_threshold:
+    sensitivity_threshold:
         Passed through to the local estimators.
     recv_timeout:
         Per-message receive timeout; a site that misses a neighbour's
@@ -274,7 +274,6 @@ class LiveDseRuntime:
         mset: MeasurementSet,
         *,
         use_tcp: bool = False,
-        solver: str = "lu",
         sensitivity_threshold: float = 0.5,
         recv_timeout: float = 10.0,
         round_deadline: float | None = None,
@@ -284,8 +283,7 @@ class LiveDseRuntime:
         # The in-process DSE's subproblem construction and checks; every
         # site's stepper borrows its per-subsystem estimator caches.
         self._dse = DistributedStateEstimator(
-            dec, mset, solver=solver,
-            sensitivity_threshold=sensitivity_threshold,
+            dec, mset, sensitivity_threshold=sensitivity_threshold,
             condense=condense,
         )
         self.dec = dec

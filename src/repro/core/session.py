@@ -38,8 +38,6 @@ class DseSession:
     ----------
     arch:
         The assembled architecture.
-    solver:
-        Local WLS solver for every subsystem estimator.
     sensitivity_threshold:
         Threshold for the sensitive-internal-bus analysis.
     executor:
@@ -57,7 +55,6 @@ class DseSession:
         self,
         arch: ArchitecturePrototype,
         *,
-        solver: str = "lu",
         sensitivity_threshold: float = 0.5,
         bad_data_policy: str = "off",
         executor=None,
@@ -69,7 +66,6 @@ class DseSession:
         if bad_data_policy not in ("off", "detect", "identify"):
             raise ValueError("bad_data_policy must be off|detect|identify")
         self.arch = arch
-        self.solver = solver
         self.sensitivity_threshold = sensitivity_threshold
         self.bad_data_policy = bad_data_policy
         self.executor = make_executor(executor)
@@ -96,7 +92,7 @@ class DseSession:
 
         ``mset`` fixes the template measurement placement; estimation
         requests then carry values-only ``z`` frames over it.  The session's
-        solver, sensitivity threshold and executor are forwarded (the
+        sensitivity threshold and executor are forwarded (the
         service shares — and does not shut down — the session's pool);
         keyword arguments override any service option.
         """
@@ -104,7 +100,6 @@ class DseSession:
 
         opts = dict(
             executor=self.executor,
-            solver=self.solver,
             sensitivity_threshold=self.sensitivity_threshold,
         )
         opts.update(kwargs)
@@ -265,7 +260,6 @@ class DseSession:
         dse = DistributedStateEstimator(
             self.arch.dec,
             mset,
-            solver=self.solver,
             sensitivity_threshold=self.sensitivity_threshold,
             executor=self.executor,
             reuse_structures=self.reuse_structures,

@@ -94,8 +94,6 @@ def step1_problem(
     mset: MeasurementSet,
     rows: np.ndarray,
     s: int,
-    *,
-    solver: str = "lu",
 ) -> tuple:
     """Subsystem ``s``'s Step-1 problem — WLS on its isolated internal
     network — built here and nowhere else: the DSE, its bad-data screen and
@@ -115,7 +113,7 @@ def step1_problem(
     )
     local = localize_measurements(mset, rows, bmap, brmap)
     return (
-        subnet, bmap, local, WlsEstimator(subnet, local, solver=solver),
+        subnet, bmap, local, WlsEstimator(subnet, local),
         _localized_perm(mset, rows, bmap, brmap),
     )
 
@@ -169,9 +167,6 @@ class DistributedStateEstimator:
         System-wide measurement snapshot.  If it contains no PMU angles, an
         anchor PMU per subsystem is required for globally consistent angles;
         pass ``auto_anchor=True`` (default) to check and raise otherwise.
-    solver:
-        Normal-equation solver for every local WLS (``"lu"``, ``"pcg"``,
-        ``"lsqr"``).
     sensitivity_threshold:
         Threshold for sensitive-internal-bus identification.
     update_scope:
@@ -223,7 +218,6 @@ class DistributedStateEstimator:
         dec: Decomposition,
         mset: MeasurementSet,
         *,
-        solver: str = "lu",
         sensitivity_threshold: float = 0.5,
         update_scope: str = "exchange",
         auto_anchor: bool = True,
@@ -242,7 +236,6 @@ class DistributedStateEstimator:
             )
         self.dec = dec
         self.mset = mset
-        self.solver = solver
         self.update_scope = update_scope
         self.sensitivity_threshold = sensitivity_threshold
         self.executor = make_executor(executor)
@@ -307,7 +300,7 @@ class DistributedStateEstimator:
             ref = int(own[0])
             rows1 = self.assignment.step1[s]
             subnet1, bmap1, ms1, self._est1[s], perm1 = step1_problem(
-                dec, self.mset, rows1, s, solver=self.solver
+                dec, self.mset, rows1, s
             )
             self.sub1[s] = (subnet1, bmap1, own, ms1)
 
@@ -346,7 +339,7 @@ class DistributedStateEstimator:
             rows_vm = rows_pseudo[pseudo0.rows(MeasType.V_MAG)]
             rows_va = rows_pseudo[pseudo0.rows(MeasType.PMU_VA)]
             src = ext[order]  # global buses aligned with the sorted rows
-            est2 = WlsEstimator(subnet2, full0, solver=self.solver)
+            est2 = WlsEstimator(subnet2, full0)
             if self.condense:
                 # Coupling set: own boundary + external boundary buses;
                 # everything else is eliminated onto it once per topology.
@@ -418,7 +411,6 @@ class DistributedStateEstimator:
             h.update(
                 pickle.dumps(
                     (
-                        self.solver,
                         self.update_scope,
                         float(self.sensitivity_threshold),
                         bool(self.condense),
@@ -442,7 +434,6 @@ class DistributedStateEstimator:
                 self.dec,
                 self.mset,
                 dict(
-                    solver=self.solver,
                     sensitivity_threshold=self.sensitivity_threshold,
                     update_scope=self.update_scope,
                     reuse_structures=True,

@@ -20,6 +20,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..estimation.results import EstimationResult, state_error
+from ..estimation.solvers import GainSolver, GainSolveError
+from ..estimation.wls import EstimationError
 from ..measurements.functions import MeasurementModel
 from ..measurements.types import MeasType, MeasurementSet
 from ..middleware.message import state_update_nbytes
@@ -56,23 +58,24 @@ class HierarchicalStateEstimator:
         Subsystem decomposition (balancing authorities).
     mset:
         System-wide measurement snapshot.
-    solver:
-        Solver for the local WLS runs.
     """
 
-    def __init__(self, dec: Decomposition, mset: MeasurementSet, *, solver: str = "lu"):
+    def __init__(self, dec: Decomposition, mset: MeasurementSet):
         self.dec = dec
         self.mset = mset
-        self.solver = solver
         self.assignment = assign_measurements(dec, mset)
         #: level 1 is the DSE's Step 1: the same problems, built the same way
         self._level1 = [
-            step1_problem(dec, mset, self.assignment.step1[s], s, solver=solver)[3]
+            step1_problem(dec, mset, self.assignment.step1[s], s)[3]
             for s in range(dec.m)
         ]
 
     def run(self, *, coord_iters: int = 5, tol: float = 1e-10) -> HierarchicalResult:
-        """Run local estimations, then the coordinator alignment."""
+        """Run local estimations, then the coordinator alignment.
+
+        Raises :class:`~repro.estimation.wls.EstimationError` when the
+        coordinator's gain does not factor — a subsystem whose offset no
+        coordination row observes."""
         dec, net = self.dec, self.dec.net
         Vm = np.ones(net.n_bus)
         Va = np.zeros(net.n_bus)
@@ -104,6 +107,7 @@ class HierarchicalStateEstimator:
 
         alpha = np.zeros(dec.m)
         w = coord.weights
+        solver = GainSolver()
         t0 = time.perf_counter()
         iters = 0
         for iters in range(1, coord_iters + 1):
@@ -111,12 +115,12 @@ class HierarchicalStateEstimator:
             r = coord.z - model.h(Vm, va_glob)
             H = model.jacobian(Vm, va_glob).tocsc()[:, : net.n_bus]
             J = (H @ membership).tocsc()[:, free]
-            G = (J.T @ J.multiply(w[:, None])).toarray()
-            rhs = J.T @ (w * r)
             try:
-                da = np.linalg.solve(G + 1e-12 * np.eye(len(free)), rhs)
-            except np.linalg.LinAlgError:
-                break
+                da = solver.solve(J, w, r)
+            except GainSolveError as exc:
+                raise EstimationError(
+                    f"hierarchical coordinator: offset solve failed: {exc}"
+                ) from exc
             alpha[free] += da
             if np.max(np.abs(da)) < tol:
                 break

@@ -269,7 +269,7 @@ class SubsystemStepper:
         for s in self.hosted:
             subnet1, _, own, ms1 = dse.sub1[s]
             fresh = None if dse.reuse_structures else partial(
-                WlsEstimator, subnet1, ms1, solver=dse.solver
+                WlsEstimator, subnet1, ms1
             )
             x0 = None if self.x0 is None else (self.x0[0][own], self.x0[1][own])
             # always explicit: a pool worker's own set may hold other values
@@ -368,7 +368,7 @@ class SubsystemStepper:
         if self.z is not None:
             ms2 = ms2.with_values(dse._step2_meas_z(s, self.z))
         pseudo = pseudo_measurements(bmap2[heard], self.Vm[heard], self.Va[heard])
-        return WlsEstimator(subnet2, ms2.merged_with(pseudo), solver=dse.solver)
+        return WlsEstimator(subnet2, ms2.merged_with(pseudo))
 
     # -- solving ---------------------------------------------------------
     def _solve(self, stage: str, jobs: list[tuple]) -> list[tuple]:
@@ -378,11 +378,11 @@ class SubsystemStepper:
 
         Which way is chosen from what the stepper can observe: a process
         pool gets compact tasks for its warm workers; a serial executor
-        hosting the whole decomposition on cached direct-solver estimators
-        runs the stage as one stacked loop — exact Gauss-Newton, or the
-        frozen-gain iteration once every subsystem has its linearization
-        point (a round where only some do, after a degraded solve, is not
-        one loop); everything else fans the subsystems out through the
+        hosting the whole decomposition on cached estimators runs the
+        stage as one stacked loop — exact Gauss-Newton, or the frozen-gain
+        iteration once every subsystem has its linearization point (a
+        round where only some do, after a degraded solve, is not one
+        loop); everything else fans the subsystems out through the
         executor.
         """
         dse, tol, degrade = self.dse, self.tol, self.dse.degrade_on_failure
@@ -400,7 +400,6 @@ class SubsystemStepper:
         if (
             isinstance(dse.executor, SerialExecutor)
             and dse.reuse_structures
-            and dse.solver == "lu"
             and len(self.hosted) == dse.dec.m
             and len({lin is None for *_, lin in jobs}) == 1
         ):

@@ -119,7 +119,6 @@ def identify_bad_data(
     alpha: float = 0.01,
     nr_threshold: float = 3.0,
     max_removals: int = 20,
-    solver: str = "lu",
 ) -> BadDataReport:
     """Largest-normalized-residual identification loop.
 
@@ -129,7 +128,7 @@ def identify_bad_data(
     the *original* measurement set; ``result`` is reported over ``clean``.
     """
     removed, result, passes = identify_rows(
-        WlsEstimator(net, mset, solver=solver),
+        WlsEstimator(net, mset),
         alpha=alpha, nr_threshold=nr_threshold, max_removals=max_removals,
     )
     keep = np.ones(len(mset), dtype=bool)

@@ -115,12 +115,6 @@ class BatchEstimator:
     ----------
     net, mset:
         Base network and measurement set (as for ``WlsEstimator``).
-    solver:
-        ``"lu"`` (default) solves a chunk of scenarios as one stack.  Any
-        other ``WlsEstimator`` solver string is accepted but estimates
-        scenario by scenario (replica blocks need the direct kernel), on
-        this estimator when the scenario flips no branch and on one built
-        for the forked network when it does.
     reference_bus:
         Angle reference when no PMU angles are present (default: first
         slack bus).
@@ -134,7 +128,6 @@ class BatchEstimator:
         net: Network,
         mset: MeasurementSet,
         *,
-        solver: str = "lu",
         reference_bus: int | None = None,
         max_batch: int = 64,
     ):
@@ -143,10 +136,7 @@ class BatchEstimator:
             raise ValueError("max_batch must be >= 1")
         self.net = net
         self.mset = mset
-        self.solver = solver
-        self._wls = WlsEstimator(
-            net, mset, solver=solver, reference_bus=reference_bus
-        )
+        self._wls = WlsEstimator(net, mset, reference_bus=reference_bus)
 
     @property
     def n_states(self) -> int:
@@ -201,37 +191,17 @@ class BatchEstimator:
         out: list[EstimationResult | EstimationError] = []
         for lo in range(0, len(scs), self.max_batch):
             chunk = scs[lo : lo + self.max_batch]
-            # only branch flips reach the estimation model; a scenario
-            # without one runs on the base operators
-            flips = [
-                sc.delta is not None and sc.delta.touches_topology for sc in chunk
-            ]
-            if self.solver == "lu":
-                out += self._wls.estimate_blocks(
-                    x0=[sc.x0 for sc in chunk],
-                    z=[sc.z for sc in chunk],
-                    status=[
-                        sc.delta.branch_status_of(self.net) if flip else None
-                        for sc, flip in zip(chunk, flips)
-                    ],
-                    **kwargs,
-                )
-            else:
-                out += [
-                    self._alone(sc, flip, kwargs) for sc, flip in zip(chunk, flips)
-                ]
-        return out
-
-    def _alone(self, sc: BatchScenario, flip: bool, kwargs: dict):
-        """One scenario through an iterative solver: on the one estimator,
-        or — a what-if — on one built for the forked network."""
-        est = self._wls
-        if flip:
-            est = WlsEstimator(
-                self.net.fork(sc.delta), self.mset, solver=self.solver,
-                reference_bus=est.reference_bus,
+            out += self._wls.estimate_blocks(
+                x0=[sc.x0 for sc in chunk],
+                z=[sc.z for sc in chunk],
+                # only branch flips reach the estimation model; a scenario
+                # without one runs on the base operators
+                status=[
+                    sc.delta.branch_status_of(self.net)
+                    if sc.delta is not None and sc.delta.touches_topology
+                    else None
+                    for sc in chunk
+                ],
+                **kwargs,
             )
-        try:
-            return est.estimate(x0=sc.x0, z=sc.z, **kwargs)
-        except EstimationError as exc:
-            return exc
+        return out

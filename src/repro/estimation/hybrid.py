@@ -30,8 +30,6 @@ def hybrid_estimate(
     net: Network,
     scada: MeasurementSet,
     pmu: MeasurementSet,
-    *,
-    solver: str = "lu",
 ) -> EstimationResult:
     """Two-stage hybrid estimation.
 
@@ -46,7 +44,7 @@ def hybrid_estimate(
     Returns the fused estimate; ``residuals``/``objective``/``dof`` refer
     to the combined measurement set.
     """
-    est1 = WlsEstimator(net, scada, solver=solver)
+    est1 = WlsEstimator(net, scada)
     stage1 = est1.estimate()
     cov1 = state_covariance(est1, stage1)
 

@@ -61,7 +61,7 @@ def dc_estimate(
     if len(sub) < len(keep):
         raise EstimationError("underdetermined DC estimation")
     try:
-        theta_r = solve_normal_equations(Hr, w, sub.z, method="lu")
+        theta_r = solve_normal_equations(Hr, w, sub.z)
     except Exception as exc:
         raise EstimationError(f"DC gain solve failed: {exc}") from exc
 

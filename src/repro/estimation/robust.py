@@ -31,7 +31,6 @@ def huber_estimate(
     gamma: float = 1.5,
     tol: float = 1e-8,
     max_iter: int = 50,
-    solver: str = "lu",
     reference_bus: int | None = None,
 ) -> EstimationResult:
     """Huber M-estimation of the state.
@@ -51,7 +50,7 @@ def huber_estimate(
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    est = WlsEstimator(net, mset, solver=solver, reference_bus=reference_bus)
+    est = WlsEstimator(net, mset, reference_bus=reference_bus)
     res = est.estimate(max_iter=0)      # the residuals at the flat start
     step_norms: list[float] = []
     it = factorizations = 0

@@ -1,13 +1,9 @@
 """Normal-equation solvers for the Gauss-Newton WLS step.
 
 Each Gauss-Newton iteration solves ``(Hᵀ W H) dx = Hᵀ W r`` with the gain
-matrix ``G = Hᵀ W H`` symmetric positive definite for observable systems.
-Three interchangeable strategies are provided:
-
-- ``"lu"`` — direct factorisation of the gain matrix (the reference method).
-- ``"pcg"`` — preconditioned conjugate gradient (the paper's HPC solver).
-- ``"lsqr"`` — orthogonal factorisation of the weighted Jacobian, avoiding
-  the squared condition number of the normal equations.
+matrix ``G = Hᵀ W H`` symmetric positive definite for observable systems,
+by direct factorisation of the gain.  (The paper's preconditioned conjugate
+gradient is :func:`repro.estimation.pcg.pcg_solve`, a solver of its own.)
 
 The Jacobian's sparsity is fixed by topology and measurement placement, so
 the gain matrix's is too.  :class:`NormalEquations` is the one kernel every
@@ -41,8 +37,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpotrf, dpotrs, dpptrs
-
-from .pcg import pcg_solve
 
 __all__ = [
     "DENSE_MAX_STATES",
@@ -575,23 +569,13 @@ def build_gain(H: sp.spmatrix, weights: np.ndarray) -> sp.csc_matrix:
 class GainSolver:
     """Stateful normal-equation solver for repeated same-pattern solves.
 
-    Parameters mirror :func:`solve_normal_equations`.  The solver is safe
-    to reuse across Gauss-Newton iterations and across estimate() calls of
-    the same estimator: the :class:`NormalEquations` kernel is built on the
-    first solve and kept while the Jacobian pattern stays the same; a new
-    pattern replaces it transparently.
+    The solver is safe to reuse across Gauss-Newton iterations and across
+    estimate() calls of the same estimator: the :class:`NormalEquations`
+    kernel is built on the first solve and kept while the Jacobian pattern
+    stays the same; a new pattern replaces it transparently.
     """
 
-    def __init__(
-        self,
-        method: str = "lu",
-        *,
-        pcg_preconditioner="jacobi",
-        pcg_tol: float = 1e-12,
-    ):
-        self.method = method
-        self.pcg_preconditioner = pcg_preconditioner
-        self.pcg_tol = pcg_tol
+    def __init__(self):
         self.kernel: NormalEquations | None = None
 
     # ------------------------------------------------------------------
@@ -614,31 +598,8 @@ class GainSolver:
         """:meth:`solve` with the Jacobian given as raw CSC arrays (a
         :attr:`JacobianStructure.pattern` plus the ``data`` it filled), so
         the Gauss-Newton loop constructs no sparse matrix."""
-        if self.method not in ("lu", "pcg", "lsqr"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.method == "lsqr":
-            sw = np.sqrt(weights)
-            Hs = sp.csc_matrix((data * sw[indices], indices, indptr), shape=shape)
-            dx = spla.lsqr(Hs, sw * r, atol=1e-14, btol=1e-14)[0]
-            if not np.all(np.isfinite(dx)):
-                raise GainSolveError("lsqr produced non-finite step")
-            return dx
-
-        kernel = self.kernel = NormalEquations.cached(
-            self.kernel, indptr, indices, shape
-        )
-        if self.method == "lu":
-            return kernel.solve(data, weights, r)
-        wdata = kernel.weighted(data, weights)
-        res = pcg_solve(
-            kernel.spd.matrix(kernel.gain(data, wdata)), kernel.rhs(wdata, r),
-            preconditioner=self.pcg_preconditioner, tol=self.pcg_tol,
-        )
-        if not res.converged:
-            raise GainSolveError(
-                f"PCG did not converge (rel. residual {res.residual_norm:.2e})"
-            )
-        return res.x
+        self.kernel = NormalEquations.cached(self.kernel, indptr, indices, shape)
+        return self.kernel.solve(data, weights, r)
 
 
 class SchurGainSolver:
@@ -810,13 +771,7 @@ class SchurGainSolver:
 
 
 def solve_normal_equations(
-    H: sp.spmatrix,
-    weights: np.ndarray,
-    r: np.ndarray,
-    *,
-    method: str = "lu",
-    pcg_preconditioner="jacobi",
-    pcg_tol: float = 1e-12,
+    H: sp.spmatrix, weights: np.ndarray, r: np.ndarray
 ) -> np.ndarray:
     """Solve ``(Hᵀ W H) dx = Hᵀ W r`` for the Gauss-Newton step (one-shot).
 
@@ -828,11 +783,5 @@ def solve_normal_equations(
         Per-measurement WLS weights ``1/sigma²``.
     r:
         Measurement residual vector.
-    method:
-        ``"lu"``, ``"pcg"`` or ``"lsqr"``.
-    pcg_preconditioner, pcg_tol:
-        Passed to :func:`repro.estimation.pcg.pcg_solve` for ``"pcg"``.
     """
-    return GainSolver(
-        method, pcg_preconditioner=pcg_preconditioner, pcg_tol=pcg_tol
-    ).solve(H, weights, r)
+    return GainSolver().solve(H, weights, r)

@@ -58,7 +58,6 @@ class TrackingEstimator:
         alpha: float = 0.7,
         beta: float = 0.3,
         anomaly_threshold: float = 5.0,
-        solver: str = "lu",
     ):
         if not 0 < alpha <= 1 or not 0 <= beta <= 1:
             raise ValueError("alpha in (0,1], beta in [0,1] required")
@@ -66,7 +65,6 @@ class TrackingEstimator:
         self.alpha = alpha
         self.beta = beta
         self.anomaly_threshold = anomaly_threshold
-        self.solver = solver
         self.reset()
 
     def reset(self) -> None:
@@ -98,7 +96,7 @@ class TrackingEstimator:
         """
         vm_pred, va_pred = self.predict()
         if self._est is None or not self._est.mset.same_structure(mset):
-            self._est = WlsEstimator(self.net, mset, solver=self.solver)
+            self._est = WlsEstimator(self.net, mset)
         est = self._est
         innov = (mset.z - est.model.h(vm_pred, va_pred)) / mset.sigma
         innovation_rms = float(np.sqrt(np.mean(innov * innov))) if len(innov) else 0.0

@@ -61,14 +61,9 @@ class WlsEstimator:
         The (sub)network being estimated.
     mset:
         Measurements; must make the network observable.
-    solver:
-        Normal-equation strategy: ``"lu"`` (default), ``"pcg"`` or
-        ``"lsqr"``.
     reference_bus:
         Bus index whose angle is fixed when no PMU angles are present
         (default: the network's first slack bus).
-    pcg_preconditioner:
-        Preconditioner for ``solver="pcg"``.
 
     An estimator solves one or more independent *blocks* in one
     Gauss-Newton loop (:meth:`estimate_blocks`).  The constructor builds
@@ -83,15 +78,11 @@ class WlsEstimator:
         net: Network,
         mset: MeasurementSet,
         *,
-        solver: str = "lu",
         reference_bus: int | None = None,
-        pcg_preconditioner="jacobi",
     ):
         self.net = net
         self.mset = mset
         self.model = MeasurementModel(net, mset)
-        self.solver = solver
-        self.pcg_preconditioner = pcg_preconditioner
         self.has_pmu_angles = mset.count(MeasType.PMU_VA) > 0
         if reference_bus is None:
             slacks = net.slack_buses
@@ -103,9 +94,7 @@ class WlsEstimator:
             self._keep = np.arange(2 * n)
         else:
             self._keep = np.delete(np.arange(2 * n), self.reference_bus)
-        self._gain_solver = GainSolver(
-            solver, pcg_preconditioner=pcg_preconditioner
-        )
+        self._gain_solver = GainSolver()
         self._keep_all = self.has_pmu_angles
         self._blocks = [
             _Block(
@@ -131,13 +120,10 @@ class WlsEstimator:
         member with one evaluation of h(x), one Jacobian fill and one gain
         assembly per iteration; every sum a member's solve takes is taken
         over the same terms in the same order, so each block's result is
-        bit for bit the member's own :meth:`estimate`.  Members must use
-        the ``"lu"`` solver.
+        bit for bit the member's own :meth:`estimate`.
         """
         if not members:
             raise ValueError("stacked() needs at least one estimator")
-        if any(m.solver != "lu" for m in members):
-            raise ValueError("only 'lu' estimators stack")
         if any(len(m._blocks) != 1 or not m.n_states for m in members):
             raise ValueError("members must be plain, non-empty estimators")
         net = Network.disjoint_union([m.net for m in members], name="stack")
@@ -163,7 +149,6 @@ class WlsEstimator:
         self = cls.__new__(cls)
         self.net, self.mset = net, mset
         self.model = MeasurementModel(net, mset)
-        self.solver, self.pcg_preconditioner = "lu", "jacobi"
         self.has_pmu_angles = all(m.has_pmu_angles for m in members)
         self.reference_bus = None
         # member states [Va; Vm] -> union columns, member after member
@@ -193,7 +178,7 @@ class WlsEstimator:
             )
             for b, m in enumerate(members)
         ]
-        self._gain_solver = GainSolver("lu")
+        self._gain_solver = GainSolver()
         self._gain_solver.kernel = NormalEquations.stacked(
             [m._kernel() for m in members],
             rows,
@@ -224,7 +209,7 @@ class WlsEstimator:
             Vm += full_dx[n:]
 
     def _kernel(self) -> NormalEquations:
-        """The direct solver's kernel for this estimator's Jacobian
+        """The normal-equation kernel for this estimator's Jacobian
         pattern, built on first use."""
         solver = self._gain_solver
         solver.kernel = NormalEquations.cached(
@@ -332,15 +317,15 @@ class WlsEstimator:
 
         *Frozen tail.*  Gauss-Newton on a problem with non-zero residuals
         ends in a linear tail, where the gain barely moves between
-        iterations.  With the ``"lu"`` solver, a block whose step — from a
-        fresh factor — falls below ``√tol`` and below its previous step
-        keeps that factor, and its later iterations evaluate the exact
-        right-hand side ``HᵀW r`` but assemble and factor no gain: the
-        held operator is O(√tol) from the current gain, so it moves each
-        later step by O(tol) and leaves the fixed point where it was.  A
-        held block whose step stops contracting drops the factor and
-        re-factors on its next iteration.  ``factorizations`` on a result
-        counts the iterations that did factor.
+        iterations.  A block whose step — from a fresh factor — falls
+        below ``√tol`` and below its previous step keeps that factor, and
+        its later iterations evaluate the exact right-hand side ``HᵀW r``
+        but assemble and factor no gain: the held operator is O(√tol) from
+        the current gain, so it moves each later step by O(tol) and leaves
+        the fixed point where it was.  A held block whose step stops
+        contracting drops the factor and re-factors on its next iteration.
+        ``factorizations`` on a result counts the iterations that did
+        factor.
 
         ``operators`` turns the loop into the frozen-gain iteration of the
         condensed DSE Step 2: one factored
@@ -420,13 +405,9 @@ class WlsEstimator:
             ))
 
         # The Jacobian is a data vector on the structure's fixed pattern
-        # and never becomes a sparse matrix.  The direct solver's kernel
-        # works block by block; an iterative solver sees one block, the
-        # whole problem.
+        # and never becomes a sparse matrix; the kernel works block by block.
         structure = model.jacobian_structure(self._keep)
-        kernel = self._kernel() if self.solver == "lu" else None
-        if kernel is None and (replicas or nb != 1 or operators is not None):
-            raise ValueError("only 'lu' estimators stack or take frozen operators")
+        kernel = self._kernel()
         state_starts = [blk.states.start for blk in self._blocks]
         step_norms: list[list[float]] = [[] for _ in range(nb)]
         factorizations = [0] * nb
@@ -481,16 +462,12 @@ class WlsEstimator:
                 if step_norms[b]:
                     hold[b] = min(roots[b], step_norms[b][-1])
             try:
-                if kernel is not None:
-                    # a stack goes to the kernel scenario by scenario, as
-                    # rows (.T of one state's vectors is the vectors)
-                    dx, errors = kernel.solve_blocks(
-                        np.ascontiguousarray(data.T), w.T, r.T, active, ops, hold
-                    )
-                    dx = dx.T
-                else:
-                    dx = self._gain_solver.solve_csc(*structure.pattern, data, w, r)
-                    errors = {}
+                # a stack goes to the kernel scenario by scenario, as rows
+                # (.T of one state's vectors is the vectors)
+                dx, errors = kernel.solve_blocks(
+                    np.ascontiguousarray(data.T), w.T, r.T, active, ops, hold
+                )
+                dx = dx.T
             except Exception as exc:
                 dx = np.zeros((self.n_states, *Vm.shape[1:]))
                 errors = dict.fromkeys(active, exc)
@@ -544,7 +521,7 @@ class WlsEstimator:
 
         if obs.enabled():
             reg = obs.metrics()
-            solver = self.solver if operators is None else "schur"
+            solver = "lu" if operators is None else "schur"
             reg.histogram("wls.estimate.seconds", solver=solver).observe(
                 time.perf_counter() - t_start
             )
@@ -559,12 +536,7 @@ class WlsEstimator:
 
 
 def estimate_state(
-    net: Network,
-    mset: MeasurementSet,
-    *,
-    solver: str = "lu",
-    **kwargs,
+    net: Network, mset: MeasurementSet, **kwargs
 ) -> EstimationResult:
     """One-call WLS estimation (constructs a :class:`WlsEstimator`)."""
-    est = WlsEstimator(net, mset, solver=solver)
-    return est.estimate(**kwargs)
+    return WlsEstimator(net, mset).estimate(**kwargs)

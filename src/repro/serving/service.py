@@ -93,7 +93,7 @@ class ScenarioService:
         Seconds the dispatcher waits for the batch to fill before flushing
         a partial one (the latency the first request in a batch is willing
         to trade for throughput).
-    solver, sensitivity_threshold, rounds, tol:
+    sensitivity_threshold, rounds, tol:
         Estimation defaults, forwarded to the engine.
     batch_solve:
         Drain flushes through the SIMD path: estimation frames through one
@@ -125,7 +125,6 @@ class ScenarioService:
         contingency_method: str = "dc",
         max_batch: int = 32,
         flush_latency: float = 2e-3,
-        solver: str = "lu",
         sensitivity_threshold: float = 0.5,
         rounds: int | None = None,
         tol: float = 1e-8,
@@ -150,7 +149,6 @@ class ScenarioService:
         self.rounds = rounds
         self.tol = tol
         self.batch_solve = bool(batch_solve)
-        self._solver = solver
         self._dec = dec
         self._mset = mset
         self._batch_estimator = None  # lazily built on first batched flush
@@ -161,7 +159,6 @@ class ScenarioService:
             self._dse = DistributedStateEstimator(
                 dec,
                 mset,
-                solver=solver,
                 sensitivity_threshold=sensitivity_threshold,
                 executor=self.executor,
             )
@@ -223,6 +220,17 @@ class ScenarioService:
                         f"z must be {len(self._mset)} finite values in the "
                         f"measurement set's order, got shape {z.shape}"
                     )
+            # an infinite tol stops a solve after one step, marked
+            # converged; zero, negative or NaN never stops it
+            tol, rounds = request.tol, request.rounds
+            if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
+                raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+            if rounds is not None and not (
+                isinstance(rounds, (int, np.integer))
+                and not isinstance(rounds, bool)
+                and rounds >= 0
+            ):
+                raise ValueError(f"rounds must be None or an int >= 0, got {rounds!r}")
         self._ensure_dispatcher()
         fut: Future = Future()
         if self.max_queue is not None and self._queue.qsize() >= self.max_queue:
@@ -392,7 +400,6 @@ class ScenarioService:
             self._batch_estimator = BatchEstimator(
                 self._dec.net,
                 self._mset,
-                solver=self._solver,
                 max_batch=self.max_batch,
             )
         return self._batch_estimator

@@ -2,7 +2,7 @@
 
 Example::
 
-    python -m repro.tools.estimate --case case118 --noise 1.0 --solver pcg
+    python -m repro.tools.estimate --case case118 --noise 1.0
     python -m repro.tools.estimate --case synthetic:6x15 --robust --bad-rows 3
 """
 
@@ -36,8 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=1.0,
                    help="noise level relative to nominal meter accuracy")
     p.add_argument("--seed", type=int, default=0, help="measurement RNG seed")
-    p.add_argument("--solver", default="lu", choices=["lu", "pcg", "lsqr"],
-                   help="normal-equation solver")
     p.add_argument("--robust", action="store_true",
                    help="use the Huber M-estimator instead of plain WLS")
     p.add_argument("--constrained", action="store_true",
@@ -70,8 +68,8 @@ def main(argv: list[str] | None = None) -> int:
         result = constrained_estimate(net, mset)
         kind = "constrained WLS"
     else:
-        result = estimate_state(net, mset, solver=args.solver)
-        kind = f"WLS ({args.solver})"
+        result = estimate_state(net, mset)
+        kind = "WLS"
 
     err = result.state_error(pf.Vm, pf.Va)
     print(f"{kind}: converged={result.converged} iterations={result.iterations}")

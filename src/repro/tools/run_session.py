@@ -31,7 +31,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subsystems", type=int, default=9)
     p.add_argument("--frames", type=int, default=3, help="SCADA frames to run")
     p.add_argument("--scan-period", type=float, default=4.0)
-    p.add_argument("--solver", default="lu", choices=["lu", "pcg", "lsqr"])
     p.add_argument("--tcp", action="store_true",
                    help="with --live: a real localhost TCP hub instead of "
                         "the in-process one")
@@ -62,16 +61,16 @@ def main(argv: list[str] | None = None) -> int:
         placement = full_placement(net).merged_with(dse_pmu_placement(arch.dec))
         scada = ScadaSystem(net, placement, scan_period=args.scan_period,
                             seed=args.seed)
-        session = DseSession(arch, solver=args.solver)
+        session = DseSession(arch)
         live = None
         if args.live:
             from ..core import LiveDseRuntime
 
             # one resident deployment for the whole session: every scan is
             # a values-only frame over it
-            live = stack.enter_context(LiveDseRuntime(
-                arch.dec, placement, use_tcp=args.tcp, solver=args.solver,
-            ))
+            live = stack.enter_context(
+                LiveDseRuntime(arch.dec, placement, use_tcp=args.tcp)
+            )
 
         print(f"{net.name}: {arch.dec.m} subsystems on "
               f"{arch.topology.n_clusters} clusters; "

@@ -351,14 +351,6 @@ class TestBatchEstimator:
         with pytest.raises(EstimationError):
             BatchEstimator(net14, ms).estimate_batch([bad, None])
 
-    def test_non_lu_solver_falls_back_serial(self, net14, pf14):
-        ms = _mset(net14, pf14)
-        batch = BatchEstimator(net14, ms, solver="lsqr").estimate_batch(
-            [None, NetworkDelta.branch_outage(SAFE_PAIR[0])]
-        )
-        ref = WlsEstimator(net14, ms, solver="lsqr").estimate()
-        assert np.array_equal(batch[0].Vm, ref.Vm)
-
     def test_bad_inputs(self, net14, pf14):
         ms = _mset(net14, pf14)
         est = BatchEstimator(net14, ms)
@@ -466,9 +458,11 @@ class TestServingBatchSolve:
         return outage_delta(enumerate_n1(net)[1][0])
 
     def test_bad_z_is_refused_at_admission(self, svc_parts):
-        """A wrong-length (or non-finite) z never reaches the solve it
-        would fail for everything coalesced with it — on either drain."""
-        from repro.serving import ScenarioService
+        """A wrong-length (or non-finite) z, a tol that is not finite and
+        positive, or a negative round count never reaches the solve — on
+        either drain.  (An infinite tol used to come back after one step
+        marked converged; zero, negative or NaN ran out the iterations.)"""
+        from repro.serving import EstimationRequest, ScenarioService
 
         dec, ms = svc_parts
         nan_z = ms.z.copy()
@@ -481,6 +475,12 @@ class TestServingBatchSolve:
                 for bad in (ms.z[:-1], nan_z, ["a"] * len(ms)):
                     with pytest.raises(ValueError, match="z"):
                         svc.submit_estimation(z=bad)
+                for tol in (np.inf, 0.0, -1.0, np.nan, "1e-8"):
+                    with pytest.raises(ValueError, match="tol"):
+                        svc.submit(EstimationRequest(z=ms.z, tol=tol))
+                for rounds in (-1, 1.5, True):
+                    with pytest.raises(ValueError, match="rounds"):
+                        svc.submit_estimation(z=ms.z, rounds=rounds)
                 good.append(svc.submit_estimation())
                 res = [f.result(timeout=60) for f in good]
                 assert all(np.all(np.isfinite(r.value.Vm)) for r in res)

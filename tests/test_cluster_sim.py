@@ -14,8 +14,6 @@ from repro.cluster import (
     SimExecutor,
     TaskSpec,
     Timeout,
-    WlsCostModel,
-    calibrate_wls_cost,
     pnnl_testbed,
 )
 
@@ -234,23 +232,6 @@ class TestSimComm:
 
 
 class TestCostModels:
-    def test_wls_cost_monotone_in_size(self):
-        m = WlsCostModel()
-        assert m.iteration_time(100) > m.iteration_time(10)
-
-    def test_wls_cost_scales_with_speed(self):
-        m = WlsCostModel()
-        assert m.iteration_time(50, speed=2.0) == pytest.approx(
-            m.iteration_time(50) / 2
-        )
-
-    def test_wls_cost_validation(self):
-        m = WlsCostModel()
-        with pytest.raises(ValueError):
-            m.iteration_time(-1)
-        with pytest.raises(ValueError):
-            m.estimation_time(10, -1)
-
     def test_middleware_overhead_linear_in_size(self):
         mw = MiddlewareCostModel()
         link = LinkSpec(latency=1e-4, bandwidth=1e9)
@@ -264,12 +245,6 @@ class TestCostModels:
         mw = MiddlewareCostModel()
         link = LinkSpec(latency=1e-4, bandwidth=1e9)
         assert mw.relayed_time(1e6, link) > mw.direct_time(1e6, link)
-
-    def test_calibration_produces_sane_model(self):
-        m = calibrate_wls_cost(sizes=(8, 16), repeats=1)
-        assert m.setup > 0
-        assert m.per_bus > 0
-        assert m.iteration_time(14) < 1.0  # a 14-bus iteration is fast
 
 
 class TestSimExecutor:

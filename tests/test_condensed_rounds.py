@@ -21,7 +21,7 @@ from repro.dse import (
     decompose_by_areas,
     dse_pmu_placement,
 )
-from repro.estimation.wls import EstimationError, WlsEstimator
+from repro.estimation.wls import EstimationError
 from repro.grid import run_ac_power_flow
 from repro.grid.cases import synthetic_grid
 from repro.measurements import full_placement, generate_measurements
@@ -305,10 +305,6 @@ def test_frozen_loop_argument_checks(dse118):
         cond.est.estimate_blocks(x0=[None, None], operators=[cond.schur] * 2)
     with pytest.raises(ValueError, match="one tol"):
         cond.est.estimate_blocks(x0=[None], tol=[1e-8, 1e-8])
-    subnet = dse.sub2[0][0]
-    pcg = WlsEstimator(subnet, cond.est.mset, solver="pcg")
-    with pytest.raises(ValueError, match="frozen operators"):
-        pcg.estimate_blocks(x0=[None], operators=[cond.schur])
     # an operator that was never factored fails its block, typed
     (res,) = cond.est.estimate_blocks(x0=[None], operators=[cond.schur])
     assert isinstance(res, EstimationError) and "before factor" in str(res)

@@ -9,7 +9,7 @@ from repro.contingency import (
     ContingencyAnalyzer,
     apply_outage,
     enumerate_n1,
-    run_parallel_threads,
+    run_parallel,
     simulate_parallel_analysis,
 )
 from repro.estimation import estimate_state
@@ -131,7 +131,7 @@ class TestParallelThreads:
     def test_matches_serial(self, setup, scheme):
         an, cons = setup
         serial = an.analyze_all(cons)
-        rep = run_parallel_threads(an, cons, n_workers=4, scheme=scheme)
+        rep = run_parallel(an, cons, n_workers=4, scheme=scheme)
         assert len(rep.results) == len(serial)
         assert sum(rep.per_worker_cases) == len(cons)
         # same security verdicts regardless of execution order
@@ -140,9 +140,9 @@ class TestParallelThreads:
     def test_scheme_validated(self, setup):
         an, cons = setup
         with pytest.raises(ValueError):
-            run_parallel_threads(an, cons, scheme="bogus")
+            run_parallel(an, cons, scheme="bogus")
         with pytest.raises(ValueError):
-            run_parallel_threads(an, cons, n_workers=0)
+            run_parallel(an, cons, n_workers=0)
 
 
 class TestSimulatedBalancing:

@@ -14,11 +14,12 @@ from repro.dse import (
     pseudo_measurements,
     sensitive_internal_buses,
 )
-from repro.estimation import estimate_state
+from repro.estimation import EstimationError, estimate_state
 from repro.grid import run_ac_power_flow
 from repro.grid.cases import case118, synthetic_grid
 from repro.measurements import (
     MeasType,
+    MeasurementModel,
     full_placement,
     generate_measurements,
 )
@@ -271,3 +272,17 @@ class TestHierarchical:
         _, _, dec, ms = dse118
         res = HierarchicalStateEstimator(dec, ms).run()
         assert set(res.local_results) == set(range(dec.m))
+
+    def test_unobserved_offset_raises(self, dse118):
+        """A subsystem whose offset no coordination row observes is an
+        error, not a zero offset on its local reference."""
+        net, pf, dec, ms = dse118
+        s = 1
+        rows = HierarchicalStateEstimator(dec, ms)._coordination_rows()
+        H = MeasurementModel(net, ms).jacobian(pf.Vm, pf.Va).tocsr()
+        # the coordinator's Jacobian entry for s: d h / d (offset of s)
+        entry = np.asarray(H[rows][:, dec.buses(s)].sum(axis=1)).ravel()
+        keep = np.setdiff1d(np.arange(len(ms)), rows[entry != 0])
+        est = HierarchicalStateEstimator(dec, ms.subset(keep))
+        with pytest.raises(EstimationError, match="coordinator"):
+            est.run()

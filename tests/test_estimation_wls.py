@@ -117,25 +117,6 @@ class TestNoisyEstimation:
         assert np.allclose(res.Va, pf14.Va, atol=1e-9)
 
 
-class TestSolverEquivalence:
-    @pytest.mark.parametrize("solver", ["lu", "pcg", "lsqr"])
-    def test_all_solvers_agree(self, net14, pf14, solver):
-        rng = np.random.default_rng(3)
-        ms = generate_measurements(net14, full_placement(net14), pf14, rng=rng)
-        res = estimate_state(net14, ms, solver=solver)
-        ref = estimate_state(net14, ms, solver="lu")
-        assert np.allclose(res.Vm, ref.Vm, atol=1e-7)
-        assert np.allclose(res.Va, ref.Va, atol=1e-7)
-
-    @pytest.mark.parametrize("prec", ["jacobi", "ichol"])
-    def test_pcg_preconditioners(self, net118, pf118, prec):
-        rng = np.random.default_rng(4)
-        ms = generate_measurements(net118, full_placement(net118), pf118, rng=rng)
-        est = WlsEstimator(net118, ms, solver="pcg", pcg_preconditioner=prec)
-        res = est.estimate()
-        assert res.converged
-
-
 class TestFailureModes:
     def test_underdetermined_raises(self, net14):
         ms = MeasurementSet([Measurement(MeasType.V_MAG, 0, 1.0, 0.01)])
@@ -150,11 +131,6 @@ class TestFailureModes:
         )
         with pytest.raises(EstimationError):
             estimate_state(net14, ms)
-
-    def test_unknown_solver(self, net14, pf14, rng):
-        ms = generate_measurements(net14, full_placement(net14), pf14, rng=rng)
-        with pytest.raises(EstimationError, match="unknown method"):
-            estimate_state(net14, ms, solver="qr-magic")
 
 
 class TestConvergenceBehaviour:

@@ -9,7 +9,7 @@ layer's contract drifts, this test is the first to notice.
 import numpy as np
 import pytest
 
-from repro.contingency import ContingencyAnalyzer, enumerate_n1, run_parallel_threads
+from repro.contingency import ContingencyAnalyzer, enumerate_n1, run_parallel
 from repro.core import ArchitecturePrototype, DseSession, LiveDseRuntime
 from repro.dse import dse_pmu_placement
 from repro.estimation import area_interchange, derive_outputs, estimate_state
@@ -70,7 +70,7 @@ def test_full_stack_golden_path(tmp_path):
     )
     safe, islanding = enumerate_n1(net)
     assert len(safe) + len(islanding) == net.n_branch
-    report = run_parallel_threads(
+    report = run_parallel(
         analyzer, safe[:40], n_workers=4, scheme="dynamic"
     )
     assert len(report.results) == 40

@@ -36,9 +36,6 @@ class TestEstimateCli:
         assert "WLS" in out
         assert "Vm RMSE" in out
 
-    def test_pcg_solver(self, capsys):
-        assert estimate_main(["--case", "case14", "--solver", "pcg"]) == 0
-
     def test_robust_flag(self, capsys):
         assert estimate_main(["--case", "case14", "--robust"]) == 0
         assert "Huber" in capsys.readouterr().out
