@@ -31,7 +31,8 @@ rows are compared:
   ``HierarchicalStateEstimator.run()``, and three frames through
   ``DseSession(bad_data_policy="identify")`` — clean, one 40 σ ``V_MAG``
   error inside subsystem 2, clean — hashing every frame's state plus its
-  ``removed_global_rows``.
+  ``removed_global_rows``, on the reference session, a ``condense=True``
+  one and an ``executor="threads:2"`` one.
 
 One line per row: sha1 of ``Vm‖Va``, the Gauss-Newton iteration total, and
 ``equal`` or ``DIFFERENT`` — a differing row adds ``max|dVm|``, ``max|dVa|``
@@ -237,14 +238,23 @@ def matrix() -> None:
         rng=np.random.default_rng(4),
     )
     arch = ArchitecturePrototype.assemble(net, m_subsystems=9, seed=0)
-    session = DseSession(arch, bad_data_policy="identify")
-    states = []
-    for scan in scans:
-        removed = session.process_frame(scan).bad_data.removed_global_rows
-        # the session publishes no state; its tracking start is the frame's
-        states += [(session._prev_vm, session._prev_va),
-                   (np.array(removed, dtype=float), none)]
-    emit("session identify 3 frames", states, sum(r.rounds for r in session.reports))
+    for label, opts in (
+        ("", {}), (" condensed", dict(condense=True)),
+        (" threads:2", dict(executor="threads:2")),
+    ):
+        session = DseSession(arch, bad_data_policy="identify", **opts)
+        states = []
+        try:
+            for scan in scans:
+                removed = session.process_frame(scan).bad_data.removed_global_rows
+                # the session publishes no state; its tracking start is the
+                # frame's
+                states += [(session._prev_vm, session._prev_va),
+                           (np.array(removed, dtype=float), none)]
+        finally:
+            session.executor.shutdown()
+        emit(f"session identify 3 frames{label}", states,
+             sum(r.rounds for r in session.reports))
 
 
 # ---------------------------------------------------------------------

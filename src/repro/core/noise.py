@@ -27,17 +27,20 @@ def innovation_noise_level(
     Vm_prev: np.ndarray,
     Va_prev: np.ndarray,
     *,
+    weights: np.ndarray | None = None,
     clip: tuple[float, float] = (0.05, 10.0),
 ) -> float:
     """One-shot noise-level estimate from measurement innovations.
 
     ``sqrt(mean(((z - h(x_prev)) / sigma)^2))``, clipped to ``clip``.  The
     estimate is slightly biased upward by genuine state drift, which is the
-    safe direction for capacity planning.
+    safe direction for capacity planning.  A row whose ``weights`` entry
+    is 0 (removed as bad data) is skipped.
     """
     model = MeasurementModel(net, mset)
     r = (mset.z - model.h(Vm_prev, Va_prev)) / mset.sigma
-    r = r[np.isfinite(r)]       # a non-finite meter says nothing about noise
+    # a non-finite meter says nothing about noise, nor does a removed one
+    r = r[np.isfinite(r) & (True if weights is None else weights > 0)]
     level = float(np.sqrt(np.mean(r * r))) if len(r) else 1.0
     return float(np.clip(level, *clip))
 
@@ -62,9 +65,11 @@ class NoiseLevelEstimator:
         return float(np.mean(self._history))
 
     def update(
-        self, mset: MeasurementSet, Vm_prev: np.ndarray, Va_prev: np.ndarray
+        self, mset: MeasurementSet, Vm_prev: np.ndarray, Va_prev: np.ndarray,
+        *, weights: np.ndarray | None = None,
     ) -> float:
-        """Fold in a new frame; returns the updated smoothed level."""
-        x = innovation_noise_level(self.net, mset, Vm_prev, Va_prev)
+        """Fold in a new frame (rows of zero ``weights`` skipped); returns
+        the updated smoothed level."""
+        x = innovation_noise_level(self.net, mset, Vm_prev, Va_prev, weights=weights)
         self._history.append(x)
         return self.level

@@ -36,7 +36,7 @@ from ..cluster.recovery import (
     SubsystemCheckpoint,
     heartbeat_payload,
 )
-from ..dse.algorithm import DistributedStateEstimator
+from ..dse.algorithm import DistributedStateEstimator, check_run_args
 from ..dse.decomposition import Decomposition
 from ..dse.stepper import SubsystemStepper
 from ..estimation.results import state_error
@@ -214,8 +214,8 @@ class LiveDseRuntime:
     the shell owns the compute slot, the sends and receives, the deadlines,
     the barriers and — in recovery mode — the lease beats, the checkpoint
     replication and the promotions.  A round in which a site missed a
-    neighbour is solved by the stepper on a freshly built estimator over
-    the pseudo measurements it did hear.
+    neighbour is solved by the stepper on the site's cached estimator, with
+    that neighbour's pseudo measurements at weight 0.
 
     The runtime is a *resident deployment*: the fabric (hub, links) and the
     site threads are started on the first :meth:`run` and serve every later
@@ -357,6 +357,7 @@ class LiveDseRuntime:
         frame over the warm site estimators, mirroring
         :meth:`repro.dse.algorithm.DistributedStateEstimator.run`.
         """
+        check_run_args(rounds, tol)
         if rounds is None:
             rounds = max(1, self.dec.diameter())
         z = self._dse._frame_z(z)

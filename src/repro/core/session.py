@@ -20,8 +20,11 @@ import numpy as np
 
 from .. import obs
 from ..cluster.executor import MessageSpec, TaskSpec
-from ..dse.algorithm import BYTES_PER_EXCHANGED_BUS, DistributedStateEstimator
-from ..dse.sensitivity import exchange_bus_sets
+from ..dse.algorithm import (
+    BYTES_PER_EXCHANGED_BUS,
+    DistributedStateEstimator,
+    check_run_args,
+)
 from ..measurements.types import MeasurementSet
 from ..parallel import make_executor
 from .architecture import ArchitecturePrototype
@@ -74,9 +77,6 @@ class DseSession:
         self.degrade_on_failure = degrade_on_failure
         self.condense = condense
         self.noise_estimator = NoiseLevelEstimator(arch.net)
-        self.exchange_sets = exchange_bus_sets(
-            arch.dec, threshold=sensitivity_threshold
-        )
         self._prev_vm = np.ones(arch.net.n_bus)
         self._prev_va = np.zeros(arch.net.n_bus)
         self._frame_no = 0
@@ -115,6 +115,7 @@ class DseSession:
         truth: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> FrameReport:
         """Run the full DSE pipeline on one measurement frame."""
+        check_run_args(rounds)      # before the frame touches any state
         if not obs.enabled():
             return self._process_frame_impl(mset, t=t, rounds=rounds, truth=truth)
         with obs.span("session.frame", frame=self._frame_no) as sp:
@@ -140,14 +141,14 @@ class DseSession:
             t = float(self._frame_no)
 
         # (0) optional distributed bad-data screening on the raw frame, on
-        # the placement's kept estimator: a clean frame constructs nothing
-        bad_data_report = None
-        screened = None
+        # the placement's kept estimator; a removed row is a zero weight of
+        # the frame, so neither a clean nor a screened frame constructs
+        bad_data_report = screened = weights = None
         if self.bad_data_policy != "off":
             from ..dse.baddata import distributed_bad_data
 
             with obs.span("session.bad_data", policy=self.bad_data_policy):
-                screened = self._estimator_for(mset, keep=True)
+                screened = self._estimator_for(mset)
                 bad_data_report = distributed_bad_data(
                     screened[0],
                     mset.z if screened[1] else None,
@@ -155,14 +156,14 @@ class DseSession:
                 )
                 removed = bad_data_report.removed_global_rows
                 if removed:
-                    screened = None     # the thinned frame is another placement
-                    keep = np.ones(len(mset), dtype=bool)
-                    keep[removed] = False
-                    mset = mset.subset(keep)
+                    weights = mset.weights
+                    weights[removed] = 0.0
 
         # (1) noise level for this time frame
         with obs.span("session.noise_estimate"):
-            x = self.noise_estimator.update(mset, self._prev_vm, self._prev_va)
+            x = self.noise_estimator.update(
+                mset, self._prev_vm, self._prev_va, weights=weights
+            )
             ni = arch.iteration_model.iterations(x)
 
         # (2) Step-1 mapping: balance compute
@@ -174,21 +175,16 @@ class DseSession:
         # behind the paper's iteration model)
         warm = (self._prev_vm, self._prev_va) if self._frame_no > 0 else None
         wall_t0 = time.perf_counter()
-        # a frame thinned by bad-data removal must not evict the estimator
-        # of the regular placement
-        dse, values_only = screened or self._estimator_for(
-            mset, keep=self.bad_data_policy == "off"
-        )
-        result = dse.run(
-            rounds=rounds, x0=warm, z=mset.z if values_only else None
-        )
+        dse, values_only = screened or self._estimator_for(mset)
+        z = mset.z if values_only else None
+        result = dse.run(rounds=rounds, x0=warm, z=z, weights=weights)
         wall_elapsed = time.perf_counter() - wall_t0
         degraded = set(result.degraded_subsystems)
 
         # (4) Step-2 remapping with updated weights
         with obs.span("partition.remap"):
             map2, moved = arch.mapper.remap_step2(
-                dec, x, map1, self.exchange_sets
+                dec, x, map1, dse.exchange_sets
             )
 
         # (6) replay on the simulated testbed
@@ -243,20 +239,21 @@ class DseSession:
 
     # ------------------------------------------------------------------
     def _estimator_for(
-        self, mset: MeasurementSet, *, keep: bool
+        self, mset: MeasurementSet
     ) -> tuple[DistributedStateEstimator, bool]:
         """The frame's estimator and whether it serves ``mset`` values-only.
 
         Subproblems, Jacobian structures and normal-equation kernels depend
-        on the measurement placement only, so the estimator built for one
-        frame serves every later frame with the same (type, element,
-        sigma) rows through ``run(z=)``.  A different placement builds a
-        new one, which replaces the kept one unless ``keep`` is false (a
-        frame thinned by bad-data removal must not evict the estimator of
-        the regular placement); ``reuse_structures=False`` keeps nothing.
+        on the decomposition and the measurement placement only, so the
+        estimator built for one frame serves every later frame with the
+        same (type, element, sigma) rows through ``run(z=)`` while
+        ``arch.dec`` stays the decomposition it was built on (an outage
+        repair replaces it).  Anything else builds a new one, which
+        replaces the kept one; ``reuse_structures=False`` keeps nothing.
         """
-        if self._dse is not None and self._dse.mset.same_structure(mset):
-            return self._dse, True
+        dse = self._dse
+        if dse is not None and dse.dec is self.arch.dec and dse.mset.same_structure(mset):
+            return dse, True
         dse = DistributedStateEstimator(
             self.arch.dec,
             mset,
@@ -267,7 +264,7 @@ class DseSession:
             degrade_on_failure=self.degrade_on_failure,
             condense=self.condense,
         )
-        if keep and self.reuse_structures:
+        if self.reuse_structures:
             self._dse = dse
         return dse, False
 

@@ -26,6 +26,7 @@ cluster substrate.
 from __future__ import annotations
 
 import hashlib
+import math
 import pickle
 import time
 from dataclasses import dataclass, field
@@ -53,6 +54,7 @@ __all__ = [
     "SubsystemRecord",
     "DseResult",
     "DistributedStateEstimator",
+    "check_run_args",
     "step1_problem",
 ]
 
@@ -87,6 +89,22 @@ def _localized_perm(
     elem[mask] = bus_map[eg[mask]]
     elem[~mask] = branch_map[eg[~mask]]
     return np.lexsort((elem, tidx))
+
+
+def check_run_args(rounds, tol=1e-8) -> None:
+    """Refuse a frame's ``rounds`` / ``tol`` before anything runs: a
+    ``rounds`` that is not ``None`` or an int >= 0, a ``tol`` that is not
+    finite and > 0 (an infinite one stops a solve after one step, marked
+    converged; zero, negative or NaN never stops it).  Scalar checks only —
+    the scenario service calls this on its submit path, where a ufunc would
+    drop the interpreter lock (see the ``z`` check there)."""
+    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    if rounds is not None and (
+        isinstance(rounds, bool) or not isinstance(rounds, (int, np.integer))
+        or rounds < 0
+    ):
+        raise ValueError(f"rounds must be None or an int >= 0, got {rounds!r}")
 
 
 def step1_problem(
@@ -345,19 +363,20 @@ class DistributedStateEstimator:
                 # everything else is eliminated onto it once per topology.
                 bnd_local = bmap2[np.concatenate([boundary, ext])]
                 est2 = CondensedStep2(est2, bnd_local)
-            self._step2_cache[s] = (est2, full0.z, rows_vm, rows_va, src, rows_ms2)
+            self._step2_cache[s] = (est2, full0, rows_vm, rows_va, src, rows_ms2)
 
     # ------------------------------------------------------------------
-    # Values-only frames: fresh measurement vectors over the cached
-    # structures (same placement, new telemetry values).
+    # Values-only frames: fresh measurement vectors (and row weights) over
+    # the cached structures (same placement, new telemetry values).
     # ------------------------------------------------------------------
     def _step1_z(self, s: int, z_full: np.ndarray) -> np.ndarray:
-        """Step-1 local measurement vector for a values-only frame."""
+        """Step-1 local slice of a per-row frame vector (``z`` or weights)."""
         rows1, perm1, _, _ = self._z_index[s]
         return z_full[rows1][perm1]
 
     def _step2_meas_z(self, s: int, z_full: np.ndarray) -> np.ndarray:
-        """Step-2 measured (non-pseudo) local values for a values-only frame."""
+        """Step-2 measured (non-pseudo) local slice of a per-row frame
+        vector (``z`` or weights)."""
         _, _, rows2, perm2 = self._z_index[s]
         return z_full[rows2][perm2]
 
@@ -366,19 +385,30 @@ class DistributedStateEstimator:
         s: int,
         published_vm: np.ndarray,
         published_va: np.ndarray,
+        known: np.ndarray,
         last2: dict,
         z_full: np.ndarray | None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Compact Step-2 task inputs ``(z, x0_vm, x0_va)`` for subsystem
-        ``s`` — the same arrays regardless of which backend executes the
-        solve, which is what pins process-pool results to serial ones."""
-        _, z_tmpl, rows_vm, rows_va, src, rows_ms2 = self._step2_cache[s]
-        z = z_tmpl.copy()
+        w_full: np.ndarray | None,
+    ) -> tuple:
+        """Compact Step-2 task inputs ``(z, weights, (x0_vm, x0_va))`` for
+        subsystem ``s`` — the same arrays regardless of which backend
+        executes the solve, which is what pins process-pool results to
+        serial ones.  The pseudo rows of an external bus not ``known``
+        (a neighbour not heard from) weigh 0; ``weights`` is ``None`` when
+        the cached set's own serve."""
+        _, full0, rows_vm, rows_va, src, rows_ms2 = self._step2_cache[s]
+        z = full0.z.copy()
         if z_full is not None:
             z[rows_ms2] = self._step2_meas_z(s, z_full)
         z[rows_vm] = published_vm[src]
         z[rows_va] = published_va[src]
-        return (z, *self._step2_start(s, published_vm, published_va, last2))
+        w, unheard = None, ~known[src]
+        if w_full is not None or unheard.any():
+            w = full0.weights
+            if w_full is not None:
+                w[rows_ms2] = self._step2_meas_z(s, w_full)
+            w[rows_vm[unheard]] = w[rows_va[unheard]] = 0.0
+        return z, w, self._step2_start(s, published_vm, published_va, last2)
 
     def _step2_start(
         self,
@@ -473,6 +503,16 @@ class DistributedStateEstimator:
             raise ValueError("z override length mismatch")
         return z
 
+    def _frame_weights(self, weights) -> np.ndarray | None:
+        """Validated row weights: one finite value >= 0 per row of the
+        measurement set (``None`` passes)."""
+        if weights is None:
+            return None
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (len(self.mset),) or not np.all((w >= 0) & (w < np.inf)):
+            raise ValueError(f"weights must be {len(self.mset)} finite values >= 0")
+        return w
+
     # ------------------------------------------------------------------
     def run(
         self,
@@ -481,6 +521,7 @@ class DistributedStateEstimator:
         tol: float = 1e-8,
         x0: tuple[np.ndarray, np.ndarray] | None = None,
         z: np.ndarray | None = None,
+        weights: np.ndarray | None = None,
     ) -> DseResult:
         """Execute Step 1, ``rounds`` of Step 2, and the final aggregation.
 
@@ -492,12 +533,18 @@ class DistributedStateEstimator:
         a values-only frame served over the cached structures, which is how
         the scenario-serving engine pushes repeated estimation rounds
         through one warm estimator; requires ``reuse_structures=True``.
+        ``weights`` is the frame's row weights in the same order (default
+        the set's own ``1/σ²``): a zero removes its row from every Step-1
+        and Step-2 solve, which is how a row screened out as bad data
+        leaves the frame without a new estimator.
         """
+        check_run_args(rounds, tol)
+        frame = dict(rounds=rounds, tol=tol, x0=x0, z=z, weights=weights)
         if not obs.enabled():
-            return self._run_impl(rounds=rounds, tol=tol, x0=x0, z=z)
+            return self._run_impl(**frame)
         t0 = time.perf_counter()
         with obs.span("dse.frame", m=self.dec.m) as sp:
-            result = self._run_impl(rounds=rounds, tol=tol, x0=x0, z=z)
+            result = self._run_impl(**frame)
             sp.set_attr("rounds", result.rounds)
             sp.set_attr("bytes_exchanged", result.total_bytes_exchanged)
         reg = obs.metrics()
@@ -521,13 +568,15 @@ class DistributedStateEstimator:
         tol: float,
         x0: tuple[np.ndarray, np.ndarray] | None,
         z: np.ndarray | None,
+        weights: np.ndarray | None,
     ) -> DseResult:
         """One stepper hosting every subsystem: all neighbours are
         co-hosted, so the exchange is the stepper's own view."""
         if rounds is None:
             rounds = max(1, self.dec.diameter())
         stepper = SubsystemStepper(
-            self, range(self.dec.m), tol=tol, z=self._frame_z(z), x0=x0
+            self, range(self.dec.m), tol=tol, z=self._frame_z(z), x0=x0,
+            weights=self._frame_weights(weights),
         )
         stepper.step1()
         for rnd in range(rounds):

@@ -6,7 +6,9 @@ test without contaminating the others, and identification runs on the
 small local problem instead of the interconnection-wide one.  The screen is
 the DSE's own Step 1 (its estimators, executor and values-only frame path)
 plus a chi-square test per subsystem; identification masks rows of the
-suspect subsystem's Step-1 estimator.  Nothing is built per frame.
+suspect subsystem's Step-1 estimator, and the frame then runs without the
+removed rows as zero weights (``dse.run(z=, weights=)``).  Nothing is
+built per frame.
 """
 
 from __future__ import annotations
@@ -74,8 +76,9 @@ def distributed_bad_data(
 
     ``z`` is a values-only frame over the estimator's measurement set
     (default: the set's own values).  ``removed_global_rows`` refer to rows
-    of that set, so the caller can build the cleaned system-wide
-    measurement set with ``mset.subset(...)``.
+    of that set, so the caller runs the cleaned frame on the same
+    estimator with those rows at weight 0: ``dse.run(z=z, weights=w)``,
+    ``w`` being the set's ``weights`` with the removed rows zeroed.
     """
     z = dse._frame_z(z)
     stepper = SubsystemStepper(dse, range(dse.dec.m), z=z)

@@ -42,7 +42,8 @@ frozen "at the first state seen" would differ between serial and pooled
 runs.  The round-0 solution is a function of the frame's inputs alone —
 the same arrays on every executor and host — and the stepper passes it as
 an explicit ``lin_point`` with every later call.  :class:`CondensedStep2`
-refactors only when the point actually changes (exact array match), so
+refactors only when the point, or the frame's row weights, actually
+change (exact array match), so
 all frozen rounds of a frame share one factorization, repeated identical
 frames reuse it, and tracking frames refactor once per frame.
 """
@@ -152,9 +153,10 @@ class CondensedStep2:
         return self.schur.n_interior
 
     # ------------------------------------------------------------------
-    def factor(self, Vm: np.ndarray, Va: np.ndarray) -> None:
+    def factor(self, Vm: np.ndarray, Va: np.ndarray, weights=None) -> None:
         """Condense the gain operator at the linearization point
-        ``(Vm, Va)`` over the extended network.
+        ``(Vm, Va)`` over the extended network, with row weights
+        ``weights`` (default the set's own).
 
         Numeric-only: the gain is the wrapped estimator's own
         (:meth:`WlsEstimator.gain_at`), assembled by its kernel, which the
@@ -162,16 +164,17 @@ class CondensedStep2:
         :meth:`estimate`'s ``lin_point``.
         """
         t0 = time.perf_counter()
-        kernel, _, gain = self.est.gain_at(Vm, Va)
+        kernel, _, gain = self.est.gain_at(Vm, Va, weights)
         self.schur.factor_gain(kernel, gain)
         self.factor_time += time.perf_counter() - t0
         self.factor_count += 1
         if obs.enabled():
             obs.metrics().counter("dse.condensation.factorizations_total").inc()
 
-    def lin_point_cached(self, lin_point: tuple[np.ndarray, np.ndarray]) -> bool:
-        """True when ``lin_point`` exactly matches the operator already
-        factored, i.e. :meth:`estimate` would reuse the factorization.
+    def lin_point_cached(self, lin_point: tuple, weights=None) -> bool:
+        """True when ``lin_point`` and ``weights`` exactly match the
+        operator already factored, i.e. :meth:`estimate` would reuse the
+        factorization.
 
         The recovery plane leans on this: a checkpointed linearisation
         point round-trips the ``FLAG_CHECKPOINT`` wire form bit-exactly
@@ -179,25 +182,24 @@ class CondensedStep2:
         checkpoint hits the cache instead of re-condensing the subsystem.
         """
         cached = self._lin_cache
-        return (
-            cached is not None
-            and np.array_equal(cached[0], lin_point[0])
-            and np.array_equal(cached[1], lin_point[1])
+        return cached is not None and all(
+            a is b or np.array_equal(a, b)     # None matches None only
+            for a, b in zip(cached, (*lin_point, weights))
         )
 
-    def _ensure_factored(self, lin_point: tuple[np.ndarray, np.ndarray]) -> None:
-        """Refactor only when ``lin_point`` differs from the cached one
-        (exact match), so every frozen round of a frame — on any executor —
-        shares the identical operator and repeated identical frames skip
-        the refactorization entirely."""
-        if self.lin_point_cached(lin_point):
+    def _ensure_factored(self, lin_point: tuple, weights=None) -> None:
+        """Refactor only when ``(lin_point, weights)`` differs from the
+        cached key (exact match), so every frozen round of a frame — on any
+        executor — shares the identical operator and repeated identical
+        frames skip the refactorization entirely."""
+        if self.lin_point_cached(lin_point, weights):
             return
         self._lin_cache = None
         vm, va = lin_point
-        self.factor(vm, va)
-        self._lin_cache = (
-            np.array(vm, dtype=float, copy=True),
-            np.array(va, dtype=float, copy=True),
+        self.factor(vm, va, weights)
+        self._lin_cache = tuple(
+            None if a is None else np.array(a, dtype=float, copy=True)
+            for a in (vm, va, weights)
         )
 
     # ------------------------------------------------------------------
@@ -209,25 +211,27 @@ class CondensedStep2:
         max_iter: int | None = None,
         reference_angle: float = 0.0,
         z: np.ndarray | None = None,
+        weights: np.ndarray | None = None,
         lin_point: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> EstimationResult:
         """One Step-2 re-evaluation of the subsystem.
 
         Mirrors :meth:`WlsEstimator.estimate` (same signature, same
         :class:`EstimationResult`) plus ``lin_point``, the linearization
-        point of the frozen-gain iteration (refactors only when it
-        changes; ``max_iter`` overrides that iteration's cap).  Without
-        one — round 0 of a frame, before there is a solution to freeze
-        at — the call is the wrapped estimator's exact Gauss-Newton solve.
-        Raises :class:`EstimationError` on a failed solve.
+        point of the frozen-gain iteration (refactors only when it or
+        ``weights`` changes; ``max_iter`` overrides that iteration's cap).
+        Without one — round 0 of a frame, before there is a solution to
+        freeze at — the call is the wrapped estimator's exact Gauss-Newton
+        solve.  Raises :class:`EstimationError` on a failed solve.
         """
         if lin_point is None:
             return self.est.estimate(
-                x0=x0, tol=tol, reference_angle=reference_angle, z=z
+                x0=x0, tol=tol, reference_angle=reference_angle, z=z, weights=weights
             )
         (res,) = frozen_round(
-            self.est, [self], x0=[x0], z=[z], lin_points=[lin_point], tol=tol,
-            max_iter=max_iter, reference_angle=reference_angle,
+            self.est, [self], x0=[x0], z=[z], weights=[weights],
+            lin_points=[lin_point], tol=tol, max_iter=max_iter,
+            reference_angle=reference_angle,
         )
         if isinstance(res, EstimationError):
             raise res
@@ -240,6 +244,7 @@ def frozen_round(
     *,
     x0: list,
     z: list,
+    weights: list,
     lin_points: list,
     tol: float = 1e-8,
     max_iter: int | None = None,
@@ -251,25 +256,27 @@ def frozen_round(
     :meth:`WlsEstimator.stacked` union, or for one subsystem its estimator
     itself — and runs them through the one masked loop
     (:meth:`WlsEstimator.estimate_blocks`) with each block's condensed
-    operator, frozen at ``lin_points[b]``, in place of the gain: every
-    iteration evaluates the exact right-hand side over the whole stack
-    once and asks each still-running block's own operator for its step, so
-    a block's iterates are the same bits however many blocks ride along.
-    A block stops on ``step < tol * FROZEN_TOL_SCALE``.  One that has not
+    operator, frozen at ``lin_points[b]`` with row weights ``weights[b]``
+    (``None``: the set's own), in place of the gain: every iteration
+    evaluates the exact right-hand side over the whole stack once and asks
+    each still-running block's own operator for its step, so a block's
+    iterates are the same bits however many blocks ride along.  A block
+    stops on ``step < tol * FROZEN_TOL_SCALE``.  One that has not
     converged inside its own ``max_iter``, or trips the divergence guard,
     is re-solved alone by its exact estimator (``fallbacks``) — a
-    deterministic function of the same ``(x0, z, tol)``, so parity and
-    cross-executor determinism survive the fallback.  One outcome per
-    block, a failed block's :class:`EstimationError` in its place.
+    deterministic function of the same ``(x0, z, weights, tol)``, so
+    parity and cross-executor determinism survive the fallback.  One
+    outcome per block, a failed block's :class:`EstimationError` in its
+    place.
     """
-    for cond, lin in zip(conds, lin_points):
+    for cond, lin, w in zip(conds, lin_points, weights):
         try:
-            cond._ensure_factored(lin)
+            cond._ensure_factored(lin, w)
         except GainSolveError:
             pass    # the unfactored operator fails its own block in the loop
     limits = [c.max_iter if max_iter is None else max_iter for c in conds]
     results = stack.estimate_blocks(
-        x0=x0, z=z, tol=tol * FROZEN_TOL_SCALE,
+        x0=x0, z=z, weights=weights, tol=tol * FROZEN_TOL_SCALE,
         max_iter=max(limits), reference_angle=reference_angle,
         operators=[c.schur for c in conds],
     )
@@ -283,6 +290,7 @@ def frozen_round(
         if obs.enabled():
             obs.metrics().counter("dse.condensation.fallbacks_total").inc()
         (results[b],) = cond.est.estimate_blocks(
-            x0=[x0[b]], z=[z[b]], tol=tol, reference_angle=reference_angle
+            x0=[x0[b]], z=[z[b]], weights=[weights[b]], tol=tol,
+            reference_angle=reference_angle,
         )
     return results

@@ -82,7 +82,7 @@ def _cached_estimator(dse, stage: str, s: int):
     return dse._est1[s] if stage == "step1" else dse._step2_cache[s][0]
 
 
-def _timed_solve(span, stage, s, build, x0, z, lin, tol, degrade) -> tuple:
+def _timed_solve(span, stage, s, build, x0, z, w, lin, tol, degrade) -> tuple:
     """One subsystem solve under its span: ``(result or failure, seconds)``.
 
     ``build()`` returns the estimator — the cached one, or a new one whose
@@ -93,7 +93,7 @@ def _timed_solve(span, stage, s, build, x0, z, lin, tol, degrade) -> tuple:
     with span(f"dse.{stage}.subsystem", s=s):
         est = build()
         try:
-            res = est.estimate(x0=x0, tol=tol, z=z, **kwargs)
+            res = est.estimate(x0=x0, tol=tol, z=z, weights=w, **kwargs)
         except Exception as exc:
             if not degrade:
                 raise
@@ -104,16 +104,16 @@ def _timed_solve(span, stage, s, build, x0, z, lin, tol, degrade) -> tuple:
 def _solve_task(args):
     """Process-pool side of a solve: the warm estimators live inside the
     worker's own DSE instance (see ``algorithm._dse_worker_state``), so a
-    task carries only a measurement vector, a start and a tolerance.
+    task carries only the frame's vectors, a start and a tolerance.
 
     The linearization point travels with every Step-2 task (not just the
     first) because a worker may first touch subsystem ``s`` on any round —
     the condensed operator must not depend on call history.
     """
-    key, stage, s, x0, z, lin, tol, octx, degrade = args
+    key, stage, s, x0, z, w, lin, tol, octx, degrade = args
     rec = obs.remote_recorder(octx)
     build = partial(_cached_estimator, worker_context(key), stage, s)
-    res, dt = _timed_solve(rec.span, stage, s, build, x0, z, lin, tol, degrade)
+    res, dt = _timed_solve(rec.span, stage, s, build, x0, z, w, lin, tol, degrade)
     return res, dt, rec.export()
 
 
@@ -130,23 +130,23 @@ class SubsystemStepper:
     dse:
         The estimator whose subproblem store (``sub1``/``sub2``, the cached
         estimators, the values-only indices, the publication plan) the
-        stepper borrows; it builds no estimator of its own except the
-        per-round fallback below.
+        stepper borrows; it builds no estimator of its own unless the
+        estimator keeps none (``reuse_structures=False``).
     hosted:
         Subsystem ids this host solves.
-    tol, z, x0:
+    tol, z, weights, x0:
         The frame: solve tolerance, optional values-only measurement
-        vector (already validated by the caller) and optional system-wide
-        tracking start for Step 1.
+        vector and row weights (validated by the caller) and optional
+        system-wide tracking start for Step 1.
 
     One frame is ``step1()``, then per round: move ``publications()`` to
     the other hosts, ``absorb()`` what arrives, ``step2_round(rnd)``.
     ``Vm``/``Va`` hold the result on the hosted subsystems' buses.
     """
 
-    def __init__(self, dse, hosted, *, tol: float = 1e-8, z=None, x0=None):
+    def __init__(self, dse, hosted, *, tol: float = 1e-8, z=None, weights=None, x0=None):
         self.dse = dse
-        self.tol, self.z, self.x0 = tol, z, x0
+        self.tol, self.z, self.w, self.x0 = tol, z, weights, x0
         n = dse.dec.net.n_bus
         self.Vm = np.ones(n)
         self.Va = np.zeros(n)
@@ -274,7 +274,8 @@ class SubsystemStepper:
             x0 = None if self.x0 is None else (self.x0[0][own], self.x0[1][own])
             # always explicit: a pool worker's own set may hold other values
             z1 = ms1.z if self.z is None else dse._step1_z(s, self.z)
-            jobs.append((s, fresh, x0, z1, None))
+            w1 = None if self.w is None else dse._step1_z(s, self.w)
+            jobs.append((s, fresh, x0, z1, w1, None))
         with obs.span("dse.step1"):
             for s, (res, dt, wspans) in zip(self.hosted, self._solve("step1", jobs)):
                 if wspans:
@@ -305,14 +306,16 @@ class SubsystemStepper:
         jobs = []
         with obs.span("dse.exchange", round=rnd):
             for s in self.hosted:
-                ext = dse.sub2[s][3]
-                heard = ext[self.known[ext]]
-                if dse.reuse_structures and len(heard) == len(ext):
-                    z2, x0_vm, x0_va = dse._step2_inputs(s, Vm, Va, self.last2, self.z)
-                    jobs.append((s, None, (x0_vm, x0_va), z2, self.lin.get(s)))
-                else:
-                    start = dse._step2_start(s, Vm, Va, self.last2)
-                    jobs.append((s, partial(self._fresh_step2, s, heard), start, None, None))
+                if not dse.reuse_structures:
+                    jobs.append(self._fresh_step2(s))
+                    continue
+                # a neighbour not heard from: its pseudo rows weigh 0, and
+                # the round runs the exact loop (a frozen operator holds them)
+                z2, w2, start = dse._step2_inputs(
+                    s, Vm, Va, self.known, self.last2, self.z, self.w
+                )
+                lin = self.lin.get(s) if self.known[dse.sub2[s][3]].all() else None
+                jobs.append((s, None, start, z2, w2, lin))
 
         delta = 0.0
         with obs.span("dse.step2", round=rnd):
@@ -358,23 +361,26 @@ class SubsystemStepper:
                 Va[scope] = res.Va[local]
         self.round_deltas.append(delta)
 
-    def _fresh_step2(self, s: int, heard: np.ndarray) -> WlsEstimator:
-        """A new Step-2 estimator over the pseudo measurements actually
-        heard — the degraded round of a host that missed a neighbour, and
-        the ``reuse_structures=False`` reference path (where ``heard`` is
-        every external boundary bus)."""
+    def _fresh_step2(self, s: int) -> tuple:
+        """The ``reuse_structures=False`` reference path's Step-2 job: a new
+        estimator over the measured rows plus the pseudo measurements
+        heard, the frame's weights scattered onto its rows."""
         dse = self.dse
-        subnet2, bmap2, _, _, ms2 = dse.sub2[s]
-        if self.z is not None:
-            ms2 = ms2.with_values(dse._step2_meas_z(s, self.z))
+        subnet2, bmap2, _, ext, ms2 = dse.sub2[s]
+        heard = ext[self.known[ext]]
         pseudo = pseudo_measurements(bmap2[heard], self.Vm[heard], self.Va[heard])
-        return WlsEstimator(subnet2, ms2.merged_with(pseudo))
+        merged, rows_ms2, _ = ms2.merged_with_positions(pseudo)
+        w = None if self.w is None else merged.weights
+        if w is not None:
+            w[rows_ms2] = dse._step2_meas_z(s, self.w)
+        start = dse._step2_start(s, self.Vm, self.Va, self.last2)
+        return s, partial(WlsEstimator, subnet2, merged), start, None, w, None
 
     # -- solving ---------------------------------------------------------
     def _solve(self, stage: str, jobs: list[tuple]) -> list[tuple]:
         """Solve one stage's jobs ``(s, builder of a fresh estimator or
-        None for the cached one, x0, z, lin_point)``; returns ``(result or
-        failure, seconds, worker spans or None)`` per job.
+        None for the cached one, x0, z, weights, lin_point)``; returns
+        ``(result or failure, seconds, worker spans or None)`` per job.
 
         Which way is chosen from what the stepper can observe: a process
         pool gets compact tasks for its warm workers; a serial executor
@@ -387,15 +393,10 @@ class SubsystemStepper:
         """
         dse, tol, degrade = self.dse, self.tol, self.dse.degrade_on_failure
         if self._pool_key is not None:
-            if any(fresh is not None for _, fresh, *_ in jobs):
-                raise RuntimeError(
-                    "a round with partial neighbour coverage cannot run on a "
-                    "process pool (its estimator exists only on this host)"
-                )
             octx = obs.pack_current_context()
             return dse.executor.map(_solve_task, [
-                (self._pool_key, stage, s, x0, z, lin, tol, octx, degrade)
-                for s, _, x0, z, lin in jobs
+                (self._pool_key, stage, s, x0, z, w, lin, tol, octx, degrade)
+                for s, _, x0, z, w, lin in jobs
             ])
         if (
             isinstance(dse.executor, SerialExecutor)
@@ -406,10 +407,10 @@ class SubsystemStepper:
             return self._stacked_stage(stage, jobs)
 
         def solve(job):
-            s, fresh, x0, z, lin = job
+            s, fresh, x0, z, w, lin = job
             build = fresh or partial(_cached_estimator, dse, stage, s)
             return (
-                *_timed_solve(obs.span, stage, s, build, x0, z, lin, tol, degrade),
+                *_timed_solve(obs.span, stage, s, build, x0, z, w, lin, tol, degrade),
                 None,
             )
 
@@ -436,12 +437,8 @@ class SubsystemStepper:
         stack = dse._stacks.get(stage)
         if stack is None:
             stack = dse._stacks[stage] = WlsEstimator.stacked(members)
-        inputs = dict(
-            x0=[x0 for _, _, x0, _, _ in jobs],
-            z=[z for _, _, _, z, _ in jobs],
-            tol=self.tol,
-        )
-        lins = [lin for *_, lin in jobs]
+        _, _, x0, z, w, lins = zip(*jobs)
+        inputs = dict(x0=x0, z=z, weights=w, tol=self.tol)
         if lins[0] is None:
             results = stack.estimate_blocks(**inputs)
         else:
@@ -451,14 +448,14 @@ class SubsystemStepper:
         failed = [r for r in results if isinstance(r, Exception)]
         if failed and not dse.degrade_on_failure:
             raise failed[0]
-        weights = np.array(
+        wv = np.array(
             [
                 est.net.n_bus * max(1, getattr(res, "iterations", 1))
                 for est, res in zip(members, results)
             ],
             dtype=float,
         )
-        shares = wall * weights / weights.sum()
+        shares = wall * wv / wv.sum()
         out = []
         for s, res, dt in zip(self.hosted, results, shares):
             if isinstance(res, Exception):

@@ -49,7 +49,7 @@ from .. import obs
 from ..contingency.analysis import ContingencyAnalyzer
 from ..contingency.parallel import run_parallel
 from ..contingency.screening import Contingency
-from ..dse.algorithm import DistributedStateEstimator
+from ..dse.algorithm import DistributedStateEstimator, check_run_args
 from ..dse.decomposition import Decomposition
 from ..estimation.batch import BatchEstimator, BatchScenario
 from ..estimation.wls import EstimationError
@@ -220,17 +220,7 @@ class ScenarioService:
                         f"z must be {len(self._mset)} finite values in the "
                         f"measurement set's order, got shape {z.shape}"
                     )
-            # an infinite tol stops a solve after one step, marked
-            # converged; zero, negative or NaN never stops it
-            tol, rounds = request.tol, request.rounds
-            if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
-                raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-            if rounds is not None and not (
-                isinstance(rounds, (int, np.integer))
-                and not isinstance(rounds, bool)
-                and rounds >= 0
-            ):
-                raise ValueError(f"rounds must be None or an int >= 0, got {rounds!r}")
+            check_run_args(request.rounds, request.tol)
         self._ensure_dispatcher()
         fut: Future = Future()
         if self.max_queue is not None and self._queue.qsize() >= self.max_queue:

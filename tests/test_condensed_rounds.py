@@ -187,13 +187,15 @@ class TestBlockFailsAlone:
         for st in (plain, forced):
             st.step1()
             st.step2_round(0)
-        z2, *x0 = dse._step2_inputs(stiff, forced.Vm, forced.Va, forced.last2, z)
+        z2, _, x0 = dse._step2_inputs(
+            stiff, forced.Vm, forced.Va, forced.known, forced.last2, z, None
+        )
         for st in (plain, forced):
             st.step2_round(1)
 
         assert cond.fallbacks == 1 and _fallbacks(dse) == 1
         got = forced.records[stiff].step2_results[1]
-        alone = cond.est.estimate(x0=tuple(x0), z=z2, tol=forced.tol)
+        alone = cond.est.estimate(x0=x0, z=z2, tol=forced.tol)
         assert np.array_equal(got.Vm, alone.Vm) and np.array_equal(got.Va, alone.Va)
         assert got.iterations == alone.iterations > 1
         for s in set(range(dec.m)) - {stiff}:

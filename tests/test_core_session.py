@@ -154,6 +154,33 @@ class TestSession:
         assert e[3] is not e[2]              # and changed back
         assert e[4] is e[3] and e[5] is e[3]  # bad-data frame evicts nothing
 
+    def test_branch_outage_retires_the_kept_estimator(self):
+        """A repaired decomposition is another estimator even over the same
+        placement: the session builds it, so a meter left on the tripped
+        tie line is refused instead of estimated on the old topology, and
+        a placement regenerated for the new topology runs on it."""
+        from repro.core import apply_branch_outage
+
+        net = case118()
+        arch = ArchitecturePrototype.assemble(net, m_subsystems=9, seed=0)
+        pf = run_ac_power_flow(net)
+        rng = np.random.default_rng(4)
+        plac = full_placement(net).merged_with(dse_pmu_placement(arch.dec))
+        session = DseSession(arch)
+        session.process_frame(generate_measurements(net, plac, pf, rng=rng))
+        assert not hasattr(session, "exchange_sets")
+
+        apply_branch_outage(arch, int(arch.dec.tie_lines[0]))
+        pf = run_ac_power_flow(net)
+        with pytest.raises(ValueError, match="outside subnetwork"):
+            session.process_frame(generate_measurements(net, plac, pf, rng=rng))
+        plac = full_placement(net).merged_with(dse_pmu_placement(arch.dec))
+        report = session.process_frame(
+            generate_measurements(net, plac, pf, rng=rng), truth=(pf.Vm, pf.Va)
+        )
+        assert session._dse.dec is arch.dec
+        assert report.va_rmse_vs_truth < 5e-3
+
     def test_reuse_structures_false_keeps_no_estimator(self, arch118, frame118):
         _, ms = frame118
         session = DseSession(arch118, reuse_structures=False)

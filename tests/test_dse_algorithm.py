@@ -1,5 +1,7 @@
 """Tests for the DSE algorithm, pseudo measurements and hierarchical baseline."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,42 @@ class TestDistributedStateEstimation:
         res = DistributedStateEstimator(dec, ms).run()
         err = res.state_error(pf.Vm, pf.Va)
         assert err["vm_rmse"] < 5e-3
+
+
+class TestRunArguments:
+    BAD = [
+        dict(rounds=-1), dict(rounds=1.0), dict(rounds=True),
+        dict(tol=float("inf")), dict(tol=0.0), dict(tol=-1.0), dict(tol=float("nan")),
+    ]
+
+    @pytest.mark.parametrize("entry", ["dse", "live", "session"])
+    def test_out_of_range_rounds_and_tol_are_refused(self, dse118, entry):
+        """A negative ``rounds`` ran a Step-1-only frame reported as such;
+        an infinite ``tol`` stopped after one step marked converged, and
+        zero, negative or NaN ran out every iteration.  Each entry point
+        refuses them before the frame touches anything."""
+        from repro.core import ArchitecturePrototype, DseSession
+        from repro.core.runtime import LiveDseRuntime
+
+        net, _, dec, ms = dse118
+        if entry == "dse":
+            target = DistributedStateEstimator(dec, ms)
+            run, bad = target.run, self.BAD
+        elif entry == "live":
+            target = LiveDseRuntime(dec, ms)
+            run, bad = target.run, self.BAD
+        else:
+            target = DseSession(ArchitecturePrototype.assemble(net, m_subsystems=9, seed=0))
+            run = partial(target.process_frame, ms)
+            bad = [kw for kw in self.BAD if "rounds" in kw]
+        for kwargs in bad:
+            with pytest.raises(ValueError, match="rounds must|tol must"):
+                run(**kwargs)
+        if entry == "live":
+            assert target._deployment is None
+            target.close()
+        if entry == "session":
+            assert target.reports == [] and target.noise_estimator.level == 1.0
 
 
 class TestHierarchical:

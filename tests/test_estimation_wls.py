@@ -502,7 +502,8 @@ class TestWeightsAreData:
     ):
         """The bad-data screen is the kept estimator's own Step 1: a clean
         frame of a known placement constructs nothing, and on a frame with a
-        gross error neither the screen nor the identification does."""
+        gross error neither the screen, nor the identification, nor the
+        estimate without the removed row does."""
         import repro.dse.algorithm as algorithm
 
         arch = ArchitecturePrototype.assemble(net118, m_subsystems=9, seed=0)
@@ -518,7 +519,7 @@ class TestWeightsAreData:
         for _ in range(2):                      # warm: stacks built
             session.process_frame(scan())
             unscreened.process_frame(scan())
-        clean = [scan() for _ in range(4)]
+        clean = [scan() for _ in range(3)]
         count = _Counter(
             monkeypatch,
             (WlsEstimator, "__init__"),
@@ -545,14 +546,44 @@ class TestWeightsAreData:
         assert report.removed_global_rows == [row]
         assert report.suspect_subsystems == [2]
         assert count.take() == [0, 0, 0, 0]
-        # the frame itself builds the thinned placement's DSE, no more
-        session.process_frame(bad)
-        in_frame = count.take()
-        keep = np.ones(len(bad), dtype=bool)
-        keep[row] = False
-        DistributedStateEstimator(dec, bad.subset(keep)).run()
-        unscreened.process_frame(clean[3])
-        assert in_frame == count.take()
+        # the frame runs the kept estimator with the removed row at weight
+        # 0: it builds what a clean frame builds, the noise estimate's model
+        assert session.process_frame(bad).bad_data.removed_global_rows == [row]
+        assert count.take() == [0, 0, 1, 0]
+        assert session._dse is kept
+
+    def test_screened_condensed_session_builds_nothing(
+        self, net118, pf118, monkeypatch
+    ):
+        """The condensed session's screened frame also runs on its kept
+        estimator: the removed row's zero weight is data of the frozen
+        operator's factorization, not a new estimator."""
+        import repro.dse.algorithm as algorithm
+
+        arch = ArchitecturePrototype.assemble(net118, m_subsystems=9, seed=0)
+        dec = arch.dec
+        plac = full_placement(net118).merged_with(dse_pmu_placement(dec))
+        rng = np.random.default_rng(8)
+        session = DseSession(arch, bad_data_policy="identify", condense=True)
+        for _ in range(2):                      # warm: stacks built
+            session.process_frame(generate_measurements(net118, plac, pf118, rng=rng))
+        clean = generate_measurements(net118, plac, pf118, rng=rng)
+        internal = set(dec.buses(2)) - set(dec.boundary_buses(2))
+        row = next(
+            r for r, m in enumerate(clean)
+            if m.mtype == MeasType.V_MAG and m.element in internal
+        )
+        bad = inject_bad_data(clean, np.array([row]), magnitude_sigmas=40, rng=rng)
+        kept = session._dse
+        count = _Counter(
+            monkeypatch,
+            (WlsEstimator, "__init__"),
+            (NormalEquations, "__init__"),
+            (MeasurementModel, "__init__"),
+            (algorithm, "extract_subnetwork"),
+        )
+        assert session.process_frame(bad).bad_data.removed_global_rows == [row]
+        assert count.take() == [0, 0, 1, 0]
         assert session._dse is kept
 
     def test_identification_reuses_the_screens_step1(

@@ -164,9 +164,11 @@ class TestMappingHosts:
 class TestPartialCoverage:
     def test_missed_neighbour_solves_on_what_was_heard(self, grid118):
         """(c) A host that never hears one neighbour solves on the partial
-        pseudo set from the flat start; what it computes is a WLS built by
-        hand over its Step-2 measurements plus the pseudo measurements of
-        the external buses it did hear."""
+        pseudo set from the flat start: its cached Step-2 estimator with
+        the silent neighbour's pseudo rows at weight 0 — within 1e-12 of,
+        and in as many iterations as, a WLS built by hand over its Step-2
+        measurements plus the pseudo measurements of the external buses it
+        did hear."""
         dec, ms = grid118
         dse = DistributedStateEstimator(dec, ms)
         s = 0
@@ -188,13 +190,20 @@ class TestPartialCoverage:
             if k != silent:
                 vm[dec.buses(k)] = step1[k].step1_result.Vm
                 va[dec.buses(k)] = step1[k].step1_result.Va
+        (got,) = st.records[s].step2_results
+        z2, w2, x0 = dse._step2_inputs(s, vm, va, st.known, {}, None, None)
+        assert np.count_nonzero(w2 == 0) == 2 * (len(ext) - len(heard))
+        masked = dse._step2_cache[s][0].estimate(x0=x0, z=z2, weights=w2)
+        assert np.array_equal(got.Vm, masked.Vm)
+        assert np.array_equal(got.Va, masked.Va)
+        assert got.iterations == masked.iterations
+
         by_hand = WlsEstimator(
             subnet2,
             ms2.merged_with(pseudo_measurements(bmap2[heard], vm[heard], va[heard])),
         ).estimate(x0=(vm[xbuses], va[xbuses]))
-        (got,) = st.records[s].step2_results
-        assert np.array_equal(got.Vm, by_hand.Vm)
-        assert np.array_equal(got.Va, by_hand.Va)
+        assert np.max(np.abs(got.Vm - by_hand.Vm)) <= 1e-12
+        assert np.max(np.abs(got.Va - by_hand.Va)) <= 1e-12
         assert got.iterations == by_hand.iterations
         # the full-coverage hosts are untouched by their neighbour's loss
         other = next(k for k in range(dec.m) if k not in (s, silent))
@@ -203,6 +212,30 @@ class TestPartialCoverage:
             steppers[other].records[other].step2_results[0].Vm,
             clean.records[other].step2_results[0].Vm,
         )
+
+    @pytest.mark.parametrize("condense", [False, True])
+    def test_missed_neighbour_on_a_process_pool(self, grid118, condense):
+        """A partly-heard round needs no estimator of its own, so a host
+        on a process pool solves it too — the same bits as on a serial
+        one, every round of a frame that loses one neighbour throughout."""
+        dec, ms = grid118
+        z = _frame(ms, 9)
+        s = 0
+        lose = {(int(dec.neighbors(s)[0]), s)}
+        runs = []
+        for executor in ("serial", "processes:2"):
+            dse = DistributedStateEstimator(
+                dec, ms, executor=executor, condense=condense
+            )
+            try:
+                runs.append(drive(dse, [[k] for k in range(dec.m)], z=z, lose=lose))
+            finally:
+                dse.executor.shutdown()
+        (vm1, va1, _, serial), (vm2, va2, _, pooled) = runs
+        assert np.array_equal(vm1, vm2) and np.array_equal(va1, va2)
+        got = [r.iterations for r in pooled[s].records[s].step2_results]
+        assert got == [r.iterations for r in serial[s].records[s].step2_results]
+        assert len(got) == ROUNDS
 
     def test_update_naming_a_hosted_or_unknown_bus_is_rejected(self, grid118):
         dec, ms = grid118

@@ -115,18 +115,24 @@ class TestStackEqualsMembers:
         for s, rec in first.records.items():
             pub_vm[dec.buses(s)] = rec.step1_result.Vm
             pub_va[dec.buses(s)] = rec.step1_result.Va
-        cold = [dse._step2_inputs(s, pub_vm, pub_va, {}, z) for s in range(dec.m)]
+        heard = np.ones(dec.net.n_bus, dtype=bool)
+        cold = [
+            dse._step2_inputs(s, pub_vm, pub_va, heard, {}, z, None)
+            for s in range(dec.m)
+        ]
+        # every neighbour heard and no frame weights: the sets' own serve
+        assert all(w is None for _, w, _ in cold)
         got = assert_stack_matches_members(
-            members, [(vm, va) for _, vm, va in cold], [zz for zz, _, _ in cold]
+            members, [x0 for *_, x0 in cold], [zz for zz, *_ in cold]
         )
         # warm round: previous extended solutions, refreshed boundary
         last2 = {s: (g.Vm, g.Va) for s, g in enumerate(got)}
         warm = [
-            dse._step2_inputs(s, first.Vm, first.Va, last2, z)
+            dse._step2_inputs(s, first.Vm, first.Va, heard, last2, z, None)
             for s in range(dec.m)
         ]
         assert_stack_matches_members(
-            members, [(vm, va) for _, vm, va in warm], [zz for zz, _, _ in warm]
+            members, [x0 for *_, x0 in warm], [zz for zz, *_ in warm]
         )
 
     def test_wecc37_step1(self, dse_wecc):
