@@ -41,11 +41,12 @@ worker may first touch a subsystem's cache on any round, so an operator
 frozen "at the first state seen" would differ between serial and pooled
 runs.  The round-0 solution is a function of the frame's inputs alone —
 the same arrays on every executor and host — and the stepper passes it as
-an explicit ``lin_point`` with every later call.  :class:`CondensedStep2`
-refactors only when the point, or the frame's row weights, actually
-change (exact array match), so
-all frozen rounds of a frame share one factorization, repeated identical
-frames reuse it, and tracking frames refactor once per frame.
+an explicit ``lin_point`` with every later call.  :func:`condense` refactors
+a subsystem only when the point, or the frame's row weights, actually
+change (exact array match), so all frozen rounds of a frame share one
+factorization, repeated identical frames reuse it, and tracking frames
+refactor once per frame — every subsystem that does, from one gain pass
+over the stack.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from ..estimation.solvers import GainSolveError, SchurGainSolver
 from ..estimation.wls import EstimationError, WlsEstimator
 from .decomposition import Decomposition
 
-__all__ = ["CondensedStep2", "frozen_round", "neighbor_publication_sets"]
+__all__ = ["CondensedStep2", "condense", "frozen_round", "neighbor_publication_sets"]
 
 #: A frozen-gain block stops on ``step < tol * FROZEN_TOL_SCALE``, tighter
 #: than the reference's ``step < tol``, so its linear tail still lands
@@ -153,24 +154,6 @@ class CondensedStep2:
         return self.schur.n_interior
 
     # ------------------------------------------------------------------
-    def factor(self, Vm: np.ndarray, Va: np.ndarray, weights=None) -> None:
-        """Condense the gain operator at the linearization point
-        ``(Vm, Va)`` over the extended network, with row weights
-        ``weights`` (default the set's own).
-
-        Numeric-only: the gain is the wrapped estimator's own
-        (:meth:`WlsEstimator.gain_at`), assembled by its kernel, which the
-        Schur solver adopts — no sparse matrix, no second symbolic pass.  The DSE reaches this through
-        :meth:`estimate`'s ``lin_point``.
-        """
-        t0 = time.perf_counter()
-        kernel, _, gain = self.est.gain_at(Vm, Va, weights)
-        self.schur.factor_gain(kernel, gain)
-        self.factor_time += time.perf_counter() - t0
-        self.factor_count += 1
-        if obs.enabled():
-            obs.metrics().counter("dse.condensation.factorizations_total").inc()
-
     def lin_point_cached(self, lin_point: tuple, weights=None) -> bool:
         """True when ``lin_point`` and ``weights`` exactly match the
         operator already factored, i.e. :meth:`estimate` would reuse the
@@ -187,19 +170,21 @@ class CondensedStep2:
             for a, b in zip(cached, (*lin_point, weights))
         )
 
-    def _ensure_factored(self, lin_point: tuple, weights=None) -> None:
-        """Refactor only when ``(lin_point, weights)`` differs from the
-        cached key (exact match), so every frozen round of a frame — on any
-        executor — shares the identical operator and repeated identical
-        frames skip the refactorization entirely."""
-        if self.lin_point_cached(lin_point, weights):
-            return
+    def _factor(self, gain: np.ndarray, lin_point: tuple, weights) -> None:
+        """Condense this subsystem's gain values ``gain`` (on its
+        estimator's kernel pattern), assembled at ``lin_point`` with row
+        weights ``weights`` (:func:`condense`), and key the operator by
+        those.  A gain that does not condense raises
+        :class:`GainSolveError` and leaves no key, so the next round tries
+        again."""
         self._lin_cache = None
-        vm, va = lin_point
-        self.factor(vm, va, weights)
+        self.schur.factor_gain(self.est._kernel(), gain)
+        self.factor_count += 1
+        if obs.enabled():
+            obs.metrics().counter("dse.condensation.factorizations_total").inc()
         self._lin_cache = tuple(
             None if a is None else np.array(a, dtype=float, copy=True)
-            for a in (vm, va, weights)
+            for a in (*lin_point, weights)
         )
 
     # ------------------------------------------------------------------
@@ -238,6 +223,50 @@ class CondensedStep2:
         return res
 
 
+def condense(
+    stack: WlsEstimator, conds: list[CondensedStep2], lin_points: list, weights: list
+) -> float:
+    """Refactor every ``conds[b]`` whose ``(lin_points[b], weights[b])``
+    moved, from one gain pass over ``stack`` (:meth:`WlsEstimator.gain_at`
+    restricted to those blocks), each condensing its own segment of the
+    gain values — bit for bit the gain its own estimator assembles.
+    Returns the seconds the whole refactorisation took: each refactored
+    subsystem's ``factor_time`` gains its own Schur factorisation and a
+    share of the gain pass in proportion to its gain entries (apportioned,
+    not timed alone), so the shares sum to this wall.  A subsystem whose
+    gain does not condense keeps no operator: its block fails in the loop.
+    """
+    stale = [
+        b for b, (cond, lin, w) in enumerate(zip(conds, lin_points, weights))
+        if not cond.lin_point_cached(lin, w)
+    ]
+    if not stale:
+        return 0.0
+    t0 = time.perf_counter()
+    n = stack.net.n_bus
+    Vm, Va, w = np.ones(n), np.zeros(n), None
+    for b in stale:
+        blk = stack._blocks[b]
+        Vm[blk.buses], Va[blk.buses] = lin_points[b]
+        if weights[b] is not None:
+            if w is None:
+                w = stack.mset.weights.copy()
+            w[blk.rows] = weights[b]
+    kernel, _, gain = stack.gain_at(Vm, Va, w, parts=stale)
+    segments = [slice(*kernel.blocks[b][2]) for b in stale]
+    sizes = np.array([g.stop - g.start for g in segments], dtype=float)
+    t = time.perf_counter()
+    shares = (t - t0) * sizes / sizes.sum()
+    for b, g, share in zip(stale, segments, shares):
+        try:
+            conds[b]._factor(gain[g], lin_points[b], weights[b])
+        except GainSolveError:
+            pass    # the unfactored operator fails its own block in the loop
+        t, t_prev = time.perf_counter(), t
+        conds[b].factor_time += float(share) + (t - t_prev)
+    return t - t0
+
+
 def frozen_round(
     stack: WlsEstimator,
     conds: list[CondensedStep2],
@@ -257,10 +286,11 @@ def frozen_round(
     itself — and runs them through the one masked loop
     (:meth:`WlsEstimator.estimate_blocks`) with each block's condensed
     operator, frozen at ``lin_points[b]`` with row weights ``weights[b]``
-    (``None``: the set's own), in place of the gain: every iteration
-    evaluates the exact right-hand side over the whole stack once and asks
-    each still-running block's own operator for its step, so a block's
-    iterates are the same bits however many blocks ride along.  A block
+    (``None``: the set's own; refactored by :func:`condense` where that
+    key moved), in place of the gain: every iteration evaluates the exact
+    right-hand side of the still-running blocks once and asks each of
+    their own operators for its step, so a block's iterates are the same
+    bits however many blocks ride along.  A block
     stops on ``step < tol * FROZEN_TOL_SCALE``.  One that has not
     converged inside its own ``max_iter``, or trips the divergence guard,
     is re-solved alone by its exact estimator (``fallbacks``) — a
@@ -269,11 +299,7 @@ def frozen_round(
     outcome per block, a failed block's :class:`EstimationError` in its
     place.
     """
-    for cond, lin, w in zip(conds, lin_points, weights):
-        try:
-            cond._ensure_factored(lin, w)
-        except GainSolveError:
-            pass    # the unfactored operator fails its own block in the loop
+    condense(stack, conds, lin_points, weights)
     limits = [c.max_iter if max_iter is None else max_iter for c in conds]
     results = stack.estimate_blocks(
         x0=x0, z=z, weights=weights, tol=tol * FROZEN_TOL_SCALE,

@@ -13,15 +13,18 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.cluster.recovery import SubsystemCheckpoint
 from repro.core.runtime import LiveDseRuntime
 from repro.dse import (
     DistributedStateEstimator,
     SubsystemStepper,
+    condensation,
     decompose,
     decompose_by_areas,
     dse_pmu_placement,
 )
-from repro.estimation.wls import EstimationError
+from repro.estimation.solvers import SchurGainSolver
+from repro.estimation.wls import EstimationError, WlsEstimator
 from repro.grid import run_ac_power_flow
 from repro.grid.cases import synthetic_grid
 from repro.measurements import full_placement, generate_measurements
@@ -262,6 +265,94 @@ class TestLinearizationPoint:
         frame(_frame(ms, 10))           # a new frame: one factor each
         assert [c.factor_count for c in conds] == [2] * dec.m
         assert all(st.records[s].factor_time > 0.0 for s in range(dec.m))
+
+
+class TestCondensationPass:
+    """A frame's operators come from one gain pass over the Step-2 stack,
+    restricted to the subsystems whose linearization point moved."""
+
+    @pytest.fixture()
+    def passes(self, monkeypatch):
+        """Every gain assembly: ``(estimator, parts)``."""
+        seen = []
+        gain_at = WlsEstimator.gain_at
+
+        def recording(self, *args, **kwargs):
+            seen.append((self, kwargs.get("parts")))
+            return gain_at(self, *args, **kwargs)
+
+        monkeypatch.setattr(WlsEstimator, "gain_at", recording)
+        return seen
+
+    @pytest.mark.parametrize("case", ["dse118", "dse_wecc"])
+    def test_one_gain_pass_per_frame(self, case, request, passes, monkeypatch):
+        dec, ms = request.getfixturevalue(case)
+        dse = DistributedStateEstimator(dec, ms, condense=True)
+        conds = [dse._step2_cache[s][0] for s in range(dec.m)]
+        dse.run(rounds=2)                   # a cold frame builds the stacks
+        walls = []
+        condense = condensation.condense
+
+        def timed(*args):
+            walls.append(condense(*args))
+            return walls[-1]
+
+        monkeypatch.setattr(condensation, "condense", timed)
+        passes.clear()
+        count0 = [c.factor_count for c in conds]
+        time0 = [c.factor_time for c in conds]
+        z = _frame(ms, 5)
+        res = dse.run(z=z)
+        # one gain fill over the stack for all subsystems, none per member
+        assert passes == [(dse._stacks["step2"], list(range(dec.m)))]
+        assert [c.factor_count - n for c, n in zip(conds, count0)] == [1] * dec.m
+        # the records' factor times are the pass's wall, shared out
+        spent = [c.factor_time - t for c, t in zip(conds, time0)]
+        assert all(t > 0.0 for t in spent)
+        assert sum(spent) == pytest.approx(sum(walls), rel=1e-9)
+        assert [res.records[s].factor_time for s in range(dec.m)] == spent
+        # every operator is the one its own estimator's gain condenses to
+        for cond in conds:
+            vm, va, w = cond._lin_cache
+            ref = SchurGainSolver(cond.boundary_states, cond.est.n_states)
+            kernel, _, gain = cond.est.gain_at(vm, va, w)
+            ref.factor_gain(kernel, gain)
+            assert np.array_equal(cond.schur._S, ref._S)
+            assert np.array_equal(cond.schur._W, ref._W)
+        # the same frame again: every key hits, no pass at all
+        passes.clear()
+        again = dse.run(z=z)
+        assert passes == [] and walls[-1] == 0.0
+        assert [c.factor_count - n for c, n in zip(conds, count0)] == [1] * dec.m
+        assert np.array_equal(again.Vm, res.Vm) and np.array_equal(again.Va, res.Va)
+
+    def test_adopted_checkpoints_skip_the_pass(self, dse118, passes):
+        """A host that adopts every subsystem from its checkpoint runs the
+        stacked frozen round on the donor's operators: nothing refactors,
+        and the round is the donor's, bit for bit."""
+        dec, ms = dse118
+        dse = DistributedStateEstimator(dec, ms, condense=True)
+        conds = [dse._step2_cache[s][0] for s in range(dec.m)]
+        z = _frame(ms, 6)
+        donor = SubsystemStepper(dse, range(dec.m), z=z)
+        donor.step1()
+        for rnd in (0, 1):
+            donor.step2_round(rnd)
+        counts = [c.factor_count for c in conds]
+        assert counts == [1] * dec.m
+        heir = SubsystemStepper(dse, [], z=z)
+        for s in range(dec.m):
+            ck = SubsystemCheckpoint(
+                subsystem=s, site=0, epoch=0, round=1, **donor.checkpoint(s)
+            )
+            heir.adopt(SubsystemCheckpoint.from_payload(ck.to_payload()))
+        assert all(c.lin_point_cached(heir.lin[s]) for s, c in enumerate(conds))
+        passes.clear()
+        heir.step2_round(2)
+        assert passes == []
+        assert [c.factor_count for c in conds] == counts
+        donor.step2_round(2)
+        assert np.array_equal(heir.Vm, donor.Vm) and np.array_equal(heir.Va, donor.Va)
 
 
 # ---------------------------------------------------------------------------
