@@ -255,9 +255,9 @@ class TestFrozenOperators:
         seen = []
         gain = NormalEquations.gain
 
-        def recording(self, data, wdata, parts=None):
+        def recording(self, data, wdata, parts=None, packed=None):
             seen.append(len(data) if data.ndim == 2 else list(parts))
-            return gain(self, data, wdata, parts)
+            return gain(self, data, wdata, parts, packed)
 
         monkeypatch.setattr(NormalEquations, "gain", recording)
         return seen
