@@ -15,7 +15,8 @@ rows are compared:
   ``processes:2``} × {reference, condensed Step 2} × {cold run, two
   values-only frames};
 - the 37-area 1 480-bus grid: {reference, condensed}, cold;
-- ``LiveDseRuntime``: {in-proc, TCP} × {reference, condensed}, two frames;
+- ``LiveDseRuntime``: {in-proc, TCP} × {reference, condensed}, two frames,
+  and a TCP frame screened by ``weights=`` (four rows at weight 0);
 - ``BatchEstimator``: K ∈ {1, 6, 16} value frames, a chunk of six value
   frames with three branch-outage what-ifs, and a chunk of 16 what-ifs
   over every tenth safe N-1 branch;
@@ -162,6 +163,26 @@ def matrix() -> None:
                 if m["name"] == "wls.iterations_total"
             )
             emit(f"live {plane} {mode} frames", states, iters)
+    # a screened frame: four rows 40 σ off and at weight 0.  A tree whose
+    # LiveDseRuntime.run takes no weights= hashes the in-process frame in
+    # its place, so the row reads equal exactly when the live screened
+    # frame is the in-process one
+    z = frames[0].copy()
+    bad = np.random.default_rng(4).choice(len(ms), 4, replace=False)
+    z[bad] += 40 * ms.sigma[bad]
+    w = ms.weights.copy()
+    w[bad] = 0.0
+    obs.metrics().reset()
+    with LiveDseRuntime(dec, ms, use_tcp=True) as live:
+        try:
+            res = live.run(z=z, weights=w)
+        except TypeError:
+            res = DistributedStateEstimator(dec, ms).run(z=z, weights=w)
+    iters = sum(
+        m["value"] for m in obs.metrics().collect()
+        if m["name"] == "wls.iterations_total"
+    )
+    emit("live tcp reference screened frame", [(res.Vm, res.Va)], iters)
     obs.configure(enabled=False)
 
     central = generate_measurements(

@@ -17,6 +17,14 @@ Like the paper's prototype, the deployment — the middleware fabric and the
 site threads — is started once and outlives the frames it serves: every
 :meth:`LiveDseRuntime.run` releases one frame to the waiting sites and
 collects their result (see :class:`_Deployment`).
+
+The sites share one interpreter, as the paper's subsystems share a cluster
+node, so they share its solve too: at each barrier of the lockstep schedule
+every site deposits the jobs its stepper built from its own view, and the
+barrier's action solves them all with one
+:func:`~repro.dse.stepper.solve_stage` call — on a clean frame one stacked
+Gauss-Newton loop per stage, the in-process estimator's own — and hands
+each site its results before any thread is released.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from ..cluster.recovery import (
 )
 from ..dse.algorithm import DistributedStateEstimator, check_run_args
 from ..dse.decomposition import Decomposition
-from ..dse.stepper import SubsystemStepper
+from ..dse.stepper import SolveFailure, SubsystemStepper, solve_stage
 from ..estimation.results import state_error
 from ..measurements.types import MeasurementSet
 from ..middleware.errors import ClientClosed, MiddlewareError
@@ -63,6 +71,10 @@ class LiveSiteStats:
     """Per-site execution record."""
 
     s: int
+    #: this site's share of each stage's combined solve (Step 1, then one
+    #: per Step-2 round it solved): its subsystems' ``Nb × Ni`` apportioned
+    #: shares of a stacked loop, or their own solve times when the stage
+    #: ran job by job
     step1_time: float = 0.0
     step2_times: list[float] = field(default_factory=list)
     bytes_sent: int = 0
@@ -211,21 +223,25 @@ class LiveDseRuntime:
     :class:`~repro.dse.stepper.SubsystemStepper` hosting its subsystem over
     one shared :class:`~repro.dse.algorithm.DistributedStateEstimator`'s
     warm subproblem store: the stepper owns the numerics and the schedule,
-    the shell owns the compute slot, the sends and receives, the deadlines,
-    the barriers and — in recovery mode — the lease beats, the checkpoint
-    replication and the promotions.  A round in which a site missed a
-    neighbour is solved by the stepper on the site's cached estimator, with
-    that neighbour's pseudo measurements at weight 0.
+    the shell owns the sends and receives, the deadlines, the barriers and
+    — in recovery mode — the lease beats, the checkpoint replication and
+    the promotions.  A round in which a site missed a neighbour is solved
+    on the site's cached estimator, with that neighbour's pseudo
+    measurements at weight 0.
 
     The runtime is a *resident deployment*: the fabric (hub, links) and the
     site threads are started on the first :meth:`run` and serve every later
     frame; a frame that ends unclean (any error, degraded round, lost site,
     fired fault) retires them, so the next frame starts on a fresh
-    deployment and can never absorb a stale update.  Site solves take turns
-    in one compute slot: a GIL-bound solve gains nothing from overlapping
-    another, and without the slot every GIL release inside a solve hands
-    the interpreter to another solving site.  :meth:`close` (or leaving the
-    ``with`` block, or dropping the last reference) stops the deployment.
+    deployment and can never absorb a stale update.  One solve per
+    barrier: each site builds its stage's jobs from its own view and
+    waits on the barrier, whose action solves every site's jobs at once
+    (:func:`~repro.dse.stepper.solve_stage`: one stacked loop when they
+    name each subsystem once and agree on the linearisation, job by job in
+    subsystem order otherwise) and applies each result to its site's
+    stepper; a failed solve is its owning site's error and breaks the
+    barrier.  :meth:`close` (or leaving the ``with`` block, or dropping the
+    last reference) stops the deployment.
 
     Parameters
     ----------
@@ -294,8 +310,6 @@ class LiveDseRuntime:
         self.recovery = recovery
         #: one frame at a time per runtime (also guards the lifecycle)
         self._run_lock = threading.Lock()
-        #: the compute slot: one site solves at a time
-        self._slot = threading.Lock()
         #: stops the current deployment; ``None`` until the first run and
         #: after a retire.  A ``weakref.finalize`` so a dropped runtime
         #: stops its hub, links and site threads without a ``close()``.
@@ -307,6 +321,14 @@ class LiveDseRuntime:
     def _deploy(self) -> _Deployment:
         """The resident deployment, started on first use."""
         if self._deployment is None:
+            # The stacked estimators the barriers solve on outlive every
+            # deployment: build them here, in the deploying thread.  glibc
+            # keeps a freed block in the arena of the thread that
+            # allocated it, and these arrays built by whichever site
+            # thread ran the first barrier cost the IEEE-118 live
+            # workload +8 % peak RSS over a set-up cycle (+3 % built here).
+            for stage in ("step1", "step2"):
+                self._dse._stack(stage)
             dec = self.dec
             names = [f"se{s}" for s in range(dec.m)]
             pairs: list[tuple[str, str]] | None = []
@@ -348,26 +370,29 @@ class LiveDseRuntime:
         rounds: int | None = None,
         tol: float = 1e-8,
         z: np.ndarray | None = None,
+        weights: np.ndarray | None = None,
     ) -> LiveDseResult:
         """Execute one live distributed estimation on the resident
         deployment (concurrent callers take turns).
 
         ``z`` optionally overrides the system-wide measured values
         (canonical order of the constructor's ``mset``) — a values-only
-        frame over the warm site estimators, mirroring
-        :meth:`repro.dse.algorithm.DistributedStateEstimator.run`.
+        frame over the warm site estimators — and ``weights`` the row
+        weights (a zero removes the row from every site's solves),
+        mirroring :meth:`repro.dse.algorithm.DistributedStateEstimator.run`.
         """
         check_run_args(rounds, tol)
         if rounds is None:
             rounds = max(1, self.dec.diameter())
         z = self._dse._frame_z(z)
+        weights = self._dse._frame_weights(weights)
         with self._run_lock:
             if self._closed:
                 raise RuntimeError("LiveDseRuntime is closed")
             inj = faults.active()
             fired0 = inj.total_fired() if inj is not None else 0
             try:
-                result = self._run_frame(self._deploy(), rounds, tol, z)
+                result = self._run_frame(self._deploy(), rounds, tol, z, weights)
             except BaseException:
                 self._retire()
                 raise
@@ -383,7 +408,7 @@ class LiveDseRuntime:
 
     def _run_frame(
         self, deployment: _Deployment, rounds: int, tol: float,
-        z: np.ndarray | None,
+        z: np.ndarray | None, weights: np.ndarray | None,
     ) -> LiveDseResult:
         """One frame on ``deployment``: everything here is per frame."""
         dec, dse = self.dec, self._dse
@@ -398,7 +423,6 @@ class LiveDseRuntime:
         stats = {s: LiveSiteStats(s=s) for s in range(dec.m)}
         errors: list[str] = []
         err_lock = threading.Lock()
-        barrier = threading.Barrier(dec.m)
         # Each site writes only the buses it hosts; reads of neighbour
         # values happen via the wire, never via these arrays.
         result_lock = threading.Lock()
@@ -410,6 +434,59 @@ class LiveDseRuntime:
                 config=recovery, epoch0=deployment.epoch0,
             )
 
+        def checkpoint(site: int, stepper, s_: int, rnd: int) -> bytes:
+            return SubsystemCheckpoint(
+                subsystem=s_, site=site, epoch=coord.epoch, round=rnd,
+                **stepper.checkpoint(s_),
+            ).to_payload()
+
+        # One solve per barrier: before each barrier every site that hosts
+        # something deposits its stepper and the stage's jobs, and the
+        # barrier's action solves them all and applies the results
+        stages = iter([("step1", None)] + [("step2", r) for r in range(rounds)])
+        deposits: dict[int, tuple[SubsystemStepper, list]] = {}
+
+        def solve_deposits() -> None:
+            stage, rnd = next(stages)
+            sites = sorted(deposits)
+            jobs = [job for s in sites for job in deposits[s][1]]
+            with obs.span("live.solve", parent=root_ctx, stage=stage, round=rnd):
+                solved = solve_stage(dse, stage, jobs, tol, degrade=True)
+            per_site, k = [], 0
+            for s in sites:
+                stepper, mine = deposits.pop(s)
+                per_site.append((s, stepper, solved[k:k + len(mine)]))
+                k += len(mine)
+            failed = [
+                f"site {s} failed: {res.message}"
+                for s, _, part in per_site
+                for res, _, _ in part
+                if isinstance(res, SolveFailure)
+            ]
+            if failed:
+                with err_lock:
+                    errors.extend(failed)
+                # a broken barrier: every site, this one included, leaves
+                raise threading.BrokenBarrierError
+            for s, stepper, part in per_site:
+                busy = sum(dt for _, dt, _ in part)
+                if stage == "step1":
+                    stepper.apply_step1(part)
+                    stats[s].step1_time = busy
+                    if coord is not None:
+                        # Bootstrap replica seed (round -1), ingested before
+                        # any site is released: a replica exists before any
+                        # data frame can kill a site, and before any
+                        # ordering race on the hub — per-round checkpoints
+                        # ride the fabric from round 0 on.
+                        succ = coord.successor(s)
+                        if succ is not None:
+                            coord.ingest(succ, checkpoint(s, stepper, s, -1))
+                else:
+                    stepper.apply_step2(rnd, part)
+                    stats[s].step2_times.append(busy)
+
+        barrier = threading.Barrier(dec.m, action=solve_deposits)
         watches: dict[int, object] = {}
 
         def site(s: int) -> None:
@@ -446,35 +523,14 @@ class LiveDseRuntime:
             # address every frame by the live subsystem → site binding.
             me = f"se{s}"
             st = stats[s]
-            stepper = SubsystemStepper(dse, [s], tol=tol, z=z)
+            stepper = SubsystemStepper(dse, [s], tol=tol, z=z, weights=weights)
 
             def fail(r: int, what: str) -> None:
                 with err_lock:
                     errors.append(f"site {s} round {r}: {what}")
 
-            def checkpoint(s_: int, rnd: int) -> bytes:
-                return SubsystemCheckpoint(
-                    subsystem=s_, site=s, epoch=coord.epoch, round=rnd,
-                    **stepper.checkpoint(s_),
-                ).to_payload()
-
-            # ---- Step 1 ----
-            with self._slot:
-                t0 = time.perf_counter()
-                with obs.span("live.step1", s=s):
-                    stepper.step1()
-                st.step1_time = time.perf_counter() - t0
-
-            if coord is not None:
-                # Bootstrap replica seed (round -1), handed to the
-                # coordinator before the first barrier: a replica exists
-                # before any data frame can kill a site, and before any
-                # ordering race on the hub — per-round checkpoints ride
-                # the fabric from round 0 on.
-                succ = coord.successor(s)
-                if succ is not None:
-                    coord.ingest(succ, checkpoint(s, -1))
-
+            # ---- Step 1 (solved by the barrier) ----
+            deposits[s] = (stepper, stepper.step1_jobs())
             try:
                 barrier.wait()
             except threading.BrokenBarrierError:
@@ -609,11 +665,12 @@ class LiveDseRuntime:
                     if obs.health_enabled():
                         obs.health().frame_degraded(me, round=r)
 
-                with self._slot:
-                    t0 = time.perf_counter()
-                    with obs.span("live.step2", s=s, round=r):
-                        stepper.step2_round(r)
-                    st.step2_times.append(time.perf_counter() - t0)
+                # ---- Step 2 round r (solved by the barrier) ----
+                deposits[s] = (stepper, stepper.step2_jobs(r))
+                try:
+                    barrier.wait()
+                except threading.BrokenBarrierError:
+                    return
 
                 # ---- checkpoint replication ----
                 if coord is not None and r % recovery.checkpoint_every == 0:
@@ -621,7 +678,7 @@ class LiveDseRuntime:
                         succ = coord.successor(s_)
                         if succ is None or succ == me:
                             continue
-                        pay = checkpoint(s_, r)
+                        pay = checkpoint(s, stepper, s_, r)
                         try:
                             fabric.send_checkpoint(
                                 me, succ, pay, epoch=coord.epoch
@@ -637,11 +694,6 @@ class LiveDseRuntime:
                             m.counter(
                                 "recovery.checkpoint_bytes_total"
                             ).inc(len(pay))
-
-                try:
-                    barrier.wait()
-                except threading.BrokenBarrierError:
-                    return
 
             with result_lock:
                 for s_ in stepper.hosted:

@@ -283,8 +283,7 @@ class DistributedStateEstimator:
         )
         self._worker_token: str | None = None
         #: the whole decomposition's Step-1 / Step-2 estimators as one
-        #: stacked estimator each, built the first time a stepper hosting
-        #: all of it runs a serial stage
+        #: stacked estimator each (:meth:`_stack`)
         self._stacks: dict[str, WlsEstimator] = {}
 
         if auto_anchor:
@@ -364,6 +363,22 @@ class DistributedStateEstimator:
                 bnd_local = bmap2[np.concatenate([boundary, ext])]
                 est2 = CondensedStep2(est2, bnd_local)
             self._step2_cache[s] = (est2, full0, rows_vm, rows_va, src, rows_ms2)
+
+    def _stack(self, stage: str) -> WlsEstimator:
+        """Every subsystem's cached ``stage`` (``"step1"`` / ``"step2"``)
+        estimator as one stacked estimator, built on first use; a condensed
+        Step 2 stacks the exact estimators its operators wrap."""
+        stack = self._stacks.get(stage)
+        if stack is None:
+            subsystems = range(self.dec.m)
+            if stage == "step1":
+                members = [self._est1[s] for s in subsystems]
+            else:
+                members = [self._step2_cache[s][0] for s in subsystems]
+                if self.condense:
+                    members = [cond.est for cond in members]
+            stack = self._stacks[stage] = WlsEstimator.stacked(members)
+        return stack
 
     # ------------------------------------------------------------------
     # Values-only frames: fresh measurement vectors (and row weights) over

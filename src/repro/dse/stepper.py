@@ -13,6 +13,17 @@ arrives to :meth:`~SubsystemStepper.absorb`.
   stepper hosting its share; failover is :meth:`~SubsystemStepper.adopt`
   on the successor and :meth:`~SubsystemStepper.shed` on the fenced host.
 
+Each stage is built, solved and applied in three moves —
+:meth:`~SubsystemStepper.step1_jobs` / :meth:`~SubsystemStepper.step2_jobs`,
+:func:`solve_stage`, :meth:`~SubsystemStepper.apply_step1` /
+:meth:`~SubsystemStepper.apply_step2` — so one solve can serve several
+steppers: :meth:`~SubsystemStepper.step1` and
+:meth:`~SubsystemStepper.step2_round` chain them for one host, and the live
+runtime pools every site's jobs of a stage into one :func:`solve_stage`
+call at the barrier the sites already wait on.  Whenever the jobs name each
+of the ``m`` subsystems once and agree on their linearisation, that call is
+one stacked Gauss-Newton loop.
+
 The host's view of the published state is two global-length arrays and a
 ``known`` mask.  Hosted subsystems write their own buses into them (which
 is how co-hosted neighbours exchange by reference), absorbed updates write
@@ -35,7 +46,7 @@ from ..parallel import SerialExecutor, worker_context
 from .condensation import frozen_round
 from .pseudo import pseudo_measurements
 
-__all__ = ["SubsystemRecord", "SubsystemStepper"]
+__all__ = ["SolveFailure", "SubsystemRecord", "SubsystemStepper", "solve_stage"]
 
 
 @dataclass
@@ -71,9 +82,10 @@ class SubsystemRecord:
 
 
 @dataclass(frozen=True)
-class _SolveFailure:
+class SolveFailure:
     """Picklable stand-in result for a per-subsystem solve that raised
-    while ``degrade_on_failure`` was active."""
+    while failures were being collected rather than raised (see
+    :func:`solve_stage`)."""
 
     message: str
 
@@ -97,7 +109,7 @@ def _timed_solve(span, stage, s, build, x0, z, w, lin, tol, degrade) -> tuple:
         except Exception as exc:
             if not degrade:
                 raise
-            res = _SolveFailure(repr(exc))
+            res = SolveFailure(repr(exc))
     return res, time.perf_counter() - t0
 
 
@@ -141,6 +153,8 @@ class SubsystemStepper:
 
     One frame is ``step1()``, then per round: move ``publications()`` to
     the other hosts, ``absorb()`` what arrives, ``step2_round(rnd)``.
+    Each of the two is ``*_jobs()``, :func:`solve_stage`, ``apply_*()``,
+    and a driver that pools several steppers' jobs calls those itself.
     ``Vm``/``Va`` hold the result on the hosted subsystems' buses.
     """
 
@@ -162,14 +176,12 @@ class SubsystemStepper:
         self.lin: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.round_deltas: list[float] = []
         self._factor_t0: dict[int, float] = {}
-        self._pool_key: str | None = None
-        if getattr(dse.executor, "distributed", False):
-            if not dse.reuse_structures:
-                raise ValueError(
-                    "process-pool execution requires reuse_structures=True "
-                    "(workers hold the warm caches)"
-                )
-            self._pool_key = dse._ensure_worker_context()
+        self._pooled = getattr(dse.executor, "distributed", False)
+        if self._pooled and not dse.reuse_structures:
+            raise ValueError(
+                "process-pool execution requires reuse_structures=True "
+                "(workers hold the warm caches)"
+            )
         for s in hosted:
             self._host(int(s))
 
@@ -264,6 +276,15 @@ class SubsystemStepper:
         A failed solve under ``degrade_on_failure`` publishes the prior
         state instead (the frame's ``x0`` when given, flat otherwise).
         """
+        jobs = self.step1_jobs()
+        with obs.span("dse.step1"):
+            self.apply_step1(solve_stage(
+                self.dse, "step1", jobs, self.tol,
+                degrade=self.dse.degrade_on_failure,
+            ))
+
+    def step1_jobs(self) -> list[tuple]:
+        """Step 1's :func:`solve_stage` jobs, one per hosted subsystem."""
         dse = self.dse
         jobs = []
         for s in self.hosted:
@@ -276,32 +297,47 @@ class SubsystemStepper:
             z1 = ms1.z if self.z is None else dse._step1_z(s, self.z)
             w1 = None if self.w is None else dse._step1_z(s, self.w)
             jobs.append((s, fresh, x0, z1, w1, None))
-        with obs.span("dse.step1"):
-            for s, (res, dt, wspans) in zip(self.hosted, self._solve("step1", jobs)):
-                if wspans:
-                    obs.adopt(wspans)
-                rec, own = self.records[s], dse.sub1[s][2]
-                rec.step1_time = dt
-                if isinstance(res, _SolveFailure):
-                    rec.degraded = True
-                    rec.failures.append(f"step1: {res.message}")
-                    _count_degraded_solve()
-                    if self.x0 is not None:
-                        self.Vm[own] = self.x0[0][own]
-                        self.Va[own] = self.x0[1][own]
-                    continue
-                rec.step1_result = res
-                self.Vm[own] = res.Vm
-                self.Va[own] = res.Va
+        return jobs
+
+    def apply_step1(self, solved: list[tuple]) -> None:
+        """Take the outcomes of :meth:`step1_jobs` (same order)."""
+        dse = self.dse
+        for s, (res, dt, wspans) in zip(self.hosted, solved):
+            if wspans:
+                obs.adopt(wspans)
+            rec, own = self.records[s], dse.sub1[s][2]
+            rec.step1_time = dt
+            if isinstance(res, SolveFailure):
+                rec.degraded = True
+                rec.failures.append(f"step1: {res.message}")
+                _count_degraded_solve()
+                if self.x0 is not None:
+                    self.Vm[own] = self.x0[0][own]
+                    self.Va[own] = self.x0[1][own]
+                continue
+            rec.step1_result = res
+            self.Vm[own] = res.Vm
+            self.Va[own] = res.Va
 
     def step2_round(self, rnd: int) -> None:
         """One Step-2 re-evaluation of every hosted subsystem.
 
-        All inputs are built from the view first, then everything is
-        solved, then the disjoint updates are applied in subsystem order:
-        no solve sees another's result of the same round, which is what
-        makes every executor and every hosting bit-identical.
+        All inputs are built from the view first (:meth:`step2_jobs`),
+        then everything is solved, then the disjoint updates are applied in
+        subsystem order (:meth:`apply_step2`): no solve sees another's
+        result of the same round, which is what makes every executor and
+        every hosting bit-identical.
         """
+        jobs = self.step2_jobs(rnd)
+        with obs.span("dse.step2", round=rnd):
+            self.apply_step2(rnd, solve_stage(
+                self.dse, "step2", jobs, self.tol,
+                degrade=self.dse.degrade_on_failure,
+            ))
+
+    def step2_jobs(self, rnd: int) -> list[tuple]:
+        """Step-2 round ``rnd``'s :func:`solve_stage` jobs, one per hosted
+        subsystem, built from the view."""
         dse, Vm, Va = self.dse, self.Vm, self.Va
         jobs = []
         with obs.span("dse.exchange", round=rnd):
@@ -316,49 +352,52 @@ class SubsystemStepper:
                 )
                 lin = self.lin.get(s) if self.known[dse.sub2[s][3]].all() else None
                 jobs.append((s, None, start, z2, w2, lin))
+        return jobs
 
+    def apply_step2(self, rnd: int, solved: list[tuple]) -> None:
+        """Take the outcomes of :meth:`step2_jobs` (same order)."""
+        dse, Vm, Va = self.dse, self.Vm, self.Va
         delta = 0.0
-        with obs.span("dse.step2", round=rnd):
-            for s, (res, dt, wspans) in zip(self.hosted, self._solve("step2", jobs)):
-                if wspans:
-                    obs.adopt(wspans)
-                rec = self.records[s]
-                rec.step2_times.append(dt)
-                rec.bytes_sent_per_round.append(dse._round_wire_bytes(s, rnd))
-                if dse.condense and self._pool_key is None:
-                    # condensation cost lives on the warm caches; surface
-                    # this frame's share (pool workers keep theirs)
-                    rec.factor_time = (
-                        dse._step2_cache[s][0].factor_time - self._factor_t0[s]
-                    )
-                if isinstance(res, _SolveFailure):
-                    # degraded: keep this subsystem's previous publication
-                    # for the round (neighbours keep converging around it)
-                    rec.degraded = True
-                    rec.failures.append(f"step2 round {rnd}: {res.message}")
-                    _count_degraded_solve()
-                    continue
-                self.last2[s] = (res.Vm, res.Va)
-                if dse.condense and s not in self.lin:
-                    # Freeze the gain operator where the iteration lives:
-                    # at the solution of the frame's first (exact) round.
-                    # A function of the frame's inputs alone — the same
-                    # arrays on every executor and host — so the later
-                    # rounds share one factorization wherever they run.
-                    self.lin[s] = self.last2[s]
-                rec.step2_results.append(res)
-                scope = (
-                    dse.sub1[s][2] if dse.update_scope == "all"
-                    else dse.exchange_sets[s]
+        for s, (res, dt, wspans) in zip(self.hosted, solved):
+            if wspans:
+                obs.adopt(wspans)
+            rec = self.records[s]
+            rec.step2_times.append(dt)
+            rec.bytes_sent_per_round.append(dse._round_wire_bytes(s, rnd))
+            if dse.condense and not self._pooled:
+                # condensation cost lives on the warm caches; surface
+                # this frame's share (pool workers keep theirs)
+                rec.factor_time = (
+                    dse._step2_cache[s][0].factor_time - self._factor_t0[s]
                 )
-                local = dse.sub2[s][1][scope]
-                delta = max(
-                    delta,
-                    float(np.max(np.abs(res.Vm[local] - Vm[scope]), initial=0.0)),
-                    float(np.max(np.abs(res.Va[local] - Va[scope]), initial=0.0)),
-                )
-                Vm[scope] = res.Vm[local]
-                Va[scope] = res.Va[local]
+            if isinstance(res, SolveFailure):
+                # degraded: keep this subsystem's previous publication
+                # for the round (neighbours keep converging around it)
+                rec.degraded = True
+                rec.failures.append(f"step2 round {rnd}: {res.message}")
+                _count_degraded_solve()
+                continue
+            self.last2[s] = (res.Vm, res.Va)
+            if dse.condense and s not in self.lin:
+                # Freeze the gain operator where the iteration lives:
+                # at the solution of the frame's first (exact) round.
+                # A function of the frame's inputs alone — the same
+                # arrays on every executor and host — so the later
+                # rounds share one factorization wherever they run.
+                self.lin[s] = self.last2[s]
+            rec.step2_results.append(res)
+            scope = (
+                dse.sub1[s][2] if dse.update_scope == "all"
+                else dse.exchange_sets[s]
+            )
+            local = dse.sub2[s][1][scope]
+            delta = max(
+                delta,
+                float(np.max(np.abs(res.Vm[local] - Vm[scope]), initial=0.0)),
+                float(np.max(np.abs(res.Va[local] - Va[scope]), initial=0.0)),
+            )
+            Vm[scope] = res.Vm[local]
+            Va[scope] = res.Va[local]
         self.round_deltas.append(delta)
 
     def _fresh_step2(self, s: int) -> tuple:
@@ -376,36 +415,47 @@ class SubsystemStepper:
         start = dse._step2_start(s, self.Vm, self.Va, self.last2)
         return s, partial(WlsEstimator, subnet2, merged), start, None, w, None
 
-    # -- solving ---------------------------------------------------------
-    def _solve(self, stage: str, jobs: list[tuple]) -> list[tuple]:
-        """Solve one stage's jobs ``(s, builder of a fresh estimator or
-        None for the cached one, x0, z, weights, lin_point)``; returns
-        ``(result or failure, seconds, worker spans or None)`` per job.
 
-        Which way is chosen from what the stepper can observe: a process
-        pool gets compact tasks for its warm workers; a serial executor
-        hosting the whole decomposition on cached estimators runs the
-        stage as one stacked loop — exact Gauss-Newton, or the frozen-gain
-        iteration once every subsystem has its linearization point (a
-        round where only some do, after a degraded solve, is not one
-        loop); everything else fans the subsystems out through the
-        executor.
-        """
-        dse, tol, degrade = self.dse, self.tol, self.dse.degrade_on_failure
-        if self._pool_key is not None:
-            octx = obs.pack_current_context()
-            return dse.executor.map(_solve_task, [
-                (self._pool_key, stage, s, x0, z, w, lin, tol, octx, degrade)
-                for s, _, x0, z, w, lin in jobs
-            ])
-        if (
-            isinstance(dse.executor, SerialExecutor)
-            and dse.reuse_structures
-            and len(self.hosted) == dse.dec.m
-            and len({lin is None for *_, lin in jobs}) == 1
-        ):
-            return self._stacked_stage(stage, jobs)
+# -- solving -------------------------------------------------------------
+def solve_stage(
+    dse, stage: str, jobs: list[tuple], tol: float, *, degrade: bool = False
+) -> list[tuple]:
+    """Solve one stage's jobs over ``dse``'s subproblems, whichever
+    steppers built them.
 
+    A job is ``(s, builder of a fresh estimator or None for the cached
+    one, x0, z, weights, lin_point)``; the result is ``(result or
+    failure, seconds, worker spans or None)`` per job, in the jobs' order.
+    A solve that raises becomes a :class:`SolveFailure` when ``degrade``
+    and propagates otherwise.
+
+    The way is chosen from the executor and the jobs alone: a process pool
+    gets compact tasks for its warm workers; on a serial executor, jobs
+    that name each of ``dse``'s ``m`` subsystems exactly once, on cached
+    estimators, and agree on the linearisation (all exact, or all frozen
+    at their points) run as one stacked loop (:func:`_stacked_stage`);
+    anything else — a partial set, a subsystem named twice (a fenced host
+    and its promoted successor), a round where only some subsystems have
+    their linearisation point after a degraded solve — is solved job by
+    job through the executor, in subsystem order.
+    """
+    order = sorted(range(len(jobs)), key=lambda i: jobs[i][0])
+    ordered = [jobs[i] for i in order]
+    if getattr(dse.executor, "distributed", False):
+        key = dse._ensure_worker_context()
+        octx = obs.pack_current_context()
+        solved = dse.executor.map(_solve_task, [
+            (key, stage, s, x0, z, w, lin, tol, octx, degrade)
+            for s, _, x0, z, w, lin in ordered
+        ])
+    elif (
+        isinstance(dse.executor, SerialExecutor)
+        and dse.reuse_structures
+        and [job[0] for job in ordered] == list(range(dse.dec.m))
+        and len({job[-1] is None for job in ordered}) == 1
+    ):
+        solved = _stacked_stage(dse, stage, ordered, tol, degrade)
+    else:
         def solve(job):
             s, fresh, x0, z, w, lin = job
             build = fresh or partial(_cached_estimator, dse, stage, s)
@@ -414,55 +464,57 @@ class SubsystemStepper:
                 None,
             )
 
-        return dse.executor.map(solve, jobs)
+        solved = dse.executor.map(solve, ordered)
+    out: list = [None] * len(jobs)
+    for i, res in zip(order, solved):
+        out[i] = res
+    return out
 
-    def _stacked_stage(self, stage: str, jobs: list[tuple]) -> list[tuple]:
-        """Step 1 or one Step-2 round as one stacked solve — the exact
-        Gauss-Newton loop, or (every job carrying its linearization point)
-        the frozen-gain one.
 
-        Each result is bit for bit the subsystem's own estimator's; the
-        stage's wall time is apportioned by the paper's computation weight
-        ``Wv = Nb × Ni`` (buses solved × iterations taken), since no
-        subsystem is timed on its own any more.  The
-        ``dse.<stage>.subsystem`` spans are laid out back to back over
-        those shares.
-        """
-        dse = self.dse
-        wall0, t0 = time.time(), time.perf_counter()
-        cached = [_cached_estimator(dse, stage, s) for s in self.hosted]
-        # a condensed Step 2 stacks the exact estimators it wraps
-        condensed = stage == "step2" and dse.condense
-        members = [cond.est for cond in cached] if condensed else cached
-        stack = dse._stacks.get(stage)
-        if stack is None:
-            stack = dse._stacks[stage] = WlsEstimator.stacked(members)
-        _, _, x0, z, w, lins = zip(*jobs)
-        inputs = dict(x0=x0, z=z, weights=w, tol=self.tol)
-        if lins[0] is None:
-            results = stack.estimate_blocks(**inputs)
-        else:
-            results = frozen_round(stack, cached, lin_points=lins, **inputs)
-        wall = time.perf_counter() - t0
+def _stacked_stage(
+    dse, stage: str, jobs: list[tuple], tol: float, degrade: bool
+) -> list[tuple]:
+    """Step 1 or one Step-2 round of every subsystem (``jobs`` in
+    subsystem order) as one stacked solve — the exact Gauss-Newton loop,
+    or (every job carrying its linearization point) the frozen-gain one.
 
-        failed = [r for r in results if isinstance(r, Exception)]
-        if failed and not dse.degrade_on_failure:
-            raise failed[0]
-        wv = np.array(
-            [
-                est.net.n_bus * max(1, getattr(res, "iterations", 1))
-                for est, res in zip(members, results)
-            ],
-            dtype=float,
+    Each result is bit for bit the subsystem's own estimator's; the
+    stage's wall time is apportioned by the paper's computation weight
+    ``Wv = Nb × Ni`` (buses solved × iterations taken), since no
+    subsystem is timed on its own any more.  The
+    ``dse.<stage>.subsystem`` spans are laid out back to back over
+    those shares.
+    """
+    wall0, t0 = time.time(), time.perf_counter()
+    subsystems, _, x0, z, w, lins = zip(*jobs)
+    stack = dse._stack(stage)
+    inputs = dict(x0=x0, z=z, weights=w, tol=tol)
+    if lins[0] is None:
+        results = stack.estimate_blocks(**inputs)
+    else:
+        conds = [_cached_estimator(dse, stage, s) for s in subsystems]
+        results = frozen_round(stack, conds, lin_points=lins, **inputs)
+    wall = time.perf_counter() - t0
+
+    failed = [r for r in results if isinstance(r, Exception)]
+    if failed and not degrade:
+        raise failed[0]
+    subnets = dse.sub1 if stage == "step1" else dse.sub2
+    wv = np.array(
+        [
+            subnets[s][0].n_bus * max(1, getattr(res, "iterations", 1))
+            for s, res in zip(subsystems, results)
+        ],
+        dtype=float,
+    )
+    shares = wall * wv / wv.sum()
+    out = []
+    for s, res, dt in zip(subsystems, results, shares):
+        if isinstance(res, Exception):
+            res = SolveFailure(repr(res))
+        obs.span(f"dse.{stage}.subsystem", s=s, apportioned=True).record(
+            wall0, float(dt)
         )
-        shares = wall * wv / wv.sum()
-        out = []
-        for s, res, dt in zip(self.hosted, results, shares):
-            if isinstance(res, Exception):
-                res = _SolveFailure(repr(res))
-            obs.span(f"dse.{stage}.subsystem", s=s, apportioned=True).record(
-                wall0, float(dt)
-            )
-            wall0 += float(dt)
-            out.append((res, float(dt), None))
-        return out
+        wall0 += float(dt)
+        out.append((res, float(dt), None))
+    return out

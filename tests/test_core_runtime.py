@@ -8,8 +8,11 @@ import threading
 import numpy as np
 import pytest
 
+from repro import faults, obs
 from repro.core import LiveDseRuntime
 from repro.dse import DistributedStateEstimator, decompose, dse_pmu_placement
+from repro.estimation.wls import WlsEstimator
+from repro.faults import FaultPlan
 from repro.grid import run_ac_power_flow
 from repro.grid.cases import case118, synthetic_grid
 from repro.measurements import full_placement, generate_measurements
@@ -108,6 +111,103 @@ class TestLiveRuntime:
         assert res.degraded == {0: [0]}
         assert res.sites[0].degraded_rounds == [0]
         assert res.errors
+
+    @pytest.mark.parametrize("use_tcp", [False, True])
+    def test_screened_frame_matches_inproc(self, live_setup, use_tcp):
+        """A frame whose bad rows are screened out by zero weights: every
+        site takes its slice of ``weights=``, and the result is the
+        in-process ``run(z=, weights=)`` bit for bit."""
+        dec, ms, _ = live_setup
+        rng = np.random.default_rng(5)
+        (z,) = _frames(ms, 1)
+        bad = rng.choice(len(ms), 4, replace=False)
+        z[bad] += 40 * ms.sigma[bad]
+        w = ms.weights.copy()
+        w[bad] = 0.0
+        ref = DistributedStateEstimator(dec, ms).run(z=z, weights=w)
+        with LiveDseRuntime(dec, ms, use_tcp=use_tcp) as live:
+            res = live.run(z=z, weights=w)
+            clean = live.run(z=z)
+        assert res.errors == [] and clean.errors == []
+        assert np.array_equal(res.Vm, ref.Vm)
+        assert np.array_equal(res.Va, ref.Va)
+        assert not np.array_equal(clean.Va, ref.Va)
+        with pytest.raises(ValueError, match="weights"):
+            LiveDseRuntime(dec, ms).run(weights=w[:-1])
+
+    def test_failed_block_is_its_sites_error(self, live_setup):
+        """A block that fails inside the combined solve is the error of the
+        site that owns it, not of the thread that ran the barrier: the
+        barrier breaks, the deployment retires, and the next frame is
+        clean and bit-identical to the in-process DSE."""
+        dec, ms, ref = live_setup
+        dse = DistributedStateEstimator(dec, ms)
+        w = ms.weights.copy()
+        w[dse.assignment.step1[4]] = 0.0   # subsystem 4's Step 1 is empty
+        with LiveDseRuntime(dec, ms) as live:
+            live.run()
+            hit = live.run(weights=w)
+            assert len(hit.errors) == 1
+            assert hit.errors[0].startswith("site 4 failed: EstimationError(")
+            assert "underdetermined" in hit.errors[0]
+            assert live._deployment is None
+            res = live.run()
+        assert res.errors == []
+        assert np.array_equal(res.Vm, ref.Vm)
+        assert np.array_equal(res.Va, ref.Va)
+
+    @pytest.mark.parametrize("cut_rounds", [1, 2])
+    def test_condensed_site_cut_off(self, live_setup, monkeypatch, cut_rounds):
+        """Every update bound for site 0 is dropped for the first
+        ``cut_rounds`` rounds of a condensed frame.  The frame completes
+        with those rounds degraded; a round in which site 0 still has not
+        heard a neighbour runs exact while the others run frozen, so it is
+        solved job by job instead of stacked.  The next frame runs on a
+        fresh deployment and is the in-process DSE bit for bit."""
+        import repro.dse.stepper as stepper
+
+        dec, ms, _ = live_setup
+        stacked = []
+        real = stepper._stacked_stage
+
+        def spy(*args, **kwargs):
+            stacked.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(stepper, "_stacked_stage", spy)
+        plan = FaultPlan(seed=0).add(
+            "mux.forward", "drop", key=(None, 0), count=cut_rounds
+        )
+        frames = _frames(ms, 2)
+        inproc = DistributedStateEstimator(dec, ms, condense=True)
+        with LiveDseRuntime(dec, ms, condense=True, recv_timeout=0.3) as live:
+            with faults.injection(plan):
+                hit = live.run(z=frames[0])
+            assert hit.degraded == {0: list(range(cut_rounds))}
+            assert all(e.startswith("site 0 round ") for e in hit.errors)
+            assert len(stacked) == 1 + hit.rounds - (cut_rounds - 1)
+            assert live._deployment is None
+            stacked.clear()
+            res = live.run(z=frames[1])
+            assert res.errors == [] and len(stacked) == 1 + res.rounds
+        ref = inproc.run(z=frames[1])
+        assert np.array_equal(res.Vm, ref.Vm)
+        assert np.array_equal(res.Va, ref.Va)
+
+    def test_member_factors_stay_unbuilt(self, live_setup):
+        """Clean frames solve on the stacked estimators' own block
+        factors: no subsystem estimator ever factors its own gain."""
+        dec, ms, _ = live_setup
+        with LiveDseRuntime(dec, ms) as live:
+            for z in [None, *_frames(ms, 2)]:
+                assert live.run(z=z).errors == []
+            dse = live._dse
+            members = [dse._est1[s] for s in range(dec.m)] + [
+                dse._step2_cache[s][0] for s in range(dec.m)
+            ]
+        for est in members:
+            spd = est._gain_solver.kernel.spd
+            assert spd._chol is None and spd.lu is None
 
     def test_small_synthetic_grid(self):
         net = synthetic_grid(n_areas=3, buses_per_area=10, seed=4)
@@ -240,20 +340,61 @@ class TestResidentDeployment:
                 assert sum(n for n, _ in relayed) == 84 * k
                 assert sum(b for _, b in relayed) == 26448 * k
 
-    def test_solves_are_clocked_inside_the_compute_slot(self, live_setup):
-        """One site solves at a time and clocks itself while it holds the
-        slot, so the solve times of a frame add up to at most its wall."""
+    def test_each_barrier_is_one_stacked_solve(self, live_setup, monkeypatch):
+        """A clean frame solves each stage once, at its barrier: 1 + rounds
+        stacked Gauss-Newton loops and no single-subsystem ``estimate``.
+        A site's times are its ``Nb × Ni`` shares of those loops, so per
+        stage they add up to the loop's wall time (the apportioned
+        ``dse.<stage>.subsystem`` spans under its ``live.solve`` span), and
+        over the frame to at most the frame's wall."""
         dec, ms, _ = live_setup
-        with LiveDseRuntime(dec, ms) as live:
-            live.run()  # deployment start is not part of the claim
-            for z in _frames(ms, 3):
-                res = live.run(z=z)
-                assert res.errors == []
-                busy = sum(
-                    st.step1_time + sum(st.step2_times)
-                    for st in res.sites.values()
-                )
-                assert busy <= res.wall_time
+        loops, singles = [], []
+        blocks, single = WlsEstimator.estimate_blocks, WlsEstimator.estimate
+
+        def estimate_blocks(est, **kw):
+            if len(est._blocks) > 1:
+                loops.append(est)
+            return blocks(est, **kw)
+
+        def estimate(est, **kw):
+            singles.append(est)
+            return single(est, **kw)
+
+        monkeypatch.setattr(WlsEstimator, "estimate_blocks", estimate_blocks)
+        monkeypatch.setattr(WlsEstimator, "estimate", estimate)
+        try:
+            with LiveDseRuntime(dec, ms) as live:
+                for z in [None, *_frames(ms, 2)]:
+                    obs.configure(enabled=True, sample_every=1, reset=True)
+                    loops.clear()
+                    singles.clear()
+                    res = live.run(z=z)
+                    assert res.errors == []
+                    assert len(loops) == 1 + res.rounds and singles == []
+                    spans = obs.tracer().finished()
+                    solves = {
+                        d["span"]: d for d in spans if d["name"] == "live.solve"
+                    }
+                    assert [d["attrs"]["stage"] for d in solves.values()] == [
+                        "step1", *["step2"] * res.rounds
+                    ]
+                    stacked = {k: [] for k in solves}
+                    for d in spans:
+                        if d["name"].endswith(".subsystem"):
+                            assert d["attrs"]["apportioned"] is True
+                            stacked[d["parent"]].append(d["dur"])
+                    sites = res.sites.values()
+                    shares = [
+                        [st.step1_time for st in sites],
+                        *([st.step2_times[r] for st in sites] for r in range(res.rounds)),
+                    ]
+                    for (k, solve), share in zip(solves.items(), shares):
+                        assert len(stacked[k]) == dec.m
+                        assert sum(share) == pytest.approx(sum(stacked[k]), rel=1e-12)
+                        assert sum(stacked[k]) <= solve["dur"]
+                    assert sum(d["dur"] for d in solves.values()) <= res.wall_time
+        finally:
+            obs.configure(enabled=False, sample_every=1, reset=True)
 
     def test_concurrent_runs_take_turns(self, live_setup):
         """More callers than cores on one runtime, switching eagerly: the

@@ -295,6 +295,35 @@ class TestWirePropagation:
             for d in forwards
         )
 
+    def test_live_trace_has_one_solve_per_barrier(self, dse14, obs_on):
+        """Each barrier of a live frame is one ``live.solve {stage, round}``
+        span under the root, holding every subsystem's apportioned
+        ``dse.<stage>.subsystem`` span; the sites' own subtrees keep their
+        exchanges and the inputs they built."""
+        dec, ms = dse14
+        live = LiveDseRuntime(dec, ms, use_tcp=True).run()
+        assert live.errors == []
+        spans, by_name = _frame_tree(obs.tracer())
+        (root,) = by_name["live.run"]
+        solves = by_name["live.solve"]
+        assert [(d["attrs"]["stage"], d["attrs"]["round"]) for d in solves] == [
+            ("step1", None), *(("step2", r) for r in range(live.rounds))
+        ]
+        assert all(d["parent"] == root["span"] for d in solves)
+        for stage, solve in [("step1", solves[0])] + [
+            ("step2", d) for d in solves[1:]
+        ]:
+            subs = [
+                d for d in by_name[f"dse.{stage}.subsystem"]
+                if d["parent"] == solve["span"]
+            ]
+            assert sorted(d["attrs"]["s"] for d in subs) == list(range(dec.m))
+            assert all(d["attrs"]["apportioned"] for d in subs)
+        sites = {d["span"] for d in by_name["live.site"]}
+        assert len(by_name["dse.exchange"]) == dec.m * live.rounds
+        assert all(d["parent"] in sites for d in by_name["dse.exchange"])
+        assert "live.step1" not in by_name and "live.step2" not in by_name
+
     def test_live_results_unchanged_by_tracing(self, dse14, obs_on):
         dec, ms = dse14
         ref = DistributedStateEstimator(dec, ms).run()
