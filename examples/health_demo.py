@@ -1,5 +1,5 @@
-"""The runtime health plane end to end: watchdog, SLO burn alert,
-telemetry aggregation, and a flight-recorder blackbox.
+"""The runtime health plane end to end: watchdog, SLO burn alert and a
+flight-recorder blackbox.
 
 Run with::
 
@@ -15,12 +15,8 @@ What it shows:
    tick, never by anything on the hot path.
 3. A latency SLO burns when a slow burst eats the error budget faster
    than the objective allows; the multi-window burn-rate alert fires
-   through hysteresis and the autoscaler hint flips to scale-up.
-4. A :class:`~repro.obs.aggregate.TelemetryPublisher` ships compact
-   metric deltas over the mux fabric as ``FLAG_TELEMETRY`` frames; the
-   hub-side :class:`~repro.obs.aggregate.TelemetryAggregator` folds them
-   into one cluster registry with a ``site`` label.
-5. The flight recorder dumps a self-contained blackbox JSONL, rendered
+   through hysteresis.
+4. The flight recorder dumps a self-contained blackbox JSONL, rendered
    here with the ``obstop`` dashboard (also:
    ``python -m repro.tools.obstop blackbox.jsonl``).
 """
@@ -29,8 +25,6 @@ import os
 import tempfile
 
 from repro import obs
-from repro.middleware import MiddlewareFabric
-from repro.obs.aggregate import TelemetryAggregator, TelemetryPublisher
 from repro.serving.requests import ServiceStats
 from repro.tools.obstop import render_dashboard
 
@@ -60,21 +54,9 @@ def main() -> None:
             stats.record_request(0.05)     # 5x over the 10 ms threshold
         burn = mon.tick() + mon.tick()
         fired = [ev for ev in burn if ev.kind == "slo.burn"]
-        print(f"slo: {fired[0].detail['slo']} burning, "
-              f"autoscaler hint {mon.slo.hint_for(stats):+d}")
+        print(f"slo: {fired[0].detail['slo']} burning")
 
-        # 3. telemetry deltas over the mux fabric
-        agg = TelemetryAggregator()
-        with MiddlewareFabric(["hub", "site-a"], pairs=[("site-a", "hub")]) as fab:
-            fab.enable_telemetry(agg.ingest)
-            pub = TelemetryPublisher("site-a", mon.registry)
-            pub.publish(lambda p: fab.send_telemetry("site-a", p))
-        n = agg.registry.counter("health.events_total",
-                                 kind="watchdog.stall", site="site-a").value
-        print(f"telemetry: {agg.records_ingested} records aggregated, "
-              f"cluster sees {n:.0f} stall event(s) from site-a")
-
-        # 4. the blackbox artifact + the obstop dashboard
+        # 3. the blackbox artifact + the obstop dashboard
         with tempfile.TemporaryDirectory() as td:
             path = mon.dump(os.path.join(td, "blackbox.jsonl"), reason="demo")
             events = [ev.to_dict() for ev in mon.recorder.events()]

@@ -68,7 +68,7 @@ smoke examples/condensed_dse.py
 echo "== sharded serving smoke (hash-ring router, drain, no loss) =="
 smoke examples/serve_sharded.py --tiny
 
-echo "== health plane smoke (watchdog, SLO burn, telemetry, blackbox) =="
+echo "== health plane smoke (watchdog, SLO burn, blackbox) =="
 smoke examples/health_demo.py
 
 echo "== recovery smoke (site kill, lease expiry, epoch-fenced failover) =="

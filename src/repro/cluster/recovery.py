@@ -12,7 +12,7 @@ health plane:
   the condensation linearisation point, epoch and round counters) with a
   versioned ``to_payload`` wire form.  The live runtime replicates it
   every round to the subsystem's hash-ring successor over the mux fabric
-  as a ``FLAG_CHECKPOINT`` frame (mirroring the PR 9 telemetry plane).
+  as a ``FLAG_CHECKPOINT`` frame.
 - :class:`MembershipView` — round-based leases: a site's lease is
   renewed by the heartbeats and checkpoints it pushes *through the
   fabric* (so an in-process zombie cannot self-beat), and expires after

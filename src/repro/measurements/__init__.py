@@ -2,7 +2,6 @@
 
 from .failures import drop_region, drop_rtu, random_rtu_dropout
 from .functions import MeasurementModel
-from .fusion import average_pmu_window
 from .generator import generate_measurements, inject_bad_data, true_values
 from .placement import (
     full_placement,
@@ -36,5 +35,4 @@ __all__ = [
     "drop_rtu",
     "drop_region",
     "random_rtu_dropout",
-    "average_pmu_window",
 ]

@@ -17,9 +17,9 @@ Two interchangeable hubs:
   router thread blocks on its inbox (event-driven, no timeouts).
 
 Both run every data frame through the same :func:`_route` sequence —
-telemetry sink, extension check, epoch fence, route lookup, fault hook,
-count, forward — and differ only in how a destination is looked up,
-written to and disconnected.
+extension check, epoch fence, route lookup, fault hook, count, forward —
+and differ only in how a destination is looked up, written to and
+disconnected.
 
 Attachment protocol (TCP): a site dials the hub, sends a HELLO control
 frame carrying its id, and waits for the hub's ACK before returning — so
@@ -42,7 +42,6 @@ from .message import (
     FLAG_CHECKPOINT,
     FLAG_CONTROL,
     FLAG_EPOCH,
-    FLAG_TELEMETRY,
     FrameError,
     MUX_HEADER,
     MUX_VERSION,
@@ -136,16 +135,6 @@ def _route(hub, flags: int, src: int, dst: int, payload) -> None:
     handed on, so whoever holds a payload finds it in :meth:`stats`; a
     forward that fails takes its count back.
     """
-    if flags & FLAG_TELEMETRY:
-        sink = hub._telemetry_sink
-        if sink is not None:
-            try:
-                sink(bytes(payload))
-            except Exception:  # noqa: BLE001 - sink must not kill the hub
-                pass
-        if obs.enabled():
-            obs.metrics().counter("mux.telemetry_frames_total").inc()
-        return
     fence = hub._epoch_fence
     try:
         ctx, epoch, app = split_extension(flags, payload)
@@ -269,10 +258,8 @@ class _TcpMuxLink:
             self._dispatch(flags, payload)
 
     def _dispatch(self, flags: int, payload) -> None:
-        if flags & (FLAG_CONTROL | FLAG_TELEMETRY):
-            # control handshakes and telemetry are hub business; a
-            # telemetry frame reaching a link means a hub without a
-            # sink forwarded it — never application data either way
+        if flags & FLAG_CONTROL:
+            # control handshakes are hub business, never application data
             return
         try:
             # the extension block is for the routing layer, not the app
@@ -344,14 +331,7 @@ class MuxRouter:
         self.endpoint: str | None = None
         self.frames_dropped = 0
         self.frames_fenced = 0
-        self._telemetry_sink = None
         self._epoch_fence = None
-
-    def set_telemetry_sink(self, callback) -> None:
-        """``callback(payload: bytes)`` receives every FLAG_TELEMETRY
-        frame at the hub (the aggregation point); such frames are
-        consumed here and never forwarded to a destination."""
-        self._telemetry_sink = callback
 
     def set_epoch_fence(self, fence) -> None:
         """``fence(src_id, epoch) -> bool`` is consulted for every
@@ -554,16 +534,11 @@ class InprocMuxRouter:
         self._thread: threading.Thread | None = None
         self.frames_dropped = 0
         self.frames_fenced = 0
-        self._telemetry_sink = None
         self._epoch_fence = None
         self._ckpt_sinks: dict[int, object] = {}
         # ids hard-disconnected by fault injection: symmetric with the TCP
         # hub, where the closed socket kills both directions
         self._dead: set[int] = set()
-
-    def set_telemetry_sink(self, callback) -> None:
-        """Same contract as :meth:`MuxRouter.set_telemetry_sink`."""
-        self._telemetry_sink = callback
 
     def set_epoch_fence(self, fence) -> None:
         """Same contract as :meth:`MuxRouter.set_epoch_fence`."""

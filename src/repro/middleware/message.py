@@ -45,13 +45,10 @@ __all__ = [
     "MUX_VERSION",
     "FLAG_CONTROL",
     "FLAG_TRACED",
-    "FLAG_TELEMETRY",
     "FLAG_CHECKPOINT",
     "FLAG_EPOCH",
     "pack_extension",
     "split_extension",
-    "pack_telemetry",
-    "unpack_telemetry",
     "sendmsg_all",
     "send_mux_frame",
     "send_mux_frames",
@@ -78,9 +75,6 @@ FLAG_CONTROL = 0x01
 #: the extension block carries the sender's span context (wire-level
 #: context propagation: the router hop and the receiver join the trace)
 FLAG_TRACED = 0x02
-#: telemetry frame (compact metric deltas for the health plane's
-#: aggregation sink) — consumed at the mux hub, never forwarded to a dst
-FLAG_TELEMETRY = 0x04
 #: checkpoint frame (replicated subsystem state for failover) — routed to
 #: the dst like data, but diverted to the dst's checkpoint sink instead of
 #: the ordinary receive queue
@@ -88,6 +82,9 @@ FLAG_CHECKPOINT = 0x08
 #: the extension block carries the cluster epoch (after the span context
 #: when both flags are set); the mux hub may fence stale epochs
 FLAG_EPOCH = 0x10
+#: every flag bit a frame may carry; a header with any other bit set is
+#: refused, so no unknown flag is ever routed as application data
+_KNOWN_FLAGS = FLAG_CONTROL | FLAG_TRACED | FLAG_CHECKPOINT | FLAG_EPOCH
 
 #: cluster-epoch field of the extension block (8 bytes)
 EPOCH_CTX = struct.Struct(">Q")
@@ -151,45 +148,6 @@ def split_extension(flags: int, buf) -> tuple[SpanContext | None, int | None, ob
         else None
     )
     return ctx, epoch, buf[size:]
-
-
-#: telemetry payload header: version, flags (reserved), site-name length
-_TELEM_HEADER = struct.Struct(">BBH")
-TELEM_VERSION = 1
-
-
-def pack_telemetry(site: str, records: list) -> bytes:
-    """Encode one telemetry frame: metric-delta ``records`` from ``site``.
-
-    Versioned header + UTF-8 site name + compact JSON body — the records
-    are already small deltas (see :mod:`repro.obs.aggregate`), so JSON
-    keeps the frame debuggable without a schema registry; the header
-    leaves room to swap the body encoding later without a flag-day.
-    """
-    import json
-
-    name = site.encode("utf-8")
-    if len(name) > 0xFFFF:
-        raise FrameError("telemetry site name too long")
-    body = json.dumps(records, separators=(",", ":")).encode("utf-8")
-    return _TELEM_HEADER.pack(TELEM_VERSION, 0, len(name)) + name + body
-
-
-def unpack_telemetry(buf) -> tuple[str, list]:
-    """Decode a telemetry frame back to ``(site, records)``."""
-    import json
-
-    if len(buf) < _TELEM_HEADER.size:
-        raise FrameError("telemetry frame shorter than its header")
-    version, _flags, nlen = _TELEM_HEADER.unpack_from(buf, 0)
-    if version != TELEM_VERSION:
-        raise FrameError(f"unsupported telemetry version {version}")
-    off = _TELEM_HEADER.size
-    if len(buf) < off + nlen:
-        raise FrameError("telemetry frame truncated")
-    site = bytes(buf[off : off + nlen]).decode("utf-8")
-    records = json.loads(bytes(buf[off + nlen :]).decode("utf-8"))
-    return site, records
 
 
 # ----------------------------------------------------------------------
@@ -278,6 +236,8 @@ def _parse_mux_header(buf, offset: int = 0) -> tuple[int, int, int, int]:
     version, flags, src, dst, length = MUX_HEADER.unpack_from(buf, offset)
     if version != MUX_VERSION:
         raise FrameError(f"unsupported mux frame version {version}")
+    if flags & ~_KNOWN_FLAGS:
+        raise FrameError(f"undefined mux frame flags {flags:#04x}")
     if length > MAX_FRAME:
         raise FrameError(f"frame too large: {length}")
     return flags, src, dst, length

@@ -24,7 +24,6 @@ from .fastpath import InprocMuxRouter, MuxRouter
 from .hashring import ConsistentHashRing
 from .message import (
     FLAG_CHECKPOINT,
-    FLAG_TELEMETRY,
     FrameError,
     pack_extension,
 )
@@ -199,25 +198,6 @@ class MiddlewareFabric:
                 "router.keyed_frames_total", dst=dst
             ).inc()
         return dst
-
-    # -- telemetry plane -----------------------------------------------
-    def enable_telemetry(self, sink) -> None:
-        """Attach the cluster-side telemetry sink at the mux hub.
-
-        ``sink(payload: bytes)`` receives every ``FLAG_TELEMETRY`` frame
-        (typically :meth:`repro.obs.aggregate.TelemetryAggregator.ingest`);
-        telemetry frames are consumed at the hub and never reach a site's
-        deliver callback.
-        """
-        self._live_hub.set_telemetry_sink(sink)
-
-    def send_telemetry(self, src: str, payload: bytes) -> None:
-        """Ship one packed telemetry frame from site ``src`` to the hub
-        sink (see :func:`repro.middleware.message.pack_telemetry`)."""
-        # dst 0 is nominal — the hub consumes the frame before routing
-        self._links[src].send(0, payload, flags=FLAG_TELEMETRY)
-        if obs.enabled():
-            obs.metrics().counter("mw.telemetry_frames_sent_total").inc()
 
     # -- recovery plane ------------------------------------------------
     def set_checkpoint_sink(self, name: str, sink) -> None:

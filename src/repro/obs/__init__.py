@@ -47,7 +47,6 @@ from .export import (
     render_prometheus,
     render_prometheus_snapshots,
 )
-from .aggregate import TelemetryAggregator, TelemetryPublisher
 from .health import (
     DEFAULT_TRIGGERS,
     FlightRecorder,
@@ -84,7 +83,6 @@ __all__ = [
     # health plane
     "HealthMonitor", "HealthEvent", "FlightRecorder", "Watchdog",
     "SloSpec", "SloEngine", "DEFAULT_TRIGGERS",
-    "TelemetryPublisher", "TelemetryAggregator",
     # exporters
     "export_jsonl", "load_jsonl", "render_prometheus",
     "render_prometheus_snapshots", "render_flame",

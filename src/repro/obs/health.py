@@ -477,22 +477,6 @@ class SloEngine:
                 k: v for k, v in self._tracked.items() if v.source is not source
             }
 
-    def hint_for(self, source) -> int:
-        """Autoscaler hint: +1 when any latency / shed-budget SLO attached
-        to ``source`` is currently burning (more workers can help), else 0.
-        Availability burns carry no hint — a lost replica is not fixed by
-        resizing a pool."""
-        with self._lock:
-            tracked = list(self._tracked.values())
-        for tr in tracked:
-            if (
-                tr.source is source
-                and tr.burning
-                and tr.spec.kind in ("latency", "shed_budget")
-            ):
-                return 1
-        return 0
-
     def evaluate(self, now: float | None = None) -> list[dict]:
         """One evaluation pass; returns the alerts that newly *entered*
         the burning state (hysteresis satisfied this pass)."""
@@ -579,8 +563,8 @@ class HealthMonitor:
     :meth:`watch` / :meth:`beat`); the monitor turns them into typed
     events, ``health.*`` counters and — for trigger kinds — blackbox
     dumps.  :meth:`tick` runs the periodic checks (watchdog scan, SLO
-    evaluation, telemetry publish, metric snapshot); :meth:`start` runs
-    them on a daemon thread.
+    evaluation, metric snapshot); :meth:`start` runs them on a daemon
+    thread.
     """
 
     def __init__(
@@ -606,7 +590,6 @@ class HealthMonitor:
         self.default_slos: list[SloSpec] = []
         self._listeners: list = []
         self._seq = itertools.count(1)
-        self._publishers: list = []
         self._shed_times: deque = deque(maxlen=max(2, int(shed_burst)))
         self._shed_burst = int(shed_burst)
         self._shed_window = float(shed_burst_window)
@@ -720,18 +703,10 @@ class HealthMonitor:
                 n += 1
         return n
 
-    # -- telemetry publish ---------------------------------------------
-    def attach_publisher(self, publish) -> None:
-        """``publish()`` runs once per tick (a
-        :class:`~repro.obs.aggregate.TelemetryPublisher` bound to a
-        fabric — exceptions are swallowed so a dead fabric cannot kill
-        the monitor loop)."""
-        self._publishers.append(publish)
-
     # -- periodic checks -----------------------------------------------
     def tick(self, now: float | None = None) -> list[HealthEvent]:
-        """One monitor pass: watchdog scan, SLO evaluation, telemetry
-        publish, metric snapshot.  Returns the events it emitted."""
+        """One monitor pass: watchdog scan, SLO evaluation, metric
+        snapshot.  Returns the events it emitted."""
         now = self._clock() if now is None else now
         out: list[HealthEvent] = []
         for tok in self.watchdog.check(now):
@@ -751,11 +726,6 @@ class HealthMonitor:
             src = detail.pop("source") or alert["slo"]
             detail["slo_kind"] = detail.pop("kind")   # "kind" is the event's
             out.append(self.emit("slo.burn", src, **detail))
-        for publish in self._publishers:
-            try:
-                publish()
-            except Exception:  # noqa: BLE001 - see attach_publisher
-                pass
         self.recorder.snapshot_metrics(self.registry)
         return out
 

@@ -154,27 +154,6 @@ class Histogram:
         with self._lock:
             return sum(self._counts[:idx])
 
-    def bucket_counts(self) -> list[int]:
-        """Copy of the raw geometric bucket counts (telemetry deltas)."""
-        with self._lock:
-            return list(self._counts)
-
-    def absorb(self, pairs, count: int, vsum: float, vmin: float, vmax: float) -> None:
-        """Merge a remote delta: sparse ``(bucket_idx, n)`` pairs plus the
-        matching count/sum deltas and the remote's observed min/max.  The
-        telemetry aggregation plane uses this to fold per-site histograms
-        into one cluster histogram without shipping samples."""
-        with self._lock:
-            for idx, n in pairs:
-                self._counts[idx] += n
-            self._count += int(count)
-            self._sum += float(vsum)
-            if count:
-                if vmin < self._min:
-                    self._min = float(vmin)
-                if vmax > self._max:
-                    self._max = float(vmax)
-
     def quantile(self, q: float) -> float:
         """Estimated ``q``-quantile (``q`` in [0, 1])."""
         if not 0.0 <= q <= 1.0:

@@ -115,16 +115,6 @@ class SubsystemExecutor(ABC):
         """
         return 0
 
-    def resize(self, n_workers: int) -> bool:
-        """Change the worker count to ``n_workers`` (autoscaling hook).
-
-        Returns True when the backend applied the change.  The base
-        implementation (and :class:`SerialExecutor`) cannot resize and
-        returns False — callers treat an un-resizable backend as a no-op,
-        never an error.
-        """
-        return False
-
     def shutdown(self) -> None:
         """Release worker resources (idempotent)."""
 
@@ -191,20 +181,6 @@ class ThreadPoolBackend(SubsystemExecutor):
 
     def worker_index(self) -> int:
         return self._bind_worker()
-
-    def resize(self, n_workers: int) -> bool:
-        """Grow/shrink the pool; the live pool (if any) is retired and a
-        fresh one spawns lazily at the new size on the next :meth:`map`."""
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        with self._pool_lock:
-            if n_workers == self.n_workers:
-                return True
-            self.n_workers = int(n_workers)
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-        return True
 
     def map(self, fn: Callable, items: Iterable) -> list:
         # Trace-context propagation: capture the submitting thread's active
@@ -392,26 +368,6 @@ class ProcessPoolBackend(SubsystemExecutor):
                 pool = None
         if pool is not None:
             pool.shutdown(wait=True)
-
-    def resize(self, n_workers: int) -> bool:
-        """Grow/shrink the worker-process count (the autoscaler's
-        actuator).  The live pool is retired gracefully and the next
-        :meth:`map` spawns a fresh one at the new size; every registered
-        worker context rebuilds in the new workers, so the pool comes back
-        *warm* — callers pay the one-time warmup, not a cold cache."""
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        with self._pool_lock:
-            if n_workers == self.n_workers:
-                return True
-            self.n_workers = int(n_workers)
-            pool, self._pool = self._pool, None
-            self._installed = set()
-        if pool is not None:
-            pool.shutdown(wait=True)
-        if obs.enabled():
-            obs.metrics().gauge("executor.pool_size").set(self.n_workers)
-        return True
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         with self._pool_lock:

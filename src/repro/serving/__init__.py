@@ -1,7 +1,6 @@
 """Scenario serving: batched replicas, a consistent-hash shard router,
-closed-loop pool autoscaling and an open-loop load-generation harness."""
+and an open-loop load-generation harness."""
 
-from .autoscale import AutoscalePolicy, PoolAutoscaler
 from .loadgen import LoadGenerator, LoadReport, ScenarioMix, poisson_arrivals
 from .requests import (
     ContingencyRequest,
@@ -16,12 +15,10 @@ from .service import ScenarioService
 from .shard import RouterStats, ShardRouter, request_key
 
 __all__ = [
-    "AutoscalePolicy",
     "ContingencyRequest",
     "EstimationRequest",
     "LoadGenerator",
     "LoadReport",
-    "PoolAutoscaler",
     "ReplicaLost",
     "RouterStats",
     "ScenarioMix",

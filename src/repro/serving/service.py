@@ -231,11 +231,6 @@ class ScenarioService:
         self._queue.put((request, fut, time.perf_counter()))
         return fut
 
-    def queue_depth(self) -> int:
-        """Requests admitted but not yet dispatched (the backpressure /
-        autoscaling signal; approximate by nature)."""
-        return self._queue.qsize()
-
     def submit_estimation(
         self,
         z=None,

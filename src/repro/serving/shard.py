@@ -151,10 +151,6 @@ class ShardRouter:
         PR-5 retry policy bounding re-dispatches per request.
         ``max_attempts`` counts dispatch attempts (first try included);
         ``None`` allows one attempt per shard with zero backoff.
-    autoscaler:
-        Optional :class:`~repro.serving.autoscale.PoolAutoscaler`; the
-        router attaches and starts it (it only acts when *enabled* —
-        the default policy is off, and off is bitwise-inert).
     """
 
     def __init__(
@@ -164,7 +160,6 @@ class ShardRouter:
         grid: str = "",
         vnodes: int = 64,
         retry: RetryPolicy | None = None,
-        autoscaler=None,
     ):
         if not shards:
             raise ValueError("at least one shard is required")
@@ -184,10 +179,6 @@ class ShardRouter:
             obs.health().watch_router(
                 f"router-{grid or 'default'}", self.stats
             )
-        self.autoscaler = autoscaler
-        if autoscaler is not None:
-            autoscaler.attach(self)
-            autoscaler.start()
 
     # -- membership ----------------------------------------------------
     @property
@@ -436,10 +427,6 @@ class ShardRouter:
             caller.set_exception(exc)
 
     # -- introspection -------------------------------------------------
-    def queue_depths(self) -> dict[str, int]:
-        """Pending request count per live shard (autoscaling signal)."""
-        return {name: svc.queue_depth() for name, svc in self.live_items()}
-
     def stats_snapshot(self) -> dict:
         """Router counters plus each live shard's ``ServiceStats``."""
         return {
@@ -451,12 +438,10 @@ class ShardRouter:
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
-        """Stop the autoscaler, then drain and close every replica."""
+        """Drain and close every replica."""
         if self._closed:
             return
         self._closed = True
-        if self.autoscaler is not None:
-            self.autoscaler.stop()
         for svc in self._shards.values():
             svc.close()
 

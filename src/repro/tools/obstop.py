@@ -9,8 +9,7 @@ of recent health events.  Works against two sources:
   recorder's blackbox artifacts (``--watch`` re-reads it periodically,
   so a long-running soak writing dumps gets a poor-man's live view);
 - **a live registry** — :class:`Dashboard` wraps a
-  :class:`~repro.obs.metrics.MetricsRegistry` (e.g. a
-  :class:`~repro.obs.aggregate.TelemetryAggregator`'s cluster registry)
+  :class:`~repro.obs.metrics.MetricsRegistry` (e.g. ``obs.metrics()``)
   and an optional :class:`~repro.obs.health.HealthMonitor` for the event
   tail; each :meth:`Dashboard.tick` renders one frame with rates
   computed against the previous tick.

@@ -2,6 +2,7 @@
 
 import gc
 import os
+import socket
 import sys
 import threading
 
@@ -16,6 +17,8 @@ from repro.faults import FaultPlan
 from repro.grid import run_ac_power_flow
 from repro.grid.cases import case118, synthetic_grid
 from repro.measurements import full_placement, generate_measurements
+from repro.middleware import parse_endpoint, recv_mux_frame, send_mux_frame
+from repro.middleware.message import FLAG_CONTROL, MUX_HEADER, MUX_VERSION
 
 
 @pytest.fixture(scope="module")
@@ -323,6 +326,31 @@ class TestResidentDeployment:
             started = set(threading.enumerate()) - before
             assert len(started) >= dec.m
             assert all(t.daemon for t in started)
+
+    def test_undefined_flag_frame_is_refused_at_the_hub(self, live_setup):
+        """A frame carrying the retired 0x04 flag, addressed to a resident
+        site, closes its sender's link at the hub and never reaches the
+        site: the next frame still matches the in-process DSE bit for bit
+        and the hub relayed only the sites' own exchange."""
+        dec, ms, ref = live_setup
+        with LiveDseRuntime(dec, ms, use_tcp=True) as live:
+            assert np.array_equal(live.run().Vm, ref.Vm)
+            fabric = live._deployment.fabric
+            ep = parse_endpoint(fabric._hub.endpoint)
+            with socket.create_connection((ep.host, ep.port), timeout=5.0) as raw:
+                send_mux_frame(raw, dec.m, 0, b"", flags=FLAG_CONTROL)
+                assert recv_mux_frame(raw)[0] == FLAG_CONTROL
+                raw.sendall(MUX_HEADER.pack(MUX_VERSION, 0x04, dec.m, 0, 3) + b"bad")
+                try:
+                    assert raw.recv(1) == b""  # the hub closed the link
+                except ConnectionResetError:
+                    pass
+            res = live.run()
+            assert res.errors == []
+            assert np.array_equal(res.Vm, ref.Vm)
+            assert np.array_equal(res.Va, ref.Va)
+            relayed = fabric.relay_stats().values()
+            assert sum(n for n, _ in relayed) == 2 * 84
 
     def test_site_stats_are_per_frame(self, live_setup):
         """``LiveDseResult.sites`` counts this frame only; the fabric's

@@ -1,4 +1,4 @@
-"""Tests for hybrid SCADA+PMU estimation and PMU window averaging."""
+"""Tests for hybrid SCADA+PMU estimation."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,6 @@ from repro.measurements import (
     MeasurementSet,
     Measurement,
     MeasType,
-    PmuStream,
-    average_pmu_window,
     generate_measurements,
     greedy_pmu_sites,
     pmu_placement,
@@ -55,58 +53,3 @@ class TestHybridEstimate:
         )
         with pytest.raises(EstimationError, match="PMU_VA"):
             hybrid_estimate(net118, scada, flows_only)
-
-    def test_conditioned_pmu_data_tightens_further(self, net118, pf118):
-        """Feeding window-averaged phasors (smaller sigma) pulls the fused
-        values closer to the PMU observations."""
-        rng = np.random.default_rng(1)
-        scada = generate_measurements(
-            net118, scada_placement(net118), pf118, rng=rng
-        )
-        sites = greedy_pmu_sites(net118)
-        stream = PmuStream(net118, sites, seed=2)
-        window = stream.samples(pf118, 0.0, 30)
-        conditioned = average_pmu_window(window)
-        single = window[0].mset
-
-        hyb_raw = hybrid_estimate(net118, scada, single)
-        hyb_avg = hybrid_estimate(net118, scada, conditioned)
-        err_raw = np.abs(hyb_raw.Vm[sites] - pf118.Vm[sites]).mean()
-        err_avg = np.abs(hyb_avg.Vm[sites] - pf118.Vm[sites]).mean()
-        assert err_avg < err_raw
-
-
-class TestAveragePmuWindow:
-    def test_sigma_shrinks_sqrt_n(self, net14, pf14):
-        stream = PmuStream(net14, np.array([0, 3]), seed=0)
-        samples = stream.samples(pf14, 0.0, 25)
-        avg = average_pmu_window(samples)
-        assert avg.sigma[0] == pytest.approx(samples[0].mset.sigma[0] / 5.0)
-
-    def test_mean_of_values(self, net14, pf14):
-        stream = PmuStream(net14, np.array([1]), seed=1)
-        samples = stream.samples(pf14, 0.0, 10)
-        avg = average_pmu_window(samples)
-        expect = np.mean([s.mset.z for s in samples], axis=0)
-        assert np.allclose(avg.z, expect)
-
-    def test_averaging_reduces_error(self, net14, pf14):
-        """The averaged window lands closer to the truth than one sample."""
-        from repro.measurements import true_values, pmu_placement
-
-        stream = PmuStream(net14, np.array([0, 5, 9]), seed=3)
-        samples = stream.samples(pf14, 0.0, 60)
-        truth = true_values(net14, stream.placement, pf14)
-        avg_err = np.abs(average_pmu_window(samples).z - truth).mean()
-        one_err = np.abs(samples[0].mset.z - truth).mean()
-        assert avg_err < one_err
-
-    def test_empty_window_rejected(self):
-        with pytest.raises(ValueError):
-            average_pmu_window([])
-
-    def test_mismatched_placements_rejected(self, net14, pf14):
-        a = PmuStream(net14, np.array([0]), seed=4).samples(pf14, 0.0, 1)
-        b = PmuStream(net14, np.array([1]), seed=4).samples(pf14, 0.0, 1)
-        with pytest.raises(ValueError, match="differing"):
-            average_pmu_window([a[0], b[0]])

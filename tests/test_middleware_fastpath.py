@@ -1,8 +1,8 @@
 """Tests for the mux data plane: framing, the hub fabric, zero-copy.
 
 Covers the frame edge cases (MAX_FRAME boundary, oversized rejection on
-both ends, mid-header / mid-payload disconnects), the incremental
-reassembler, a site's one pooled link shared by concurrent senders, the
+both ends, undefined flag bits, mid-header / mid-payload disconnects), the
+incremental reassembler, a site's one pooled link shared by concurrent senders, the
 mux router data plane (routing, statistics counted before delivery,
 frames cut inside their extension block), and the zero-copy pack/unpack
 contracts.
@@ -29,13 +29,20 @@ from repro.middleware import (
     StreamReader,
     pack_extension,
     pack_state_update,
+    parse_endpoint,
     recv_mux_frame,
     send_mux_frame,
     send_mux_frames,
     unpack_state_update,
 )
 from repro.middleware import message as message_mod
-from repro.middleware.message import FLAG_EPOCH, FLAG_TRACED, MUX_HEADER
+from repro.middleware.message import (
+    FLAG_CONTROL,
+    FLAG_EPOCH,
+    FLAG_TRACED,
+    MUX_HEADER,
+    MUX_VERSION,
+)
 
 
 def _socketpair():
@@ -144,6 +151,19 @@ class TestFrameEdgeCases:
             a.sendall(MUX_HEADER.pack(99, 0, 0, 0, 0))
             with pytest.raises(FrameError, match="version"):
                 recv_mux_frame(b)
+        finally:
+            a.close()
+            b.close()
+
+    @pytest.mark.parametrize("flags", [0x04, 0x80])
+    def test_undefined_flag_bits_rejected(self, flags):
+        """0x04 (retired) and the never-defined high bits are refused at
+        the header, before the payload is read."""
+        a, b = _socketpair()
+        try:
+            a.sendall(MUX_HEADER.pack(MUX_VERSION, flags, 3, 4, 2) + b"xy")
+            with pytest.raises(FrameError, match="undefined mux frame flags"):
+                StreamReader().feed(b)
         finally:
             a.close()
             b.close()
@@ -435,6 +455,34 @@ class TestMuxFabric:
             assert hub.frames_dropped == len(ext) + 1
             assert hub.stats() == {(1, 2): (1, 6)}
         finally:
+            hub.stop()
+
+    def test_undefined_flag_frame_closes_the_senders_link(self):
+        """A site that sends a frame with an undefined flag bit is cut off
+        at the hub; the frame reaches no deliver callback and the other
+        links keep routing."""
+        hub = MuxRouter()
+        hub.start()
+        got = queue.SimpleQueue()
+        sender = hub.attach(1, lambda p: None)
+        receiver = hub.attach(2, got.put)
+        ep = parse_endpoint(hub.endpoint)
+        raw = socket.create_connection((ep.host, ep.port), timeout=5.0)
+        try:
+            send_mux_frame(raw, 3, 0, b"", flags=FLAG_CONTROL)
+            assert recv_mux_frame(raw)[0] == FLAG_CONTROL  # registered
+            raw.sendall(MUX_HEADER.pack(MUX_VERSION, 0x04, 3, 2, 3) + b"bad")
+            try:
+                assert raw.recv(1) == b""  # the hub closed the link
+            except ConnectionResetError:
+                pass
+            sender.send(2, b"good")
+            assert bytes(got.get(timeout=2)) == b"good"
+            assert got.empty()
+            assert hub.stats() == {(1, 2): (1, 4)}
+        finally:
+            for sock in (raw, sender, receiver):
+                sock.close()
             hub.stop()
 
     def test_unknown_pair_rejected(self):

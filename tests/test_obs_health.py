@@ -1,8 +1,8 @@
 """Tests for the runtime health plane (repro.obs.health).
 
-Unit coverage runs the watchdog, SLO burn-rate engine, flight recorder
-and telemetry delta pipeline against injected clocks, so every staleness
-and hysteresis decision is deterministic.  The chaos acceptance test at
+Unit coverage runs the watchdog, SLO burn-rate engine and flight
+recorder against injected clocks, so every staleness and hysteresis
+decision is deterministic.  The chaos acceptance test at
 the bottom drives the full stack: a seeded PR-5 ``FaultPlan`` kills a
 shard replica mid-load, the health plane must emit a blackbox JSONL
 whose meta (trigger + ``fired_summary``) replays bit-for-bit, the
@@ -21,7 +21,6 @@ from repro.contingency import enumerate_n1
 from repro.dse import DistributedStateEstimator, decompose, dse_pmu_placement
 from repro.faults import FaultPlan
 from repro.measurements import full_placement, generate_measurements
-from repro.obs.aggregate import TelemetryAggregator, TelemetryPublisher
 from repro.obs.export import (
     build_trace_trees,
     load_jsonl,
@@ -207,7 +206,8 @@ class TestSloEngine:
             stats.record_request(0.001)
         fired = eng.evaluate(clk.advance(1.0))        # streak 2: alert
         assert len(fired) == 1 and fired[0]["slo"] == "lat"
-        assert eng.hint_for(stats) == 1
+        assert eng.status()[0]["burning"] is True
+        assert eng.status()[0]["kind"] == "latency"
         burn = reg.gauge("health.slo.burn_rate",
                          slo="lat", source="svc", window="1.0").value
         assert burn >= 1.0
@@ -219,7 +219,6 @@ class TestSloEngine:
         assert eng.status()[0]["burning"] is True     # streak 1 of 2 clean
         eng.evaluate(clk.advance(10.0))
         assert eng.status()[0]["burning"] is False
-        assert eng.hint_for(stats) == 0
 
     def test_availability_burn_counts_lost_replicas_no_hint(self):
         clk, eng = self._engine()
@@ -233,8 +232,12 @@ class TestSloEngine:
         stats._bump("replicas_lost")
         fired = eng.evaluate(clk.advance(1.0))
         assert len(fired) == 1 and fired[0]["kind"] == "availability"
-        # availability burns never hint the autoscaler
-        assert eng.hint_for(stats) == 0
+        assert eng.status()[0]["burning"] is True
+        assert eng.status()[0]["kind"] == "availability"
+        # a clean evaluation with no further loss clears it (hysteresis 1)
+        stats._bump("completed", 500)
+        assert eng.evaluate(clk.advance(10.0)) == []
+        assert eng.status()[0]["burning"] is False
 
     def test_no_traffic_is_not_a_burn(self):
         clk, eng = self._engine()
@@ -416,83 +419,6 @@ class TestSpanContextRestoration:
         # pool threads are reused: one leaked token would parent every
         # subsequent task on that thread under a finished span
         assert leaked == []
-
-
-# -- telemetry aggregation plane --------------------------------------------
-class TestTelemetry:
-    def test_publisher_sends_deltas_only(self):
-        reg = MetricsRegistry()
-        pub = TelemetryPublisher("site-a", reg)
-        agg = TelemetryAggregator()
-        send = lambda payload: agg.ingest(payload)  # noqa: E731
-
-        reg.counter("serving.requests_total").inc(3)
-        reg.gauge("pool.size").set(2)
-        reg.histogram("lat.seconds").observe(0.01)
-        assert pub.publish(send) == 3
-        assert pub.publish(send) == 0                # idle: nothing sent
-        reg.counter("serving.requests_total").inc(2)
-        assert pub.publish(send) == 1                # only the counter moved
-
-        agg_counter = agg.registry.counter(
-            "serving.requests_total", site="site-a")
-        assert agg_counter.value == 5.0
-        hist = agg.registry.get("lat.seconds", site="site-a")
-        assert hist.count == 1 and hist.sum == pytest.approx(0.01)
-        assert agg.frames_ingested == 2
-
-    def test_histogram_bucket_deltas_merge_exactly(self):
-        reg = MetricsRegistry()
-        pub = TelemetryPublisher("s", reg)
-        agg = TelemetryAggregator()
-        h = reg.histogram("d")
-        for v in (0.001, 0.01, 0.1, 1.0):
-            h.observe(v)
-        pub.publish(agg.ingest)
-        for v in (0.002, 0.02):
-            h.observe(v)
-        pub.publish(agg.ingest)
-        merged = agg.registry.get("d", site="s")
-        assert merged.count == 6
-        assert merged.sum == pytest.approx(h.sum)
-        assert merged.bucket_counts() == h.bucket_counts()
-        assert merged.quantile(0.5) == pytest.approx(h.quantile(0.5))
-
-    def test_telemetry_rides_the_fabric(self):
-        from repro.middleware import MiddlewareFabric
-
-        reg = MetricsRegistry()
-        reg.counter("dse.rounds_total").inc(7)
-        pub = TelemetryPublisher("se1", reg)
-        agg = TelemetryAggregator()
-        delivered = []
-        with MiddlewareFabric(["hub", "se1"], pairs=[("se1", "hub")]) as fab:
-            fab.enable_telemetry(agg.ingest)
-            fab.send("se1", "hub", b"app-frame")     # normal traffic
-            publish = pub.bind(fab, "se1")
-            publish()
-            delivered.append(fab.recv("hub", timeout=5.0))
-            deadline_hit = False
-            try:
-                fab.recv("hub", timeout=0.2)
-            except Exception:
-                deadline_hit = True
-        # the app frame arrived; the telemetry frame was consumed at the
-        # hub and never surfaced as application traffic
-        assert delivered == [b"app-frame"]
-        assert deadline_hit
-        assert agg.registry.counter("dse.rounds_total", site="se1").value == 7.0
-
-    def test_monitor_tick_runs_publishers(self):
-        clk = FakeClock()
-        mon = HealthMonitor(clock=clk)
-        pub = TelemetryPublisher("site", mon.registry)
-        agg = TelemetryAggregator()
-        mon.attach_publisher(lambda: pub.publish(agg.ingest))
-        mon.registry.counter("serving.requests_total").inc(4)
-        mon.tick(clk.advance(1.0))
-        assert agg.registry.counter(
-            "serving.requests_total", site="site").value == 4.0
 
 
 # -- satellite 1: prometheus escaping + histogram series --------------------

@@ -1,4 +1,4 @@
-"""The sharded serving tier: hash ring, router, autoscaler, loadgen.
+"""The sharded serving tier: hash ring, router, loadgen.
 
 Contracts under test:
 
@@ -7,8 +7,6 @@ Contracts under test:
 - the router serves the same answers as a direct ``ScenarioService``,
   keeps scenario-key affinity, spills overload in ring order, and turns
   every replica failure into *re-hash or typed error* — never silence;
-- the autoscaler applies hysteresis + cooldown and is bitwise-inert
-  when disabled (off is the default);
 - the load generator's arrival schedule and request mix are functions
   of the seed alone.
 """
@@ -25,17 +23,10 @@ from repro.grid.delta import NetworkDelta
 from repro.measurements import full_placement, generate_measurements
 from repro.middleware import ConsistentHashRing, EmptyRing, MiddlewareFabric
 from repro.middleware.errors import DeadlineExceeded
-from repro.parallel import (
-    ProcessPoolBackend,
-    SerialExecutor,
-    ThreadPoolBackend,
-)
 from repro.serving import (
-    AutoscalePolicy,
     ContingencyRequest,
     EstimationRequest,
     LoadGenerator,
-    PoolAutoscaler,
     ReplicaLost,
     ScenarioMix,
     ScenarioService,
@@ -364,178 +355,6 @@ class TestServiceStatsStreaming:
             assert counter is not None and counter.value == 1
         finally:
             obs.configure(enabled=False, reset=True)
-
-
-# ---------------------------------------------------------------------------
-# Executor resize (the autoscaler's actuator)
-# ---------------------------------------------------------------------------
-
-class TestExecutorResize:
-    def test_serial_cannot_resize(self):
-        assert SerialExecutor().resize(4) is False
-
-    def test_thread_pool_resize(self):
-        with ThreadPoolBackend(1) as pool:
-            assert pool.map(lambda x: x * 2, [1, 2]) == [2, 4]
-            assert pool.resize(3) is True
-            assert pool.n_workers == 3
-            assert pool.map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
-        with pytest.raises(ValueError, match="n_workers"):
-            ThreadPoolBackend(2).resize(0)
-
-    def test_process_pool_resize_rebuilds_warm_contexts(self):
-        with ProcessPoolBackend(1) as pool:
-            pool.initialize("k", _build_ctx, 7)
-            assert pool.map(_read_ctx, [0, 1]) == [7, 7]
-            assert pool.resize(2) is True
-            assert pool.n_workers == 2
-            # the resized pool rebuilt the registered context
-            assert pool.map(_read_ctx, [0, 1]) == [7, 7]
-
-
-def _build_ctx(payload):
-    return payload
-
-
-def _read_ctx(_item):
-    from repro.parallel import worker_context
-
-    return worker_context("k")
-
-
-# ---------------------------------------------------------------------------
-# Autoscaler: hysteresis, cooldown, clamping, disabled-inert
-# ---------------------------------------------------------------------------
-
-class _FakeExecutor:
-    def __init__(self, n=1):
-        self.n_workers = n
-        self.resized = []
-
-    def resize(self, n):
-        self.resized.append(n)
-        self.n_workers = n
-        return True
-
-
-class _FakeStats:
-    p99 = 0.0
-
-
-class _FakeShard:
-    def __init__(self, depth=0, n_workers=1):
-        self.depth = depth
-        self.executor = _FakeExecutor(n_workers)
-        self.stats = _FakeStats()
-
-    def queue_depth(self):
-        return self.depth
-
-
-class _FakeRouter:
-    def __init__(self, shards):
-        self.shards = shards
-
-    def live_items(self):
-        return list(self.shards.items())
-
-
-class TestPoolAutoscaler:
-    POLICY = AutoscalePolicy(
-        min_workers=1, max_workers=3, scale_up_depth=4,
-        scale_down_depth=0, hysteresis=2, cooldown=10.0,
-    )
-
-    def _scaler(self, shards, *, enabled=True, t0=100.0):
-        clock = {"t": t0}
-        scaler = PoolAutoscaler(
-            self.POLICY, enabled=enabled, clock=lambda: clock["t"]
-        )
-        scaler.attach(_FakeRouter(shards))
-        return scaler, clock
-
-    def test_disabled_is_inert(self):
-        shard = _FakeShard(depth=100)
-        scaler, _ = self._scaler({"s": shard}, enabled=False)
-        for _ in range(10):
-            assert scaler.evaluate() == {}
-            assert scaler.step() == {}
-        scaler.start()
-        assert scaler._thread is None  # no loop spawned
-        assert shard.executor.resized == []
-
-    def test_hysteresis_requires_consecutive_votes(self):
-        shard = _FakeShard(depth=10)
-        scaler, clock = self._scaler({"s": shard})
-        assert scaler.step() == {}            # first vote: no action yet
-        assert scaler.step() == {"s": 2}      # second consecutive: scale up
-        assert shard.executor.n_workers == 2
-        # a neutral tick resets the streak
-        shard.depth = 2
-        clock["t"] += 60.0
-        assert scaler.step() == {}
-        shard.depth = 10
-        assert scaler.step() == {}            # streak restarted at 1
-
-    def test_cooldown_freezes_after_action(self):
-        shard = _FakeShard(depth=10)
-        scaler, clock = self._scaler({"s": shard})
-        scaler.step()
-        assert scaler.step() == {"s": 2}
-        assert scaler.step() == {}            # streak rebuilding after reset
-        assert scaler.step() == {}            # streak hot, cooldown blocks
-        clock["t"] += 11.0                    # cooldown expired
-        assert scaler.step() == {"s": 3}
-
-    def test_clamps_to_bounds_and_scales_down(self):
-        shard = _FakeShard(depth=0, n_workers=3)
-        scaler, clock = self._scaler({"s": shard})
-        scaler.step()
-        assert scaler.step() == {"s": 2}      # idle: shrink one at a time
-        clock["t"] += 11.0
-        scaler.step()
-        assert scaler.step() == {"s": 1}
-        clock["t"] += 11.0
-        scaler.step()
-        assert scaler.step() == {}            # already at min_workers
-        up = _FakeShard(depth=50, n_workers=3)
-        scaler2, _ = self._scaler({"s": up})
-        scaler2.step()
-        assert scaler2.step() == {}           # already at max_workers
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError, match="min_workers"):
-            AutoscalePolicy(min_workers=0)
-        with pytest.raises(ValueError, match="max_workers"):
-            AutoscalePolicy(min_workers=4, max_workers=2)
-        with pytest.raises(ValueError, match="scale_up_depth"):
-            AutoscalePolicy(scale_up_depth=0, scale_down_depth=0)
-
-    def test_router_integration_scales_a_real_backend(self, serving14):
-        dec, ms = serving14
-        svc = _replica(dec, ms, executor=ThreadPoolBackend(1), max_batch=1)
-        policy = AutoscalePolicy(
-            min_workers=1, max_workers=2, scale_up_depth=1,
-            scale_down_depth=0, hysteresis=1, cooldown=0.0, interval=0.05,
-        )
-        scaler = PoolAutoscaler(policy, enabled=True, clock=time.monotonic)
-        with ShardRouter({"s0": svc}, grid="g", autoscaler=scaler) as router:
-            release = threading.Event()
-            svc._ensure_dispatcher()
-
-            def _block(batch, _orig=svc._execute_batch):
-                release.wait(timeout=10.0)
-                _orig(batch)
-
-            svc._execute_batch = _block
-            futures = [router.submit_estimation() for _ in range(6)]
-            deadline = time.monotonic() + 5.0
-            while not scaler.resizes and time.monotonic() < deadline:
-                time.sleep(0.02)
-            release.set()
-            for f in futures:
-                f.result(timeout=60)
-        assert scaler.resizes and scaler.resizes[0] == ("s0", 1, 2)
 
 
 # ---------------------------------------------------------------------------
