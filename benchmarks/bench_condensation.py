@@ -1,4 +1,4 @@
-"""Condensation benchmarks: Schur-reduced Step-2 exchange and solve.
+"""Condensation benchmarks: boundary-only Step-2 exchange and frozen-gain solve.
 
 ``measure_condensation`` runs the reference and the boundary-condensed
 DSE over the same warm estimators on three systems — IEEE-14, IEEE-118
@@ -13,7 +13,8 @@ case:
 - warm Step-2 time and Step-2 iteration totals of both paths, over the
   same fresh values-only frames, the two paths taking turns (gate: the
   condensed path is the faster one at WECC scale — one exact round, then
-  rounds that assemble and factor no gain, against a full
+  rounds that assemble and factor no gain but solve against each
+  subsystem's gain factored once per frame, against a full
   re-factorisation every iteration of every round).  On IEEE-14 and
   IEEE-118 the subsystems are too small for the frozen rounds' cheaper
   iterations to buy back their linear convergence; the ratio there is
@@ -31,7 +32,6 @@ import sys
 import time
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
 
 from repro.dse import (
     DistributedStateEstimator,
@@ -65,19 +65,7 @@ def _step2(res) -> tuple[float, int]:
     )
 
 
-def _warm_blas(calls: int = 100) -> None:
-    """Spend OpenBLAS's slow start before anything is timed: in this
-    sandbox the first ~60 *threaded* calls of a process — the
-    multi-right-hand-side triangular solves of a Schur factorisation are
-    such calls — take 16 ms each instead of 20 µs, which would charge the
-    small cases' condensed frames ~12 ms per subsystem."""
-    chol, rhs = np.eye(80), np.ones((80, 32))
-    for _ in range(calls):
-        dpotrs(chol, rhs, lower=1)
-
-
 def measure_condensation(repeats: int = 5) -> dict:
-    _warm_blas()
     out = {}
     for name, (build_net, build_dec) in CASES.items():
         net = build_net()

@@ -1,15 +1,14 @@
-"""Boundary-condensed DSE Step 2: reduced exchange and solve.
+"""Boundary-condensed DSE Step 2: reduced exchange, frozen-gain solve.
 
 Run with::
 
     python examples/condensed_dse.py
 
-Each subsystem eliminates its internal states from the extended gain
-matrix onto the boundary buses via a Schur complement (factored once per
-frame, at the solution of the exact first round), so every later Step-2
-round solves a boundary-sized system, back-substitutes the interior
-locally, and every round puts only compact per-neighbour boundary blocks
-on the wire.  The example runs the
+Each subsystem factors its extended gain matrix once per frame, at the
+solution of the exact first round, and holds the Cholesky factor, so
+every later Step-2 round iterates against it without assembling or
+factoring a gain, and every round puts only compact per-neighbour
+boundary blocks on the wire.  The example runs the
 reference and the condensed path on IEEE-118, checks final-state parity,
 and round-trips the condensed wire frames through the live middleware
 runtime.
@@ -37,7 +36,7 @@ def main() -> None:
     con = con_dse.run()
 
     print(f"{net.name}: {dec.m} subsystems, {con.rounds} Step-2 rounds")
-    print("\ncondensed operator sizes (per subsystem):")
+    print("\ncoupling sets and frozen-gain factorisations (per subsystem):")
     for s, rec in con.records.items():
         print(f"  subsystem {s}: {rec.n_boundary_states:3d} boundary / "
               f"{rec.n_interior_states:3d} interior states "

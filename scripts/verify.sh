@@ -62,7 +62,7 @@ smoke examples/chaos_demo.py
 echo "== batch sweep smoke (copy-on-write forks + SIMD batch solves) =="
 smoke examples/batch_sweep.py
 
-echo "== condensed DSE smoke (Schur-reduced Step-2 exchange and solve) =="
+echo "== condensed DSE smoke (boundary-only Step-2 exchange, frozen-gain solve) =="
 smoke examples/condensed_dse.py
 
 echo "== sharded serving smoke (hash-ring router, drain, no loss) =="

@@ -220,14 +220,13 @@ class DistributedStateEstimator:
         :class:`SubsystemRecord`.
     condense:
         Off by default (full extended re-evaluation, the reference path).
-        When on, each subsystem's extended gain matrix is condensed onto
-        its boundary buses via a Schur complement
+        When on, each subsystem's extended gain matrix is frozen
         (:class:`~repro.dse.condensation.CondensedStep2`) — factored once
         per frame, at the solution of the frame's first (exact) Step-2
-        round, and reused by every later round — so those rounds solve a
-        boundary-sized system and back-substitute interior states locally,
-        and each round exchanges only compact per-neighbour boundary
-        blocks (the condensed wire form of :mod:`repro.middleware.message`).
+        round, and the factor held by every later round — so those rounds
+        assemble and factor no gain, and each round exchanges only compact
+        per-neighbour boundary blocks (the condensed wire form of
+        :mod:`repro.middleware.message`).
         Requires ``reuse_structures=True``.
     """
 

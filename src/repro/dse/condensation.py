@@ -1,17 +1,26 @@
-"""Schur-complement boundary condensation for DSE Step 2.
+"""Boundary condensation of DSE Step 2: a compact boundary wire form and a
+frozen-gain iteration on a held factor.
 
 The reference Step 2 re-evaluates each subsystem's *full* extended network
-every round, so the per-round solve scales with subsystem size even though
-only the boundary couples neighbours.  Condensation freezes the extended
-gain matrix ``G = Hᵀ W H`` at a linearization point and eliminates the
-interior states onto the boundary once per frame
-(:class:`~repro.estimation.solvers.SchurGainSolver`):
+every round with exact Gauss-Newton — a gain ``G = Hᵀ W H`` assembled and
+factored on every iteration — and broadcasts its whole exchange set to
+every neighbour.  Condensation changes both halves.  On the wire, a
+subsystem sends each neighbour only the tie-endpoint buses that
+neighbour's solve reads (:func:`neighbor_publication_sets`).  In the
+solve, the gain is frozen at a linearization point, factored once per
+frame (the same fixed-pattern Cholesky the Gauss-Newton loop uses) and
+held:
 
 .. code-block:: text
 
-    S = G_BB − G_BI G_II⁻¹ G_IB          once per frame
-    dx_B = S⁻¹ (rhs_B − G_IBᵀ G_II⁻¹ rhs_I)   per iteration (boundary-sized)
-    dx_I = G_II⁻¹ rhs_I − W dx_B              local back-substitution
+    G(x_lin) = L Lᵀ                          once per frame
+    dx = L⁻ᵀ L⁻¹ H(x)ᵀ W (z − h(x))          per iteration (packed dpptrs)
+
+The held factor is the loop's own frozen-tail operator
+(:class:`~repro.estimation.solvers._HeldFactor`).  A Schur split of the
+gain onto the boundary would pay only if the interior right-hand side
+stayed fixed; here it changes every iteration, so the split would cost an
+interior solve, a boundary solve and two dense products per step.
 
 Each iteration still evaluates the *exact* residual and Jacobian at the
 current state — ``rhs = H(x)ᵀ W (z − h(x))`` — so the fixed point of the
@@ -21,7 +30,7 @@ scheme with linear convergence.  How fast it contracts depends on how far
 the frozen point is from where the iteration runs, so the operator is
 frozen *there*: round 0 of a frame is the wrapped estimator's exact
 Gauss-Newton solve, and every later round iterates with the gain
-condensed at that round-0 solution (3–5e-3 pu closer than the Step-1
+frozen at that round-0 solution (3–5e-3 pu closer than the Step-1
 publication, which on stiff areas is the difference between a contraction
 of 0.7 and one of 0.06–0.12 per iteration).  The iteration runs to a
 tighter internal tolerance to keep final-state parity with the reference
@@ -57,7 +66,7 @@ import numpy as np
 
 from .. import obs
 from ..estimation.results import EstimationResult
-from ..estimation.solvers import GainSolveError, SchurGainSolver
+from ..estimation.solvers import GainSolveError, _HeldFactor, _SpdFactor
 from ..estimation.wls import EstimationError, WlsEstimator
 from .decomposition import Decomposition
 
@@ -99,26 +108,39 @@ def neighbor_publication_sets(dec: Decomposition) -> dict[int, dict[int, np.ndar
     return out
 
 
+class _Unfactored:
+    """The frozen operator of a subsystem whose gain has not factored: its
+    block fails alone in the loop, with ``reason``."""
+
+    def __init__(self, reason: str):
+        self.reason = reason
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        raise GainSolveError(self.reason)
+
+
 class CondensedStep2:
     """Condensed drop-in for the cached Step-2 :class:`WlsEstimator`.
 
     Wraps the warm extended-network estimator of one subsystem and exposes
     the same ``estimate(x0=, tol=, z=)`` call surface, so the in-process
     algorithm, the process-pool task functions and the live runtime use it
-    unchanged through ``_step2_cache``.  It owns the subsystem's Schur
-    operator, the linearization point it was factored at and the fallback
-    count; the iteration is :func:`frozen_round`.
+    unchanged through ``_step2_cache``.  It owns the subsystem's frozen
+    operator (``operator``: the held Cholesky factor of its extended gain),
+    the linearization point it was factored at and the fallback count; the
+    iteration is :func:`frozen_round`.
 
     Parameters
     ----------
     est:
         The subsystem's cached extended-network estimator (owns the
-        Jacobian pattern and the normal-equation kernel the condensed
-        operator is factored through, and solves round 0 and fallbacks).
+        Jacobian pattern and the normal-equation kernel the frozen gain is
+        assembled and factored through, and solves round 0 and fallbacks).
     boundary_buses_local:
         Local bus indices of the coupling set — the subsystem's own
         boundary buses plus the external boundary buses; both of each
-        bus's states (Va, Vm) become boundary states of the Schur split.
+        bus's states (Va, Vm) are its ``boundary_states``, reported in
+        the records' sizes.
 
     ``max_iter`` (:data:`FROZEN_MAX_ITER`) is this subsystem's frozen-round
     cap.
@@ -137,7 +159,9 @@ class CondensedStep2:
         cand = np.concatenate([b, n + b])  # Va states, then Vm states
         bpos = pos[cand]
         self.boundary_states = np.sort(bpos[bpos >= 0])
-        self.schur = SchurGainSolver(self.boundary_states, est.n_states)
+        self.operator: _HeldFactor | _Unfactored = _Unfactored(
+            "the frozen gain was never factored"
+        )
         self.max_iter = FROZEN_MAX_ITER
         self.factor_time = 0.0
         self.factor_count = 0
@@ -147,11 +171,11 @@ class CondensedStep2:
     # -- sizes ----------------------------------------------------------
     @property
     def n_boundary_states(self) -> int:
-        return self.schur.n_boundary
+        return len(self.boundary_states)
 
     @property
     def n_interior_states(self) -> int:
-        return self.schur.n_interior
+        return self.est.n_states - len(self.boundary_states)
 
     # ------------------------------------------------------------------
     def lin_point_cached(self, lin_point: tuple, weights=None) -> bool:
@@ -170,15 +194,23 @@ class CondensedStep2:
             for a, b in zip(cached, (*lin_point, weights))
         )
 
-    def _factor(self, gain: np.ndarray, lin_point: tuple, weights) -> None:
-        """Condense this subsystem's gain values ``gain`` (on its
-        estimator's kernel pattern), assembled at ``lin_point`` with row
-        weights ``weights`` (:func:`condense`), and key the operator by
-        those.  A gain that does not condense raises
-        :class:`GainSolveError` and leaves no key, so the next round tries
-        again."""
+    def _factor(
+        self, spd: _SpdFactor, gain: np.ndarray, lin_point: tuple, weights
+    ) -> None:
+        """Factor this subsystem's gain values ``gain`` (on its estimator's
+        kernel pattern), assembled at ``lin_point`` with row weights
+        ``weights`` (:func:`condense`), through ``spd`` — a factor of that
+        pattern — hold the factor as the frozen operator and key it by
+        those.  A gain that does not factor raises :class:`GainSolveError`
+        and leaves an operator that fails its block and no key, so the next
+        round tries again."""
         self._lin_cache = None
-        self.schur.factor_gain(self.est._kernel(), gain)
+        try:
+            spd.factor(gain)
+        except GainSolveError as exc:
+            self.operator = _Unfactored(f"frozen gain: {exc}")
+            raise
+        self.operator = _HeldFactor(spd)
         self.factor_count += 1
         if obs.enabled():
             obs.metrics().counter("dse.condensation.factorizations_total").inc()
@@ -228,13 +260,14 @@ def condense(
 ) -> float:
     """Refactor every ``conds[b]`` whose ``(lin_points[b], weights[b])``
     moved, from one gain pass over ``stack`` (:meth:`WlsEstimator.gain_at`
-    restricted to those blocks), each condensing its own segment of the
-    gain values — bit for bit the gain its own estimator assembles.
-    Returns the seconds the whole refactorisation took: each refactored
-    subsystem's ``factor_time`` gains its own Schur factorisation and a
-    share of the gain pass in proportion to its gain entries (apportioned,
-    not timed alone), so the shares sum to this wall.  A subsystem whose
-    gain does not condense keeps no operator: its block fails in the loop.
+    restricted to those blocks), each factoring its own segment of the
+    gain values — bit for bit the gain its own estimator assembles — with
+    its block's fixed-pattern factor in the stack's kernel.  Returns the
+    seconds the whole refactorisation took: each refactored subsystem's
+    ``factor_time`` gains its own factorisation and a share of the gain
+    pass in proportion to its gain entries (apportioned, not timed alone),
+    so the shares sum to this wall.  A subsystem whose gain does not
+    factor keeps an operator that fails its block in the loop.
     """
     stale = [
         b for b, (cond, lin, w) in enumerate(zip(conds, lin_points, weights))
@@ -253,13 +286,14 @@ def condense(
                 w = stack.mset.weights.copy()
             w[blk.rows] = weights[b]
     kernel, _, gain = stack.gain_at(Vm, Va, w, parts=stale)
-    segments = [slice(*kernel.blocks[b][2]) for b in stale]
+    blocks = kernel.blocks
+    segments = [slice(*blocks[b][2]) for b in stale]
     sizes = np.array([g.stop - g.start for g in segments], dtype=float)
     t = time.perf_counter()
     shares = (t - t0) * sizes / sizes.sum()
     for b, g, share in zip(stale, segments, shares):
         try:
-            conds[b]._factor(gain[g], lin_points[b], weights[b])
+            conds[b]._factor(blocks[b][0], gain[g], lin_points[b], weights[b])
         except GainSolveError:
             pass    # the unfactored operator fails its own block in the loop
         t, t_prev = time.perf_counter(), t
@@ -284,8 +318,8 @@ def frozen_round(
     ``stack`` holds the wrapped estimators as its blocks — their
     :meth:`WlsEstimator.stacked` union, or for one subsystem its estimator
     itself — and runs them through the one masked loop
-    (:meth:`WlsEstimator.estimate_blocks`) with each block's condensed
-    operator, frozen at ``lin_points[b]`` with row weights ``weights[b]``
+    (:meth:`WlsEstimator.estimate_blocks`) with each block's held gain
+    factor, frozen at ``lin_points[b]`` with row weights ``weights[b]``
     (``None``: the set's own; refactored by :func:`condense` where that
     key moved), in place of the gain: every iteration evaluates the exact
     right-hand side of the still-running blocks once and asks each of
@@ -304,7 +338,7 @@ def frozen_round(
     results = stack.estimate_blocks(
         x0=x0, z=z, weights=weights, tol=tol * FROZEN_TOL_SCALE,
         max_iter=max(limits), reference_angle=reference_angle,
-        operators=[c.schur for c in conds],
+        operators=[c.operator for c in conds],
     )
     for b, (cond, res) in enumerate(zip(conds, results)):
         if isinstance(res, EstimationError) or (

@@ -66,12 +66,13 @@ class SubsystemRecord:
     #: (only possible with ``degrade_on_failure=True``)
     degraded: bool = False
     failures: list[str] = field(default_factory=list)
-    #: Step 2 ran in condensed (Schur-complement) mode
+    #: Step 2 ran in condensed mode (frozen gain, boundary wire form)
     condensed: bool = False
-    #: states in the condensed boundary block / eliminated interior block
+    #: states of the coupling set (boundary and external boundary buses) /
+    #: the other states of the extended network
     n_boundary_states: int = 0
     n_interior_states: int = 0
-    #: wall time spent condensing the gain operator (in-process executors;
+    #: wall time spent factoring the frozen gain (in-process executors;
     #: process-pool factorizations happen inside the warm workers)
     factor_time: float = 0.0
 

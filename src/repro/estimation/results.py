@@ -51,7 +51,7 @@ class EstimationResult:
         Iterations that assembled and factored a fresh gain (``pcg`` /
         ``lsqr``: every iteration).  The others solved against a frozen
         operator: the Gauss-Newton loop's held factor in the linear tail,
-        or a condensed Step-2 round's Schur operator.  0 for estimators
+        or a condensed Step-2 round's held gain factor.  0 for estimators
         outside the Gauss-Newton loop.
     """
 

@@ -24,9 +24,10 @@ the block-diagonal Jacobian, one factor per diagonal block), or K same-pattern
 problems as the rows of a ``(K, nnz)`` data stack (one vectorised assembly,
 the one factor used K times).  Either way a block's step is bit for bit that
 of the block solved alone, and a block that fails does so alone.  A block may
-instead be solved against a frozen operator its caller holds — a condensed
-Schur operator, or a factor the kernel kept from an earlier call
-(:class:`_HeldFactor`) — in which case it is neither assembled nor factored.
+instead be solved against a frozen operator (:class:`_HeldFactor`) — a factor
+the kernel kept from an earlier call, or one a caller factored and holds, as
+the condensed DSE Step 2 does — in which case it is neither assembled nor
+factored.
 """
 
 from __future__ import annotations
@@ -223,7 +224,10 @@ class _HeldFactor:
     """A gain factor kept past the solve that made it, as a frozen operator.
 
     The Gauss-Newton loop holds a block's factor through the block's linear
-    tail (:meth:`NormalEquations.solve_blocks`' ``hold``).  A dense factor is
+    tail (:meth:`NormalEquations.solve_blocks`' ``hold``), and a condensed
+    DSE Step-2 round holds its subsystem's gain factored once at the frame's
+    linearization point through every iteration of the round (passed back
+    as ``operators``).  A dense factor is
     held as its packed lower triangle and solved with ``dpptrs``; a sparse
     one keeps the SuperLU object its factorisation created, with the column
     order.  Every path holds this one form — a union block, a plain
@@ -544,7 +548,7 @@ class NormalEquations:
         ``solve(rhs) -> dx``): that block's step is the operator's solve of
         its slice of the exact right-hand side, and no gain is assembled or
         factored for it.  The operators are the caller's (a condensed
-        round's :class:`SchurGainSolver`) or factors held here: ``hold``
+        round's held gain factor) or factors held here: ``hold``
         maps a block to a step bound, and a block factored by this call
         whose step comes out below its bound has its factor added to
         ``operators`` (in place, as a :class:`_HeldFactor`) for the
@@ -696,6 +700,11 @@ class SchurGainSolver:
     bookkeeping done once per Jacobian pattern, so a refactorisation at a
     new linearisation point is numeric-only and, like every kernel product,
     independent of what was factored before.
+
+    The split pays when the interior right-hand side is fixed and only the
+    boundary system travels — boundary elimination across areas.  An
+    iteration whose whole right-hand side changes every step solves faster
+    against one held factor of ``G`` (:class:`_HeldFactor`).
     """
 
     def __init__(self, boundary: np.ndarray, n_states: int):

@@ -343,9 +343,9 @@ class WlsEstimator:
         factor.
 
         ``operators`` turns the loop into the frozen-gain iteration of the
-        condensed DSE Step 2: one factored
-        :class:`~repro.estimation.solvers.SchurGainSolver` per block (a
-        union's members, or a plain estimator's one problem) supplies the
+        condensed DSE Step 2: one frozen gain operator per block (a union's
+        members, or a plain estimator's one problem) — the held factor of
+        the block's gain at the caller's linearization point — supplies the
         block's step from the exact right-hand side, so an iteration
         assembles and factors no gain.  Convergence is then linear, and a
         block whose step norm passes :data:`DIVERGED` stops unconverged
@@ -539,7 +539,7 @@ class WlsEstimator:
 
         if obs.enabled():
             reg = obs.metrics()
-            solver = "lu" if operators is None else "schur"
+            solver = "lu" if operators is None else "frozen"
             reg.histogram("wls.estimate.seconds", solver=solver).observe(
                 time.perf_counter() - t_start
             )

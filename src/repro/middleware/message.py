@@ -396,7 +396,7 @@ def pack_condensed_update(
 ) -> bytearray:
     """Pack a condensed boundary-block exchange record.
 
-    The condensed form is the Schur-reduced counterpart of
+    The condensed form is the boundary-only counterpart of
     :func:`pack_state_update`: per neighbour it carries only the
     tie-adjacent boundary buses (not the full exchange set), bus ids
     shrink to ``uint32``, and after the first round the ordering is known

@@ -2,7 +2,7 @@
 gain is frozen, and that the stacked frozen-gain loop is the per-block one.
 
 Round 0 of a condensed frame is the exact Gauss-Newton solve; every later
-round iterates with the Schur operator frozen at that round-0 *solution*
+round iterates with the gain factor frozen at that round-0 *solution*
 and starts where the previous round stopped.  A serial estimator runs
 those rounds as one masked loop over the union of the subsystems; every
 other executor and the live sites run them block by block — through the
@@ -23,7 +23,6 @@ from repro.dse import (
     decompose_by_areas,
     dse_pmu_placement,
 )
-from repro.estimation.solvers import SchurGainSolver
 from repro.estimation.wls import EstimationError, WlsEstimator
 from repro.grid import run_ac_power_flow
 from repro.grid.cases import synthetic_grid
@@ -207,6 +206,31 @@ class TestBlockFailsAlone:
             assert np.array_equal(g.Vm, w.Vm) and np.array_equal(g.Va, w.Va)
             assert g.step_norms == w.step_norms
 
+    def test_gain_that_does_not_factor_fails_its_block_alone(self, dse118):
+        """A frozen gain that is not positive definite leaves its block an
+        operator that fails typed, and no key; the other blocks run on."""
+        dec, ms = dse118
+        dse = DistributedStateEstimator(dec, ms, condense=True)
+        dse.run(rounds=2)
+        conds = [dse._step2_cache[s][0] for s in range(dec.m)]
+        x0 = [c._lin_cache[:2] for c in conds]
+        bad = 3
+        lins = list(x0)
+        lins[bad] = (np.full_like(x0[bad][0], 1e-160), x0[bad][1])   # no voltage
+        counts = [c.factor_count for c in conds]
+        results = condensation.frozen_round(
+            dse._stacks["step2"], conds, x0=x0, z=[None] * dec.m,
+            weights=[None] * dec.m, lin_points=lins,
+        )
+        assert isinstance(results[bad], EstimationError)
+        assert "frozen gain: gain matrix is not positive definite" in str(results[bad])
+        assert conds[bad]._lin_cache is None
+        assert [c.factor_count for c in conds] == counts
+        assert all(
+            res.converged for s, res in enumerate(results) if s != bad
+        )
+        assert _fallbacks(dse) == 0
+
     def test_poisoned_area_degrades_alone_and_freezes_late(self, dse118):
         """A NaN in one area's Step-2 telemetry degrades that area only; its
         gain is frozen at the solution of its first round that succeeds."""
@@ -311,14 +335,10 @@ class TestCondensationPass:
         assert all(t > 0.0 for t in spent)
         assert sum(spent) == pytest.approx(sum(walls), rel=1e-9)
         assert [res.records[s].factor_time for s in range(dec.m)] == spent
-        # every operator is the one its own estimator's gain condenses to
+        # every operator holds the factor of its own estimator's gain
         for cond in conds:
-            vm, va, w = cond._lin_cache
-            ref = SchurGainSolver(cond.boundary_states, cond.est.n_states)
-            kernel, _, gain = cond.est.gain_at(vm, va, w)
-            ref.factor_gain(kernel, gain)
-            assert np.array_equal(cond.schur._S, ref._S)
-            assert np.array_equal(cond.schur._W, ref._W)
+            spd, _ = cond.est.factor_at(*cond._lin_cache)
+            assert np.array_equal(cond.operator._packed, spd.lower_packed())
         # the same frame again: every key hits, no pass at all
         passes.clear()
         again = dse.run(z=z)
@@ -373,8 +393,8 @@ def test_stacked_rounds_feed_the_condensed_metrics(dse118):
     finally:
         obs.configure(enabled=False, reset=True)
     frozen = int(_iterations(res)[1:].sum())
-    assert got["wls.iterations_total", "schur"] == frozen > 0
-    assert got["wls.estimate.seconds", "schur"] == 2      # one per frozen round
+    assert got["wls.iterations_total", "frozen"] == frozen > 0
+    assert got["wls.estimate.seconds", "frozen"] == 2     # one per frozen round
     assert got["dse.condensation.factorizations_total",] == dec.m
     assert got["dse.step2.solve.seconds", "condensed"] == 3 * dec.m
     assert ("dse.condensation.fallbacks_total",) not in got
@@ -395,9 +415,39 @@ def test_frozen_loop_argument_checks(dse118):
     dse = DistributedStateEstimator(dec, ms, condense=True)
     cond = dse._step2_cache[0][0]
     with pytest.raises(ValueError, match="one frozen operator per block"):
-        cond.est.estimate_blocks(x0=[None, None], operators=[cond.schur] * 2)
+        cond.est.estimate_blocks(x0=[None, None], operators=[cond.operator] * 2)
     with pytest.raises(ValueError, match="one tol"):
         cond.est.estimate_blocks(x0=[None], tol=[1e-8, 1e-8])
     # an operator that was never factored fails its block, typed
-    (res,) = cond.est.estimate_blocks(x0=[None], operators=[cond.schur])
-    assert isinstance(res, EstimationError) and "before factor" in str(res)
+    (res,) = cond.est.estimate_blocks(x0=[None], operators=[cond.operator])
+    assert isinstance(res, EstimationError) and "never factored" in str(res)
+
+
+# ---------------------------------------------------------------------------
+# (6) the frozen operator is the inverse of the gain frozen at the point
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def dse118_4(net118, pf118):
+    return _dse_case(net118, decompose(net118, 4, seed=0), pf118)
+
+
+@pytest.mark.parametrize(
+    "case, areas", [("dse118_4", [0, 1, 2, 3]), ("dse_wecc", [0, 18, 36])]
+)
+def test_frozen_operator_inverts_the_gain(case, areas, request):
+    """After a condensed frame, each subsystem's operator solves the gain
+    its own estimator assembles at the frozen point, as a dense solve does."""
+    dec, ms = request.getfixturevalue(case)
+    dse = DistributedStateEstimator(dec, ms, condense=True)
+    dse.run(z=_frame(ms, 11))
+    rng = np.random.default_rng(12)
+    for s in areas:
+        cond = dse._step2_cache[s][0]
+        assert cond.factor_count == 1
+        kernel, _, gain = cond.est.gain_at(*cond._lin_cache)
+        G = kernel.spd.matrix(gain).toarray()
+        rhs = rng.standard_normal(cond.est.n_states)
+        want = np.linalg.solve(G, rhs)
+        got = cond.operator.solve(rhs)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)

@@ -215,8 +215,8 @@ def test_symbolic_pass_runs_once_per_estimator(dse118, monkeypatch):
 
     monkeypatch.setattr(NormalEquations, "__init__", counting_init)
     rng = np.random.default_rng(5)
-    # a condensed Step 2 factors its Schur operator through the kernel of
-    # the estimator it wraps: no second kernel for the same pattern
+    # a condensed Step 2 factors its frozen gain through the kernels of the
+    # estimators it wraps: no second kernel for the same pattern
     for condense in (False, True):
         built.clear()
         dse = DistributedStateEstimator(dec, ms, condense=condense)
@@ -237,11 +237,14 @@ def test_symbolic_pass_runs_once_per_estimator(dse118, monkeypatch):
             id(e._gain_solver.kernel) for e in estimators
         }
         if condense:
-            assert all(
-                dse._step2_cache[s][0].schur.kernel
-                is dse._step2_cache[s][0].est._gain_solver.kernel
-                for s in range(dec.m)
-            )
+            # a frame that moves every linearization point refactors every
+            # frozen gain and builds no kernel
+            conds = [dse._step2_cache[s][0] for s in range(dec.m)]
+            counts = [c.factor_count for c in conds]
+            built.clear()
+            dse.run(z=ms.z + ms.sigma * rng.standard_normal(len(ms)))
+            assert built == []
+            assert [c.factor_count - n for c, n in zip(conds, counts)] == [1] * dec.m
 
 
 # ---------------------------------------------------------------------------
