@@ -14,7 +14,7 @@ held:
 .. code-block:: text
 
     G(x_lin) = L Lᵀ                          once per frame
-    dx = L⁻ᵀ L⁻¹ H(x)ᵀ W (z − h(x))          per iteration (packed dpptrs)
+    dx = L⁻ᵀ L⁻¹ H(x)ᵀ W (z − h(x))          per iteration (held back-substitution)
 
 The held factor is the loop's own frozen-tail operator
 (:class:`~repro.estimation.solvers._HeldFactor`).  A Schur split of the

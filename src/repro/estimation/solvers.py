@@ -12,12 +12,16 @@ direct path shares (:class:`GainSolver`, :class:`SchurGainSolver`,
 Jacobian pattern builds the product map of ``G``'s lower triangle, after
 which every solve is numeric-only — gather, multiply and segment-sum the
 Jacobian's CSC ``data`` into the fixed gain pattern, then factor.  Gains of
-order up to :data:`DENSE_MAX_STATES` (every DSE subsystem) go through dense
-LAPACK Cholesky; larger ones through SuperLU over the fixed pattern with a
-fill-reducing ordering computed once.  The kernel keeps no numeric history:
-a step is a function of (pattern, data, weights, residual) alone, so cold
-and warm solvers — and therefore serial, thread-pool and process-pool runs —
-agree bit for bit.  Independent problems share one kernel as *blocks*
+order up to :data:`DENSE_MAX_STATES` (every DSE subsystem, the IEEE-118
+central problem) go through LAPACK Cholesky — a band ``dpbtrf`` in reverse
+Cuthill–McKee order when the pattern's half-bandwidth makes it no dearer in
+flops than a dense ``dpotrf``, the dense one otherwise; larger ones through
+SuperLU over the fixed pattern with a fill-reducing ordering computed once.
+The mode is a function of the pattern alone, chosen on the factor's
+first use.  The kernel keeps no numeric history: a step is a function of
+(pattern, data, weights, residual) alone, so cold and warm solvers — and
+therefore serial, thread-pool and process-pool runs — agree bit for bit.
+Independent problems share one kernel as *blocks*
 (:meth:`NormalEquations.solve_blocks`), in either of two stackings: different
 problems side by side (:meth:`NormalEquations.stacked` — one assembly over
 the block-diagonal Jacobian, one factor per diagonal block), or K same-pattern
@@ -27,7 +31,8 @@ of the block solved alone, and a block that fails does so alone.  A block may
 instead be solved against a frozen operator (:class:`_HeldFactor`) — a factor
 the kernel kept from an earlier call, or one a caller factored and holds, as
 the condensed DSE Step 2 does — in which case it is neither assembled nor
-factored.
+factored; it keeps the factor in its mode's form (the band, the packed
+dense triangle, or the SuperLU object).
 """
 
 from __future__ import annotations
@@ -37,7 +42,8 @@ import copy
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dpotrf, dpotrs, dpptrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs, dpptrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 __all__ = [
     "DENSE_MAX_STATES",
@@ -49,8 +55,8 @@ __all__ = [
     "solve_normal_equations",
 ]
 
-#: Largest gain order factored by dense Cholesky; above it the fixed pattern
-#: goes to SuperLU.  Chosen from the crossover measured by
+#: Largest gain order factored by LAPACK Cholesky (dense or band); above it
+#: the fixed pattern goes to SuperLU.  Chosen from the crossover measured by
 #: ``benchmarks/bench_gain_crossover.py`` (table in ``docs/algorithms.md``).
 DENSE_MAX_STATES = 400
 
@@ -90,26 +96,71 @@ def _bucket_starts(idx: np.ndarray, n: int) -> np.ndarray:
     return starts
 
 
+def _band_pays(kd: int, n: int) -> bool:
+    """True when a band Cholesky of half-bandwidth ``kd`` does no more
+    flops than a dense one of order ``n``: ``n (kd+1)²`` against ``n³/3``."""
+    return 3 * (kd + 1) ** 2 <= n * n
+
+
+def _rcm_band(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple:
+    """``((perm, place), kd, flat)`` of a lower-triangle pattern under
+    reverse Cuthill–McKee: state ``perm[i]`` goes to place ``i`` and state
+    ``j`` sits at ``place[j]``, ``kd`` is the permuted half-bandwidth,
+    ``flat`` each entry's position in LAPACK lower band storage
+    (``(kd+1) × n``, column-major)."""
+    if not len(rows):
+        return (np.arange(n), np.arange(n)), 0, np.zeros(0, dtype=np.int64)
+    # the symmetric adjacency straight from the triangle: row i holds the
+    # strict lower entries (i, j) and the transposed column i; the keys
+    # are small (n <= DENSE_MAX_STATES), so the stable sort is a radix sort
+    strict = rows != cols
+    key = np.concatenate([rows[strict], cols]).astype(np.int16)
+    nbr = np.concatenate([cols[strict], rows]).astype(np.int32)
+    graph = sp.csr_matrix(
+        (np.ones(len(key), dtype=np.int8), nbr[np.argsort(key, kind="stable")],
+         _bucket_starts(key, n).astype(np.int32)),
+        shape=(n, n),
+    )
+    # native index width: a gather by it is several times faster
+    perm = reverse_cuthill_mckee(graph, symmetric_mode=True).astype(np.intp)
+    place = np.empty(n, dtype=np.intp)
+    place[perm] = np.arange(n)
+    r, c = place[rows], place[cols]
+    off = np.abs(r - c)
+    kd = int(off.max())
+    return (perm, place), kd, np.minimum(r, c) * (kd + 1) + off
+
+
 class _SpdFactor:
     """Factorisation of an SPD matrix whose values arrive on a fixed pattern.
 
     The pattern is the matrix's lower triangle as sorted coordinates
     ``(rows, cols)`` in CSC order.  :meth:`factor` takes the values on that
     pattern; :meth:`solve` back-substitutes (vector or stacked columns).
-    Dense mode scatters into an ``n × n`` block of its own, refilled and
-    factored in place by LAPACK ``dpotrf`` on every call; sparse mode
-    expands to the full symmetric pattern, permutes columns by the COLAMD
-    ordering SuperLU computes for the pattern on first use, and refactors
-    numerically in that (NATURAL) order from then on.  Holds one
-    factorisation at a time: an instance has a single owner.
+    The :attr:`mode` is chosen from the pattern alone, on first use:
+
+    - ``"band"`` (order up to :data:`DENSE_MAX_STATES`, when the reverse
+      Cuthill–McKee half-bandwidth ``kd`` makes a band Cholesky no dearer
+      in flops than a dense one, :func:`_band_pays`): the values scatter
+      in RCM order into a ``(kd+1) × n`` lower band of the factor's own,
+      factored in place by LAPACK ``dpbtrf``; a solve permutes the
+      right-hand side, runs ``dpbtrs`` and permutes back;
+    - ``"dense"`` (the other gains up to :data:`DENSE_MAX_STATES`): an
+      ``n × n`` block of its own, refilled and factored in place by
+      ``dpotrf``;
+    - ``"sparse"`` (larger gains): expands to the full symmetric pattern,
+      permutes columns by the COLAMD ordering SuperLU computes for the
+      pattern on first use, and refactors numerically in that (NATURAL)
+      order from then on.
+
+    Holds one factorisation at a time: an instance has a single owner.
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, n: int):
         self.n = n
         self.rows, self.cols = rows, cols
-        self.dense = n <= DENSE_MAX_STATES
-        # column-major flat positions of the lower triangle in the dense block
-        self._flat = cols * n + rows if self.dense else None
+        self._mode: str | None = None
+        self._flat = self._rcm = self._kd = None
         self._full: tuple | None = None
         self._permuted: tuple | None = None
         self._block: np.ndarray | None = None
@@ -117,14 +168,42 @@ class _SpdFactor:
         self._lower: np.ndarray | None = None
         self.lu = None
 
+    @property
+    def mode(self) -> str:
+        """``"band"``, ``"dense"`` or ``"sparse"`` — see the class."""
+        return self._order()
+
     def twin(self) -> "_SpdFactor":
         """A second factor of the same pattern: shares the symbolic index
-        arrays (never written after construction), owns its numeric state."""
+        arrays (never written once ordered), owns its numeric state."""
+        self._order()
         other = copy.copy(self)
         other._permuted = other._block = other._chol = other.lu = None
         return other
 
     # -- symbolic --------------------------------------------------------
+    def _order(self) -> str:
+        """Choose the mode and build its index arrays, once.  It runs on
+        first use, not at construction: a kernel that only assembles
+        (:func:`build_gain`) never factors, and never orders its pattern."""
+        if self._mode is not None:
+            return self._mode
+        n, rows, cols = self.n, self.rows, self.cols
+        if n > DENSE_MAX_STATES:
+            mode = "sparse"
+        else:
+            rcm, kd, flat = _rcm_band(rows, cols, n)
+            if _band_pays(kd, n):
+                mode, self._rcm, self._kd = "band", rcm, kd
+            else:
+                # column-major flat positions of the lower triangle in the
+                # dense block
+                mode, flat = "dense", cols * n + rows
+            self._flat = flat
+        # the mode last: a factor that reads it finds its arrays in place
+        self._mode = mode
+        return mode
+
     def _full_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Full symmetric CSC pattern ``(indptr, indices, src)`` with
         ``src`` mapping each entry to its lower-triangle value."""
@@ -164,37 +243,44 @@ class _SpdFactor:
 
     # -- numeric ---------------------------------------------------------
     def factor(self, values: np.ndarray) -> None:
-        if self.dense:
-            # one buffer per factor, not one per call: held factors outlive
-            # the call that made them, and a fresh n × n block per call
-            # left the heap fragmented around them (+3 MB peak RSS on a
-            # two-thread replica service)
-            if self._block is None:
-                self._block = np.empty(self.n * self.n)
-            block, self._chol = self._block, None
-            block.fill(0.0)         # the last factor's fill-in is not zero
-            block[self._flat] = values
-            # Fortran view of the column-major buffer: factored in place
-            c, info = dpotrf(
-                block.reshape(self.n, self.n).T, lower=1, overwrite_a=1, clean=0
-            )
-            if info != 0:
-                raise GainSolveError(
-                    f"gain matrix is not positive definite (dpotrf info={info})"
-                )
-            self._chol = c
+        if self.mode == "sparse":
+            try:
+                if self._permuted is None:
+                    self._permuted = self._analyse(values)
+                carrier, src, _ = self._permuted
+                np.take(values, src, out=carrier.data)
+                self.lu = spla.splu(carrier, permc_spec="NATURAL")
+            except RuntimeError as exc:
+                raise GainSolveError(f"gain matrix is singular: {exc}") from exc
             return
-        try:
-            if self._permuted is None:
-                self._permuted = self._analyse(values)
-            carrier, src, _ = self._permuted
-            np.take(values, src, out=carrier.data)
-            self.lu = spla.splu(carrier, permc_spec="NATURAL")
-        except RuntimeError as exc:
-            raise GainSolveError(f"gain matrix is singular: {exc}") from exc
+        # one buffer per factor, not one per call: held factors outlive
+        # the call that made them, and a fresh n × n block per call left
+        # the heap fragmented around them (+3 MB peak RSS on a two-thread
+        # replica service)
+        band = self.mode == "band"
+        ld = self._kd + 1 if band else self.n      # leading dimension
+        if self._block is None:
+            self._block = np.empty(ld * self.n)
+        block, self._chol = self._block, None
+        block.fill(0.0)         # the last factor's fill-in is not zero
+        block[self._flat] = values
+        # Fortran view of the column-major buffer: factored in place
+        view = block.reshape(self.n, ld).T
+        if band:
+            c, info = dpbtrf(view, lower=1, overwrite_ab=1)
+        else:
+            c, info = dpotrf(view, lower=1, overwrite_a=1, clean=0)
+        if info != 0:
+            raise GainSolveError(
+                f"gain matrix is not positive definite "
+                f"({'dpbtrf' if band else 'dpotrf'} info={info})"
+            )
+        self._chol = c
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        if self.dense:
+        if self.mode == "band":
+            return _band_solve(self._chol, self._rcm, b)
+        if self.mode == "dense":
             return dpotrs(self._chol, b, lower=1)[0]
         y = self.lu.solve(b)
         x = np.empty_like(y)
@@ -220,6 +306,14 @@ class _SpdFactor:
         return self._chol.ravel("F")[self._lower]
 
 
+def _band_solve(band: np.ndarray, rcm: tuple, b: np.ndarray) -> np.ndarray:
+    """``G⁻¹ b`` from the RCM-ordered band factor of ``G``: into the band's
+    order and back out of it by two gathers (``rcm`` is the order and its
+    inverse, :func:`_rcm_band`)."""
+    perm, place = rcm
+    return dpbtrs(band, b[perm], lower=1)[0][place]
+
+
 class _HeldFactor:
     """A gain factor kept past the solve that made it, as a frozen operator.
 
@@ -227,26 +321,32 @@ class _HeldFactor:
     tail (:meth:`NormalEquations.solve_blocks`' ``hold``), and a condensed
     DSE Step-2 round holds its subsystem's gain factored once at the frame's
     linearization point through every iteration of the round (passed back
-    as ``operators``).  A dense factor is
-    held as its packed lower triangle and solved with ``dpptrs``; a sparse
-    one keeps the SuperLU object its factorisation created, with the column
-    order.  Every path holds this one form — a union block, a plain
+    as ``operators``).  The form follows the factor's mode: a band factor
+    is held as a copy of its band array (with the shared RCM order) and
+    solved with the same ``dpbtrs`` as the live factor; a dense factor as
+    its packed lower triangle, solved with ``dpptrs``; a sparse one keeps
+    the SuperLU object its factorisation created, with the column order.
+    Every path holds the one form of its mode — a union block, a plain
     estimator, a replica of a stack — so a held block's steps are the same
     bits however the block was stacked.
     """
 
     def __init__(self, spd: _SpdFactor):
-        self.n = spd.n
-        if spd.dense:
-            self._packed, self._lu, self._order = spd.lower_packed(), None, None
+        self.n, self.mode = spd.n, spd.mode
+        if spd.mode == "band":
+            self._factor, self._order = spd._chol.copy(order="F"), spd._rcm
+        elif spd.mode == "dense":
+            self._factor, self._order = spd.lower_packed(), None
         else:
-            self._packed, self._lu, self._order = None, spd.lu, spd._permuted[2]
+            self._factor, self._order = spd.lu, spd._permuted[2]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        if self._lu is None:
-            return dpptrs(self.n, self._packed, b, lower=1)[0]
+        if self.mode == "band":
+            return _band_solve(self._factor, self._order, b)
+        if self.mode == "dense":
+            return dpptrs(self.n, self._factor, b, lower=1)[0]
         x = np.empty_like(b)
-        x[self._order] = self._lu.solve(b)
+        x[self._order] = self._factor.solve(b)
         return x
 
 
@@ -336,7 +436,7 @@ class NormalEquations:
         summed from the same products in the same order as in the member —
         each block's step is bit for bit the member's.  The gain is block
         diagonal by construction; each block keeps a factor of its own
-        (dense below :data:`DENSE_MAX_STATES`), so a block can be skipped
+        (the member's mode, a twin of its factor), so a block can be skipped
         or fail alone (:meth:`solve_blocks`).
         """
         self = cls.__new__(cls)

@@ -335,10 +335,13 @@ class TestCondensationPass:
         assert all(t > 0.0 for t in spent)
         assert sum(spent) == pytest.approx(sum(walls), rel=1e-9)
         assert [res.records[s].factor_time for s in range(dec.m)] == spent
-        # every operator holds the factor of its own estimator's gain
+        # every operator holds the factor of its own estimator's gain, in
+        # the form its block's mode holds: the band or the packed triangle
         for cond in conds:
             spd, _ = cond.est.factor_at(*cond._lin_cache)
-            assert np.array_equal(cond.operator._packed, spd.lower_packed())
+            fresh = spd._chol if spd.mode == "band" else spd.lower_packed()
+            assert cond.operator.mode == spd.mode
+            assert np.array_equal(cond.operator._factor, fresh)
         # the same frame again: every key hits, no pass at all
         passes.clear()
         again = dse.run(z=z)

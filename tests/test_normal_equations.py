@@ -3,8 +3,9 @@
 The kernel replaces scipy's sparse ``Hᵀ W H`` product and the per-solve
 ordering bookkeeping with a product map over a fixed pattern.  These tests
 pin its arithmetic to the dense reference, the fill of its sparse factor to
-SuperLU's own COLAMD fill, the symbolic work to once per pattern, and its
-failures to the typed :class:`GainSolveError` → :class:`EstimationError`.
+SuperLU's own COLAMD fill, the factor's mode (band, dense, sparse) to the
+pattern alone, the symbolic work to once per pattern, and its failures to
+the typed :class:`GainSolveError` → :class:`EstimationError`.
 """
 
 import numpy as np
@@ -12,7 +13,12 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.dse import DistributedStateEstimator, decompose, dse_pmu_placement
+from repro.dse import (
+    DistributedStateEstimator,
+    decompose,
+    decompose_by_areas,
+    dse_pmu_placement,
+)
 from repro.estimation import solvers
 from repro.estimation.batch import BatchEstimator, BatchScenario
 from repro.estimation.solvers import (
@@ -198,6 +204,100 @@ class TestOrderingRegression:
         G = build_gain(H, w)
         G_II = G[schur.interior][:, schur.interior].tocsc()
         assert _fill(schur._interior.lu) == _fill(spla.splu(G_II))
+
+
+# ---------------------------------------------------------------------------
+# band mode: RCM-ordered band Cholesky where the pattern's bandwidth pays
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def central_dse118(net118, pf118, dse118):
+    """The central estimator on the DSE placement (the ``serve_burst``
+    problem), with its Jacobian, weights and residual at the power-flow
+    point."""
+    _, ms = dse118
+    est = WlsEstimator(net118, ms)
+    H = est._jacobian_at(pf118.Vm, pf118.Va)
+    return est, H, ms.weights, ms.z - est.model.h(pf118.Vm, pf118.Va)
+
+
+class TestBandMode:
+    def test_mode_follows_the_pattern(self, central_dse118, central_wecc):
+        est, H, w, _ = central_dse118
+        spd = est._kernel().spd
+        assert (spd.mode, spd.n, spd._kd) == ("band", 236, 73)
+        # chosen on first use: an assembly that never factors orders nothing
+        kernel = NormalEquations(H.indptr, H.indices, H.shape)
+        kernel.spd.matrix(kernel.gain(H.data, kernel.weighted(H.data, w)))
+        assert kernel.spd._mode is None
+        assert central_wecc[0]._kernel().spd.mode == "sparse"
+        assert central_wecc[0].n_states > solvers.DENSE_MAX_STATES
+        # the 37-area grid's Step-2 areas are too wide for a band to pay
+        net = synthetic_grid(n_areas=37, buses_per_area=40, seed=11)
+        dec = decompose_by_areas(net)
+        plac = full_placement(net).merged_with(dse_pmu_placement(dec))
+        ms = generate_measurements(
+            net, plac, run_ac_power_flow(net, flat_start=True),
+            rng=np.random.default_rng(0),
+        )
+        dse = DistributedStateEstimator(dec, ms)
+        modes = {dse._step2_cache[s][0]._kernel().spd.mode for s in range(dec.m)}
+        assert modes == {"dense"}
+
+    def test_band_factor_inverts_the_gain(self, central_dse118):
+        _, H, w, _ = central_dse118
+        kernel = NormalEquations(H.indptr, H.indices, H.shape)
+        spd = kernel.spd
+        spd.factor(kernel.gain(H.data, kernel.weighted(H.data, w)))
+        G = build_gain(H, w).toarray()
+        rng = np.random.default_rng(7)
+        for b in (rng.standard_normal(spd.n), rng.standard_normal((spd.n, 3))):
+            x = spd.solve(b)
+            ref = np.linalg.solve(G, b)
+            assert x.shape == b.shape
+            assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+        Hd = H.toarray()
+        ref = np.einsum("ij,ji->i", Hd, np.linalg.solve(G, Hd.T))
+        q = spd.quadratic_diagonal(H)
+        assert np.abs(q - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_indefinite_band_gain_fails_alone(self, central_dse118):
+        """A gain that is not positive definite raises the typed error; in
+        a replica stack whose middle row weights leave one state unmetered,
+        that replica fails alone and the others are their solo solves."""
+        est, H, w, _ = central_dse118
+        kernel = NormalEquations(H.indptr, H.indices, H.shape)
+        gain = kernel.gain(H.data, kernel.weighted(H.data, w))
+        with pytest.raises(GainSolveError, match="dpbtrf"):
+            kernel.spd.factor(-gain)
+        j = 5                                   # every row metering state 5
+        blind = w.copy()
+        blind[H.indices[H.indptr[j] : H.indptr[j + 1]]] = 0.0
+        ms = est.mset
+        rng = np.random.default_rng(8)
+        zs = [ms.z + ms.sigma * rng.standard_normal(len(ms)) for _ in range(3)]
+        out = est.estimate_blocks(z=zs, weights=[None, blind, None])
+        assert isinstance(out[1], EstimationError) and "dpbtrf" in str(out[1])
+        for k in (0, 2):
+            ref = est.estimate(z=zs[k])
+            assert np.array_equal(out[k].Vm, ref.Vm)
+            assert np.array_equal(out[k].Va, ref.Va)
+
+    def test_held_band_factor_is_a_copy(self, central_dse118):
+        """Replica 0's held factor still solves bit-equal after the shared
+        factor went on to replica 1: the held band is not aliased."""
+        _, H, w, r = central_dse118
+        rng = np.random.default_rng(9)
+        data = H.data * (1.0 + 0.01 * rng.standard_normal((2, H.nnz)))
+        rs = r + 0.01 * rng.standard_normal((2, len(r)))
+        kernel = NormalEquations(H.indptr, H.indices, H.shape)
+        ops = {}
+        dx, errors = kernel.solve_blocks(data, w, rs, [0, 1], ops, {0: np.inf})
+        assert not errors and list(ops) == [0] and ops[0].mode == "band"
+        assert not np.shares_memory(ops[0]._factor, kernel.spd._chol)
+        rhs = kernel.rhs(kernel.weighted(data[0], w), rs[0])
+        assert np.array_equal(ops[0].solve(rhs), dx[0])
+        assert np.array_equal(dx[1], kernel.solve(data[1], w, rs[1]))
 
 
 # ---------------------------------------------------------------------------
