@@ -33,7 +33,12 @@ rows are compared:
   ``DseSession(bad_data_policy="identify")`` — clean, one 40 σ ``V_MAG``
   error inside subsystem 2, clean — hashing every frame's state plus its
   ``removed_global_rows``, on the reference session, a ``condense=True``
-  one and an ``executor="threads:2"`` one.
+  one and an ``executor="threads:2"`` one;
+- the session's mapping plane: 40 ``DseSession`` frames on IEEE-118/9 at
+  noise levels that rise, fall and repeat, over a placement without branch
+  0's meters, with branch 0 taken out by ``apply_branch_outage`` after
+  frame 20 — hashing each frame's noise level, imbalances, Step-2 edge cut
+  and migrated weight (``Vm`` slot) and both assignments (``Va`` slot).
 
 One line per row: sha1 of ``Vm‖Va``, the Gauss-Newton iteration total, and
 ``equal`` or ``DIFFERENT`` — a differing row adds ``max|dVm|``, ``max|dVa|``
@@ -68,7 +73,7 @@ def matrix() -> None:
     import numpy as np
 
     from repro import obs
-    from repro.core import ArchitecturePrototype, DseSession
+    from repro.core import ArchitecturePrototype, DseSession, apply_branch_outage
     from repro.contingency import enumerate_n1
     from repro.core.runtime import LiveDseRuntime
     from repro.dse import (
@@ -276,6 +281,37 @@ def matrix() -> None:
             session.executor.shutdown()
         emit(f"session identify 3 frames{label}", states,
              sum(r.rounds for r in session.reports))
+
+    # the mapping plane across frames and an outage repair; the placement
+    # still fits the network with branch 0 out
+    arch = ArchitecturePrototype.assemble(case118(), m_subsystems=9, seed=0)
+    onet = arch.net
+    plac = full_placement(onet).merged_with(dse_pmu_placement(arch.dec))
+    plac = plac.subset(np.array([m.mtype.is_bus or m.element != 0 for m in plac]))
+    session = DseSession(arch)
+    pf, rng = run_ac_power_flow(onet), np.random.default_rng(6)
+
+    def assignment(mapping: dict) -> np.ndarray:
+        out = np.empty(arch.dec.m)
+        for c, subs in enumerate(mapping.values()):
+            out[subs] = c
+        return out
+
+    states = []
+    for k, level in enumerate(np.tile([0.5, 1.0, 2.0, 4.0, 2.0, 1.0, 1.0, 0.5], 5)):
+        if k == 20:
+            apply_branch_outage(arch, 0)
+            pf = run_ac_power_flow(onet)
+        r = session.process_frame(
+            generate_measurements(onet, plac, pf, noise_level=level, rng=rng)
+        )
+        states.append((
+            np.array([r.noise_level, r.imbalance_step1, r.imbalance_step2,
+                      r.edge_cut_step2, r.migrated_weight], dtype=float),
+            np.concatenate([assignment(r.mapping_step1),
+                            assignment(r.mapping_step2)]),
+        ))
+    emit("session mapping 40 frames", states, sum(r.rounds for r in session.reports))
 
 
 # ---------------------------------------------------------------------

@@ -5,11 +5,16 @@ Section IV-B.3 of the paper: before DSE Step 1 the decomposition graph is
 updated and the graph repartitioned to minimise communication while staying
 balanced, with subsystems that change cluster paying a data-redistribution
 cost.
+
+The partitioner is a pure function of its integer inputs, and the noise
+level a session feeds it moves the vertex weights only in whole units, so
+:class:`ClusterMapper` memoizes both partitions on those integers and a
+steady frame usually partitions nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,7 +26,15 @@ from ..partition import (
     partition_kway,
     repartition,
 )
-from .weights import IterationModel, PAPER_ITERATION_MODEL, step1_graph, step2_graph
+from .weights import (
+    IterationModel,
+    PAPER_ITERATION_MODEL,
+    edge_weight_exchange,
+    edge_weight_upper_bound,
+    step1_graph,
+    step2_graph,
+    vertex_weights,
+)
 
 __all__ = ["Mapping", "ClusterMapper"]
 
@@ -67,6 +80,22 @@ class ClusterMapper:
         repartitioning (bounds data redistribution).
     seed:
         Seed for the partitioner.
+
+    Both partitions are memoized on what determines them: Step 1 on the
+    integer vertex-weight vector, Step 2 on the vertex weights, the
+    Expression-5 edge weights and the previous assignment, each with ``p``,
+    ``tol``, ``seed`` and ``migration_factor``.  The key is looked up
+    before any graph is built; a hit returns a new :class:`Mapping` over
+    the cached assignment, which every later caller shares and which is
+    therefore read-only.  The memo belongs to one decomposition and is
+    cleared when a call passes another (an outage repair installs a new
+    one).  It needs no size bound: the level a session feeds it comes from
+    :class:`~repro.core.noise.NoiseLevelEstimator`, clipped to [0.05, 10],
+    over which ``rint(Nb_s·(g1·x + g2))`` takes at most
+    ``Σ_s ⌈Nb_s·g1·9.95⌉ + 1`` distinct vectors (≈ 4 420 on IEEE-118/9
+    with the paper's ``g1``).  A session's Step-2 key adds nothing free:
+    its previous assignment is the Step-1 partition of the same weights,
+    and its edge weights are fixed by the placement.
     """
 
     def __init__(
@@ -84,6 +113,8 @@ class ClusterMapper:
         self.migration_factor = migration_factor
         self.seed = seed
         self.cluster_names = [c.name for c in topology.clusters]
+        self._memo_dec: Decomposition | None = None
+        self._memo: dict[tuple, Mapping | tuple[Mapping, int]] = {}
 
     @property
     def p(self) -> int:
@@ -93,14 +124,15 @@ class ClusterMapper:
     # ------------------------------------------------------------------
     def map_step1(self, dec: Decomposition, noise_level: float) -> Mapping:
         """Partition for DSE Step 1: balance the computational loads."""
-        g = step1_graph(dec, noise_level, model=self.iteration_model)
-        res = partition_kway(g, self.p, tol=self.tol, seed=self.seed)
-        return Mapping(
-            assignment=res.part,
-            cluster_names=self.cluster_names,
-            imbalance=res.imbalance,
-            edge_cut=res.edge_cut,
-        )
+        vw = vertex_weights(dec, noise_level, model=self.iteration_model)
+        memo, key = self._memo_for(dec), ("step1", vw.tobytes(), *self._settings())
+        hit = memo.get(key)
+        if hit is None:
+            g = step1_graph(dec, noise_level, model=self.iteration_model)
+            hit = memo[key] = self._mapping(
+                partition_kway(g, self.p, tol=self.tol, seed=self.seed)
+            )
+        return replace(hit)
 
     def remap_step2(
         self,
@@ -116,26 +148,55 @@ class ClusterMapper:
         the vertex weight (≈ measurement volume) that must be redistributed
         between clusters (section IV-C's data-redistribution step).
         """
-        g = step2_graph(
-            dec, noise_level, exchange_sets, model=self.iteration_model
+        vw = vertex_weights(dec, noise_level, model=self.iteration_model)
+        wmap = (
+            edge_weight_upper_bound(dec) if exchange_sets is None
+            else edge_weight_exchange(dec, exchange_sets)
         )
-        res = repartition(
-            g,
-            self.p,
-            previous.assignment,
-            tol=self.tol,
-            migration_factor=self.migration_factor,
-            seed=self.seed,
+        old = np.asarray(previous.assignment, dtype=np.int64)
+        memo = self._memo_for(dec)
+        key = (
+            "step2", vw.tobytes(), tuple(wmap[e] for e in dec.quotient_edges()),
+            old.tobytes(), *self._settings(),
         )
-        moved = migration_volume(g, previous.assignment, res.part)
-        return (
-            Mapping(
-                assignment=res.part,
-                cluster_names=self.cluster_names,
-                imbalance=res.imbalance,
-                edge_cut=res.edge_cut,
-            ),
-            moved,
+        hit = memo.get(key)
+        if hit is None:
+            g = step2_graph(
+                dec, noise_level, exchange_sets, model=self.iteration_model
+            )
+            res = repartition(
+                g,
+                self.p,
+                old,
+                tol=self.tol,
+                migration_factor=self.migration_factor,
+                seed=self.seed,
+            )
+            hit = memo[key] = (
+                self._mapping(res), migration_volume(g, old, res.part)
+            )
+        return replace(hit[0]), hit[1]
+
+    def _memo_for(self, dec: Decomposition) -> dict:
+        """The partitions computed on ``dec``; a new decomposition starts
+        an empty memo."""
+        if dec is not self._memo_dec:
+            self._memo_dec, self._memo = dec, {}
+        return self._memo
+
+    def _settings(self) -> tuple:
+        """The partitioner settings every memo key carries."""
+        return (self.p, self.tol, self.seed, self.migration_factor)
+
+    def _mapping(self, res) -> Mapping:
+        """The memo's copy of a partition: its assignment is shared by
+        every later hit, so it is made read-only."""
+        res.part.flags.writeable = False
+        return Mapping(
+            assignment=res.part,
+            cluster_names=self.cluster_names,
+            imbalance=res.imbalance,
+            edge_cut=res.edge_cut,
         )
 
     # ------------------------------------------------------------------

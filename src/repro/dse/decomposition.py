@@ -90,10 +90,21 @@ class Decomposition:
         return ties[touch]
 
     def neighbors(self, s: int) -> np.ndarray:
-        """Subsystems sharing a tie line with ``s``."""
-        ties = self.incident_tie_lines(s)
-        labels = np.concatenate([self.part[self.net.f[ties]], self.part[self.net.t[ties]]])
-        return np.unique(labels[labels != s])
+        """Subsystems sharing a tie line with ``s``.
+
+        Memoised per subsystem like the tie lines it is read from; the
+        cached array is shared by every caller and therefore read-only.
+        """
+        key = ("neighbors", s)
+        if key not in self._cache:
+            ties = self.incident_tie_lines(s)
+            labels = np.concatenate(
+                [self.part[self.net.f[ties]], self.part[self.net.t[ties]]]
+            )
+            nbrs = np.unique(labels[labels != s])
+            nbrs.flags.writeable = False
+            self._cache[key] = nbrs
+        return self._cache[key]
 
     def quotient_edges(self) -> list[tuple[int, int]]:
         """Unique subsystem adjacency pairs (u < v)."""

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import repro.core.mapper as mapper_mod
 from repro.cluster import pnnl_testbed
 from repro.core import (
+    ArchitecturePrototype,
     ClusterMapper,
     IterationModel,
     NoiseLevelEstimator,
@@ -14,12 +16,17 @@ from repro.core import (
     innovation_noise_level,
     step1_graph,
     step2_graph,
+    apply_branch_outage,
     vertex_weights,
 )
-from repro.dse import decompose, exchange_bus_sets
+from repro.dse import Decomposition, decompose, dse_pmu_placement, exchange_bus_sets
 from repro.grid import run_ac_power_flow
 from repro.grid.cases import case118
-from repro.measurements import full_placement, generate_measurements
+from repro.measurements import (
+    MeasurementModel,
+    full_placement,
+    generate_measurements,
+)
 from repro.partition import load_imbalance
 
 
@@ -164,3 +171,140 @@ class TestClusterMapper:
         imb_static = load_imbalance(g, static.assignment, 3)
         imb_mapped = load_imbalance(g, mapped.assignment, 3)
         assert imb_mapped <= imb_static + 1e-9
+
+
+class TestMappingMemo:
+    """The mapper memoizes both partitions on their integer inputs; a hit
+    must be the partition a fresh mapper computes."""
+
+    #: a sweep that revisits levels, as a session's smoothed level does
+    LEVELS = (0.5, 1.0, 0.5, 2.7, 1.0, 1.001, 6.0, 0.5, 2.7, 10.0, 0.05, 1.0)
+
+    def test_hits_equal_a_fresh_mapper(self, dec118):
+        sets = exchange_bus_sets(dec118)
+        memo = ClusterMapper(pnnl_testbed(), seed=0)
+        for x in self.LEVELS:
+            fresh = ClusterMapper(pnnl_testbed(), seed=0)
+            a1, b1 = memo.map_step1(dec118, x), fresh.map_step1(dec118, x)
+            a2, a_moved = memo.remap_step2(dec118, x, a1, sets)
+            b2, b_moved = fresh.remap_step2(dec118, x, b1, sets)
+            for a, b in ((a1, b1), (a2, b2)):
+                assert np.array_equal(a.assignment, b.assignment)
+                assert a.imbalance == b.imbalance
+                assert a.edge_cut == b.edge_cut
+            assert a_moved == b_moved
+        # 1.0 and 1.001 round to one weight vector: one entry per step
+        distinct = {vertex_weights(dec118, x).tobytes() for x in self.LEVELS}
+        assert len(distinct) < len(set(self.LEVELS))
+        assert len(memo._memo) == 2 * len(distinct)
+
+    def test_partitions_once_per_key(self, dec118, monkeypatch):
+        calls = []
+        real = mapper_mod.partition_kway
+        monkeypatch.setattr(
+            mapper_mod, "partition_kway",
+            lambda *a, **k: calls.append(1) or real(*a, **k),
+        )
+        mapper = ClusterMapper(pnnl_testbed(), seed=0)
+        for _ in range(3):
+            mapper.map_step1(dec118, 1.0)
+        assert len(calls) == 1
+        # a changed partitioner setting is another key
+        mapper.tol = 1.1
+        mapper.map_step1(dec118, 1.0)
+        assert len(calls) == 2
+
+    def test_cached_assignment_is_read_only(self, dec118):
+        mapper = ClusterMapper(pnnl_testbed(), seed=0)
+        m1 = mapper.map_step1(dec118, 1.0)
+        m2, _ = mapper.remap_step2(dec118, 1.0, m1, exchange_bus_sets(dec118))
+        for m in (m1, m2, mapper.map_step1(dec118, 1.0)):
+            assert not m.assignment.flags.writeable
+            with pytest.raises(ValueError):
+                m.assignment[0] = 1
+
+    def test_new_decomposition_resets_the_memo(self, dec118, monkeypatch):
+        calls = []
+        real = mapper_mod.partition_kway
+        monkeypatch.setattr(
+            mapper_mod, "partition_kway",
+            lambda *a, **k: calls.append(1) or real(*a, **k),
+        )
+        mapper = ClusterMapper(pnnl_testbed(), seed=0)
+        first = mapper.map_step1(dec118, 1.0)
+        twin = Decomposition(net=dec118.net, part=dec118.part.copy(), m=dec118.m)
+        again = mapper.map_step1(twin, 1.0)
+        assert len(calls) == 2
+        assert np.array_equal(first.assignment, again.assignment)
+        assert len(mapper._memo) == 1
+        # back on the first decomposition: its entries went with the reset
+        mapper.map_step1(dec118, 1.0)
+        assert len(calls) == 3
+
+
+def _counted_models(monkeypatch) -> list:
+    """Count MeasurementModel constructions from here on."""
+    built = []
+    real = MeasurementModel.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(MeasurementModel, "__init__", init)
+    return built
+
+
+class TestHeldNoiseModel:
+    def test_one_model_per_structure_and_status(self, pf118, monkeypatch):
+        net = case118()                     # its branch status is edited
+        plac = full_placement(net)
+        other = plac.subset(np.arange(len(plac)) != 3)
+        rng = np.random.default_rng(4)
+        tracker = NoiseLevelEstimator(net, window=1)
+        built = _counted_models(monkeypatch)
+        prev = (pf118.Vm * 1.001, pf118.Va)
+        builds = []
+        for placement, outage in (
+            (plac, None), (plac, None), (plac, None), (other, None),
+            (other, None), (plac, None), (plac, 7), (plac, None),
+        ):
+            if outage is not None:
+                net.br_status[outage] = 0
+            ms = generate_measurements(net, placement, pf118, rng=rng)
+            w = np.ones(len(ms))
+            w[::5] = 0.0
+            del built[:]
+            held = (tracker.update(ms, *prev, weights=w), tracker.update(ms, *prev))
+            builds.append(len(built))
+            assert held == (
+                innovation_noise_level(net, ms, *prev, weights=w),
+                innovation_noise_level(net, ms, *prev),
+            )
+        assert builds == [1, 0, 0, 1, 0, 1, 1, 0]
+
+    def test_first_frame_after_an_outage_reads_the_new_network(self, pf118):
+        """A placement without branch 0's meters still fits the network
+        after branch 0 goes out, so only the branch-status snapshot tells
+        the held model that its admittances are stale."""
+        arch = ArchitecturePrototype.assemble(case118(), m_subsystems=9, seed=0)
+        net = arch.net
+        plac = full_placement(net).merged_with(dse_pmu_placement(arch.dec))
+        plac = plac.subset(np.array(
+            [m.mtype.is_bus or m.element != 0 for m in plac]
+        ))
+        rng = np.random.default_rng(9)
+        tracker = NoiseLevelEstimator(net, window=1)
+        ms = generate_measurements(net, plac, pf118, rng=rng)
+        tracker.update(ms, pf118.Vm, pf118.Va)
+        before = net.copy()
+
+        report = apply_branch_outage(arch, 0)
+        assert not report.islanded_network and net.br_status[0] == 0
+        pf = run_ac_power_flow(net)
+        ms = generate_measurements(net, plac, pf, rng=rng)
+        assert ms.same_structure(plac)
+        fresh = innovation_noise_level(net, ms, pf118.Vm, pf118.Va)
+        stale = innovation_noise_level(before, ms, pf118.Vm, pf118.Va)
+        assert fresh != stale
+        assert tracker.update(ms, pf118.Vm, pf118.Va) == fresh

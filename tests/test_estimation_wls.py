@@ -527,12 +527,12 @@ class TestWeightsAreData:
             (MeasurementModel, "__init__"),
             (algorithm, "extract_subnetwork"),
         )
-        # one model a frame is the session's noise-level estimate,
-        # screened or not
+        # the noise-level estimate holds its model too: a steady frame of
+        # a known placement builds nothing, screened or not
         unscreened.process_frame(clean[0])
-        assert count.take() == [0, 0, 1, 0]
+        assert count.take() == [0, 0, 0, 0]
         assert not session.process_frame(clean[1]).bad_data.removed_global_rows
-        assert count.take() == [0, 0, 1, 0]
+        assert count.take() == [0, 0, 0, 0]
 
         internal = set(dec.buses(2)) - set(dec.boundary_buses(2))
         row = next(
@@ -547,9 +547,9 @@ class TestWeightsAreData:
         assert report.suspect_subsystems == [2]
         assert count.take() == [0, 0, 0, 0]
         # the frame runs the kept estimator with the removed row at weight
-        # 0: it builds what a clean frame builds, the noise estimate's model
+        # 0: it builds what a clean frame builds, nothing
         assert session.process_frame(bad).bad_data.removed_global_rows == [row]
-        assert count.take() == [0, 0, 1, 0]
+        assert count.take() == [0, 0, 0, 0]
         assert session._dse is kept
 
     def test_screened_condensed_session_builds_nothing(
@@ -583,7 +583,7 @@ class TestWeightsAreData:
             (algorithm, "extract_subnetwork"),
         )
         assert session.process_frame(bad).bad_data.removed_global_rows == [row]
-        assert count.take() == [0, 0, 1, 0]
+        assert count.take() == [0, 0, 0, 0]
         assert session._dse is kept
 
     def test_identification_reuses_the_screens_step1(
