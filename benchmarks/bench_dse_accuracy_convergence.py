@@ -49,6 +49,8 @@ def test_dse_accuracy_vs_centralized(dec118, mset118, pf118):
     print(f"  DSE         : Vm {dse_err['vm_rmse']:.2e}  Va {dse_err['va_rmse']:.2e}")
     ratio = dse_err["vm_rmse"] / cen_err["vm_rmse"]
     print(f"  DSE/centralized Vm ratio: {ratio:.2f}")
+    print(f"  DSE/centralized Va ratio: "
+          f"{dse_err['va_rmse'] / cen_err['va_rmse']:.2f}")
 
     # DSE within a small factor of the centralized estimator
     assert ratio < 4.0

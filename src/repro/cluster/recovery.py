@@ -205,19 +205,16 @@ class RecoveryConfig:
 
     ``lease_rounds`` — rounds of checkpoint silence before a site is
     declared lost (round-based, so replays are deterministic).
-    ``checkpoint_every`` — replicate every k-th round (1 = every round;
-    the pre-round bootstrap seed always happens).
+    Checkpoints replicate every round, after the pre-round bootstrap
+    seed.
     """
 
     lease_rounds: int = 2
-    checkpoint_every: int = 1
     vnodes: int = 64
 
     def __post_init__(self):
         if self.lease_rounds < 1:
             raise ValueError("lease_rounds must be >= 1")
-        if self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
 
 
 class MembershipView:

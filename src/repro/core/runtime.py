@@ -673,7 +673,7 @@ class LiveDseRuntime:
                     return
 
                 # ---- checkpoint replication ----
-                if coord is not None and r % recovery.checkpoint_every == 0:
+                if coord is not None:
                     for s_ in stepper.hosted:
                         succ = coord.successor(s_)
                         if succ is None or succ == me:

@@ -243,25 +243,36 @@ class MeasurementSet:
         )
 
     def with_values(self, z: np.ndarray) -> "MeasurementSet":
-        """A copy of this set with replaced measured values (same order)."""
-        if len(z) != len(self):
+        """A copy of this set with replaced measured values (same order).
+
+        Shares element indices, rows, sigmas and columns with this set (a
+        set is never written in place) and builds no per-row record."""
+        z = np.array(z, dtype=float)
+        if z.ndim != 1 or len(z) != len(self):
             raise ValueError("value vector length mismatch")
-        ms = [
-            Measurement(m.mtype, m.element, float(v), m.sigma)
-            for m, v in zip(self._ordered, z)
-        ]
-        return MeasurementSet(ms)
+        out = type(self).__new__(type(self))
+        out._idx = self._idx
+        out._rows = self._rows
+        out.sigma = self.sigma
+        out._columns = self._columns
+        out._records = None
+        out.z = z
+        return out
 
     def subset(self, keep: np.ndarray) -> "MeasurementSet":
         """A new set containing the rows selected by boolean/typed index ``keep``."""
         keep = np.asarray(keep)
         if keep.dtype == bool:
             keep = np.flatnonzero(keep)
-        return MeasurementSet([self._ordered[int(i)] for i in keep])
+        keep = keep.astype(np.int64)
+        tpos, elem, _ = self.column_arrays()
+        return self.from_columns(
+            tpos[keep], elem[keep], self.z[keep], self.sigma[keep]
+        )[0]
 
     def merged_with(self, other: "MeasurementSet") -> "MeasurementSet":
         """Union of two measurement sets (re-canonicalised)."""
-        return MeasurementSet(list(self._ordered) + list(other._ordered))
+        return self.merged_with_positions(other)[0]
 
     def merged_with_positions(
         self, other: "MeasurementSet"
@@ -274,11 +285,16 @@ class MeasurementSet:
         sets every cycle (e.g. DSE pseudo measurements) compute the merged
         value vector by scatter instead of rebuilding the set.
         """
-        merged = self.merged_with(other)
-        pos = {id(m): i for i, m in enumerate(merged._ordered)}
-        rows_self = np.array([pos[id(m)] for m in self._ordered], dtype=np.int64)
-        rows_other = np.array([pos[id(m)] for m in other._ordered], dtype=np.int64)
-        return merged, rows_self, rows_other
+        ta, ea, _ = self.column_arrays()
+        tb, eb, _ = other.column_arrays()
+        merged, rows = self.from_columns(
+            np.concatenate((ta, tb)),
+            np.concatenate((ea, eb)),
+            np.concatenate((self.z, other.z)),
+            np.concatenate((self.sigma, other.sigma)),
+        )
+        n = len(self)
+        return merged, rows[:n], rows[n:]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         parts = ", ".join(

@@ -52,8 +52,6 @@ from .health import (
     FlightRecorder,
     HealthEvent,
     HealthMonitor,
-    SloEngine,
-    SloSpec,
     Watchdog,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -82,7 +80,7 @@ __all__ = [
     "TRACE_CTX_SIZE",
     # health plane
     "HealthMonitor", "HealthEvent", "FlightRecorder", "Watchdog",
-    "SloSpec", "SloEngine", "DEFAULT_TRIGGERS",
+    "DEFAULT_TRIGGERS",
     # exporters
     "export_jsonl", "load_jsonl", "render_prometheus",
     "render_prometheus_snapshots", "render_flame",
@@ -97,14 +95,6 @@ _tracer = Tracer()
 _health_enabled = False
 _health: HealthMonitor | None = None
 _health_dump_dir = None
-_default_slos: list[SloSpec] = []
-
-
-def _coerce_slos(specs) -> list[SloSpec]:
-    out = []
-    for s in specs:
-        out.append(s if isinstance(s, SloSpec) else SloSpec.parse(str(s)))
-    return out
 
 
 def _make_health() -> HealthMonitor:
@@ -114,7 +104,6 @@ def _make_health() -> HealthMonitor:
     mon.recorder.dump_dir = (
         Path(_health_dump_dir) if _health_dump_dir is not None else None
     )
-    mon.default_slos = list(_default_slos)
     return mon
 
 
@@ -124,7 +113,6 @@ def configure(
     sample_every: int | None = None,
     reset: bool = False,
     health: bool | None = None,
-    slo=None,
     health_dump_dir=_USE_CURRENT,
 ) -> None:
     """Configure the process-wide observability state.
@@ -134,16 +122,14 @@ def configure(
     decision); ``reset`` clears accumulated spans, metrics and health
     state first.
 
-    ``health`` flips the runtime health plane (flight recorder, watchdog,
-    SLO engine — see :mod:`repro.obs.health`); ``slo`` sets its default
-    objectives (a list of :class:`SloSpec` or ``SloSpec.parse`` strings,
-    applied to serving stats as they register); ``health_dump_dir`` is
+    ``health`` flips the runtime health plane (flight recorder, watchdog
+    — see :mod:`repro.obs.health`); ``health_dump_dir`` is
     where trigger events auto-dump blackbox JSONL files (``None`` = no
     auto-dumps, explicit ``dump(path)`` only).  Span capture into the
     flight recorder additionally needs ``enabled=True`` — the health
     plane never creates spans of its own.
     """
-    global _enabled, _health_enabled, _health, _health_dump_dir, _default_slos
+    global _enabled, _health_enabled, _health, _health_dump_dir
     if reset:
         _tracer.reset()
         _registry.reset()
@@ -157,10 +143,6 @@ def configure(
         _tracer.sample_every = int(sample_every)
     if enabled is not None:
         _enabled = bool(enabled)
-    if slo is not None:
-        _default_slos = _coerce_slos(slo)
-        if _health is not None:
-            _health.default_slos = list(_default_slos)
     if health_dump_dir is not _USE_CURRENT:
         _health_dump_dir = health_dump_dir
         if _health is not None:
@@ -271,8 +253,7 @@ def reset_in_worker() -> None:
 
 # Environment opt-in: REPRO_OBS=1 enables at import (CLI tools, examples);
 # REPRO_OBS_SAMPLE=N records every N-th trace; REPRO_OBS_HEALTH=1 turns on
-# the runtime health plane; REPRO_OBS_SLO holds ;-separated SloSpec.parse
-# strings applied as the health plane's default objectives.
+# the runtime health plane.
 def _truthy(v: str) -> bool:
     return v.lower() in ("1", "true", "yes", "on")
 
@@ -282,13 +263,6 @@ if _truthy(os.environ.get("REPRO_OBS", "")):
 if os.environ.get("REPRO_OBS_SAMPLE", ""):
     try:
         configure(sample_every=int(os.environ["REPRO_OBS_SAMPLE"]))
-    except ValueError:  # pragma: no cover - bad env value
-        pass
-if os.environ.get("REPRO_OBS_SLO", ""):
-    try:
-        configure(slo=[
-            s for s in os.environ["REPRO_OBS_SLO"].split(";") if s.strip()
-        ])
     except ValueError:  # pragma: no cover - bad env value
         pass
 if _truthy(os.environ.get("REPRO_OBS_HEALTH", "")):

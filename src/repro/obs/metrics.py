@@ -144,16 +144,6 @@ class Histogram:
         with self._lock:
             return self._sum
 
-    def count_below(self, v: float) -> int:
-        """Observations known to be ``<= v`` — the SLO engine's "good
-        within threshold" counter.  Bucket-resolution and pessimistic:
-        the bucket straddling ``v`` counts as *above* the threshold, so a
-        latency SLO can under-report compliance by at most one bucket,
-        never over-report it."""
-        idx = bisect_right(_BOUNDS, v)
-        with self._lock:
-            return sum(self._counts[:idx])
-
     def quantile(self, q: float) -> float:
         """Estimated ``q``-quantile (``q`` in [0, 1])."""
         if not 0.0 <= q <= 1.0:

@@ -174,12 +174,9 @@ class ScenarioService:
         self._abort_exc: Exception | None = None
         self._health_watch = None
         if obs.health_enabled():
-            mon = obs.health()
-            name = f"svc-{id(self):x}"
-            mon.watch_service(name, self.stats)
             # gated on queue depth: an idle dispatcher is not a stall
-            self._health_watch = mon.watch(
-                f"serving.dispatch:{name}", source="serving.dispatch",
+            self._health_watch = obs.health().watch(
+                f"serving.dispatch:svc-{id(self):x}", source="serving.dispatch",
                 gate=self._queue.qsize,
             )
 
@@ -481,7 +478,6 @@ class ScenarioService:
         watch, self._health_watch = self._health_watch, None
         if watch is not None:
             obs.health().disarm(watch)
-            obs.health().slo.untrack_source(self.stats)
 
     def __enter__(self) -> "ScenarioService":
         return self

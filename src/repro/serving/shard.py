@@ -175,10 +175,6 @@ class ShardRouter:
         self._seq = itertools.count()
         self._closed = False
         self.stats = RouterStats()
-        if obs.health_enabled():
-            obs.health().watch_router(
-                f"router-{grid or 'default'}", self.stats
-            )
 
     # -- membership ----------------------------------------------------
     @property

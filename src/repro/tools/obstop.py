@@ -2,8 +2,8 @@
 
 Renders the cluster's vital signs from the health plane's metric
 streams: throughput counters (with per-second rates when watching live),
-latency histograms (n / p50 / p99), SLO burn-rate gauges, and the tail
-of recent health events.  Works against two sources:
+latency histograms (n / p50 / p99), gauges, and the tail of recent
+health events.  Works against two sources:
 
 - **a file** — any repro-obs-v1 JSONL dump, including the flight
   recorder's blackbox artifacts (``--watch`` re-reads it periodically,
@@ -125,20 +125,9 @@ def render_dashboard(
             )
         lines.append("")
 
-    burn = [g for g in gauges if g["name"].startswith("health.slo.")]
-    other_gauges = [g for g in gauges if not g["name"].startswith("health.slo.")]
-    if burn:
-        lines.append("-- slo burn --")
-        for snap in burn:
-            name = snap["name"] + _label_str(snap.get("labels") or {})
-            flag = ""
-            if snap["name"] == "health.slo.burning" and snap["value"] >= 1.0:
-                flag = "  ** BURNING **"
-            lines.append(f"  {name:<52} {snap['value']:>12.4g}{flag}")
-        lines.append("")
-    if other_gauges:
+    if gauges:
         lines.append("-- gauges --")
-        for snap in other_gauges:
+        for snap in gauges:
             name = snap["name"] + _label_str(snap.get("labels") or {})
             lines.append(f"  {name:<52} {snap['value']:>12.6g}")
         lines.append("")

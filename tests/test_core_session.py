@@ -87,6 +87,18 @@ class TestSession:
         )
         assert rep.timings.step1 < serial
 
+    def test_steady_frame_builds_no_records(self, arch118, frame118):
+        """A values-only frame on a ``with_values`` set (the e2e input
+        path) must not fall back to one ``Measurement`` record per row
+        anywhere inside ``process_frame``."""
+        _, ms = frame118
+        session = DseSession(arch118)
+        session.process_frame(ms)
+        steady = ms.with_values(ms.z + 1e-4)
+        assert steady._records is None
+        session.process_frame(steady)
+        assert steady._records is None
+
     def test_multi_frame_session_tracks_noise(self, arch118, net118, frame118):
         pf, _ = frame118
         rng = np.random.default_rng(1)

@@ -116,3 +116,94 @@ class TestMeasurementSet:
         assert np.array_equal(ms.z, ms2.z)
         assert [m.mtype for m in ms] == [m.mtype for m in ms2]
         assert [m.element for m in ms] == [m.element for m in ms2]
+
+
+def _same_set(a, b):
+    """Column-for-column equality of two sets (order included)."""
+    assert np.array_equal(a.z, b.z)
+    assert np.array_equal(a.sigma, b.sigma)
+    for t in MeasType:
+        assert np.array_equal(a.elements(t), b.elements(t))
+        assert np.array_equal(a.rows(t), b.rows(t))
+    for ca, cb in zip(a.column_arrays(), b.column_arrays()):
+        assert np.array_equal(ca, cb)
+
+
+#: rows over few elements, so (type, element) duplicates are common; the
+#: distinct values and sigmas expose any reordering of duplicates
+_rows = st.lists(
+    st.tuples(
+        st.sampled_from(list(MeasType)),
+        st.integers(min_value=0, max_value=3),
+        st.floats(-10, 10, allow_nan=False),
+        st.floats(1e-3, 1.0),
+    ),
+    max_size=30,
+)
+
+
+class TestColumnBuiltSets:
+    """``with_values`` / ``subset`` / ``merged_with`` /
+    ``merged_with_positions`` build from columns; each must reproduce the
+    set built from one :class:`Measurement` record per row."""
+
+    @staticmethod
+    def _set(raw):
+        return MeasurementSet([Measurement(t, e, v, s) for t, e, v, s in raw])
+
+    @settings(max_examples=60, deadline=None)
+    @given(_rows, st.data())
+    def test_with_values_matches_records(self, raw, data):
+        ms = self._set(raw)
+        z = np.array(data.draw(st.lists(
+            st.floats(-5, 5, allow_nan=False),
+            min_size=len(ms), max_size=len(ms),
+        )), dtype=float)
+        ref = MeasurementSet([
+            Measurement(m.mtype, m.element, float(v), m.sigma)
+            for m, v in zip(ms, z)
+        ])
+        out = ms.with_values(z)
+        assert out._records is None
+        _same_set(out, ref)
+        assert list(out) == list(ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_rows, st.data())
+    def test_subset_matches_records(self, raw, data):
+        ms = self._set(raw)
+        n = len(ms)
+        if data.draw(st.booleans()):
+            keep = np.array(data.draw(st.lists(
+                st.booleans(), min_size=n, max_size=n)), dtype=bool)
+            picked = np.flatnonzero(keep)
+        else:
+            # unordered, repeated row indices
+            keep = np.array(data.draw(st.lists(
+                st.integers(0, max(n - 1, 0)), max_size=2 * n if n else 0,
+            )), dtype=np.int64)
+            picked = keep
+        ref = MeasurementSet([ms[int(i)] for i in picked])
+        _same_set(ms.subset(keep), ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_rows, _rows)
+    def test_merges_match_records(self, raw_a, raw_b):
+        a, b = self._set(raw_a), self._set(raw_b)
+        ref = MeasurementSet(list(a) + list(b))
+        pos = {id(m): i for i, m in enumerate(ref)}
+        ref_a = np.array([pos[id(m)] for m in a], dtype=np.int64)
+        ref_b = np.array([pos[id(m)] for m in b], dtype=np.int64)
+        _same_set(a.merged_with(b), ref)
+        merged, rows_a, rows_b = a.merged_with_positions(b)
+        _same_set(merged, ref)
+        assert np.array_equal(rows_a, ref_a)
+        assert np.array_equal(rows_b, ref_b)
+
+    def test_with_values_shares_structure_and_copies_z(self):
+        ms = MeasurementSet([_m(MeasType.V_MAG, 0), _m(MeasType.P_INJ, 1)])
+        z = np.array([1.5, -0.5])
+        out = ms.with_values(z)
+        assert out.sigma is ms.sigma and out._idx is ms._idx
+        z[0] = 9.0
+        assert out.z.tolist() == [1.5, -0.5]

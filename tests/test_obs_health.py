@@ -1,14 +1,14 @@
 """Tests for the runtime health plane (repro.obs.health).
 
-Unit coverage runs the watchdog, SLO burn-rate engine and flight
-recorder against injected clocks, so every staleness and hysteresis
-decision is deterministic.  The chaos acceptance test at
-the bottom drives the full stack: a seeded PR-5 ``FaultPlan`` kills a
-shard replica mid-load, the health plane must emit a blackbox JSONL
-whose meta (trigger + ``fired_summary``) replays bit-for-bit, the
+Unit coverage runs the watchdog, shed-burst detection and flight
+recorder against injected clocks, so every staleness and rate-limit
+decision is deterministic.  The chaos acceptance test at the bottom
+drives the full stack: a seeded ``FaultPlan`` kills a shard replica
+mid-load, the health plane must emit a blackbox JSONL whose meta
+(trigger + ``fired_summary``) replays bit-for-bit, and the
 ``shard.lost`` event must fire before the router's rehash completes its
-drain, and the SLO engine must report the availability burn.  Finally,
-health disabled must leave estimator outputs bitwise identical.
+drain.  Finally, health disabled must leave estimator outputs bitwise
+identical.
 """
 
 import json
@@ -28,17 +28,17 @@ from repro.obs.export import (
     render_prometheus_snapshots,
 )
 from repro.obs.health import (
+    EVENT_CAPACITY,
+    MIN_DUMP_INTERVAL,
+    SHED_BURST,
+    SHED_BURST_WINDOW,
     FlightRecorder,
     HealthMonitor,
-    SloEngine,
-    SloSpec,
     Watchdog,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import ProcessPoolBackend
 from repro.serving import LoadGenerator, ScenarioMix, ScenarioService, ShardRouter
-from repro.serving.requests import ServiceStats
-from repro.serving.shard import RouterStats
 
 
 class FakeClock:
@@ -66,12 +66,10 @@ def health_on(tmp_path):
     obs.configure(
         enabled=True, health=True, reset=True,
         health_dump_dir=tmp_path / "blackboxes",
-        slo=["avail:availability:0.999"],
     )
     yield obs.health()
     obs.configure(
-        enabled=False, health=False, reset=True,
-        health_dump_dir=None, slo=[],
+        enabled=False, health=False, reset=True, health_dump_dir=None,
     )
 
 
@@ -149,112 +147,6 @@ class TestWatchdog:
             wd.arm("bad", timeout=0.0)
 
 
-# -- SLO specs + engine -----------------------------------------------------
-class TestSloSpec:
-    def test_parse_full_grammar(self):
-        s = SloSpec.parse("lat:latency:0.95:0.2:1/10:2")
-        assert s.name == "lat" and s.kind == "latency"
-        assert s.objective == 0.95 and s.threshold == 0.2
-        assert s.windows == (1.0, 10.0) and s.burn_threshold == 2.0
-
-    def test_parse_empty_positions_keep_defaults(self):
-        s = SloSpec.parse("shed:shed_budget:0.99::2/20")
-        assert s.threshold == 0.0 and s.windows == (2.0, 20.0)
-        assert s.burn_threshold == 1.0
-
-    @pytest.mark.parametrize("bad", [
-        "lat:latency",                 # too few positions
-        "x:bogus:0.9",                 # unknown kind
-        "x:availability:1.5",          # objective out of (0,1)
-        "x:latency:0.9",               # latency without threshold
-    ])
-    def test_parse_rejects(self, bad):
-        with pytest.raises(ValueError):
-            SloSpec.parse(bad)
-
-    def test_latency_slo_rejects_router_source(self):
-        eng = SloEngine()
-        spec = SloSpec("lat", "latency", objective=0.9, threshold=0.1)
-        with pytest.raises(ValueError):
-            eng.track(spec, RouterStats())
-
-
-class TestSloEngine:
-    def _engine(self, reg=None):
-        clk = FakeClock()
-        return clk, SloEngine(registry=reg, clock=clk)
-
-    def test_latency_burn_with_hysteresis(self):
-        reg = MetricsRegistry()
-        clk, eng = self._engine(reg)
-        stats = ServiceStats()
-        spec = SloSpec("lat", "latency", objective=0.9, threshold=0.01,
-                       windows=(1.0, 5.0), hysteresis=2)
-        eng.track(spec, stats, source_name="svc")
-        # healthy traffic: everything under the threshold
-        for _ in range(20):
-            stats.record_request(0.001)
-        assert eng.evaluate(clk.advance(1.0)) == []
-        # sustained slow burst: 50% of new requests over threshold each
-        # second -> burn 5.0 in both windows
-        for _ in range(10):
-            stats.record_request(0.5)
-            stats.record_request(0.001)
-        assert eng.evaluate(clk.advance(1.0)) == []   # streak 1 of 2
-        for _ in range(10):
-            stats.record_request(0.5)
-            stats.record_request(0.001)
-        fired = eng.evaluate(clk.advance(1.0))        # streak 2: alert
-        assert len(fired) == 1 and fired[0]["slo"] == "lat"
-        assert eng.status()[0]["burning"] is True
-        assert eng.status()[0]["kind"] == "latency"
-        burn = reg.gauge("health.slo.burn_rate",
-                         slo="lat", source="svc", window="1.0").value
-        assert burn >= 1.0
-        assert reg.gauge("health.slo.burning", slo="lat", source="svc").value == 1.0
-        # recovery needs the same number of clean evaluations
-        for _ in range(400):
-            stats.record_request(0.001)
-        eng.evaluate(clk.advance(10.0))
-        assert eng.status()[0]["burning"] is True     # streak 1 of 2 clean
-        eng.evaluate(clk.advance(10.0))
-        assert eng.status()[0]["burning"] is False
-
-    def test_availability_burn_counts_lost_replicas_no_hint(self):
-        clk, eng = self._engine()
-        stats = RouterStats()
-        spec = SloSpec("avail", "availability", objective=0.999,
-                       windows=(1.0, 5.0), hysteresis=1)
-        eng.track(spec, stats, source_name="router")
-        stats._bump("completed", 50)
-        eng.evaluate(clk.advance(1.0))
-        stats._bump("completed", 50)
-        stats._bump("replicas_lost")
-        fired = eng.evaluate(clk.advance(1.0))
-        assert len(fired) == 1 and fired[0]["kind"] == "availability"
-        assert eng.status()[0]["burning"] is True
-        assert eng.status()[0]["kind"] == "availability"
-        # a clean evaluation with no further loss clears it (hysteresis 1)
-        stats._bump("completed", 500)
-        assert eng.evaluate(clk.advance(10.0)) == []
-        assert eng.status()[0]["burning"] is False
-
-    def test_no_traffic_is_not_a_burn(self):
-        clk, eng = self._engine()
-        stats = ServiceStats()
-        eng.track(SloSpec("shed", "shed_budget", objective=0.99,
-                          hysteresis=1), stats)
-        for _ in range(5):
-            assert eng.evaluate(clk.advance(1.0)) == []
-
-    def test_untrack_source_detaches(self):
-        clk, eng = self._engine()
-        stats = ServiceStats()
-        eng.track(SloSpec("shed", "shed_budget", objective=0.99), stats)
-        eng.untrack_source(stats)
-        assert eng.status() == []
-
-
 # -- flight recorder --------------------------------------------------------
 class TestFlightRecorder:
     def test_dump_round_trips_through_load_jsonl(self, tmp_path):
@@ -282,17 +174,20 @@ class TestFlightRecorder:
 
     def test_trigger_rate_limited_and_ring_bounded(self, tmp_path):
         clk = FakeClock()
-        rec = FlightRecorder(dump_dir=tmp_path, min_dump_interval=1.0,
-                             clock=clk, event_capacity=4)
+        rec = FlightRecorder(dump_dir=tmp_path, clock=clk)
         assert rec.trigger("shard.lost") is not None
+        clk.advance(0.5 * MIN_DUMP_INTERVAL)
         assert rec.trigger("shard.lost") is None        # storm suppressed
-        clk.advance(1.5)
+        clk.advance(MIN_DUMP_INTERVAL)
         p = rec.trigger("watchdog.stall")
         assert p is not None and "watchdog-stall" in p
         assert len(rec.dumps) == 2
-        for i in range(10):
+        cap = EVENT_CAPACITY
+        for i in range(cap + 10):
             rec.record_event(obs.HealthEvent(kind="manual", source=str(i)))
-        assert len(rec.events()) == 4                    # ring bound holds
+        kept = rec.events()
+        assert len(kept) == cap                          # ring bound holds
+        assert kept[-1].source == str(cap + 9)           # newest kept
 
     def test_no_dump_dir_means_no_auto_dump(self):
         rec = FlightRecorder()
@@ -302,19 +197,20 @@ class TestFlightRecorder:
 class TestHealthMonitor:
     def test_shed_burst_detection_with_rearm(self):
         clk = FakeClock()
-        mon = HealthMonitor(clock=clk, shed_burst=5, shed_burst_window=1.0)
+        mon = HealthMonitor(clock=clk)
+        burst, window = SHED_BURST, SHED_BURST_WINDOW
         seen = []
         mon.add_listener(lambda ev: seen.append(ev.kind))
-        for _ in range(4):                       # under the burst size
+        for _ in range(burst - 1):               # under the burst size
             mon.note_shed("serving", "queue_full")
         assert seen == []
-        mon.note_shed("serving", "queue_full")   # 5th inside the window
+        mon.note_shed("serving", "queue_full")   # burst-th inside the window
         assert seen == ["shed.burst"]
-        for _ in range(5):                       # same episode: re-armed
+        for _ in range(burst):                   # same episode: re-armed
             mon.note_shed("serving", "deadline")
         assert seen == ["shed.burst"]
-        clk.advance(5.0)
-        for _ in range(5):
+        clk.advance(5.0 * window)
+        for _ in range(burst):
             mon.note_shed("serving", "deadline")
         assert seen == ["shed.burst", "shed.burst"]
 
@@ -322,20 +218,12 @@ class TestHealthMonitor:
         clk = FakeClock()
         mon = HealthMonitor(clock=clk)
         tok = mon.watch("live.site:0", timeout=1.0, source="se0")
-        stats = RouterStats()
-        mon.default_slos = [SloSpec("avail", "availability", objective=0.99,
-                                    windows=(0.5, 1.0), hysteresis=1)]
-        assert mon.watch_router("router", stats) == 1
-        mon.tick(clk.advance(0.1))               # baseline SLO sample
-        stats._bump("completed", 10)
-        stats._bump("replicas_lost")
+        assert mon.tick(clk.advance(0.1)) == []  # still inside the timeout
         out = mon.tick(clk.advance(2.0))
-        kinds = sorted(ev.kind for ev in out)
-        assert kinds == ["slo.burn", "watchdog.stall"]
+        assert [ev.kind for ev in out] == ["watchdog.stall"]
+        assert out[0].source == "se0"
         assert mon.registry.counter(
             "health.watchdog.trips_total", watch="live.site:0").value == 1
-        assert mon.registry.counter(
-            "health.slo.trips_total", slo="avail").value == 1
         assert len(mon.recorder.snapshots()) == 2
         mon.disarm(tok)
 
@@ -368,11 +256,6 @@ class TestObsWiring:
         assert "demo.step" in names
         obs.configure(health=False)
         assert obs.tracer().mirror is None
-
-    def test_configure_slo_strings_coerced(self, health_on):
-        obs.configure(slo=["lat:latency:0.9:0.25", "avail:availability:0.99"])
-        kinds = [s.kind for s in obs.health().default_slos]
-        assert kinds == ["latency", "availability"]
 
 
 # -- satellite 2: exception-safe span context restoration -------------------
@@ -457,7 +340,6 @@ def _run_chaos(dec, ms, cons, dump_dir, *, seed, n_requests=14):
     (router, report, monitor, events_seen, rehashed_at_loss)."""
     obs.configure(
         enabled=True, health=True, reset=True, health_dump_dir=dump_dir,
-        slo=["avail:availability:0.999:::1"],
     )
     mon = obs.health()
     events = []
@@ -479,31 +361,29 @@ def _run_chaos(dec, ms, cons, dump_dir, *, seed, n_requests=14):
                     rehashed_at_loss.append(_router.stats.rehashed)
 
             mon.add_listener(on_event)
-            mon.tick()                        # SLO baseline before traffic
+            mon.tick()                        # snapshot before traffic
             plan = FaultPlan(seed=seed).add("worker", "kill", key=0, count=1)
             report = LoadGenerator(router, mix, seed=seed).run(
                 rate=40.0, n_requests=n_requests,
                 fault_plan=plan, wait_timeout=120.0,
             )
-            mon.tick()                        # burn sample after the loss
-            burn_events = mon.tick()          # hysteresis (2): alert fires
-            slo_trips = mon.registry.counter(
-                "health.slo.trips_total", slo="avail").value
-        return router, report, mon, events, rehashed_at_loss, burn_events, slo_trips
+            mon.tick()                        # snapshots after the loss
+            mon.tick()
+        return router, report, mon, events, rehashed_at_loss
     finally:
         # the services do not own the pools passed to them; without this the
         # surviving workers live until a cyclic GC pass happens to run
         for svc in shards.values():
             svc.executor.shutdown()
         obs.configure(enabled=False, health=False, reset=True,
-                      health_dump_dir=None, slo=[])
+                      health_dump_dir=None)
 
 
 class TestChaosBlackbox:
     def test_shard_kill_dumps_replayable_blackbox(self, chaos14, tmp_path):
         dec, ms, cons = chaos14
-        router, report, mon, events, rehashed_at_loss, burn_events, slo_trips = (
-            _run_chaos(dec, ms, cons, tmp_path / "run", seed=21)
+        router, report, mon, events, rehashed_at_loss = _run_chaos(
+            dec, ms, cons, tmp_path / "run", seed=21
         )
         # the seeded plan fired exactly one worker kill -> one lost replica
         assert sum(report.faults_fired.values()) == 1
@@ -534,15 +414,11 @@ class TestChaosBlackbox:
         names = {m["name"] for m in data["metrics"]}
         assert "health.events_total" in names
 
-        # the SLO engine reported the availability burn
-        assert any(ev.kind == "slo.burn" for ev in burn_events)
-        assert slo_trips >= 1
-
     def test_blackbox_meta_replays_deterministically(self, chaos14, tmp_path):
         dec, ms, cons = chaos14
         runs = []
         for i in range(2):
-            _, report, mon, events, _, _, _ = _run_chaos(
+            _, report, mon, events, _ = _run_chaos(
                 dec, ms, cons, tmp_path / f"run{i}", seed=33
             )
             data = load_jsonl(mon.recorder.dumps[0])
