@@ -1,14 +1,13 @@
-"""A6 — ablation: hot-path caching, warm starts and the subsystem executor.
+"""A6 — ablation: hot-path caching and warm starts.
 
 PR 1 rebuilt the estimation hot path around reusable structures: cached
 Jacobian sparsity patterns (refill data only), a stateful gain solver that
 keeps the fill-reducing LU ordering across iterations, reused DSE
-subproblems/estimators across Step-2 rounds, warm starts between rounds,
-and a pluggable executor for the per-subsystem fan-out.  This ablation
-switches the knobs on one at a time on the IEEE-118 DSE (9 subsystems) and
-checks that the fully optimised configuration (a) is faster than the cold
-path — new estimators, hence new patterns and kernels, every round — and
-(b) matches it to ≤ 1e-10.  The cold path used to derive every Jacobian
+subproblems/estimators across Step-2 rounds and warm starts between
+rounds.  This ablation switches the knobs on one at a time on the IEEE-118
+DSE (9 subsystems) and checks that the fully optimised configuration (a) is
+faster than the cold path — new estimators, hence new patterns and
+kernels, every round — and (b) matches it to ≤ 1e-10.  The cold path used to derive every Jacobian
 from scratch as well (1.8–2.0 s a run, 17–24× behind); since every
 estimator fills a pattern it built, what is left to save is the building:
 1.3–1.7× on the 2-core sandbox, gated at 1.15×.
@@ -19,7 +18,6 @@ import time
 import numpy as np
 
 from repro.dse import DistributedStateEstimator
-from repro.parallel import SerialExecutor, ThreadPoolBackend
 
 
 def _time_dse(dec, ms, *, repeats=3, **kwargs):
@@ -36,7 +34,7 @@ def _time_dse(dec, ms, *, repeats=3, **kwargs):
 
 def test_ablation_hotpath_dse(dec118, mset118):
     configs = [
-        ("seed (cold, serial)",
+        ("seed (cold)",
          dict(reuse_structures=False, warm_start=False)),
         ("+ cached structures",
          dict(reuse_structures=True, warm_start=False)),
@@ -46,17 +44,9 @@ def test_ablation_hotpath_dse(dec118, mset118):
     rows = []
     results = {}
     for name, kw in configs:
-        t, res = _time_dse(dec118, mset118, executor=SerialExecutor(), **kw)
+        t, res = _time_dse(dec118, mset118, **kw)
         rows.append((name, t))
         results[name] = res
-
-    with ThreadPoolBackend(4) as pool:
-        t, res = _time_dse(
-            dec118, mset118, executor=pool,
-            reuse_structures=True, warm_start=True,
-        )
-    rows.append(("+ thread-pool fan-out", t))
-    results["+ thread-pool fan-out"] = res
 
     t_seed = rows[0][1]
     print("\nA6 — hot-path ablation (IEEE 118, 9 subsystems, best of 3)")
@@ -64,7 +54,7 @@ def test_ablation_hotpath_dse(dec118, mset118):
     for name, t in rows:
         print(f"{name:>24} | {t * 1e3:9.1f} | {t_seed / t:6.2f}x")
 
-    ref = results["seed (cold, serial)"]
+    ref = results["seed (cold)"]
     for name, res in results.items():
         assert float(np.abs(res.Vm - ref.Vm).max()) < 1e-10, name
         assert float(np.abs(res.Va - ref.Va).max()) < 1e-10, name

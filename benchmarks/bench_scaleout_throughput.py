@@ -7,8 +7,6 @@ stack on the paper's test system:
   :func:`repro.contingency.run_parallel` for every backend spec
   (``serial``, ``threads:N``, ``processes:N``) — the workload the HPC
   reference [2] distributes with counter-based dynamic balancing;
-- **repeated DSE rounds** (values-only ``z`` frames over warm caches)
-  through each backend — the real-time estimation serving loop;
 - the **batched scenario service**: end-to-end submit→resolve latency as a
   function of ``max_batch``.
 
@@ -37,11 +35,7 @@ from repro.contingency import (  # noqa: E402
     enumerate_n1,
     run_parallel,
 )
-from repro.dse import (  # noqa: E402
-    DistributedStateEstimator,
-    decompose,
-    dse_pmu_placement,
-)
+from repro.dse import decompose, dse_pmu_placement  # noqa: E402
 from repro.grid import run_ac_power_flow  # noqa: E402
 from repro.grid.cases import case118  # noqa: E402
 from repro.measurements import full_placement, generate_measurements  # noqa: E402
@@ -103,41 +97,6 @@ def bench_contingency_throughput(
     return out
 
 
-def bench_dse_round_throughput(
-    dec, mset, *, specs: list[str], frames: int = 5
-) -> dict:
-    """Repeated DSE frames (values-only ``z``) per backend: frames/sec and
-    per-frame latency percentiles over warm caches."""
-    rng = np.random.default_rng(42)
-    zs = [
-        mset.z + 0.01 * mset.sigma * rng.standard_normal(len(mset))
-        for _ in range(frames)
-    ]
-    out = {}
-    for spec in specs:
-        executor = make_executor(spec)
-        try:
-            dse = DistributedStateEstimator(
-                dec, mset, executor=executor, reuse_structures=True
-            )
-            dse.run()  # warm caches / worker contexts
-            lat = []
-            t0 = time.perf_counter()
-            for z in zs:
-                t1 = time.perf_counter()
-                dse.run(z=z)
-                lat.append(time.perf_counter() - t1)
-            total = time.perf_counter() - t0
-        finally:
-            executor.shutdown()
-        out[spec] = {
-            "frames": frames,
-            "frames_per_s": frames / total,
-            **_percentiles(lat),
-        }
-    return out
-
-
 def bench_serving_batches(
     dec, mset, contingencies, *, batch_sizes=(1, 8, 32), executor="threads:4"
 ) -> dict:
@@ -187,11 +146,6 @@ def main() -> int:
     for spec, rec in bench_contingency_throughput(net, cons, specs=specs).items():
         print(f"  {spec:>12}: {rec['cases_per_s']:8.1f} cases/s "
               f"({rec['best_sweep_s'] * 1e3:.1f} ms, {rec['workers']} workers)")
-
-    print("\nrepeated DSE frames (values-only z, warm caches)")
-    for spec, rec in bench_dse_round_throughput(dec, mset, specs=specs).items():
-        print(f"  {spec:>12}: {rec['frames_per_s']:6.2f} frames/s  "
-              f"p50 {rec['p50_ms']:.1f} ms  p99 {rec['p99_ms']:.1f} ms")
 
     print("\nscenario service (threads:4) vs max_batch")
     for key, rec in bench_serving_batches(dec, mset, cons[:64]).items():

@@ -1,5 +1,5 @@
-"""Observability end to end: trace a DSE frame across threads, worker
-processes and a TCP mux hop, then export and render the recording.
+"""Observability end to end: trace a DSE frame down to its subsystem
+solves and across a TCP mux hop, then export and render the recording.
 
 Run with::
 
@@ -12,8 +12,10 @@ What it shows:
 2. A :class:`~repro.core.session.DseSession` frame becomes one trace tree
    — noise estimation, Step-1 mapping, both DSE steps with every exchange
    round, and the repartition, all as nested spans.
-3. A process-pool DSE run ships worker spans back on the result channel:
-   the per-subsystem solves in the tree carry the worker pids.
+3. A plain DSE run solves each stage as one stacked loop over every
+   subsystem; the tree still shows one ``dse.<stage>.subsystem`` span per
+   subsystem, its share of the stage apportioned by buses × iterations
+   (``apportioned=True``).
 4. A :class:`~repro.core.runtime.LiveDseRuntime` run over localhost TCP
    carries the trace context inside the mux frames, so the router hop's
    ``mux.forward`` spans join the sender's trace.
@@ -53,16 +55,16 @@ def main() -> None:
         print(f"session frame: {rep.rounds} rounds, "
               f"{rep.bytes_exchanged} B exchanged")
 
-        # 2. the same estimation over a process pool: subsystem solves run
-        #    in worker pids, their spans come back into this trace
-        dse = DistributedStateEstimator(dec, mset, executor="processes:2")
-        try:
-            dse.run()
-        finally:
-            dse.executor.shutdown()
-        pids = {d["pid"] for d in obs.tracer().finished()}
-        print(f"process-pool run: spans recorded by {len(pids)} pids "
-              f"(parent={os.getpid()})")
+        # 2. the same estimation in-process: each stage is one stacked
+        #    solve, its time apportioned over the subsystem spans
+        before = len(obs.tracer())
+        DistributedStateEstimator(dec, mset).run()
+        subs = [
+            d for d in obs.tracer().finished()[before:]
+            if d["name"].endswith(".subsystem") and d["attrs"].get("apportioned")
+        ]
+        print(f"in-process run: {len(subs)} apportioned dse.*.subsystem spans "
+              f"({dec.m} subsystems x (Step 1 + Step-2 rounds))")
 
         # 3. live thread-per-site runtime over real TCP: the mux router
         #    hop records mux.forward spans inside the sender's trace

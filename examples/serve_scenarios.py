@@ -9,7 +9,8 @@ The control-room load the paper motivates is not one estimate: it is a
 stream of estimation frames interleaved with contingency screenings, all
 against the same monitored system.  ``ScenarioService`` serves that stream:
 requests are coalesced into batches (bounded by ``max_batch`` and a flush
-latency) and fanned out across one shared executor; results stream back in
+latency); a batch's contingency cases fan out across one shared executor and
+its estimation frames run on one warm DSE; results stream back in
 completion order with per-request latency and the batch each rode in.
 """
 

@@ -11,9 +11,8 @@ in ``.git``); this file's matrix then runs once against that tree's ``src``
 and once against the working tree's, each in its own interpreter, and the
 rows are compared:
 
-- IEEE-118 in-process DSE: Step 1 alone, then {serial, ``threads:2``,
-  ``processes:2``} × {reference, condensed Step 2} × {cold run, two
-  values-only frames};
+- IEEE-118 in-process DSE: Step 1 alone, then {reference, condensed
+  Step 2} × {cold run, two values-only frames};
 - the 37-area 1 480-bus grid: {reference, condensed}, cold;
 - ``LiveDseRuntime``: {in-proc, TCP} × {reference, condensed}, two frames,
   and a TCP frame screened by ``weights=`` (four rows at weight 0);
@@ -32,8 +31,8 @@ rows are compared:
   ``HierarchicalStateEstimator.run()``, and three frames through
   ``DseSession(bad_data_policy="identify")`` — clean, one 40 σ ``V_MAG``
   error inside subsystem 2, clean — hashing every frame's state plus its
-  ``removed_global_rows``, on the reference session, a ``condense=True``
-  one and an ``executor="threads:2"`` one;
+  ``removed_global_rows``, on the reference session and a
+  ``condense=True`` one;
 - the session's mapping plane: 40 ``DseSession`` frames on IEEE-118/9 at
   noise levels that rise, fall and repeat, over a placement without branch
   0's meters, with branch 0 taken out by ``apply_branch_outage`` after
@@ -131,23 +130,17 @@ def matrix() -> None:
 
     res = DistributedStateEstimator(dec, ms).run(rounds=0)
     emit("ieee118 serial step 1 only", [(res.Vm, res.Va)], dse_iterations(res))
-    for executor in ("serial", "threads:2", "processes:2"):
-        for mode, condense in modes:
-            dse = DistributedStateEstimator(
-                dec, ms, executor=executor, condense=condense
-            )
-            try:
-                res = dse.run()
-                emit(f"ieee118 {executor} {mode} cold", [(res.Vm, res.Va)],
-                     dse_iterations(res))
-                states, iters = [], 0
-                for z in frames:
-                    res = dse.run(z=z, x0=(res.Vm, res.Va))
-                    states.append((res.Vm, res.Va))
-                    iters += dse_iterations(res)
-                emit(f"ieee118 {executor} {mode} frames", states, iters)
-            finally:
-                dse.executor.shutdown()
+    for mode, condense in modes:
+        dse = DistributedStateEstimator(dec, ms, condense=condense)
+        res = dse.run()
+        emit(f"ieee118 serial {mode} cold", [(res.Vm, res.Va)],
+             dse_iterations(res))
+        states, iters = [], 0
+        for z in frames:
+            res = dse.run(z=z, x0=(res.Vm, res.Va))
+            states.append((res.Vm, res.Va))
+            iters += dse_iterations(res)
+        emit(f"ieee118 serial {mode} frames", states, iters)
 
     wecc = synthetic_grid(n_areas=37, buses_per_area=40, seed=11)
     wdec = decompose_by_areas(wecc)
@@ -264,21 +257,15 @@ def matrix() -> None:
         rng=np.random.default_rng(4),
     )
     arch = ArchitecturePrototype.assemble(net, m_subsystems=9, seed=0)
-    for label, opts in (
-        ("", {}), (" condensed", dict(condense=True)),
-        (" threads:2", dict(executor="threads:2")),
-    ):
+    for label, opts in (("", {}), (" condensed", dict(condense=True))):
         session = DseSession(arch, bad_data_policy="identify", **opts)
         states = []
-        try:
-            for scan in scans:
-                removed = session.process_frame(scan).bad_data.removed_global_rows
-                # the session publishes no state; its tracking start is the
-                # frame's
-                states += [(session._prev_vm, session._prev_va),
-                           (np.array(removed, dtype=float), none)]
-        finally:
-            session.executor.shutdown()
+        for scan in scans:
+            removed = session.process_frame(scan).bad_data.removed_global_rows
+            # the session publishes no state; its tracking start is the
+            # frame's
+            states += [(session._prev_vm, session._prev_va),
+                       (np.array(removed, dtype=float), none)]
         emit(f"session identify 3 frames{label}", states,
              sum(r.rounds for r in session.reports))
 

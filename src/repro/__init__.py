@@ -30,8 +30,9 @@ middleware
     in-process) with one duplex link per estimator, the framed wire
     formats, and the fabric whose send / recv are the client API.
 parallel
-    Pluggable subsystem executors (serial / thread pool) shared by the DSE
-    fan-out and the parallel contingency analyzer.
+    Pluggable executors (serial / thread pool / process pool) for the
+    parallel contingency analyzer and the scenario service's contingency
+    batches; a DSE stage is one stacked solve and uses none.
 core
     The paper's contribution: graph-weight estimation, the mapping method
     that places subsystems onto clusters for DSE Step 1 / Step 2, and the

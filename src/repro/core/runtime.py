@@ -460,7 +460,7 @@ class LiveDseRuntime:
             failed = [
                 f"site {s} failed: {res.message}"
                 for s, _, part in per_site
-                for res, _, _ in part
+                for res, _ in part
                 if isinstance(res, SolveFailure)
             ]
             if failed:
@@ -469,7 +469,7 @@ class LiveDseRuntime:
                 # a broken barrier: every site, this one included, leaves
                 raise threading.BrokenBarrierError
             for s, stepper, part in per_site:
-                busy = sum(dt for _, dt, _ in part)
+                busy = sum(dt for _, dt in part)
                 if stage == "step1":
                     stepper.apply_step1(part)
                     stats[s].step1_time = busy

@@ -26,7 +26,6 @@ from ..dse.algorithm import (
     check_run_args,
 )
 from ..measurements.types import MeasurementSet
-from ..parallel import make_executor
 from .architecture import ArchitecturePrototype
 from .noise import NoiseLevelEstimator
 from .telemetry import FrameReport, PhaseBreakdown
@@ -43,10 +42,6 @@ class DseSession:
         The assembled architecture.
     sensitivity_threshold:
         Threshold for the sensitive-internal-bus analysis.
-    executor:
-        Fan-out backend for the per-subsystem solves (see
-        :class:`repro.parallel.SubsystemExecutor`); shared by every frame's
-        DSE run.
     reuse_structures, warm_start, degrade_on_failure, condense:
         Hot-path / robustness knobs forwarded to
         :class:`~repro.dse.algorithm.DistributedStateEstimator`
@@ -60,7 +55,6 @@ class DseSession:
         *,
         sensitivity_threshold: float = 0.5,
         bad_data_policy: str = "off",
-        executor=None,
         reuse_structures: bool = True,
         warm_start: bool = True,
         degrade_on_failure: bool = False,
@@ -71,7 +65,6 @@ class DseSession:
         self.arch = arch
         self.sensitivity_threshold = sensitivity_threshold
         self.bad_data_policy = bad_data_policy
-        self.executor = make_executor(executor)
         self.reuse_structures = reuse_structures
         self.warm_start = warm_start
         self.degrade_on_failure = degrade_on_failure
@@ -88,20 +81,16 @@ class DseSession:
     # ------------------------------------------------------------------
     def scenario_service(self, mset: MeasurementSet, **kwargs):
         """Build a batched :class:`~repro.serving.ScenarioService` over this
-        session's decomposition and executor.
+        session's decomposition.
 
         ``mset`` fixes the template measurement placement; estimation
         requests then carry values-only ``z`` frames over it.  The session's
-        sensitivity threshold and executor are forwarded (the
-        service shares — and does not shut down — the session's pool);
-        keyword arguments override any service option.
+        sensitivity threshold is forwarded; keyword arguments (``executor=``
+        among them) override any service option.
         """
         from ..serving import ScenarioService
 
-        opts = dict(
-            executor=self.executor,
-            sensitivity_threshold=self.sensitivity_threshold,
-        )
+        opts = dict(sensitivity_threshold=self.sensitivity_threshold)
         opts.update(kwargs)
         return ScenarioService(self.arch.dec, mset, **opts)
 
@@ -258,7 +247,6 @@ class DseSession:
             self.arch.dec,
             mset,
             sensitivity_threshold=self.sensitivity_threshold,
-            executor=self.executor,
             reuse_structures=self.reuse_structures,
             warm_start=self.warm_start,
             degrade_on_failure=self.degrade_on_failure,

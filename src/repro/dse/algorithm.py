@@ -25,9 +25,7 @@ cluster substrate.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import pickle
 import time
 from dataclasses import dataclass, field
 
@@ -36,9 +34,8 @@ import numpy as np
 from .. import obs
 from ..estimation.results import state_error
 from ..estimation.wls import WlsEstimator
-from ..measurements.types import _TYPE_ORDER, MeasType, MeasurementSet
+from ..measurements.types import MeasType, MeasurementSet
 from ..middleware.message import condensed_update_nbytes, state_update_nbytes
-from ..parallel import SubsystemExecutor, make_executor
 from .condensation import CondensedStep2, neighbor_publication_sets
 from .decomposition import Decomposition, extract_subnetwork
 from .pseudo import (
@@ -60,8 +57,6 @@ __all__ = [
 
 #: bytes per exchanged bus state: (Vm, Va) float64 pair plus a bus id.
 BYTES_PER_EXCHANGED_BUS = 2 * 8 + 8
-
-_TYPE_POS = {t: i for i, t in enumerate(_TYPE_ORDER)}
 
 
 def _localized_perm(
@@ -136,22 +131,6 @@ def step1_problem(
     )
 
 
-# ---------------------------------------------------------------------------
-# Process-pool worker side: a full (serial) DSE instance lives inside each
-# worker process, built once by the pool initializer, so the warm caches —
-# subnetworks, Jacobian structures, gain-solver orderings, merged pseudo
-# templates — persist across tasks.  Tasks (``stepper._solve_task``) then
-# carry only compact payloads: a measurement vector, a warm-start state and
-# a tolerance.
-# ---------------------------------------------------------------------------
-
-def _dse_worker_state(payload):
-    dec, mset, kwargs = payload
-    return DistributedStateEstimator(
-        dec, mset, executor=None, auto_anchor=False, **kwargs
-    )
-
-
 @dataclass
 class DseResult:
     """System-wide DSE outcome."""
@@ -193,13 +172,6 @@ class DistributedStateEstimator:
         solve — an extension).
     auto_anchor:
         Verify every subsystem has at least one synchronized angle channel.
-    executor:
-        How per-subsystem solves fan out within Step 1 and within each
-        Step-2 round: ``None``/``"serial"``, ``"threads"``, an ``int``
-        worker count, or a :class:`~repro.parallel.SubsystemExecutor`.
-        Results are bit-identical across executors — each round snapshots
-        the published state before fanning out and applies updates in
-        subsystem order afterwards.
     reuse_structures:
         Cache the extended subnetworks, local estimators (with their
         Jacobian patterns and factorization orderings) and merged
@@ -238,7 +210,6 @@ class DistributedStateEstimator:
         sensitivity_threshold: float = 0.5,
         update_scope: str = "exchange",
         auto_anchor: bool = True,
-        executor: SubsystemExecutor | str | int | None = None,
         reuse_structures: bool = True,
         warm_start: bool = True,
         degrade_on_failure: bool = False,
@@ -255,7 +226,6 @@ class DistributedStateEstimator:
         self.mset = mset
         self.update_scope = update_scope
         self.sensitivity_threshold = sensitivity_threshold
-        self.executor = make_executor(executor)
         self.reuse_structures = reuse_structures
         self.warm_start = warm_start
         self.degrade_on_failure = degrade_on_failure
@@ -280,7 +250,6 @@ class DistributedStateEstimator:
                 for s in range(dec.m)
             }
         )
-        self._worker_token: str | None = None
         #: the whole decomposition's Step-1 / Step-2 estimators as one
         #: stacked estimator each (:meth:`_stack`)
         self._stacks: dict[str, WlsEstimator] = {}
@@ -404,10 +373,9 @@ class DistributedStateEstimator:
         z_full: np.ndarray | None,
         w_full: np.ndarray | None,
     ) -> tuple:
-        """Compact Step-2 task inputs ``(z, weights, (x0_vm, x0_va))`` for
-        subsystem ``s`` — the same arrays regardless of which backend
-        executes the solve, which is what pins process-pool results to
-        serial ones.  The pseudo rows of an external bus not ``known``
+        """Step-2 solve inputs ``(z, weights, (x0_vm, x0_va))`` for
+        subsystem ``s`` — the same arrays whichever host solves it.  The
+        pseudo rows of an external bus not ``known``
         (a neighbour not heard from) weigh 0; ``weights`` is ``None`` when
         the cached set's own serve."""
         _, full0, rows_vm, rows_va, src, rows_ms2 = self._step2_cache[s]
@@ -443,50 +411,6 @@ class DistributedStateEstimator:
             return last2[s]
         xbuses = self.sub2[s][2]
         return published_vm[xbuses], published_va[xbuses]
-
-    # ------------------------------------------------------------------
-    # Process-pool support: worker-resident warm DSE state, keyed by a
-    # structural fingerprint so repeated frames over the same case reuse
-    # the spawned workers (and their caches) instead of restarting them.
-    # ------------------------------------------------------------------
-    def _structure_token(self) -> str:
-        if self._worker_token is None:
-            h = hashlib.sha1()
-            h.update(
-                pickle.dumps(
-                    (
-                        self.update_scope,
-                        float(self.sensitivity_threshold),
-                        bool(self.condense),
-                    )
-                )
-            )
-            h.update(pickle.dumps(self.dec))
-            for t in _TYPE_ORDER:
-                h.update(t.value.encode())
-                h.update(np.ascontiguousarray(self.mset.elements(t)).tobytes())
-            h.update(np.ascontiguousarray(self.mset.sigma).tobytes())
-            self._worker_token = "dse:" + h.hexdigest()
-        return self._worker_token
-
-    def _ensure_worker_context(self) -> str:
-        key = self._structure_token()
-        self.executor.initialize(
-            key,
-            _dse_worker_state,
-            (
-                self.dec,
-                self.mset,
-                dict(
-                    sensitivity_threshold=self.sensitivity_threshold,
-                    update_scope=self.update_scope,
-                    reuse_structures=True,
-                    warm_start=False,
-                    condense=self.condense,
-                ),
-            ),
-        )
-        return key
 
     # ------------------------------------------------------------------
     def _round_wire_bytes(self, s: int, rnd: int) -> int:

@@ -4,7 +4,7 @@ One operational advantage of distributing the estimation is *locality*: a
 gross error in one subsystem's telemetry fails that subsystem's chi-square
 test without contaminating the others, and identification runs on the
 small local problem instead of the interconnection-wide one.  The screen is
-the DSE's own Step 1 (its estimators, executor and values-only frame path)
+the DSE's own Step 1 (its estimators and values-only frame path)
 plus a chi-square test per subsystem; identification masks rows of the
 suspect subsystem's Step-1 estimator, and the frame then runs without the
 removed rows as zero weights (``dse.run(z=, weights=)``).  Nothing is

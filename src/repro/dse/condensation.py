@@ -44,13 +44,13 @@ number of subsystems in lock step — over the union of their estimators on
 a serial host, over one estimator everywhere else — and a block's bits do
 not depend on how many ride along.
 
-The linearization point must be *history-free* for the repo's
-bit-identical-across-executors property to survive condensation: a process
-worker may first touch a subsystem's cache on any round, so an operator
-frozen "at the first state seen" would differ between serial and pooled
-runs.  The round-0 solution is a function of the frame's inputs alone —
-the same arrays on every executor and host — and the stepper passes it as
-an explicit ``lin_point`` with every later call.  :func:`condense` refactors
+The linearization point must be *history-free* for every hosting of a
+frame to agree bit for bit: a live site promoted by failover may first
+touch a subsystem's cache on any round, so an operator frozen "at the
+first state seen" would differ between the donor and its successor.  The
+round-0 solution is a function of the frame's inputs alone — the same
+arrays on every host — and the stepper passes it as an explicit
+``lin_point`` with every later call.  :func:`condense` refactors
 a subsystem only when the point, or the frame's row weights, actually
 change (exact array match), so all frozen rounds of a frame share one
 factorization, repeated identical frames reuse it, and tracking frames
@@ -124,10 +124,10 @@ class CondensedStep2:
 
     Wraps the warm extended-network estimator of one subsystem and exposes
     the same ``estimate(x0=, tol=, z=)`` call surface, so the in-process
-    algorithm, the process-pool task functions and the live runtime use it
-    unchanged through ``_step2_cache``.  It owns the subsystem's frozen
-    operator (``operator``: the held Cholesky factor of its extended gain),
-    the linearization point it was factored at and the fallback count; the
+    algorithm and the live runtime use it unchanged through
+    ``_step2_cache``.  It owns the subsystem's frozen operator
+    (``operator``: the held Cholesky factor of its extended gain), the
+    linearization point it was factored at and the fallback count; the
     iteration is :func:`frozen_round`.
 
     Parameters
@@ -329,7 +329,7 @@ def frozen_round(
     converged inside its own ``max_iter``, or trips the divergence guard,
     is re-solved alone by its exact estimator (``fallbacks``) — a
     deterministic function of the same ``(x0, z, weights, tol)``, so
-    parity and cross-executor determinism survive the fallback.  One
+    parity and cross-host determinism survive the fallback.  One
     outcome per block, a failed block's :class:`EstimationError` in its
     place.
     """

@@ -42,7 +42,6 @@ import numpy as np
 from .. import obs
 from ..estimation.results import EstimationResult
 from ..estimation.wls import WlsEstimator
-from ..parallel import SerialExecutor, worker_context
 from .condensation import frozen_round
 from .pseudo import pseudo_measurements
 
@@ -72,8 +71,7 @@ class SubsystemRecord:
     #: the other states of the extended network
     n_boundary_states: int = 0
     n_interior_states: int = 0
-    #: wall time spent factoring the frozen gain (in-process executors;
-    #: process-pool factorizations happen inside the warm workers)
+    #: wall time this frame spent factoring the frozen gain
     factor_time: float = 0.0
 
     @property
@@ -84,7 +82,7 @@ class SubsystemRecord:
 
 @dataclass(frozen=True)
 class SolveFailure:
-    """Picklable stand-in result for a per-subsystem solve that raised
+    """Stand-in result for a per-subsystem solve that raised
     while failures were being collected rather than raised (see
     :func:`solve_stage`)."""
 
@@ -95,7 +93,7 @@ def _cached_estimator(dse, stage: str, s: int):
     return dse._est1[s] if stage == "step1" else dse._step2_cache[s][0]
 
 
-def _timed_solve(span, stage, s, build, x0, z, w, lin, tol, degrade) -> tuple:
+def _timed_solve(stage, s, build, x0, z, w, lin, tol, degrade) -> tuple:
     """One subsystem solve under its span: ``(result or failure, seconds)``.
 
     ``build()`` returns the estimator — the cached one, or a new one whose
@@ -103,7 +101,7 @@ def _timed_solve(span, stage, s, build, x0, z, w, lin, tol, degrade) -> tuple:
     """
     kwargs = {} if lin is None else {"lin_point": lin}
     t0 = time.perf_counter()
-    with span(f"dse.{stage}.subsystem", s=s):
+    with obs.span(f"dse.{stage}.subsystem", s=s):
         est = build()
         try:
             res = est.estimate(x0=x0, tol=tol, z=z, weights=w, **kwargs)
@@ -112,22 +110,6 @@ def _timed_solve(span, stage, s, build, x0, z, w, lin, tol, degrade) -> tuple:
                 raise
             res = SolveFailure(repr(exc))
     return res, time.perf_counter() - t0
-
-
-def _solve_task(args):
-    """Process-pool side of a solve: the warm estimators live inside the
-    worker's own DSE instance (see ``algorithm._dse_worker_state``), so a
-    task carries only the frame's vectors, a start and a tolerance.
-
-    The linearization point travels with every Step-2 task (not just the
-    first) because a worker may first touch subsystem ``s`` on any round —
-    the condensed operator must not depend on call history.
-    """
-    key, stage, s, x0, z, w, lin, tol, octx, degrade = args
-    rec = obs.remote_recorder(octx)
-    build = partial(_cached_estimator, worker_context(key), stage, s)
-    res, dt = _timed_solve(rec.span, stage, s, build, x0, z, w, lin, tol, degrade)
-    return res, dt, rec.export()
 
 
 def _count_degraded_solve() -> None:
@@ -177,12 +159,6 @@ class SubsystemStepper:
         self.lin: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.round_deltas: list[float] = []
         self._factor_t0: dict[int, float] = {}
-        self._pooled = getattr(dse.executor, "distributed", False)
-        if self._pooled and not dse.reuse_structures:
-            raise ValueError(
-                "process-pool execution requires reuse_structures=True "
-                "(workers hold the warm caches)"
-            )
         for s in hosted:
             self._host(int(s))
 
@@ -294,7 +270,6 @@ class SubsystemStepper:
                 WlsEstimator, subnet1, ms1
             )
             x0 = None if self.x0 is None else (self.x0[0][own], self.x0[1][own])
-            # always explicit: a pool worker's own set may hold other values
             z1 = ms1.z if self.z is None else dse._step1_z(s, self.z)
             w1 = None if self.w is None else dse._step1_z(s, self.w)
             jobs.append((s, fresh, x0, z1, w1, None))
@@ -303,9 +278,7 @@ class SubsystemStepper:
     def apply_step1(self, solved: list[tuple]) -> None:
         """Take the outcomes of :meth:`step1_jobs` (same order)."""
         dse = self.dse
-        for s, (res, dt, wspans) in zip(self.hosted, solved):
-            if wspans:
-                obs.adopt(wspans)
+        for s, (res, dt) in zip(self.hosted, solved):
             rec, own = self.records[s], dse.sub1[s][2]
             rec.step1_time = dt
             if isinstance(res, SolveFailure):
@@ -326,8 +299,8 @@ class SubsystemStepper:
         All inputs are built from the view first (:meth:`step2_jobs`),
         then everything is solved, then the disjoint updates are applied in
         subsystem order (:meth:`apply_step2`): no solve sees another's
-        result of the same round, which is what makes every executor and
-        every hosting bit-identical.
+        result of the same round, which is what makes every hosting
+        bit-identical.
         """
         jobs = self.step2_jobs(rnd)
         with obs.span("dse.step2", round=rnd):
@@ -359,15 +332,13 @@ class SubsystemStepper:
         """Take the outcomes of :meth:`step2_jobs` (same order)."""
         dse, Vm, Va = self.dse, self.Vm, self.Va
         delta = 0.0
-        for s, (res, dt, wspans) in zip(self.hosted, solved):
-            if wspans:
-                obs.adopt(wspans)
+        for s, (res, dt) in zip(self.hosted, solved):
             rec = self.records[s]
             rec.step2_times.append(dt)
             rec.bytes_sent_per_round.append(dse._round_wire_bytes(s, rnd))
-            if dse.condense and not self._pooled:
+            if dse.condense:
                 # condensation cost lives on the warm caches; surface
-                # this frame's share (pool workers keep theirs)
+                # this frame's share
                 rec.factor_time = (
                     dse._step2_cache[s][0].factor_time - self._factor_t0[s]
                 )
@@ -383,8 +354,8 @@ class SubsystemStepper:
                 # Freeze the gain operator where the iteration lives:
                 # at the solution of the frame's first (exact) round.
                 # A function of the frame's inputs alone — the same
-                # arrays on every executor and host — so the later
-                # rounds share one factorization wherever they run.
+                # arrays on every host — so the later rounds share one
+                # factorization wherever they run.
                 self.lin[s] = self.last2[s]
             rec.step2_results.append(res)
             scope = (
@@ -426,46 +397,36 @@ def solve_stage(
 
     A job is ``(s, builder of a fresh estimator or None for the cached
     one, x0, z, weights, lin_point)``; the result is ``(result or
-    failure, seconds, worker spans or None)`` per job, in the jobs' order.
-    A solve that raises becomes a :class:`SolveFailure` when ``degrade``
-    and propagates otherwise.
+    failure, seconds)`` per job, in the jobs' order.  A solve that raises
+    becomes a :class:`SolveFailure` when ``degrade`` and propagates
+    otherwise.
 
-    The way is chosen from the executor and the jobs alone: a process pool
-    gets compact tasks for its warm workers; on a serial executor, jobs
-    that name each of ``dse``'s ``m`` subsystems exactly once, on cached
-    estimators, and agree on the linearisation (all exact, or all frozen
-    at their points) run as one stacked loop (:func:`_stacked_stage`);
-    anything else — a partial set, a subsystem named twice (a fenced host
-    and its promoted successor), a round where only some subsystems have
-    their linearisation point after a degraded solve — is solved job by
-    job through the executor, in subsystem order.
+    The way is chosen from the jobs alone: jobs that name each of
+    ``dse``'s ``m`` subsystems exactly once, on cached estimators, and
+    agree on the linearisation (all exact, or all frozen at their points)
+    run as one stacked loop (:func:`_stacked_stage`); anything else — a
+    partial set, a subsystem named twice (a fenced host and its promoted
+    successor), a round where only some subsystems have their
+    linearisation point after a degraded solve, the
+    ``reuse_structures=False`` reference — is solved job by job, in
+    subsystem order.
     """
     order = sorted(range(len(jobs)), key=lambda i: jobs[i][0])
     ordered = [jobs[i] for i in order]
-    if getattr(dse.executor, "distributed", False):
-        key = dse._ensure_worker_context()
-        octx = obs.pack_current_context()
-        solved = dse.executor.map(_solve_task, [
-            (key, stage, s, x0, z, w, lin, tol, octx, degrade)
-            for s, _, x0, z, w, lin in ordered
-        ])
-    elif (
-        isinstance(dse.executor, SerialExecutor)
-        and dse.reuse_structures
+    if (
+        dse.reuse_structures
         and [job[0] for job in ordered] == list(range(dse.dec.m))
         and len({job[-1] is None for job in ordered}) == 1
     ):
         solved = _stacked_stage(dse, stage, ordered, tol, degrade)
     else:
-        def solve(job):
-            s, fresh, x0, z, w, lin = job
-            build = fresh or partial(_cached_estimator, dse, stage, s)
-            return (
-                *_timed_solve(obs.span, stage, s, build, x0, z, w, lin, tol, degrade),
-                None,
+        solved = [
+            _timed_solve(
+                stage, s, fresh or partial(_cached_estimator, dse, stage, s),
+                x0, z, w, lin, tol, degrade,
             )
-
-        solved = dse.executor.map(solve, ordered)
+            for s, fresh, x0, z, w, lin in ordered
+        ]
     out: list = [None] * len(jobs)
     for i, res in zip(order, solved):
         out[i] = res
@@ -517,5 +478,5 @@ def _stacked_stage(
             wall0, float(dt)
         )
         wall0 += float(dt)
-        out.append((res, float(dt), None))
+        out.append((res, float(dt)))
     return out

@@ -6,9 +6,8 @@ One switchboard for everything the repo measures about itself:
   gauges, streaming-quantile histograms) replacing the ad-hoc unsynchronized
   counters that used to live on individual services;
 - a :class:`~repro.obs.trace.Tracer` producing span trees per DSE frame,
-  with context propagation across executor threads, process-pool workers
-  (spans ride the result channel back) and the middleware wire (a compact
-  trace context rides the mux frame);
+  with context propagation across executor threads and the middleware
+  wire (a compact trace context rides the mux frame);
 - exporters: JSONL session dumps, Prometheus text, console flame
   summaries (:mod:`repro.obs.export`), rendered offline by
   ``python -m repro.tools.obsreport``.
@@ -57,7 +56,6 @@ from .health import (
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .trace import (
     NOOP_SPAN,
-    RemoteSpanRecorder,
     Span,
     SpanContext,
     Tracer,
@@ -71,11 +69,11 @@ from .trace import current_context as _trace_current_context
 __all__ = [
     # hub
     "configure", "enabled", "tracer", "metrics", "span", "current_context",
-    "pack_current_context", "adopt", "remote_recorder", "reset_in_worker",
+    "reset_in_worker",
     "health", "health_enabled",
     # building blocks
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
-    "Span", "SpanContext", "Tracer", "RemoteSpanRecorder", "NOOP_SPAN",
+    "Span", "SpanContext", "Tracer", "NOOP_SPAN",
     "use_context", "pack_span_context", "unpack_span_context",
     "TRACE_CTX_SIZE",
     # health plane
@@ -216,32 +214,10 @@ def current_context() -> SpanContext | None:
     return _trace_current_context()
 
 
-def pack_current_context() -> bytes | None:
-    """Packed active context for task payloads / wire metadata, or
-    ``None`` when disabled, outside any span, or in an unsampled trace
-    (so downstream recorders stay no-ops)."""
-    ctx = current_context()
-    if ctx is None or not ctx.sampled:
-        return None
-    return pack_span_context(ctx)
-
-
-def adopt(span_dicts) -> None:
-    """Graft spans recorded elsewhere (pool workers, remote processes)."""
-    if _enabled and span_dicts:
-        _tracer.adopt(span_dicts)
-
-
-def remote_recorder(packed_parent: bytes | None) -> RemoteSpanRecorder:
-    """Worker-side recorder for a packed parent context (no-op recorder
-    when the parent shipped ``None``)."""
-    return RemoteSpanRecorder(packed_parent)
-
-
 def reset_in_worker() -> None:
     """Disable and clear observability in a freshly spawned/forked pool
-    worker: the parent's tracer state is not meaningful there (worker
-    spans are shipped back explicitly via :class:`RemoteSpanRecorder`)."""
+    worker: the parent's tracer state is not meaningful there, and the
+    worker records nothing."""
     global _enabled, _health_enabled, _health
     _enabled = False
     _health_enabled = False

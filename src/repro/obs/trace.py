@@ -1,11 +1,11 @@
-"""Span-based tracing with cross-thread / cross-process / cross-wire context.
+"""Span-based tracing with cross-thread / cross-wire context.
 
 A *span* is one timed operation; spans link into trace trees through
 ``(trace_id, span_id, parent_id)``.  One DSE frame becomes one trace::
 
     dse.frame
     ├── dse.step1
-    │   ├── dse.step1.subsystem {s=0}     (possibly recorded in a worker)
+    │   ├── dse.step1.subsystem {s=0}     (apportioned share of one stacked solve)
     │   └── ...
     ├── dse.exchange {round=0}
     │   └── mux.forward {src, dst}        (recorded at the router hop)
@@ -21,17 +21,13 @@ Propagation model:
   the submitter's context and re-activates it around each task
   (:func:`use_context`), so spans opened inside tasks join the caller's
   trace without explicit plumbing.
-- **process pools** — the parent packs its context
-  (:func:`pack_span_context`) into the compact task payload; the worker
-  records spans into a :class:`RemoteSpanRecorder` and ships the finished
-  span dicts back on the existing result channel; the parent grafts them
-  with :meth:`Tracer.adopt`.
 - **the wire** — the packed context rides a mux-frame payload prefix
   (``FLAG_TRACED``); the router hop and the receiving site join the
   sender's trace (see :mod:`repro.middleware.message`).
 
 Timing uses the monotonic clock for durations (``perf_counter``) and the
-epoch clock only to anchor span start times for cross-process merging.
+epoch clock only to anchor span start times (an apportioned span is laid
+out on it, and spans from different processes line up on it).
 """
 
 from __future__ import annotations
@@ -50,7 +46,6 @@ __all__ = [
     "Span",
     "NOOP_SPAN",
     "Tracer",
-    "RemoteSpanRecorder",
     "use_context",
     "current_context",
     "pack_span_context",
@@ -67,8 +62,8 @@ _ID_COUNTER = itertools.count(1)
 
 
 def _new_id() -> int:
-    """Process-unique id, salted with the pid so ids minted in pool
-    workers cannot collide with the parent's when spans are merged."""
+    """Process-unique id, salted with the pid so ids minted by two
+    processes of one trace (joined over the wire) cannot collide."""
     with _ID_LOCK:
         n = next(_ID_COUNTER)
     return ((os.getpid() & 0xFFFFF) << 40) | (n & 0xFFFFFFFFFF)
@@ -238,8 +233,8 @@ class Tracer:
     ----------
     sample_every:
         Head sampling: record every N-th root trace (1 = all, 0 = none).
-        The decision is made once per root and inherited by every child,
-        worker span and wire hop, so sampled traces stay complete.
+        The decision is made once per root and inherited by every child
+        and wire hop, so sampled traces stay complete.
     max_spans:
         Retention bound; beyond it finished spans are counted as dropped
         instead of retained (the JSONL exporter reports the drop count).
@@ -300,23 +295,6 @@ class Tracer:
                 return
             self._finished.append(span_dict)
 
-    def adopt(self, span_dicts) -> None:
-        """Graft spans finished elsewhere (pool workers, remote hops)."""
-        if not span_dicts:
-            return
-        mirror = self.mirror
-        if mirror is not None:
-            for d in span_dicts:
-                mirror(d)
-        with self._lock:
-            room = self.max_spans - len(self._finished)
-            if room <= 0:
-                self.spans_dropped += len(span_dicts)
-                return
-            take = list(span_dicts)[:room]
-            self.spans_dropped += len(span_dicts) - len(take)
-            self._finished.extend(take)
-
     def finished(self) -> list[dict]:
         """Copy of the finished spans recorded so far."""
         with self._lock:
@@ -340,38 +318,3 @@ class Tracer:
     def __len__(self) -> int:
         with self._lock:
             return len(self._finished)
-
-
-class RemoteSpanRecorder:
-    """Worker-side span sink for process-pool tasks.
-
-    Built from the packed parent context shipped in the task payload
-    (``None`` when observability is off — every span becomes a no-op).
-    Finished spans accumulate locally; :meth:`export` returns them (or
-    ``None``) for the result tuple, and the parent grafts them with
-    :meth:`Tracer.adopt`.
-    """
-
-    def __init__(self, packed_parent: bytes | None):
-        self._parent = (
-            unpack_span_context(packed_parent) if packed_parent else None
-        )
-        self._spans: list[dict] = []
-
-    @property
-    def enabled(self) -> bool:
-        return self._parent is not None and self._parent.sampled
-
-    def span(self, name: str, **attrs):
-        if not self.enabled:
-            return NOOP_SPAN
-        ctx = SpanContext(
-            trace_id=self._parent.trace_id, span_id=_new_id(), sampled=True
-        )
-        return Span(name, ctx, self._parent.span_id, self, attrs)
-
-    def _record(self, span_dict: dict) -> None:
-        self._spans.append(span_dict)
-
-    def export(self) -> list[dict] | None:
-        return self._spans or None

@@ -1,11 +1,11 @@
-"""Pluggable executors for fanning independent subsystem work out.
+"""Pluggable executors for fanning independent work out.
 
-The paper executes DSE Step 1 and each Step-2 round concurrently across
-clusters; this repository's in-process reproduction runs the same solves on
-one machine.  :class:`SubsystemExecutor` abstracts *how* a batch of
-independent per-subsystem tasks is executed so that the DSE algorithm, the
-session pipeline, the scenario-serving engine and the parallel contingency
-analyzer can share one mechanism:
+:class:`SubsystemExecutor` abstracts *how* a batch of independent tasks is
+executed so that the parallel contingency analyzer and the
+scenario-serving engine (which drains contingency batches through it)
+share one mechanism.  DSE stages do not fan out through an executor: each
+is one stacked solve over every subsystem
+(:func:`repro.dse.stepper.solve_stage`).
 
 - :class:`SerialExecutor` — plain in-order loop (the reference semantics);
 - :class:`ThreadPoolBackend` — ``concurrent.futures`` thread pool with a
@@ -17,8 +17,8 @@ analyzer can share one mechanism:
   a one-time initializer that builds heavy state (case network, Jacobian
   structures, factorization orderings, estimator caches) **inside** the
   worker, so the warm caches live across tasks; after that, tasks carry
-  only compact payloads (measurement vectors, outage indices, round ids)
-  and return plain arrays.  This is the true multi-core scale-out path.
+  only compact payloads (case indices, outage records) and return plain
+  arrays.  This is the true multi-core scale-out path.
 
 Executors only ever run *independent* tasks — callers are responsible for
 snapshotting shared state before a fan-out and applying updates after it,
@@ -240,9 +240,8 @@ def worker_context(key: str):
 def _pool_initializer(specs: tuple) -> None:
     """Runs once per worker process: build every registered context."""
     # A forked worker inherits the parent's observability state (enabled
-    # flag, recorded spans); none of it is meaningful here — worker spans
-    # are shipped back explicitly via RemoteSpanRecorder on the result
-    # channel, so clear the inherited state and disable the global hub.
+    # flag, recorded spans); none of it is meaningful here, so clear the
+    # inherited state and disable the global hub.
     obs.reset_in_worker()
     for key, builder, payload in specs:
         _WORKER_CONTEXTS[key] = builder(payload)
@@ -302,15 +301,15 @@ class ProcessPoolBackend(SubsystemExecutor):
     Usage shape::
 
         pool = ProcessPoolBackend(4)
-        pool.initialize("dse:abc123", _build_worker_state, payload)
+        pool.initialize("contingency:1", _analyzer_state, analyzer)
         results = pool.map(_task_fn, compact_items)   # workers stay warm
 
     ``initialize`` registers a one-time per-worker initializer: the builder
     runs inside each worker when it spawns (lazily, on the first ``map``)
     and its product is fetched from tasks with :func:`worker_context`.
     Registering a *new* context key after the workers have spawned restarts
-    the pool — callers key contexts by a structural fingerprint so repeated
-    frames over the same case reuse the warm workers.
+    the pool — callers key contexts stably (one token per contingency
+    analyzer) so repeated sweeps over the same case reuse the warm workers.
 
     ``map`` requires module-level functions and compact picklable items;
     exceptions raised in a worker re-raise in the parent with the original

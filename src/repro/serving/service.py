@@ -1,15 +1,16 @@
-"""Batched scenario-serving engine over the executor backends.
+"""Batched scenario-serving engine.
 
 ``ScenarioService`` is the serving shape the scale-out papers converge on
 (batch many independent area solves into one warm engine): callers submit
 estimation frames and contingency cases from any thread; a dispatcher
 coalesces them into batches — bounded by ``max_batch`` and a flush-latency
-window — and fans each batch out across the shared executor with dynamic
-balancing.  Results stream back through futures as they resolve.
+window — and drains each batch: contingency cases fan out across the
+shared executor with dynamic balancing.  Results stream back through
+futures as they resolve.
 
-Estimation frames run values-only on one in-process
-:class:`~repro.dse.algorithm.DistributedStateEstimator` (warm caches, any
-executor backend including process pools).
+Estimation frames run values-only, one after another, on one in-process
+:class:`~repro.dse.algorithm.DistributedStateEstimator` (warm caches;
+each stage one stacked solve over every subsystem).
 
 Contingency batches go through
 :func:`repro.contingency.parallel.run_parallel`, sharing the service's
@@ -81,9 +82,10 @@ class ScenarioService:
         placement; estimation requests carry values-only ``z`` frames over
         it).
     executor:
-        Any :func:`repro.parallel.make_executor` spec; spec-created
-        executors are owned (and shut down) by the service, instances are
-        shared with the caller.
+        How contingency cases fan out: any
+        :func:`repro.parallel.make_executor` spec; spec-created executors
+        are owned (and shut down) by the service, instances are shared
+        with the caller.
     analyzer:
         Contingency analyzer; built from ``dec.net`` with
         ``contingency_method`` when omitted.
@@ -160,7 +162,6 @@ class ScenarioService:
                 dec,
                 mset,
                 sensitivity_threshold=sensitivity_threshold,
-                executor=self.executor,
             )
         self.analyzer = analyzer or ContingencyAnalyzer(
             dec.net, method=contingency_method

@@ -45,3 +45,36 @@ def synth9x13():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
+
+
+def _job_by_job(dse, *, z=None, weights=None, rounds=None):
+    """One frame on ``dse`` with every stage's jobs solved one at a time —
+    the path a partial job set takes (a live site's share, a fenced host
+    next to its successor) — instead of the stacked loop ``dse.run``
+    takes.  Returns the stepper: ``Vm``, ``Va`` and ``records`` as on a
+    :class:`~repro.dse.algorithm.DseResult`."""
+    from repro.dse import SubsystemStepper
+    from repro.dse.stepper import solve_stage
+
+    if rounds is None:
+        rounds = max(1, dse.dec.diameter())
+    st = SubsystemStepper(
+        dse, range(dse.dec.m), z=dse._frame_z(z),
+        weights=dse._frame_weights(weights),
+    )
+
+    def one_by_one(stage, jobs):
+        return [
+            solve_stage(dse, stage, [job], st.tol, degrade=dse.degrade_on_failure)[0]
+            for job in jobs
+        ]
+
+    st.apply_step1(one_by_one("step1", st.step1_jobs()))
+    for rnd in range(rounds):
+        st.apply_step2(rnd, one_by_one("step2", st.step2_jobs(rnd)))
+    return st
+
+
+@pytest.fixture(scope="session")
+def job_by_job():
+    return _job_by_job

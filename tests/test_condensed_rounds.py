@@ -3,10 +3,10 @@ gain is frozen, and that the stacked frozen-gain loop is the per-block one.
 
 Round 0 of a condensed frame is the exact Gauss-Newton solve; every later
 round iterates with the gain factor frozen at that round-0 *solution*
-and starts where the previous round stopped.  A serial estimator runs
-those rounds as one masked loop over the union of the subsystems; every
-other executor and the live sites run them block by block — through the
-same loop, so on the same bits.
+and starts where the previous round stopped.  A stage that names every
+subsystem runs those rounds as one masked loop over the union of the
+subsystems; a partial job set runs them block by block — through the same
+loop, so on the same bits.
 """
 
 import numpy as np
@@ -126,13 +126,12 @@ class TestIterationCounts:
 # (2) stacked frozen rounds == per-block frozen rounds, bit for bit
 # ---------------------------------------------------------------------------
 
-def _frames(dec, ms, **kwargs):
-    """A cold run and two values-only frames through one estimator."""
-    dse = DistributedStateEstimator(dec, ms, condense=True, **kwargs)
-    try:
-        return [dse.run(z=z, rounds=4) for z in (None, _frame(ms, 5), _frame(ms, 6))]
-    finally:
-        dse.executor.shutdown()
+def _frames(dec, ms, solve=None):
+    """A cold run and two values-only frames through one estimator:
+    ``dse.run``, or ``solve(dse, z=, rounds=)`` when given."""
+    dse = DistributedStateEstimator(dec, ms, condense=True)
+    solve = solve or DistributedStateEstimator.run
+    return [solve(dse, z=z, rounds=4) for z in (None, _frame(ms, 5), _frame(ms, 6))]
 
 
 def assert_same_frame(got, want):
@@ -146,11 +145,10 @@ def assert_same_frame(got, want):
 
 
 class TestStackedEqualsPerBlock:
-    @pytest.mark.parametrize("executor", ["threads:2", "processes:2"])
-    def test_ieee118_executors(self, dse118, executor):
+    def test_ieee118_per_block(self, dse118, job_by_job):
         dec, ms = dse118
-        serial = _frames(dec, ms)
-        for got, want in zip(_frames(dec, ms, executor=executor), serial, strict=True):
+        stacked = _frames(dec, ms)
+        for got, want in zip(_frames(dec, ms, job_by_job), stacked, strict=True):
             assert_same_frame(got, want)
 
     def test_ieee118_live_sites(self, dse118):
@@ -163,11 +161,11 @@ class TestStackedEqualsPerBlock:
                 assert np.array_equal(got.Vm, want.Vm)
                 assert np.array_equal(got.Va, want.Va)
 
-    def test_wecc37_threads(self, dse_wecc):
+    def test_wecc37_per_block(self, dse_wecc, job_by_job):
         dec, ms = dse_wecc
-        serial = _frames(dec, ms)
-        assert _iterations(serial[1])[1:].max() > 1     # frozen rounds iterate
-        for got, want in zip(_frames(dec, ms, executor="threads:2"), serial, strict=True):
+        stacked = _frames(dec, ms)
+        assert _iterations(stacked[1])[1:].max() > 1     # frozen rounds iterate
+        for got, want in zip(_frames(dec, ms, job_by_job), stacked, strict=True):
             assert_same_frame(got, want)
 
 

@@ -1,7 +1,7 @@
 """Tests for the Schur-complement boundary condensation of DSE Step 2.
 
 Covers the condensed solver against the reference gain solve, condensed
-DSE parity with the reference path across update scopes and executors,
+DSE parity with the reference path across update scopes,
 the compact condensed wire form (pack/unpack, live round-trip, byte
 accounting) and the interaction with the fault/degraded paths.
 """
@@ -148,24 +148,6 @@ class TestCondensedParity:
             r_con = con.run(z=z)
             assert np.max(np.abs(r_con.Vm - r_ref.Vm)) <= 1e-8
             assert np.max(np.abs(r_con.Va - r_ref.Va)) <= 1e-8
-
-    def test_executors_bitwise_equal(self, setup14):
-        """Condensed results are bit-identical across serial, thread and
-        process executors (the history-free linearization point)."""
-        dec, ms = setup14
-        serial = DistributedStateEstimator(dec, ms, condense=True).run()
-        threads = DistributedStateEstimator(
-            dec, ms, condense=True, executor="threads"
-        ).run()
-        assert np.array_equal(serial.Vm, threads.Vm)
-        assert np.array_equal(serial.Va, threads.Va)
-        dse_p = DistributedStateEstimator(dec, ms, condense=True, executor=2)
-        try:
-            pooled = dse_p.run()
-        finally:
-            dse_p.executor.shutdown()
-        assert np.array_equal(serial.Vm, pooled.Vm)
-        assert np.array_equal(serial.Va, pooled.Va)
 
     def test_factors_once_across_rounds_and_frames(self, setup14):
         dec, ms = setup14

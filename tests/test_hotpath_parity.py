@@ -1,7 +1,7 @@
 """Parity tests for the hot-path caches.
 
 The cached fast paths (precomputed Jacobian structure, stateful gain
-solver, reused DSE subproblems, warm starts, thread-pool fan-out) are
+solver, reused DSE subproblems, warm starts) are
 optimisations only: every one of them must reproduce the uncached
 reference computation, bitwise where the schedule is identical and to
 well below 1e-10 where only the iteration trajectory changes.
@@ -160,35 +160,20 @@ class TestDseParity:
         assert float(np.abs(hot.Vm - ref.Vm).max()) < 1e-12
         assert float(np.abs(hot.Va - ref.Va).max()) < 1e-12
 
-    def test_threads_bitwise_equal_serial(self, dse118):
-        dec, ms = dse118
-        serial = DistributedStateEstimator(
-            dec, ms, executor=SerialExecutor()
-        ).run()
-        with ThreadPoolBackend(4) as pool:
-            threaded = DistributedStateEstimator(dec, ms, executor=pool).run()
-        assert np.array_equal(serial.Vm, threaded.Vm)
-        assert np.array_equal(serial.Va, threaded.Va)
-
     def test_empty_fault_plan_keeps_bitwise_parity(self, dse118):
         """With an injector installed but no rules firing, the DSE stays
-        bit-identical across executors — the off-by-default guarantee."""
+        bit-identical — the off-by-default guarantee."""
         from repro import faults
         from repro.faults import FaultPlan
 
         dec, ms = dse118
         ref = DistributedStateEstimator(dec, ms).run()
         with faults.injection(FaultPlan(seed=99)) as inj:
-            serial = DistributedStateEstimator(dec, ms).run()
-            with ThreadPoolBackend(4) as pool:
-                threaded = DistributedStateEstimator(
-                    dec, ms, executor=pool
-                ).run()
+            got = DistributedStateEstimator(dec, ms).run()
         assert inj.total_fired() == 0
-        for got in (serial, threaded):
-            assert got.degraded_subsystems == []
-            assert np.array_equal(got.Vm, ref.Vm)
-            assert np.array_equal(got.Va, ref.Va)
+        assert got.degraded_subsystems == []
+        assert np.array_equal(got.Vm, ref.Vm)
+        assert np.array_equal(got.Va, ref.Va)
 
     def test_live_fastpath_values_only_frames_bitwise(self, dse118):
         """Repeated values-only frames over the live fast-path fabric stay

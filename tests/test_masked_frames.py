@@ -1,9 +1,9 @@
 """A removed row is a zero weight of the frame.
 
 A row screened out as bad data stays in the DSE's measurement set and is
-switched off by ``run(weights=)``: the same estimators, the same loop, on
-every executor and on the condensed path, within rounding of a DSE built on
-the set without the row.  The noise estimate skips it the same way.
+switched off by ``run(weights=)``: the same estimators, the same loop,
+stacked or job by job and on the condensed path, within rounding of a DSE
+built on the set without the row.  The noise estimate skips it the same way.
 """
 
 import numpy as np
@@ -50,8 +50,8 @@ def _iterations(res) -> int:
 
 
 @pytest.mark.parametrize("condense", [False, True])
-def test_masked_frame_is_one_frame_on_every_executor(gross118, condense):
-    """The masked frame is the same bits serial, threaded and pooled, and
+def test_masked_frame_is_one_frame_on_every_path(gross118, condense, job_by_job):
+    """The masked frame is the same bits stacked and job by job, and
     lands within rounding of a DSE built on the set without the row
     (measured: at most 5.6e-16 on either path); on the condensed path the rounds after
     the first ran frozen, on one operator per subsystem factored at the
@@ -60,27 +60,22 @@ def test_masked_frame_is_one_frame_on_every_executor(gross118, condense):
     w = ms.weights
     w[removed] = 0.0
     runs = {}
-    for executor in ("serial", "threads:2", "processes:2"):
-        dse = DistributedStateEstimator(
-            dec, ms, executor=executor, condense=condense
-        )
-        try:
-            runs[executor] = dse.run(z=bad.z, weights=w)
-        finally:
-            dse.executor.shutdown()
-        if condense and executor != "processes:2":
+    for path, solve in (("stacked", DistributedStateEstimator.run), ("jobs", job_by_job)):
+        dse = DistributedStateEstimator(dec, ms, condense=condense)
+        runs[path] = solve(dse, z=bad.z, weights=w)
+        if condense:
             assert [
                 dse._step2_cache[s][0].factor_count for s in range(dec.m)
             ] == [1] * dec.m
             assert all(
                 rec.step2_results[-1].factorizations == 0
-                for rec in runs[executor].records.values()
+                for rec in runs[path].records.values()
             )
-    serial = runs["serial"]
+    stacked = runs["stacked"]
     for res in runs.values():
-        assert np.array_equal(res.Vm, serial.Vm)
-        assert np.array_equal(res.Va, serial.Va)
-        assert _iterations(res) == _iterations(serial)
+        assert np.array_equal(res.Vm, stacked.Vm)
+        assert np.array_equal(res.Va, stacked.Va)
+        assert _iterations(res) == _iterations(stacked)
 
     keep = np.ones(len(ms), dtype=bool)
     keep[removed] = False
@@ -88,12 +83,12 @@ def test_masked_frame_is_one_frame_on_every_executor(gross118, condense):
         dec, bad.subset(keep), condense=condense
     ).run()
     bound = 1e-10 if condense else 1e-12
-    assert np.max(np.abs(serial.Vm - thinned.Vm)) <= bound
-    assert np.max(np.abs(serial.Va - thinned.Va)) <= bound
-    assert _iterations(serial) == _iterations(thinned)
+    assert np.max(np.abs(stacked.Vm - thinned.Vm)) <= bound
+    assert np.max(np.abs(stacked.Va - thinned.Va)) <= bound
+    assert _iterations(stacked) == _iterations(thinned)
     # and the weight is what removed it
     kept = DistributedStateEstimator(dec, ms, condense=condense).run(z=bad.z)
-    assert np.max(np.abs(kept.Vm - serial.Vm)) > 1e-4
+    assert np.max(np.abs(kept.Vm - stacked.Vm)) > 1e-4
 
 
 def test_weights_are_checked(gross118):

@@ -434,7 +434,7 @@ class TestFrozenOperators:
             )
         assert all(got.factorizations < got.iterations for got, _ in pairs)
 
-    def test_executors_and_live_agree_with_the_tail_frozen(self, dse118):
+    def test_job_by_job_and_live_agree_with_the_tail_frozen(self, dse118, job_by_job):
         from repro.core import LiveDseRuntime
 
         dec, ms = dse118
@@ -444,13 +444,7 @@ class TestFrozenOperators:
         assert all(
             r.step1_result.factorizations < r.step1_result.iterations for r in recs
         )
-        states = []
-        for executor in ("threads:2", "processes:2"):
-            dse = DistributedStateEstimator(dec, ms, executor=executor)
-            try:
-                states.append(dse.run(z=z))
-            finally:
-                dse.executor.shutdown()
+        states = [job_by_job(DistributedStateEstimator(dec, ms), z=z)]
         with LiveDseRuntime(dec, ms) as live:
             states.append(live.run(z=z))
         for got in states:

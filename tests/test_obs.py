@@ -21,7 +21,6 @@ from repro.dse import DistributedStateEstimator, decompose, dse_pmu_placement
 from repro.measurements import full_placement, generate_measurements
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.obs.trace import (
-    RemoteSpanRecorder,
     SpanContext,
     Tracer,
     pack_span_context,
@@ -171,7 +170,6 @@ class TestTracing:
         with sp:
             sp.set_attr("ignored", True)
         assert obs.current_context() is None
-        assert obs.pack_current_context() is None
 
     def test_pack_unpack_roundtrip(self):
         ctx = SpanContext(trace_id=123456789, span_id=987654321, sampled=True)
@@ -180,20 +178,6 @@ class TestTracing:
         assert unpack_span_context(buf) == ctx
         # offset form (wire prefix parsing)
         assert unpack_span_context(b"\x00" * 3 + buf, 3) == ctx
-
-    def test_remote_recorder_roundtrip(self):
-        ctx = SpanContext(trace_id=42, span_id=7, sampled=True)
-        rec = RemoteSpanRecorder(pack_span_context(ctx))
-        with rec.span("work", s=3):
-            pass
-        (d,) = rec.export()
-        assert d["trace"] == 42 and d["parent"] == 7
-        assert d["attrs"] == {"s": 3}
-        # None parent (obs disabled at the submitter) -> full no-op
-        off = RemoteSpanRecorder(None)
-        with off.span("work"):
-            pass
-        assert off.export() is None
 
     def test_max_spans_drops_and_counts(self):
         tr = Tracer(max_spans=2)
@@ -214,10 +198,9 @@ def _frame_tree(tracer):
 
 
 class TestDseTraces:
-    @pytest.mark.parametrize("executor", [None, "threads:2"])
-    def test_frame_trace_complete(self, dse14, obs_on, executor):
+    def test_frame_trace_complete(self, dse14, obs_on):
         dec, ms = dse14
-        res = DistributedStateEstimator(dec, ms, executor=executor).run()
+        res = DistributedStateEstimator(dec, ms).run()
         spans, by_name = _frame_tree(obs.tracer())
         assert len({d["trace"] for d in spans}) == 1  # one frame, one trace
         (frame,) = by_name["dse.frame"]
@@ -236,21 +219,6 @@ class TestDseTraces:
         assert all(
             d["parent"] in step2_ids for d in by_name["dse.step2.subsystem"]
         )
-
-    def test_process_pool_spans_join_parent_trace(self, dse14, obs_on):
-        dec, ms = dse14
-        dse = DistributedStateEstimator(dec, ms, executor="processes:2")
-        try:
-            res = dse.run()
-        finally:
-            dse.executor.shutdown()
-        spans, by_name = _frame_tree(obs.tracer())
-        assert len({d["trace"] for d in spans}) == 1
-        workers = by_name["dse.step1.subsystem"] + by_name["dse.step2.subsystem"]
-        assert len(workers) == dec.m * (1 + res.rounds)
-        # the subsystem solves really ran in other processes, and their
-        # spans were shipped back and grafted into this trace
-        assert len({d["pid"] for d in spans}) >= 2
 
     def test_metrics_recorded_per_frame(self, dse14, obs_on):
         dec, ms = dse14

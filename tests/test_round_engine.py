@@ -213,30 +213,6 @@ class TestPartialCoverage:
             clean.records[other].step2_results[0].Vm,
         )
 
-    @pytest.mark.parametrize("condense", [False, True])
-    def test_missed_neighbour_on_a_process_pool(self, grid118, condense):
-        """A partly-heard round needs no estimator of its own, so a host
-        on a process pool solves it too — the same bits as on a serial
-        one, every round of a frame that loses one neighbour throughout."""
-        dec, ms = grid118
-        z = _frame(ms, 9)
-        s = 0
-        lose = {(int(dec.neighbors(s)[0]), s)}
-        runs = []
-        for executor in ("serial", "processes:2"):
-            dse = DistributedStateEstimator(
-                dec, ms, executor=executor, condense=condense
-            )
-            try:
-                runs.append(drive(dse, [[k] for k in range(dec.m)], z=z, lose=lose))
-            finally:
-                dse.executor.shutdown()
-        (vm1, va1, _, serial), (vm2, va2, _, pooled) = runs
-        assert np.array_equal(vm1, vm2) and np.array_equal(va1, va2)
-        got = [r.iterations for r in pooled[s].records[s].step2_results]
-        assert got == [r.iterations for r in serial[s].records[s].step2_results]
-        assert len(got) == ROUNDS
-
     def test_update_naming_a_hosted_or_unknown_bus_is_rejected(self, grid118):
         dec, ms = grid118
         st = SubsystemStepper(DistributedStateEstimator(dec, ms), [0])
@@ -321,14 +297,13 @@ class TestSnapshotRule:
 
 
 class TestRaisingFrameIsTraced:
-    @pytest.mark.parametrize("executor", [None, "threads:2"])
-    def test_failed_round_exports_its_span(self, grid118, executor):
+    def test_failed_round_exports_its_span(self, grid118):
         """A Step-2 solve that raises still leaves a ``dse.step2`` span —
         with error status — and no exported span points at a parent that
         was never emitted."""
         dec, ms = grid118
         z = ms.z.copy()
-        dse = DistributedStateEstimator(dec, ms, executor=executor)
+        dse = DistributedStateEstimator(dec, ms)
         # a tie-line row: Step 1 never reads it, Step 2 of its subsystem does
         s = 0
         step2_only = dse.assignment.step2_extra[s]
@@ -341,7 +316,6 @@ class TestRaisingFrameIsTraced:
             spans = obs.tracer().finished()
         finally:
             obs.configure(enabled=False, reset=True)
-            dse.executor.shutdown()
         ids = {d["span"] for d in spans}
         assert all(d["parent"] is None or d["parent"] in ids for d in spans)
         (step2,) = [d for d in spans if d["name"] == "dse.step2"]

@@ -18,7 +18,6 @@ from repro.dse import DistributedStateEstimator, decompose, dse_pmu_placement
 from repro.measurements import full_placement, generate_measurements
 from repro.parallel import (
     ProcessPoolBackend,
-    SerialExecutor,
     ThreadPoolBackend,
     WorkerError,
     make_executor,
@@ -79,17 +78,6 @@ def _context_reader(args):
 
 
 class TestProcessBackendParity:
-    def test_dse118_bit_equal_serial(self, dse118):
-        dec, ms = dse118
-        serial = DistributedStateEstimator(
-            dec, ms, executor=SerialExecutor()
-        ).run()
-        with ProcessPoolBackend(2) as pool:
-            dist = DistributedStateEstimator(dec, ms, executor=pool).run()
-        assert np.array_equal(serial.Vm, dist.Vm)
-        assert np.array_equal(serial.Va, dist.Va)
-        assert dist.rounds == serial.rounds
-
     def test_contingency14_bit_equal_serial(self, net14):
         analyzer = ContingencyAnalyzer(net14, method="dc", rating_margin=1.1)
         cons, _ = enumerate_n1(net14)
@@ -228,7 +216,7 @@ class TestScenarioService:
     def test_mixed_batch_round_trip(self, dse14, net14):
         dec, ms = dse14
         cons, _ = enumerate_n1(net14)
-        ref = DistributedStateEstimator(dec, ms, executor=None).run()
+        ref = DistributedStateEstimator(dec, ms).run()
         with ScenarioService(
             dec, ms, executor="threads:2", max_batch=8, flush_latency=0.02
         ) as svc:
@@ -308,19 +296,22 @@ class TestScenarioService:
         pool.shutdown()
 
     def test_session_wiring(self, net14, pf14):
-        """DseSession.scenario_service shares the session's executor."""
+        """DseSession.scenario_service serves the session's decomposition
+        and threshold; an ``executor=`` keyword reaches the service."""
         from repro.core import ArchitecturePrototype, DseSession
         from repro.measurements import full_placement as fp
 
         arch = ArchitecturePrototype.assemble(net14, m_subsystems=2, seed=0)
-        session = DseSession(arch, executor="threads:2")
+        session = DseSession(arch, sensitivity_threshold=0.3)
         rng = np.random.default_rng(1)
         plac = fp(net14).merged_with(dse_pmu_placement(arch.dec))
         ms = generate_measurements(net14, plac, pf14, rng=rng)
-        with session.scenario_service(ms, max_batch=4) as svc:
-            assert svc.executor is session.executor
+        ref = DistributedStateEstimator(
+            arch.dec, ms, sensitivity_threshold=0.3
+        ).run()
+        with session.scenario_service(ms, executor="threads:2", max_batch=4) as svc:
+            assert isinstance(svc.executor, ThreadPoolBackend)
+            assert svc._dse.dec is arch.dec
             res = svc.submit_estimation().result(timeout=60)
-            assert res.value.Vm.shape == (net14.n_bus,)
-        # the session keeps its pool after the service closes
-        assert session.executor.map(_square, [3]) == [9]
-        session.executor.shutdown()
+        assert np.array_equal(res.value.Vm, ref.Vm)
+        assert np.array_equal(res.value.Va, ref.Va)

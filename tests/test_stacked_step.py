@@ -208,16 +208,13 @@ class TestStackEqualsMembers:
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def members118(dse118):
+def members118(dse118, job_by_job):
     """The Step-1 and Step-2 estimators of the IEEE-118 / 9 decomposition,
     each with its own solution and a Schur operator frozen there."""
     dec, ms = dse118
     # per-block solves fill the Step-2 cache without touching a stack
-    dse = DistributedStateEstimator(dec, ms, executor="threads:2")
-    try:
-        dse.run(rounds=1)
-    finally:
-        dse.executor.shutdown()
+    dse = DistributedStateEstimator(dec, ms)
+    job_by_job(dse, rounds=1)
     out = []
     for s in range(2 * dec.m):
         est = dse._est1[s] if s < dec.m else dse._step2_cache[s - dec.m][0]
@@ -349,7 +346,7 @@ class TestPoisonedBlock:
         for g, c in zip(again, clean):
             assert_same_result(g, c)
 
-    def test_dse_degrades_only_the_poisoned_subsystem(self, dse118):
+    def test_dse_degrades_only_the_poisoned_subsystem(self, dse118, job_by_job):
         dec, ms = dse118
         z = _frame(ms, 12)
         serial = DistributedStateEstimator(dec, ms, degrade_on_failure=True)
@@ -358,15 +355,11 @@ class TestPoisonedBlock:
         assert res.degraded_subsystems == [3]
         assert "step1" in res.records[3].failures[0]
         assert np.all(np.isfinite(res.Vm)) and np.all(np.isfinite(res.Va))
-        # the per-block path (threads) degrades the same way, bit for bit
-        threaded = DistributedStateEstimator(
-            dec, ms, degrade_on_failure=True, executor="threads:2"
+        # the job-by-job path degrades the same way, bit for bit
+        ref = job_by_job(
+            DistributedStateEstimator(dec, ms, degrade_on_failure=True), z=z
         )
-        try:
-            ref = threaded.run(z=z)
-        finally:
-            threaded.executor.shutdown()
-        assert ref.degraded_subsystems == [3]
+        assert [s for s, rec in ref.records.items() if rec.degraded] == [3]
         assert np.array_equal(res.Vm, ref.Vm) and np.array_equal(res.Va, ref.Va)
         assert res.records[3].failures == ref.records[3].failures
 
@@ -438,14 +431,11 @@ class TestStackedStages:
         assert fills == want
         assert sum(n for _, n in fills) < whole
 
-    def test_only_the_serial_reference_stages_stack(self, dse118):
+    def test_only_the_serial_reference_stages_stack(self, dse118, job_by_job):
         dec, ms = dse118
-        threaded = DistributedStateEstimator(dec, ms, executor="threads:2")
-        try:
-            threaded.run()
-        finally:
-            threaded.executor.shutdown()
-        assert threaded._stacks == {}
+        per_block = DistributedStateEstimator(dec, ms)
+        job_by_job(per_block)
+        assert per_block._stacks == {}
         # a condensed Step 2 stacks too: round 0 exact, the rest frozen-gain
         condensed = DistributedStateEstimator(dec, ms, condense=True)
         condensed.run()
