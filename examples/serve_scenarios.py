@@ -10,7 +10,7 @@ stream of estimation frames interleaved with contingency screenings, all
 against the same monitored system.  ``ScenarioService`` serves that stream:
 requests are coalesced into batches (bounded by ``max_batch`` and a flush
 latency); a batch's contingency cases fan out across one shared executor and
-its estimation frames run on one warm DSE; results stream back in
+its estimation frames are one batched WLS solve; results stream back in
 completion order with per-request latency and the batch each rode in.
 """
 

@@ -19,6 +19,10 @@ rows are compared:
 - ``BatchEstimator``: K ∈ {1, 6, 16} value frames, a chunk of six value
   frames with three branch-outage what-ifs, and a chunk of 16 what-ifs
   over every tenth safe N-1 branch;
+- the served flush: a two-replica ``ShardRouter`` over
+  ``ScenarioService(batch_solve=True)`` serving one fixed burst of six
+  value frames, three what-ifs and four N-1 screenings, each replica's
+  share one flush (hashing the states and the screenings' loadings);
 - a slow-tail frame: IEEE-14 at 300 σ noise with three 1 000 σ gross
   errors, whose Gauss-Newton tail contracts slowly and unevenly enough that
   a held factor meets a step that does not contract and is re-factored
@@ -97,6 +101,12 @@ def matrix() -> None:
         full_placement,
         generate_measurements,
         inject_bad_data,
+    )
+    from repro.serving import (
+        ContingencyRequest,
+        EstimationRequest,
+        ScenarioService,
+        ShardRouter,
     )
 
     def emit(name: str, states: list, iterations: int) -> None:
@@ -205,6 +215,30 @@ def matrix() -> None:
     for name, scenarios in chunks.items():
         out = batch.estimate_batch(scenarios)
         emit(name, [(r.Vm, r.Va) for r in out], int(out.iterations.sum()))
+
+    # the served flush: two batched replicas behind the router, a fixed
+    # burst; a long flush window with room for the whole burst makes each
+    # replica's share one flush, so the flushes are the same in both trees
+    safe = enumerate_n1(net)[0]
+    burst = [EstimationRequest(z=z) for z in draws[:6]]
+    burst += [EstimationRequest(delta=NetworkDelta.branch_outage(c.branch))
+              for c in safe[::25][:3]]
+    burst += [ContingencyRequest(c) for c in safe[1::20][:4]]
+    burst = [burst[int(i)] for i in np.random.default_rng(5).permutation(len(burst))]
+    with ShardRouter({
+        name: ScenarioService(dec, central, batch_solve=True,
+                              max_batch=len(burst), flush_latency=1.0)
+        for name in ("s0", "s1")
+    }) as router:
+        served = [r.value for r in router.run(burst)]
+    estimates = [v for v in served if not hasattr(v, "max_loading")]
+    loadings = np.array([
+        x for v in served if hasattr(v, "max_loading")
+        for x in (v.max_loading, *(viol.loading for viol in v.violations))
+    ])
+    emit("served flush",
+         [(r.Vm, r.Va) for r in estimates] + [(loadings, np.zeros(0))],
+         sum(r.iterations for r in served))
 
     net14 = case14()
     ms14 = generate_measurements(

@@ -79,22 +79,6 @@ class DseSession:
         self.reports: list[FrameReport] = []
 
     # ------------------------------------------------------------------
-    def scenario_service(self, mset: MeasurementSet, **kwargs):
-        """Build a batched :class:`~repro.serving.ScenarioService` over this
-        session's decomposition.
-
-        ``mset`` fixes the template measurement placement; estimation
-        requests then carry values-only ``z`` frames over it.  The session's
-        sensitivity threshold is forwarded; keyword arguments (``executor=``
-        among them) override any service option.
-        """
-        from ..serving import ScenarioService
-
-        opts = dict(sensitivity_threshold=self.sensitivity_threshold)
-        opts.update(kwargs)
-        return ScenarioService(self.arch.dec, mset, **opts)
-
-    # ------------------------------------------------------------------
     def process_frame(
         self,
         mset: MeasurementSet,

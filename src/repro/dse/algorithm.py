@@ -25,7 +25,6 @@ cluster substrate.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -33,7 +32,7 @@ import numpy as np
 
 from .. import obs
 from ..estimation.results import state_error
-from ..estimation.wls import WlsEstimator
+from ..estimation.wls import WlsEstimator, check_tol
 from ..measurements.types import MeasType, MeasurementSet
 from ..middleware.message import condensed_update_nbytes, state_update_nbytes
 from .condensation import CondensedStep2, neighbor_publication_sets
@@ -88,13 +87,9 @@ def _localized_perm(
 
 def check_run_args(rounds, tol=1e-8) -> None:
     """Refuse a frame's ``rounds`` / ``tol`` before anything runs: a
-    ``rounds`` that is not ``None`` or an int >= 0, a ``tol`` that is not
-    finite and > 0 (an infinite one stops a solve after one step, marked
-    converged; zero, negative or NaN never stops it).  Scalar checks only —
-    the scenario service calls this on its submit path, where a ufunc would
-    drop the interpreter lock (see the ``z`` check there)."""
-    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    ``rounds`` that is not ``None`` or an int >= 0, a ``tol`` that
+    :func:`~repro.estimation.wls.check_tol` refuses."""
+    check_tol(tol)
     if rounds is not None and (
         isinstance(rounds, bool) or not isinstance(rounds, (int, np.integer))
         or rounds < 0

@@ -447,9 +447,10 @@ def _stacked_stage(
     ``dse.<stage>.subsystem`` spans are laid out back to back over
     those shares.
     """
-    wall0, t0 = time.time(), time.perf_counter()
     subsystems, _, x0, z, w, lins = zip(*jobs)
+    # the stack is built once per estimator: not the stage's compute
     stack = dse._stack(stage)
+    wall0, t0 = time.time(), time.perf_counter()
     inputs = dict(x0=x0, z=z, weights=w, tol=tol)
     if lins[0] is None:
         results = stack.estimate_blocks(**inputs)

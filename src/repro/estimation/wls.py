@@ -10,6 +10,7 @@ dropped.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -23,7 +24,9 @@ from ..measurements.types import MeasType, MeasurementSet
 from .results import EstimationResult
 from .solvers import GainSolver, NormalEquations
 
-__all__ = ["DIVERGED", "EstimationError", "WlsEstimator", "estimate_state"]
+__all__ = [
+    "DIVERGED", "EstimationError", "WlsEstimator", "check_tol", "estimate_state",
+]
 
 #: A frozen-gain block whose step norm (pu / rad) passes this is diverging:
 #: its operator is too far from where the iteration runs to contract.
@@ -32,6 +35,16 @@ DIVERGED = 1e3
 
 class EstimationError(RuntimeError):
     """Raised when the estimator cannot produce a solution."""
+
+
+def check_tol(tol) -> None:
+    """Refuse a ``tol`` that is not finite and > 0 before anything runs (an
+    infinite one stops a solve after one step, marked converged; zero,
+    negative or NaN never stops it).  A scalar check — the scenario service
+    calls this on its submit path, where a ufunc would drop the interpreter
+    lock (see the ``z`` check there)."""
+    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
 
 
 @dataclass(frozen=True)

@@ -60,10 +60,9 @@ class ScenarioMix:
 
     ``frames`` draw values-only estimation requests (fresh ``z`` =
     template values + seeded gaussian noise); ``scenarios`` draw one of
-    the prepared deltas (requires replicas built with
-    ``batch_solve=True``); ``contingencies`` draw one of the prepared
-    N-1 cases.  Weights are relative; entries with no material (empty
-    deltas/cases) are excluded automatically.
+    the prepared deltas (what-if frames); ``contingencies`` draw one of
+    the prepared N-1 cases.  Weights are relative; entries with no
+    material (empty deltas/cases) are excluded automatically.
     """
 
     mset: object

@@ -2,9 +2,9 @@
 
 A *scenario* is one unit of serving work against the monitored system:
 
-- :class:`EstimationRequest` — run a full two-step DSE frame, optionally
-  with fresh measured values (``z``, canonical order of the service's
-  template measurement set);
+- :class:`EstimationRequest` — estimate the state, optionally from fresh
+  measured values (``z``, canonical order of the service's template
+  measurement set) and/or on a what-if network (``delta``);
 - :class:`ContingencyRequest` — screen a single branch outage against the
   service's analyzer.
 
@@ -50,7 +50,7 @@ class ReplicaLost(RuntimeError):
 
 @dataclass(frozen=True)
 class EstimationRequest:
-    """One DSE estimation frame.
+    """One estimation frame.
 
     ``z`` optionally carries fresh measured values over the service's
     template placement (values-only frame — the warm cached structures are
@@ -59,13 +59,11 @@ class EstimationRequest:
     ``delta`` optionally makes the frame a *what-if scenario*: a
     copy-on-write :class:`~repro.grid.delta.NetworkDelta` against the
     service's base network (branch flips, injection overrides, warm
-    starts).  Scenario frames require a service built with
-    ``batch_solve=True`` — they are solved through the batched estimator,
-    never through the per-frame DSE engines.
+    starts).  Every frame, what-if or not, is one replica block of the
+    service's batched estimator; ``tol`` is its convergence tolerance.
     """
 
     z: np.ndarray | None = None
-    rounds: int | None = None
     tol: float = 1e-8
     delta: NetworkDelta | None = None
 
@@ -167,16 +165,6 @@ class ServiceStats:
     def p99(self) -> float:
         """Streaming p99 request latency in seconds."""
         return self.latency_hist.quantile(0.99)
-
-    @property
-    def throughput_window(self) -> float:
-        """Scenarios per second over the sum of recorded latencies' span —
-        callers timing a closed workload should prefer wall-clock timing;
-        this is a rough live indicator."""
-        with self._lock:
-            total = sum(self.latencies)
-            n = self.n_requests
-        return n / total if total > 0 else 0.0
 
     def to_dict(self) -> dict:
         """JSON-ready snapshot (the shape the capacity bench records)."""

@@ -4,35 +4,25 @@
 (batch many independent area solves into one warm engine): callers submit
 estimation frames and contingency cases from any thread; a dispatcher
 coalesces them into batches — bounded by ``max_batch`` and a flush-latency
-window — and drains each batch: contingency cases fan out across the
-shared executor with dynamic balancing.  Results stream back through
-futures as they resolve.
+window — and drains each batch.  Results stream back through futures as
+they resolve.
 
-Estimation frames run values-only, one after another, on one in-process
-:class:`~repro.dse.algorithm.DistributedStateEstimator` (warm caches;
-each stage one stacked solve over every subsystem).
-
-Contingency batches go through
-:func:`repro.contingency.parallel.run_parallel`, sharing the service's
-executor — with a process pool, the analyzer ships to each worker once and
-every case is a compact payload.
-
-``batch_solve=True`` swaps the drain path from fan-out to SIMD: one flush
-becomes *one batched solve* instead of N executor tasks.  Estimation
-frames in a flush are grouped by tolerance and pushed through a single
+Estimation frames drain one way: a flush's frames are grouped by
+tolerance and each group is *one* solve of a
 :class:`~repro.estimation.batch.BatchEstimator` over the base network
-(each frame a replica block of one Gauss-Newton loop, converging — or
-failing — on its own); contingency cases drain through
-:meth:`~repro.contingency.analysis.ContingencyAnalyzer.analyze_batch`
-(one compensation-based DC solve for the whole list).  Estimation results
-are then central WLS :class:`~repro.estimation.results.EstimationResult`
-values rather than DSE frames — same state to round-off, no per-area
-telemetry — and ``rounds`` is ignored (there is no coordination loop).
+(each frame — values-only ``z``, what-if ``delta`` or both — a replica
+block of one Gauss-Newton loop, converging or failing on its own).  A
+frame's value is the central WLS
+:class:`~repro.estimation.results.EstimationResult` — bit for bit what
+``WlsEstimator(net, mset).estimate(z=z)`` returns unless a what-if shares
+its flush (then within an ulp) — so the placement needs nothing beyond
+central observability (no PMU anchor per subsystem).
 
-The service builds only the estimation engine its drain path uses: the
-DSE for fan-out, the batched estimator (on the first flush that
-needs it) for ``batch_solve=True`` — which therefore asks nothing of the
-placement beyond central observability (no PMU anchor per subsystem).
+Contingency cases go through
+:func:`repro.contingency.parallel.run_parallel`: fanned out across the
+service's executor, or — ``batch_solve=True`` — drained through
+:meth:`~repro.contingency.analysis.ContingencyAnalyzer.analyze_batch`
+(one compensation-based DC solve for the whole list).
 """
 
 from __future__ import annotations
@@ -50,10 +40,9 @@ from .. import obs
 from ..contingency.analysis import ContingencyAnalyzer
 from ..contingency.parallel import run_parallel
 from ..contingency.screening import Contingency
-from ..dse.algorithm import DistributedStateEstimator, check_run_args
 from ..dse.decomposition import Decomposition
 from ..estimation.batch import BatchEstimator, BatchScenario
-from ..estimation.wls import EstimationError
+from ..estimation.wls import EstimationError, check_tol
 from ..measurements.types import MeasurementSet
 from ..middleware.errors import DeadlineExceeded
 from ..parallel import SubsystemExecutor, make_executor
@@ -78,32 +67,27 @@ class ScenarioService:
     Parameters
     ----------
     dec, mset:
-        The decomposition and the template measurement snapshot (fixes the
-        placement; estimation requests carry values-only ``z`` frames over
-        it).
+        The decomposition whose network (``dec.net``) the service monitors,
+        and the template measurement snapshot (fixes the placement;
+        estimation requests carry values-only ``z`` frames over it).
     executor:
-        How contingency cases fan out: any
+        How contingency cases fan out when ``batch_solve`` is off: any
         :func:`repro.parallel.make_executor` spec; spec-created executors
         are owned (and shut down) by the service, instances are shared
         with the caller.
     analyzer:
-        Contingency analyzer; built from ``dec.net`` with
-        ``contingency_method`` when omitted.
+        Contingency analyzer; a DC ``ContingencyAnalyzer(dec.net)`` when
+        omitted (pass ``ContingencyAnalyzer(net, method="ac")`` for AC).
     max_batch:
         Largest batch one dispatch may coalesce.
     flush_latency:
         Seconds the dispatcher waits for the batch to fill before flushing
         a partial one (the latency the first request in a batch is willing
         to trade for throughput).
-    sensitivity_threshold, rounds, tol:
-        Estimation defaults, forwarded to the engine.
     batch_solve:
-        Drain flushes through the SIMD path: estimation frames through one
-        :class:`~repro.estimation.batch.BatchEstimator` (grouped by
-        ``tol``; values are central-WLS ``EstimationResult``\\ s and
-        ``rounds`` is ignored), contingency cases through
-        ``analyzer.analyze_batch``.  Required for requests carrying a
-        scenario ``delta``.
+        Drain a flush's contingency cases through one
+        ``analyzer.analyze_batch`` call instead of fanning them out on
+        ``executor``.  Estimation frames always drain batched.
     request_timeout:
         Per-request deadline in seconds, measured from ``submit``.  A
         request still queued when its deadline passes is shed at dispatch
@@ -124,12 +108,8 @@ class ScenarioService:
         *,
         executor: "SubsystemExecutor | str | int | None" = None,
         analyzer: ContingencyAnalyzer | None = None,
-        contingency_method: str = "dc",
         max_batch: int = 32,
         flush_latency: float = 2e-3,
-        sensitivity_threshold: float = 0.5,
-        rounds: int | None = None,
-        tol: float = 1e-8,
         batch_solve: bool = False,
         request_timeout: float | None = None,
         max_queue: int | None = None,
@@ -148,24 +128,11 @@ class ScenarioService:
         self.flush_latency = float(flush_latency)
         self.request_timeout = request_timeout
         self.max_queue = max_queue
-        self.rounds = rounds
-        self.tol = tol
         self.batch_solve = bool(batch_solve)
-        self._dec = dec
+        self._net = dec.net
         self._mset = mset
-        self._batch_estimator = None  # lazily built on first batched flush
-
-        # the batched drain never reaches the per-frame DSE: build none
-        self._dse = None
-        if not self.batch_solve:
-            self._dse = DistributedStateEstimator(
-                dec,
-                mset,
-                sensitivity_threshold=sensitivity_threshold,
-            )
-        self.analyzer = analyzer or ContingencyAnalyzer(
-            dec.net, method=contingency_method
-        )
+        self._estimator = None  # built on the first flush with a frame
+        self.analyzer = analyzer or ContingencyAnalyzer(dec.net)
 
         self.stats = ServiceStats()  # internally locked; see requests.py
         self._queue: queue.Queue = queue.Queue()
@@ -193,15 +160,10 @@ class ScenarioService:
         if self._closed:
             raise RuntimeError("ScenarioService is closed")
         if isinstance(request, EstimationRequest):
-            if request.delta is not None and not self.batch_solve:
-                raise ValueError(
-                    "scenario deltas need a batched drain path; build the "
-                    "service with batch_solve=True"
-                )
             # a delta or a frame from outside the program: it must not
             # reach a solve it would fail for every request coalesced with it
             if request.delta is not None:
-                request.delta.check_bounds(self._dec.net)
+                request.delta.check_bounds(self._net)
             if request.z is not None:
                 try:
                     z = np.asarray(request.z, dtype=float)
@@ -218,7 +180,7 @@ class ScenarioService:
                         f"z must be {len(self._mset)} finite values in the "
                         f"measurement set's order, got shape {z.shape}"
                     )
-            check_run_args(request.rounds, request.tol)
+            check_tol(request.tol)
         self._ensure_dispatcher()
         fut: Future = Future()
         if self.max_queue is not None and self._queue.qsize() >= self.max_queue:
@@ -230,21 +192,9 @@ class ScenarioService:
         return fut
 
     def submit_estimation(
-        self,
-        z=None,
-        *,
-        rounds: int | None = None,
-        tol: float | None = None,
-        delta=None,
+        self, z=None, *, tol: float = 1e-8, delta=None
     ) -> Future:
-        return self.submit(
-            EstimationRequest(
-                z=z,
-                rounds=rounds if rounds is not None else self.rounds,
-                tol=tol if tol is not None else self.tol,
-                delta=delta,
-            )
-        )
+        return self.submit(EstimationRequest(z=z, tol=tol, delta=delta))
 
     def submit_contingency(self, contingency: Contingency) -> Future:
         return self.submit(ContingencyRequest(contingency))
@@ -357,19 +307,8 @@ class ScenarioService:
                         if not fut.done():
                             fut.set_exception(exc)
 
-            if ests and self.batch_solve:
-                self._execute_estimations_batched(ests, size)
-            else:
-                for it in ests:
-                    req = it[0]
-                    try:
-                        value = self._dse.run(
-                            rounds=req.rounds, tol=req.tol, z=req.z
-                        )
-                    except BaseException as exc:
-                        it[1].set_exception(exc)
-                    else:
-                        self._resolve(it, value, size)
+            if ests:
+                self._execute_estimations(ests, size)
 
         self.stats.record_batch(size)
         if obs.enabled():
@@ -377,17 +316,7 @@ class ScenarioService:
             reg.counter("serving.batches_total").inc()
             reg.histogram("serving.batch_size").observe(size)
 
-    def _batched_estimator(self) -> BatchEstimator:
-        """The service's SIMD estimation engine (built on first use)."""
-        if self._batch_estimator is None:
-            self._batch_estimator = BatchEstimator(
-                self._dec.net,
-                self._mset,
-                max_batch=self.max_batch,
-            )
-        return self._batch_estimator
-
-    def _execute_estimations_batched(self, ests: list, size: int) -> None:
+    def _execute_estimations(self, ests: list, size: int) -> None:
         """Drain a flush's estimation frames as one batched solve per tol.
 
         Frames sharing a tolerance stack into one
@@ -401,7 +330,11 @@ class ScenarioService:
         groups: dict[float, list] = {}
         for it in ests:
             groups.setdefault(float(it[0].tol), []).append(it)
-        est = self._batched_estimator()
+        if self._estimator is None:
+            self._estimator = BatchEstimator(
+                self._net, self._mset, max_batch=self.max_batch
+            )
+        est = self._estimator
         for tol, group in groups.items():
             scenarios = [
                 BatchScenario(delta=it[0].delta, z=it[0].z) for it in group

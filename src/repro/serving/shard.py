@@ -288,12 +288,9 @@ class ShardRouter:
         return caller
 
     def submit_estimation(
-        self, z=None, *, rounds=None, tol=None, delta=None, key=None
+        self, z=None, *, tol: float = 1e-8, delta=None, key=None
     ) -> Future:
-        req = EstimationRequest(
-            z=z, rounds=rounds, tol=tol if tol is not None else 1e-8,
-            delta=delta,
-        )
+        req = EstimationRequest(z=z, tol=tol, delta=delta)
         return self.submit(req, key=key)
 
     def submit_contingency(self, contingency) -> Future:

@@ -14,7 +14,6 @@ import argparse
 import sys
 
 from ..obs import load_jsonl, render_flame, render_metrics_table
-from ..obs.metrics import MetricsRegistry
 
 __all__ = ["main", "build_parser"]
 
@@ -38,20 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-depth", type=int, default=None,
                    help="truncate flame trees below this depth")
     return p
-
-
-def _rebuild_registry(metric_records: list[dict]) -> MetricsRegistry:
-    """Registry holding the dumped counter/gauge values (histograms cannot
-    be rebuilt exactly from a snapshot, so their quantiles are re-rendered
-    from the recorded snapshot fields instead)."""
-    reg = MetricsRegistry()
-    for rec in metric_records:
-        labels = rec.get("labels") or {}
-        if rec.get("metric_kind") == "counter":
-            reg.counter(rec["name"], **labels).inc(rec["value"])
-        elif rec.get("metric_kind") == "gauge":
-            reg.gauge(rec["name"], **labels).set(rec["value"])
-    return reg
 
 
 def _render_prometheus_records(metric_records: list[dict]) -> str:

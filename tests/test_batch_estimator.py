@@ -458,10 +458,11 @@ class TestServingBatchSolve:
         return outage_delta(enumerate_n1(net)[1][0])
 
     def test_bad_z_is_refused_at_admission(self, svc_parts):
-        """A wrong-length (or non-finite) z, a tol that is not finite and
-        positive, or a negative round count never reaches the solve — on
-        either drain.  (An infinite tol used to come back after one step
-        marked converged; zero, negative or NaN ran out the iterations.)"""
+        """A wrong-length (or non-finite) z or a tol that is not finite and
+        positive never reaches the solve, whatever ``batch_solve`` says;
+        a round count is no option of a served frame.  (An infinite tol
+        used to come back after one step marked converged; zero, negative
+        or NaN ran out the iterations.)"""
         from repro.serving import EstimationRequest, ScenarioService
 
         dec, ms = svc_parts
@@ -478,9 +479,10 @@ class TestServingBatchSolve:
                 for tol in (np.inf, 0.0, -1.0, np.nan, "1e-8"):
                     with pytest.raises(ValueError, match="tol"):
                         svc.submit(EstimationRequest(z=ms.z, tol=tol))
-                for rounds in (-1, 1.5, True):
-                    with pytest.raises(ValueError, match="rounds"):
-                        svc.submit_estimation(z=ms.z, rounds=rounds)
+                with pytest.raises(TypeError, match="rounds"):
+                    svc.submit_estimation(z=ms.z, rounds=1)
+                with pytest.raises(TypeError, match="rounds"):
+                    EstimationRequest(z=ms.z, rounds=1)
                 good.append(svc.submit_estimation())
                 res = [f.result(timeout=60) for f in good]
                 assert all(np.all(np.isfinite(r.value.Vm)) for r in res)
@@ -566,27 +568,26 @@ class TestServingBatchSolve:
         assert stats["router"]["replicas_lost"] == 0
         assert sum(s["n_shed"] for s in stats["shards"].values()) == 0
 
-    def test_batched_service_builds_no_per_frame_engine(self, net14, pf14):
-        """The batched drain is a central solve: no DSE is built for it,
-        so the placement needs no PMU anchor per subsystem."""
-        from repro.dse import decompose
+    def test_batched_service_builds_no_per_frame_engine(
+        self, net14, pf14, monkeypatch
+    ):
+        """Serving is a central batched solve on either ``batch_solve``:
+        no DSE is built for it, so the placement needs no PMU anchor per
+        subsystem."""
+        from repro.dse import DistributedStateEstimator, decompose
         from repro.serving import ScenarioService
 
+        def refuse(*args, **kwargs):
+            raise AssertionError("the service built a DSE")
+
+        monkeypatch.setattr(DistributedStateEstimator, "__init__", refuse)
         dec, ms = decompose(net14, 2, seed=0), _mset(net14, pf14)
-        with pytest.raises(ValueError, match="synchronized angle"):
-            ScenarioService(dec, ms)
-        with ScenarioService(dec, ms, batch_solve=True) as svc:
-            assert svc._dse is None
-            got = svc.submit_estimation().result(timeout=60).value
-        assert np.array_equal(got.Vm, WlsEstimator(net14, ms).estimate().Vm)
-
-    def test_delta_requires_batch_solve(self, svc_parts):
-        from repro.serving import ScenarioService
-
-        dec, ms = svc_parts
-        with ScenarioService(dec, ms) as svc:
-            with pytest.raises(ValueError, match="batch_solve"):
-                svc.submit_estimation(delta=NetworkDelta.branch_outage(0))
+        ref = WlsEstimator(net14, ms).estimate()
+        for batch_solve in (True, False):
+            with ScenarioService(dec, ms, batch_solve=batch_solve) as svc:
+                got = svc.submit_estimation().result(timeout=60).value
+            assert np.array_equal(got.Vm, ref.Vm)
+            assert np.array_equal(got.Va, ref.Va)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ import pytest
 
 from repro.contingency import ContingencyAnalyzer, enumerate_n1, run_parallel
 from repro.dse import DistributedStateEstimator, decompose, dse_pmu_placement
+from repro.estimation import WlsEstimator
+from repro.grid import NetworkDelta
 from repro.measurements import full_placement, generate_measurements
 from repro.parallel import (
     ProcessPoolBackend,
@@ -27,6 +29,7 @@ from repro.serving import (
     ContingencyRequest,
     EstimationRequest,
     ScenarioService,
+    ShardRouter,
 )
 
 
@@ -216,7 +219,7 @@ class TestScenarioService:
     def test_mixed_batch_round_trip(self, dse14, net14):
         dec, ms = dse14
         cons, _ = enumerate_n1(net14)
-        ref = DistributedStateEstimator(dec, ms).run()
+        ref = WlsEstimator(net14, ms).estimate()
         with ScenarioService(
             dec, ms, executor="threads:2", max_batch=8, flush_latency=0.02
         ) as svc:
@@ -229,17 +232,71 @@ class TestScenarioService:
         assert np.array_equal(est.value.Vm, ref.Vm)
         assert np.array_equal(est.value.Va, ref.Va)
 
-    def test_values_only_frame(self, dse14):
+    def test_values_only_frame(self, dse14, net14):
         dec, ms = dse14
         rng = np.random.default_rng(9)
         z = ms.z + 0.01 * ms.sigma * rng.standard_normal(len(ms))
-        ref = DistributedStateEstimator(
-            dec, ms.with_values(z), warm_start=False
-        ).run()
+        ref = WlsEstimator(net14, ms).estimate(z=z)
         with ScenarioService(dec, ms, max_batch=4) as svc:
             got = svc.submit_estimation(z=z).result(timeout=60)
-        assert np.allclose(got.value.Vm, ref.Vm, atol=1e-10)
-        assert np.allclose(got.value.Va, ref.Va, atol=1e-10)
+        assert np.array_equal(got.value.Vm, ref.Vm)
+        assert np.array_equal(got.value.Va, ref.Va)
+
+    @staticmethod
+    def _served(entry, dec, ms, batch_solve, frames):
+        """Serve ``frames`` — ``(z, delta)`` pairs — one at a time through
+        one entry point with default options; the solved values in order.
+        (One flush each: a base-topology frame coalesced with a what-if
+        runs on per-replica admittances and may move by an ulp.)"""
+        def replica():
+            return ScenarioService(dec, ms, batch_solve=batch_solve)
+
+        if entry == "router":
+            with ShardRouter({"s0": replica(), "s1": replica()}) as router:
+                return [
+                    router.submit_estimation(z=z, delta=d).result(60).value
+                    for z, d in frames
+                ]
+        with replica() as svc:
+            if entry == "submit_estimation":
+                submit = lambda z, d: svc.submit_estimation(z=z, delta=d)
+            else:
+                submit = lambda z, d: svc.submit(EstimationRequest(z=z, delta=d))
+            return [submit(z, d).result(60).value for z, d in frames]
+
+    @pytest.mark.parametrize("entry", ["submit_estimation", "submit", "router"])
+    @pytest.mark.parametrize("batch_solve", [True, False])
+    def test_served_frame_is_the_serial_wls_answer(
+        self, dse14, net14, pf14, batch_solve, entry
+    ):
+        """Every served frame drains batched, whatever ``batch_solve``
+        says: a value frame is bit for bit the serial estimate, a what-if
+        needs no option, and a placement with no PMU anchor per subsystem
+        (which a DSE refuses) is served."""
+        dec, ms = dse14
+        rng = np.random.default_rng(4)
+        z = ms.z + 0.01 * ms.sigma * rng.standard_normal(len(ms))
+        delta = NetworkDelta.branch_outage(0)
+        frame, whatif = self._served(
+            entry, dec, ms, batch_solve, [(z, None), (None, delta)]
+        )
+        ref = WlsEstimator(net14, ms).estimate(z=z)
+        assert np.array_equal(frame.Vm, ref.Vm)
+        assert np.array_equal(frame.Va, ref.Va)
+        ref_d = WlsEstimator(net14.fork(delta), ms).estimate()
+        assert whatif.converged
+        assert np.allclose(whatif.Vm, ref_d.Vm, atol=1e-10)
+        assert np.allclose(whatif.Va, ref_d.Va, atol=1e-10)
+
+        bare = generate_measurements(
+            net14, full_placement(net14), pf14, rng=np.random.default_rng(7)
+        )
+        with pytest.raises(ValueError, match="synchronized angle"):
+            DistributedStateEstimator(dec, bare)
+        (got,) = self._served(entry, dec, bare, batch_solve, [(None, None)])
+        ref = WlsEstimator(net14, bare).estimate()
+        assert np.array_equal(got.Vm, ref.Vm)
+        assert np.array_equal(got.Va, ref.Va)
 
     def test_run_preserves_request_order(self, dse14, net14):
         dec, ms = dse14
@@ -294,24 +351,3 @@ class TestScenarioService:
         # service close must not tear down a caller-owned pool
         assert pool.map(_square, [4]) == [16]
         pool.shutdown()
-
-    def test_session_wiring(self, net14, pf14):
-        """DseSession.scenario_service serves the session's decomposition
-        and threshold; an ``executor=`` keyword reaches the service."""
-        from repro.core import ArchitecturePrototype, DseSession
-        from repro.measurements import full_placement as fp
-
-        arch = ArchitecturePrototype.assemble(net14, m_subsystems=2, seed=0)
-        session = DseSession(arch, sensitivity_threshold=0.3)
-        rng = np.random.default_rng(1)
-        plac = fp(net14).merged_with(dse_pmu_placement(arch.dec))
-        ms = generate_measurements(net14, plac, pf14, rng=rng)
-        ref = DistributedStateEstimator(
-            arch.dec, ms, sensitivity_threshold=0.3
-        ).run()
-        with session.scenario_service(ms, executor="threads:2", max_batch=4) as svc:
-            assert isinstance(svc.executor, ThreadPoolBackend)
-            assert svc._dse.dec is arch.dec
-            res = svc.submit_estimation().result(timeout=60)
-        assert np.array_equal(res.value.Vm, ref.Vm)
-        assert np.array_equal(res.value.Va, ref.Va)

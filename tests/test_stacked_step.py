@@ -471,6 +471,20 @@ class TestStackedStages:
         total2 = sum(r.step2_times[0] for r in recs)
         assert inner[1] <= total2 <= outer - inner[0]
 
+    def test_the_stack_build_is_not_stage_time(self, net14, pf14, monkeypatch):
+        """A cold frame builds each stage's stack once; that build is not
+        any subsystem's Step-1 compute."""
+        dec, ms = _dse_case(net14, decompose(net14, 2, seed=0), pf14)
+        stacked = WlsEstimator.stacked.__func__
+
+        def slow(cls, members):
+            time.sleep(0.2)
+            return stacked(cls, members)
+
+        monkeypatch.setattr(WlsEstimator, "stacked", classmethod(slow))
+        res = DistributedStateEstimator(dec, ms).run(rounds=1)
+        assert sum(res.records[s].step1_time for s in range(dec.m)) < 0.1
+
     def test_subsystem_spans_tile_the_stage(self, dse118):
         dec, ms = dse118
         obs.configure(enabled=True, reset=True)
