@@ -22,9 +22,12 @@ gain onto the boundary would pay only if the interior right-hand side
 stayed fixed; here it changes every iteration, so the split would cost an
 interior solve, a boundary solve and two dense products per step.
 
-Each iteration still evaluates the *exact* residual and Jacobian at the
-current state — ``rhs = H(x)ᵀ W (z − h(x))`` — so the fixed point of the
-iteration is the exact WLS stationary point (``H(x*)ᵀ W r(x*) = 0``);
+Each iteration evaluates the exact residual and gradient (reverse mode
+through h); the Jacobian is filled only where a gain is factored.  The
+gradient ``rhs = H(x)ᵀ W (z − h(x))`` at the current state
+(:meth:`~repro.measurements.functions.MeasurementModel.gradient`) is all
+a held factor needs, so the fixed point of the iteration is the exact
+WLS stationary point (``H(x*)ᵀ W r(x*) = 0``);
 freezing only the gain operator turns Gauss-Newton into a quasi-Newton
 scheme with linear convergence.  How fast it contracts depends on how far
 the frozen point is from where the iteration runs, so the operator is
@@ -322,9 +325,9 @@ def frozen_round(
     factor, frozen at ``lin_points[b]`` with row weights ``weights[b]``
     (``None``: the set's own; refactored by :func:`condense` where that
     key moved), in place of the gain: every iteration evaluates the exact
-    right-hand side of the still-running blocks once and asks each of
-    their own operators for its step, so a block's iterates are the same
-    bits however many blocks ride along.  A block
+    gradient over the stack once, without a Jacobian, and asks each
+    still-running block's own operator for its step, so a block's
+    iterates are the same bits however many blocks ride along.  A block
     stops on ``step < tol * FROZEN_TOL_SCALE``.  One that has not
     converged inside its own ``max_iter``, or trips the divergence guard,
     is re-solved alone by its exact estimator (``fallbacks``) — a

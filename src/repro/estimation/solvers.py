@@ -320,12 +320,13 @@ class _HeldFactor:
     The Gauss-Newton loop holds a block's factor through the block's linear
     tail (:meth:`NormalEquations.solve_blocks`' ``hold``), and a condensed
     DSE Step-2 round holds its subsystem's gain factored once at the frame's
-    linearization point through every iteration of the round (passed back
-    as ``operators``).  The form follows the factor's mode: a band factor
-    is held as a copy of its band array (with the shared RCM order) and
-    solved with the same ``dpbtrs`` as the live factor; a dense factor as
-    its packed lower triangle, solved with ``dpptrs``; a sparse one keeps
-    the SuperLU object its factorisation created, with the column order.
+    linearization point through every iteration of the round
+    (:meth:`NormalEquations.step_blocks`).  The form follows the factor's
+    mode: a band factor is held as a copy of its band array (with the
+    shared RCM order) and solved with the same ``dpbtrs`` as the live
+    factor; a dense factor as its packed lower triangle, solved with
+    ``dpptrs``; a sparse one keeps the SuperLU object its factorisation
+    created, with the column order.
     Every path holds the one form of its mode — a union block, a plain
     estimator, a replica of a stack — so a held block's steps are the same
     bits however the block was stacked.
@@ -644,15 +645,14 @@ class NormalEquations:
           residuals): row ``j`` is block ``active[j]`` (default ``j``) and
           goes through the one factor in turn.
 
-        ``operators`` maps a block to a frozen gain operator (anything with
-        ``solve(rhs) -> dx``): that block's step is the operator's solve of
-        its slice of the exact right-hand side, and no gain is assembled or
-        factored for it.  The operators are the caller's (a condensed
-        round's held gain factor) or factors held here: ``hold``
-        maps a block to a step bound, and a block factored by this call
-        whose step comes out below its bound has its factor added to
+        ``operators`` maps a block to a factor held from an earlier call:
+        that block's step is the held factor's solve of its slice of the
+        exact right-hand side, and no gain is assembled or factored for it.
+        ``hold`` maps a block to a step bound, and a block factored by this
+        call whose step comes out below its bound has its factor added to
         ``operators`` (in place, as a :class:`_HeldFactor`) for the
-        caller's next call to solve against.
+        caller's next call to solve against.  (A condensed round's frozen
+        operators take :meth:`step_blocks`, which needs no Jacobian.)
 
         Returns ``(dx, errors)``, ``dx`` shaped like the right-hand side: a
         block whose factorisation or operator fails, or whose step comes
@@ -711,14 +711,39 @@ class NormalEquations:
             dx[a] = spd.solve(rhs[a])
             if b in hold and np.abs(dx[a]).max() < hold[b]:
                 ops[b] = _HeldFactor(spd)
-        if not np.all(np.isfinite(dx)):
-            for b, a in zip(active, at):
-                if not np.all(np.isfinite(dx[a])):
-                    dx[a] = 0.0
-                    errors[b] = GainSolveError(
-                        "gain solve produced non-finite step"
-                    )
+        _refuse_non_finite(dx, active, at, errors)
         return dx, errors
+
+    def step_blocks(
+        self, rhs: np.ndarray, active, operators: dict
+    ) -> tuple[np.ndarray, dict[int, GainSolveError]]:
+        """One frozen-gain step of the diagonal blocks ``active``: block
+        ``b``'s step is ``operators[b].solve`` of its slice of ``rhs``, the
+        right-hand side ``HᵀW r`` over this kernel's columns, which the
+        caller evaluates without a Jacobian
+        (:meth:`MeasurementModel.gradient`); no gain is assembled.  The
+        other blocks keep a zero step.  Returns ``(dx, errors)`` as
+        :meth:`solve_blocks` does."""
+        errors: dict[int, GainSolveError] = {}
+        at = [self._parts[b][1] for b in active]
+        dx = np.zeros(rhs.shape)
+        for b, a in zip(active, at):
+            try:
+                dx[a] = operators[b].solve(rhs[a])
+            except GainSolveError as exc:
+                errors[b] = exc
+        _refuse_non_finite(dx, active, at, errors)
+        return dx, errors
+
+
+def _refuse_non_finite(dx: np.ndarray, active, at, errors: dict) -> None:
+    """Zero every block step of ``dx`` (block ``active[i]`` at ``at[i]``)
+    that is not finite and put its :class:`GainSolveError` in ``errors``."""
+    if not np.all(np.isfinite(dx)):
+        for b, a in zip(active, at):
+            if not np.all(np.isfinite(dx[a])):
+                dx[a] = 0.0
+                errors[b] = GainSolveError("gain solve produced non-finite step")
 
 
 def _canonical_csc(H: sp.spmatrix) -> sp.csc_matrix:

@@ -340,8 +340,12 @@ class WlsEstimator:
         step norms and ``converged`` flag; one that is underdetermined,
         whose gain does not factor or whose step is non-finite yields its
         :class:`EstimationError` in place of a result while the others
-        carry on.  A replica on the network's own topology gives bit for
-        bit what :meth:`estimate` gives for its ``x0`` / ``z``.
+        carry on.  While no replica carries a branch status, a replica
+        gives bit for bit what :meth:`estimate` gives for its ``x0`` /
+        ``z``; once one does, every replica — one on the network's own
+        topology too — is evaluated on per-replica admittances
+        (:meth:`MeasurementModel.admittance_stack`), which moves a
+        base-topology replica by an ulp or so.
 
         *Frozen tail.*  Gauss-Newton on a problem with non-zero residuals
         ends in a linear tail, where the gain barely moves between
@@ -360,10 +364,12 @@ class WlsEstimator:
         members, or a plain estimator's one problem) — the held factor of
         the block's gain at the caller's linearization point — supplies the
         block's step from the exact right-hand side, so an iteration
-        assembles and factors no gain.  Convergence is then linear, and a
-        block whose step norm passes :data:`DIVERGED` stops unconverged
-        (the caller owns the fallback).  Given and held operators are one
-        mapping to the kernel (:meth:`NormalEquations.solve_blocks`).
+        assembles and factors no gain.  That right-hand side is the
+        gradient, taken in reverse mode through h
+        (:meth:`MeasurementModel.gradient`), so the iteration fills no
+        Jacobian either (:meth:`NormalEquations.step_blocks`).  Convergence
+        is then linear, and a block whose step norm passes
+        :data:`DIVERGED` stops unconverged (the caller owns the fallback).
         """
         t_start = time.perf_counter() if obs.enabled() else 0.0
         model, ms, net = self.model, self.mset, self.net
@@ -439,11 +445,11 @@ class WlsEstimator:
         state_starts = [blk.states.start for blk in self._blocks]
         step_norms: list[list[float]] = [[] for _ in range(nb)]
         factorizations = [0] * nb
-        # Frozen gain operators by block, one mapping for the kernel: the
-        # caller's (a condensed round's, stopped at DIVERGED) and the
-        # loop's own, a block's factor held through its linear tail.
-        ops = {} if operators is None else dict(enumerate(operators))
-        given = set(ops)
+        # Frozen gain operators by block: the caller's (a condensed round's,
+        # every block's, stopped at DIVERGED) or the loop's own, a block's
+        # factor held through its linear tail.
+        frozen = operators is not None
+        ops = dict(enumerate(operators)) if frozen else {}
         roots = [float(np.sqrt(t)) for t in tols]
 
         def finish(b: int, converged: bool) -> None:
@@ -476,29 +482,39 @@ class WlsEstimator:
         r = zz - model.h(Vm, Va, cur)
         while active and it < max_iter:
             it += 1
-            # a union evaluates its running blocks only — the data vector
-            # the kernel's union mode reads — and a finished block's entries
-            # are never read again; replicas are whole rows
-            data = structure.fill_data(Vm, Va, cur, adm, None if replicas else active)
-            # a block either solves against a factor it holds, or factors
-            # afresh and keeps that factor if its step comes out below √tol
-            # and below its last one (hold: block → that bound)
-            held, hold = set(), {}
-            for b in active:
-                if b in ops:
-                    if b not in given:
-                        held.add(b)
-                    continue
-                factorizations[b] += 1
-                if step_norms[b]:
-                    hold[b] = min(roots[b], step_norms[b][-1])
-            try:
-                # a stack goes to the kernel scenario by scenario, as rows
-                # (.T of one state's vectors is the vectors)
-                dx, errors = kernel.solve_blocks(
-                    np.ascontiguousarray(data.T), w.T, r.T, active, ops, hold
+            if frozen:
+                # a frozen operator needs the right-hand side HᵀW r alone:
+                # the gradient, reverse mode through h, with no H built
+                rhs = model.gradient(Vm, Va, cur, w * r)[self._keep]
+            else:
+                # a union evaluates its running blocks only — the data
+                # vector the kernel's union mode reads — and a finished
+                # block's entries are never read again; replicas are whole
+                # rows
+                data = structure.fill_data(
+                    Vm, Va, cur, adm, None if replicas else active
                 )
-                dx = dx.T
+                # a block either solves against a factor it holds, or
+                # factors afresh and keeps that factor if its step comes out
+                # below √tol and below its last one (hold: block → that bound)
+                held = {b for b in active if b in ops}
+                hold = {
+                    b: min(roots[b], step_norms[b][-1])
+                    for b in active
+                    if b not in held and step_norms[b]
+                }
+                for b in active:
+                    factorizations[b] += b not in held
+            try:
+                if frozen:
+                    dx, errors = kernel.step_blocks(rhs, active, ops)
+                else:
+                    # a stack goes to the kernel scenario by scenario, as
+                    # rows (.T of one state's vectors is the vectors)
+                    dx, errors = kernel.solve_blocks(
+                        np.ascontiguousarray(data.T), w.T, r.T, active, ops, hold
+                    )
+                    dx = dx.T
             except Exception as exc:
                 dx = np.zeros((self.n_states, *Vm.shape[1:]))
                 errors = dict.fromkeys(active, exc)
@@ -527,12 +543,12 @@ class WlsEstimator:
                 step_norms[b].append(steps[b])
                 if steps[b] < tols[b]:
                     finish(b, True)
-                elif b in given and steps[b] > DIVERGED:
+                elif frozen and steps[b] > DIVERGED:
                     finish(b, False)
                 else:
                     running.append(b)
             # a held factor lives while its block runs and contracts
-            for b in [b for b in ops if b not in given]:
+            for b in [] if frozen else list(ops):
                 if b not in running or (
                     b in held and step_norms[b][-1] >= step_norms[b][-2]
                 ):

@@ -18,7 +18,8 @@ so the one-state path pays nothing for the stack and column k of a stacked
 result is bit for bit the one-state result.  Scenarios that differ in
 branch status share the model too: their admittances arrive as data
 (``admittance_stack``) and re-value the operators on the base network's
-patterns.
+patterns.  ``MeasurementModel.gradient`` — ``Hᵀ u`` in reverse mode, with
+no H built, all a frozen-gain iteration needs — takes one state.
 """
 
 from __future__ import annotations
@@ -598,6 +599,7 @@ class MeasurementModel:
         self.n_state = 2 * net.n_bus
         self._jac_structs: dict[bytes | None, JacobianStructure] = {}
         self._incT: tuple[sp.csr_matrix, sp.csr_matrix] | None = None
+        self._adjoint: sp.csr_matrix | None = None
 
         for t in MeasType:
             el = mset.elements(t)
@@ -641,7 +643,9 @@ class MeasurementModel:
         if self._cur_t:
             place(MeasType.P_FLOW_T, base)
             place(MeasType.Q_FLOW_T, base + nl)
+            base += 2 * nl
         self._h_plan = plan
+        self._h_sources = base
 
     # ------------------------------------------------------------------
     # Evaluation.  A state is ``(n,)`` arrays — or ``(n, K)`` stacks of K
@@ -726,6 +730,89 @@ class MeasurementModel:
             s = V[net.t] * np.conj(i_t)
             parts += [s.real, s.imag]
         return np.concatenate(parts)[self._h_plan]
+
+    def gradient(
+        self, Vm: np.ndarray, Va: np.ndarray, cur: tuple, u: np.ndarray
+    ) -> np.ndarray:
+        """``Hᵀ u`` over the full state ``[Va; Vm]`` at (Vm, Va), without
+        building H: reverse mode through :meth:`h`.  ``cur`` is
+        :meth:`currents` at that one state (no stack) and ``u`` one value
+        per row — ``W r`` makes this the Gauss-Newton right-hand side.
+
+        ``u`` is scattered onto h's sources; a source ``S = V ∘ conj(Y V)``
+        with multipliers ``μ = λ_P + iλ_Q`` pulls back to
+        ``c = conj(μ ∘ Y V)`` on its terminal buses plus ``Yᵀ (μ ∘ conj V)``,
+        one product with the transposed operators built once per model,
+        and ``c`` gives ``∂/∂Va = Re(c · iV)``, ``∂/∂Vm = Re(c · V/|V|)``.
+        A union's rows and operator rows are its members' in their order,
+        so each member's slice of a union's gradient is bit for bit its
+        own."""
+        net = self.net
+        n, nl = net.n_bus, net.n_branch
+        V, Ib, i_f, i_t = cur
+        lam = np.bincount(self._h_plan, weights=u, minlength=self._h_sources)
+
+        def multipliers(at: int, size: int) -> np.ndarray:
+            """``λ_P + iλ_Q`` of the P/Q source pair starting at ``at``."""
+            mu = np.empty(size, dtype=complex)
+            mu.real, mu.imag = lam[at : at + size], lam[at + size : at + 2 * size]
+            return mu
+
+        Vc = np.conj(V)
+        pulled, direct, at = [], 0.0, 2 * n
+        if Ib is not None:
+            mu = multipliers(at, n)
+            pulled.append(mu * Vc)
+            direct = np.conj(mu * Ib)
+            at += 2 * n
+        ends = []
+        if i_f is not None:
+            mu = multipliers(at, nl)
+            y = mu * Vc[net.f]
+            if self.mset.count(MeasType.I_MAG_F):
+                # d|I| = Re(conj(I)/|I| dI), 0 on a dark branch (as H has it)
+                mag = np.abs(i_f)
+                scale = np.divide(
+                    lam[at + 2 * nl : at + 3 * nl], mag,
+                    out=np.zeros(nl), where=mag > 1e-9,
+                )
+                y += scale * np.conj(i_f)
+            pulled.append(y)
+            ends.append(np.conj(mu * i_f))
+            at += 3 * nl
+        if i_t is not None:
+            mu = multipliers(at, nl)
+            pulled.append(mu * Vc[net.t])
+            ends.append(np.conj(mu * i_t))
+        g = np.empty(2 * n)
+        g[:n] = lam[n : 2 * n]
+        g[n:] = lam[:n]
+        if pulled:
+            c = direct + self._adjoint_operator() @ np.concatenate(pulled + ends)
+            cV = c * V
+            g[:n] -= cV.imag
+            g[n:] += cV.real / np.abs(V)
+        return g
+
+    def _adjoint_operator(self) -> sp.csr_matrix:
+        """``[Ybusᵀ | Yfᵀ | Ytᵀ | Cfᵀ | Ctᵀ]`` over the products this set
+        uses (the operator transposes, then the terminal incidences of the
+        flow ends): :meth:`gradient`'s one sparse product."""
+        if self._adjoint is None:
+            ops = []
+            if self._cur_inj:
+                ops.append(self.ybus.T)
+            if self._cur_f:
+                ops.append(self.yf.T)
+            if self._cur_t:
+                ops.append(self.yt.T)
+            cfT, ctT = self._incidence()
+            if self._cur_f:
+                ops.append(cfT)
+            if self._cur_t:
+                ops.append(ctT)
+            self._adjoint = sp.hstack(ops, format="csr")
+        return self._adjoint
 
     # ------------------------------------------------------------------
     def jacobian(self, Vm: np.ndarray, Va: np.ndarray) -> sp.csr_matrix:

@@ -11,8 +11,9 @@ Two interchangeable hubs:
 
 - :class:`MuxRouter` — real localhost TCP; one ``selectors`` loop services
   every connection (no polling threads), reassembling frames incrementally
-  with :class:`~repro.middleware.message.StreamReader` and forwarding
-  header+payload via scatter-gather ``sendmsg``.
+  with :class:`~repro.middleware.message.StreamReader`; the frames one
+  ``select()`` batch routes are coalesced per destination and written with
+  one scatter-gather ``sendmsg`` each.
 - :class:`InprocMuxRouter` — queue-based, for single-process fabrics; the
   router thread blocks on its inbox (event-driven, no timeouts).
 
@@ -129,11 +130,13 @@ def _route(hub, flags: int, src: int, dst: int, payload) -> None:
 
     The hub supplies ``_target(dst, flags)`` (where frames for ``dst`` go,
     ``None`` when nowhere), ``_forward(target, flags, src, dst, frame,
-    app)`` (hand one copy on — ``frame`` is the payload as framed, ``app``
-    its application bytes; ``False`` when the destination is gone) and
-    ``_kill(dst)`` (hard-disconnect).  The frame is counted *before* it is
-    handed on, so whoever holds a payload finds it in :meth:`stats`; a
-    forward that fails takes its count back.
+    app, count)`` (hand one copy on — ``frame`` is the payload as framed,
+    ``app`` its application bytes, ``count`` the ``(stats record, bytes)``
+    the frame added, on its first copy only; ``False`` when the
+    destination is gone) and ``_kill(dst)`` (hard-disconnect).  The frame
+    is counted *before* it is handed on, so whoever holds a payload finds
+    it in :meth:`stats`; a forward that fails takes its count back — at
+    once, or, for a hub that defers its writes, when the write fails.
     """
     fence = hub._epoch_fence
     try:
@@ -175,19 +178,27 @@ def _route(hub, flags: int, src: int, dst: int, payload) -> None:
     hop = obs.NOOP_SPAN
     if ctx is not None:
         hop = obs.span("mux.forward", parent=ctx, src=src, dst=dst, nbytes=nbytes)
+    count = (rec, nbytes)
     for frame, app in copies:
         with hop:
-            ok = hub._forward(target, flags, src, dst, frame, app)
+            ok = hub._forward(target, flags, src, dst, frame, app, count)
         if not ok:
-            with hub._stats_lock:
-                rec[0] -= 1
-                rec[1] -= nbytes
+            _take_back(hub, [count])
             return
-        hop = obs.NOOP_SPAN
+        hop, count = obs.NOOP_SPAN, None
     if obs.enabled():
         m = obs.metrics()
         m.counter("mux.frames_forwarded_total").inc()
         m.counter("mux.bytes_forwarded_total").inc(nbytes)
+
+
+def _take_back(hub, counts) -> None:
+    """Undo the statistics of frames that were counted but never went:
+    ``counts`` holds ``_route``'s ``(stats record, bytes)`` per frame."""
+    with hub._stats_lock:
+        for rec, nbytes in counts:
+            rec[0] -= 1
+            rec[1] -= nbytes
 
 
 class _TcpMuxLink:
@@ -315,13 +326,23 @@ class MuxRouter:
     """TCP hub: accepts site links, routes mux frames by destination id.
 
     One selector loop owns every socket; per-(src, dst) frame/byte counts
-    are kept for the fabric's relay statistics.
+    are kept for the fabric's relay statistics.  The frames one
+    ``select()`` batch routes are held per destination connection, in
+    routing order, and written after the batch with one ``sendmsg`` per
+    destination: a site whose neighbours all published in the same batch
+    receives their frames in one write.  A write that fails takes back its
+    frames' counts and drops the connection; a connection dropped with
+    frames still held (a fault-injected disconnect, a re-dial) takes their
+    counts back and counts them as dropped.
     """
 
     def __init__(self):
         self._sel = selectors.DefaultSelector()
         self._lsock: socket.socket | None = None
         self._routes: dict[int, socket.socket] = {}
+        # destination connection -> [(buffers, count)] held for the write
+        # that ends the current select() batch
+        self._held: dict[socket.socket, list] = {}
         self._stats: dict[tuple[int, int], list[int]] = {}
         self._stats_lock = threading.Lock()
         self._stop = threading.Event()
@@ -400,6 +421,7 @@ class MuxRouter:
                     self._accept()
                 else:
                     self._service(key.fileobj, reader)
+            self._write_held()
         # teardown: close every socket the loop owns
         for key in list(self._sel.get_map().values()):
             try:
@@ -429,7 +451,21 @@ class MuxRouter:
         for sid, s in list(self._routes.items()):
             if s is sock:
                 del self._routes[sid]
+        counts = [c for _, c in self._held.pop(sock, ()) if c is not None]
+        _take_back(self, counts)
+        for _ in counts:
+            _discard(self)
         sock.close()
+
+    def _write_held(self) -> None:
+        """Write every destination's held frames, one ``sendmsg`` each."""
+        held, self._held = self._held, {}
+        for out, frames in held.items():
+            try:
+                sendmsg_all(out, [buf for bufs, _ in frames for buf in bufs])
+            except OSError:
+                _take_back(self, [c for _, c in frames if c is not None])
+                self._drop_conn(out)
 
     def _service(self, sock: socket.socket, reader: StreamReader) -> None:
         try:
@@ -461,13 +497,9 @@ class MuxRouter:
     def _kill(self, dst: int) -> None:
         self._drop_conn(self._routes[dst])
 
-    def _forward(self, out, flags, src, dst, frame, app) -> bool:
+    def _forward(self, out, flags, src, dst, frame, app, count) -> bool:
         header = MUX_HEADER.pack(MUX_VERSION, flags, src, dst, len(frame))
-        try:
-            sendmsg_all(out, [header, frame])
-        except OSError:
-            self._drop_conn(out)
-            return False
+        self._held.setdefault(out, []).append(((header, frame), count))
         return True
 
     # ------------------------------------------------------------------
@@ -588,7 +620,7 @@ class InprocMuxRouter:
         self._deliver.pop(dst, None)
         self._dead.add(dst)
 
-    def _forward(self, deliver, flags, src, dst, frame, app) -> bool:
+    def _forward(self, deliver, flags, src, dst, frame, app, count) -> bool:
         try:
             deliver(app)
         except Exception:  # noqa: BLE001 - a sink must not kill the hub

@@ -259,6 +259,26 @@ class TestBatchEstimator:
         for sc, got in zip(scenarios, batch):
             _same_solve(got, serial.estimate(z=sc.z, x0=sc.x0))
 
+    @pytest.mark.parametrize("case", ["14", "118"])
+    def test_value_frame_beside_a_whatif(self, case, request):
+        """A value frame is bit for bit the serial ``estimate(z=)`` while no
+        what-if shares its chunk; beside a what-if every replica runs on
+        per-replica admittances, which moves it by no more than an ulp or
+        so (1e-14 here)."""
+        net = request.getfixturevalue("net" + case)
+        ms = _mset(net, request.getfixturevalue("pf" + case))
+        z = ms.z + ms.sigma * np.random.default_rng(8).standard_normal(len(ms))
+        ref = WlsEstimator(net, ms).estimate(z=z)
+        batch = BatchEstimator(net, ms)
+        alone, _ = batch.estimate_batch([BatchScenario(z=z), BatchScenario(z=ms.z)])
+        _same_solve(alone, ref)
+        beside, _ = batch.estimate_batch(
+            [BatchScenario(z=z), BatchScenario(delta=NetworkDelta.branch_outage(0))]
+        )
+        assert beside.converged and beside.iterations == ref.iterations
+        assert np.abs(beside.Vm - ref.Vm).max() <= 1e-14
+        assert np.abs(beside.Va - ref.Va).max() <= 1e-14
+
     def test_nonconverged_reported_identically(self, net14, pf14):
         ms = _mset(net14, pf14)
         scenarios = [None, NetworkDelta.branch_outage(SAFE_PAIR[0])]

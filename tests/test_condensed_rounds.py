@@ -411,6 +411,36 @@ def test_stacked_rounds_feed_the_condensed_metrics(dse118):
     assert all(r.factor_time > 0.0 and len(r.step2_times) == 3 for r in recs)
 
 
+def test_frozen_round_fills_no_jacobian(dse118, monkeypatch):
+    """Once its operators are condensed, a frozen round takes each
+    iteration's right-hand side from the gradient: no Jacobian is filled,
+    weighted or contracted, and the round is the one it was."""
+    from repro.estimation.solvers import NormalEquations
+    from repro.measurements.functions import JacobianStructure
+
+    dec, ms = dse118
+    dse = DistributedStateEstimator(dec, ms, condense=True)
+    dse.run(z=_frame(ms, 13), rounds=2)
+    conds = [dse._step2_cache[s][0] for s in range(dec.m)]
+    lins = [c._lin_cache[:2] for c in conds]
+    x0 = [(vm + 1e-4, va) for vm, va in lins]
+    args = dict(x0=x0, z=[None] * dec.m, weights=[None] * dec.m, lin_points=lins)
+    want = condensation.frozen_round(dse._stacks["step2"], conds, **args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a frozen round filled the Jacobian")
+
+    monkeypatch.setattr(JacobianStructure, "fill_data", refuse)
+    monkeypatch.setattr(NormalEquations, "weighted", refuse)
+    monkeypatch.setattr(NormalEquations, "rhs", refuse)
+    got = condensation.frozen_round(dse._stacks["step2"], conds, **args)
+    assert _fallbacks(dse) == 0
+    for g, w in zip(got, want):
+        assert g.converged and g.iterations > 1
+        assert np.array_equal(g.Vm, w.Vm) and np.array_equal(g.Va, w.Va)
+        assert g.step_norms == w.step_norms
+
+
 def test_frozen_loop_argument_checks(dse118):
     dec, ms = dse118
     dse = DistributedStateEstimator(dec, ms, condense=True)

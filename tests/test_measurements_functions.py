@@ -234,3 +234,96 @@ class TestScenarioAxis:
             model.currents(*self._stack(Vm, Va, 2), adm)
         with pytest.raises(ValueError):
             model.admittance_stack(np.ones((2, net.n_branch + 1)))
+
+
+# ---------------------------------------------------------------------------
+# Reverse mode: Hᵀ u without H
+# ---------------------------------------------------------------------------
+def _fill_path_rhs(model, keep, Vm, Va, u):
+    """``Hᵀ u`` the way the Gauss-Newton kernel takes it: fill, weight, sum
+    (weights 1, so ``W H`` is H and the right-hand side is ``Hᵀ u``)."""
+    from repro.estimation.solvers import NormalEquations
+
+    structure = model.jacobian_structure(keep)
+    kernel = NormalEquations(*structure.pattern)
+    data = structure.fill_data(Vm, Va)
+    return kernel.rhs(kernel.weighted(data, np.ones(len(model.mset))), u)
+
+
+class TestGradient:
+    @staticmethod
+    def _state(Vm, Va, seed):
+        rng = np.random.default_rng(seed)
+        return (
+            Vm * (1 + 0.02 * rng.standard_normal(len(Vm))),
+            Va + 0.05 * rng.standard_normal(len(Va)),
+        )
+
+    @pytest.mark.parametrize("tag", ["14", "118"])
+    @pytest.mark.parametrize("mtype", [None, *MeasType])
+    def test_gradient_is_the_fill_path_rhs(self, request, tag, mtype):
+        """Every measurement type alone, and all of them together, at three
+        random states: ``gradient`` is the kernel's ``Hᵀ W r`` over the full
+        state to 1e-13 relative."""
+        net = request.getfixturevalue("net" + tag)
+        pf = request.getfixturevalue("pf" + tag)
+        _, ms, keep, Vm, Va = _central(net, pf, pmus=True)
+        if mtype is not None:
+            ms = ms.subset(np.array([m.mtype == mtype for m in ms]))
+        assert len(ms)
+        model = MeasurementModel(net, ms)
+        rng = np.random.default_rng(3)
+        for seed in range(3):
+            vm, va = self._state(Vm, Va, seed)
+            u = rng.standard_normal(len(ms))
+            want = _fill_path_rhs(model, keep, vm, va, u)
+            got = model.gradient(vm, va, model.currents(vm, va), u)
+            assert got.shape == (2 * net.n_bus,)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_dark_branch_current_has_zero_gradient(self, net14, pf14):
+        """A branch carrying no current has no |I| gradient (H's guard): the
+        row adds nothing, and nothing turns non-finite."""
+        from repro.grid import NetworkDelta
+
+        _, ms, keep, Vm, Va = _central(net14, pf14, pmus=True)
+        branch = int(ms.elements(MeasType.I_MAG_F)[0])
+        dark = net14.fork(NetworkDelta.branch_outage(branch))
+        model = MeasurementModel(dark, ms)
+        vm, va = self._state(Vm, Va, 0)
+        cur = model.currents(vm, va)
+        assert cur[2][branch] == 0
+        rows = ms.rows(MeasType.I_MAG_F)[ms.elements(MeasType.I_MAG_F) == branch]
+        assert len(rows) == 1
+        u = np.random.default_rng(4).standard_normal(len(ms))
+        want = _fill_path_rhs(model, keep, vm, va, u)
+        got = model.gradient(vm, va, cur, u)
+        assert np.all(np.isfinite(got))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        u_dark = np.zeros(len(ms))
+        u_dark[rows] = 1.0
+        assert np.array_equal(model.gradient(vm, va, cur, u_dark), np.zeros(28))
+
+    def test_union_gradient_is_each_members_own(self, net118, pf118):
+        """On a stacked union of Step-2 problems, each member's slice of the
+        gradient is bit for bit the member's own."""
+        from repro.dse import DistributedStateEstimator, decompose, dse_pmu_placement
+        from repro.estimation.wls import WlsEstimator
+        from repro.measurements import generate_measurements
+
+        dec = decompose(net118, 9, seed=0)
+        plac = full_placement(net118).merged_with(dse_pmu_placement(dec))
+        ms = generate_measurements(net118, plac, pf118, rng=np.random.default_rng(0))
+        dse = DistributedStateEstimator(dec, ms)
+        dse.run(rounds=1)
+        members = [dse._step2_cache[s][0] for s in range(dec.m)]
+        union = WlsEstimator.stacked(members)
+        rng = np.random.default_rng(5)
+        Vm = 1 + 0.02 * rng.standard_normal(union.net.n_bus)
+        Va = 0.1 * rng.standard_normal(union.net.n_bus)
+        u = rng.standard_normal(len(union.mset))
+        g = union.model.gradient(Vm, Va, union.model.currents(Vm, Va), u)[union._keep]
+        for est, blk in zip(members, union._blocks):
+            vm, va = Vm[blk.buses].copy(), Va[blk.buses].copy()
+            own = est.model.gradient(vm, va, est.model.currents(vm, va), u[blk.rows])
+            assert np.array_equal(g[blk.states], own[est._keep])
