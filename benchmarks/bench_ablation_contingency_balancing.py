@@ -5,20 +5,18 @@ The HPC state-estimation code the architecture hosts descends from PNNL's
 massive contingency analysis work, whose headline result is that a shared
 counter beats static pre-assignment when per-case solve times vary.  We
 reproduce that comparison on the simulated testbed with AC-solve-like
-lognormal case durations and on real threads with actual DC re-solves of
-the IEEE 118 system.
+lognormal case durations.  A real IEEE 118 sweep runs on the drains
+``run_parallel`` picks from (``bench_scenario_sweep.measure_sweep_throughput``):
+the DC sweep as one batched solve against the per-outage loop, the AC
+sweep on a process pool's shared queue (the counter) against the loop.
 """
 
 import numpy as np
 import pytest
 
+from bench_scenario_sweep import measure_sweep_throughput
 from repro.cluster import ClusterSpec, ClusterTopology
-from repro.contingency import (
-    ContingencyAnalyzer,
-    enumerate_n1,
-    run_parallel,
-    simulate_parallel_analysis,
-)
+from repro.contingency import simulate_parallel_analysis
 
 
 def test_ablation_counter_balancing_simulated(benchmark):
@@ -45,26 +43,24 @@ def test_ablation_counter_balancing_simulated(benchmark):
     assert dyn.imbalance < sta.imbalance
 
 
-def test_ablation_counter_balancing_threads(benchmark, net118):
-    analyzer = ContingencyAnalyzer(net118, method="dc", rating_margin=1.3)
-    safe, _ = enumerate_n1(net118)
-
-    rep_dyn = benchmark.pedantic(
-        run_parallel, args=(analyzer, safe),
-        kwargs={"n_workers": 4, "scheme": "dynamic"}, rounds=2, iterations=1,
+def test_ablation_real_sweep_drains(benchmark):
+    rec = benchmark.pedantic(
+        measure_sweep_throughput, kwargs={"repeats": 3}, rounds=1, iterations=1
     )
-    rep_sta = run_parallel(analyzer, safe, n_workers=4, scheme="static")
 
-    print("\nA5 — real-thread N-1 sweep of the IEEE 118 system "
-          f"({len(safe)} cases, 4 workers)")
-    print(f"  dynamic: makespan {rep_dyn.makespan * 1e3:.1f} ms, "
-          f"cases/worker {rep_dyn.per_worker_cases}")
-    print(f"  static : makespan {rep_sta.makespan * 1e3:.1f} ms, "
-          f"cases/worker {rep_sta.per_worker_cases}")
-    insecure = sum(1 for r in rep_dyn.results if not r.secure)
-    print(f"  insecure contingencies at 1.3x ratings: {insecure}/{len(safe)}")
+    print("\nA5 — real N-1 sweeps of the IEEE 118 system (best of 3)")
+    print(f"  DC {rec['n_contingencies']} cases: loop "
+          f"{rec['serial_time_s'] * 1e3:.1f} ms, batched "
+          f"{rec['batch_time_s'] * 1e3:.1f} ms warm / "
+          f"{rec['batch_cold_time_s'] * 1e3:.1f} ms cold")
+    print(f"  AC {rec['n_ac']} cases: loop "
+          f"{rec['ac_serial_time_s'] * 1e3:.1f} ms, "
+          f"processes:{rec['ac_pool_workers']} "
+          f"{rec['ac_pool_time_s'] * 1e3:.1f} ms")
 
-    assert sum(rep_dyn.per_worker_cases) == len(safe)
-    assert sum(rep_sta.per_worker_cases) == len(safe)
-    # both finish the sweep well inside a SCADA scan period
-    assert rep_dyn.makespan < 4.0
+    assert rec["ac_pool_equal"]
+    assert rec["max_abs_dloading"] < 1e-9
+    # the warm batch beats the loop it replaces, and every sweep finishes
+    # well inside a SCADA scan period
+    assert rec["batch_time_s"] < rec["serial_time_s"]
+    assert max(rec["serial_time_s"], rec["ac_serial_time_s"]) < 4.0

@@ -1,21 +1,15 @@
-"""Scale-out throughput: scenarios/sec across backend × workers × batch.
+"""Scale-out throughput: the batched scenario service vs ``max_batch``.
 
-Measures the serving throughput (and latency percentiles) of the scale-out
-stack on the paper's test system:
-
-- **N-1 contingency sweeps** on IEEE-118 through
-  :func:`repro.contingency.run_parallel` for every backend spec
-  (``serial``, ``threads:N``, ``processes:N``) — the workload the HPC
-  reference [2] distributes with counter-based dynamic balancing;
-- the **batched scenario service**: end-to-end submit→resolve latency as a
-  function of ``max_batch``.
+Measures the end-to-end submit→resolve latency and throughput of the
+scenario service on the paper's test system (IEEE-118, 9 subsystems) as a
+function of ``max_batch``: a burst of N-1 screenings (one batched DC solve
+per flush) plus an estimation frame.  The N-1 sweep comparison itself
+(per-outage loop vs batched solve for DC, in-order vs ``processes:N`` for
+AC) lives in ``benchmarks/bench_scenario_sweep.py``.
 
 Run directly for a human-readable table::
 
     PYTHONPATH=src python benchmarks/bench_scaleout_throughput.py
-
-Process backends only help on multi-core hosts: the ≥3× contingency-
-throughput bound they were accepted against needs at least 4 cores.
 """
 
 from __future__ import annotations
@@ -30,30 +24,12 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from repro.contingency import (  # noqa: E402
-    ContingencyAnalyzer,
-    enumerate_n1,
-    run_parallel,
-)
+from repro.contingency import enumerate_n1  # noqa: E402
 from repro.dse import decompose, dse_pmu_placement  # noqa: E402
 from repro.grid import run_ac_power_flow  # noqa: E402
 from repro.grid.cases import case118  # noqa: E402
 from repro.measurements import full_placement, generate_measurements  # noqa: E402
-from repro.parallel import make_executor  # noqa: E402
 from repro.serving import ScenarioService  # noqa: E402
-
-
-def backend_specs(max_workers: int | None = None) -> list[str]:
-    """The backend × worker grid for this host (serial, threads, processes)."""
-    cores = os.cpu_count() or 1
-    cap = min(max_workers or cores, cores)
-    counts = sorted({2, 4, cap} & set(range(1, cap + 1))) or [1]
-    specs = ["serial"]
-    for n in counts:
-        specs.append(f"threads:{n}")
-    for n in counts:
-        specs.append(f"processes:{n}")
-    return specs
 
 
 def _percentiles(samples: list[float]) -> dict:
@@ -65,40 +41,8 @@ def _percentiles(samples: list[float]) -> dict:
     }
 
 
-def bench_contingency_throughput(
-    net, contingencies, *, specs: list[str], repeats: int = 2
-) -> dict:
-    """IEEE-118 N-1 sweep throughput (cases/sec) per backend spec.
-
-    Each spec gets its own warm pool; the sweep runs ``repeats`` times and
-    the best pass is recorded (first pass pays pool spawn + analyzer ship).
-    """
-    out = {}
-    for spec in specs:
-        analyzer = ContingencyAnalyzer(net, method="dc", rating_margin=1.3)
-        executor = make_executor(spec)
-        best = float("inf")
-        try:
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                run_parallel(
-                    analyzer, contingencies, executor=executor, scheme="dynamic"
-                )
-                best = min(best, time.perf_counter() - t0)
-            workers = executor.n_workers
-        finally:
-            executor.shutdown()
-        out[spec] = {
-            "n_cases": len(contingencies),
-            "best_sweep_s": best,
-            "cases_per_s": len(contingencies) / best,
-            "workers": workers,
-        }
-    return out
-
-
 def bench_serving_batches(
-    dec, mset, contingencies, *, batch_sizes=(1, 8, 32), executor="threads:4"
+    dec, mset, contingencies, *, batch_sizes=(1, 8, 32), executor="serial"
 ) -> dict:
     """Scenario-service end-to-end latency/throughput vs ``max_batch``."""
     out = {}
@@ -134,20 +78,13 @@ def _setup():
     plac = full_placement(net).merged_with(dse_pmu_placement(dec))
     mset = generate_measurements(net, plac, pf, rng=rng)
     cons, _ = enumerate_n1(net)
-    return net, dec, mset, cons
+    return dec, mset, cons
 
 
 def main() -> int:
-    net, dec, mset, cons = _setup()
-    specs = backend_specs()
-    print(f"host cores: {os.cpu_count()}  backends: {specs}")
-
-    print("\nIEEE-118 N-1 contingency sweep")
-    for spec, rec in bench_contingency_throughput(net, cons, specs=specs).items():
-        print(f"  {spec:>12}: {rec['cases_per_s']:8.1f} cases/s "
-              f"({rec['best_sweep_s'] * 1e3:.1f} ms, {rec['workers']} workers)")
-
-    print("\nscenario service (threads:4) vs max_batch")
+    dec, mset, cons = _setup()
+    print(f"host cores: {os.cpu_count()}")
+    print("\nscenario service vs max_batch")
     for key, rec in bench_serving_batches(dec, mset, cons[:64]).items():
         print(f"  {key:>14}: {rec['requests_per_s']:8.1f} req/s  "
               f"mean batch {rec['mean_batch_size']:.1f}  "

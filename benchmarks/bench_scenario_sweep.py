@@ -5,11 +5,13 @@ Two measurements back the batching layer's claims:
 - ``measure_fork_cost`` — creating a scenario must cost O(changed
   elements): a copy-on-write ``net.fork(delta)`` against a deep
   ``net.copy()``, in both payload bytes and wall time, on IEEE-118.
-- ``measure_sweep_throughput`` — the IEEE-118 N-1 sweep on three drain
-  paths: the serial per-outage loop, the executor fan-out
-  (threads, plus processes on multi-core hosts), and the batched
-  compensation solve (``analyze_batch``, warm).  The batched path's gate
-  is ≥10× the serial loop.
+- ``measure_sweep_throughput`` — the IEEE-118 N-1 sweeps on the drains
+  :func:`~repro.contingency.run_parallel` picks from: the DC sweep of
+  every safe outage as the per-outage loop vs the batched compensation
+  solve (``analyze_batch``, cold and warm), and the AC sweep of the first
+  40 as the in-order loop vs ``processes:N``.  This is the repo's one
+  copy of the sweep comparison (``docs/architecture.md`` holds its
+  interleaved table).
 
 Run directly for a human-readable report::
 
@@ -19,7 +21,6 @@ Run directly for a human-readable report::
 from __future__ import annotations
 
 import dataclasses
-import os
 import time
 
 import numpy as np
@@ -27,6 +28,7 @@ import numpy as np
 from repro.contingency import ContingencyAnalyzer, enumerate_n1, run_parallel
 from repro.grid import NetworkDelta
 from repro.grid.cases import case118, synthetic_grid
+from repro.parallel import ProcessPoolBackend
 
 __all__ = ["measure_fork_cost", "measure_sweep_throughput"]
 
@@ -87,27 +89,23 @@ def measure_fork_cost(repeats: int = 5, loops: int = 2000) -> dict:
     }
 
 
-def measure_sweep_throughput(repeats: int = 5) -> dict:
-    """IEEE-118 N-1 sweep: serial loop vs executor fan-out vs one batched
-    solve.  The batched analyzer is warmed first (factorization + column
-    cache), matching steady-state sweep operation."""
+def measure_sweep_throughput(
+    repeats: int = 5, n_ac: int = 40, workers: int = 2
+) -> dict:
+    """IEEE-118 N-1 sweeps, best of ``repeats`` each: DC as the per-outage
+    loop vs one batched solve (cold: a fresh analyzer's first sweep, which
+    factors and fills the compensation columns; warm: the steady state),
+    AC over the first ``n_ac`` outages in order vs ``processes:workers``
+    (one warm pool, warmed by an untimed sweep)."""
     net = case118()
     cons, _ = enumerate_n1(net)
     analyzer = ContingencyAnalyzer(net, method="dc", rating_margin=1.3)
 
     t_serial = _best_of(lambda: [analyzer.analyze(c) for c in cons], repeats)
-
-    fanout: dict[str, float] = {}
-    specs = ["threads:4"]
-    if (os.cpu_count() or 1) >= 2:
-        specs.append("processes:4")
-    for spec in specs:
-        # one throwaway run so process pools measure warm workers
-        run_parallel(analyzer, cons, executor=spec)
-        fanout[spec] = _best_of(
-            lambda: run_parallel(analyzer, cons, executor=spec), repeats
-        )
-
+    t_cold = _best_of(
+        lambda: ContingencyAnalyzer(net, rating_margin=1.3).analyze_batch(cons),
+        repeats,
+    )
     analyzer.analyze_batch(cons)  # warm the compensation cache
     t_batch = _best_of(lambda: analyzer.analyze_batch(cons), repeats)
 
@@ -118,16 +116,33 @@ def measure_sweep_throughput(repeats: int = 5) -> dict:
         for a, b in zip(serial_ref, batch_ref)
     )
 
+    ac = ContingencyAnalyzer(net, method="ac", rating_margin=1.3)
+    ac_cons = cons[:n_ac]
+    t_ac_serial = _best_of(lambda: run_parallel(ac, ac_cons), repeats)
+    with ProcessPoolBackend(workers) as pool:
+        pooled = run_parallel(ac, ac_cons, executor=pool)
+        t_ac_pool = _best_of(
+            lambda: run_parallel(ac, ac_cons, executor=pool), repeats
+        )
+    ac_equal = [r.max_loading for r in pooled.results] == [
+        r.max_loading for r in run_parallel(ac, ac_cons).results
+    ]
+
     return {
         "case": "ieee118",
         "n_contingencies": len(cons),
         "serial_time_s": t_serial,
-        "fanout_time_s": fanout,
+        "batch_cold_time_s": t_cold,
         "batch_time_s": t_batch,
         "batch_speedup_vs_serial": t_serial / t_batch,
         "serial_cases_per_s": len(cons) / t_serial,
         "batch_cases_per_s": len(cons) / t_batch,
         "max_abs_dloading": max_dloading,
+        "n_ac": len(ac_cons),
+        "ac_serial_time_s": t_ac_serial,
+        "ac_pool_time_s": t_ac_pool,
+        "ac_pool_workers": workers,
+        "ac_pool_equal": ac_equal,
     }
 
 
@@ -140,13 +155,17 @@ def main() -> None:
               f"{rec['copy_time_us']:.1f} us ({rec['fork_speedup']:.1f}x)")
 
     sweep = measure_sweep_throughput()
-    print(f"N-1 sweep ({sweep['n_contingencies']} outages): "
+    print(f"DC N-1 sweep ({sweep['n_contingencies']} outages): "
           f"serial {sweep['serial_time_s'] * 1e3:.1f} ms, "
-          f"batched {sweep['batch_time_s'] * 1e3:.1f} ms "
+          f"batched {sweep['batch_time_s'] * 1e3:.1f} ms warm "
           f"({sweep['batch_speedup_vs_serial']:.1f}x), "
+          f"{sweep['batch_cold_time_s'] * 1e3:.1f} ms cold, "
           f"parity {sweep['max_abs_dloading']:.2e}")
-    for spec, t in sweep["fanout_time_s"].items():
-        print(f"  fan-out {spec:>12}: {t * 1e3:.1f} ms")
+    print(f"AC N-1 sweep ({sweep['n_ac']} outages): "
+          f"serial {sweep['ac_serial_time_s'] * 1e3:.1f} ms, "
+          f"processes:{sweep['ac_pool_workers']} "
+          f"{sweep['ac_pool_time_s'] * 1e3:.1f} ms "
+          f"(results equal: {sweep['ac_pool_equal']})")
 
 
 if __name__ == "__main__":

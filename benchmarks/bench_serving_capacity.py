@@ -68,7 +68,6 @@ def _replica(dec, ms):
     # executor keeps the per-replica thread budget at exactly one
     return ScenarioService(
         dec, ms, executor="serial", max_batch=16, flush_latency=2e-3,
-        batch_solve=True,
     )
 
 

@@ -9,8 +9,8 @@ The control-room load the paper motivates is not one estimate: it is a
 stream of estimation frames interleaved with contingency screenings, all
 against the same monitored system.  ``ScenarioService`` serves that stream:
 requests are coalesced into batches (bounded by ``max_batch`` and a flush
-latency); a batch's contingency cases fan out across one shared executor and
-its estimation frames are one batched WLS solve; results stream back in
+latency); a batch's contingency cases are one batched DC solve and its
+estimation frames one batched WLS solve; results stream back in
 completion order with per-request latency and the batch each rode in.
 """
 
@@ -40,7 +40,7 @@ def main(tiny: bool = False) -> None:
           f"serving with max_batch={max_batch}")
 
     with ScenarioService(
-        dec, mset, executor="threads:4", max_batch=max_batch,
+        dec, mset, executor="serial", max_batch=max_batch,
         flush_latency=2e-3,
     ) as svc:
         # a burst of contingency screenings...

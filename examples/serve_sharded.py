@@ -40,7 +40,6 @@ def main(tiny: bool = False) -> None:
     def replica():
         return ScenarioService(
             dec, mset, executor="serial", max_batch=8, flush_latency=2e-3,
-            batch_solve=True,
         )
 
     # per-region what-if scenarios: hashed by label, so each region's

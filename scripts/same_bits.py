@@ -25,6 +25,10 @@ rows are compared:
   ``ScenarioService(batch_solve=True)`` serving one fixed burst of six
   value frames, three what-ifs and four N-1 screenings, each replica's
   share one flush (hashing the states and the screenings' loadings);
+- the N-1 sweeps on IEEE-118: ``analyze_batch`` over every safe outage and
+  an AC ``run_parallel`` over the first 20 on ``executor="processes:2"``
+  (each case's converged flag, then every violation's ``(branch, flow,
+  rating)``, in the ``Vm`` slot; the max loadings in the ``Va`` slot);
 - a slow-tail frame: IEEE-14 at 300 σ noise with three 1 000 σ gross
   errors, whose Gauss-Newton tail contracts slowly and unevenly enough that
   a held factor meets a step that does not contract and is re-factored
@@ -79,7 +83,7 @@ def matrix() -> None:
 
     from repro import obs
     from repro.core import ArchitecturePrototype, DseSession, apply_branch_outage
-    from repro.contingency import enumerate_n1
+    from repro.contingency import ContingencyAnalyzer, enumerate_n1, run_parallel
     from repro.core.runtime import LiveDseRuntime
     from repro.dse import (
         DistributedStateEstimator,
@@ -251,6 +255,23 @@ def matrix() -> None:
     emit("served flush",
          [(r.Vm, r.Va) for r in estimates] + [(loadings, np.zeros(0))],
          sum(r.iterations for r in served))
+
+    # the N-1 sweeps: DC batched over every safe outage, AC on a pool
+    def sweep(name, results):
+        flags = np.array([r.converged for r in results], dtype=float)
+        loading = np.array([r.max_loading for r in results])
+        viol = np.array([
+            x for r in results for v in r.violations
+            for x in (v.branch, v.flow, v.rating)
+        ])
+        emit(name, [(flags, loading), (viol, np.zeros(0))],
+             sum(r.iterations for r in results))
+
+    sweep("n-1 dc batch", ContingencyAnalyzer(net).analyze_batch(safe))
+    sweep("n-1 ac pool", run_parallel(
+        ContingencyAnalyzer(net, method="ac"), safe[:20],
+        executor="processes:2",
+    ).results)
 
     net14 = case14()
     ms14 = generate_measurements(

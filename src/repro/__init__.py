@@ -30,9 +30,10 @@ middleware
     in-process) with one duplex link per estimator, the framed wire
     formats, and the fabric whose send / recv are the client API.
 parallel
-    Pluggable executors (serial / thread pool / process pool) for the
-    parallel contingency analyzer and the scenario service's contingency
-    batches; a DSE stage is one stacked solve and uses none.
+    Pluggable executors (serial / process pool) for AC contingency
+    sweeps and the scenario service's AC contingency batches; a DC sweep
+    is one batched solve and a DSE stage one stacked solve, neither uses
+    one.
 core
     The paper's contribution: graph-weight estimation, the mapping method
     that places subsystems onto clusters for DSE Step 1 / Step 2, and the

@@ -26,7 +26,12 @@ from ..grid.powerflow import (
     run_ac_power_flow,
     run_dc_power_flow,
 )
-from .screening import Contingency, apply_outage, outage_delta
+from .screening import (
+    Contingency,
+    apply_outage,
+    islanding_branches,
+    outage_delta,
+)
 
 __all__ = ["Violation", "ContingencyResult", "ContingencyAnalyzer"]
 
@@ -75,6 +80,11 @@ class ContingencyAnalyzer:
         Ratings default to ``max(rating_floor, margin * |base flow|)``.
     method:
         ``"dc"`` (fast screening) or ``"ac"`` (full Newton re-solve).
+
+    An outage that islands the network (:func:`islanding_branches`,
+    decided once from the topology) comes back ``converged=False`` on
+    every path, without a solve: neither the DC reduced system nor its
+    compensation detects a split reliably in floating point.
     """
 
     def __init__(
@@ -97,6 +107,7 @@ class ContingencyAnalyzer:
         self.ratings = np.asarray(ratings, dtype=float)
         if len(self.ratings) != net.n_branch:
             raise ValueError("ratings length mismatch")
+        self._islanding = islanding_branches(net)
 
     # ------------------------------------------------------------------
     def _screen(
@@ -126,6 +137,8 @@ class ContingencyAnalyzer:
 
     def analyze(self, contingency: Contingency) -> ContingencyResult:
         """Re-solve with the branch out and screen for overloads."""
+        if contingency.branch in self._islanding:
+            return ContingencyResult(contingency=contingency, converged=False)
         outaged = apply_outage(self.net, contingency)
         try:
             if self.method == "dc":
@@ -147,58 +160,49 @@ class ContingencyAnalyzer:
         susceptance matrix is factored once (and reused across calls on
         this analyzer) and every outage is a rank-1 compensation against
         that factorization — one batched solve instead of N matrix
-        rebuilds.  Results match :meth:`analyze` per contingency to
-        floating-point round-off; a flow sitting *exactly* on its rating
-        can therefore flip in or out of the violation list (the screening
-        comparison is strict).  Outages the compensation flags as singular
-        (islanding) come back ``converged=False``.  ``"ac"`` has no
-        batched kernel and falls back to the per-contingency loop.
+        rebuilds.  This is the one DC sweep
+        (:func:`~repro.contingency.parallel.run_parallel` and
+        :meth:`analyze_all` drain through it): it matches :meth:`analyze`
+        per contingency to floating-point round-off, so a flow sitting
+        *exactly* on its rating can flip in or out of the violation list
+        (the screening comparison is strict).  Islanding outages, and any
+        the compensation flags as singular, come back ``converged=False``.
+        ``"ac"`` has no batched kernel and runs the per-contingency loop.
         """
         if self.method != "dc":
             return [self.analyze(c) for c in contingencies]
         solver = getattr(self, "_dc_solver", None)
         if solver is None:
             solver = self._dc_solver = DcCompensationSolver(self.net)
-        deltas = [outage_delta(c) for c in contingencies]
-        flows = solver.solve(deltas)
-        out: list[ContingencyResult] = []
-        for c, d, pf in zip(contingencies, deltas, flows):
-            if not pf.converged:
-                out.append(ContingencyResult(contingency=c, converged=False))
-                continue
-            live = np.flatnonzero(d.branch_status_of(self.net) > 0)
-            out.append(self._screen(c, pf, live))
-        return out
+        keep = [
+            i for i, c in enumerate(contingencies)
+            if c.branch not in self._islanding
+        ]
+        deltas = [outage_delta(contingencies[i]) for i in keep]
+        out: list[ContingencyResult | None] = [None] * len(contingencies)
+        for i, d, pf in zip(keep, deltas, solver.solve(deltas)):
+            if pf.converged:
+                live = np.flatnonzero(d.branch_status_of(self.net) > 0)
+                out[i] = self._screen(contingencies[i], pf, live)
+        return [
+            r if r is not None
+            else ContingencyResult(contingency=c, converged=False)
+            for r, c in zip(out, contingencies)
+        ]
 
     def analyze_all(
-        self,
-        contingencies: list[Contingency],
-        *,
-        executor=None,
-        batch: bool = False,
+        self, contingencies: list[Contingency], *, executor=None
     ) -> list[ContingencyResult]:
-        """Analyse a contingency list through the shared fan-out path.
-
-        ``executor`` takes any :func:`repro.parallel.make_executor` spec
-        (``None``/``"serial"``, ``"threads[:N]"``, ``"processes[:N]"``, an
-        int worker count, or an executor instance); the default runs
-        serially.  Serial and parallel execution share one code path
-        (:func:`repro.contingency.parallel.run_parallel`), so results are
-        identical across backends.  ``batch=True`` drains the whole list
-        through :meth:`analyze_batch` (one batched solve, no executor
-        fan-out).
+        """Analyse a contingency list through
+        :func:`repro.contingency.parallel.run_parallel`: one
+        :meth:`analyze_batch` solve for ``"dc"``; for ``"ac"`` an in-order
+        loop, or one task per case when ``executor`` is (or names) a
+        :class:`~repro.parallel.ProcessPoolBackend` — same results either
+        way.
         """
-        from ..parallel import make_executor
         from .parallel import run_parallel
 
-        report = run_parallel(
-            self,
-            contingencies,
-            executor=make_executor(executor) if not batch else None,
-            scheme="dynamic",
-            batch=batch,
-        )
-        return report.results
+        return run_parallel(self, contingencies, executor=executor).results
 
     # ------------------------------------------------------------------
     @classmethod

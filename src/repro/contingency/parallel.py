@@ -7,19 +7,18 @@ contingencies to each processor (static), every processor atomically
 increments a shared counter to grab the next case when it becomes free, so
 variable per-case solve times cannot starve or overload anyone.
 
-Both schemes are provided on two fabrics:
-
-- any executor backend (:func:`run_parallel`; threads by default), the
-  pool's shared work queue as the counter;
-- the simulated testbed (:func:`simulate_parallel_analysis`), where per-case
-  durations are replayed on cluster cores in virtual time, letting the
-  static/dynamic makespan gap be measured deterministically.
+Both schemes live on the simulated testbed
+(:func:`simulate_parallel_analysis`), where per-case durations are
+replayed on cluster cores in virtual time, letting the static/dynamic
+makespan gap be measured deterministically.  A real sweep
+(:func:`run_parallel`) has one drain per method: a DC sweep is one batched
+compensation solve, an AC sweep runs in order or on a process pool's
+shared work queue (the dynamic scheme, the queue as the counter).
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 import time
 from dataclasses import dataclass
 
@@ -27,13 +26,7 @@ import numpy as np
 
 from ..cluster.simevent import SimEngine, Timeout
 from ..cluster.topology import ClusterTopology
-from ..parallel import (
-    SubsystemExecutor,
-    ThreadPoolBackend,
-    chunked,
-    make_executor,
-    worker_context,
-)
+from ..parallel import SubsystemExecutor, make_executor, worker_context
 from .analysis import ContingencyAnalyzer, ContingencyResult
 from .screening import Contingency
 
@@ -77,22 +70,11 @@ def _analyzer_state(payload):
 
 
 def _analyze_task(args):
-    key, i, contingency = args
+    key, contingency = args
     analyzer = worker_context(key)
     t0 = time.perf_counter()
     res = analyzer.analyze(contingency)
-    return i, res, time.perf_counter() - t0
-
-
-def _analyze_chunk_task(args):
-    key, jobs = args
-    analyzer = worker_context(key)
-    out = []
-    for i, contingency in jobs:
-        t0 = time.perf_counter()
-        res = analyzer.analyze(contingency)
-        out.append((i, res, time.perf_counter() - t0))
-    return out
+    return res, time.perf_counter() - t0
 
 
 def _analyzer_token(analyzer: ContingencyAnalyzer) -> str:
@@ -108,142 +90,66 @@ def run_parallel(
     analyzer: ContingencyAnalyzer,
     contingencies: list[Contingency],
     *,
-    executor: "SubsystemExecutor | str | int | None" = None,
-    n_workers: int = 4,
-    scheme: str = "dynamic",
-    batch: bool = False,
+    executor: "SubsystemExecutor | str | None" = None,
 ) -> ParallelAnalysisReport:
-    """Analyse contingencies through any executor backend.
+    """Analyse contingencies; the analyzer's method chooses the drain.
 
-    ``scheme="static"`` pre-splits the list into equal round-robin chunks,
-    one per worker; ``scheme="dynamic"`` submits every case individually to
-    the pool's shared work queue (the counter-based scheme: a free worker
-    grabs the next case).  ``executor`` accepts any
-    :func:`repro.parallel.make_executor` spec or an existing executor (to
-    share a pool with the DSE session or the scenario service); when
-    omitted, a :class:`ThreadPoolBackend` with ``n_workers`` threads is
-    created for the call.  With a
-    :class:`~repro.parallel.ProcessPoolBackend`, the analyzer ships to each
+    A DC sweep is always one :meth:`ContingencyAnalyzer.analyze_batch`
+    call (one compensation solve on the calling thread, ``scheme="batch"``,
+    one synthetic worker), whatever ``executor`` says.  An AC sweep runs
+    in order on the calling thread (``scheme="serial"``), or — given a
+    :class:`~repro.parallel.ProcessPoolBackend` — one task per case on the
+    pool's shared work queue (``scheme="dynamic"``, the counter-based
+    scheme: a free worker grabs the next case).  The analyzer ships to each
     worker once (pool initializer) and every task carries only the
     contingency record, so the workers stay warm across sweeps.
 
-    ``batch=True`` skips the executor fan-out entirely and drains the list
-    through :meth:`ContingencyAnalyzer.analyze_batch` — one batched
-    (compensation-based) solve on the calling thread.  The report then
-    carries ``scheme="batch"`` with a single synthetic worker.
+    ``executor`` accepts any :func:`repro.parallel.make_executor` spec or an
+    existing executor (to share a pool with the scenario service); a pool
+    created from a spec is shut down before the call returns.
     """
-    if batch:
-        t0 = time.perf_counter()
-        results_b = analyzer.analyze_batch(contingencies)
-        makespan = time.perf_counter() - t0
-        return ParallelAnalysisReport(
-            results=results_b,
-            per_worker_cases=[len(results_b)],
-            per_worker_busy=[makespan],
-            makespan=makespan,
-            scheme="batch",
-        )
-    if scheme not in ("static", "dynamic"):
-        raise ValueError("scheme must be 'static' or 'dynamic'")
-    own_pool = executor is None or isinstance(executor, (str, int))
-    if executor is None:
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        executor = ThreadPoolBackend(n_workers)
-    else:
-        executor = make_executor(executor)
-        n_workers = executor.n_workers
-
-    n = len(contingencies)
-    results: list[ContingencyResult | None] = [None] * n
-
+    own_pool = not isinstance(executor, SubsystemExecutor)
+    executor = make_executor(executor)
     t0 = time.perf_counter()
     try:
-        if getattr(executor, "distributed", False):
-            cases, busy = _run_process_pool(
-                analyzer, contingencies, executor, scheme, results
+        if analyzer.method == "ac" and executor.distributed:
+            results, cases, busy = _run_process_pool(
+                analyzer, contingencies, executor
             )
+            scheme = "dynamic"
         else:
-            cases, busy = _run_shared_memory(
-                analyzer, contingencies, executor, scheme, results
-            )
+            results = analyzer.analyze_batch(contingencies)
+            scheme = "batch" if analyzer.method == "dc" else "serial"
+            cases, busy = [len(results)], None
     finally:
         if own_pool:
             executor.shutdown()
     makespan = time.perf_counter() - t0
-
     return ParallelAnalysisReport(
-        results=[r for r in results if r is not None],
+        results=results,
         per_worker_cases=cases,
-        per_worker_busy=busy,
+        per_worker_busy=busy or [makespan],
         makespan=makespan,
         scheme=scheme,
     )
 
 
-def _run_shared_memory(analyzer, contingencies, executor, scheme, results):
-    """Thread/serial fabric: closures write results in place; the pool's
-    shared queue provides the counter-based dynamic balancing."""
-    n = len(contingencies)
-    n_workers = executor.n_workers
-    cases = [0] * n_workers
-    busy = [0.0] * n_workers
-    lock = threading.Lock()
-
-    def run_case(i: int) -> None:
-        w = executor.worker_index()
-        t0 = time.perf_counter()
-        results[i] = analyzer.analyze(contingencies[i])
-        dt = time.perf_counter() - t0
-        with lock:
-            busy[w] += dt
-            cases[w] += 1
-
-    def run_chunk(job: tuple[int, list[int]]) -> None:
-        w, idxs = job
-        for i in idxs:
-            t0 = time.perf_counter()
-            results[i] = analyzer.analyze(contingencies[i])
-            dt = time.perf_counter() - t0
-            with lock:
-                busy[w] += dt
-                cases[w] += 1
-
-    if scheme == "dynamic":
-        executor.map(run_case, range(n))
-    else:
-        executor.map(run_chunk, list(enumerate(chunked(range(n), n_workers))))
-    return cases, busy
-
-
-def _run_process_pool(analyzer, contingencies, executor, scheme, results):
+def _run_process_pool(analyzer, contingencies, executor):
     """Process fabric: warm analyzer per worker, compact per-case payloads,
     pid-densified per-worker accounting."""
-    n = len(contingencies)
     n_workers = executor.n_workers
     cases = [0] * n_workers
     busy = [0.0] * n_workers
     key = _analyzer_token(analyzer)
     executor.initialize(key, _analyzer_state, analyzer)
-
-    if scheme == "dynamic":
-        items = [(key, i, c) for i, c in enumerate(contingencies)]
-        outs, pids = executor.map_with_pids(_analyze_task, items)
-        flat = [(out, pid) for out, pid in zip(outs, pids)]
-    else:
-        jobs = chunked(list(enumerate(contingencies)), n_workers)
-        outs, pids = executor.map_with_pids(
-            _analyze_chunk_task, [(key, chunk) for chunk in jobs]
-        )
-        flat = [(rec, pid) for out, pid in zip(outs, pids) for rec in out]
-
+    items = [(key, c) for c in contingencies]
+    outs, pids = executor.map_with_pids(_analyze_task, items)
     widx: dict[int, int] = {}
-    for (i, res, dt), pid in flat:
+    for (_, dt), pid in zip(outs, pids):
         w = widx.setdefault(pid, len(widx) % n_workers)
-        results[i] = res
         busy[w] += dt
         cases[w] += 1
-    return cases, busy
+    return [res for res, _ in outs], cases, busy
 
 
 def simulate_parallel_analysis(

@@ -8,6 +8,7 @@ network (they need special handling, reported separately).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,13 @@ import numpy as np
 from ..grid.delta import NetworkDelta
 from ..grid.network import Network
 
-__all__ = ["Contingency", "enumerate_n1", "apply_outage", "outage_delta"]
+__all__ = [
+    "Contingency",
+    "enumerate_n1",
+    "islanding_branches",
+    "apply_outage",
+    "outage_delta",
+]
 
 
 @dataclass(frozen=True)
@@ -30,39 +37,38 @@ class Contingency:
             raise ValueError("branch index must be non-negative")
 
 
+def islanding_branches(net: Network) -> frozenset[int]:
+    """Live branches whose outage disconnects the network: bridges of the
+    bus-pair graph with no parallel circuit in service (the twin of a
+    parallel pair keeps the buses connected)."""
+    live = net.live_branches().tolist()
+    pairs = [
+        (min(a, b), max(a, b))
+        for a, b in zip(net.f[live].tolist(), net.t[live].tolist())
+    ]
+    circuits = Counter(pairs)
+    bridges = _bridges(net.n_bus, net.adjacency_pairs())
+    return frozenset(
+        k for k, pair in zip(live, pairs)
+        if circuits[pair] == 1 and pair in bridges
+    )
+
+
 def enumerate_n1(net: Network) -> tuple[list[Contingency], list[Contingency]]:
     """All single-branch outages, split into (safe, islanding).
 
     A "safe" outage leaves the network connected; an "islanding" outage
-    disconnects it (radial branches).  Parallel circuits are safe by
-    construction since the twin stays in service.
+    disconnects it (see :func:`islanding_branches`).
     """
-    live = net.live_branches()
-    pairs = net.adjacency_pairs()
-    all_buses = np.arange(net.n_bus)
-
-    # Count live branches per unordered pair to spot parallel circuits.
-    key = {}
-    for k in live:
-        a, b = int(net.f[k]), int(net.t[k])
-        key[(min(a, b), max(a, b))] = key.get((min(a, b), max(a, b)), 0) + 1
-
-    # Bridges of the pair graph: removal disconnects.
-    bridges = _bridges(net.n_bus, pairs)
-
+    islands = islanding_branches(net)
     safe: list[Contingency] = []
     islanding: list[Contingency] = []
-    for k in live:
-        a, b = int(net.f[k]), int(net.t[k])
-        pair = (min(a, b), max(a, b))
+    for k in net.live_branches().tolist():
         c = Contingency(
-            branch=int(k),
-            label=f"{net.bus_ids[a]}-{net.bus_ids[b]}",
+            branch=k,
+            label=f"{net.bus_ids[net.f[k]]}-{net.bus_ids[net.t[k]]}",
         )
-        if key[pair] > 1 or pair not in bridges:
-            safe.append(c)
-        else:
-            islanding.append(c)
+        (islanding if k in islands else safe).append(c)
     return safe, islanding
 
 

@@ -203,7 +203,9 @@ def run_dc_power_flow(net: Network) -> PowerFlowResult:
 
     Voltage magnitudes are fixed at 1 p.u.; angles come from the reduced
     susceptance system with the (first) slack bus as reference.  Branch
-    reactive flows are zero by construction.
+    reactive flows are zero by construction.  Raises
+    :class:`PowerFlowError` when the reduced system is singular (an
+    islanded network), which ``spsolve`` reports only as non-finite angles.
     """
     n = net.n_bus
     live = net.live_branches()
@@ -227,6 +229,8 @@ def run_dc_power_flow(net: Network) -> PowerFlowResult:
     np.add.at(pshift, t, shift_amt)
     rhs = (Pspec + pshift)[keep]
     theta[keep] = spla.spsolve(bmat[np.ix_(keep, keep)], rhs)
+    if not np.isfinite(theta).all():
+        raise PowerFlowError("DC power flow: singular susceptance matrix")
 
     pf = bsus * (theta[f] - theta[t] - net.shift[live])
     Pf = np.zeros(net.n_branch)

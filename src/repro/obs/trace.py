@@ -17,10 +17,8 @@ Propagation model:
 
 - **same thread** — a ``contextvars.ContextVar`` holds the active span's
   context; ``start_span`` parents to it by default.
-- **thread pools** — :meth:`repro.parallel.ThreadPoolBackend.map` captures
-  the submitter's context and re-activates it around each task
-  (:func:`use_context`), so spans opened inside tasks join the caller's
-  trace without explicit plumbing.
+- **another thread** — capture :func:`current_context` and pass it as
+  the parent, or re-activate it there with :func:`use_context`.
 - **the wire** — the packed context rides a mux-frame payload prefix
   (``FLAG_TRACED``); the router hop and the receiving site join the
   sender's trace (see :mod:`repro.middleware.message`).

@@ -1,18 +1,13 @@
 """Pluggable executors for fanning independent work out.
 
 :class:`SubsystemExecutor` abstracts *how* a batch of independent tasks is
-executed so that the parallel contingency analyzer and the
-scenario-serving engine (which drains contingency batches through it)
-share one mechanism.  DSE stages do not fan out through an executor: each
-is one stacked solve over every subsystem
-(:func:`repro.dse.stepper.solve_stage`).
+executed.  Its one fan-out is the AC contingency sweep
+(:func:`repro.contingency.parallel.run_parallel`, which the
+scenario-serving engine drains its contingency cases through).  A DC sweep
+is one batched compensation solve and a DSE stage one stacked solve over
+every subsystem (:func:`repro.dse.stepper.solve_stage`); neither fans out.
 
 - :class:`SerialExecutor` — plain in-order loop (the reference semantics);
-- :class:`ThreadPoolBackend` — ``concurrent.futures`` thread pool with a
-  shared work queue (counter-based dynamic balancing: a free worker grabs
-  the next task, mirroring Chen et al.'s scheme used by
-  :mod:`repro.contingency.parallel`).  Good when the tasks spend their time
-  in GIL-releasing scipy kernels; python-heavy tasks serialize.
 - :class:`ProcessPoolBackend` — persistent worker *processes*.  Workers run
   a one-time initializer that builds heavy state (case network, Jacobian
   structures, factorization orderings, estimator caches) **inside** the
@@ -35,40 +30,33 @@ values.  Worker-resident state is installed with
 
 from __future__ import annotations
 
-import itertools
 import os
 import pickle
 import threading
 import time
 import traceback
 from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from . import faults, obs
-from .obs import use_context
 
 __all__ = [
     "SubsystemExecutor",
     "SerialExecutor",
-    "ThreadPoolBackend",
     "ProcessPoolBackend",
     "WorkerError",
     "WorkerCrash",
     "worker_context",
     "make_executor",
-    "chunked",
 ]
 
 #: Executor spec strings accepted by :func:`make_executor`.
 EXECUTOR_SPECS = (
     "None/'serial'",
-    "'threads'",
-    "'threads:N'",
     "'processes'",
     "'processes:N'",
-    "an int worker count (thread pool)",
     "a SubsystemExecutor instance",
 )
 
@@ -107,14 +95,6 @@ class SubsystemExecutor(ABC):
         not silently truncated).
         """
 
-    def worker_index(self) -> int:
-        """Index of the worker running the current task (0-based).
-
-        Valid only inside a task submitted through :meth:`map`; serial
-        execution always reports worker 0.
-        """
-        return 0
-
     def shutdown(self) -> None:
         """Release worker resources (idempotent)."""
 
@@ -136,81 +116,6 @@ class SerialExecutor(SubsystemExecutor):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "SerialExecutor()"
-
-
-class ThreadPoolBackend(SubsystemExecutor):
-    """``concurrent.futures`` thread pool with worker identification.
-
-    The pool's single shared queue gives counter-based dynamic load
-    balancing: whichever worker finishes first picks up the next task.
-    ``worker_index`` is assigned on first task execution per thread, so
-    per-worker accounting (busy time, case counts) works from inside tasks.
-
-    The pool itself is created lazily on the first :meth:`map` call, so
-    constructing an executor that is never used costs nothing; a backend
-    used again after :meth:`shutdown` transparently re-creates its pool.
-    """
-
-    def __init__(self, n_workers: int | None = None):
-        if n_workers is None:
-            n_workers = min(8, os.cpu_count() or 1)
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        self.n_workers = int(n_workers)
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
-        self._counter = itertools.count()
-        self._local = threading.local()
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.n_workers, thread_name_prefix="subsys"
-                )
-                self._counter = itertools.count()
-                self._local = threading.local()
-            return self._pool
-
-    def _bind_worker(self) -> int:
-        idx = getattr(self._local, "index", None)
-        if idx is None:
-            idx = next(self._counter)
-            self._local.index = idx
-        return idx
-
-    def worker_index(self) -> int:
-        return self._bind_worker()
-
-    def map(self, fn: Callable, items: Iterable) -> list:
-        # Trace-context propagation: capture the submitting thread's active
-        # span context and re-activate it around every task, so spans
-        # opened inside tasks join the caller's trace even though pool
-        # threads have their own (empty) contextvar state.
-        ctx = obs.current_context()
-
-        def wrapped(item):
-            self._bind_worker()
-            if ctx is None:
-                return fn(item)
-            with use_context(ctx):
-                return fn(item)
-
-        results = list(self._ensure_pool().map(wrapped, items))
-        if obs.enabled():
-            obs.metrics().counter(
-                "executor.tasks_total", backend="threads"
-            ).inc(len(results))
-        return results
-
-    def shutdown(self) -> None:
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ThreadPoolBackend(n_workers={self.n_workers})"
 
 
 # ---------------------------------------------------------------------------
@@ -524,49 +429,28 @@ class ProcessPoolBackend(SubsystemExecutor):
         )
 
 
-def make_executor(
-    spec: "SubsystemExecutor | str | int | None",
-) -> SubsystemExecutor:
+def make_executor(spec: "SubsystemExecutor | str | None") -> SubsystemExecutor:
     """Resolve an executor spec.
 
     Accepted specs:
 
     - ``None`` / ``"serial"`` — :class:`SerialExecutor`;
-    - ``"threads"`` / ``"threads:N"`` — :class:`ThreadPoolBackend` with the
-      default / ``N`` workers;
     - ``"processes"`` / ``"processes:N"`` — :class:`ProcessPoolBackend`
       with the default / ``N`` worker processes;
-    - an ``int`` — a thread pool with that many workers;
     - an existing :class:`SubsystemExecutor` instance — passed through.
     """
     if spec is None or spec == "serial":
         return SerialExecutor()
-    if isinstance(spec, str):
-        name, _, count = spec.partition(":")
-        n_workers: int | None = None
-        if count:
-            try:
-                n_workers = int(count)
-            except ValueError:
-                n_workers = -1  # rejected below with the full spec list
-        if n_workers is None or n_workers >= 1:
-            if name == "threads":
-                return ThreadPoolBackend(n_workers)
-            if name == "processes":
-                return ProcessPoolBackend(n_workers)
-    if isinstance(spec, int) and not isinstance(spec, bool):
-        return ThreadPoolBackend(spec)
     if isinstance(spec, SubsystemExecutor):
         return spec
+    if isinstance(spec, str):
+        name, sep, count = spec.partition(":")
+        if name == "processes":
+            if not sep:
+                return ProcessPoolBackend()
+            if count.isdigit() and int(count) >= 1:
+                return ProcessPoolBackend(int(count))
     raise ValueError(
         f"unrecognised executor spec {spec!r}; accepted specs: "
         + ", ".join(EXECUTOR_SPECS)
     )
-
-
-def chunked(items: Sequence, n_chunks: int) -> list[list]:
-    """Round-robin split of ``items`` into ``n_chunks`` lists (static
-    pre-assignment; chunk ``w`` holds items ``w, w+n, w+2n, ...``)."""
-    if n_chunks < 1:
-        raise ValueError("n_chunks must be >= 1")
-    return [list(items[w::n_chunks]) for w in range(n_chunks)]

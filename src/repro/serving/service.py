@@ -18,11 +18,12 @@ frame's value is the central WLS
 its flush (then within an ulp) — so the placement needs nothing beyond
 central observability (no PMU anchor per subsystem).
 
-Contingency cases go through
-:func:`repro.contingency.parallel.run_parallel`: fanned out across the
-service's executor, or — ``batch_solve=True`` — drained through
+A flush's contingency cases go through
+:func:`repro.contingency.parallel.run_parallel`, where the analyzer's
+method picks the drain: one compensation-based
 :meth:`~repro.contingency.analysis.ContingencyAnalyzer.analyze_batch`
-(one compensation-based DC solve for the whole list).
+solve for DC, and for AC one task per case on the service's executor when
+it is a process pool (an in-order loop otherwise).
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ class ScenarioService:
         and the template measurement snapshot (fixes the placement;
         estimation requests carry values-only ``z`` frames over it).
     executor:
-        How contingency cases fan out when ``batch_solve`` is off: any
+        Where an AC analyzer's cases fan out (a DC flush is one batched
+        solve and never touches it): any
         :func:`repro.parallel.make_executor` spec; spec-created executors
         are owned (and shut down) by the service, instances are shared
         with the caller.
@@ -85,9 +87,8 @@ class ScenarioService:
         a partial one (the latency the first request in a batch is willing
         to trade for throughput).
     batch_solve:
-        Drain a flush's contingency cases through one
-        ``analyzer.analyze_batch`` call instead of fanning them out on
-        ``executor``.  Estimation frames always drain batched.
+        Accepted and ignored: the analyzer's method picks the contingency
+        drain, and estimation frames always drain batched.
     request_timeout:
         Per-request deadline in seconds, measured from ``submit``.  A
         request still queued when its deadline passes is shed at dispatch
@@ -106,7 +107,7 @@ class ScenarioService:
         dec: Decomposition,
         mset: MeasurementSet,
         *,
-        executor: "SubsystemExecutor | str | int | None" = None,
+        executor: "SubsystemExecutor | str | None" = None,
         analyzer: ContingencyAnalyzer | None = None,
         max_batch: int = 32,
         flush_latency: float = 2e-3,
@@ -128,7 +129,6 @@ class ScenarioService:
         self.flush_latency = float(flush_latency)
         self.request_timeout = request_timeout
         self.max_queue = max_queue
-        self.batch_solve = bool(batch_solve)
         self._net = dec.net
         self._mset = mset
         self._estimator = None  # built on the first flush with a frame
@@ -297,8 +297,6 @@ class ScenarioService:
                         self.analyzer,
                         [it[0].contingency for it in cons],
                         executor=self.executor,
-                        scheme="dynamic",
-                        batch=self.batch_solve,
                     )
                     for it, res in zip(cons, report.results):
                         self._resolve(it, res, size)

@@ -2,9 +2,8 @@
 
 Example::
 
-    python -m repro.tools.contingency --case case118 --margin 1.5 --workers 4
-    python -m repro.tools.contingency --case case118 --executor processes:4
-    python -m repro.tools.contingency --case case118 --batch
+    python -m repro.tools.contingency --case case118 --margin 1.5
+    python -m repro.tools.contingency --case case118 --method ac --executor processes:2
 """
 
 from __future__ import annotations
@@ -32,14 +31,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--margin", type=float, default=1.5,
                    help="rating margin over base-case flows")
     p.add_argument("--method", default="dc", choices=["dc", "ac"])
-    p.add_argument("--workers", type=int, default=4)
     p.add_argument("--executor", default=None,
-                   help="executor spec (serial | threads[:N] | processes[:N]); "
-                        "overrides --workers with its own pool")
-    p.add_argument("--scheme", default="dynamic", choices=["static", "dynamic"])
-    p.add_argument("--batch", action="store_true",
-                   help="drain the list through one batched (compensation) "
-                        "solve instead of the executor fan-out (dc only)")
+                   help="executor spec (serial | processes[:N]); an ac sweep "
+                        "fans out on a process pool, a dc sweep is one "
+                        "batched solve whatever this says")
     p.add_argument("--top", type=int, default=5, help="worst cases to print")
     p.add_argument("--seed", type=int, default=0)
     return p
@@ -62,21 +57,11 @@ def main(argv: list[str] | None = None) -> int:
     analyzer = ContingencyAnalyzer.from_estimate(
         net, estimate, method=args.method, rating_margin=args.margin
     )
-    report = run_parallel(
-        analyzer,
-        safe,
-        executor=args.executor,
-        n_workers=args.workers,
-        scheme=args.scheme,
-        batch=args.batch,
-    )
-    if args.batch:
-        backend = "one batched solve"
-    else:
-        backend = args.executor or f"{args.workers} threads"
+    report = run_parallel(analyzer, safe, executor=args.executor)
     insecure = [r for r in report.results if not r.secure]
-    print(f"screened in {report.makespan * 1e3:.1f} ms on {backend} "
-          f"({report.scheme}); insecure: {len(insecure)}/{len(safe)}")
+    print(f"screened in {report.makespan * 1e3:.1f} ms "
+          f"({report.scheme}, {len(report.per_worker_cases)} worker(s)); "
+          f"insecure: {len(insecure)}/{len(safe)}")
 
     worst = sorted(report.results, key=lambda r: -r.max_loading)[: args.top]
     print(f"\nworst {len(worst)} cases:")

@@ -408,22 +408,28 @@ class TestContingencyBatch:
             _violations_match(g, e, analyzer.ratings)
 
     def test_run_parallel_batch_scheme(self, net14):
+        """A DC sweep drains through the batched solve with no knob."""
         analyzer = ContingencyAnalyzer(net14, method="dc")
         cons, _ = enumerate_n1(net14)
-        report = run_parallel(analyzer, cons, batch=True)
+        report = run_parallel(analyzer, cons)
         assert report.scheme == "batch"
         assert report.per_worker_cases == [len(cons)]
         assert len(report.results) == len(cons)
-        ref = analyzer.analyze_all(cons)
+        ref = [analyzer.analyze(c) for c in cons]
         for g, e in zip(report.results, ref):
             assert g.contingency == e.contingency
             assert abs(g.max_loading - e.max_loading) < 1e-9
 
     def test_analyze_all_batch_flag(self, net14):
+        """``analyze_all`` needs no ``batch=`` flag: a DC list is the
+        batched solve, bit for bit."""
         analyzer = ContingencyAnalyzer(net14, method="dc")
         cons, _ = enumerate_n1(net14)
-        got = analyzer.analyze_all(cons, batch=True)
-        assert len(got) == len(cons)
+        got = analyzer.analyze_all(cons)
+        ref = analyzer.analyze_batch(cons)
+        assert [(g.contingency, g.converged, g.max_loading) for g in got] == [
+            (e.contingency, e.converged, e.max_loading) for e in ref
+        ]
 
     def test_ac_method_falls_back(self, net14):
         analyzer = ContingencyAnalyzer(net14, method="ac")

@@ -12,9 +12,12 @@ from repro.contingency import (
     run_parallel,
     simulate_parallel_analysis,
 )
+from repro.contingency.screening import islanding_branches
 from repro.estimation import estimate_state
 from repro.grid import find_islands, run_ac_power_flow
+from repro.grid.powerflow import PowerFlowError, run_dc_power_flow
 from repro.measurements import full_placement, generate_measurements
+from repro.parallel import ProcessPoolBackend
 
 
 class TestEnumeration:
@@ -120,29 +123,99 @@ class TestAnalyzer:
         assert r.max_loading >= base_max - 1e-9
 
 
-class TestParallelThreads:
+def _fields(results):
+    """Every result field a sweep reports, as exact-comparable tuples."""
+    return [
+        (r.contingency, r.converged, r.max_loading, r.iterations,
+         [(v.branch, v.flow, v.rating) for v in r.violations])
+        for r in results
+    ]
+
+
+class TestRunParallel:
     @pytest.fixture(scope="class")
     def setup(self, net118):
         an = ContingencyAnalyzer(net118, method="dc", rating_margin=1.3)
         safe, _ = enumerate_n1(net118)
-        return an, safe[:24]
+        return an, safe
 
-    @pytest.mark.parametrize("scheme", ["static", "dynamic"])
-    def test_matches_serial(self, setup, scheme):
+    @pytest.mark.parametrize(
+        "executor", [None, "serial", "processes:2", "pool"]
+    )
+    def test_dc_sweep_is_one_batched_solve(self, setup, executor, monkeypatch):
+        """A DC sweep never reaches a process pool, whatever executor is
+        passed, and is field-for-field the batched solve."""
         an, cons = setup
-        serial = an.analyze_all(cons)
-        rep = run_parallel(an, cons, n_workers=4, scheme=scheme)
-        assert len(rep.results) == len(serial)
-        assert sum(rep.per_worker_cases) == len(cons)
-        # same security verdicts regardless of execution order
-        assert ([r.secure for r in rep.results] == [r.secure for r in serial])
 
-    def test_scheme_validated(self, setup):
+        def refuse(self, fn, items):
+            raise AssertionError("a DC sweep submitted to the pool")
+
+        monkeypatch.setattr(ProcessPoolBackend, "map_with_pids", refuse)
+        ref = an.analyze_batch(cons)
+        with ProcessPoolBackend(2) as pool:
+            spec = pool if executor == "pool" else executor
+            rep = run_parallel(an, cons, executor=spec)
+            got = an.analyze_all(cons, executor=spec)
+        assert rep.scheme == "batch"
+        assert rep.per_worker_cases == [len(cons)]
+        assert _fields(rep.results) == _fields(ref)
+        assert _fields(got) == _fields(ref)
+        for field in ("converged", "max_loading"):
+            assert np.array_equal(
+                [getattr(r, field) for r in rep.results],
+                [getattr(r, field) for r in ref],
+            )
+
+    def test_ac_sweep_is_an_in_order_loop(self, net14):
+        an = ContingencyAnalyzer(net14, method="ac", rating_margin=1.3)
+        cons, _ = enumerate_n1(net14)
+        rep = run_parallel(an, cons[:5])
+        assert rep.scheme == "serial"
+        assert rep.per_worker_cases == [5]
+        assert _fields(rep.results) == _fields(
+            [an.analyze(c) for c in cons[:5]]
+        )
+
+    def test_removed_knobs_rejected(self, setup):
         an, cons = setup
+        for kw in ({"n_workers": 4}, {"scheme": "static"}, {"batch": True}):
+            with pytest.raises(TypeError):
+                run_parallel(an, cons[:2], **kw)
+        with pytest.raises(TypeError):
+            an.analyze_all(cons[:2], batch=True)
         with pytest.raises(ValueError):
-            run_parallel(an, cons, scheme="bogus")
-        with pytest.raises(ValueError):
-            run_parallel(an, cons, n_workers=0)
+            run_parallel(an, cons[:2], executor="threads:2")
+
+
+class TestIslanding:
+    @pytest.mark.parametrize("case", ["net14", "net118"])
+    @pytest.mark.parametrize("method", ["dc", "ac"])
+    def test_islanding_outage_is_never_secure(self, case, method, request):
+        """An outage that islands the grid is not analysable: both the
+        per-case and the batched path report it unconverged (the DC
+        reduced system and its compensation used to miss some splits and
+        call them secure)."""
+        net = request.getfixturevalue(case)
+        an = ContingencyAnalyzer(net, method=method)
+        _, islanding = enumerate_n1(net)
+        assert islanding
+        for res in (
+            [an.analyze(c) for c in islanding],
+            an.analyze_batch(islanding),
+        ):
+            assert [r.converged for r in res] == [False] * len(islanding)
+            assert not any(r.secure for r in res)
+
+    def test_islanding_branches_match_enumeration(self, net118):
+        safe, islanding = enumerate_n1(net118)
+        islands = islanding_branches(net118)
+        assert islands == {c.branch for c in islanding}
+        assert not islands & {c.branch for c in safe}
+
+    def test_dc_power_flow_refuses_an_islanded_grid(self, net14):
+        (cut,) = enumerate_n1(net14)[1]
+        with pytest.raises(PowerFlowError, match="singular"):
+            run_dc_power_flow(apply_outage(net14, cut))
 
 
 class TestSimulatedBalancing:

@@ -216,16 +216,28 @@ def _outcomes(results) -> list[tuple]:
     ]
 
 
+#: AC outages the acceptance sweep runs (an AC sweep is the one that fans
+#: out on a process pool; a DC sweep is one batched solve)
+N_SWEEP = 16
+
+
+def _sweep_setup(net):
+    safe, _ = enumerate_n1(net)
+    return (
+        ContingencyAnalyzer(net, method="ac", rating_margin=1.1),
+        safe[:N_SWEEP],
+    )
+
+
 def _run_acceptance(net, ms, plan):
     """One fresh run of both halves under ``plan``: an N-1 contingency
     sweep on a supervised process pool, then a live frame on the mux hub.
     Returns ``(sweep outcomes, live result, fired_summary, pool_respawns)``."""
     dec = decompose(net, 9, seed=0)
-    analyzer = ContingencyAnalyzer(net, method="dc", rating_margin=1.1)
-    cons, _ = enumerate_n1(net)
+    analyzer, cons = _sweep_setup(net)
     with faults.injection(plan) as inj:
         with ProcessPoolBackend(2) as pool:
-            report = run_parallel(analyzer, cons, executor=pool, scheme="dynamic")
+            report = run_parallel(analyzer, cons, executor=pool)
             respawns = pool.respawns
         with LiveDseRuntime(dec, ms, recv_timeout=0.3) as live:
             res = live.run()
@@ -259,8 +271,7 @@ class TestAcceptanceScenario:
         # pool half: the killed worker broke the pool once; the supervisor
         # respawned it warm and the re-run gives the serial outcomes
         assert respawns >= 1
-        analyzer = ContingencyAnalyzer(net118, method="dc", rating_margin=1.1)
-        cons, _ = enumerate_n1(net118)
+        analyzer, cons = _sweep_setup(net118)
         assert sweep == _outcomes([analyzer.analyze(c) for c in cons])
         kills = [
             (k, n) for (layer, k, act), n in fired.items()

@@ -70,8 +70,6 @@ def test_full_stack_golden_path(tmp_path):
     )
     safe, islanding = enumerate_n1(net)
     assert len(safe) + len(islanding) == net.n_branch
-    report = run_parallel(
-        analyzer, safe[:40], n_workers=4, scheme="dynamic"
-    )
+    report = run_parallel(analyzer, safe[:40])
     assert len(report.results) == 40
     assert sum(report.per_worker_cases) == 40

@@ -18,7 +18,7 @@ from repro.measurements import (
     generate_measurements,
     pmu_placement,
 )
-from repro.parallel import SerialExecutor, ThreadPoolBackend, make_executor
+from repro.parallel import ProcessPoolBackend, SerialExecutor, make_executor
 
 
 @pytest.fixture(scope="module")
@@ -197,20 +197,20 @@ class TestExecutor:
     def test_make_executor_specs(self):
         assert isinstance(make_executor(None), SerialExecutor)
         assert isinstance(make_executor("serial"), SerialExecutor)
-        pool = make_executor(3)
-        assert isinstance(pool, ThreadPoolBackend)
+        pool = make_executor("processes:3")
+        assert isinstance(pool, ProcessPoolBackend)
         assert pool.n_workers == 3
         assert make_executor(pool) is pool
         pool.shutdown()
-        with pytest.raises(ValueError):
-            make_executor("gpu")
+        for bad in ("gpu", 3, "threads:3"):
+            with pytest.raises(ValueError):
+                make_executor(bad)
 
     def test_map_order_and_workers(self):
-        with ThreadPoolBackend(4) as pool:
-            out = pool.map(lambda i: i * i, range(20))
-            assert out == [i * i for i in range(20)]
-            idx = set(pool.map(lambda _: pool.worker_index(), range(20)))
-            assert idx <= set(range(4))
+        with ProcessPoolBackend(2) as pool:
+            out, pids = pool.map_with_pids(abs, range(-10, 10))
+        assert out == [abs(i) for i in range(-10, 10)]
+        assert 1 <= len(set(pids)) <= 2
 
     def test_map_propagates_exceptions(self):
         def boom(i):
@@ -218,6 +218,6 @@ class TestExecutor:
                 raise RuntimeError("task failed")
             return i
 
-        with ThreadPoolBackend(2) as pool:
+        with SerialExecutor() as pool:
             with pytest.raises(RuntimeError, match="task failed"):
                 pool.map(boom, range(5))

@@ -84,12 +84,22 @@ class TestSessionBadDataPolicy:
 
 class TestContingencyCli:
     def test_default_run(self, capsys):
-        assert contingency_main(["--case", "case14", "--workers", "2"]) == 0
+        assert contingency_main(["--case", "case14"]) == 0
         out = capsys.readouterr().out
         assert "N-1" in out
         assert "worst" in out
+        assert "(batch, 1 worker(s))" in out  # a DC sweep is one solve
 
     def test_static_scheme(self, capsys):
+        """The drain is the method's, not a flag's: ``--scheme``,
+        ``--workers`` and ``--batch`` are gone; an AC sweep on a pool runs
+        the shared queue."""
+        for flags in (["--scheme", "static"], ["--workers", "2"], ["--batch"]):
+            with pytest.raises(SystemExit):
+                contingency_main(["--case", "case14", *flags])
+        capsys.readouterr()
         assert contingency_main(
-            ["--case", "case14", "--scheme", "static", "--top", "2"]
+            ["--case", "case14", "--method", "ac", "--executor", "processes:2",
+             "--top", "2"]
         ) == 0
+        assert "(dynamic, 2 worker(s))" in capsys.readouterr().out

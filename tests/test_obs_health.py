@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro import faults, obs
-from repro.contingency import enumerate_n1
+from repro.contingency import ContingencyAnalyzer, enumerate_n1
 from repro.dse import DistributedStateEstimator, decompose, dse_pmu_placement
 from repro.faults import FaultPlan
 from repro.measurements import full_placement, generate_measurements
@@ -280,7 +280,7 @@ class TestSpanContextRestoration:
         assert after and after[0]["parent"] is None   # a fresh root
 
     def test_leak_free_across_thread_pool_reactivation(self, health_on):
-        from repro.parallel import ThreadPoolBackend
+        from concurrent.futures import ThreadPoolExecutor
 
         def boom(span_dict):
             if span_dict["name"] == "task":
@@ -288,17 +288,26 @@ class TestSpanContextRestoration:
 
         obs.tracer().mirror = boom
 
-        def work(i):
-            try:
-                with obs.span("task", i=i):
-                    pass
-            except RuntimeError:
-                pass
-            ctx = obs.current_context()
-            return ctx.span_id if ctx is not None else None
+        with obs.span("submitter"):
+            parent = obs.current_context()
 
-        with ThreadPoolBackend(2) as ex:
-            leaked = [r for r in ex.map(work, list(range(8))) if r is not None]
+        def work(i):
+            # a thread working on the caller's behalf re-activates the
+            # captured context around its task
+            with obs.use_context(parent):
+                try:
+                    with obs.span("task", i=i):
+                        pass
+                except RuntimeError:
+                    pass
+                inside = obs.current_context()
+            return inside.span_id, obs.current_context()
+
+        with ThreadPoolExecutor(2) as ex:
+            seen = list(ex.map(work, range(8)))
+        leaked = [
+            r for r in seen if r[0] != parent.span_id or r[1] is not None
+        ]
         # pool threads are reused: one leaked token would parent every
         # subsequent task on that thread under a finished span
         assert leaked == []
@@ -349,7 +358,8 @@ def _run_chaos(dec, ms, cons, dump_dir, *, seed, n_requests=14):
     shards = {
         f"s{i}": ScenarioService(
             dec, ms, executor=ProcessPoolBackend(1, max_task_retries=0),
-            max_batch=4, flush_latency=1e-3, batch_solve=False,
+            analyzer=ContingencyAnalyzer(dec.net, method="ac"),
+            max_batch=4, flush_latency=1e-3,
         )
         for i in range(2)
     }

@@ -20,7 +20,6 @@ from repro.grid import NetworkDelta
 from repro.measurements import full_placement, generate_measurements
 from repro.parallel import (
     ProcessPoolBackend,
-    ThreadPoolBackend,
     WorkerError,
     make_executor,
     worker_context,
@@ -82,13 +81,14 @@ def _context_reader(args):
 
 class TestProcessBackendParity:
     def test_contingency14_bit_equal_serial(self, net14):
-        analyzer = ContingencyAnalyzer(net14, method="dc", rating_margin=1.1)
-        cons, _ = enumerate_n1(net14)
+        # an AC sweep: the one that fans out on the pool (8 cases keep it
+        # quick; each AC case costs ~10x a DC one)
+        analyzer = ContingencyAnalyzer(net14, method="ac", rating_margin=1.1)
+        cons = enumerate_n1(net14)[0][:8]
         ref = [analyzer.analyze(c) for c in cons]
         with ProcessPoolBackend(2) as pool:
-            report = run_parallel(
-                analyzer, cons, executor=pool, scheme="dynamic"
-            )
+            report = run_parallel(analyzer, cons, executor=pool)
+        assert report.scheme == "dynamic"
         assert len(report.results) == len(ref)
         for got, exp in zip(report.results, ref):
             assert got.contingency == exp.contingency
@@ -173,46 +173,51 @@ class TestExecutorSpecs:
         default.shutdown()
 
     def test_thread_specs(self):
-        pool = make_executor("threads:5")
-        assert isinstance(pool, ThreadPoolBackend)
-        assert pool.n_workers == 5
-        assert not pool.distributed
-        pool.shutdown()
+        """The thread backend is gone: its specs and the int spec are
+        refused with the surviving specs listed."""
+        for spec in ("threads", "threads:2", 2):
+            with pytest.raises(ValueError) as ei:
+                make_executor(spec)
+            msg = str(ei.value)
+            assert "'serial'" in msg and "'processes:N'" in msg
+            assert "thread" not in msg.split("accepted specs:")[1]
 
     def test_error_enumerates_accepted_specs(self):
         with pytest.raises(ValueError) as ei:
             make_executor("gpu:4")
         msg = str(ei.value)
-        for frag in ("'serial'", "'threads:N'", "'processes:N'", "int"):
+        for frag in ("'serial'", "'processes'", "'processes:N'", "instance"):
             assert frag in msg
         with pytest.raises(ValueError):
-            make_executor("threads:0")
+            make_executor("processes:0")
         with pytest.raises(ValueError):
-            make_executor("threads:x")
+            make_executor("processes:x")
         with pytest.raises(ValueError):
             make_executor(True)
 
-    def test_thread_pool_is_lazy(self):
-        pool = ThreadPoolBackend(2)
-        assert pool._pool is None  # constructing must not spawn threads
+    def test_process_pool_is_lazy(self):
+        pool = ProcessPoolBackend(1)
+        assert pool._pool is None  # constructing must not spawn workers
         assert pool.map(_square, [2]) == [4]
         assert pool._pool is not None
         pool.shutdown()
         assert pool._pool is None
         assert pool.map(_square, [5]) == [25]  # transparently re-created
         pool.shutdown()
+        assert _no_leaked_workers()
 
 
 class TestAnalyzeAllExecutor:
     def test_matches_serial(self, net14):
-        analyzer = ContingencyAnalyzer(net14, method="dc", rating_margin=1.1)
+        analyzer = ContingencyAnalyzer(net14, method="ac", rating_margin=1.1)
         cons, _ = enumerate_n1(net14)
         ref = analyzer.analyze_all(cons)
-        out = analyzer.analyze_all(cons, executor="threads:2")
+        out = analyzer.analyze_all(cons, executor="processes:2")
         assert len(out) == len(ref)
         for got, exp in zip(out, ref):
             assert got.contingency == exp.contingency
             assert got.max_loading == exp.max_loading
+        assert _no_leaked_workers()  # a spec-made pool is shut down
 
 
 class TestScenarioService:
@@ -221,7 +226,7 @@ class TestScenarioService:
         cons, _ = enumerate_n1(net14)
         ref = WlsEstimator(net14, ms).estimate()
         with ScenarioService(
-            dec, ms, executor="threads:2", max_batch=8, flush_latency=0.02
+            dec, ms, executor="serial", max_batch=8, flush_latency=0.02
         ) as svc:
             futs = svc.submit_contingencies(cons[:5])
             fe = svc.submit_estimation()
@@ -343,11 +348,17 @@ class TestScenarioService:
             with pytest.raises(TypeError, match="EstimationRequest"):
                 svc.submit("not a request")
 
-    def test_shared_executor_not_shut_down(self, dse14):
+    def test_shared_executor_not_shut_down(self, dse14, net14):
         dec, ms = dse14
-        pool = ThreadPoolBackend(2)
-        with ScenarioService(dec, ms, executor=pool) as svc:
-            svc.submit_estimation().result(timeout=60)
+        cons, _ = enumerate_n1(net14)
+        pool = ProcessPoolBackend(1)
+        analyzer = ContingencyAnalyzer(net14, method="ac")
+        with ScenarioService(
+            dec, ms, executor=pool, analyzer=analyzer
+        ) as svc:
+            svc.submit_contingency(cons[0]).result(timeout=60)
+            assert pool._pool is not None  # the AC case ran on the pool
         # service close must not tear down a caller-owned pool
+        assert pool._pool is not None
         assert pool.map(_square, [4]) == [16]
         pool.shutdown()

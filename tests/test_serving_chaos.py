@@ -6,9 +6,10 @@ either completes or fails with a typed error (``ServiceOverloaded`` /
 a seeded :class:`~repro.faults.plan.FaultPlan` replays bit-for-bit
 (``FaultInjector.fired_summary`` is the witness).
 
-The replicas here run ``ProcessPoolBackend`` executors with
-``batch_solve=False`` so contingency traffic fans out through the pool,
-where the PR-5 ``("worker", "kill")`` fault layer lives: the plan kills a
+The replicas here run AC analyzers on ``ProcessPoolBackend`` executors, so
+contingency traffic fans out through the pool (a DC sweep is one batched
+solve and never reaches it), where the ``("worker", "kill")`` fault layer
+lives: the plan kills a
 live worker mid-load, the crashed replica surfaces ``WorkerCrash``, and
 the router re-hashes the stranded requests onto the survivors.
 """
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro import faults
-from repro.contingency import enumerate_n1
+from repro.contingency import ContingencyAnalyzer, enumerate_n1
 from repro.dse import decompose, dse_pmu_placement
 from repro.faults import FaultPlan
 from repro.measurements import full_placement, generate_measurements
@@ -48,12 +49,13 @@ def chaos14(net14, pf14):
 
 
 def _proc_replica(dec, ms, *, retries=0):
-    # batch_solve=False: contingencies fan out through the process pool,
+    # an AC analyzer: contingencies fan out through the process pool,
     # exposing them to the "worker" fault layer
     return ScenarioService(
         dec, ms,
         executor=ProcessPoolBackend(1, max_task_retries=retries),
-        max_batch=4, flush_latency=1e-3, batch_solve=False,
+        analyzer=ContingencyAnalyzer(dec.net, method="ac"),
+        max_batch=4, flush_latency=1e-3,
     )
 
 

@@ -127,7 +127,7 @@ def serving14(net14, pf14):
 
 
 def _replica(dec, ms, **kw):
-    kw.setdefault("executor", "threads:1")
+    kw.setdefault("executor", "serial")
     kw.setdefault("max_batch", 8)
     kw.setdefault("flush_latency", 1e-3)
     kw.setdefault("batch_solve", True)
