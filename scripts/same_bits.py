@@ -20,7 +20,9 @@ rows are compared:
   and a TCP frame screened by ``weights=`` (four rows at weight 0);
 - ``BatchEstimator``: K ∈ {1, 6, 16} value frames, a chunk of six value
   frames with three branch-outage what-ifs, and a chunk of 16 what-ifs
-  over every tenth safe N-1 branch;
+  over every tenth safe N-1 branch; and the six value frames as replicas
+  of one ``WlsEstimator`` with per-replica ``weights=`` (two rows of one
+  replica at weight 0);
 - the served flush: a two-replica ``ShardRouter`` over
   ``ScenarioService(batch_solve=True)`` serving one fixed burst of six
   value frames, three what-ifs and four N-1 screenings, each replica's
@@ -231,6 +233,14 @@ def matrix() -> None:
     for name, scenarios in chunks.items():
         out = batch.estimate_batch(scenarios)
         emit(name, [(r.Vm, r.Va) for r in out], int(out.iterations.sum()))
+    # six replicas with their own row weights, two rows of one of them at
+    # weight 0: the replica loop a batch drains into, on a weight stack
+    weights = [None] * 6
+    weights[3] = central.weights.copy()
+    weights[3][[10, 200]] = 0.0
+    out = WlsEstimator(net, central).estimate_blocks(z=draws[:6], weights=weights)
+    emit("batch 6 value frames, own weights", [(r.Vm, r.Va) for r in out],
+         sum(r.iterations for r in out))
 
     # the served flush: two batched replicas behind the router, a fixed
     # burst; a long flush window with room for the whole burst makes each

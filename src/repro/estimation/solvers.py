@@ -21,18 +21,23 @@ The mode is a function of the pattern alone, chosen on the factor's
 first use.  The kernel keeps no numeric history: a step is a function of
 (pattern, data, weights, residual) alone, so cold and warm solvers — and
 therefore serial, thread-pool and process-pool runs — agree bit for bit.
-Independent problems share one kernel as *blocks*
-(:meth:`NormalEquations.solve_blocks`), in either of two stackings: different
-problems side by side (:meth:`NormalEquations.stacked` — one assembly over
-the block-diagonal Jacobian, one factor per diagonal block), or K same-pattern
+Independent problems share one kernel as *blocks*, and one Gauss-Newton
+step of them all is :meth:`NormalEquations.step_blocks`, which takes the
+right-hand side ``HᵀW r`` ready-made (the estimator's loop takes it as a
+gradient, with no Jacobian) plus the Jacobian entries of the blocks that
+factor.  The blocks come in either of two stackings: different problems
+side by side (:meth:`NormalEquations.stacked` — one assembly over the
+block-diagonal Jacobian, one factor per diagonal block), or K same-pattern
 problems as the rows of a ``(K, nnz)`` data stack (one vectorised assembly,
-the one factor used K times).  Either way a block's step is bit for bit that
-of the block solved alone, and a block that fails does so alone.  A block may
-instead be solved against a frozen operator (:class:`_HeldFactor`) — a factor
-the kernel kept from an earlier call, or one a caller factored and holds, as
-the condensed DSE Step 2 does — in which case it is neither assembled nor
-factored; it keeps the factor in its mode's form (the band, the packed
-dense triangle, or the SuperLU object).
+the one factor used K times).  Either way a block's step is bit for bit
+that of the block solved alone, and a block that fails does so alone.  A
+block may instead be solved against a frozen operator (:class:`_HeldFactor`)
+— a factor the kernel kept from an earlier call, or one a caller factored
+and holds, as the condensed DSE Step 2 does — in which case nothing is
+filled, assembled or factored for it; it keeps the factor in its mode's
+form (the band, the packed dense triangle, or the SuperLU object).
+:meth:`NormalEquations.solve` is the matrix entry (:class:`GainSolver`):
+it contracts the right-hand side from the Jacobian it is given.
 """
 
 from __future__ import annotations
@@ -318,10 +323,10 @@ class _HeldFactor:
     """A gain factor kept past the solve that made it, as a frozen operator.
 
     The Gauss-Newton loop holds a block's factor through the block's linear
-    tail (:meth:`NormalEquations.solve_blocks`' ``hold``), and a condensed
+    tail (:meth:`NormalEquations.step_blocks`' ``hold``), and a condensed
     DSE Step-2 round holds its subsystem's gain factored once at the frame's
-    linearization point through every iteration of the round
-    (:meth:`NormalEquations.step_blocks`).  The form follows the factor's
+    linearization point through every iteration of the round (every block
+    of the step an operator).  The form follows the factor's
     mode: a band factor is held as a copy of its band array (with the
     shared RCM order) and solved with the same ``dpbtrs`` as the live
     factor; a dense factor as its packed lower triangle, solved with
@@ -438,7 +443,7 @@ class NormalEquations:
         each block's step is bit for bit the member's.  The gain is block
         diagonal by construction; each block keeps a factor of its own
         (the member's mode, a twin of its factor), so a block can be skipped
-        or fail alone (:meth:`solve_blocks`).
+        or fail alone (:meth:`step_blocks`).
         """
         self = cls.__new__(cls)
         self.indptr, self.indices, self.shape = indptr, indices, tuple(shape)
@@ -484,17 +489,9 @@ class NormalEquations:
             [k._rhs_starts + entry[b] for b, k in enumerate(members)]
         )
         self._entry_at = entry.tolist()
-        # per block: its entries' rows, its right-hand-side columns and
-        # where their sums start among its own entries — the pieces of a
+        # per block: its entries' count and rows — the pieces of a
         # restriction to some blocks (the last one kept)
-        rhs_at = np.searchsorted(self._rhs_cols, col)
-        self._split = (
-            np.diff(entry).tolist(),
-            np.diff(rhs_at).tolist(),
-            np.split(indices, entry[1:-1]),
-            np.split(self._rhs_cols, rhs_at[1:-1]),
-            np.split(np.concatenate([k._rhs_starts for k in members]), rhs_at[1:-1]),
-        )
+        self._split = (np.diff(entry).tolist(), np.split(indices, entry[1:-1]))
         self._restricted = (None, None)
         self.spd = None     # no single factor: the blocks own theirs
         self._parts = [
@@ -535,35 +532,28 @@ class NormalEquations:
 
     # ------------------------------------------------------------------
     def _layout(self, packed=None) -> tuple:
-        """``(rows, cols, starts, at)`` of a ``data`` vector holding the
-        diagonal blocks ``packed`` (ascending) back to back — by default,
-        or when ``packed`` is every block, the whole pattern: each entry's
-        row, the right-hand-side columns and where each column's sum starts
-        in ``data``, and where each block's entries start.  A restriction
-        is kept until other blocks are asked for: a Gauss-Newton loop asks
-        for the same ones until one finishes."""
+        """``(rows, at)`` of a ``data`` vector holding the diagonal blocks
+        ``packed`` (ascending) back to back — by default, or when
+        ``packed`` is every block, the whole pattern: each entry's row, and
+        where each block's entries start.  A restriction is kept until
+        other blocks are asked for: a Gauss-Newton loop asks for the same
+        ones while no block is held, released or finished."""
         if packed is None or len(packed) == len(self._parts):
-            return self.indices, self._rhs_cols, self._rhs_starts, self._entry_at
+            return self.indices, self._entry_at
         if len(self._parts) == 1:
             raise ValueError("a one-block kernel has no blocks to leave out")
         key = tuple(packed)
         if self._restricted[0] != key:
-            sizes, n_cols, rows, cols, starts = self._split
+            sizes, rows = self._split
             at, end = [0] * len(self._parts), 0
             for p in key:
                 at[p], end = end, end + sizes[p]
-            self._restricted = (key, (
-                np.concatenate([rows[p] for p in key]),
-                np.concatenate([cols[p] for p in key]),
-                np.concatenate([starts[p] for p in key])
-                + np.repeat([at[p] for p in key], [n_cols[p] for p in key]),
-                at,
-            ))
+            self._restricted = (key, (np.concatenate([rows[p] for p in key]), at))
         return self._restricted[1]
 
     def weighted(self, data, weights, packed=None):
         """``W H`` on the pattern: the operand :meth:`gain` and :meth:`rhs`
-        share.  ``weights`` is one vector, or one row per row of a ``data``
+        take.  ``weights`` is one vector, or one row per row of a ``data``
         stack.  With ``packed`` (ascending), ``data`` holds those diagonal
         blocks' entries back to back (:meth:`JacobianStructure.fill_data`'s
         ``parts``), and so does the result."""
@@ -585,7 +575,7 @@ class NormalEquations:
         if parts is None:
             chunks = self._chunks
         else:
-            at = self._layout(packed)[3]
+            at = self._layout(packed)[1]
             chunks = [
                 (g0, g1, e0 + d, e1 + d, a, b, s)
                 for p in parts
@@ -604,96 +594,89 @@ class NormalEquations:
                 )
         return out
 
-    def rhs(self, wdata, r, packed=None):
-        """``(W H)ᵀ r``: per-column sums, structurally empty columns 0.  With
-        ``packed``, ``wdata`` holds those diagonal blocks' entries back to
-        back, and every other block's columns are 0."""
+    def rhs(self, wdata, r):
+        """``(W H)ᵀ r`` over the whole pattern: per-column sums,
+        structurally empty columns 0 — the matrix entry's right-hand side
+        (:meth:`solve`; the Gauss-Newton loop takes the gradient)."""
         out = np.zeros(wdata.shape[:-1] + (self.shape[1],))
-        rows, cols, starts, _ = self._layout(packed)
-        if len(cols):
-            out[..., cols] = np.add.reduceat(
-                wdata * np.take(r, rows, axis=-1), starts, axis=-1
+        if len(self._rhs_cols):
+            out[..., self._rhs_cols] = np.add.reduceat(
+                wdata * np.take(r, self.indices, axis=-1), self._rhs_starts, axis=-1
             )
         return out
 
     def solve(self, data, weights, r) -> np.ndarray:
-        """The Gauss-Newton step ``G⁻¹ Hᵀ W r``; raises
-        :class:`GainSolveError` rather than return a non-finite step."""
-        dx, errors = self.solve_blocks(data, weights, r)
+        """The Gauss-Newton step ``G⁻¹ Hᵀ W r`` of the whole pattern (the
+        matrix entry: the right-hand side is contracted from ``data``);
+        raises :class:`GainSolveError` rather than return a non-finite
+        step."""
+        rhs = self.rhs(self.weighted(data, weights), r)
+        dx, errors = self.step_blocks(rhs, data=data, weights=weights)
         if errors:
             raise errors[min(errors)]
         return dx
 
-    def solve_blocks(
-        self, data, weights, r, active=None, operators=None, hold=None
+    def step_blocks(
+        self, rhs, active=None, operators=None, data=None, weights=None, hold=None
     ) -> tuple[np.ndarray, dict[int, GainSolveError]]:
-        """One Gauss-Newton step, block by block.
+        """One Gauss-Newton step, block by block: each block's slice of the
+        right-hand side ``rhs`` (``HᵀW r``, however the caller formed it)
+        solved against the block's gain.  The blocks are either
 
-        The right-hand side is assembled for every block and the gain for
-        every block that factors, in one pass each; then each block is
-        solved on its own.  The blocks are either
+        - the diagonal blocks of this kernel's pattern (``rhs`` a vector
+          over its columns): only the blocks listed in ``active``
+          (ascending; default: all) are solved, the rest keep a zero step;
+          or
+        - K replicas of a one-block kernel (``rhs`` a ``(K, n)`` stack):
+          row ``j`` is block ``active[j]`` (default ``j``).
 
-        - the diagonal blocks of this kernel's pattern (``r`` a vector):
-          only the blocks listed in ``active`` (ascending; default: all)
-          are solved, the rest keep a zero step, and ``data`` is a vector
-          holding those blocks' entries alone, back to back in block order
-          (:meth:`JacobianStructure.fill_data`'s ``parts``; the whole
-          pattern's vector when ``active`` is every block) — a length that
-          does not match raises ``ValueError``; or
-        - K replicas of a one-block kernel (``data`` a ``(K, nnz)`` stack
-          of Jacobians on the one pattern, ``r`` their ``(K, m)``
-          residuals): row ``j`` is block ``active[j]`` (default ``j``) and
-          goes through the one factor in turn.
+        A block in ``operators`` is solved against that frozen operator —
+        a factor held from an earlier call, or a caller's — and nothing is
+        assembled or factored for it; a frozen-gain round is the call where
+        every active block has one.  Every other active block factors
+        afresh, from ``data`` and ``weights`` (``W``'s diagonal), which
+        cover those blocks alone: for a pattern's blocks a vector of their
+        Jacobian entries back to back in block order
+        (:meth:`JacobianStructure.fill_data`'s ``parts``; a length that
+        does not match raises ``ValueError``), for replicas a ``(K', nnz)``
+        stack with one row per factoring replica in ``active`` order, and
+        one weight vector for them all or one row each.  ``hold`` maps a
+        block to a step bound, and a block factored by this call whose step
+        comes out below its bound has its factor added to ``operators`` (in
+        place, as a :class:`_HeldFactor`) for the caller's next call.
 
-        ``operators`` maps a block to a factor held from an earlier call:
-        that block's step is the held factor's solve of its slice of the
-        exact right-hand side, and no gain is assembled or factored for it.
-        ``hold`` maps a block to a step bound, and a block factored by this
-        call whose step comes out below its bound has its factor added to
-        ``operators`` (in place, as a :class:`_HeldFactor`) for the
-        caller's next call to solve against.  (A condensed round's frozen
-        operators take :meth:`step_blocks`, which needs no Jacobian.)
-
-        Returns ``(dx, errors)``, ``dx`` shaped like the right-hand side: a
-        block whose factorisation or operator fails, or whose step comes
-        out non-finite, keeps a zero step, with its
-        :class:`GainSolveError` under the block's index in ``errors`` — the
-        other blocks' steps are unaffected.
+        Returns ``(dx, errors)``, ``dx`` shaped like ``rhs``: a block whose
+        factorisation or operator fails, or whose step comes out
+        non-finite, keeps a zero step, with its :class:`GainSolveError`
+        under the block's index in ``errors`` — the other blocks' steps are
+        unaffected.
         """
         errors: dict[int, GainSolveError] = {}
         ops = {} if operators is None else operators
         hold = {} if hold is None else hold
+        stack = rhs.ndim == 2
+        if active is None:
+            active = range(len(rhs) if stack else len(self._parts))
+        factoring = [b for b in active if b not in ops]
         # where each block sits in rhs / dx, and — for the blocks that
         # factor — its factor and its place in the gain values
-        if data.ndim == 2:
+        if stack:
             if self.spd is None:
-                raise ValueError("a data stack needs a one-block kernel")
-            if active is None:
-                active = range(len(data))
-            if len(active) != len(data):
-                raise ValueError("a data stack needs one row per active block")
-            wdata = self.weighted(data, weights)
-            rhs = self.rhs(wdata, r)
-            at = range(len(data))
-            rows = [j for j, b in enumerate(active) if b not in ops]
-            factored = {active[j]: (self.spd, k) for k, j in enumerate(rows)}
-            if len(rows) == len(data):
-                gain = self.gain(data, wdata)
-            elif rows:
-                gain = self.gain(data[rows], wdata[rows])
+                raise ValueError("a stack needs a one-block kernel")
+            if len(active) != len(rhs):
+                raise ValueError("a stack needs one row per active block")
+            at = range(len(rhs))
+            factored = {b: (self.spd, k) for k, b in enumerate(factoring)}
+            if factoring:
+                if len(data) != len(factoring):
+                    raise ValueError("a data stack needs one row per factoring block")
+                gain = self.gain(data, self.weighted(data, weights))
         else:
-            if active is None:
-                active = range(len(self._parts))
-            wdata = self.weighted(data, weights, active)
-            rhs = self.rhs(wdata, r, active)
             at = [self._parts[b][1] for b in active]
-            factored = {
-                b: (self._parts[b][0], self._parts[b][2])
-                for b in active
-                if b not in ops
-            }
-            if factored:
-                gain = self.gain(data, wdata, list(factored), active)
+            factored = {b: (self._parts[b][0], self._parts[b][2]) for b in factoring}
+            if factoring:
+                wdata = self.weighted(data, weights, factoring)
+                gain = self.gain(data, wdata, factoring, factoring)
         dx = np.zeros(rhs.shape)
         for b, a in zip(active, at):
             if b in ops:
@@ -711,27 +694,6 @@ class NormalEquations:
             dx[a] = spd.solve(rhs[a])
             if b in hold and np.abs(dx[a]).max() < hold[b]:
                 ops[b] = _HeldFactor(spd)
-        _refuse_non_finite(dx, active, at, errors)
-        return dx, errors
-
-    def step_blocks(
-        self, rhs: np.ndarray, active, operators: dict
-    ) -> tuple[np.ndarray, dict[int, GainSolveError]]:
-        """One frozen-gain step of the diagonal blocks ``active``: block
-        ``b``'s step is ``operators[b].solve`` of its slice of ``rhs``, the
-        right-hand side ``HᵀW r`` over this kernel's columns, which the
-        caller evaluates without a Jacobian
-        (:meth:`MeasurementModel.gradient`); no gain is assembled.  The
-        other blocks keep a zero step.  Returns ``(dx, errors)`` as
-        :meth:`solve_blocks` does."""
-        errors: dict[int, GainSolveError] = {}
-        at = [self._parts[b][1] for b in active]
-        dx = np.zeros(rhs.shape)
-        for b, a in zip(active, at):
-            try:
-                dx[a] = operators[b].solve(rhs[a])
-            except GainSolveError as exc:
-                errors[b] = exc
         _refuse_non_finite(dx, active, at, errors)
         return dx, errors
 

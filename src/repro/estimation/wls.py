@@ -130,10 +130,11 @@ class WlsEstimator:
         composed from the members' own kernels
         (:meth:`NormalEquations.stacked`), which this call builds if they
         are not built yet.  :meth:`estimate_blocks` then advances every
-        member with one evaluation of h(x), one Jacobian fill and one gain
-        assembly per iteration; a member that has finished leaves the
-        evaluation — the fill, ``W H`` and ``Hᵀ W r`` run over the running
-        members' entries and columns only (:meth:`JacobianStructure.split`).
+        member with one evaluation of h(x) and of the gradient, one
+        Jacobian fill and one gain assembly per iteration; the fill and
+        ``W H`` run over the entries of the members that factor in that
+        iteration only (:meth:`JacobianStructure.split`), so a member that
+        has finished or holds its factor fills nothing.
         Every sum a member's solve takes is taken over the same terms in the
         same order, so each block's result is bit for bit the member's own
         :meth:`estimate`.
@@ -332,10 +333,9 @@ class WlsEstimator:
 
         Blocks iterate in lock step and are judged separately: a block
         stops — and leaves the loop: it is no longer factored or solved, a
-        union block's Jacobian entries, ``W H`` and right-hand side are no
-        longer computed and a replica is no longer evaluated (h(x) and the
-        currents stay union-wide) — the iteration its own step norm falls
-        below ``tol``
+        union block's Jacobian entries are no longer filled and a replica
+        is no longer evaluated (h(x), the currents and the gradient stay
+        union-wide) — the iteration its own step norm falls below ``tol``
         (one value, or one per block), and keeps its own iteration count,
         step norms and ``converged`` flag; one that is underdetermined,
         whose gain does not factor or whose step is non-finite yields its
@@ -347,29 +347,36 @@ class WlsEstimator:
         (:meth:`MeasurementModel.admittance_stack`), which moves a
         base-topology replica by an ulp or so.
 
+        Every right-hand side ``HᵀW r`` is the gradient, taken in reverse
+        mode through h (:meth:`MeasurementModel.gradient`) with no H built;
+        the Jacobian is filled and weighted only for the blocks — a union's
+        members, a stack's replicas — that factor a gain in that iteration
+        (:meth:`NormalEquations.step_blocks`).
+
         *Frozen tail.*  Gauss-Newton on a problem with non-zero residuals
         ends in a linear tail, where the gain barely moves between
         iterations.  A block whose step — from a fresh factor — falls
         below ``√tol`` and below its previous step keeps that factor, and
-        its later iterations evaluate the exact right-hand side ``HᵀW r``
-        but assemble and factor no gain: the held operator is O(√tol) from
-        the current gain, so it moves each later step by O(tol) and leaves
-        the fixed point where it was.  A held block whose step stops
-        contracting drops the factor and re-factors on its next iteration.
-        ``factorizations`` on a result counts the iterations that did
-        factor.
+        its later iterations take the exact right-hand side but fill no
+        Jacobian and assemble and factor no gain: the held operator is
+        O(√tol) from the current gain, so it moves each later step by
+        O(tol) and leaves the fixed point where it was.  A held block whose
+        step stops contracting drops the factor and re-factors on its next
+        iteration.  ``factorizations`` on a result counts the iterations
+        that did factor.
 
         ``operators`` turns the loop into the frozen-gain iteration of the
         condensed DSE Step 2: one frozen gain operator per block (a union's
         members, or a plain estimator's one problem) — the held factor of
-        the block's gain at the caller's linearization point — supplies the
-        block's step from the exact right-hand side, so an iteration
-        assembles and factors no gain.  That right-hand side is the
-        gradient, taken in reverse mode through h
-        (:meth:`MeasurementModel.gradient`), so the iteration fills no
-        Jacobian either (:meth:`NormalEquations.step_blocks`).  Convergence
-        is then linear, and a block whose step norm passes
+        the block's gain at the caller's linearization point — supplies
+        every step of the block, so no iteration fills, assembles or
+        factors anything.  The caller's operators are never dropped;
+        convergence is then linear, and a block whose step norm passes
         :data:`DIVERGED` stops unconverged (the caller owns the fallback).
+
+        A ``tol`` (or a per-block one) that is not finite and > 0, or a
+        negative ``max_iter``, raises ``ValueError`` before anything runs;
+        ``max_iter=0`` returns the start's residuals unsolved.
         """
         t_start = time.perf_counter() if obs.enabled() else 0.0
         model, ms, net = self.model, self.mset, self.net
@@ -392,6 +399,10 @@ class WlsEstimator:
         tols = [tol] * nb if np.ndim(tol) == 0 else list(tol)
         if len(tols) != nb:
             raise ValueError(f"need one tol, or one per block ({nb})")
+        for t in tols:
+            check_tol(t)
+        if max_iter < 0:
+            raise ValueError(f"max_iter must be >= 0, got {max_iter!r}")
 
         # Where a block lives.  A union is one (n,) state and its blocks are
         # bus / row slices of it; replicas are the columns of an (n, K)
@@ -438,8 +449,10 @@ class WlsEstimator:
                 [net.br_status if s is None else s for s in status], dtype=float
             ))
 
-        # The Jacobian is a data vector on the structure's fixed pattern
-        # and never becomes a sparse matrix; the kernel works block by block.
+        # Every right-hand side is the gradient, taken in reverse mode
+        # through h; the Jacobian — a data vector on the structure's fixed
+        # pattern, never a sparse matrix — is filled only for the blocks
+        # that factor this iteration.
         structure = model.jacobian_structure(self._keep)
         kernel = self._kernel()
         state_starts = [blk.states.start for blk in self._blocks]
@@ -475,45 +488,47 @@ class WlsEstimator:
         active = [b for b in range(nb) if results[b] is None]
         it = 0
         # Currents are evaluated once per state — initially, and after
-        # every update — and serve both the residual there and the next
-        # iteration's Jacobian; the final iteration's post-update residual
-        # is the reported one.
+        # every update — and serve the residual there and the next
+        # iteration's gradient and Jacobian; the final iteration's
+        # post-update residual is the reported one.
         cur = model.currents(Vm, Va, adm)
         r = zz - model.h(Vm, Va, cur)
         while active and it < max_iter:
             it += 1
-            if frozen:
-                # a frozen operator needs the right-hand side HᵀW r alone:
-                # the gradient, reverse mode through h, with no H built
-                rhs = model.gradient(Vm, Va, cur, w * r)[self._keep]
-            else:
-                # a union evaluates its running blocks only — the data
-                # vector the kernel's union mode reads — and a finished
-                # block's entries are never read again; replicas are whole
-                # rows
-                data = structure.fill_data(
-                    Vm, Va, cur, adm, None if replicas else active
+            u = w * r if w.ndim == r.ndim else w[:, None] * r
+            rhs = model.gradient(Vm, Va, cur, u, adm)[self._keep]
+            # a block either solves against a factor it holds, or factors
+            # afresh and keeps that factor if its step comes out below √tol
+            # and below its last one (hold: block → that bound)
+            factoring = [b for b in active if b not in ops]
+            hold = {
+                b: min(roots[b], step_norms[b][-1])
+                for b in factoring
+                if step_norms[b]
+            }
+            data = w_f = None
+            if factoring and not replicas:
+                # a union's factoring blocks alone, back to back
+                data, w_f = structure.fill_data(Vm, Va, cur, None, factoring), w
+            elif factoring:
+                # the factoring replicas' columns, to the kernel as rows
+                # (.T of one state's vectors is the vectors)
+                cols = [active.index(b) for b in factoring]
+                Vm_f, Va_f, adm_f, *cur_f = (
+                    a if a is None or len(cols) == len(active) else a[:, cols]
+                    for a in (Vm, Va, adm, *cur)
                 )
-                # a block either solves against a factor it holds, or
-                # factors afresh and keeps that factor if its step comes out
-                # below √tol and below its last one (hold: block → that bound)
-                held = {b for b in active if b in ops}
-                hold = {
-                    b: min(roots[b], step_norms[b][-1])
-                    for b in active
-                    if b not in held and step_norms[b]
-                }
-                for b in active:
-                    factorizations[b] += b not in held
+                data = np.ascontiguousarray(
+                    structure.fill_data(Vm_f, Va_f, cur_f, adm_f).T
+                )
+                w_f = w if w.ndim == 1 else w[:, cols].T
+            for b in factoring:
+                factorizations[b] += 1
             try:
-                if frozen:
-                    dx, errors = kernel.step_blocks(rhs, active, ops)
-                else:
-                    # a stack goes to the kernel scenario by scenario, as
-                    # rows (.T of one state's vectors is the vectors)
-                    dx, errors = kernel.solve_blocks(
-                        np.ascontiguousarray(data.T), w.T, r.T, active, ops, hold
-                    )
+                dx, errors = kernel.step_blocks(
+                    rhs.T if replicas else rhs, active, ops, data, w_f, hold
+                )
+                if replicas:
                     dx = dx.T
             except Exception as exc:
                 dx = np.zeros((self.n_states, *Vm.shape[1:]))
@@ -550,7 +565,7 @@ class WlsEstimator:
             # a held factor lives while its block runs and contracts
             for b in [] if frozen else list(ops):
                 if b not in running or (
-                    b in held and step_norms[b][-1] >= step_norms[b][-2]
+                    b not in factoring and step_norms[b][-1] >= step_norms[b][-2]
                 ):
                     del ops[b]
             if replicas and len(running) < len(active):

@@ -19,7 +19,8 @@ result is bit for bit the one-state result.  Scenarios that differ in
 branch status share the model too: their admittances arrive as data
 (``admittance_stack``) and re-value the operators on the base network's
 patterns.  ``MeasurementModel.gradient`` — ``Hᵀ u`` in reverse mode, with
-no H built, all a frozen-gain iteration needs — takes one state.
+no H built: every Gauss-Newton right-hand side — takes the same stacks and
+admittances.
 """
 
 from __future__ import annotations
@@ -732,12 +733,21 @@ class MeasurementModel:
         return np.concatenate(parts)[self._h_plan]
 
     def gradient(
-        self, Vm: np.ndarray, Va: np.ndarray, cur: tuple, u: np.ndarray
+        self,
+        Vm: np.ndarray,
+        Va: np.ndarray,
+        cur: tuple,
+        u: np.ndarray,
+        adm: np.ndarray | None = None,
     ) -> np.ndarray:
         """``Hᵀ u`` over the full state ``[Va; Vm]`` at (Vm, Va), without
         building H: reverse mode through :meth:`h`.  ``cur`` is
-        :meth:`currents` at that one state (no stack) and ``u`` one value
-        per row — ``W r`` makes this the Gauss-Newton right-hand side.
+        :meth:`currents` at that state and ``u`` one value per row — ``W r``
+        makes this the Gauss-Newton right-hand side.  A stack of K states
+        ``(n, K)`` takes ``(m, K)`` multipliers and gives ``(2n, K)``;
+        without ``adm`` column k is bit for bit the one-state call, with
+        ``adm`` (:meth:`admittance_stack`, as :meth:`currents` took it)
+        column k pulls back through scenario k's admittances.
 
         ``u`` is scattered onto h's sources; a source ``S = V ∘ conj(Y V)``
         with multipliers ``μ = λ_P + iλ_Q`` pulls back to
@@ -750,49 +760,94 @@ class MeasurementModel:
         net = self.net
         n, nl = net.n_bus, net.n_branch
         V, Ib, i_f, i_t = cur
-        lam = np.bincount(self._h_plan, weights=u, minlength=self._h_sources)
+        lam = self._scatter(u)
+        cols = lam.shape[1:]
 
         def multipliers(at: int, size: int) -> np.ndarray:
             """``λ_P + iλ_Q`` of the P/Q source pair starting at ``at``."""
-            mu = np.empty(size, dtype=complex)
+            mu = np.empty((size, *cols), dtype=complex)
             mu.real, mu.imag = lam[at : at + size], lam[at + size : at + 2 * size]
             return mu
 
         Vc = np.conj(V)
-        pulled, direct, at = [], 0.0, 2 * n
+        pinj = y_f = y_t = e_f = e_t = None
+        direct, at = 0.0, 2 * n
         if Ib is not None:
             mu = multipliers(at, n)
-            pulled.append(mu * Vc)
+            pinj = mu * Vc
             direct = np.conj(mu * Ib)
             at += 2 * n
-        ends = []
         if i_f is not None:
             mu = multipliers(at, nl)
-            y = mu * Vc[net.f]
+            y_f = mu * Vc[net.f]
             if self.mset.count(MeasType.I_MAG_F):
                 # d|I| = Re(conj(I)/|I| dI), 0 on a dark branch (as H has it)
                 mag = np.abs(i_f)
                 scale = np.divide(
                     lam[at + 2 * nl : at + 3 * nl], mag,
-                    out=np.zeros(nl), where=mag > 1e-9,
+                    out=np.zeros(mag.shape), where=mag > 1e-9,
                 )
-                y += scale * np.conj(i_f)
-            pulled.append(y)
-            ends.append(np.conj(mu * i_f))
+                y_f += scale * np.conj(i_f)
+            e_f = np.conj(mu * i_f)
             at += 3 * nl
         if i_t is not None:
             mu = multipliers(at, nl)
-            pulled.append(mu * Vc[net.t])
-            ends.append(np.conj(mu * i_t))
-        g = np.empty(2 * n)
+            y_t = mu * Vc[net.t]
+            e_t = np.conj(mu * i_t)
+        g = np.empty((2 * n, *cols))
         g[:n] = lam[n : 2 * n]
         g[n:] = lam[:n]
-        if pulled:
-            c = direct + self._adjoint_operator() @ np.concatenate(pulled + ends)
-            cV = c * V
-            g[:n] -= cV.imag
-            g[n:] += cV.real / np.abs(V)
+        if pinj is None and y_f is None and y_t is None:
+            return g
+        if adm is None:
+            pulled = [p for p in (pinj, y_f, y_t, e_f, e_t) if p is not None]
+            c = direct + self._adjoint_operator() @ np.concatenate(pulled)
+        else:
+            c = direct + self._pull_back(adm, pinj, y_f, y_t, e_f, e_t)
+        cV = c * V
+        g[:n] -= cV.imag
+        g[n:] += cV.real / np.abs(V)
         return g
+
+    def _scatter(self, u: np.ndarray) -> np.ndarray:
+        """``u`` summed onto h's sources (:attr:`_h_plan`) — one
+        ``bincount``; a stack's columns take interleaved bins, so every
+        source sums its rows in the same order as the one-state call."""
+        if u.ndim == 1:
+            return np.bincount(self._h_plan, weights=u, minlength=self._h_sources)
+        K = u.shape[1]
+        bins = (self._h_plan[:, None] * K + np.arange(K)).ravel()
+        return np.bincount(
+            bins, weights=u.ravel(), minlength=self._h_sources * K
+        ).reshape(self._h_sources, K)
+
+    def _pull_back(self, adm, pinj, y_f, y_t, e_f, e_t) -> np.ndarray:
+        """:meth:`gradient`'s adjoint product ``Ybusᵀ pinj + Yfᵀ y_f +
+        Ytᵀ y_t + Cfᵀ e_f + Ctᵀ e_t`` on per-scenario admittances: the
+        transpose of :meth:`currents`' push-forward, branch terms through
+        ``yff / yft / ytf / ytt`` and onto the buses by the incidence
+        one-hots (``None``: a source the set does not use)."""
+        net = self.net
+        yff, yft, ytf, ytt = adm.reshape(4, net.n_branch, -1)
+        # what pulls on each branch's from- and to-end voltage terms
+        a_f = a_t = 0.0
+        if pinj is not None:
+            a_f, a_t = pinj[net.f], pinj[net.t]
+        if y_f is not None:
+            a_f = a_f + y_f
+        if y_t is not None:
+            a_t = a_t + y_t
+        to_f = yff * a_f + ytf * a_t
+        to_t = yft * a_f + ytt * a_t
+        if e_f is not None:
+            to_f = to_f + e_f
+        if e_t is not None:
+            to_t = to_t + e_t
+        cfT, ctT = self._incidence()
+        c = cfT @ to_f + ctT @ to_t
+        if pinj is not None:
+            c = c + (net.Gs + 1j * net.Bs)[:, None] * pinj
+        return c
 
     def _adjoint_operator(self) -> sp.csr_matrix:
         """``[Ybusᵀ | Yfᵀ | Ytᵀ | Cfᵀ | Ctᵀ]`` over the products this set

@@ -43,6 +43,7 @@ from repro.measurements import (
     scada_placement,
     true_values,
 )
+from repro.measurements.functions import JacobianStructure
 
 
 class TestExactRecovery:
@@ -162,6 +163,118 @@ class TestConvergenceBehaviour:
         assert err["vm_rmse"] < 5e-3
 
 
+class TestArguments:
+    """A bad ``tol`` or ``max_iter`` is refused before anything runs (the
+    model is never evaluated), with the DSE's and the service's message."""
+
+    @pytest.fixture()
+    def est(self, net14, pf14, monkeypatch):
+        ms = generate_measurements(
+            net14, full_placement(net14), pf14, rng=np.random.default_rng(0)
+        )
+        est = WlsEstimator(net14, ms)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the model was evaluated")
+
+        monkeypatch.setattr(est.model, "currents", refuse)
+        return est
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), 0.0, float("inf")])
+    def test_bad_tol(self, est, tol):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            est.estimate(tol=tol)
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), 0.0])
+    def test_bad_per_block_tol(self, est, bad):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            est.estimate_blocks(z=[None, None], tol=[1e-8, bad])
+
+    def test_negative_max_iter(self, est):
+        with pytest.raises(ValueError, match="max_iter must be >= 0"):
+            est.estimate(max_iter=-3)
+
+    def test_zero_max_iter_is_the_flat_start(self, net14, pf14):
+        """``max_iter=0`` stays legal: the flat start's residuals, unsolved
+        (what the Huber estimator starts from)."""
+        ms = generate_measurements(
+            net14, full_placement(net14), pf14, rng=np.random.default_rng(0)
+        )
+        est = WlsEstimator(net14, ms)
+        res = est.estimate(max_iter=0)
+        flat = np.ones(net14.n_bus), np.zeros(net14.n_bus)
+        assert res.iterations == 0 and not res.converged
+        assert np.array_equal(res.Vm, flat[0]) and np.array_equal(res.Va, flat[1])
+        assert np.array_equal(res.residuals, ms.z - est.model.h(*flat))
+
+
+def test_held_block_fills_no_jacobian(net118, pf118, central, monkeypatch):
+    """An iteration fills the Jacobian of the blocks that factor in it
+    alone — a union's factoring blocks, a stack's factoring replicas — and
+    fills nothing when every running block solves against a held factor;
+    recording the fills moves no bit."""
+    dec = decompose(net118, 9, seed=0)
+    plac = full_placement(net118).merged_with(dse_pmu_placement(dec))
+    ms = generate_measurements(net118, plac, pf118, rng=np.random.default_rng(2))
+    dse = DistributedStateEstimator(dec, ms)
+    union_members = [dse._est1[s] for s in range(dec.m)]
+    union = WlsEstimator.stacked(union_members)
+    est = central["118"]
+    rng = np.random.default_rng(3)
+    z_union = [
+        m.mset.z + 3.0 * m.mset.sigma * rng.standard_normal(len(m.mset))
+        for m in union_members
+    ]
+    zs = [
+        est.mset.z + est.mset.sigma * rng.standard_normal(len(est.mset))
+        for _ in range(3)
+    ]
+    runs = [
+        lambda: union.estimate_blocks(z=z_union),
+        lambda: est.estimate_blocks(z=zs),
+    ]
+    want = [run() for run in runs]
+
+    events = []
+    fill_data = JacobianStructure.fill_data
+    step_blocks = NormalEquations.step_blocks
+
+    def recording_fill(self, Vm, Va, cur=None, adm=None, parts=None):
+        events.append(("fill", parts, Vm.shape[1:]))
+        return fill_data(self, Vm, Va, cur, adm, parts)
+
+    def recording_step(self, rhs, active=None, operators=None, *args):
+        events.append(("step", list(active), set(operators)))
+        return step_blocks(self, rhs, active, operators, *args)
+
+    monkeypatch.setattr(JacobianStructure, "fill_data", recording_fill)
+    monkeypatch.setattr(NormalEquations, "step_blocks", recording_step)
+    all_held = []
+    for run, ref in zip(runs, want):
+        events.clear()
+        got = run()
+        for a, b in zip(got, ref):
+            assert np.array_equal(a.Vm, b.Vm) and np.array_equal(a.Va, b.Va)
+            assert (a.iterations, a.factorizations) == (b.iterations, b.factorizations)
+        steps = [i for i, e in enumerate(events) if e[0] == "step"]
+        assert any(events[i][2] for i in steps)             # something held
+        all_held.append(sum(not set(events[i][1]) - events[i][2] for i in steps))
+        for i in steps:
+            _, active, held = events[i]
+            factoring = [b for b in active if b not in held]
+            before = events[i - 1] if i else ("step",)
+            if not factoring:
+                assert before[0] == "step"                  # nothing filled
+            elif before[2]:                                 # replicas: columns
+                assert before[1] is None and before[2] == (len(factoring),)
+            else:                                           # a union: parts
+                assert list(before[1]) == factoring
+        assert len(events) == len(steps) + sum(
+            bool(set(events[i][1]) - events[i][2]) for i in steps
+        )
+    assert all(all_held)
+
+
 # ---------------------------------------------------------------------------
 # The frozen tail: a factor held below √tol moves no converged answer.
 # ---------------------------------------------------------------------------
@@ -275,10 +388,10 @@ class TestFrozenTail:
             init(self, spd)
             made.append(weakref.ref(self))
 
-        solve_blocks = NormalEquations.solve_blocks
+        step_blocks = NormalEquations.step_blocks
 
-        def watched(self, data, weights, r, active=None, operators=None, hold=None):
-            out = solve_blocks(self, data, weights, r, active, operators, hold)
+        def watched(self, rhs, active=None, operators=None, *args):
+            out = step_blocks(self, rhs, active, operators, *args)
             held = [
                 op for op in (operators or {}).values()
                 if isinstance(op, solvers._HeldFactor)
@@ -287,7 +400,7 @@ class TestFrozenTail:
             return out
 
         monkeypatch.setattr(solvers._HeldFactor, "__init__", recording)
-        monkeypatch.setattr(NormalEquations, "solve_blocks", watched)
+        monkeypatch.setattr(NormalEquations, "step_blocks", watched)
 
         est118 = central["118"]
         rng = np.random.default_rng(1)

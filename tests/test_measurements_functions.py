@@ -239,15 +239,20 @@ class TestScenarioAxis:
 # ---------------------------------------------------------------------------
 # Reverse mode: Hᵀ u without H
 # ---------------------------------------------------------------------------
-def _fill_path_rhs(model, keep, Vm, Va, u):
+def _fill_path_rhs(model, keep, Vm, Va, u, cur=None, adm=None):
     """``Hᵀ u`` the way the Gauss-Newton kernel takes it: fill, weight, sum
-    (weights 1, so ``W H`` is H and the right-hand side is ``Hᵀ u``)."""
+    (weights 1, so ``W H`` is H and the right-hand side is ``Hᵀ u``).  A
+    stack goes to the kernel as rows and comes back as columns."""
     from repro.estimation.solvers import NormalEquations
 
     structure = model.jacobian_structure(keep)
     kernel = NormalEquations(*structure.pattern)
-    data = structure.fill_data(Vm, Va)
-    return kernel.rhs(kernel.weighted(data, np.ones(len(model.mset))), u)
+    data = structure.fill_data(Vm, Va, cur, adm)
+    ones = np.ones(len(model.mset))
+    if data.ndim == 1:
+        return kernel.rhs(kernel.weighted(data, ones), u)
+    data = np.ascontiguousarray(data.T)
+    return kernel.rhs(kernel.weighted(data, ones), u.T).T
 
 
 class TestGradient:
@@ -303,6 +308,68 @@ class TestGradient:
         u_dark = np.zeros(len(ms))
         u_dark[rows] = 1.0
         assert np.array_equal(model.gradient(vm, va, cur, u_dark), np.zeros(28))
+
+    @pytest.mark.parametrize("tag", ["14", "118"])
+    def test_stack_equals_column_by_column(self, request, tag):
+        """An ``(n, K)`` stack with ``(m, K)`` multipliers is, column by
+        column and bit for bit, the K one-state calls (full + PMU sets)."""
+        net = request.getfixturevalue("net" + tag)
+        _, ms, _, Vm, Va = _central(net, request.getfixturevalue("pf" + tag), pmus=True)
+        model = MeasurementModel(net, ms)
+        VmK, VaK = TestScenarioAxis._stack(Vm, Va, 5)
+        u = np.random.default_rng(6).standard_normal((len(ms), 5))
+        gK = model.gradient(VmK, VaK, model.currents(VmK, VaK), u)
+        assert gK.shape == (2 * net.n_bus, 5)
+        for k in range(5):
+            vm, va = VmK[:, k].copy(), VaK[:, k].copy()
+            one = model.gradient(vm, va, model.currents(vm, va), u[:, k].copy())
+            assert np.array_equal(gK[:, k], one)
+
+    @staticmethod
+    def _whatif(net, pf, branch):
+        """A full + PMU model, a 3-column stack and admittances whose
+        column 1 has ``branch`` out."""
+        _, ms, keep, Vm, Va = _central(net, pf, pmus=True)
+        model = MeasurementModel(net, ms)
+        status = np.tile(net.br_status, (3, 1))
+        status[1, branch] = 0
+        VmK, VaK = TestScenarioAxis._stack(Vm, Va, 3)
+        return model, keep, VmK, VaK, model.admittance_stack(status)
+
+    @pytest.mark.parametrize("tag", ["14", "118"])
+    def test_whatif_stack_is_the_fill_path_rhs(self, request, tag):
+        """With per-scenario admittances the pull-back agrees with the
+        kernel's ``Hᵀ W r`` on the same admittances to 1e-13 relative."""
+        net = request.getfixturevalue("net" + tag)
+        model, keep, VmK, VaK, adm = self._whatif(
+            net, request.getfixturevalue("pf" + tag), 2
+        )
+        cur = model.currents(VmK, VaK, adm)
+        u = np.random.default_rng(7).standard_normal((len(model.mset), 3))
+        got = model.gradient(VmK, VaK, cur, u, adm)[keep]
+        want = _fill_path_rhs(model, keep, VmK, VaK, u, cur, adm)
+        for k in range(3):
+            assert np.abs(got[:, k] - want[:, k]).max() <= 1e-13 * np.abs(want[:, k]).max()
+
+    def test_outaged_branch_current_has_zero_gradient(self, net14, pf14):
+        """An ``I_MAG_F`` row on the branch a what-if takes out adds exactly
+        nothing, and the rest still agrees with the fill path."""
+        _, ms, *_ = _central(net14, pf14, pmus=True)
+        branch = int(ms.elements(MeasType.I_MAG_F)[0])
+        model, keep, VmK, VaK, adm = self._whatif(net14, pf14, branch)
+        cur = model.currents(VmK, VaK, adm)
+        assert cur[2][branch, 1] == 0 and cur[2][branch, 0] != 0
+        rows = ms.rows(MeasType.I_MAG_F)[ms.elements(MeasType.I_MAG_F) == branch]
+        u_dark = np.zeros((len(ms), 3))
+        u_dark[rows, 1] = 1.0
+        g = model.gradient(VmK, VaK, cur, u_dark, adm)
+        assert np.array_equal(g, np.zeros((2 * net14.n_bus, 3)))
+        u = np.random.default_rng(8).standard_normal((len(ms), 3))
+        got = model.gradient(VmK, VaK, cur, u, adm)[keep]
+        want = _fill_path_rhs(model, keep, VmK, VaK, u, cur, adm)
+        assert np.all(np.isfinite(got))
+        for k in range(3):
+            assert np.abs(got[:, k] - want[:, k]).max() <= 1e-13 * np.abs(want[:, k]).max()
 
     def test_union_gradient_is_each_members_own(self, net118, pf118):
         """On a stacked union of Step-2 problems, each member's slice of the

@@ -74,6 +74,16 @@ def dse118(net118, pf118):
 # arithmetic
 # ---------------------------------------------------------------------------
 
+def _step(kernel, data, w, rs, active=None, ops=None, hold=None):
+    """``kernel.step_blocks`` on a replica stack whose rows cover every
+    active block: the right-hand side contracted from the whole stack (the
+    matrix entry's), the gain from the rows of the blocks that factor."""
+    rhs = kernel.rhs(kernel.weighted(data, w), rs)
+    labels = range(len(data)) if active is None else active
+    rows = [j for j, b in enumerate(labels) if b not in (ops or {})]
+    return kernel.step_blocks(rhs, active, ops, data[rows], w, hold)
+
+
 class TestKernelArithmetic:
     def test_gain_and_rhs_match_dense_reference(self, central118):
         _, H, w, r = central118
@@ -112,9 +122,7 @@ class TestKernelArithmetic:
         rng = np.random.default_rng(1)
         data = H.data * (1.0 + 0.01 * rng.standard_normal((4, H.nnz)))
         rs = r + 0.01 * rng.standard_normal((4, len(r)))
-        batch, errors = NormalEquations(H.indptr, H.indices, H.shape).solve_blocks(
-            data, w, rs
-        )
+        batch, errors = _step(NormalEquations(H.indptr, H.indices, H.shape), data, w, rs)
         assert not errors and batch.shape == (4, H.shape[1])
         solver = GainSolver()
         for k in range(4):
@@ -131,13 +139,13 @@ class TestKernelArithmetic:
         data[1] = 0.0                      # G = 0: dpotrf stops at column 1
         rs = r + 0.01 * rng.standard_normal((3, len(r)))
         kernel = NormalEquations(H.indptr, H.indices, H.shape)
-        dx, errors = kernel.solve_blocks(data, w, rs, [7, 8, 9])
+        dx, errors = _step(kernel, data, w, rs, [7, 8, 9])
         assert list(errors) == [8] and isinstance(errors[8], GainSolveError)
         assert not dx[1].any()
         for k in (0, 2):
             assert np.array_equal(dx[k], kernel.solve(data[k], w, rs[k]))
         with pytest.raises(ValueError, match="one row per active block"):
-            kernel.solve_blocks(data, w, rs, [0, 1])
+            _step(kernel, data, w, rs, [0, 1])
 
     def test_new_pattern_replaces_kernel(self, central118):
         _, H, w, r = central118
@@ -193,7 +201,7 @@ class TestOrderingRegression:
         kernel = NormalEquations(H.indptr, H.indices, H.shape)
         data, rs = np.tile(H.data, (4, 1)), np.tile(r, (4, 1))
         for _ in range(2):
-            assert not kernel.solve_blocks(data, w, rs)[1]
+            assert not _step(kernel, data, w, rs)[1]
         assert _fill(kernel.spd.lu) == _fill(spla.splu(build_gain(H, w)))
 
     def test_schur_interior_block(self, system, request):
@@ -292,7 +300,7 @@ class TestBandMode:
         rs = r + 0.01 * rng.standard_normal((2, len(r)))
         kernel = NormalEquations(H.indptr, H.indices, H.shape)
         ops = {}
-        dx, errors = kernel.solve_blocks(data, w, rs, [0, 1], ops, {0: np.inf})
+        dx, errors = _step(kernel, data, w, rs, [0, 1], ops, {0: np.inf})
         assert not errors and list(ops) == [0] and ops[0].mode == "band"
         assert not np.shares_memory(ops[0]._factor, kernel.spd._chol)
         rhs = kernel.rhs(kernel.weighted(data[0], w), rs[0])
@@ -377,11 +385,11 @@ class TestFrozenOperators:
         solo = [kernel.solve(data[k], w, rs[k]) for k in range(3)]
         assembled.clear()
         ops = {}
-        dx, errors = kernel.solve_blocks(data, w, rs, [0, 1, 2], ops, {1: np.inf})
+        dx, errors = _step(kernel, data, w, rs, [0, 1, 2], ops, {1: np.inf})
         assert not errors and assembled == [3]
         assert list(ops) == [1] and isinstance(ops[1], solvers._HeldFactor)
         assert all(np.array_equal(dx[k], solo[k]) for k in range(3))
-        dx, errors = kernel.solve_blocks(data, w, rs, [0, 1, 2], ops)
+        dx, errors = _step(kernel, data, w, rs, [0, 1, 2], ops)
         assert not errors and assembled == [3, 2]
         rhs = kernel.rhs(kernel.weighted(data[1], w), rs[1])
         assert np.array_equal(dx[1], ops[1].solve(rhs))
@@ -396,13 +404,16 @@ class TestFrozenOperators:
         rng = np.random.default_rng(4)
         Vm = 1.0 + 0.01 * rng.standard_normal(stack.net.n_bus)
         Va = 0.01 * rng.standard_normal(stack.net.n_bus)
-        data = stack.model.jacobian_structure(stack._keep).fill_data(Vm, Va)
+        structure = stack.model.jacobian_structure(stack._keep)
+        data = structure.fill_data(Vm, Va)
         r = stack.mset.z - stack.model.h(Vm, Va)
         w = stack.mset.weights
+        rhs = kernel.rhs(kernel.weighted(data, w), r)
         ops = {}
-        first, _ = kernel.solve_blocks(data, w, r, None, ops, {0: np.inf, 2: 0.0})
+        first, _ = kernel.step_blocks(rhs, None, ops, data, w, {0: np.inf, 2: 0.0})
         assert list(ops) == [0]             # a zero bound holds nothing
-        again, errors = kernel.solve_blocks(data, w, r, None, ops)
+        packed = structure.fill_data(Vm, Va, parts=[1, 2])
+        again, errors = kernel.step_blocks(rhs, None, ops, packed, w)
         assert not errors and assembled[-1] == [1, 2]
         for b, (_, (lo, hi), _) in enumerate(kernel.blocks):
             if b:
@@ -475,8 +486,9 @@ class TestTypedFailure:
             monkeypatch.setattr(solvers, "DENSE_MAX_STATES", limit)
             with pytest.raises(GainSolveError):
                 GainSolver().solve(H, w, r)
-            dx, errors = NormalEquations(H.indptr, H.indices, H.shape).solve_blocks(
-                np.tile(H.data, (2, 1)), w, np.tile(r, (2, 1))
+            dx, errors = _step(
+                NormalEquations(H.indptr, H.indices, H.shape),
+                np.tile(H.data, (2, 1)), w, np.tile(r, (2, 1)),
             )
             assert sorted(errors) == [0, 1] and not dx.any()
             assert all(isinstance(e, GainSolveError) for e in errors.values())
@@ -491,8 +503,9 @@ class TestTypedFailure:
         with pytest.raises(GainSolveError):
             GainSolver().solve(H, w, r)
         # a stack reports per block: the poisoned replica alone
-        dx, errors = NormalEquations(H.indptr, H.indices, H.shape).solve_blocks(
-            np.tile(H.data, (2, 1)), w, np.stack([r, central118[3]])
+        dx, errors = _step(
+            NormalEquations(H.indptr, H.indices, H.shape),
+            np.tile(H.data, (2, 1)), w, np.stack([r, central118[3]]),
         )
         assert list(errors) == [0] and isinstance(errors[0], GainSolveError)
         assert not dx[0].any() and np.all(np.isfinite(dx[1])) and dx[1].any()

@@ -302,12 +302,13 @@ class TestFinishedBlocksLeaveTheLoop:
         lo, hi = kernel.blocks[1][1]
         assert np.array_equal(packed, whole[kernel.indptr[lo]:kernel.indptr[hi]])
         r, w = stack.mset.z - stack.model.h(Vm, Va), stack.mset.weights
+        rhs = kernel.rhs(kernel.weighted(whole, w), r)
         with pytest.raises(ValueError, match="entries"):
-            kernel.solve_blocks(whole, w, r, [1])
+            kernel.step_blocks(rhs, [1], None, whole, w)
         with pytest.raises(ValueError, match="entries"):
-            kernel.solve_blocks(packed, w, r)
-        dx, errors = kernel.solve_blocks(packed, w, r, [1])
-        full, _ = kernel.solve_blocks(whole, w, r)
+            kernel.step_blocks(rhs, None, None, packed, w)
+        dx, errors = kernel.step_blocks(rhs, [1], None, packed, w)
+        full, _ = kernel.step_blocks(rhs, None, None, whole, w)
         assert not errors and not dx[:lo].any()
         assert np.array_equal(dx[lo:hi], full[lo:hi])
         # a structure that was never split is one block
@@ -388,48 +389,68 @@ class TestPoisonedBlock:
 
 class TestStackedStages:
     def test_one_union_evaluation_per_lock_step_iteration(self, dse118, monkeypatch):
-        """A serial frame fills the Jacobian once per stage iteration — the
-        slowest block's count — not once per block iteration, and each
-        fill evaluates exactly the blocks still running."""
+        """A serial frame fills the Jacobian at most once per stage
+        iteration — not once per block iteration — and each fill evaluates
+        exactly the blocks that factor in that iteration: an iteration
+        where every running block solves against a held factor fills
+        nothing, and the blocks filled add up to the results'
+        ``factorizations``."""
         dec, ms = dse118
         dse = DistributedStateEstimator(dec, ms)
         dse.run()                                   # build the stacks
-        fills = []
+        events = []
         fill_data = JacobianStructure.fill_data
+        step_blocks = NormalEquations.step_blocks
 
         def counting(self, *args, **kwargs):
             data = fill_data(self, *args, **kwargs)
-            fills.append((self.n_cols, len(data)))
+            events.append(("fill", self.n_cols, len(data)))
             return data
 
+        def stepping(self, rhs, active=None, operators=None, *args):
+            factoring = [b for b in active if b not in operators]
+            events.append(("step", len(rhs), factoring))
+            return step_blocks(self, rhs, active, operators, *args)
+
         monkeypatch.setattr(JacobianStructure, "fill_data", counting)
+        monkeypatch.setattr(NormalEquations, "step_blocks", stepping)
         res = dse.run(z=_frame(ms, 3))
         recs = res.records.values()
-        stages = [("step1", [r.step1_result.iterations for r in recs])] + [
-            ("step2", [r.step2_results[k].iterations for r in recs])
-            for k in range(res.rounds)
+        results = [r.step1_result for r in recs] + [
+            r.step2_results[k] for r in recs for k in range(res.rounds)
         ]
-        per_block = sum(sum(its) for _, its in stages)
-        # iteration i of a stage fills the entries of the blocks that take
-        # at least i iterations
-        want, whole = [], 0
-        for stage, its in stages:
+        per_block = sum(r.iterations for r in results)
+        stage_iterations = max(r.step1_result.iterations for r in recs) + sum(
+            max(r.step2_results[k].iterations for r in recs) for k in range(res.rounds)
+        )
+        # each block's entries, by the stage stack's state count
+        entries = {}
+        for stage in ("step1", "step2"):
             stack = dse._stacks[stage]
             indptr = stack.model.jacobian_structure(stack._keep).pattern[0]
-            entries = [
+            entries[stack.n_states] = [
                 indptr[blk.states.stop] - indptr[blk.states.start]
                 for blk in stack._blocks
             ]
-            assert sum(entries) == indptr[-1]
-            want += [
-                (stack.n_states, sum(e for e, n in zip(entries, its) if n >= i))
-                for i in range(1, max(its) + 1)
-            ]
-            whole += max(its) * indptr[-1]
-        assert len(fills) == len(want) < per_block / 4
-        # every one of them was a union fill, of the running blocks only
-        assert fills == want
-        assert sum(n for _, n in fills) < whole
+        steps = [e for e in events if e[0] == "step"]
+        fills = [e for e in events if e[0] == "fill"]
+        assert len(steps) == stage_iterations
+        # a step's fill comes right before it and holds its factoring
+        # blocks' entries; a step with nothing to factor has no fill
+        for i, (kind, n_states, factoring) in enumerate(events):
+            if kind != "step":
+                continue
+            before = events[i - 1] if i else ("step",)
+            if factoring:
+                want = sum(entries[n_states][b] for b in factoring)
+                assert before == ("fill", n_states, want)
+            else:
+                assert before[0] == "step"
+        assert any(not factoring for _, _, factoring in steps)
+        assert len(fills) == sum(bool(f) for _, _, f in steps) < per_block / 4
+        assert sum(len(f) for _, _, f in steps) == sum(
+            r.factorizations for r in results
+        )
 
     def test_only_the_serial_reference_stages_stack(self, dse118, job_by_job):
         dec, ms = dse118
