@@ -12,9 +12,12 @@ workload named (``all``: every workload of ``BENCHMARK.json``) and every
 seed runs ``benchmarks/e2e/run.py`` once on that copy and once on this
 working tree, back to back, alternating which side goes first, and prints
 one table per workload: each seed's pair and the medians of the six
-end-to-end metrics.  A pair counts as a win for the change when its value
-is lower (every metric is lower-is-better).  Each median line ends in the
-no-regression verdict against the metric's ``BENCHMARK.json`` bound:
+end-to-end metrics, with the medians of the raw ``bench.cpu_ms_per_op``
+and ``bench.yardstick_p50_ms`` beside ``cpu_norm_ms`` (informational, no
+verdict: what the normalised number is made of).  A pair counts as a win
+for the change when its value is lower (every metric is lower-is-better).
+Each median line ends in the no-regression verdict against the metric's
+``BENCHMARK.json`` bound:
 ``worse`` (the change's median is above the parent's by more than the
 bound), ``unresolved`` (it is not, but the parent's own runs spread wider
 than the bound and the change does not beat every one of them), or ``ok``.
@@ -117,7 +120,8 @@ def extract(rev: str, into: Path) -> None:
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float | None) -> dict:
     """One untraced ``run.py`` in ``tree``; its last output line is the
-    JSON object with the metrics and the failure counts."""
+    JSON object with the metrics and the failure counts, its ``# bench``
+    line the raw numbers (kept as ``out["bench"]``)."""
     cmd = [
         sys.executable, "benchmarks/e2e/run.py",
         "--workload", workload, "--seed", str(seed), "--trace", "0",
@@ -134,6 +138,10 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float | None) -> dic
             f"{proc.stdout[-2000:]}\n{proc.stderr[-2000:]}"
         )
     out["metrics"] = {k: v["value"] for k, v in out["metrics"].items()}
+    out["bench"] = next(
+        json.loads(line[len("# bench "):]) for line in lines
+        if line.startswith("# bench ")
+    )
     return out
 
 
@@ -178,6 +186,12 @@ def compare(sides: dict, workload: str, args, spec: dict) -> bool:
             verdict = "ok"
         print(f"{m:14s} {a:.5g} -> {b:.5g}  ({rel})  {wins}/{len(pairs)}  "
               f"bound {bounds[m]:.0%}: {verdict}")
+        if m == "cpu_norm_ms":
+            # what the normalised CPU is made of; informational, no verdict
+            for raw in ("bench.cpu_ms_per_op", "bench.yardstick_p50_ms"):
+                a = statistics.median(p["bench"][raw] for _, p, _ in pairs)
+                b = statistics.median(c["bench"][raw] for _, _, c in pairs)
+                print(f"  {raw} {a:.5g} -> {b:.5g}  (raw median, no verdict)")
     bad = [
         (seed, side)
         for seed, p, c in pairs

@@ -38,7 +38,14 @@ core
     The paper's contribution: graph-weight estimation, the mapping method
     that places subsystems onto clusters for DSE Step 1 / Step 2, and the
     end-to-end architecture and session runner.
+
+Importing the package sets every loaded OpenBLAS to one thread
+(:mod:`repro.blas_threads`): the parallelism is the program's own.
 """
+
+from repro.blas_threads import pin_one_thread
+
+pin_one_thread()
 
 __version__ = "0.1.0"
 
