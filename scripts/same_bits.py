@@ -18,6 +18,10 @@ rows are compared:
   ``wecc37_condensed`` benchmark's op);
 - ``LiveDseRuntime``: {in-proc, TCP} × {reference, condensed}, two frames,
   and a TCP frame screened by ``weights=`` (four rows at weight 0);
+- one central IEEE-118 ``WlsEstimator`` solving the same frame twice from
+  the flat start (the second solve's iteration 1 on the estimator's held
+  flat-start factor: the row reads ``equal`` only if it is the first's
+  bits);
 - ``BatchEstimator``: K ∈ {1, 6, 16} value frames, a chunk of six value
   frames with three branch-outage what-ifs, and a chunk of 16 what-ifs
   over every tenth safe N-1 branch; and the six value frames as replicas
@@ -220,6 +224,10 @@ def matrix() -> None:
         central.z + central.sigma * rng.standard_normal(len(central))
         for _ in range(16)
     ]
+    est = WlsEstimator(net, central)
+    twice = [est.estimate(z=draws[0]) for _ in range(2)]
+    emit("central flat start, solved twice", [(r.Vm, r.Va) for r in twice],
+         sum(r.iterations for r in twice))
     batch = BatchEstimator(net, central, max_batch=16)
     chunks = {f"batch K={K} value frames": [BatchScenario(z=z) for z in draws[:K]]
               for K in (1, 6, 16)}

@@ -189,8 +189,9 @@ class DistributedStateEstimator:
         Off by default (full extended re-evaluation, the reference path).
         When on, each subsystem's extended gain matrix is frozen
         (:class:`~repro.dse.condensation.CondensedStep2`) — factored once
-        per frame, at the solution of the frame's first (exact) Step-2
-        round, and the factor held by every later round — so those rounds
+        per frame, where the frame's first (exact) Step-2 round last
+        factored it (that round's own factor, adopted), and the factor held
+        by every later round — so those rounds
         assemble and factor no gain, and each round exchanges only compact
         per-neighbour boundary blocks (the condensed wire form of
         :mod:`repro.middleware.message`).

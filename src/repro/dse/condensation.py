@@ -32,10 +32,12 @@ freezing only the gain operator turns Gauss-Newton into a quasi-Newton
 scheme with linear convergence.  How fast it contracts depends on how far
 the frozen point is from where the iteration runs, so the operator is
 frozen *there*: round 0 of a frame is the wrapped estimator's exact
-Gauss-Newton solve, and every later round iterates with the gain
-frozen at that round-0 solution (3–5e-3 pu closer than the Step-1
-publication, which on stiff areas is the difference between a contraction
-of 0.7 and one of 0.06–0.12 per iteration).  The iteration runs to a
+Gauss-Newton solve (:func:`exact_round`), and every later round iterates
+with the gain frozen where that loop last factored it — in its linear
+tail, within a step below √tol of the round-0 solution, and so 3–5e-3 pu
+closer than the Step-1 publication, which on stiff areas is the
+difference between a contraction of 0.7 and one of 0.06–0.12 per
+iteration.  The iteration runs to a
 tighter internal tolerance to keep final-state parity with the reference
 path at ≤1e-8, and falls back to the exact solve on the rare round where
 the frozen operator does not contract fast enough.
@@ -51,14 +53,22 @@ The linearization point must be *history-free* for every hosting of a
 frame to agree bit for bit: a live site promoted by failover may first
 touch a subsystem's cache on any round, so an operator frozen "at the
 first state seen" would differ between the donor and its successor.  The
-round-0 solution is a function of the frame's inputs alone — the same
-arrays on every host — and the stepper passes it as an explicit
-``lin_point`` with every later call.  :func:`condense` refactors
-a subsystem only when the point, or the frame's row weights, actually
-change (exact array match), so all frozen rounds of a frame share one
-factorization, repeated identical frames reuse it, and tracking frames
-refactor once per frame — every subsystem that does, from one gain pass
-over the stack.
+state round 0 last factored at (the result's ``factored_at``) is a
+function of the frame's inputs alone — the exact loop is deterministic,
+the same arrays on every host — and the stepper passes it as an explicit
+``lin_point`` with every later call.  The factor itself comes one of two
+ways, on the same bits.  The host that ran round 0 *adopts* it
+(:meth:`CondensedStep2.adopt`): that loop's last factorization is the
+gain at ``factored_at``, still in the block's kernel factor, so a clean
+frame assembles and factors no condensed gain at all.  A host that did
+not run the round — a failover successor, a checkpoint restore — holds no
+such factor, and :func:`condense` refactors the subsystem at the point:
+the stack's gain at ``lin_point`` is, block by block, bit for bit the
+gain the member's loop assembled there.  :func:`condense` refactors only
+when the point, or the frame's row weights, actually change (exact array
+match), so all frozen rounds of a frame share one factorization and
+repeated identical frames reuse it; the subsystems it does refactor come
+from one gain pass over the stack.
 """
 
 from __future__ import annotations
@@ -73,7 +83,10 @@ from ..estimation.solvers import GainSolveError, _HeldFactor, _SpdFactor
 from ..estimation.wls import EstimationError, WlsEstimator
 from .decomposition import Decomposition
 
-__all__ = ["CondensedStep2", "condense", "frozen_round", "neighbor_publication_sets"]
+__all__ = [
+    "CondensedStep2", "condense", "exact_round", "frozen_round",
+    "neighbor_publication_sets",
+]
 
 #: A frozen-gain block stops on ``step < tol * FROZEN_TOL_SCALE``, tighter
 #: than the reference's ``step < tol``, so its linear tail still lands
@@ -170,6 +183,9 @@ class CondensedStep2:
         self.factor_count = 0
         self.fallbacks = 0
         self._lin_cache: tuple[np.ndarray, np.ndarray] | None = None
+        #: ``(factor, factored_at, weights)`` of the last exact round: the
+        #: kernel factor its loop left holding the gain at ``factored_at``
+        self._last_exact: tuple | None = None
 
     # -- sizes ----------------------------------------------------------
     @property
@@ -203,24 +219,47 @@ class CondensedStep2:
         """Factor this subsystem's gain values ``gain`` (on its estimator's
         kernel pattern), assembled at ``lin_point`` with row weights
         ``weights`` (:func:`condense`), through ``spd`` — a factor of that
-        pattern — hold the factor as the frozen operator and key it by
-        those.  A gain that does not factor raises :class:`GainSolveError`
-        and leaves an operator that fails its block and no key, so the next
-        round tries again."""
+        pattern — and hold it (:meth:`_hold`).  A gain that does not factor
+        raises :class:`GainSolveError` and leaves an operator that fails its
+        block and no key, so the next round tries again."""
         self._lin_cache = None
         try:
             spd.factor(gain)
         except GainSolveError as exc:
             self.operator = _Unfactored(f"frozen gain: {exc}")
             raise
-        self.operator = _HeldFactor(spd)
-        self.factor_count += 1
         if obs.enabled():
             obs.metrics().counter("dse.condensation.factorizations_total").inc()
+        self._hold(spd, lin_point, weights)
+
+    def _hold(self, spd: _SpdFactor, lin_point: tuple, weights) -> None:
+        """Hold ``spd``'s factor — the gain at ``lin_point`` with row
+        weights ``weights`` — as the frozen operator, keyed by those."""
+        self.operator = _HeldFactor(spd)
+        self.factor_count += 1
         self._lin_cache = tuple(
             None if a is None else np.array(a, dtype=float, copy=True)
             for a in (*lin_point, weights)
         )
+
+    def adopt(self, lin_point: tuple) -> bool:
+        """Take the factor the last exact round's loop left in its kernel
+        as the frozen operator, when ``lin_point`` is that round's
+        ``factored_at`` (the very arrays its result reports), keyed by it
+        and the round's weights — the factor :func:`condense` would make
+        there, bit for bit, without the gain pass (an operator already
+        keyed there is kept).  Returns whether it holds that factor now;
+        the record is consumed either way, and a point that is not the
+        round's leaves the refactorisation to :func:`condense`."""
+        last, self._last_exact = self._last_exact, None
+        if last is None or last[1] is not lin_point:
+            return False
+        if self.lin_point_cached(*last[1:]):
+            return True     # a repeated frame: the operator is these bits
+        t0 = time.perf_counter()
+        self._hold(*last)
+        self.factor_time += time.perf_counter() - t0
+        return True
 
     # ------------------------------------------------------------------
     def estimate(
@@ -242,17 +281,20 @@ class CondensedStep2:
         ``weights`` changes; ``max_iter`` overrides that iteration's cap).
         Without one — round 0 of a frame, before there is a solution to
         freeze at — the call is the wrapped estimator's exact Gauss-Newton
-        solve.  Raises :class:`EstimationError` on a failed solve.
+        solve (:func:`exact_round`).  Raises :class:`EstimationError` on a
+        failed solve.
         """
-        if lin_point is None:
-            return self.est.estimate(
-                x0=x0, tol=tol, reference_angle=reference_angle, z=z, weights=weights
-            )
-        (res,) = frozen_round(
-            self.est, [self], x0=[x0], z=[z], weights=[weights],
-            lin_points=[lin_point], tol=tol, max_iter=max_iter,
+        inputs = dict(
+            x0=[x0], z=[z], weights=[weights], tol=tol,
             reference_angle=reference_angle,
         )
+        if lin_point is None:
+            (res,) = exact_round(self.est, [self], **inputs)
+        else:
+            (res,) = frozen_round(
+                self.est, [self], lin_points=[lin_point], max_iter=max_iter,
+                **inputs,
+            )
         if isinstance(res, EstimationError):
             raise res
         return res
@@ -302,6 +344,32 @@ def condense(
         t, t_prev = time.perf_counter(), t
         conds[b].factor_time += float(share) + (t - t_prev)
     return t - t0
+
+
+def exact_round(
+    stack: WlsEstimator,
+    conds: list[CondensedStep2],
+    *,
+    x0: list,
+    z: list,
+    weights: list,
+    tol: float = 1e-8,
+    reference_angle: float = 0.0,
+) -> list[EstimationResult | EstimationError]:
+    """The exact Gauss-Newton round of every ``conds[b]`` over ``stack``
+    (as :func:`frozen_round` takes it), in lock step: each subsystem notes
+    the factor its block's loop left in ``stack``'s kernel — the gain at
+    the result's ``factored_at`` — for :meth:`CondensedStep2.adopt`."""
+    results = stack.estimate_blocks(
+        x0=x0, z=z, weights=weights, tol=tol, reference_angle=reference_angle,
+    )
+    blocks = stack._kernel().blocks
+    for cond, (spd, _, _), res, w in zip(conds, blocks, results, weights):
+        cond._last_exact = (
+            None if isinstance(res, EstimationError) or res.factored_at is None
+            else (spd, res.factored_at, w)
+        )
+    return results
 
 
 def frozen_round(

@@ -42,7 +42,7 @@ import numpy as np
 from .. import obs
 from ..estimation.results import EstimationResult
 from ..estimation.wls import WlsEstimator
-from .condensation import frozen_round
+from .condensation import exact_round, frozen_round
 from .pseudo import pseudo_measurements
 
 __all__ = ["SolveFailure", "SubsystemRecord", "SubsystemStepper", "solve_stage"]
@@ -155,7 +155,8 @@ class SubsystemStepper:
         self.records: dict[int, SubsystemRecord] = {}
         #: previous round's extended solution per subsystem (warm start)
         self.last2: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        #: the frame's condensation linearization point per subsystem
+        #: the frame's condensation linearization point per subsystem: where
+        #: its first exact round last factored the gain
         self.lin: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.round_deltas: list[float] = []
         self._factor_t0: dict[int, float] = {}
@@ -351,12 +352,16 @@ class SubsystemStepper:
                 continue
             self.last2[s] = (res.Vm, res.Va)
             if dse.condense and s not in self.lin:
-                # Freeze the gain operator where the iteration lives:
-                # at the solution of the frame's first (exact) round.
-                # A function of the frame's inputs alone — the same
-                # arrays on every host — so the later rounds share one
-                # factorization wherever they run.
-                self.lin[s] = self.last2[s]
+                # Freeze the gain operator where the iteration lives: where
+                # the frame's first (exact) round last factored it, in that
+                # round's linear tail (its step there below √tol).  A
+                # function of the frame's inputs alone — the same arrays on
+                # every host — so the later rounds share one factorization
+                # wherever they run; the host that ran the round holds that
+                # factor already, and adopts it.
+                lin = res.factored_at
+                self.lin[s] = self.last2[s] if lin is None else lin
+                dse._step2_cache[s][0].adopt(self.lin[s])
             rec.step2_results.append(res)
             scope = (
                 dse.sub1[s][2] if dse.update_scope == "all"
@@ -452,11 +457,13 @@ def _stacked_stage(
     stack = dse._stack(stage)
     wall0, t0 = time.time(), time.perf_counter()
     inputs = dict(x0=x0, z=z, weights=w, tol=tol)
-    if lins[0] is None:
-        results = stack.estimate_blocks(**inputs)
-    else:
-        conds = [_cached_estimator(dse, stage, s) for s in subsystems]
+    conds = [_cached_estimator(dse, stage, s) for s in subsystems]
+    if lins[0] is not None:
         results = frozen_round(stack, conds, lin_points=lins, **inputs)
+    elif stage == "step2" and dse.condense:
+        results = exact_round(stack, conds, **inputs)
+    else:
+        results = stack.estimate_blocks(**inputs)
     wall = time.perf_counter() - t0
 
     failed = [r for r in results if isinstance(r, Exception)]

@@ -53,6 +53,10 @@ class EstimationResult:
         operator: the Gauss-Newton loop's held factor in the linear tail,
         or a condensed Step-2 round's held gain factor.  0 for estimators
         outside the Gauss-Newton loop.
+    factored_at:
+        ``(Vm, Va)`` where the Gauss-Newton loop took this solve's last
+        gain factorization (``None``: it factored none) — the
+        linearization point a condensed Step 2 adopts that factor at.
     """
 
     converged: bool
@@ -64,6 +68,7 @@ class EstimationResult:
     dof: int
     step_norms: list[float] = field(default_factory=list)
     factorizations: int = 0
+    factored_at: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def V(self) -> np.ndarray:

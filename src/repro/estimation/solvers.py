@@ -35,7 +35,9 @@ block may instead be solved against a frozen operator (:class:`_HeldFactor`)
 — a factor the kernel kept from an earlier call, or one a caller factored
 and holds, as the condensed DSE Step 2 does — in which case nothing is
 filled, assembled or factored for it; it keeps the factor in its mode's
-form (the band, the packed dense triangle, or the SuperLU object).
+form (the band, the packed dense triangle, or the SuperLU object), or —
+where a held step must be the bits a fresh one would be — in the form the
+live factor solves with.
 :meth:`NormalEquations.solve` is the matrix entry (:class:`GainSolver`):
 it contracts the right-hand side from the Jacobian it is given.
 """
@@ -323,34 +325,41 @@ class _HeldFactor:
     """A gain factor kept past the solve that made it, as a frozen operator.
 
     The Gauss-Newton loop holds a block's factor through the block's linear
-    tail (:meth:`NormalEquations.step_blocks`' ``hold``), and a condensed
-    DSE Step-2 round holds its subsystem's gain factored once at the frame's
-    linearization point through every iteration of the round (every block
-    of the step an operator).  The form follows the factor's
-    mode: a band factor is held as a copy of its band array (with the
+    tail (:meth:`NormalEquations.step_blocks`' ``hold``), an estimator holds
+    each block's gain factored at the flat start for the first iteration of
+    every flat-started solve, and a condensed DSE Step-2 round holds its
+    subsystem's gain factored once at the frame's linearization point
+    through every iteration of the round (every block of the step an
+    operator).  A band factor is held as a copy of its band array (with the
     shared RCM order) and solved with the same ``dpbtrs`` as the live
-    factor; a dense factor as its packed lower triangle, solved with
-    ``dpptrs``; a sparse one keeps the SuperLU object its factorisation
-    created, with the column order.
-    Every path holds the one form of its mode — a union block, a plain
-    estimator, a replica of a stack — so a held block's steps are the same
-    bits however the block was stacked.
+    factor; a sparse one keeps the SuperLU object its factorisation
+    created, with the column order.  A dense factor is held as its packed
+    lower triangle and solved with ``dpptrs`` (half the bytes, and 1.4–2×
+    faster than ``dpotrs`` on one right-hand side at 80–200 states), or,
+    with ``live_form``, as a copy of its ``n × n`` block solved with the
+    live factor's own ``dpotrs``: ``dpptrs`` rounds differently, and the
+    flat-start factor stands in for a fresh factor, whose step it must give
+    bit for bit.  Every path holds one form per use — a union block, a
+    plain estimator, a replica of a stack — so a held block's steps are the
+    same bits however the block was stacked.
     """
 
-    def __init__(self, spd: _SpdFactor):
+    def __init__(self, spd: _SpdFactor, *, live_form: bool = False):
         self.n, self.mode = spd.n, spd.mode
-        if spd.mode == "band":
-            self._factor, self._order = spd._chol.copy(order="F"), spd._rcm
-        elif spd.mode == "dense":
-            self._factor, self._order = spd.lower_packed(), None
-        else:
+        if spd.mode == "sparse":
             self._factor, self._order = spd.lu, spd._permuted[2]
+        elif spd.mode == "dense" and not live_form:
+            self._factor, self._order = spd.lower_packed(), None
+        else:   # the band's RCM order; None for a dense block
+            self._factor, self._order = spd._chol.copy(order="F"), spd._rcm
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         if self.mode == "band":
             return _band_solve(self._factor, self._order, b)
-        if self.mode == "dense":
+        if self.mode == "dense" and self._factor.ndim == 1:
             return dpptrs(self.n, self._factor, b, lower=1)[0]
+        if self.mode == "dense":
+            return dpotrs(self._factor, b, lower=1)[0]
         x = np.empty_like(b)
         x[self._order] = self._factor.solve(b)
         return x

@@ -22,7 +22,7 @@ from ..grid.network import Network
 from ..measurements.functions import MeasurementModel
 from ..measurements.types import MeasType, MeasurementSet
 from .results import EstimationResult
-from .solvers import GainSolver, NormalEquations
+from .solvers import GainSolveError, GainSolver, NormalEquations, _HeldFactor
 
 __all__ = [
     "DIVERGED", "EstimationError", "WlsEstimator", "check_tol", "estimate_state",
@@ -109,6 +109,8 @@ class WlsEstimator:
             self._keep = np.delete(np.arange(2 * n), self.reference_bus)
         self._gain_solver = GainSolver()
         self._keep_all = self.has_pmu_angles
+        self._flat: dict[int, _HeldFactor] = {}
+        self._flat_angle = 0.0
         self._blocks = [
             _Block(
                 buses=slice(0, n),
@@ -201,6 +203,7 @@ class WlsEstimator:
         self._gain_solver.kernel = NormalEquations.stacked(
             [m._kernel() for m in members], rows, *structure.pattern
         )
+        self._flat, self._flat_angle = {}, 0.0
         return self
 
     @property
@@ -267,6 +270,32 @@ class WlsEstimator:
         kernel.spd.factor(gain)
         H = sp.csc_matrix((data, kernel.indices, kernel.indptr), shape=kernel.shape)
         return kernel.spd, H
+
+    def _hold_flat(self, reference_angle: float, parts: list[int]) -> None:
+        """Hold the gain factor of blocks ``parts`` at the flat start —
+        ``Vm = 1``, ``Va = reference_angle``, the set's own weights, the
+        base topology — that this estimator does not hold yet: one gain
+        pass over them, each factored through its kernel block's factor and
+        kept (a gain that does not factor is not held; the loop's own
+        factorization then fails the block)."""
+        if reference_angle != self._flat_angle:
+            self._flat, self._flat_angle = {}, reference_angle
+        parts = [p for p in parts if p not in self._flat]
+        if not parts:
+            return
+        n = self.net.n_bus
+        kernel, _, gain = self.gain_at(
+            np.ones(n), np.full(n, float(reference_angle)),
+            parts=parts if len(self._blocks) > 1 else None,
+        )
+        blocks = kernel.blocks
+        for p in parts:
+            spd, _, g = blocks[p]
+            try:
+                spd.factor(gain[slice(*g)])
+            except GainSolveError:
+                continue
+            self._flat[p] = _HeldFactor(spd, live_form=True)
 
     def estimate(
         self,
@@ -363,7 +392,20 @@ class WlsEstimator:
         O(tol) and leaves the fixed point where it was.  A held block whose
         step stops contracting drops the factor and re-factors on its next
         iteration.  ``factorizations`` on a result counts the iterations
-        that did factor.
+        that did factor, and ``factored_at`` is the block's state at the
+        last of them (``None`` when it factored none) — the state whose
+        gain the block's factor in the kernel holds when the call returns.
+
+        *Flat start.*  The gain at the flat start (``Vm = 1``, ``Va =
+        reference_angle``) with the set's own weights on the base topology
+        is a constant of the estimator, factored once per block (one for
+        all replicas) by the first solve that needs it and held.  A block
+        that starts flat with no ``weights`` and no ``status`` of its own
+        takes its first step from that held factor — no fill, gain or
+        factorization in iteration 1, which ``factorizations`` does not
+        count — on the same bits as a fresh factor gives
+        (:class:`~repro.estimation.solvers._HeldFactor` solves as the live
+        factor does); the loop runs on from iteration 2 as it would have.
 
         ``operators`` turns the loop into the frozen-gain iteration of the
         condensed DSE Step 2: one frozen gain operator per block (a union's
@@ -458,12 +500,28 @@ class WlsEstimator:
         state_starts = [blk.states.start for blk in self._blocks]
         step_norms: list[list[float]] = [[] for _ in range(nb)]
         factorizations = [0] * nb
+        # where each block's last factorization was taken: a snapshot of
+        # the states and the block's column in it (replicas)
+        factored: list[tuple | None] = [None] * nb
         # Frozen gain operators by block: the caller's (a condensed round's,
-        # every block's, stopped at DIVERGED) or the loop's own, a block's
+        # every block's, stopped at DIVERGED) or the loop's own — the
+        # estimator's flat-start factor for iteration 1, or a block's
         # factor held through its linear tail.
         frozen = operators is not None
         ops = dict(enumerate(operators)) if frozen else {}
         roots = [float(np.sqrt(t)) for t in tols]
+        # flat-started blocks on the set's own weights and topology take
+        # iteration 1 from the estimator's flat factor (replicas share one)
+        flat = {}
+        if not frozen and max_iter:
+            flat = {
+                b: 0 if replicas else b
+                for b in range(nb)
+                if results[b] is None
+                and all(v[b] is None for v in (x0, weights, status))
+            }
+            self._hold_flat(reference_angle, sorted(set(flat.values())))
+            ops.update((b, self._flat[k]) for b, k in flat.items() if k in self._flat)
 
         def finish(b: int, converged: bool) -> None:
             blk = blocks[b]
@@ -472,6 +530,10 @@ class WlsEstimator:
             wb = w[(blk.rows, *at)] if w.ndim == 2 else w[blk.rows]
             if replicas:    # a strided dot product sums in another order
                 rb = rb.copy()
+            lin = None
+            if factored[b] is not None:
+                (sVm, sVa), col = factored[b]
+                lin = (sVm[(blk.buses, *col)].copy(), sVa[(blk.buses, *col)].copy())
             # copies: the other blocks keep iterating on Vm / Va
             results[b] = EstimationResult(
                 converged=converged,
@@ -483,6 +545,7 @@ class WlsEstimator:
                 dof=used[b] - blk.n_states,
                 step_norms=step_norms[b],
                 factorizations=factorizations[b],
+                factored_at=lin,
             )
 
         active = [b for b in range(nb) if results[b] is None]
@@ -522,8 +585,11 @@ class WlsEstimator:
                     structure.fill_data(Vm_f, Va_f, cur_f, adm_f).T
                 )
                 w_f = w if w.ndim == 1 else w[:, cols].T
-            for b in factoring:
-                factorizations[b] += 1
+            if factoring:
+                snap = (Vm.copy(), Va.copy())
+                for b in factoring:
+                    factorizations[b] += 1
+                    factored[b] = (snap, (active.index(b),) if replicas else ())
             try:
                 dx, errors = kernel.step_blocks(
                     rhs.T if replicas else rhs, active, ops, data, w_f, hold
@@ -533,6 +599,9 @@ class WlsEstimator:
             except Exception as exc:
                 dx = np.zeros((self.n_states, *Vm.shape[1:]))
                 errors = dict.fromkeys(active, exc)
+            if it == 1:
+                for b in flat:      # the flat factors serve iteration 1 alone
+                    ops.pop(b, None)
             for b, exc in errors.items():
                 results[b] = EstimationError(
                     f"normal-equation solve failed: {exc}"

@@ -4,8 +4,8 @@
 (batch many independent area solves into one warm engine): callers submit
 estimation frames and contingency cases from any thread; a dispatcher
 coalesces them into batches — bounded by ``max_batch`` and a flush-latency
-window — and drains each batch.  Results stream back through futures as
-they resolve.
+window, or by the end of a burst handed to ``run`` — and drains each
+batch.  Results stream back through futures as they resolve.
 
 Estimation frames drain one way: a flush's frames are grouped by
 tolerance and each group is *one* solve of a
@@ -85,7 +85,8 @@ class ScenarioService:
     flush_latency:
         Seconds the dispatcher waits for the batch to fill before flushing
         a partial one (the latency the first request in a batch is willing
-        to trade for throughput).
+        to trade for throughput).  A burst handed to :meth:`run` does not
+        wait it out: the burst's end flushes the batch.
     batch_solve:
         Accepted and ignored: the analyzer's method picks the contingency
         drain, and estimation frames always drain batched.
@@ -204,9 +205,19 @@ class ScenarioService:
 
     # -- bulk / streaming ---------------------------------------------------
     def run(self, requests: Iterable) -> list[ScenarioResult]:
-        """Submit every request and wait; results in request order."""
+        """Submit every request and wait; results in request order.  The
+        burst ends with a flush (:meth:`_flush`): the dispatcher drains
+        what it holds at once, in batches of at most ``max_batch`` that end
+        with the burst, rather than waiting out ``flush_latency``."""
         futures = [self.submit(r) for r in requests]
+        self._flush()
         return [f.result() for f in futures]
+
+    def _flush(self) -> None:
+        """Mark the end of a burst on the queue (a ``None``): the batch the
+        dispatcher is collecting closes there."""
+        if not self._closed:
+            self._queue.put(None)
 
     def stream(self, requests: Iterable) -> Iterator[ScenarioResult]:
         """Submit every request, yielding results in completion order."""
@@ -230,6 +241,8 @@ class ScenarioService:
             item = self._queue.get()
             if item is _SHUTDOWN:
                 return
+            if item is None:        # a flush with nothing held
+                continue
             batch = [item]
             deadline = time.perf_counter() + self.flush_latency
             stop = False
@@ -243,6 +256,8 @@ class ScenarioService:
                     break
                 if nxt is _SHUTDOWN:
                     stop = True
+                    break
+                if nxt is None:     # the burst ends here
                     break
                 batch.append(nxt)
             self._execute_batch(batch)

@@ -275,6 +275,11 @@ class ShardRouter:
         """Route and enqueue a request; the returned future resolves to
         the replica's :class:`~repro.serving.requests.ScenarioResult`
         (annotated with the serving shard) or fails with a typed error."""
+        return self._submit(request, key)[0]
+
+    def _submit(self, request, key=None) -> tuple[Future, str | None]:
+        """:meth:`submit`, plus the replica the request was queued on
+        (``None`` when none took it)."""
         if self._closed:
             raise RuntimeError("ShardRouter is closed")
         if not isinstance(request, (EstimationRequest, ContingencyRequest)):
@@ -284,8 +289,7 @@ class ShardRouter:
             )
         key = self.key_for(request) if key is None else key
         caller: Future = Future()
-        self._dispatch(request, caller, key, tried=set(), attempt=1)
-        return caller
+        return caller, self._dispatch(request, caller, key, tried=set(), attempt=1)
 
     def submit_estimation(
         self, z=None, *, tol: float = 1e-8, delta=None, key=None
@@ -297,8 +301,16 @@ class ShardRouter:
         return self.submit(ContingencyRequest(contingency))
 
     def run(self, requests: Iterable) -> list:
-        """Submit every request and wait; results in request order."""
-        futures = [self.submit(r) for r in requests]
+        """Submit every request and wait; results in request order.  Each
+        replica the burst was queued on is flushed after the last submit
+        (:meth:`ScenarioService.run`), so its share drains at once."""
+        futures, fed = [], set()
+        for r in requests:
+            fut, target = self._submit(r)
+            futures.append(fut)
+            fed.add(target)
+        for name in sorted(fed - {None}):
+            self._shards[name]._flush()
         return [f.result() for f in futures]
 
     def stream(self, requests: Iterable) -> Iterator:
@@ -322,7 +334,10 @@ class ShardRouter:
     def _dispatch(
         self, request, caller: Future, key, tried: set, attempt: int,
         last_exc: Exception | None = None,
-    ) -> None:
+    ) -> str | None:
+        """Queue ``request`` on the first live replica of ``key``'s
+        preference that takes it; returns that replica's name, or ``None``
+        once ``caller`` has failed typed."""
         while True:
             target = self._next_target(key, tried)
             if target is None:
@@ -336,7 +351,7 @@ class ShardRouter:
                         "every live shard refused the request "
                         f"(tried {sorted(tried) or 'none'})"
                     ))
-                return
+                return None
             svc = self._shards[target]
             try:
                 inner = svc.submit(request)
@@ -357,7 +372,7 @@ class ShardRouter:
                     fut, request, caller, key, tried, attempt, t
                 )
             )
-            return
+            return target
 
     def _on_inner(
         self, fut: Future, request, caller: Future, key, tried: set,

@@ -2,8 +2,9 @@
 gain is frozen, and that the stacked frozen-gain loop is the per-block one.
 
 Round 0 of a condensed frame is the exact Gauss-Newton solve; every later
-round iterates with the gain factor frozen at that round-0 *solution*
-and starts where the previous round stopped.  A stage that names every
+round iterates with the gain factor frozen where round 0's loop last
+factored it — the factor that loop leaves, adopted — and starts where the
+previous round stopped.  A stage that names every
 subsystem runs those rounds as one masked loop over the union of the
 subsystems; a partial job set runs them block by block — through the same
 loop, so on the same bits.
@@ -231,7 +232,8 @@ class TestBlockFailsAlone:
 
     def test_poisoned_area_degrades_alone_and_freezes_late(self, dse118):
         """A NaN in one area's Step-2 telemetry degrades that area only; its
-        gain is frozen at the solution of its first round that succeeds."""
+        gain is frozen where its first round that succeeds last factored,
+        and that round's factor is the one it holds."""
         dec, ms = dse118
         dse = DistributedStateEstimator(
             dec, ms, condense=True, degrade_on_failure=True
@@ -251,7 +253,8 @@ class TestBlockFailsAlone:
         st.z = clean                # the next scan of that meter is good
         st.step2_round(2)
         first = st.records[bad].step2_results[0]
-        assert st.lin[bad][0] is first.Vm and st.lin[bad][1] is first.Va
+        assert st.lin[bad] is first.factored_at
+        assert dse._step2_cache[bad][0].lin_point_cached(st.lin[bad])
         st.step2_round(3)           # every block frozen again: one loop
         assert len(st.records[bad].step2_results) == 2
         assert _fallbacks(dse) == 0
@@ -259,7 +262,8 @@ class TestBlockFailsAlone:
 
 
 # ---------------------------------------------------------------------------
-# (4) the linearization point: the round-0 solution, one factor per frame
+# (4) the linearization point: round 0's last factored state, one factor per
+# frame
 # ---------------------------------------------------------------------------
 
 class TestLinearizationPoint:
@@ -277,21 +281,26 @@ class TestLinearizationPoint:
 
         st = frame(_frame(ms, 9))
         for s, cond in enumerate(conds):
+            # the state round 0 last factored at: its held tail's, whose
+            # step was below √tol
             first = st.records[s].step2_results[0]
-            assert np.array_equal(st.lin[s][0], first.Vm)
-            assert np.array_equal(st.lin[s][1], first.Va)
+            assert st.lin[s] is first.factored_at
+            assert np.abs(st.lin[s][0] - first.Vm).max() <= 2e-4
+            assert np.abs(st.lin[s][1] - first.Va).max() <= 2e-4
             assert cond.lin_point_cached(st.lin[s])
         assert [c.factor_count for c in conds] == [1] * dec.m
         frame(_frame(ms, 9))            # the same frame again: cache hits
         assert [c.factor_count for c in conds] == [1] * dec.m
-        frame(_frame(ms, 10))           # a new frame: one factor each
+        st = frame(_frame(ms, 10))      # a new frame: one factor each
         assert [c.factor_count for c in conds] == [2] * dec.m
         assert all(st.records[s].factor_time > 0.0 for s in range(dec.m))
 
 
 class TestCondensationPass:
-    """A frame's operators come from one gain pass over the Step-2 stack,
-    restricted to the subsystems whose linearization point moved."""
+    """A frame's operators are the factors its exact round 0 left, adopted
+    with no gain pass; a host that did not run that round refactors in one
+    gain pass over the Step-2 stack, restricted to the subsystems whose
+    linearization point moved, on the same bits."""
 
     @pytest.fixture()
     def passes(self, monkeypatch):
@@ -308,6 +317,9 @@ class TestCondensationPass:
 
     @pytest.mark.parametrize("case", ["dse118", "dse_wecc"])
     def test_one_gain_pass_per_frame(self, case, request, passes, monkeypatch):
+        """A clean frame makes no gain pass at all: every subsystem adopts
+        round 0's last factor, the one its own estimator gives at the
+        operator's key — which is what a successor that refactors gets."""
         dec, ms = request.getfixturevalue(case)
         dse = DistributedStateEstimator(dec, ms, condense=True)
         conds = [dse._step2_cache[s][0] for s in range(dec.m)]
@@ -325,16 +337,19 @@ class TestCondensationPass:
         time0 = [c.factor_time for c in conds]
         z = _frame(ms, 5)
         res = dse.run(z=z)
-        # one gain fill over the stack for all subsystems, none per member
-        assert passes == [(dse._stacks["step2"], list(range(dec.m)))]
+        # no gain assembled: condense runs every frozen round and finds
+        # every key held
+        assert passes == [] and walls and set(walls) == {0.0}
         assert [c.factor_count - n for c, n in zip(conds, count0)] == [1] * dec.m
-        # the records' factor times are the pass's wall, shared out
+        # the records' factor times are the adoptions' copies
         spent = [c.factor_time - t for c, t in zip(conds, time0)]
         assert all(t > 0.0 for t in spent)
-        assert sum(spent) == pytest.approx(sum(walls), rel=1e-9)
         assert [res.records[s].factor_time for s in range(dec.m)] == spent
-        # every operator holds the factor of its own estimator's gain, in
-        # the form its block's mode holds: the band or the packed triangle
+        for s, cond in enumerate(conds):
+            assert cond.lin_point_cached(res.records[s].step2_results[0].factored_at)
+        # every operator holds the factor of its own estimator's gain at its
+        # key, in the form its block's mode holds: the band or the packed
+        # triangle
         for cond in conds:
             spd, _ = cond.est.factor_at(*cond._lin_cache)
             fresh = spd._chol if spd.mode == "band" else spd.lower_packed()
@@ -346,6 +361,36 @@ class TestCondensationPass:
         assert passes == [] and walls[-1] == 0.0
         assert [c.factor_count - n for c, n in zip(conds, count0)] == [1] * dec.m
         assert np.array_equal(again.Vm, res.Vm) and np.array_equal(again.Va, res.Va)
+
+    def test_a_host_without_round0_refactors_in_one_pass(self, dse118, passes):
+        """A host that restores every subsystem from checkpoints on a DSE
+        that never ran the frame's round 0 holds no operator: one gain pass
+        over its Step-2 stack refactors them all at the checkpointed
+        points, on the adopting donor's bits."""
+        dec, ms = dse118
+        donor_dse = DistributedStateEstimator(dec, ms, condense=True)
+        heir_dse = DistributedStateEstimator(dec, ms, condense=True)
+        z = _frame(ms, 7)
+        donor = SubsystemStepper(donor_dse, range(dec.m), z=z)
+        donor.step1()
+        for rnd in (0, 1):
+            donor.step2_round(rnd)
+        heir = SubsystemStepper(heir_dse, [], z=z)
+        for s in range(dec.m):
+            ck = SubsystemCheckpoint(
+                subsystem=s, site=0, epoch=0, round=1, **donor.checkpoint(s)
+            )
+            heir.adopt(SubsystemCheckpoint.from_payload(ck.to_payload()))
+        passes.clear()
+        heir.step2_round(2)
+        assert passes == [(heir_dse._stacks["step2"], list(range(dec.m)))]
+        donor.step2_round(2)
+        for s in range(dec.m):
+            mine = heir_dse._step2_cache[s][0]
+            theirs = donor_dse._step2_cache[s][0]
+            assert mine.factor_count == theirs.factor_count == 1
+            assert np.array_equal(mine.operator._factor, theirs.operator._factor)
+        assert np.array_equal(heir.Vm, donor.Vm) and np.array_equal(heir.Va, donor.Va)
 
     def test_adopted_checkpoints_skip_the_pass(self, dse118, passes):
         """A host that adopts every subsystem from its checkpoint runs the
@@ -396,7 +441,9 @@ def test_stacked_rounds_feed_the_condensed_metrics(dse118):
     frozen = int(_iterations(res)[1:].sum())
     assert got["wls.iterations_total", "frozen"] == frozen > 0
     assert got["wls.estimate.seconds", "frozen"] == 2     # one per frozen round
-    assert got["dse.condensation.factorizations_total",] == dec.m
+    # every operator is round 0's factor, adopted: nothing refactors
+    assert ("dse.condensation.factorizations_total",) not in got
+    assert [dse._step2_cache[s][0].factor_count for s in range(dec.m)] == [1] * dec.m
     assert got["dse.step2.solve.seconds", "condensed"] == 3 * dec.m
     assert ("dse.condensation.fallbacks_total",) not in got
     subs = [d for d in spans if d["name"] == "dse.step2.subsystem"]

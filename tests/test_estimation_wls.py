@@ -281,7 +281,8 @@ def test_held_block_fills_no_jacobian(net118, pf118, central, monkeypatch):
 def _refactoring_reference(est, z, tol=1e-8, max_iter=60):
     """Gauss-Newton that factors a fresh gain on every iteration — the loop
     without its frozen tail — spelled as one-iteration estimates, each of
-    which factors once and has no previous step to hold a factor on."""
+    which factors once (the first on the estimator's flat-start factor, the
+    same bits) and has no previous step to hold a factor on."""
     x0, steps = None, []
     for _ in range(max_iter):
         res = est.estimate(x0=x0, z=z, tol=tol, max_iter=1)
@@ -364,13 +365,15 @@ class TestFrozenTail:
     def test_a_tail_that_stops_contracting_refactors(self, central):
         """The example frame's held factor meets a step that does not
         contract: the block drops it and factors again instead of stopping,
-        and lands on the reference's answer in as many iterations."""
+        and lands on the reference's answer in as many iterations.  Its
+        iteration 1 solves against the estimator's flat-start factor, so
+        iterations 2 … ``hold`` factor before the tail is held."""
         est = central["14"]
         z = _gross_frame(est.mset, 26, 300.0, 3, 1000.0)
         ref = _refactoring_reference(est, z)
         res = est.estimate(z=z, max_iter=60)
         hold = _first_hold(res.step_norms)
-        assert hold is not None and res.factorizations > hold
+        assert hold is not None and res.factorizations > hold - 1
         assert res.converged and res.iterations == ref.iterations
         assert np.max(np.abs(res.Vm - ref.Vm)) <= 1e-9
 
@@ -379,24 +382,37 @@ class TestFrozenTail:
     ):
         """Every factor the loop holds is in the kernel's operator mapping
         while it lives — so at most one per block — and gone when
-        ``estimate_blocks`` returns: replicas with a what-if, a union of
-        DSE subsystems, and a block that drops its factor and holds again."""
+        ``estimate_blocks`` returns, but for the estimator's own flat-start
+        factors (one per block, one for all replicas): replicas with a
+        what-if, a union of DSE subsystems, and a block that drops its
+        factor and holds again."""
         made = []
         init = solvers._HeldFactor.__init__
 
-        def recording(self, spd):
-            init(self, spd)
+        def recording(self, spd, **kwargs):
+            init(self, spd, **kwargs)
             made.append(weakref.ref(self))
 
         step_blocks = NormalEquations.step_blocks
+
+        def flats():
+            return [f for e in (est118, union, est14) for f in e._flat.values()]
+
+        def stray():
+            """Held factors alive outside the estimators' flat factors."""
+            alive = (ref() for ref in made)
+            return [op for op in alive if op is not None and not any(
+                op is f for f in flats()
+            )]
 
         def watched(self, rhs, active=None, operators=None, *args):
             out = step_blocks(self, rhs, active, operators, *args)
             held = [
                 op for op in (operators or {}).values()
                 if isinstance(op, solvers._HeldFactor)
+                and not any(op is f for f in flats())
             ]
-            assert sum(ref() is not None for ref in made) == len(held)
+            assert len(stray()) == len(held)
             return out
 
         monkeypatch.setattr(solvers._HeldFactor, "__init__", recording)
@@ -416,6 +432,7 @@ class TestFrozenTail:
         dse = DistributedStateEstimator(dec, ms)
         union = WlsEstimator.stacked([dse._est1[s] for s in range(dec.m)])
         est14 = central["14"]
+        assert not union._flat
         runs = [
             lambda: est118.estimate_blocks(z=[*zs, None], status=[None] * 3 + [outage]),
             lambda: union.estimate_blocks(),
@@ -426,9 +443,113 @@ class TestFrozenTail:
         for run in runs:
             made.clear()
             results = run()
-            assert made and all(ref() is None for ref in made)
+            assert made and not stray()
             assert all(r.factorizations < r.iterations for r in results)
         assert len(made) > 1                    # the last frame held twice
+        assert len(union._flat) == dec.m and len(est14._flat) == 1
+
+
+class TestFlatStartFactor:
+    """The gain at the flat start is a constant of the estimator: factored
+    once, held, and the first step of every later flat start."""
+
+    @pytest.fixture()
+    def watch(self, monkeypatch):
+        """Every Jacobian fill, factorisation and kernel step, in order."""
+        events = []
+        fill_data = JacobianStructure.fill_data
+        factor = solvers._SpdFactor.factor
+        step_blocks = NormalEquations.step_blocks
+
+        def recording_fill(self, *args, **kwargs):
+            events.append("fill")
+            return fill_data(self, *args, **kwargs)
+
+        def recording_factor(self, values):
+            events.append("factor")
+            return factor(self, values)
+
+        def recording_step(self, rhs, active=None, operators=None, *args):
+            out = step_blocks(self, rhs, active, operators, *args)
+            events.append(("step", dict(operators or {})))
+            return out
+
+        monkeypatch.setattr(JacobianStructure, "fill_data", recording_fill)
+        monkeypatch.setattr(solvers._SpdFactor, "factor", recording_factor)
+        monkeypatch.setattr(NormalEquations, "step_blocks", recording_step)
+        return events
+
+    @staticmethod
+    def _iteration1(events):
+        """The events up to and including iteration 1's step."""
+        first = next(i for i, e in enumerate(events) if isinstance(e, tuple))
+        return events[: first + 1]
+
+    @pytest.mark.parametrize("case, mode", [("14", "dense"), ("118", "band")])
+    def test_second_flat_start_factors_nothing_in_iteration_1(
+        self, net14, net118, central, watch, case, mode
+    ):
+        """A second flat start of one estimator fills and factors nothing
+        in iteration 1, and is the bits of a cold estimator's — and of an
+        iteration 1 that factors the flat-start gain afresh (the flat start
+        given as an ``x0``, which bypasses the held factor)."""
+        net = {"14": net14, "118": net118}[case]
+        ms = central[case].mset
+        n = net.n_bus
+        z = ms.z + ms.sigma * np.random.default_rng(7).standard_normal(len(ms))
+        cold = WlsEstimator(net, ms).estimate(z=z)
+        fresh = WlsEstimator(net, ms).estimate(z=z, x0=(np.ones(n), np.zeros(n)))
+        est = WlsEstimator(net, ms)
+        est.estimate(z=ms.z)
+        assert est._kernel().spd.mode == mode
+        watch.clear()
+        warm = est.estimate(z=z)
+        first = self._iteration1(watch)
+        assert "fill" not in first and "factor" not in first
+        assert first[-1][1] == {0: est._flat[0]}
+        for ref in (cold, fresh):
+            for name in ("Vm", "Va", "residuals"):
+                assert np.array_equal(getattr(warm, name), getattr(ref, name))
+            assert (warm.iterations, warm.step_norms) == (ref.iterations, ref.step_norms)
+        assert warm.factorizations == cold.factorizations == fresh.factorizations - 1
+
+    def test_a_start_weights_or_status_of_its_own_bypass_it(
+        self, net118, central, watch
+    ):
+        """The held factor is the flat start's on the set's own weights and
+        topology: any of the three given — even equal to the defaults —
+        and iteration 1 fills and factors as it always did."""
+        est = central["118"]
+        est.estimate()
+        n = net118.n_bus
+        for kwargs in (
+            dict(x0=[(np.ones(n), np.zeros(n))]),
+            dict(weights=[est.mset.weights.copy()]),
+            dict(status=[net118.br_status.copy()]),
+        ):
+            watch.clear()
+            (res,) = est.estimate_blocks(**kwargs)
+            first = self._iteration1(watch)
+            assert first[:2] == ["fill", "factor"] and first[-1][1] == {}
+            assert res.converged
+        # beside a what-if, a replica with none of the three still takes it
+        watch.clear()
+        est.estimate_blocks(z=[None, None], status=[None, net118.br_status.copy()])
+        assert self._iteration1(watch)[-1][1] == {0: est._flat[0]}
+
+    def test_each_stack_block_holds_its_members_factor(self, net118, pf118):
+        dec = decompose(net118, 9, seed=0)
+        plac = full_placement(net118).merged_with(dse_pmu_placement(dec))
+        ms = generate_measurements(net118, plac, pf118, rng=np.random.default_rng(2))
+        dse = DistributedStateEstimator(dec, ms)
+        stack = dse._stack("step1")
+        stack.estimate_blocks()
+        for s in range(dec.m):
+            member = dse._est1[s]
+            member.estimate()
+            mine, theirs = stack._flat[s], member._flat[0]
+            assert mine.mode == theirs.mode
+            assert np.array_equal(mine._factor, theirs._factor)
 
 
 class TestStateError:

@@ -297,6 +297,49 @@ class TestShardRouter:
 
 
 # ---------------------------------------------------------------------------
+# A burst handed to run() ends in a flush, not in the flush window
+# ---------------------------------------------------------------------------
+
+class TestBurstFlush:
+    """``run()`` flushes every replica it fed after the last submit: a
+    burst that fits one batch is one batch, drained without waiting out a
+    flush window of a minute."""
+
+    def test_service_run_is_one_batch(self, serving14):
+        dec, ms = serving14
+        t0 = time.perf_counter()
+        with _replica(dec, ms, max_batch=32, flush_latency=60.0) as svc:
+            out = svc.run([EstimationRequest() for _ in range(10)])
+        assert time.perf_counter() - t0 < 30.0
+        assert svc.stats.n_batches == 1
+        assert [r.batch_size for r in out] == [10] * 10
+
+    def test_router_run_is_one_batch_per_replica_fed(self, serving14):
+        dec, ms = serving14
+        replicas = {
+            name: _replica(dec, ms, max_batch=32, flush_latency=60.0)
+            for name in ("s0", "s1")
+        }
+        t0 = time.perf_counter()
+        with ShardRouter(replicas, grid="g") as router:
+            out = router.run([EstimationRequest() for _ in range(10)])
+        assert time.perf_counter() - t0 < 30.0
+        fed = {r.shard for r in out}
+        assert fed == {"s0", "s1"}          # keyless frames spread
+        for name, svc in replicas.items():
+            assert svc.stats.n_batches == 1
+            assert svc.stats.n_requests == router.stats.routed[name]
+        assert sum(router.stats.routed.values()) == 10
+
+    def test_a_flush_with_nothing_queued_is_skipped(self, serving14):
+        dec, ms = serving14
+        with _replica(dec, ms, max_batch=32, flush_latency=60.0) as svc:
+            assert svc.run([]) == []
+            out = svc.run([EstimationRequest() for _ in range(3)])
+        assert svc.stats.n_batches == 1 and len(out) == 3
+
+
+# ---------------------------------------------------------------------------
 # ServiceStats: streaming quantiles + shed causes
 # ---------------------------------------------------------------------------
 
