@@ -55,7 +55,9 @@ rows are compared:
   frame 20 — hashing each frame's noise level, imbalances, Step-2 edge cut
   and migrated weight (``Vm`` slot) and both assignments (``Va`` slot).
 
-One line per row: sha1 of ``Vm‖Va``, the Gauss-Newton iteration total, and
+One line per row: sha1 of ``Vm‖Va``, the Gauss-Newton iteration total, both
+trees' factorization totals (the loop's ``wls.factorizations_total``
+counter over the row; a process pool's workers are not counted), and
 ``equal`` or ``DIFFERENT`` — a differing row adds ``max|dVm|``, ``max|dVa|``
 and both trees' iteration totals.  Exits non-zero on any difference; with
 ``--tol`` (default 0) a row whose states differ by no more than that,
@@ -121,12 +123,21 @@ def matrix() -> None:
         ShardRouter,
     )
 
+    # every row's factorizations: the loop's counter since the last row
+    obs.configure(enabled=True)
+
+    def counted(name: str) -> float:
+        return sum(m["value"] for m in obs.metrics().collect() if m["name"] == name)
+
     def emit(name: str, states: list, iterations: int) -> None:
         x = np.concatenate([np.concatenate([vm, va]) for vm, va in states])
+        factorizations = counted("wls.factorizations_total")
+        obs.metrics().reset()
         print(json.dumps({
             "row": name,
             "sha1": hashlib.sha1(x.tobytes()).hexdigest(),
             "iterations": int(iterations),
+            "factorizations": int(factorizations),
             "vm": np.concatenate([vm for vm, _ in states]).tolist(),
             "va": np.concatenate([va for _, va in states]).tolist(),
         }), flush=True)
@@ -182,17 +193,13 @@ def matrix() -> None:
     emit("wecc37 condensed frames", states, iters)
 
     # live sites keep no per-solve record: count through the obs counter
-    obs.configure(enabled=True)
     for plane, use_tcp in (("inproc", False), ("tcp", True)):
         for mode, condense in modes:
             obs.metrics().reset()
             with LiveDseRuntime(dec, ms, use_tcp=use_tcp, condense=condense) as live:
                 states = [(r.Vm, r.Va) for r in (live.run(z=z) for z in frames)]
-            iters = sum(
-                m["value"] for m in obs.metrics().collect()
-                if m["name"] == "wls.iterations_total"
-            )
-            emit(f"live {plane} {mode} frames", states, iters)
+            emit(f"live {plane} {mode} frames", states,
+                 counted("wls.iterations_total"))
     # a screened frame: four rows 40 σ off and at weight 0.  A tree whose
     # LiveDseRuntime.run takes no weights= hashes the in-process frame in
     # its place, so the row reads equal exactly when the live screened
@@ -208,12 +215,8 @@ def matrix() -> None:
             res = live.run(z=z, weights=w)
         except TypeError:
             res = DistributedStateEstimator(dec, ms).run(z=z, weights=w)
-    iters = sum(
-        m["value"] for m in obs.metrics().collect()
-        if m["name"] == "wls.iterations_total"
-    )
-    emit("live tcp reference screened frame", [(res.Vm, res.Va)], iters)
-    obs.configure(enabled=False)
+    emit("live tcp reference screened frame", [(res.Vm, res.Va)],
+         counted("wls.iterations_total"))
 
     central = generate_measurements(
         net, full_placement(net), run_ac_power_flow(net),
@@ -448,7 +451,9 @@ def main() -> int:
                 f"(max|dVm| {d_vm:.3e}, max|dVa| {d_va:.3e}, iterations "
                 f"{ref['iterations']} -> {row['iterations']})"
             )
-        print(f"{name:36s} {row['sha1'][:16]}  iters {row['iterations']:5d}  {verdict}")
+        facts = f"{ref.get('factorizations', '-')}" if ref else "-"
+        print(f"{name:36s} {row['sha1'][:16]}  iters {row['iterations']:5d}  "
+              f"factorizations {facts:>5s} -> {row['factorizations']:5d}  {verdict}")
     missing = sorted(set(theirs) - set(ours))
     for name in missing:
         print(f"{name:36s} missing in the working tree  DIFFERENT")

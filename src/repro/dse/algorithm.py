@@ -35,7 +35,7 @@ from ..estimation.results import state_error
 from ..estimation.wls import WlsEstimator, check_tol
 from ..measurements.types import MeasType, MeasurementSet
 from ..middleware.message import condensed_update_nbytes, state_update_nbytes
-from .condensation import CondensedStep2, neighbor_publication_sets
+from .condensation import CarriedStep2, CondensedStep2, neighbor_publication_sets
 from .decomposition import Decomposition, extract_subnetwork
 from .pseudo import (
     assign_measurements,
@@ -176,7 +176,9 @@ class DistributedStateEstimator:
     warm_start:
         Start each Step-2 re-evaluation from the subsystem's previous-round
         extended solution, unchanged, rather than from the published state
-        alone.
+        alone — and from the gain factor that round last took, carried
+        into the next round (no refactorization after a frame's first
+        Step-2 round while the steps contract).
     degrade_on_failure:
         Off by default (a failed solve raises, the seed behaviour).  When
         on, a per-subsystem solve that raises falls back to the
@@ -273,6 +275,10 @@ class DistributedStateEstimator:
         self.sub2 = {}
         self._est1: dict[int, WlsEstimator] = {}
         self._step2_cache: dict[int, tuple] = {}
+        #: each subsystem's cached Step-2 estimator with the gain factor its
+        #: rounds carry (on a condensed DSE, the ``CondensedStep2`` in
+        #: ``_step2_cache``)
+        self._carried: dict[int, CarriedStep2] = {}
         self._z_index: dict[int, tuple] = {}
         self.n_boundary: dict[int, int] = {}
         for s in range(dec.m):
@@ -325,22 +331,21 @@ class DistributedStateEstimator:
                 # Coupling set: own boundary + external boundary buses;
                 # everything else is eliminated onto it once per topology.
                 bnd_local = bmap2[np.concatenate([boundary, ext])]
-                est2 = CondensedStep2(est2, bnd_local)
+                est2 = self._carried[s] = CondensedStep2(est2, bnd_local)
+            else:
+                self._carried[s] = CarriedStep2(est2)
             self._step2_cache[s] = (est2, full0, rows_vm, rows_va, src, rows_ms2)
 
     def _stack(self, stage: str) -> WlsEstimator:
         """Every subsystem's cached ``stage`` (``"step1"`` / ``"step2"``)
-        estimator as one stacked estimator, built on first use; a condensed
-        Step 2 stacks the exact estimators its operators wrap."""
+        estimator as one stacked estimator, built on first use."""
         stack = self._stacks.get(stage)
         if stack is None:
             subsystems = range(self.dec.m)
             if stage == "step1":
                 members = [self._est1[s] for s in subsystems]
             else:
-                members = [self._step2_cache[s][0] for s in subsystems]
-                if self.condense:
-                    members = [cond.est for cond in members]
+                members = [self._carried[s].est for s in subsystems]
             stack = self._stacks[stage] = WlsEstimator.stacked(members)
         return stack
 

@@ -84,7 +84,7 @@ from ..estimation.wls import EstimationError, WlsEstimator
 from .decomposition import Decomposition
 
 __all__ = [
-    "CondensedStep2", "condense", "exact_round", "frozen_round",
+    "CarriedStep2", "CondensedStep2", "condense", "exact_round", "frozen_round",
     "neighbor_publication_sets",
 ]
 
@@ -135,77 +135,57 @@ class _Unfactored:
         raise GainSolveError(self.reason)
 
 
-class CondensedStep2:
-    """Condensed drop-in for the cached Step-2 :class:`WlsEstimator`.
+class CarriedStep2:
+    """One subsystem's cached Step-2 estimator and the gain factor its
+    rounds carry from one to the next.
 
-    Wraps the warm extended-network estimator of one subsystem and exposes
-    the same ``estimate(x0=, tol=, z=)`` call surface, so the in-process
-    algorithm and the live runtime use it unchanged through
-    ``_step2_cache``.  It owns the subsystem's frozen operator
-    (``operator``: the held Cholesky factor of its extended gain), the
-    linearization point it was factored at and the fallback count; the
-    iteration is :func:`frozen_round`.
+    Every Step-2 round of a frame starts from the estimator's exact
+    Gauss-Newton loop (:func:`exact_round`).  Its block's gain
+    ``G = Hᵀ W H`` depends on the state and the row weights, never on the
+    pseudo-measurement values, so a round that starts where the previous
+    round stopped, on the same weights, starts within √tol of the state
+    where that round last factored — and takes its first step from that
+    factor.  The factor is held here as ``operator`` (a
+    :class:`~repro.estimation.solvers._HeldFactor`), keyed by the point it
+    was taken at and the row weights (:meth:`lin_point_cached`).  The host
+    that ran the round *adopts* it from the kernel the round's loop left it
+    in (:meth:`adopt`); any other host refactors at the point from one
+    gain pass (:func:`condense`), on the same bits.
 
     Parameters
     ----------
     est:
         The subsystem's cached extended-network estimator (owns the
-        Jacobian pattern and the normal-equation kernel the frozen gain is
-        assembled and factored through, and solves round 0 and fallbacks).
-    boundary_buses_local:
-        Local bus indices of the coupling set — the subsystem's own
-        boundary buses plus the external boundary buses; both of each
-        bus's states (Va, Vm) are its ``boundary_states``, reported in
-        the records' sizes.
-
-    ``max_iter`` (:data:`FROZEN_MAX_ITER`) is this subsystem's frozen-round
-    cap.
+        Jacobian pattern and the normal-equation kernel every factor is
+        assembled and factored through).
     """
 
-    def __init__(
-        self,
-        est: WlsEstimator,
-        boundary_buses_local: np.ndarray,
-    ):
+    #: what the held factor is called in an error of its block
+    kind = "carried gain"
+    #: rounds with a point run the frozen-gain iteration (condensed)
+    frozen = False
+
+    def __init__(self, est: WlsEstimator):
         self.est = est
-        n = est.net.n_bus
-        pos = -np.ones(2 * n, dtype=np.int64)
-        pos[est._keep] = np.arange(est.n_states)
-        b = np.unique(np.asarray(boundary_buses_local, dtype=np.int64))
-        cand = np.concatenate([b, n + b])  # Va states, then Vm states
-        bpos = pos[cand]
-        self.boundary_states = np.sort(bpos[bpos >= 0])
         self.operator: _HeldFactor | _Unfactored = _Unfactored(
-            "the frozen gain was never factored"
+            f"the {self.kind} was never factored"
         )
-        self.max_iter = FROZEN_MAX_ITER
         self.factor_time = 0.0
         self.factor_count = 0
-        self.fallbacks = 0
         self._lin_cache: tuple[np.ndarray, np.ndarray] | None = None
         #: ``(factor, factored_at, weights)`` of the last exact round: the
         #: kernel factor its loop left holding the gain at ``factored_at``
         self._last_exact: tuple | None = None
 
-    # -- sizes ----------------------------------------------------------
-    @property
-    def n_boundary_states(self) -> int:
-        return len(self.boundary_states)
-
-    @property
-    def n_interior_states(self) -> int:
-        return self.est.n_states - len(self.boundary_states)
-
-    # ------------------------------------------------------------------
     def lin_point_cached(self, lin_point: tuple, weights=None) -> bool:
         """True when ``lin_point`` and ``weights`` exactly match the
-        operator already factored, i.e. :meth:`estimate` would reuse the
+        operator already factored, i.e. a round at that point reuses the
         factorization.
 
-        The recovery plane leans on this: a checkpointed linearisation
-        point round-trips the ``FLAG_CHECKPOINT`` wire form bit-exactly
-        (float64 both sides), so a failover successor restoring a donor's
-        checkpoint hits the cache instead of re-condensing the subsystem.
+        The recovery plane leans on this: a checkpointed point round-trips
+        the ``FLAG_CHECKPOINT`` wire form bit-exactly (float64 both sides),
+        so a failover successor restoring a donor's checkpoint in the same
+        process hits the cache instead of refactoring the subsystem.
         """
         cached = self._lin_cache
         return cached is not None and all(
@@ -226,7 +206,7 @@ class CondensedStep2:
         try:
             spd.factor(gain)
         except GainSolveError as exc:
-            self.operator = _Unfactored(f"frozen gain: {exc}")
+            self.operator = _Unfactored(f"{self.kind}: {exc}")
             raise
         if obs.enabled():
             obs.metrics().counter("dse.condensation.factorizations_total").inc()
@@ -234,7 +214,7 @@ class CondensedStep2:
 
     def _hold(self, spd: _SpdFactor, lin_point: tuple, weights) -> None:
         """Hold ``spd``'s factor — the gain at ``lin_point`` with row
-        weights ``weights`` — as the frozen operator, keyed by those."""
+        weights ``weights`` — as the operator, keyed by those."""
         self.operator = _HeldFactor(spd)
         self.factor_count += 1
         self._lin_cache = tuple(
@@ -244,7 +224,7 @@ class CondensedStep2:
 
     def adopt(self, lin_point: tuple) -> bool:
         """Take the factor the last exact round's loop left in its kernel
-        as the frozen operator, when ``lin_point`` is that round's
+        as the operator, when ``lin_point`` is that round's
         ``factored_at`` (the very arrays its result reports), keyed by it
         and the round's weights — the factor :func:`condense` would make
         there, bit for bit, without the gain pass (an operator already
@@ -261,7 +241,6 @@ class CondensedStep2:
         self.factor_time += time.perf_counter() - t0
         return True
 
-    # ------------------------------------------------------------------
     def estimate(
         self,
         *,
@@ -276,35 +255,89 @@ class CondensedStep2:
         """One Step-2 re-evaluation of the subsystem.
 
         Mirrors :meth:`WlsEstimator.estimate` (same signature, same
-        :class:`EstimationResult`) plus ``lin_point``, the linearization
-        point of the frozen-gain iteration (refactors only when it or
-        ``weights`` changes; ``max_iter`` overrides that iteration's cap).
-        Without one — round 0 of a frame, before there is a solution to
-        freeze at — the call is the wrapped estimator's exact Gauss-Newton
-        solve (:func:`exact_round`).  Raises :class:`EstimationError` on a
-        failed solve.
+        :class:`EstimationResult`) plus ``lin_point``, the point of the
+        factor the round carries in (refactored only when it or ``weights``
+        moved): the exact loop's first step solves against it.  Without
+        one the round starts fresh.  On a :class:`CondensedStep2` a point
+        turns the round into the frozen-gain iteration
+        (:func:`frozen_round`; ``max_iter`` overrides its cap).  Raises
+        :class:`EstimationError` on a failed solve.
         """
         inputs = dict(
             x0=[x0], z=[z], weights=[weights], tol=tol,
-            reference_angle=reference_angle,
+            reference_angle=reference_angle, lin_points=[lin_point],
         )
-        if lin_point is None:
-            (res,) = exact_round(self.est, [self], **inputs)
+        if self.frozen and lin_point is not None:
+            (res,) = frozen_round(self.est, [self], max_iter=max_iter, **inputs)
         else:
-            (res,) = frozen_round(
-                self.est, [self], lin_points=[lin_point], max_iter=max_iter,
-                **inputs,
-            )
+            (res,) = exact_round(self.est, [self], **inputs)
         if isinstance(res, EstimationError):
             raise res
         return res
 
 
+class CondensedStep2(CarriedStep2):
+    """Condensed drop-in for the cached Step-2 :class:`WlsEstimator`.
+
+    A :class:`CarriedStep2` whose carried factor is frozen: the frame's
+    first round is exact, and every later round iterates with the gain
+    held where that round last factored it (:func:`frozen_round`), so the
+    in-process algorithm and the live runtime use it unchanged through
+    ``_step2_cache``.  It owns the subsystem's frozen operator
+    (``operator``: the held Cholesky factor of its extended gain), the
+    linearization point it was factored at and the fallback count.
+
+    Parameters
+    ----------
+    est:
+        The subsystem's cached extended-network estimator (owns the
+        Jacobian pattern and the normal-equation kernel the frozen gain is
+        assembled and factored through, and solves round 0 and fallbacks).
+    boundary_buses_local:
+        Local bus indices of the coupling set — the subsystem's own
+        boundary buses plus the external boundary buses; both of each
+        bus's states (Va, Vm) are its ``boundary_states``, reported in
+        the records' sizes.
+
+    ``max_iter`` (:data:`FROZEN_MAX_ITER`) is this subsystem's frozen-round
+    cap.
+    """
+
+    kind = "frozen gain"
+    frozen = True
+
+    def __init__(
+        self,
+        est: WlsEstimator,
+        boundary_buses_local: np.ndarray,
+    ):
+        super().__init__(est)
+        n = est.net.n_bus
+        pos = -np.ones(2 * n, dtype=np.int64)
+        pos[est._keep] = np.arange(est.n_states)
+        b = np.unique(np.asarray(boundary_buses_local, dtype=np.int64))
+        cand = np.concatenate([b, n + b])  # Va states, then Vm states
+        bpos = pos[cand]
+        self.boundary_states = np.sort(bpos[bpos >= 0])
+        self.max_iter = FROZEN_MAX_ITER
+        self.fallbacks = 0
+
+    # -- sizes ----------------------------------------------------------
+    @property
+    def n_boundary_states(self) -> int:
+        return len(self.boundary_states)
+
+    @property
+    def n_interior_states(self) -> int:
+        return self.est.n_states - len(self.boundary_states)
+
+
 def condense(
-    stack: WlsEstimator, conds: list[CondensedStep2], lin_points: list, weights: list
+    stack: WlsEstimator, conds: list[CarriedStep2], lin_points: list, weights: list
 ) -> float:
-    """Refactor every ``conds[b]`` whose ``(lin_points[b], weights[b])``
-    moved, from one gain pass over ``stack`` (:meth:`WlsEstimator.gain_at`
+    """Refactor every ``conds[b]`` given a point whose ``(lin_points[b],
+    weights[b])`` moved (a ``None`` point asks for no factor), from one
+    gain pass over ``stack`` (:meth:`WlsEstimator.gain_at`
     restricted to those blocks), each factoring its own segment of the
     gain values — bit for bit the gain its own estimator assembles — with
     its block's fixed-pattern factor in the stack's kernel.  Returns the
@@ -316,7 +349,7 @@ def condense(
     """
     stale = [
         b for b, (cond, lin, w) in enumerate(zip(conds, lin_points, weights))
-        if not cond.lin_point_cached(lin, w)
+        if lin is not None and not cond.lin_point_cached(lin, w)
     ]
     if not stale:
         return 0.0
@@ -348,20 +381,35 @@ def condense(
 
 def exact_round(
     stack: WlsEstimator,
-    conds: list[CondensedStep2],
+    conds: list[CarriedStep2],
     *,
     x0: list,
     z: list,
     weights: list,
+    lin_points: list | None = None,
     tol: float = 1e-8,
     reference_angle: float = 0.0,
 ) -> list[EstimationResult | EstimationError]:
     """The exact Gauss-Newton round of every ``conds[b]`` over ``stack``
-    (as :func:`frozen_round` takes it), in lock step: each subsystem notes
-    the factor its block's loop left in ``stack``'s kernel — the gain at
-    the result's ``factored_at`` — for :meth:`CondensedStep2.adopt`."""
+    (as :func:`frozen_round` takes it), in lock step.
+
+    A block given a point (``lin_points[b]``, ``None``: none) carries its
+    subsystem's factor at that point with its weights into the round —
+    refactored by :func:`condense` where the subsystem does not hold it —
+    and takes its first step from it, keeping it while its steps contract
+    (:meth:`WlsEstimator.estimate_blocks`' ``carried``).  Afterwards each
+    subsystem notes the factor its block's loop left in ``stack``'s kernel
+    — the gain at the result's ``factored_at`` — for
+    :meth:`CarriedStep2.adopt`."""
+    carried = None
+    if lin_points is not None and any(p is not None for p in lin_points):
+        condense(stack, conds, lin_points, weights)
+        carried = [
+            None if p is None else c.operator for c, p in zip(conds, lin_points)
+        ]
     results = stack.estimate_blocks(
         x0=x0, z=z, weights=weights, tol=tol, reference_angle=reference_angle,
+        carried=carried,
     )
     blocks = stack._kernel().blocks
     for cond, (spd, _, _), res, w in zip(conds, blocks, results, weights):
@@ -374,7 +422,7 @@ def exact_round(
 
 def frozen_round(
     stack: WlsEstimator,
-    conds: list[CondensedStep2],
+    conds: list[CarriedStep2],
     *,
     x0: list,
     z: list,

@@ -71,7 +71,8 @@ class SubsystemRecord:
     #: the other states of the extended network
     n_boundary_states: int = 0
     n_interior_states: int = 0
-    #: wall time this frame spent factoring the frozen gain
+    #: wall time this frame spent holding its carried gain factor (the
+    #: frozen gain of a condensed Step 2): adoptions and refactorizations
     factor_time: float = 0.0
 
     @property
@@ -90,7 +91,7 @@ class SolveFailure:
 
 
 def _cached_estimator(dse, stage: str, s: int):
-    return dse._est1[s] if stage == "step1" else dse._step2_cache[s][0]
+    return dse._est1[s] if stage == "step1" else dse._carried[s]
 
 
 def _timed_solve(stage, s, build, x0, z, w, lin, tol, degrade) -> tuple:
@@ -155,9 +156,9 @@ class SubsystemStepper:
         self.records: dict[int, SubsystemRecord] = {}
         #: previous round's extended solution per subsystem (warm start)
         self.last2: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        #: the frame's condensation linearization point per subsystem: where
-        #: its first exact round last factored the gain
-        self.lin: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        #: where each subsystem's carried gain factor was taken — the point
+        #: its next round's job names (:meth:`_carry`)
+        self.carry: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.round_deltas: list[float] = []
         self._factor_t0: dict[int, float] = {}
         for s in hosted:
@@ -174,12 +175,20 @@ class SubsystemStepper:
             s=s, n_buses=len(own), n_boundary=n_boundary,
             n_sensitive=len(dse.exchange_sets[s]) - n_boundary,
         )
+        if dse.reuse_structures:
+            self._factor_t0[s] = dse._carried[s].factor_time
         if dse.condense:
-            cond = dse._step2_cache[s][0]
+            cond = dse._carried[s]
             rec.condensed = True
             rec.n_boundary_states = cond.n_boundary_states
             rec.n_interior_states = cond.n_interior_states
-            self._factor_t0[s] = cond.factor_time
+
+    @property
+    def lin(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """The condensed frame's linearization points — its carry points,
+        fixed after each subsystem's first Step-2 round; empty on the
+        reference path, whose carry points move with every round."""
+        return self.carry if self.dse.condense else {}
 
     def checkpoint(self, s: int) -> dict:
         """Hosted subsystem ``s``'s recoverable state, as the array fields
@@ -187,7 +196,7 @@ class SubsystemStepper:
         caller adds who, when and which epoch)."""
         own = self.dse.sub1[s][2]
         warm = self.last2.get(s, (None, None))
-        lin = self.lin.get(s, (None, None))
+        lin = self.carry.get(s, (None, None))
         return dict(
             own_ids=own, own_vm=self.Vm[own], own_va=self.Va[own],
             warm_vm=warm[0], warm_va=warm[1], lin_vm=lin[0], lin_va=lin[1],
@@ -197,8 +206,9 @@ class SubsystemStepper:
         """Host ``ck.subsystem`` from its checkpoint (failover promotion).
 
         float64 state round-trips the wire bit-exactly, so an adopted
-        linearization point hits the donor's factorization cache — no
-        re-condensation.
+        carry point names the donor's factor: in the donor's process it
+        hits the factorization cache, elsewhere it is refactored there on
+        the same bits.
         """
         s = int(ck.subsystem)
         self._host(s)
@@ -207,14 +217,14 @@ class SubsystemStepper:
         if ck.warm_vm is not None:
             self.last2[s] = (ck.warm_vm, ck.warm_va)
         if ck.lin_vm is not None:
-            self.lin[s] = (ck.lin_vm, ck.lin_va)
+            self.carry[s] = (ck.lin_vm, ck.lin_va)
 
     def shed(self, s: int) -> None:
         """Stop hosting ``s`` (it was promoted away from this host); its
         buses stay in the view as last-known values."""
         self.hosted.remove(s)
         self._own[self.dse.sub1[s][2]] = False
-        for state in (self.records, self.last2, self.lin):
+        for state in (self.records, self.last2, self.carry):
             state.pop(s, None)
 
     # -- exchange --------------------------------------------------------
@@ -321,11 +331,11 @@ class SubsystemStepper:
                     jobs.append(self._fresh_step2(s))
                     continue
                 # a neighbour not heard from: its pseudo rows weigh 0, and
-                # the round runs the exact loop (a frozen operator holds them)
+                # the round starts fresh (a carried factor holds them)
                 z2, w2, start = dse._step2_inputs(
                     s, Vm, Va, self.known, self.last2, self.z, self.w
                 )
-                lin = self.lin.get(s) if self.known[dse.sub2[s][3]].all() else None
+                lin = self.carry.get(s) if self._heard(s) else None
                 jobs.append((s, None, start, z2, w2, lin))
         return jobs
 
@@ -337,11 +347,11 @@ class SubsystemStepper:
             rec = self.records[s]
             rec.step2_times.append(dt)
             rec.bytes_sent_per_round.append(dse._round_wire_bytes(s, rnd))
-            if dse.condense:
-                # condensation cost lives on the warm caches; surface
-                # this frame's share
+            if dse.reuse_structures:
+                # the carried factors live on the warm caches; surface
+                # this frame's share of their cost
                 rec.factor_time = (
-                    dse._step2_cache[s][0].factor_time - self._factor_t0[s]
+                    dse._carried[s].factor_time - self._factor_t0[s]
                 )
             if isinstance(res, SolveFailure):
                 # degraded: keep this subsystem's previous publication
@@ -351,17 +361,8 @@ class SubsystemStepper:
                 _count_degraded_solve()
                 continue
             self.last2[s] = (res.Vm, res.Va)
-            if dse.condense and s not in self.lin:
-                # Freeze the gain operator where the iteration lives: where
-                # the frame's first (exact) round last factored it, in that
-                # round's linear tail (its step there below √tol).  A
-                # function of the frame's inputs alone — the same arrays on
-                # every host — so the later rounds share one factorization
-                # wherever they run; the host that ran the round holds that
-                # factor already, and adopts it.
-                lin = res.factored_at
-                self.lin[s] = self.last2[s] if lin is None else lin
-                dse._step2_cache[s][0].adopt(self.lin[s])
+            if dse.reuse_structures:
+                self._carry(s, res)
             rec.step2_results.append(res)
             scope = (
                 dse.sub1[s][2] if dse.update_scope == "all"
@@ -376,6 +377,43 @@ class SubsystemStepper:
             Vm[scope] = res.Vm[local]
             Va[scope] = res.Va[local]
         self.round_deltas.append(delta)
+
+    def _heard(self, s: int) -> bool:
+        """Every external bus of ``s`` has been heard from this frame (the
+        view only gains buses, so the round's row weights stay as they are
+        from here on)."""
+        return bool(self.known[self.dse.sub2[s][3]].all())
+
+    def _carry(self, s: int, res: EstimationResult) -> None:
+        """Carry subsystem ``s``'s gain factor out of a round that gave
+        ``res``: note the point the next round's job names, and have the
+        cache adopt the factor the round's loop left at it.
+
+        The point is where the round's loop last factored the gain
+        (``factored_at``), in its linear tail — a function of the frame's
+        inputs alone, the same arrays on every host, so every hosting of
+        the next round starts from the same factor; the host that ran the
+        round holds it already, and adopts it.  A condensed frame freezes
+        its gain there after the first round for the rest of the frame.  A
+        reference round that factored nothing keeps the point it carried
+        in; the point is dropped — the next round starts fresh — while the
+        subsystem is not warm-started or has a neighbour it has not heard
+        from, since the next round would not start on this round's state
+        and weights.
+        """
+        dse, point = self.dse, res.factored_at
+        if dse.condense:
+            if s in self.carry:
+                return
+            if point is None:
+                point = self.last2[s]
+        elif not (dse.warm_start and self._heard(s)):
+            self.carry.pop(s, None)
+            return
+        elif point is None:
+            return
+        self.carry[s] = point
+        dse._carried[s].adopt(point)
 
     def _fresh_step2(self, s: int) -> tuple:
         """The ``reuse_structures=False`` reference path's Step-2 job: a new
@@ -407,21 +445,22 @@ def solve_stage(
     otherwise.
 
     The way is chosen from the jobs alone: jobs that name each of
-    ``dse``'s ``m`` subsystems exactly once, on cached estimators, and
-    agree on the linearisation (all exact, or all frozen at their points)
-    run as one stacked loop (:func:`_stacked_stage`); anything else — a
-    partial set, a subsystem named twice (a fenced host and its promoted
-    successor), a round where only some subsystems have their
-    linearisation point after a degraded solve, the
+    ``dse``'s ``m`` subsystems exactly once, on cached estimators — and, on
+    a condensed DSE, agree on the linearisation (all exact, or all frozen
+    at their points) — run as one stacked loop (:func:`_stacked_stage`);
+    anything else — a partial set, a subsystem named twice (a fenced host
+    and its promoted successor), a condensed round where only some
+    subsystems have their linearisation point after a degraded solve, the
     ``reuse_structures=False`` reference — is solved job by job, in
-    subsystem order.
+    subsystem order.  A reference round's jobs may mix carried and fresh
+    starts in the one loop.
     """
     order = sorted(range(len(jobs)), key=lambda i: jobs[i][0])
     ordered = [jobs[i] for i in order]
     if (
         dse.reuse_structures
         and [job[0] for job in ordered] == list(range(dse.dec.m))
-        and len({job[-1] is None for job in ordered}) == 1
+        and (not dse.condense or len({job[-1] is None for job in ordered}) == 1)
     ):
         solved = _stacked_stage(dse, stage, ordered, tol, degrade)
     else:
@@ -442,8 +481,10 @@ def _stacked_stage(
     dse, stage: str, jobs: list[tuple], tol: float, degrade: bool
 ) -> list[tuple]:
     """Step 1 or one Step-2 round of every subsystem (``jobs`` in
-    subsystem order) as one stacked solve — the exact Gauss-Newton loop,
-    or (every job carrying its linearization point) the frozen-gain one.
+    subsystem order) as one stacked solve — the exact Gauss-Newton loop
+    (a Step-2 job with a point starting from its carried factor), or on a
+    condensed DSE (every job carrying its linearization point) the
+    frozen-gain one.
 
     Each result is bit for bit the subsystem's own estimator's; the
     stage's wall time is apportioned by the paper's computation weight
@@ -458,12 +499,12 @@ def _stacked_stage(
     wall0, t0 = time.time(), time.perf_counter()
     inputs = dict(x0=x0, z=z, weights=w, tol=tol)
     conds = [_cached_estimator(dse, stage, s) for s in subsystems]
-    if lins[0] is not None:
-        results = frozen_round(stack, conds, lin_points=lins, **inputs)
-    elif stage == "step2" and dse.condense:
-        results = exact_round(stack, conds, **inputs)
-    else:
+    if stage == "step1":
         results = stack.estimate_blocks(**inputs)
+    elif dse.condense and lins[0] is not None:
+        results = frozen_round(stack, conds, lin_points=lins, **inputs)
+    else:
+        results = exact_round(stack, conds, lin_points=lins, **inputs)
     wall = time.perf_counter() - t0
 
     failed = [r for r in results if isinstance(r, Exception)]

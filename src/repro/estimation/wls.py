@@ -340,6 +340,7 @@ class WlsEstimator:
         max_iter: int = 25,
         reference_angle: float = 0.0,
         operators: list | None = None,
+        carried: list | None = None,
     ) -> list[EstimationResult | EstimationError]:
         """One Gauss-Newton loop over every block; one outcome per block.
 
@@ -407,6 +408,15 @@ class WlsEstimator:
         (:class:`~repro.estimation.solvers._HeldFactor` solves as the live
         factor does); the loop runs on from iteration 2 as it would have.
 
+        *Carried factor.*  ``carried[b]`` (``None``: none) is a held
+        factor of block ``b``'s gain taken where the caller knows the block
+        to start — within √tol of ``x0[b]``, on ``weights[b]`` — such as the
+        factor a DSE Step-2 round carries from the round before, which it
+        warm-starts from.  Iteration 1 solves against it, with no fill,
+        gain or factorization, and the block keeps it as a tail factor
+        while its steps contract, dropping it and re-factoring when they
+        stop; ``factored_at`` is ``None`` until the block factors.
+
         ``operators`` turns the loop into the frozen-gain iteration of the
         condensed DSE Step 2: one frozen gain operator per block (a union's
         members, or a plain estimator's one problem) — the held factor of
@@ -438,6 +448,8 @@ class WlsEstimator:
         replicas = whatif or nb > len(self._blocks)
         if operators is not None and (replicas or len(operators) != nb):
             raise ValueError("need one frozen operator per block, no replicas")
+        if carried is not None and (operators is not None or len(carried) != nb):
+            raise ValueError("need one carried entry per block, no operators")
         tols = [tol] * nb if np.ndim(tol) == 0 else list(tol)
         if len(tols) != nb:
             raise ValueError(f"need one tol, or one per block ({nb})")
@@ -504,11 +516,16 @@ class WlsEstimator:
         # the states and the block's column in it (replicas)
         factored: list[tuple | None] = [None] * nb
         # Frozen gain operators by block: the caller's (a condensed round's,
-        # every block's, stopped at DIVERGED) or the loop's own — the
-        # estimator's flat-start factor for iteration 1, or a block's
-        # factor held through its linear tail.
+        # every block's, stopped at DIVERGED) or the loop's own — a carried
+        # factor or the estimator's flat-start factor for iteration 1, or a
+        # block's factor held through its linear tail.
         frozen = operators is not None
         ops = dict(enumerate(operators)) if frozen else {}
+        if carried is not None:
+            ops.update(
+                (b, op) for b, op in enumerate(carried)
+                if op is not None and results[b] is None
+            )
         roots = [float(np.sqrt(t)) for t in tols]
         # flat-started blocks on the set's own weights and topology take
         # iteration 1 from the estimator's flat factor (replicas share one)
@@ -517,7 +534,7 @@ class WlsEstimator:
             flat = {
                 b: 0 if replicas else b
                 for b in range(nb)
-                if results[b] is None
+                if results[b] is None and b not in ops
                 and all(v[b] is None for v in (x0, weights, status))
             }
             self._hold_flat(reference_angle, sorted(set(flat.values())))
@@ -631,10 +648,12 @@ class WlsEstimator:
                     finish(b, False)
                 else:
                     running.append(b)
-            # a held factor lives while its block runs and contracts
+            # a held factor lives while its block runs and contracts (a
+            # carried one has no step to contract from after iteration 1)
             for b in [] if frozen else list(ops):
                 if b not in running or (
-                    b not in factoring and step_norms[b][-1] >= step_norms[b][-2]
+                    b not in factoring and len(step_norms[b]) > 1
+                    and step_norms[b][-1] >= step_norms[b][-2]
                 ):
                     del ops[b]
             if replicas and len(running) < len(active):
