@@ -2,8 +2,9 @@
 frozen-gain iteration on a held factor.
 
 The reference Step 2 re-evaluates each subsystem's *full* extended network
-every round with exact Gauss-Newton — a gain ``G = Hᵀ W H`` assembled and
-factored on every iteration — and broadcasts its whole exchange set to
+every round with exact Gauss-Newton — each round starting from the gain
+factor the one before last took (:class:`CarriedStep2`), and refactoring
+when its steps stop contracting — and broadcasts its whole exchange set to
 every neighbour.  Condensation changes both halves.  On the wire, a
 subsystem sends each neighbour only the tie-endpoint buses that
 neighbour's solve reads (:func:`neighbor_publication_sets`).  In the
