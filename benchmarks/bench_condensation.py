@@ -111,7 +111,7 @@ def measure_condensation(repeats: int = 5) -> dict:
             "step2_iterations_reference": best_ref[1],
             "step2_iterations_condensed": best_con[1],
             "cold_condensed_frame_s": cold_frame,
-            "factor_time_s": sum(c.factor_time for c in conds) / (repeats + 1),
+            "factor_time_s": sum(c.est.factors.seconds for c in conds) / (repeats + 1),
             "boundary_states": sum(rec.n_boundary_states for rec in recs),
             "interior_states": sum(rec.n_interior_states for rec in recs),
             "fallbacks": sum(c.fallbacks for c in conds),

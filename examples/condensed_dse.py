@@ -36,11 +36,13 @@ def main() -> None:
     con = con_dse.run()
 
     print(f"{net.name}: {dec.m} subsystems, {con.rounds} Step-2 rounds")
-    print("\ncoupling sets and frozen-gain factorisations (per subsystem):")
+    print("\ncoupling sets and frozen-gain factors (per subsystem):")
     for s, rec in con.records.items():
+        # the frozen gain is a lookup in the Step-2 estimator's held factors
+        held = con_dse._step2_cache[s][0].est.factors
         print(f"  subsystem {s}: {rec.n_boundary_states:3d} boundary / "
               f"{rec.n_interior_states:3d} interior states "
-              f"(factorization {rec.factor_time * 1e3:.2f} ms)")
+              f"({held.count} factor taken, {rec.factor_time * 1e3:.2f} ms)")
 
     dvm = float(np.max(np.abs(con.Vm - ref.Vm)))
     dva = float(np.max(np.abs(con.Va - ref.Va)))

@@ -57,11 +57,16 @@ rows are compared:
 
 One line per row: sha1 of ``Vm‖Va``, the Gauss-Newton iteration total, both
 trees' factorization totals (the loop's ``wls.factorizations_total``
-counter over the row; a process pool's workers are not counted), and
-``equal`` or ``DIFFERENT`` — a differing row adds ``max|dVm|``, ``max|dVa|``
-and both trees' iteration totals.  Exits non-zero on any difference; with
-``--tol`` (default 0) a row whose states differ by no more than that,
-whatever its iteration total, reads ``within tol`` and does not count.  The
+counter over the row; a process pool's workers are not counted), the
+row's largest move between the trees — in pu / rad, except the session
+mapping row, whose ``Vm`` slot (noise levels and the numbers derived from
+them) moves relative to its value, since a noise level divides residuals
+by σ and would read a 1e-11 state move as ~1e-8 — and ``equal`` or
+``DIFFERENT``: a differing row adds ``max|dVm|``, ``max|dVa|`` (the same
+units) and both trees' iteration totals.  Exits non-zero on any
+difference; with ``--tol`` (default 0) a row whose move is no more than
+that, whatever its iteration total, reads ``within tol`` and does not
+count.  The
 matrix touches public API only, so it runs unchanged in both trees; it needs
 a revision, which is why it is not part of ``scripts/verify.sh``.
 """
@@ -129,12 +134,13 @@ def matrix() -> None:
     def counted(name: str) -> float:
         return sum(m["value"] for m in obs.metrics().collect() if m["name"] == name)
 
-    def emit(name: str, states: list, iterations: int) -> None:
+    def emit(name: str, states: list, iterations: int, relative=False) -> None:
         x = np.concatenate([np.concatenate([vm, va]) for vm, va in states])
         factorizations = counted("wls.factorizations_total")
         obs.metrics().reset()
         print(json.dumps({
             "row": name,
+            "relative": relative,
             "sha1": hashlib.sha1(x.tobytes()).hexdigest(),
             "iterations": int(iterations),
             "factorizations": int(factorizations),
@@ -386,7 +392,8 @@ def matrix() -> None:
             np.concatenate([assignment(r.mapping_step1),
                             assignment(r.mapping_step2)]),
         ))
-    emit("session mapping 40 frames", states, sum(r.rounds for r in session.reports))
+    emit("session mapping 40 frames", states, sum(r.rounds for r in session.reports),
+         relative=True)
 
 
 # ---------------------------------------------------------------------
@@ -430,21 +437,28 @@ def main() -> int:
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
-    def gap(a: list, b: list) -> float:
+    def gap(a: list, b: list, relative=False) -> float:
+        """Largest move from ``b`` (the revision's) to ``a``: absolute, or
+        relative to ``b`` where it is not zero."""
         if len(a) != len(b):
             return float("inf")
-        return max((abs(x - y) for x, y in zip(a, b)), default=0.0)
+        return max(
+            (abs(x - y) / (abs(y) if relative and y else 1.0) for x, y in zip(a, b)),
+            default=0.0,
+        )
 
     different = 0
     for name, row in ours.items():
         ref = theirs.get(name)
-        verdict = "equal"
+        verdict, move = "equal", 0.0
         if ref is None:
             different += 1
             verdict = "DIFFERENT (row missing at the revision)"
         elif (ref["sha1"], ref["iterations"]) != (row["sha1"], row["iterations"]):
-            d_vm, d_va = gap(ref["vm"], row["vm"]), gap(ref["va"], row["va"])
-            inside = args.tol > 0 and max(d_vm, d_va) <= args.tol
+            d_vm = gap(row["vm"], ref["vm"], row["relative"])
+            d_va = gap(row["va"], ref["va"])
+            move = max(d_vm, d_va)
+            inside = args.tol > 0 and move <= args.tol
             different += not inside
             verdict = (
                 f"{'within tol' if inside else 'DIFFERENT'} "
@@ -452,8 +466,10 @@ def main() -> int:
                 f"{ref['iterations']} -> {row['iterations']})"
             )
         facts = f"{ref.get('factorizations', '-')}" if ref else "-"
+        unit = "rel" if row["relative"] else "pu/rad"
         print(f"{name:36s} {row['sha1'][:16]}  iters {row['iterations']:5d}  "
-              f"factorizations {facts:>5s} -> {row['factorizations']:5d}  {verdict}")
+              f"factorizations {facts:>5s} -> {row['factorizations']:5d}  "
+              f"move {move:.1e} {unit:6s}  {verdict}")
     missing = sorted(set(theirs) - set(ours))
     for name in missing:
         print(f"{name:36s} missing in the working tree  DIFFERENT")

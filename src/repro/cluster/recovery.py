@@ -92,10 +92,11 @@ class SubsystemCheckpoint:
     ``own_ids``/``own_vm``/``own_va`` are the subsystem's own buses and
     their current voltage estimate; ``warm_vm``/``warm_va`` (optional)
     are the extended-network warm start the next round would have used;
-    ``lin_vm``/``lin_va`` (optional) is the frozen condensation
-    linearisation point.  Float64 state round-trips the wire bit-exactly,
-    so a promoted replica's ``lin_point`` still hits the donor's
-    factorisation cache — failover does not re-condense.
+    ``lin_vm``/``lin_va`` (optional) is the point of the subsystem's
+    carried or frozen gain factor.  Float64 state round-trips the wire
+    bit-exactly, so in the donor's process a promoted replica's point
+    still hits the factor the Step-2 estimator holds — failover does not
+    refactor.
     """
 
     subsystem: int

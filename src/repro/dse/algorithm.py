@@ -32,10 +32,10 @@ import numpy as np
 
 from .. import obs
 from ..estimation.results import state_error
-from ..estimation.wls import WlsEstimator, check_tol
+from ..estimation.wls import WlsEstimator, check_rows, check_tol
 from ..measurements.types import MeasType, MeasurementSet
 from ..middleware.message import condensed_update_nbytes, state_update_nbytes
-from .condensation import CarriedStep2, CondensedStep2, neighbor_publication_sets
+from .condensation import CondensedStep2, neighbor_publication_sets
 from .decomposition import Decomposition, extract_subnetwork
 from .pseudo import (
     assign_measurements,
@@ -275,10 +275,6 @@ class DistributedStateEstimator:
         self.sub2 = {}
         self._est1: dict[int, WlsEstimator] = {}
         self._step2_cache: dict[int, tuple] = {}
-        #: each subsystem's cached Step-2 estimator with the gain factor its
-        #: rounds carry (on a condensed DSE, the ``CondensedStep2`` in
-        #: ``_step2_cache``)
-        self._carried: dict[int, CarriedStep2] = {}
         self._z_index: dict[int, tuple] = {}
         self.n_boundary: dict[int, int] = {}
         for s in range(dec.m):
@@ -331,9 +327,7 @@ class DistributedStateEstimator:
                 # Coupling set: own boundary + external boundary buses;
                 # everything else is eliminated onto it once per topology.
                 bnd_local = bmap2[np.concatenate([boundary, ext])]
-                est2 = self._carried[s] = CondensedStep2(est2, bnd_local)
-            else:
-                self._carried[s] = CarriedStep2(est2)
+                est2 = CondensedStep2(est2, bnd_local)
             self._step2_cache[s] = (est2, full0, rows_vm, rows_va, src, rows_ms2)
 
     def _stack(self, stage: str) -> WlsEstimator:
@@ -345,9 +339,15 @@ class DistributedStateEstimator:
             if stage == "step1":
                 members = [self._est1[s] for s in subsystems]
             else:
-                members = [self._carried[s].est for s in subsystems]
+                members = [self._est2(s) for s in subsystems]
             stack = self._stacks[stage] = WlsEstimator.stacked(members)
         return stack
+
+    def _est2(self, s: int) -> WlsEstimator:
+        """Subsystem ``s``'s cached Step-2 estimator (on a condensed DSE,
+        the one its ``CondensedStep2`` wraps)."""
+        est = self._step2_cache[s][0]
+        return est.est if self.condense else est
 
     # ------------------------------------------------------------------
     # Values-only frames: fresh measurement vectors (and row weights) over
@@ -444,12 +444,14 @@ class DistributedStateEstimator:
 
     def _frame_weights(self, weights) -> np.ndarray | None:
         """Validated row weights: one finite value >= 0 per row of the
-        measurement set (``None`` passes)."""
+        measurement set (``None`` passes; :func:`check_rows` names the
+        first offending row)."""
         if weights is None:
             return None
         w = np.asarray(weights, dtype=float)
-        if w.shape != (len(self.mset),) or not np.all((w >= 0) & (w < np.inf)):
+        if w.shape != (len(self.mset),):
             raise ValueError(f"weights must be {len(self.mset)} finite values >= 0")
+        check_rows(weights=w)
         return w
 
     # ------------------------------------------------------------------

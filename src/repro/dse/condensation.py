@@ -3,7 +3,8 @@ frozen-gain iteration on a held factor.
 
 The reference Step 2 re-evaluates each subsystem's *full* extended network
 every round with exact Gauss-Newton — each round starting from the gain
-factor the one before last took (:class:`CarriedStep2`), and refactoring
+factor the one before last took (:meth:`WlsEstimator.estimate_blocks`'
+``carried``), and refactoring
 when its steps stop contracting — and broadcasts its whole exchange set to
 every neighbour.  Condensation changes both halves.  On the wire, a
 subsystem sends each neighbour only the tie-endpoint buses that
@@ -33,7 +34,7 @@ freezing only the gain operator turns Gauss-Newton into a quasi-Newton
 scheme with linear convergence.  How fast it contracts depends on how far
 the frozen point is from where the iteration runs, so the operator is
 frozen *there*: round 0 of a frame is the wrapped estimator's exact
-Gauss-Newton solve (:func:`exact_round`), and every later round iterates
+Gauss-Newton solve, and every later round iterates
 with the gain frozen where that loop last factored it — in its linear
 tail, within a step below √tol of the round-0 solution, and so 3–5e-3 pu
 closer than the Step-1 publication, which on stiff areas is the
@@ -57,37 +58,32 @@ first state seen" would differ between the donor and its successor.  The
 state round 0 last factored at (the result's ``factored_at``) is a
 function of the frame's inputs alone — the exact loop is deterministic,
 the same arrays on every host — and the stepper passes it as an explicit
-``lin_point`` with every later call.  The factor itself comes one of two
-ways, on the same bits.  The host that ran round 0 *adopts* it
-(:meth:`CondensedStep2.adopt`): that loop's last factorization is the
-gain at ``factored_at``, still in the block's kernel factor, so a clean
-frame assembles and factors no condensed gain at all.  A host that did
-not run the round — a failover successor, a checkpoint restore — holds no
-such factor, and :func:`condense` refactors the subsystem at the point:
-the stack's gain at ``lin_point`` is, block by block, bit for bit the
-gain the member's loop assembled there.  :func:`condense` refactors only
-when the point, or the frame's row weights, actually change (exact array
-match), so all frozen rounds of a frame share one factorization and
-repeated identical frames reuse it; the subsystems it does refactor come
-from one gain pass over the stack.
+point with every later call.  The factor itself is a lookup in the
+subsystem estimator's store of held factors
+(:class:`~repro.estimation.wls.HeldFactors`, keyed by point and row
+weights, exact array match), filled one of two ways on the same bits.
+The host that ran round 0 *adopted* it there: that loop's last
+factorization is the gain at ``factored_at``, still in the block's kernel
+factor, so a clean frame assembles and factors no condensed gain at all.
+A host that did not run the round — a failover successor in another
+process — misses, and the misses of a stage are refactored in one gain
+pass over the stack: the stack's gain at the point is, block by block,
+bit for bit the gain the member's loop assembled there.  All frozen
+rounds of a frame share one factor and repeated identical frames reuse
+it.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
 from .. import obs
 from ..estimation.results import EstimationResult
-from ..estimation.solvers import GainSolveError, _HeldFactor, _SpdFactor
+from ..estimation.solvers import GainSolveError, _HeldFactor
 from ..estimation.wls import EstimationError, WlsEstimator
 from .decomposition import Decomposition
 
-__all__ = [
-    "CarriedStep2", "CondensedStep2", "condense", "exact_round", "frozen_round",
-    "neighbor_publication_sets",
-]
+__all__ = ["CondensedStep2", "frozen_round", "neighbor_publication_sets"]
 
 #: A frozen-gain block stops on ``step < tol * FROZEN_TOL_SCALE``, tighter
 #: than the reference's ``step < tol``, so its linear tail still lands
@@ -126,7 +122,7 @@ def neighbor_publication_sets(dec: Decomposition) -> dict[int, dict[int, np.ndar
 
 
 class _Unfactored:
-    """The frozen operator of a subsystem whose gain has not factored: its
+    """The frozen operator of a subsystem whose gain did not factor: its
     block fails alone in the loop, with ``reason``."""
 
     def __init__(self, reason: str):
@@ -136,183 +132,28 @@ class _Unfactored:
         raise GainSolveError(self.reason)
 
 
-class CarriedStep2:
-    """One subsystem's cached Step-2 estimator and the gain factor its
-    rounds carry from one to the next.
-
-    Every Step-2 round of a frame starts from the estimator's exact
-    Gauss-Newton loop (:func:`exact_round`).  Its block's gain
-    ``G = Hᵀ W H`` depends on the state and the row weights, never on the
-    pseudo-measurement values, so a round that starts where the previous
-    round stopped, on the same weights, starts within √tol of the state
-    where that round last factored — and takes its first step from that
-    factor.  The factor is held here as ``operator`` (a
-    :class:`~repro.estimation.solvers._HeldFactor`), keyed by the point it
-    was taken at and the row weights (:meth:`lin_point_cached`).  The host
-    that ran the round *adopts* it from the kernel the round's loop left it
-    in (:meth:`adopt`); any other host refactors at the point from one
-    gain pass (:func:`condense`), on the same bits.
+class CondensedStep2:
+    """What a subsystem's condensed Step 2 keeps beside its cached
+    extended-network estimator ``est`` (whose :class:`HeldFactors` hold the
+    frozen gain factor): the coupling set's size, the frozen-round cap
+    ``max_iter`` (:data:`FROZEN_MAX_ITER`) and the fallback count.  It is
+    ``_step2_cache[s][0]`` of a condensed DSE.
 
     Parameters
     ----------
     est:
         The subsystem's cached extended-network estimator (owns the
-        Jacobian pattern and the normal-equation kernel every factor is
-        assembled and factored through).
-    """
-
-    #: what the held factor is called in an error of its block
-    kind = "carried gain"
-    #: rounds with a point run the frozen-gain iteration (condensed)
-    frozen = False
-
-    def __init__(self, est: WlsEstimator):
-        self.est = est
-        self.operator: _HeldFactor | _Unfactored = _Unfactored(
-            f"the {self.kind} was never factored"
-        )
-        self.factor_time = 0.0
-        self.factor_count = 0
-        self._lin_cache: tuple[np.ndarray, np.ndarray] | None = None
-        #: ``(factor, factored_at, weights)`` of the last exact round: the
-        #: kernel factor its loop left holding the gain at ``factored_at``
-        self._last_exact: tuple | None = None
-
-    def lin_point_cached(self, lin_point: tuple, weights=None) -> bool:
-        """True when ``lin_point`` and ``weights`` exactly match the
-        operator already factored, i.e. a round at that point reuses the
-        factorization.
-
-        The recovery plane leans on this: a checkpointed point round-trips
-        the ``FLAG_CHECKPOINT`` wire form bit-exactly (float64 both sides),
-        so a failover successor restoring a donor's checkpoint in the same
-        process hits the cache instead of refactoring the subsystem.
-        """
-        cached = self._lin_cache
-        return cached is not None and all(
-            a is b or np.array_equal(a, b)     # None matches None only
-            for a, b in zip(cached, (*lin_point, weights))
-        )
-
-    def _factor(
-        self, spd: _SpdFactor, gain: np.ndarray, lin_point: tuple, weights
-    ) -> None:
-        """Factor this subsystem's gain values ``gain`` (on its estimator's
-        kernel pattern), assembled at ``lin_point`` with row weights
-        ``weights`` (:func:`condense`), through ``spd`` — a factor of that
-        pattern — and hold it (:meth:`_hold`).  A gain that does not factor
-        raises :class:`GainSolveError` and leaves an operator that fails its
-        block and no key, so the next round tries again."""
-        self._lin_cache = None
-        try:
-            spd.factor(gain)
-        except GainSolveError as exc:
-            self.operator = _Unfactored(f"{self.kind}: {exc}")
-            raise
-        if obs.enabled():
-            obs.metrics().counter("dse.condensation.factorizations_total").inc()
-        self._hold(spd, lin_point, weights)
-
-    def _hold(self, spd: _SpdFactor, lin_point: tuple, weights) -> None:
-        """Hold ``spd``'s factor — the gain at ``lin_point`` with row
-        weights ``weights`` — as the operator, keyed by those."""
-        self.operator = _HeldFactor(spd)
-        self.factor_count += 1
-        self._lin_cache = tuple(
-            None if a is None else np.array(a, dtype=float, copy=True)
-            for a in (*lin_point, weights)
-        )
-
-    def adopt(self, lin_point: tuple) -> bool:
-        """Take the factor the last exact round's loop left in its kernel
-        as the operator, when ``lin_point`` is that round's
-        ``factored_at`` (the very arrays its result reports), keyed by it
-        and the round's weights — the factor :func:`condense` would make
-        there, bit for bit, without the gain pass (an operator already
-        keyed there is kept).  Returns whether it holds that factor now;
-        the record is consumed either way, and a point that is not the
-        round's leaves the refactorisation to :func:`condense`."""
-        last, self._last_exact = self._last_exact, None
-        if last is None or last[1] is not lin_point:
-            return False
-        if self.lin_point_cached(*last[1:]):
-            return True     # a repeated frame: the operator is these bits
-        t0 = time.perf_counter()
-        self._hold(*last)
-        self.factor_time += time.perf_counter() - t0
-        return True
-
-    def estimate(
-        self,
-        *,
-        x0: tuple[np.ndarray, np.ndarray] | None = None,
-        tol: float = 1e-8,
-        max_iter: int | None = None,
-        reference_angle: float = 0.0,
-        z: np.ndarray | None = None,
-        weights: np.ndarray | None = None,
-        lin_point: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> EstimationResult:
-        """One Step-2 re-evaluation of the subsystem.
-
-        Mirrors :meth:`WlsEstimator.estimate` (same signature, same
-        :class:`EstimationResult`) plus ``lin_point``, the point of the
-        factor the round carries in (refactored only when it or ``weights``
-        moved): the exact loop's first step solves against it.  Without
-        one the round starts fresh.  On a :class:`CondensedStep2` a point
-        turns the round into the frozen-gain iteration
-        (:func:`frozen_round`; ``max_iter`` overrides its cap).  Raises
-        :class:`EstimationError` on a failed solve.
-        """
-        inputs = dict(
-            x0=[x0], z=[z], weights=[weights], tol=tol,
-            reference_angle=reference_angle, lin_points=[lin_point],
-        )
-        if self.frozen and lin_point is not None:
-            (res,) = frozen_round(self.est, [self], max_iter=max_iter, **inputs)
-        else:
-            (res,) = exact_round(self.est, [self], **inputs)
-        if isinstance(res, EstimationError):
-            raise res
-        return res
-
-
-class CondensedStep2(CarriedStep2):
-    """Condensed drop-in for the cached Step-2 :class:`WlsEstimator`.
-
-    A :class:`CarriedStep2` whose carried factor is frozen: the frame's
-    first round is exact, and every later round iterates with the gain
-    held where that round last factored it (:func:`frozen_round`), so the
-    in-process algorithm and the live runtime use it unchanged through
-    ``_step2_cache``.  It owns the subsystem's frozen operator
-    (``operator``: the held Cholesky factor of its extended gain), the
-    linearization point it was factored at and the fallback count.
-
-    Parameters
-    ----------
-    est:
-        The subsystem's cached extended-network estimator (owns the
-        Jacobian pattern and the normal-equation kernel the frozen gain is
-        assembled and factored through, and solves round 0 and fallbacks).
+        Jacobian pattern, the normal-equation kernel and the store of held
+        factors, and solves round 0 and fallbacks).
     boundary_buses_local:
         Local bus indices of the coupling set — the subsystem's own
         boundary buses plus the external boundary buses; both of each
         bus's states (Va, Vm) are its ``boundary_states``, reported in
         the records' sizes.
-
-    ``max_iter`` (:data:`FROZEN_MAX_ITER`) is this subsystem's frozen-round
-    cap.
     """
 
-    kind = "frozen gain"
-    frozen = True
-
-    def __init__(
-        self,
-        est: WlsEstimator,
-        boundary_buses_local: np.ndarray,
-    ):
-        super().__init__(est)
+    def __init__(self, est: WlsEstimator, boundary_buses_local: np.ndarray):
+        self.est = est
         n = est.net.n_bus
         pos = -np.ones(2 * n, dtype=np.int64)
         pos[est._keep] = np.arange(est.n_states)
@@ -333,97 +174,9 @@ class CondensedStep2(CarriedStep2):
         return self.est.n_states - len(self.boundary_states)
 
 
-def condense(
-    stack: WlsEstimator, conds: list[CarriedStep2], lin_points: list, weights: list
-) -> float:
-    """Refactor every ``conds[b]`` given a point whose ``(lin_points[b],
-    weights[b])`` moved (a ``None`` point asks for no factor), from one
-    gain pass over ``stack`` (:meth:`WlsEstimator.gain_at`
-    restricted to those blocks), each factoring its own segment of the
-    gain values — bit for bit the gain its own estimator assembles — with
-    its block's fixed-pattern factor in the stack's kernel.  Returns the
-    seconds the whole refactorisation took: each refactored subsystem's
-    ``factor_time`` gains its own factorisation and a share of the gain
-    pass in proportion to its gain entries (apportioned, not timed alone),
-    so the shares sum to this wall.  A subsystem whose gain does not
-    factor keeps an operator that fails its block in the loop.
-    """
-    stale = [
-        b for b, (cond, lin, w) in enumerate(zip(conds, lin_points, weights))
-        if lin is not None and not cond.lin_point_cached(lin, w)
-    ]
-    if not stale:
-        return 0.0
-    t0 = time.perf_counter()
-    n = stack.net.n_bus
-    Vm, Va, w = np.ones(n), np.zeros(n), None
-    for b in stale:
-        blk = stack._blocks[b]
-        Vm[blk.buses], Va[blk.buses] = lin_points[b]
-        if weights[b] is not None:
-            if w is None:
-                w = stack.mset.weights.copy()
-            w[blk.rows] = weights[b]
-    kernel, _, gain = stack.gain_at(Vm, Va, w, parts=stale)
-    blocks = kernel.blocks
-    segments = [slice(*blocks[b][2]) for b in stale]
-    sizes = np.array([g.stop - g.start for g in segments], dtype=float)
-    t = time.perf_counter()
-    shares = (t - t0) * sizes / sizes.sum()
-    for b, g, share in zip(stale, segments, shares):
-        try:
-            conds[b]._factor(blocks[b][0], gain[g], lin_points[b], weights[b])
-        except GainSolveError:
-            pass    # the unfactored operator fails its own block in the loop
-        t, t_prev = time.perf_counter(), t
-        conds[b].factor_time += float(share) + (t - t_prev)
-    return t - t0
-
-
-def exact_round(
-    stack: WlsEstimator,
-    conds: list[CarriedStep2],
-    *,
-    x0: list,
-    z: list,
-    weights: list,
-    lin_points: list | None = None,
-    tol: float = 1e-8,
-    reference_angle: float = 0.0,
-) -> list[EstimationResult | EstimationError]:
-    """The exact Gauss-Newton round of every ``conds[b]`` over ``stack``
-    (as :func:`frozen_round` takes it), in lock step.
-
-    A block given a point (``lin_points[b]``, ``None``: none) carries its
-    subsystem's factor at that point with its weights into the round —
-    refactored by :func:`condense` where the subsystem does not hold it —
-    and takes its first step from it, keeping it while its steps contract
-    (:meth:`WlsEstimator.estimate_blocks`' ``carried``).  Afterwards each
-    subsystem notes the factor its block's loop left in ``stack``'s kernel
-    — the gain at the result's ``factored_at`` — for
-    :meth:`CarriedStep2.adopt`."""
-    carried = None
-    if lin_points is not None and any(p is not None for p in lin_points):
-        condense(stack, conds, lin_points, weights)
-        carried = [
-            None if p is None else c.operator for c, p in zip(conds, lin_points)
-        ]
-    results = stack.estimate_blocks(
-        x0=x0, z=z, weights=weights, tol=tol, reference_angle=reference_angle,
-        carried=carried,
-    )
-    blocks = stack._kernel().blocks
-    for cond, (spd, _, _), res, w in zip(conds, blocks, results, weights):
-        cond._last_exact = (
-            None if isinstance(res, EstimationError) or res.factored_at is None
-            else (spd, res.factored_at, w)
-        )
-    return results
-
-
 def frozen_round(
     stack: WlsEstimator,
-    conds: list[CarriedStep2],
+    conds: list[CondensedStep2],
     *,
     x0: list,
     z: list,
@@ -440,8 +193,9 @@ def frozen_round(
     itself — and runs them through the one masked loop
     (:meth:`WlsEstimator.estimate_blocks`) with each block's held gain
     factor, frozen at ``lin_points[b]`` with row weights ``weights[b]``
-    (``None``: the set's own; refactored by :func:`condense` where that
-    key moved), in place of the gain: every iteration evaluates the exact
+    (``None``: the set's own; the misses refactored in one gain pass, and
+    a gain that does not factor failing its block alone), in place of the
+    gain: every iteration evaluates the exact
     gradient over the stack once, without a Jacobian, and asks each
     still-running block's own operator for its step, so a block's
     iterates are the same bits however many blocks ride along.  A block
@@ -453,12 +207,15 @@ def frozen_round(
     outcome per block, a failed block's :class:`EstimationError` in its
     place.
     """
-    condense(stack, conds, lin_points, weights)
+    operators = [
+        op if isinstance(op, _HeldFactor) else _Unfactored(f"frozen gain: {op}")
+        for op in stack._held(lin_points, weights)
+    ]
     limits = [c.max_iter if max_iter is None else max_iter for c in conds]
     results = stack.estimate_blocks(
         x0=x0, z=z, weights=weights, tol=tol * FROZEN_TOL_SCALE,
         max_iter=max(limits), reference_angle=reference_angle,
-        operators=[c.operator for c in conds],
+        operators=operators,
     )
     for b, (cond, res) in enumerate(zip(conds, results)):
         if isinstance(res, EstimationError) or (

@@ -41,8 +41,8 @@ import numpy as np
 
 from .. import obs
 from ..estimation.results import EstimationResult
-from ..estimation.wls import WlsEstimator
-from .condensation import exact_round, frozen_round
+from ..estimation.wls import EstimationError, WlsEstimator
+from .condensation import frozen_round
 from .pseudo import pseudo_measurements
 
 __all__ = ["SolveFailure", "SubsystemRecord", "SubsystemStepper", "solve_stage"]
@@ -71,8 +71,9 @@ class SubsystemRecord:
     #: the other states of the extended network
     n_boundary_states: int = 0
     n_interior_states: int = 0
-    #: wall time this frame spent holding its carried gain factor (the
-    #: frozen gain of a condensed Step 2): adoptions and refactorizations
+    #: wall time this frame spent taking the held factors of its Step-2
+    #: estimator (the carried gain, a condensed Step 2's frozen gain):
+    #: adoptions and refactorizations
     factor_time: float = 0.0
 
     @property
@@ -90,22 +91,39 @@ class SolveFailure:
     message: str
 
 
-def _cached_estimator(dse, stage: str, s: int):
-    return dse._est1[s] if stage == "step1" else dse._carried[s]
+def _cached_estimator(dse, stage: str, s: int) -> WlsEstimator:
+    return dse._est1[s] if stage == "step1" else dse._est2(s)
 
 
-def _timed_solve(stage, s, build, x0, z, w, lin, tol, degrade) -> tuple:
-    """One subsystem solve under its span: ``(result or failure, seconds)``.
+def _solve_blocks(dse, stage, est, subsystems, x0, z, w, lins, tol) -> list:
+    """One stage's solve of ``subsystems`` on ``est`` — their stacked
+    estimator, or one subsystem's own: Step 1, or a Step-2 round (the
+    frozen-gain one on a condensed DSE whose jobs carry their points)."""
+    inputs = dict(x0=x0, z=z, weights=w, tol=tol)
+    if stage == "step1":
+        return est.estimate_blocks(**inputs)
+    if dse.condense and lins[0] is not None:
+        conds = [dse._step2_cache[s][0] for s in subsystems]
+        return frozen_round(est, conds, lin_points=lins, **inputs)
+    return est.estimate_blocks(carried=lins, **inputs)
 
-    ``build()`` returns the estimator — the cached one, or a new one whose
-    construction cost belongs to the solve it serves.
-    """
-    kwargs = {} if lin is None else {"lin_point": lin}
+
+def _timed_solve(dse, stage, job, tol, degrade) -> tuple:
+    """One job solved alone, under its span: ``(result or failure,
+    seconds)`` — a fresh estimator's solve, whose construction cost
+    belongs to it, or the subsystem's cached estimator as a one-block
+    stage."""
+    s, fresh, x0, z, w, lin = job
     t0 = time.perf_counter()
     with obs.span(f"dse.{stage}.subsystem", s=s):
-        est = build()
+        est = fresh() if fresh else _cached_estimator(dse, stage, s)
         try:
-            res = est.estimate(x0=x0, tol=tol, z=z, weights=w, **kwargs)
+            if fresh:
+                res = est.estimate(x0=x0, tol=tol, z=z, weights=w)
+            else:
+                (res,) = _solve_blocks(dse, stage, est, [s], [x0], [z], [w], [lin], tol)
+                if isinstance(res, EstimationError):
+                    raise res
         except Exception as exc:
             if not degrade:
                 raise
@@ -157,7 +175,8 @@ class SubsystemStepper:
         #: previous round's extended solution per subsystem (warm start)
         self.last2: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         #: where each subsystem's carried gain factor was taken — the point
-        #: its next round's job names (:meth:`_carry`)
+        #: its next round's job names, the key of the factor its Step-2
+        #: estimator holds (:meth:`_carry`)
         self.carry: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.round_deltas: list[float] = []
         self._factor_t0: dict[int, float] = {}
@@ -176,19 +195,12 @@ class SubsystemStepper:
             n_sensitive=len(dse.exchange_sets[s]) - n_boundary,
         )
         if dse.reuse_structures:
-            self._factor_t0[s] = dse._carried[s].factor_time
+            self._factor_t0[s] = dse._est2(s).factors.seconds
         if dse.condense:
-            cond = dse._carried[s]
+            cond = dse._step2_cache[s][0]
             rec.condensed = True
             rec.n_boundary_states = cond.n_boundary_states
             rec.n_interior_states = cond.n_interior_states
-
-    @property
-    def lin(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """The condensed frame's linearization points — its carry points,
-        fixed after each subsystem's first Step-2 round; empty on the
-        reference path, whose carry points move with every round."""
-        return self.carry if self.dse.condense else {}
 
     def checkpoint(self, s: int) -> dict:
         """Hosted subsystem ``s``'s recoverable state, as the array fields
@@ -207,8 +219,8 @@ class SubsystemStepper:
 
         float64 state round-trips the wire bit-exactly, so an adopted
         carry point names the donor's factor: in the donor's process it
-        hits the factorization cache, elsewhere it is refactored there on
-        the same bits.
+        hits the Step-2 estimator's held factors, elsewhere it is
+        refactored there on the same bits.
         """
         s = int(ck.subsystem)
         self._host(s)
@@ -348,11 +360,9 @@ class SubsystemStepper:
             rec.step2_times.append(dt)
             rec.bytes_sent_per_round.append(dse._round_wire_bytes(s, rnd))
             if dse.reuse_structures:
-                # the carried factors live on the warm caches; surface
+                # the held factors live on the warm estimators; surface
                 # this frame's share of their cost
-                rec.factor_time = (
-                    dse._carried[s].factor_time - self._factor_t0[s]
-                )
+                rec.factor_time = dse._est2(s).factors.seconds - self._factor_t0[s]
             if isinstance(res, SolveFailure):
                 # degraded: keep this subsystem's previous publication
                 # for the round (neighbours keep converging around it)
@@ -386,20 +396,19 @@ class SubsystemStepper:
 
     def _carry(self, s: int, res: EstimationResult) -> None:
         """Carry subsystem ``s``'s gain factor out of a round that gave
-        ``res``: note the point the next round's job names, and have the
-        cache adopt the factor the round's loop left at it.
+        ``res``: note the point the next round's job names.
 
         The point is where the round's loop last factored the gain
         (``factored_at``), in its linear tail — a function of the frame's
         inputs alone, the same arrays on every host, so every hosting of
         the next round starts from the same factor; the host that ran the
-        round holds it already, and adopts it.  A condensed frame freezes
-        its gain there after the first round for the rest of the frame.  A
-        reference round that factored nothing keeps the point it carried
-        in; the point is dropped — the next round starts fresh — while the
-        subsystem is not warm-started or has a neighbour it has not heard
-        from, since the next round would not start on this round's state
-        and weights.
+        round adopted it there (``estimate_blocks(carried=)``).  A condensed
+        frame freezes its gain there after the first round for the rest of
+        the frame.  A reference round that factored nothing keeps the point
+        it carried in; the point is dropped — the next round starts fresh —
+        while the subsystem is not warm-started or has a neighbour it has
+        not heard from, since the next round would not start on this
+        round's state and weights.
         """
         dse, point = self.dse, res.factored_at
         if dse.condense:
@@ -413,7 +422,6 @@ class SubsystemStepper:
         elif point is None:
             return
         self.carry[s] = point
-        dse._carried[s].adopt(point)
 
     def _fresh_step2(self, s: int) -> tuple:
         """The ``reuse_structures=False`` reference path's Step-2 job: a new
@@ -439,7 +447,7 @@ def solve_stage(
     steppers built them.
 
     A job is ``(s, builder of a fresh estimator or None for the cached
-    one, x0, z, weights, lin_point)``; the result is ``(result or
+    one, x0, z, weights, carry point)``; the result is ``(result or
     failure, seconds)`` per job, in the jobs' order.  A solve that raises
     becomes a :class:`SolveFailure` when ``degrade`` and propagates
     otherwise.
@@ -464,13 +472,7 @@ def solve_stage(
     ):
         solved = _stacked_stage(dse, stage, ordered, tol, degrade)
     else:
-        solved = [
-            _timed_solve(
-                stage, s, fresh or partial(_cached_estimator, dse, stage, s),
-                x0, z, w, lin, tol, degrade,
-            )
-            for s, fresh, x0, z, w, lin in ordered
-        ]
+        solved = [_timed_solve(dse, stage, job, tol, degrade) for job in ordered]
     out: list = [None] * len(jobs)
     for i, res in zip(order, solved):
         out[i] = res
@@ -497,14 +499,7 @@ def _stacked_stage(
     # the stack is built once per estimator: not the stage's compute
     stack = dse._stack(stage)
     wall0, t0 = time.time(), time.perf_counter()
-    inputs = dict(x0=x0, z=z, weights=w, tol=tol)
-    conds = [_cached_estimator(dse, stage, s) for s in subsystems]
-    if stage == "step1":
-        results = stack.estimate_blocks(**inputs)
-    elif dse.condense and lins[0] is not None:
-        results = frozen_round(stack, conds, lin_points=lins, **inputs)
-    else:
-        results = exact_round(stack, conds, lin_points=lins, **inputs)
+    results = _solve_blocks(dse, stage, stack, subsystems, x0, z, w, lins, tol)
     wall = time.perf_counter() - t0
 
     failed = [r for r in results if isinstance(r, Exception)]

@@ -1,4 +1,4 @@
-"""State estimation: WLS core, solvers, observability, bad data, linear models."""
+"""State estimation: WLS core, solvers, observability, bad data."""
 
 from .baddata import (
     BadDataReport,
@@ -9,11 +9,9 @@ from .baddata import (
 from .batch import BatchEstimationResult, BatchEstimator, BatchScenario
 from .hybrid import hybrid_estimate
 from .outputs import EstimatedOutputs, area_interchange, derive_outputs
-from .tracking import TrackedFrame, TrackingEstimator
 from .decoupled import fast_decoupled_estimate
 from .covariance import StateCovariance, state_covariance
 from .constrained import constrained_estimate, zero_injection_buses
-from .linear import dc_estimate, pmu_linear_estimate
 from .robust import huber_estimate
 from .observability import angle_jacobian, is_observable, observable_islands
 from .pcg import (
@@ -60,16 +58,12 @@ __all__ = [
     "is_observable",
     "observable_islands",
     "angle_jacobian",
-    "dc_estimate",
-    "pmu_linear_estimate",
     "huber_estimate",
     "constrained_estimate",
     "zero_injection_buses",
     "StateCovariance",
     "state_covariance",
     "fast_decoupled_estimate",
-    "TrackingEstimator",
-    "TrackedFrame",
     "hybrid_estimate",
     "EstimatedOutputs",
     "derive_outputs",

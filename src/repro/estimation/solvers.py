@@ -32,8 +32,8 @@ problems as the rows of a ``(K, nnz)`` data stack (one vectorised assembly,
 the one factor used K times).  Either way a block's step is bit for bit
 that of the block solved alone, and a block that fails does so alone.  A
 block may instead be solved against a frozen operator (:class:`_HeldFactor`)
-— a factor the kernel kept from an earlier call, or one a caller factored
-and holds, as the condensed DSE Step 2 does — in which case nothing is
+— a factor the kernel kept from an earlier call, or one an estimator's
+store holds, as the condensed DSE Step 2's are — in which case nothing is
 filled, assembled or factored for it; it keeps the factor in its mode's
 form (the band, the packed dense triangle, or the SuperLU object), or —
 where a held step must be the bits a fresh one would be — in the form the
@@ -325,12 +325,11 @@ class _HeldFactor:
     """A gain factor kept past the solve that made it, as a frozen operator.
 
     The Gauss-Newton loop holds a block's factor through the block's linear
-    tail (:meth:`NormalEquations.step_blocks`' ``hold``), an estimator holds
-    each block's gain factored at the flat start for the first iteration of
-    every flat-started solve, and a condensed DSE Step-2 round holds its
-    subsystem's gain factored once at the frame's linearization point
-    through every iteration of the round (every block of the step an
-    operator).  A band factor is held as a copy of its band array (with the
+    tail (:meth:`NormalEquations.step_blocks`' ``hold``); beyond one call
+    only an estimator's store holds them
+    (:class:`~repro.estimation.wls.HeldFactors`: the flat start's, and
+    the factor a DSE Step-2 round carries or freezes).  A band factor is
+    held as a copy of its band array (with the
     shared RCM order) and solved with the same ``dpbtrs`` as the live
     factor; a sparse one keeps the SuperLU object its factorisation
     created, with the column order.  A dense factor is held as its packed
@@ -339,9 +338,10 @@ class _HeldFactor:
     with ``live_form``, as a copy of its ``n × n`` block solved with the
     live factor's own ``dpotrs``: ``dpptrs`` rounds differently, and the
     flat-start factor stands in for a fresh factor, whose step it must give
-    bit for bit.  Every path holds one form per use — a union block, a
-    plain estimator, a replica of a stack — so a held block's steps are the
-    same bits however the block was stacked.
+    bit for bit (the store's form rule: live form at the flat start alone).
+    Every path holds one form per use — a union block, a plain estimator,
+    a replica of a stack — so a held block's steps are the same bits
+    however the block was stacked.
     """
 
     def __init__(self, spd: _SpdFactor, *, live_form: bool = False):

@@ -25,7 +25,8 @@ from .results import EstimationResult
 from .solvers import GainSolveError, GainSolver, NormalEquations, _HeldFactor
 
 __all__ = [
-    "DIVERGED", "EstimationError", "WlsEstimator", "check_tol", "estimate_state",
+    "DIVERGED", "EstimationError", "HeldFactors", "InputError", "WlsEstimator",
+    "check_rows", "check_tol", "estimate_state",
 ]
 
 #: A frozen-gain block whose step norm (pu / rad) passes this is diverging:
@@ -45,6 +46,76 @@ def check_tol(tol) -> None:
     lock (see the ``z`` check there)."""
     if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+
+
+class InputError(EstimationError, ValueError):
+    """A frame refused before anything runs (:func:`check_rows`); in a
+    multi-block solve it is the offending block's outcome alone, and
+    ``block`` its index."""
+
+    block: int | None = None
+
+
+def check_rows(z=None, weights=None, block=None) -> None:
+    """Refuse a frame's measured values ``z`` when one is not finite, and
+    its row ``weights`` when one is negative or not finite: raises
+    :class:`InputError` (a ``ValueError``) naming the first offending row,
+    in the block's own row order, with ``block`` as its ``block``.  The
+    message leaves the block out: a block's failure reads the same however
+    its solve was stacked."""
+    bad = None
+    if z is not None and not (ok := np.isfinite(z)).all():
+        row = int(np.argmin(ok))
+        bad = f"z row {row} is non-finite ({float(z[row])!r})"
+    elif weights is not None and not (ok := (weights >= 0) & (weights < np.inf)).all():
+        row = int(np.argmin(ok))
+        bad = f"weights must be finite and >= 0; row {row} is {float(weights[row])!r}"
+    if bad is not None:
+        exc = InputError(bad)
+        exc.block = block
+        raise exc
+
+
+class HeldFactors:
+    """The gain factors one estimator holds past the solve that made them.
+
+    A factor is keyed by ``(point, weights)``, matched on exact values: the
+    state its gain ``Hᵀ W H`` was assembled at — ``(Vm, Va)`` in the
+    estimator's bus order, or ``(angle,)`` for the flat start at that
+    reference angle (``Vm = 1``, the base topology) — and the row weights
+    (``None``: the set's own).  One factor is held per kind of point: the
+    flat start's, in the form the live factor solves with (a step from it
+    is a fresh factor's bits), and the last ``(Vm, Va)`` one's — the
+    factor a Step-2 round carries or freezes — held packed
+    (:class:`~repro.estimation.solvers._HeldFactor`).  ``count`` is the
+    factors taken, ``seconds`` the wall time taking them: gain passes and
+    factorizations on a miss (:meth:`WlsEstimator._held`), and adoptions
+    of a loop's last factor (:meth:`WlsEstimator.estimate_blocks`'
+    ``carried``).
+    """
+
+    def __init__(self):
+        self._held: dict[int, tuple] = {}      # len(point) -> (key, factor)
+        self.count = 0
+        self.seconds = 0.0
+
+    def get(self, point: tuple, weights=None) -> _HeldFactor | None:
+        """The factor held at ``(point, weights)``, or ``None``."""
+        key, factor = self._held.get(len(point), ((), None))
+        same = all(                 # None matches None only
+            a is b or np.array_equal(a, b) for a, b in zip(key, (*point, weights))
+        )
+        return factor if same else None
+
+    def take(self, point: tuple, weights, spd) -> _HeldFactor:
+        """Hold ``spd``'s factor — the gain at ``(point, weights)`` — in
+        place of the one held for that kind of point (a factor held at
+        this key already is kept)."""
+        if self.get(point, weights) is None:
+            key = tuple(None if a is None else np.array(a) for a in (*point, weights))
+            self._held[len(point)] = (key, _HeldFactor(spd, live_form=len(point) == 1))
+            self.count += 1
+        return self._held[len(point)][1]
 
 
 @dataclass(frozen=True)
@@ -109,8 +180,8 @@ class WlsEstimator:
             self._keep = np.delete(np.arange(2 * n), self.reference_bus)
         self._gain_solver = GainSolver()
         self._keep_all = self.has_pmu_angles
-        self._flat: dict[int, _HeldFactor] = {}
-        self._flat_angle = 0.0
+        self.factors = HeldFactors()
+        self._stores = [self.factors]
         self._blocks = [
             _Block(
                 buses=slice(0, n),
@@ -139,7 +210,8 @@ class WlsEstimator:
         has finished or holds its factor fills nothing.
         Every sum a member's solve takes is taken over the same terms in the
         same order, so each block's result is bit for bit the member's own
-        :meth:`estimate`.
+        :meth:`estimate`.  The stack holds no factor of its own: each block
+        reads and fills its member's :class:`HeldFactors`.
         """
         if not members:
             raise ValueError("stacked() needs at least one estimator")
@@ -203,7 +275,7 @@ class WlsEstimator:
         self._gain_solver.kernel = NormalEquations.stacked(
             [m._kernel() for m in members], rows, *structure.pattern
         )
-        self._flat, self._flat_angle = {}, 0.0
+        self.factors, self._stores = None, [m.factors for m in members]
         return self
 
     @property
@@ -271,31 +343,52 @@ class WlsEstimator:
         H = sp.csc_matrix((data, kernel.indices, kernel.indptr), shape=kernel.shape)
         return kernel.spd, H
 
-    def _hold_flat(self, reference_angle: float, parts: list[int]) -> None:
-        """Hold the gain factor of blocks ``parts`` at the flat start —
-        ``Vm = 1``, ``Va = reference_angle``, the set's own weights, the
-        base topology — that this estimator does not hold yet: one gain
-        pass over them, each factored through its kernel block's factor and
-        kept (a gain that does not factor is not held; the loop's own
-        factorization then fails the block)."""
-        if reference_angle != self._flat_angle:
-            self._flat, self._flat_angle = {}, reference_angle
-        parts = [p for p in parts if p not in self._flat]
-        if not parts:
-            return
+    def _held(self, points: list, weights: list) -> list:
+        """Block ``b``'s held factor of its gain at ``points[b]`` on row
+        weights ``weights[b]`` (:class:`HeldFactors` keys; a ``None`` point
+        asks for none): its store's, or on a miss factored now — the
+        misses of every block in one gain pass (:meth:`gain_at` restricted
+        to them), each through its kernel block's factor, sharing the
+        pass's wall equally.  A gain that does not factor gives its
+        ``GainSolveError`` in its place and is not keyed."""
+        stores = self._stores
+        out = [
+            None if p is None else store.get(p, w)
+            for store, p, w in zip(stores, points, weights)
+        ]
+        miss = [b for b, p in enumerate(points) if p is not None and out[b] is None]
+        if not miss:
+            return out
+        t0 = time.perf_counter()
         n = self.net.n_bus
+        Vm, Va, w = np.ones(n), np.zeros(n), None
+        for b in miss:
+            buses = self._blocks[b].buses
+            if len(points[b]) == 1:
+                Va[buses] = points[b][0]
+            else:
+                Vm[buses], Va[buses] = points[b]
+            if weights[b] is not None:
+                if w is None:
+                    w = self.mset.weights.copy()
+                w[self._blocks[b].rows] = weights[b]
         kernel, _, gain = self.gain_at(
-            np.ones(n), np.full(n, float(reference_angle)),
-            parts=parts if len(self._blocks) > 1 else None,
+            Vm, Va, w, parts=miss if len(self._blocks) > 1 else None
         )
-        blocks = kernel.blocks
-        for p in parts:
-            spd, _, g = blocks[p]
+        for b in miss:
+            spd, _, g = kernel.blocks[b]
             try:
                 spd.factor(gain[slice(*g)])
-            except GainSolveError:
+            except GainSolveError as exc:
+                out[b] = exc
                 continue
-            self._flat[p] = _HeldFactor(spd, live_form=True)
+            out[b] = stores[b].take(points[b], weights[b], spd)
+            if obs.enabled() and len(points[b]) == 2:
+                obs.metrics().counter("dse.condensation.factorizations_total").inc()
+        share = (time.perf_counter() - t0) / len(miss)
+        for b in miss:
+            stores[b].seconds += share
+        return out
 
     def estimate(
         self,
@@ -397,25 +490,27 @@ class WlsEstimator:
         last of them (``None`` when it factored none) — the state whose
         gain the block's factor in the kernel holds when the call returns.
 
-        *Flat start.*  The gain at the flat start (``Vm = 1``, ``Va =
-        reference_angle``) with the set's own weights on the base topology
-        is a constant of the estimator, factored once per block (one for
-        all replicas) by the first solve that needs it and held.  A block
+        *Held factors.*  Iteration 1 of a block may solve against a
+        factor its estimator holds (:class:`HeldFactors`, one per plain
+        estimator; a stack's blocks use their members'), with no fill,
+        gain or factorization, which ``factorizations`` does not count;
+        the misses are factored in one gain pass (:meth:`_held`).  A block
         that starts flat with no ``weights`` and no ``status`` of its own
-        takes its first step from that held factor — no fill, gain or
-        factorization in iteration 1, which ``factorizations`` does not
-        count — on the same bits as a fresh factor gives
-        (:class:`~repro.estimation.solvers._HeldFactor` solves as the live
-        factor does); the loop runs on from iteration 2 as it would have.
-
-        *Carried factor.*  ``carried[b]`` (``None``: none) is a held
-        factor of block ``b``'s gain taken where the caller knows the block
-        to start — within √tol of ``x0[b]``, on ``weights[b]`` — such as the
-        factor a DSE Step-2 round carries from the round before, which it
-        warm-starts from.  Iteration 1 solves against it, with no fill,
-        gain or factorization, and the block keeps it as a tail factor
-        while its steps contract, dropping it and re-factoring when they
-        stop; ``factored_at`` is ``None`` until the block factors.
+        takes the gain at the flat start (``Vm = 1``, ``Va =
+        reference_angle``, the set's own weights, the base topology) — a
+        constant of the estimator, one for all replicas — on the same bits
+        as a fresh factor gives, and the loop runs on from iteration 2 as
+        it would have.  ``carried[b]`` (``None``: none) is a point ``(Vm,
+        Va)`` in block ``b``'s bus order where the caller knows the block's
+        gain was last factored, within √tol of ``x0[b]`` — the
+        ``factored_at`` of the DSE Step-2 round before, which it
+        warm-starts from: the block takes the factor held there on
+        ``weights[b]`` and keeps it as a tail factor while its steps
+        contract, re-factoring when they stop; ``factored_at`` is ``None``
+        until the block factors.  A call given ``carried`` carries factors
+        on: afterwards each block's store adopts the factor the loop left
+        in the block's kernel factor, keyed at its ``factored_at`` on its
+        weights — the point of the next call.
 
         ``operators`` turns the loop into the frozen-gain iteration of the
         condensed DSE Step 2: one frozen gain operator per block (a union's
@@ -428,7 +523,10 @@ class WlsEstimator:
 
         A ``tol`` (or a per-block one) that is not finite and > 0, or a
         negative ``max_iter``, raises ``ValueError`` before anything runs;
-        ``max_iter=0`` returns the start's residuals unsolved.
+        ``max_iter=0`` returns the start's residuals unsolved.  A block
+        whose ``z`` is not finite or whose weights are negative or not
+        finite is refused before any factor is taken: its outcome is the
+        :class:`InputError` of :func:`check_rows`.
         """
         t_start = time.perf_counter() if obs.enabled() else 0.0
         model, ms, net = self.model, self.mset, self.net
@@ -448,8 +546,10 @@ class WlsEstimator:
         replicas = whatif or nb > len(self._blocks)
         if operators is not None and (replicas or len(operators) != nb):
             raise ValueError("need one frozen operator per block, no replicas")
-        if carried is not None and (operators is not None or len(carried) != nb):
-            raise ValueError("need one carried entry per block, no operators")
+        if carried is not None and (
+            operators is not None or replicas or len(carried) != nb
+        ):
+            raise ValueError("need one carried point per block, no operators or replicas")
         tols = [tol] * nb if np.ndim(tol) == 0 else list(tol)
         if len(tols) != nb:
             raise ValueError(f"need one tol, or one per block ({nb})")
@@ -495,6 +595,16 @@ class WlsEstimator:
                 Vm[(blk.buses, *at)], Va[(blk.buses, *at)] = x0[b]
             if blk.pinned is not None:
                 Va[(blk.pinned, *at)] = reference_angle
+        # bad rows: one test over every block, the culprits named on a miss
+        if not (np.isfinite(zz).all() and ((w >= 0) & (w < np.inf)).all()):
+            for b, blk in enumerate(blocks):
+                at = (b,) if replicas else ()
+                wb = w[(blk.rows, *at)] if w.ndim == 2 else w[blk.rows]
+                try:
+                    if results[b] is None:
+                        check_rows(zz[(blk.rows, *at)], wb, b)
+                except InputError as exc:
+                    results[b] = exc
         # per-replica admittances only when some replica flips a branch;
         # otherwise the model's own operators serve every column
         adm = None
@@ -516,29 +626,29 @@ class WlsEstimator:
         # the states and the block's column in it (replicas)
         factored: list[tuple | None] = [None] * nb
         # Frozen gain operators by block: the caller's (a condensed round's,
-        # every block's, stopped at DIVERGED) or the loop's own — a carried
-        # factor or the estimator's flat-start factor for iteration 1, or a
-        # block's factor held through its linear tail.
+        # every block's, stopped at DIVERGED) or the loop's own — a held
+        # factor for iteration 1 (a carried point's or the flat start's),
+        # or a block's factor held through its linear tail.
         frozen = operators is not None
         ops = dict(enumerate(operators)) if frozen else {}
-        if carried is not None:
-            ops.update(
-                (b, op) for b, op in enumerate(carried)
-                if op is not None and results[b] is None
-            )
         roots = [float(np.sqrt(t)) for t in tols]
-        # flat-started blocks on the set's own weights and topology take
-        # iteration 1 from the estimator's flat factor (replicas share one)
-        flat = {}
+        flat = set()
         if not frozen and max_iter:
-            flat = {
-                b: 0 if replicas else b
-                for b in range(nb)
-                if results[b] is None and b not in ops
-                and all(v[b] is None for v in (x0, weights, status))
-            }
-            self._hold_flat(reference_angle, sorted(set(flat.values())))
-            ops.update((b, self._flat[k]) for b, k in flat.items() if k in self._flat)
+            points = list(carried or [None] * nb)
+            for b in range(nb):
+                if results[b] is not None:
+                    points[b] = None
+                elif points[b] is None and all(
+                    v[b] is None for v in (x0, weights, status)
+                ):
+                    points[b] = (reference_angle,)
+                    flat.add(b)
+            if replicas:        # one problem, one store: the flat start's
+                (op,) = self._held([(reference_angle,) if flat else None], [None])
+                held = [op if b in flat else None for b in range(nb)]
+            else:
+                held = self._held(points, weights)
+            ops.update((b, op) for b, op in enumerate(held) if isinstance(op, _HeldFactor))
 
         def finish(b: int, converged: bool) -> None:
             blk = blocks[b]
@@ -566,6 +676,11 @@ class WlsEstimator:
             )
 
         active = [b for b in range(nb) if results[b] is None]
+        if replicas and len(active) < nb:
+            # the stack starts over the replicas that run
+            Vm, Va, zz, adm = (a if a is None else a[:, active] for a in (Vm, Va, zz, adm))
+            if w.ndim == 2:
+                w = w[:, active]
         it = 0
         # Currents are evaluated once per state — initially, and after
         # every update — and serve the residual there and the next
@@ -668,6 +783,15 @@ class WlsEstimator:
             active = running
         for b in active:
             finish(b, False)
+        if carried is not None:
+            # each block's store adopts the factor the loop left in its
+            # kernel factor, keyed at factored_at: the next call's point
+            for b, (spd, _, _) in enumerate(kernel.blocks):
+                res = results[b]
+                if isinstance(res, EstimationResult) and res.factored_at is not None:
+                    t0 = time.perf_counter()
+                    self._stores[b].take(res.factored_at, weights[b], spd)
+                    self._stores[b].seconds += time.perf_counter() - t0
 
         if obs.enabled():
             reg = obs.metrics()

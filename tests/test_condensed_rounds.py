@@ -210,21 +210,21 @@ class TestBlockFailsAlone:
         operator that fails typed, and no key; the other blocks run on."""
         dec, ms = dse118
         dse = DistributedStateEstimator(dec, ms, condense=True)
-        dse.run(rounds=2)
+        res = dse.run(rounds=2)
         conds = [dse._step2_cache[s][0] for s in range(dec.m)]
-        x0 = [c._lin_cache[:2] for c in conds]
+        x0 = [res.records[s].step2_results[0].factored_at for s in range(dec.m)]
         bad = 3
         lins = list(x0)
         lins[bad] = (np.full_like(x0[bad][0], 1e-160), x0[bad][1])   # no voltage
-        counts = [c.factor_count for c in conds]
+        counts = [c.est.factors.count for c in conds]
         results = condensation.frozen_round(
             dse._stacks["step2"], conds, x0=x0, z=[None] * dec.m,
             weights=[None] * dec.m, lin_points=lins,
         )
         assert isinstance(results[bad], EstimationError)
         assert "frozen gain: gain matrix is not positive definite" in str(results[bad])
-        assert conds[bad]._lin_cache is None
-        assert [c.factor_count for c in conds] == counts
+        assert conds[bad].est.factors.get(lins[bad]) is None
+        assert [c.est.factors.count for c in conds] == counts
         assert all(
             res.converged for s, res in enumerate(results) if s != bad
         )
@@ -246,15 +246,15 @@ class TestBlockFailsAlone:
         st.step2_round(0)
         st.step2_round(1)
         assert [s for s, rec in st.records.items() if rec.degraded] == [bad]
-        assert sorted(st.lin) == [s for s in range(dec.m) if s != bad]
+        assert sorted(st.carry) == [s for s in range(dec.m) if s != bad]
         assert st.records[bad].step2_results == []
-        assert all(len(st.records[s].step2_results) == 2 for s in st.lin)
+        assert all(len(st.records[s].step2_results) == 2 for s in st.carry)
 
         st.z = clean                # the next scan of that meter is good
         st.step2_round(2)
         first = st.records[bad].step2_results[0]
-        assert st.lin[bad] is first.factored_at
-        assert dse._step2_cache[bad][0].lin_point_cached(st.lin[bad])
+        assert st.carry[bad] is first.factored_at
+        assert dse._est2(bad).factors.get(st.carry[bad]) is not None
         st.step2_round(3)           # every block frozen again: one loop
         assert len(st.records[bad].step2_results) == 2
         assert _fallbacks(dse) == 0
@@ -284,15 +284,15 @@ class TestLinearizationPoint:
             # the state round 0 last factored at: its held tail's, whose
             # step was below √tol
             first = st.records[s].step2_results[0]
-            assert st.lin[s] is first.factored_at
-            assert np.abs(st.lin[s][0] - first.Vm).max() <= 2e-4
-            assert np.abs(st.lin[s][1] - first.Va).max() <= 2e-4
-            assert cond.lin_point_cached(st.lin[s])
-        assert [c.factor_count for c in conds] == [1] * dec.m
-        frame(_frame(ms, 9))            # the same frame again: cache hits
-        assert [c.factor_count for c in conds] == [1] * dec.m
+            assert st.carry[s] is first.factored_at
+            assert np.abs(st.carry[s][0] - first.Vm).max() <= 2e-4
+            assert np.abs(st.carry[s][1] - first.Va).max() <= 2e-4
+            assert cond.est.factors.get(st.carry[s]) is not None
+        assert [c.est.factors.count for c in conds] == [1] * dec.m
+        frame(_frame(ms, 9))            # the same frame again: store hits
+        assert [c.est.factors.count for c in conds] == [1] * dec.m
         st = frame(_frame(ms, 10))      # a new frame: one factor each
-        assert [c.factor_count for c in conds] == [2] * dec.m
+        assert [c.est.factors.count for c in conds] == [2] * dec.m
         assert all(st.records[s].factor_time > 0.0 for s in range(dec.m))
 
 
@@ -316,50 +316,40 @@ class TestCondensationPass:
         return seen
 
     @pytest.mark.parametrize("case", ["dse118", "dse_wecc"])
-    def test_one_gain_pass_per_frame(self, case, request, passes, monkeypatch):
+    def test_one_gain_pass_per_frame(self, case, request, passes):
         """A clean frame makes no gain pass at all: every subsystem adopts
         round 0's last factor, the one its own estimator gives at the
-        operator's key — which is what a successor that refactors gets."""
+        factor's key — which is what a successor that refactors gets."""
         dec, ms = request.getfixturevalue(case)
         dse = DistributedStateEstimator(dec, ms, condense=True)
-        conds = [dse._step2_cache[s][0] for s in range(dec.m)]
+        stores = [dse._est2(s).factors for s in range(dec.m)]
         dse.run(rounds=2)                   # a cold frame builds the stacks
-        walls = []
-        condense = condensation.condense
-
-        def timed(*args):
-            walls.append(condense(*args))
-            return walls[-1]
-
-        monkeypatch.setattr(condensation, "condense", timed)
         passes.clear()
-        count0 = [c.factor_count for c in conds]
-        time0 = [c.factor_time for c in conds]
+        count0 = [f.count for f in stores]
+        time0 = [f.seconds for f in stores]
         z = _frame(ms, 5)
         res = dse.run(z=z)
-        # no gain assembled: condense runs every frozen round and finds
-        # every key held
-        assert passes == [] and walls and set(walls) == {0.0}
-        assert [c.factor_count - n for c, n in zip(conds, count0)] == [1] * dec.m
+        # no gain assembled: every frozen round finds every key held
+        assert passes == []
+        assert [f.count - n for f, n in zip(stores, count0)] == [1] * dec.m
         # the records' factor times are the adoptions' copies
-        spent = [c.factor_time - t for c, t in zip(conds, time0)]
+        spent = [f.seconds - t for f, t in zip(stores, time0)]
         assert all(t > 0.0 for t in spent)
         assert [res.records[s].factor_time for s in range(dec.m)] == spent
-        for s, cond in enumerate(conds):
-            assert cond.lin_point_cached(res.records[s].step2_results[0].factored_at)
-        # every operator holds the factor of its own estimator's gain at its
+        # every held factor is the factor of its own estimator's gain at its
         # key, in the form its block's mode holds: the band or the packed
         # triangle
-        for cond in conds:
-            spd, _ = cond.est.factor_at(*cond._lin_cache)
+        for s, held in enumerate(stores):
+            key = res.records[s].step2_results[0].factored_at
+            spd, _ = dse._est2(s).factor_at(*key)
             fresh = spd._chol if spd.mode == "band" else spd.lower_packed()
-            assert cond.operator.mode == spd.mode
-            assert np.array_equal(cond.operator._factor, fresh)
+            assert held.get(key).mode == spd.mode
+            assert np.array_equal(held.get(key)._factor, fresh)
         # the same frame again: every key hits, no pass at all
         passes.clear()
         again = dse.run(z=z)
-        assert passes == [] and walls[-1] == 0.0
-        assert [c.factor_count - n for c, n in zip(conds, count0)] == [1] * dec.m
+        assert passes == []
+        assert [f.count - n for f, n in zip(stores, count0)] == [1] * dec.m
         assert np.array_equal(again.Vm, res.Vm) and np.array_equal(again.Va, res.Va)
 
     def test_a_host_without_round0_refactors_in_one_pass(self, dse118, passes):
@@ -386,10 +376,10 @@ class TestCondensationPass:
         assert passes == [(heir_dse._stacks["step2"], list(range(dec.m)))]
         donor.step2_round(2)
         for s in range(dec.m):
-            mine = heir_dse._step2_cache[s][0]
-            theirs = donor_dse._step2_cache[s][0]
-            assert mine.factor_count == theirs.factor_count == 1
-            assert np.array_equal(mine.operator._factor, theirs.operator._factor)
+            mine, theirs = heir_dse._est2(s).factors, donor_dse._est2(s).factors
+            assert mine.count == theirs.count == 1
+            key = heir.carry[s]
+            assert np.array_equal(mine.get(key)._factor, theirs.get(key)._factor)
         assert np.array_equal(heir.Vm, donor.Vm) and np.array_equal(heir.Va, donor.Va)
 
     def test_adopted_checkpoints_skip_the_pass(self, dse118, passes):
@@ -404,7 +394,7 @@ class TestCondensationPass:
         donor.step1()
         for rnd in (0, 1):
             donor.step2_round(rnd)
-        counts = [c.factor_count for c in conds]
+        counts = [c.est.factors.count for c in conds]
         assert counts == [1] * dec.m
         heir = SubsystemStepper(dse, [], z=z)
         for s in range(dec.m):
@@ -412,11 +402,11 @@ class TestCondensationPass:
                 subsystem=s, site=0, epoch=0, round=1, **donor.checkpoint(s)
             )
             heir.adopt(SubsystemCheckpoint.from_payload(ck.to_payload()))
-        assert all(c.lin_point_cached(heir.lin[s]) for s, c in enumerate(conds))
+        assert all(c.est.factors.get(heir.carry[s]) for s, c in enumerate(conds))
         passes.clear()
         heir.step2_round(2)
         assert passes == []
-        assert [c.factor_count for c in conds] == counts
+        assert [c.est.factors.count for c in conds] == counts
         donor.step2_round(2)
         assert np.array_equal(heir.Vm, donor.Vm) and np.array_equal(heir.Va, donor.Va)
 
@@ -443,7 +433,7 @@ def test_stacked_rounds_feed_the_condensed_metrics(dse118):
     assert got["wls.estimate.seconds", "frozen"] == 2     # one per frozen round
     # every operator is round 0's factor, adopted: nothing refactors
     assert ("dse.condensation.factorizations_total",) not in got
-    assert [dse._step2_cache[s][0].factor_count for s in range(dec.m)] == [1] * dec.m
+    assert [dse._est2(s).factors.count for s in range(dec.m)] == [1] * dec.m
     assert got["dse.step2.solve.seconds", "condensed"] == 3 * dec.m
     assert ("dse.condensation.fallbacks_total",) not in got
     subs = [d for d in spans if d["name"] == "dse.step2.subsystem"]
@@ -467,9 +457,9 @@ def test_frozen_round_fills_no_jacobian(dse118, monkeypatch):
 
     dec, ms = dse118
     dse = DistributedStateEstimator(dec, ms, condense=True)
-    dse.run(z=_frame(ms, 13), rounds=2)
+    res = dse.run(z=_frame(ms, 13), rounds=2)
     conds = [dse._step2_cache[s][0] for s in range(dec.m)]
-    lins = [c._lin_cache[:2] for c in conds]
+    lins = [res.records[s].step2_results[0].factored_at for s in range(dec.m)]
     x0 = [(vm + 1e-4, va) for vm, va in lins]
     args = dict(x0=x0, z=[None] * dec.m, weights=[None] * dec.m, lin_points=lins)
     want = condensation.frozen_round(dse._stacks["step2"], conds, **args)
@@ -492,12 +482,13 @@ def test_frozen_loop_argument_checks(dse118):
     dec, ms = dse118
     dse = DistributedStateEstimator(dec, ms, condense=True)
     cond = dse._step2_cache[0][0]
+    never = condensation._Unfactored("the frozen gain was never factored")
     with pytest.raises(ValueError, match="one frozen operator per block"):
-        cond.est.estimate_blocks(x0=[None, None], operators=[cond.operator] * 2)
+        cond.est.estimate_blocks(x0=[None, None], operators=[never] * 2)
     with pytest.raises(ValueError, match="one tol"):
         cond.est.estimate_blocks(x0=[None], tol=[1e-8, 1e-8])
     # an operator that was never factored fails its block, typed
-    (res,) = cond.est.estimate_blocks(x0=[None], operators=[cond.operator])
+    (res,) = cond.est.estimate_blocks(x0=[None], operators=[never])
     assert isinstance(res, EstimationError) and "never factored" in str(res)
 
 
@@ -518,14 +509,14 @@ def test_frozen_operator_inverts_the_gain(case, areas, request):
     its own estimator assembles at the frozen point, as a dense solve does."""
     dec, ms = request.getfixturevalue(case)
     dse = DistributedStateEstimator(dec, ms, condense=True)
-    dse.run(z=_frame(ms, 11))
+    res = dse.run(z=_frame(ms, 11))
     rng = np.random.default_rng(12)
     for s in areas:
-        cond = dse._step2_cache[s][0]
-        assert cond.factor_count == 1
-        kernel, _, gain = cond.est.gain_at(*cond._lin_cache)
+        est, key = dse._est2(s), res.records[s].step2_results[0].factored_at
+        assert est.factors.count == 1
+        kernel, _, gain = est.gain_at(*key)
         G = kernel.spd.matrix(gain).toarray()
-        rhs = rng.standard_normal(cond.est.n_states)
+        rhs = rng.standard_normal(est.n_states)
         want = np.linalg.solve(G, rhs)
-        got = cond.operator.solve(rhs)
+        got = est.factors.get(key).solve(rhs)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)

@@ -153,10 +153,10 @@ class TestCondensedParity:
         dec, ms = setup14
         dse = DistributedStateEstimator(dec, ms, condense=True)
         r1 = dse.run(rounds=3)
-        counts = [dse._step2_cache[s][0].factor_count for s in range(dec.m)]
+        counts = [dse._est2(s).factors.count for s in range(dec.m)]
         assert counts == [1] * dec.m  # one factorization despite many rounds
         dse.run(rounds=3)  # identical frame: same lin point, no refactor
-        counts2 = [dse._step2_cache[s][0].factor_count for s in range(dec.m)]
+        counts2 = [dse._est2(s).factors.count for s in range(dec.m)]
         assert counts2 == counts
         assert r1.rounds > 1
         for rec in r1.records.values():

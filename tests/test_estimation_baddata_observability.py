@@ -1,18 +1,15 @@
 """Tests for bad-data detection and observability analysis."""
 
 import numpy as np
-import pytest
 
 from repro.estimation import (
     WlsEstimator,
     chi_square_test,
-    dc_estimate,
     estimate_state,
     identify_bad_data,
     is_observable,
     normalized_residuals,
     observable_islands,
-    pmu_linear_estimate,
 )
 from repro.measurements import (
     MeasType,
@@ -21,7 +18,6 @@ from repro.measurements import (
     full_placement,
     generate_measurements,
     inject_bad_data,
-    pmu_placement,
     scada_placement,
 )
 
@@ -137,36 +133,3 @@ class TestObservability:
         )
         islands = observable_islands(net14, ms)
         assert sorted(np.concatenate(islands).tolist()) == list(range(14))
-
-
-class TestLinearEstimators:
-    def test_dc_estimate_close_to_ac_angles(self, net14, pf14):
-        rng = np.random.default_rng(8)
-        ms = generate_measurements(
-            net14, full_placement(net14), pf14, noise_level=0.0, rng=rng
-        )
-        res = dc_estimate(net14, ms)
-        s = net14.slack_buses[0]
-        ac_rel = pf14.Va - pf14.Va[s]
-        assert np.allclose(res.Va, ac_rel, atol=np.deg2rad(4))
-
-    def test_dc_requires_power_measurements(self, net14):
-        ms = MeasurementSet([Measurement(MeasType.V_MAG, 0, 1.0, 0.01)])
-        with pytest.raises(Exception):
-            dc_estimate(net14, ms)
-
-    def test_pmu_linear_recovers_state(self, net14, pf14):
-        sites = np.arange(14)
-        plac = pmu_placement(net14, sites)
-        rng = np.random.default_rng(9)
-        ms = generate_measurements(net14, plac, pf14, noise_level=0.0, rng=rng)
-        res = pmu_linear_estimate(net14, ms)
-        assert np.allclose(res.Vm, pf14.Vm, atol=1e-12)
-        assert np.allclose(res.Va, pf14.Va, atol=1e-12)
-
-    def test_pmu_linear_needs_full_coverage(self, net14, pf14):
-        plac = pmu_placement(net14, np.array([0, 1]))
-        rng = np.random.default_rng(10)
-        ms = generate_measurements(net14, plac, pf14, rng=rng)
-        with pytest.raises(Exception, match="every bus"):
-            pmu_linear_estimate(net14, ms)

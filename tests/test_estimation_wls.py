@@ -1,5 +1,6 @@
 """Tests for the WLS estimator core."""
 
+import re
 import weakref
 from dataclasses import replace
 
@@ -28,7 +29,8 @@ from repro.estimation import (
     state_covariance,
 )
 from repro.estimation import solvers
-from repro.estimation.solvers import NormalEquations
+from repro.estimation.solvers import GainSolveError, NormalEquations
+from repro.estimation.wls import InputError
 from repro.grid import run_ac_power_flow
 from repro.grid.cases import case14, synthetic_grid
 from repro.measurements import (
@@ -193,6 +195,43 @@ class TestArguments:
     def test_negative_max_iter(self, est):
         with pytest.raises(ValueError, match="max_iter must be >= 0"):
             est.estimate(max_iter=-3)
+
+    @pytest.mark.parametrize(
+        "probe, message",
+        [
+            ("weight -1", r"weights must be finite and >= 0; row 7 is -1\.0"),
+            ("weight nan", r"weights must be finite and >= 0; row 7 is nan"),
+            ("z inf", r"z row 7 is non-finite \(inf\)"),
+        ],
+    )
+    def test_bad_rows_fail_at_the_door(self, net118, pf118, monkeypatch, probe, message):
+        """A weight that is negative or not finite, or a ``z`` that is not
+        finite, is refused before any factor is taken, naming the first
+        offending row; in a stack it is that block's outcome alone.  Before
+        the check, these probes (IEEE-118, full placement, seed 0, row 7)
+        read: ``converged=True`` after 5 iterations on the weight of -1,
+        and ``EstimationError: ...gain solve produced non-finite step`` on
+        the other two."""
+        ms = generate_measurements(
+            net118, full_placement(net118), pf118, rng=np.random.default_rng(0)
+        )
+        est = WlsEstimator(net118, ms)
+        z, w = ms.z.copy(), ms.weights.copy()
+        if probe.startswith("weight"):
+            w[7] = float(probe.split()[1])
+        else:
+            z[7] = np.inf
+        clean, bad = est.estimate_blocks(z=[None, z], weights=[None, w])
+        assert clean.converged and isinstance(bad, InputError) and bad.block == 1
+        assert re.search(message, str(bad))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a factor was taken")
+
+        monkeypatch.setattr(solvers._SpdFactor, "factor", refuse)
+        with pytest.raises(ValueError, match=message) as err:
+            WlsEstimator(net118, ms).estimate(z=z, weights=w)
+        assert isinstance(err.value, EstimationError) and err.value.block == 0
 
     def test_zero_max_iter_is_the_flat_start(self, net14, pf14):
         """``max_iter=0`` stays legal: the flat start's residuals, unsolved
@@ -396,7 +435,8 @@ class TestFrozenTail:
         step_blocks = NormalEquations.step_blocks
 
         def flats():
-            return [f for e in (est118, union, est14) for f in e._flat.values()]
+            held = (e.factors.get((0.0,)) for e in (est118, *members, est14))
+            return [f for f in held if f is not None]
 
         def stray():
             """Held factors alive outside the estimators' flat factors."""
@@ -430,9 +470,10 @@ class TestFrozenTail:
         plac = full_placement(net118).merged_with(dse_pmu_placement(dec))
         ms = generate_measurements(net118, plac, pf118, rng=np.random.default_rng(2))
         dse = DistributedStateEstimator(dec, ms)
-        union = WlsEstimator.stacked([dse._est1[s] for s in range(dec.m)])
+        members = [dse._est1[s] for s in range(dec.m)]
+        union = WlsEstimator.stacked(members)
         est14 = central["14"]
-        assert not union._flat
+        assert all(m.factors.get((0.0,)) is None for m in members)
         runs = [
             lambda: est118.estimate_blocks(z=[*zs, None], status=[None] * 3 + [outage]),
             lambda: union.estimate_blocks(),
@@ -446,7 +487,7 @@ class TestFrozenTail:
             assert made and not stray()
             assert all(r.factorizations < r.iterations for r in results)
         assert len(made) > 1                    # the last frame held twice
-        assert len(union._flat) == dec.m and len(est14._flat) == 1
+        assert all(m.factors.get((0.0,)) is not None for m in (*members, est14))
 
 
 class TestFlatStartFactor:
@@ -506,7 +547,7 @@ class TestFlatStartFactor:
         warm = est.estimate(z=z)
         first = self._iteration1(watch)
         assert "fill" not in first and "factor" not in first
-        assert first[-1][1] == {0: est._flat[0]}
+        assert first[-1][1] == {0: est.factors.get((0.0,))}
         for ref in (cold, fresh):
             for name in ("Vm", "Va", "residuals"):
                 assert np.array_equal(getattr(warm, name), getattr(ref, name))
@@ -535,7 +576,35 @@ class TestFlatStartFactor:
         # beside a what-if, a replica with none of the three still takes it
         watch.clear()
         est.estimate_blocks(z=[None, None], status=[None, net118.br_status.copy()])
-        assert self._iteration1(watch)[-1][1] == {0: est._flat[0]}
+        assert self._iteration1(watch)[-1][1] == {0: est.factors.get((0.0,))}
+
+    def test_the_store_is_keyed_by_point_and_weights(self, net118, central):
+        """One store per estimator: replicas share one flat-start factor; a
+        point is factored on a miss and hit after, moved weights miss it,
+        and a gain that does not factor is not keyed."""
+        est = WlsEstimator(net118, central["118"].mset)
+        est.estimate_blocks(z=[None] * 3)
+        flat = est.factors.get((0.0,))
+        assert flat is not None and est.factors.count == 1
+        est.estimate_blocks(z=[None] * 2)
+        assert est.factors.get((0.0,)) is flat and est.factors.count == 1
+        assert est.factors.get((0.5,)) is None         # another reference angle
+        sol = est.estimate()
+        point = (sol.Vm, sol.Va)
+        (op,) = est._held([point], [None])
+        assert est._held([point], [None]) == [op] and est.factors.count == 2
+        w = est.mset.weights.copy()
+        w[0] *= 2.0
+        assert est.factors.get(point, w) is None
+        (moved,) = est._held([point], [w])
+        assert moved is not op and est.factors.count == 3
+        assert est.factors.get(point) is None       # one moved point held
+        assert est.factors.get((0.0,)) is flat
+        dead = (np.full(net118.n_bus, 1e-160), sol.Va)
+        (err,) = est._held([dead], [None])
+        assert isinstance(err, GainSolveError)
+        assert est.factors.get(dead) is None and est.factors.count == 3
+        assert est.factors.get(point, w) is moved
 
     def test_each_stack_block_holds_its_members_factor(self, net118, pf118):
         dec = decompose(net118, 9, seed=0)
@@ -546,10 +615,11 @@ class TestFlatStartFactor:
         stack.estimate_blocks()
         for s in range(dec.m):
             member = dse._est1[s]
+            held, count = member.factors.get((0.0,)), member.factors.count
             member.estimate()
-            mine, theirs = stack._flat[s], member._flat[0]
-            assert mine.mode == theirs.mode
-            assert np.array_equal(mine._factor, theirs._factor)
+            # the stack filled the member's store: one object, no refactor
+            assert held is not None and member.factors.get((0.0,)) is held
+            assert member.factors.count == count == 1
 
 
 class TestStateError:

@@ -64,9 +64,7 @@ def test_masked_frame_is_one_frame_on_every_path(gross118, condense, job_by_job)
         dse = DistributedStateEstimator(dec, ms, condense=condense)
         runs[path] = solve(dse, z=bad.z, weights=w)
         if condense:
-            assert [
-                dse._step2_cache[s][0].factor_count for s in range(dec.m)
-            ] == [1] * dec.m
+            assert [dse._est2(s).factors.count for s in range(dec.m)] == [1] * dec.m
             assert all(
                 rec.step2_results[-1].factorizations == 0
                 for rec in runs[path].records.values()

@@ -348,11 +348,13 @@ def test_symbolic_pass_runs_once_per_estimator(dse118, monkeypatch):
             # a frame that moves every linearization point refactors every
             # frozen gain and builds no kernel
             conds = [dse._step2_cache[s][0] for s in range(dec.m)]
-            counts = [c.factor_count for c in conds]
+            counts = [c.est.factors.count for c in conds]
             built.clear()
             dse.run(z=ms.z + ms.sigma * rng.standard_normal(len(ms)))
             assert built == []
-            assert [c.factor_count - n for c, n in zip(conds, counts)] == [1] * dec.m
+            assert [
+                c.est.factors.count - n for c, n in zip(conds, counts)
+            ] == [1] * dec.m
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from repro.core import ArchitecturePrototype, DseSession, LiveDseRuntime
 from repro.core.runtime import DEGRADED_ROUNDS_RETAINED, LiveSiteStats
 from repro.core.telemetry import FrameReport
 from repro.dse import DistributedStateEstimator, decompose, dse_pmu_placement
-from repro.dse.condensation import CondensedStep2
+from repro.dse.condensation import CondensedStep2, frozen_round
 from repro.estimation import WlsEstimator
 from repro.faults import FaultInjector, FaultPlan
 from repro.grid import run_ac_power_flow
@@ -518,9 +518,10 @@ class TestLinPointCache:
         est = WlsEstimator(net14, ms)
         cs = CondensedStep2(est, np.array([0, 1, 2]))
         lp = (pf14.Vm.copy(), pf14.Va.copy())
-        assert not cs.lin_point_cached(lp)
-        cs.estimate(x0=lp, lin_point=lp)
-        assert cs.lin_point_cached(lp)
+        assert est.factors.get(lp) is None
+        frozen_round(est, [cs], x0=[lp], z=[None], weights=[None], lin_points=[lp])
+        held = est.factors.get(lp)
+        assert held is not None and est.factors.count == 1
         # a wire round trip preserves the point bit-exactly, so a
         # failover successor reuses the donor's factorisation
         ck = SubsystemCheckpoint(
@@ -530,8 +531,14 @@ class TestLinPointCache:
             lin_vm=lp[0], lin_va=lp[1],
         )
         back = SubsystemCheckpoint.from_payload(ck.to_payload())
-        assert cs.lin_point_cached((back.lin_vm, back.lin_va))
-        assert not cs.lin_point_cached((lp[0] + 1e-12, lp[1]))
+        assert est.factors.get((back.lin_vm, back.lin_va)) is held
+        assert est.factors.get((lp[0] + 1e-12, lp[1])) is None
+        # a frozen round at the restored point refactors nothing
+        frozen_round(
+            est, [cs], x0=[lp], z=[None], weights=[None],
+            lin_points=[(back.lin_vm, back.lin_va)],
+        )
+        assert est.factors.count == 1
 
 
 # ---------------------------------------------------------------------------

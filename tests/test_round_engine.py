@@ -237,9 +237,7 @@ class TestCheckpointAdopt:
         z = _frame(ms, 7)
         hosting = [[k] for k in range(dec.m)]
         want_vm, want_va, *_ = drive(dse, hosting, z=z, rounds=4)
-        factors = condense and [
-            dse._step2_cache[k][0].factor_count for k in range(dec.m)
-        ]
+        factors = [dse._est2(k).factors.count for k in range(dec.m)]
 
         moved, successor = 3, 5
         *_, steppers = drive(dse, hosting, z=z, rounds=2)
@@ -252,7 +250,7 @@ class TestCheckpointAdopt:
         assert donor.hosted == [] and moved not in donor.records
         heir.adopt(SubsystemCheckpoint.from_payload(payload))
         assert heir.hosted == [moved, successor]
-        assert moved in heir.last2 and (moved in heir.lin) == condense
+        assert moved in heir.last2 and moved in heir.carry
 
         # two more rounds with the heir hosting both
         live = [st for st in steppers if st.hosted]
@@ -261,10 +259,9 @@ class TestCheckpointAdopt:
         Vm, Va = assembled(dse, live)
         assert np.array_equal(Vm, want_vm)
         assert np.array_equal(Va, want_va)
-        if condense:
-            assert [
-                dse._step2_cache[k][0].factor_count for k in range(dec.m)
-            ] == factors
+        # the moved subsystem's carried or frozen factor was the donor's:
+        # no store took a factor it did not take the first time
+        assert [dse._est2(k).factors.count for k in range(dec.m)] == factors
 
 
 class TestSnapshotRule:
