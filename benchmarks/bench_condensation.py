@@ -1,4 +1,4 @@
-"""Condensation benchmarks: boundary-only Step-2 exchange and frozen-gain solve.
+"""Condensation benchmark: the boundary-only Step-2 exchange.
 
 ``measure_condensation`` runs the reference and the boundary-condensed
 DSE over the same warm estimators on three systems — IEEE-14, IEEE-118
@@ -6,19 +6,16 @@ and the WECC-scale synthetic interconnection of
 :mod:`bench_ext_wecc_scale` (37 balancing authorities) — and records per
 case:
 
-- final-state parity between the two paths (gate: ≤ 1e-8 everywhere);
+- whether the condensed states are the reference's, bit for bit, on
+  every frame (gate: equal everywhere — ``condense=`` picks the wire
+  form, not the solve);
 - exchanged wire bytes, reference vs condensed (gate: ≥ 5× reduction at
   WECC scale — the tie-endpoint boundary blocks against full
   exchange-set broadcasts);
-- warm Step-2 time and Step-2 iteration totals of both paths, over the
-  same fresh values-only frames, the two paths taking turns (gate: the
-  condensed path is the faster one at WECC scale — one exact round, then
-  rounds that assemble and factor no gain but solve against each
-  subsystem's gain factored once per frame, against a full
-  re-factorisation every iteration of every round).  On IEEE-14 and
-  IEEE-118 the subsystems are too small for the frozen rounds' cheaper
-  iterations to buy back their linear convergence; the ratio there is
-  reported, not gated.
+- the best warm Step-2 time and the Step-2 iteration total of both
+  modes, over the same fresh values-only frames, the two taking turns
+  (reported, not gated: both run the one exact Step-2 loop, so the
+  iterations are equal and the times differ by host noise alone).
 
 Run directly for a human-readable report; the exit status is non-zero
 when a gate fails::
@@ -29,7 +26,6 @@ when a gate fails::
 from __future__ import annotations
 
 import sys
-import time
 
 import numpy as np
 
@@ -65,6 +61,11 @@ def _step2(res) -> tuple[float, int]:
     )
 
 
+def _same(a, b) -> bool:
+    """The two frames' states are the same bits."""
+    return bool(np.array_equal(a.Vm, b.Vm) and np.array_equal(a.Va, b.Va))
+
+
 def measure_condensation(repeats: int = 5) -> dict:
     out = {}
     for name, (build_net, build_dec) in CASES.items():
@@ -77,81 +78,61 @@ def measure_condensation(repeats: int = 5) -> dict:
 
         ref_dse = DistributedStateEstimator(dec, ms)
         con_dse = DistributedStateEstimator(dec, ms, condense=True)
-        ref_dse.run()  # warm the caches before timing
-        t0 = time.perf_counter()
-        con_dse.run()  # first condensed frame builds the Step-2 union
-        cold_frame = time.perf_counter() - t0
-        # fresh telemetry every frame (a repeated frame would skip the
-        # condensed path's one factorisation per subsystem), best of N
-        best_ref = best_con = (float("inf"), 0)
-        gap_vm = gap_va = 0.0
+        r_ref, r_con = ref_dse.run(), con_dse.run()     # warm the caches
+        equal = _same(r_con, r_ref)
+        # fresh telemetry every frame: the best time, the iteration total
+        best_ref = best_con = float("inf")
+        iters_ref = iters_con = 0
         for _ in range(repeats):
             z = ms.z + ms.sigma * rng.standard_normal(len(ms))
             r_ref, r_con = ref_dse.run(z=z), con_dse.run(z=z)
-            best_ref, best_con = min(best_ref, _step2(r_ref)), min(best_con, _step2(r_con))
-            gap_vm = max(gap_vm, float(np.abs(r_con.Vm - r_ref.Vm).max()))
-            gap_va = max(gap_va, float(np.abs(r_con.Va - r_ref.Va).max()))
+            equal &= _same(r_con, r_ref)
+            (t_ref, n_ref), (t_con, n_con) = _step2(r_ref), _step2(r_con)
+            best_ref, best_con = min(best_ref, t_ref), min(best_con, t_con)
+            iters_ref, iters_con = iters_ref + n_ref, iters_con + n_con
 
-        recs = r_con.records.values()
-        conds = [con_dse._step2_cache[s][0] for s in range(dec.m)]
         out[name] = {
             "n_bus": net.n_bus,
             "n_subsystems": dec.m,
             "rounds": r_con.rounds,
-            "max_abs_dVm": gap_vm,
-            "max_abs_dVa": gap_va,
+            "states_equal": equal,
             "bytes_reference": r_ref.total_bytes_exchanged,
             "bytes_condensed": r_con.total_bytes_exchanged,
             "bytes_reduction": (
                 r_ref.total_bytes_exchanged / r_con.total_bytes_exchanged
             ),
-            "step2_reference_s": best_ref[0],
-            "step2_condensed_s": best_con[0],
-            "step2_speedup": best_ref[0] / best_con[0],
-            "step2_iterations_reference": best_ref[1],
-            "step2_iterations_condensed": best_con[1],
-            "cold_condensed_frame_s": cold_frame,
-            "factor_time_s": sum(c.est.factors.seconds for c in conds) / (repeats + 1),
-            "boundary_states": sum(rec.n_boundary_states for rec in recs),
-            "interior_states": sum(rec.n_interior_states for rec in recs),
-            "fallbacks": sum(c.fallbacks for c in conds),
+            "step2_reference_s": best_ref,
+            "step2_condensed_s": best_con,
+            "step2_iterations_reference": iters_ref,
+            "step2_iterations_condensed": iters_con,
         }
     return out
 
 
 def gate_failures(res: dict) -> list[str]:
     """The documented gates that ``res`` does not meet."""
-    failed = []
-    for name, rec in res.items():
-        gap = max(rec["max_abs_dVm"], rec["max_abs_dVa"])
-        if gap > 1e-8:
-            failed.append(f"{name}: condensed vs reference state gap {gap:.2e} > 1e-8")
+    failed = [
+        f"{name}: condensed states differ from the reference's"
+        for name, rec in res.items()
+        if not rec["states_equal"]
+    ]
     wecc = res["wecc37"]
     if wecc["bytes_reduction"] < 5.0:
         failed.append(
             f"wecc37: wire bytes only {wecc['bytes_reduction']:.2f}x smaller (< 5x)"
-        )
-    if wecc["step2_speedup"] <= 1.0:
-        failed.append(
-            "wecc37: condensed Step 2 is not faster than the reference "
-            f"({wecc['step2_condensed_s'] * 1e3:.1f} ms vs "
-            f"{wecc['step2_reference_s'] * 1e3:.1f} ms)"
         )
     return failed
 
 
 def main() -> int:
     res = measure_condensation()
-    print("boundary condensation (reference vs condensed Step 2)")
+    print("boundary condensation (reference vs condensed wire form)")
     for name, rec in res.items():
         print(
             f"  {name:8s} ({rec['n_bus']:5d} buses, {rec['n_subsystems']:2d} "
             f"subsystems, {rec['rounds']} rounds)"
         )
-        print(
-            f"    parity     : dVm {rec['max_abs_dVm']:.2e}  "
-            f"dVa {rec['max_abs_dVa']:.2e}"
-        )
+        print(f"    states     : {'equal' if rec['states_equal'] else 'DIFFERENT'}")
         print(
             f"    wire bytes : {rec['bytes_reference']:8d} -> "
             f"{rec['bytes_condensed']:8d}  ({rec['bytes_reduction']:.2f}x "
@@ -159,18 +140,11 @@ def main() -> int:
         )
         print(
             f"    step2 time : {rec['step2_reference_s'] * 1e3:8.1f} ms -> "
-            f"{rec['step2_condensed_s'] * 1e3:8.1f} ms  "
-            f"({rec['step2_speedup']:.2f}x)"
+            f"{rec['step2_condensed_s'] * 1e3:8.1f} ms  (the same solve)"
         )
         print(
             f"    step2 iters: {rec['step2_iterations_reference']:8d}    -> "
             f"{rec['step2_iterations_condensed']:8d}"
-        )
-        print(
-            f"    condensed  : {rec['boundary_states']} boundary / "
-            f"{rec['interior_states']} interior states, factorization "
-            f"{rec['factor_time_s'] * 1e3:.1f} ms a frame, "
-            f"{rec['fallbacks']} fallbacks"
         )
     failed = gate_failures(res)
     for line in failed:

@@ -9,7 +9,7 @@ health plane:
 
 - :class:`SubsystemCheckpoint` — a compact, O(state) snapshot of one
   subsystem's Step-2 state (own-bus voltages, the extended warm start,
-  the condensation linearisation point, epoch and round counters) with a
+  the carried gain factor's point, epoch and round counters) with a
   versioned ``to_payload`` wire form.  The live runtime replicates it
   every round to the subsystem's hash-ring successor over the mux fabric
   as a ``FLAG_CHECKPOINT`` frame.
@@ -59,7 +59,7 @@ _CKPT_HEADER = struct.Struct(">BBHHQqII")
 CKPT_VERSION = 1
 #: the payload carries the extended warm-start state (Step-2 ``prev2``)
 _CKPT_HAS_WARM = 0x01
-#: the payload carries the condensation linearisation point (``lin0``)
+#: the payload carries the carried gain factor's point (``lin0``)
 _CKPT_HAS_LIN = 0x02
 
 _F8 = np.dtype(">f8")
@@ -93,7 +93,7 @@ class SubsystemCheckpoint:
     their current voltage estimate; ``warm_vm``/``warm_va`` (optional)
     are the extended-network warm start the next round would have used;
     ``lin_vm``/``lin_va`` (optional) is the point of the subsystem's
-    carried or frozen gain factor.  Float64 state round-trips the wire
+    carried gain factor.  Float64 state round-trips the wire
     bit-exactly, so in the donor's process a promoted replica's point
     still hits the factor the Step-2 estimator holds — failover does not
     refactor.

@@ -237,8 +237,8 @@ class LiveDseRuntime:
     barrier: each site builds its stage's jobs from its own view and
     waits on the barrier, whose action solves every site's jobs at once
     (:func:`~repro.dse.stepper.solve_stage`: one stacked loop when they
-    name each subsystem once and agree on the linearisation, job by job in
-    subsystem order otherwise) and applies each result to its site's
+    name each subsystem once, job by job in subsystem order otherwise)
+    and applies each result to its site's
     stepper; a failed solve is its owning site's error and breaks the
     barrier.  :meth:`close` (or leaving the ``with`` block, or dropping the
     last reference) stops the deployment.
@@ -265,10 +265,10 @@ class LiveDseRuntime:
         instead of ``rounds x neighbours x recv_timeout``.  ``None``
         (default) keeps the per-message-timeout-only behaviour.
     condense:
-        Condensed Step 2 (see
-        :class:`~repro.dse.algorithm.DistributedStateEstimator`): each
-        site solves the boundary-condensed system and the wire carries
-        compact per-neighbour boundary blocks
+        The condensed wire form (see
+        :class:`~repro.dse.algorithm.DistributedStateEstimator`): the
+        sites solve as on the reference wire, which carries compact
+        per-neighbour boundary blocks
         (:func:`~repro.middleware.message.pack_condensed_update`) — bus
         ids ride only the round-0 frames, later rounds are values-only
         over the receiver's a-priori ordering.

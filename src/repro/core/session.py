@@ -45,8 +45,8 @@ class DseSession:
     reuse_structures, warm_start, degrade_on_failure, condense:
         Hot-path / robustness knobs forwarded to
         :class:`~repro.dse.algorithm.DistributedStateEstimator`
-        (``condense`` switches Step 2 to the condensed mode: frozen-gain
-        iterations on a held factor, compact per-neighbour wire frames).
+        (``condense`` picks the condensed wire form: compact per-neighbour
+        boundary frames, the same states).
     """
 
     def __init__(

@@ -11,7 +11,7 @@ from .algorithm import (
     DseResult,
     SubsystemRecord,
 )
-from .condensation import CondensedStep2, neighbor_publication_sets
+from .condensation import neighbor_publication_sets
 from .decomposition import (
     Decomposition,
     decompose,
@@ -53,7 +53,6 @@ __all__ = [
     "SubsystemRecord",
     "SubsystemStepper",
     "BYTES_PER_EXCHANGED_BUS",
-    "CondensedStep2",
     "neighbor_publication_sets",
     "HierarchicalStateEstimator",
     "HierarchicalResult",

@@ -35,7 +35,7 @@ from ..estimation.results import state_error
 from ..estimation.wls import WlsEstimator, check_rows, check_tol
 from ..measurements.types import MeasType, MeasurementSet
 from ..middleware.message import condensed_update_nbytes, state_update_nbytes
-from .condensation import CondensedStep2, neighbor_publication_sets
+from .condensation import neighbor_publication_sets
 from .decomposition import Decomposition, extract_subnetwork
 from .pseudo import (
     assign_measurements,
@@ -188,16 +188,13 @@ class DistributedStateEstimator:
         ``DseResult.degraded_subsystems`` and the error text on its
         :class:`SubsystemRecord`.
     condense:
-        Off by default (full extended re-evaluation, the reference path).
-        When on, each subsystem's extended gain matrix is frozen
-        (:class:`~repro.dse.condensation.CondensedStep2`) — factored once
-        per frame, where the frame's first (exact) Step-2 round last
-        factored it (that round's own factor, adopted), and the factor held
-        by every later round — so those rounds
-        assemble and factor no gain, and each round exchanges only compact
-        per-neighbour boundary blocks (the condensed wire form of
-        :mod:`repro.middleware.message`).
-        Requires ``reuse_structures=True``.
+        The Step-2 wire form.  Off by default: every subsystem publishes
+        its whole exchange set to every neighbour as a state update.  When
+        on, it sends each neighbour only the tie-endpoint buses that
+        neighbour's solve reads, as compact boundary blocks
+        (:mod:`repro.dse.condensation`, the condensed wire form of
+        :mod:`repro.middleware.message`).  The solves are the same either
+        way, and so are the states, bit for bit.
     """
 
     def __init__(
@@ -215,11 +212,6 @@ class DistributedStateEstimator:
     ):
         if update_scope not in ("exchange", "all"):
             raise ValueError("update_scope must be 'exchange' or 'all'")
-        if condense and not reuse_structures:
-            raise ValueError(
-                "condense=True requires reuse_structures=True (the condensed "
-                "operator lives in the per-subsystem caches)"
-            )
         self.dec = dec
         self.mset = mset
         self.update_scope = update_scope
@@ -287,8 +279,7 @@ class DistributedStateEstimator:
             )
             self.sub1[s] = (subnet1, bmap1, own, ms1)
 
-            boundary = dec.boundary_buses(s)
-            self.n_boundary[s] = len(boundary)
+            self.n_boundary[s] = len(dec.boundary_buses(s))
             ext = dec.external_boundary_buses(s)
             xbuses = np.concatenate([own, ext])
             xbranches = np.concatenate([internal, dec.incident_tie_lines(s)])
@@ -322,13 +313,9 @@ class DistributedStateEstimator:
             rows_vm = rows_pseudo[pseudo0.rows(MeasType.V_MAG)]
             rows_va = rows_pseudo[pseudo0.rows(MeasType.PMU_VA)]
             src = ext[order]  # global buses aligned with the sorted rows
-            est2 = WlsEstimator(subnet2, full0)
-            if self.condense:
-                # Coupling set: own boundary + external boundary buses;
-                # everything else is eliminated onto it once per topology.
-                bnd_local = bmap2[np.concatenate([boundary, ext])]
-                est2 = CondensedStep2(est2, bnd_local)
-            self._step2_cache[s] = (est2, full0, rows_vm, rows_va, src, rows_ms2)
+            self._step2_cache[s] = (
+                WlsEstimator(subnet2, full0), full0, rows_vm, rows_va, src, rows_ms2
+            )
 
     def _stack(self, stage: str) -> WlsEstimator:
         """Every subsystem's cached ``stage`` (``"step1"`` / ``"step2"``)
@@ -344,10 +331,8 @@ class DistributedStateEstimator:
         return stack
 
     def _est2(self, s: int) -> WlsEstimator:
-        """Subsystem ``s``'s cached Step-2 estimator (on a condensed DSE,
-        the one its ``CondensedStep2`` wraps)."""
-        est = self._step2_cache[s][0]
-        return est.est if self.condense else est
+        """Subsystem ``s``'s cached Step-2 estimator."""
+        return self._step2_cache[s][0]
 
     # ------------------------------------------------------------------
     # Values-only frames: fresh measurement vectors (and row weights) over

@@ -21,8 +21,7 @@ steppers: :meth:`~SubsystemStepper.step1` and
 :meth:`~SubsystemStepper.step2_round` chain them for one host, and the live
 runtime pools every site's jobs of a stage into one :func:`solve_stage`
 call at the barrier the sites already wait on.  Whenever the jobs name each
-of the ``m`` subsystems once and agree on their linearisation, that call is
-one stacked Gauss-Newton loop.
+of the ``m`` subsystems once, that call is one stacked Gauss-Newton loop.
 
 The host's view of the published state is two global-length arrays and a
 ``known`` mask.  Hosted subsystems write their own buses into them (which
@@ -42,7 +41,6 @@ import numpy as np
 from .. import obs
 from ..estimation.results import EstimationResult
 from ..estimation.wls import EstimationError, WlsEstimator
-from .condensation import frozen_round
 from .pseudo import pseudo_measurements
 
 __all__ = ["SolveFailure", "SubsystemRecord", "SubsystemStepper", "solve_stage"]
@@ -65,15 +63,8 @@ class SubsystemRecord:
     #: (only possible with ``degrade_on_failure=True``)
     degraded: bool = False
     failures: list[str] = field(default_factory=list)
-    #: Step 2 ran in condensed mode (frozen gain, boundary wire form)
-    condensed: bool = False
-    #: states of the coupling set (boundary and external boundary buses) /
-    #: the other states of the extended network
-    n_boundary_states: int = 0
-    n_interior_states: int = 0
     #: wall time this frame spent taking the held factors of its Step-2
-    #: estimator (the carried gain, a condensed Step 2's frozen gain):
-    #: adoptions and refactorizations
+    #: estimator (the carried gain): adoptions and refactorizations
     factor_time: float = 0.0
 
     @property
@@ -95,17 +86,20 @@ def _cached_estimator(dse, stage: str, s: int) -> WlsEstimator:
     return dse._est1[s] if stage == "step1" else dse._est2(s)
 
 
-def _solve_blocks(dse, stage, est, subsystems, x0, z, w, lins, tol) -> list:
-    """One stage's solve of ``subsystems`` on ``est`` — their stacked
-    estimator, or one subsystem's own: Step 1, or a Step-2 round (the
-    frozen-gain one on a condensed DSE whose jobs carry their points)."""
-    inputs = dict(x0=x0, z=z, weights=w, tol=tol)
-    if stage == "step1":
-        return est.estimate_blocks(**inputs)
-    if dse.condense and lins[0] is not None:
-        conds = [dse._step2_cache[s][0] for s in subsystems]
-        return frozen_round(est, conds, lin_points=lins, **inputs)
-    return est.estimate_blocks(carried=lins, **inputs)
+def _solve_blocks(stage, est, x0, z, w, lins, tol) -> list:
+    """One stage's solve on ``est`` — the stage's stacked estimator, or one
+    subsystem's own: Step 1, or a Step-2 round starting each block from
+    its carried factor."""
+    carried = None if stage == "step1" else lins
+    return est.estimate_blocks(x0=x0, z=z, weights=w, tol=tol, carried=carried)
+
+
+def _named(exc: Exception, stage: str, s: int) -> Exception:
+    """``exc``, its message led by the subsystem and stage whose solve
+    raised it (its type kept, so callers catch it as before): the same
+    text whichever path solved the job."""
+    exc.args = (f"subsystem {s} {stage}: {exc}",)
+    return exc
 
 
 def _timed_solve(dse, stage, job, tol, degrade) -> tuple:
@@ -121,10 +115,11 @@ def _timed_solve(dse, stage, job, tol, degrade) -> tuple:
             if fresh:
                 res = est.estimate(x0=x0, tol=tol, z=z, weights=w)
             else:
-                (res,) = _solve_blocks(dse, stage, est, [s], [x0], [z], [w], [lin], tol)
+                (res,) = _solve_blocks(stage, est, [x0], [z], [w], [lin], tol)
                 if isinstance(res, EstimationError):
                     raise res
         except Exception as exc:
+            _named(exc, stage, s)
             if not degrade:
                 raise
             res = SolveFailure(repr(exc))
@@ -190,17 +185,12 @@ class SubsystemStepper:
         self.hosted = sorted({*self.hosted, s})
         self._own[own] = self.known[own] = True
         n_boundary = dse.n_boundary[s]
-        rec = self.records[s] = SubsystemRecord(
+        self.records[s] = SubsystemRecord(
             s=s, n_buses=len(own), n_boundary=n_boundary,
             n_sensitive=len(dse.exchange_sets[s]) - n_boundary,
         )
         if dse.reuse_structures:
             self._factor_t0[s] = dse._est2(s).factors.seconds
-        if dse.condense:
-            cond = dse._step2_cache[s][0]
-            rec.condensed = True
-            rec.n_boundary_states = cond.n_boundary_states
-            rec.n_interior_states = cond.n_interior_states
 
     def checkpoint(self, s: int) -> dict:
         """Hosted subsystem ``s``'s recoverable state, as the array fields
@@ -402,26 +392,16 @@ class SubsystemStepper:
         (``factored_at``), in its linear tail — a function of the frame's
         inputs alone, the same arrays on every host, so every hosting of
         the next round starts from the same factor; the host that ran the
-        round adopted it there (``estimate_blocks(carried=)``).  A condensed
-        frame freezes its gain there after the first round for the rest of
-        the frame.  A reference round that factored nothing keeps the point
-        it carried in; the point is dropped — the next round starts fresh —
-        while the subsystem is not warm-started or has a neighbour it has
-        not heard from, since the next round would not start on this
-        round's state and weights.
+        round adopted it there (``estimate_blocks(carried=)``).  A round
+        that factored nothing keeps the point it carried in; the point is
+        dropped — the next round starts fresh — while the subsystem is not
+        warm-started or has a neighbour it has not heard from, since the
+        next round would not start on this round's state and weights.
         """
-        dse, point = self.dse, res.factored_at
-        if dse.condense:
-            if s in self.carry:
-                return
-            if point is None:
-                point = self.last2[s]
-        elif not (dse.warm_start and self._heard(s)):
+        if not (self.dse.warm_start and self._heard(s)):
             self.carry.pop(s, None)
-            return
-        elif point is None:
-            return
-        self.carry[s] = point
+        elif res.factored_at is not None:
+            self.carry[s] = res.factored_at
 
     def _fresh_step2(self, s: int) -> tuple:
         """The ``reuse_structures=False`` reference path's Step-2 job: a new
@@ -452,23 +432,22 @@ def solve_stage(
     becomes a :class:`SolveFailure` when ``degrade`` and propagates
     otherwise.
 
+    A failed solve's error names its subsystem and stage
+    (``subsystem 3 step1: …``) on every path.
+
     The way is chosen from the jobs alone: jobs that name each of
-    ``dse``'s ``m`` subsystems exactly once, on cached estimators — and, on
-    a condensed DSE, agree on the linearisation (all exact, or all frozen
-    at their points) — run as one stacked loop (:func:`_stacked_stage`);
-    anything else — a partial set, a subsystem named twice (a fenced host
-    and its promoted successor), a condensed round where only some
-    subsystems have their linearisation point after a degraded solve, the
-    ``reuse_structures=False`` reference — is solved job by job, in
-    subsystem order.  A reference round's jobs may mix carried and fresh
-    starts in the one loop.
+    ``dse``'s ``m`` subsystems exactly once, on cached estimators, run as
+    one stacked loop (:func:`_stacked_stage`); anything else — a partial
+    set, a subsystem named twice (a fenced host and its promoted
+    successor), the ``reuse_structures=False`` reference — is solved job
+    by job, in subsystem order.  A Step-2 round's jobs may mix carried and
+    fresh starts in the one loop.
     """
     order = sorted(range(len(jobs)), key=lambda i: jobs[i][0])
     ordered = [jobs[i] for i in order]
     if (
         dse.reuse_structures
         and [job[0] for job in ordered] == list(range(dse.dec.m))
-        and (not dse.condense or len({job[-1] is None for job in ordered}) == 1)
     ):
         solved = _stacked_stage(dse, stage, ordered, tol, degrade)
     else:
@@ -483,10 +462,8 @@ def _stacked_stage(
     dse, stage: str, jobs: list[tuple], tol: float, degrade: bool
 ) -> list[tuple]:
     """Step 1 or one Step-2 round of every subsystem (``jobs`` in
-    subsystem order) as one stacked solve — the exact Gauss-Newton loop
-    (a Step-2 job with a point starting from its carried factor), or on a
-    condensed DSE (every job carrying its linearization point) the
-    frozen-gain one.
+    subsystem order) as one stacked solve — the exact Gauss-Newton loop,
+    a Step-2 job with a point starting from its carried factor.
 
     Each result is bit for bit the subsystem's own estimator's; the
     stage's wall time is apportioned by the paper's computation weight
@@ -499,10 +476,14 @@ def _stacked_stage(
     # the stack is built once per estimator: not the stage's compute
     stack = dse._stack(stage)
     wall0, t0 = time.time(), time.perf_counter()
-    results = _solve_blocks(dse, stage, stack, subsystems, x0, z, w, lins, tol)
+    results = _solve_blocks(stage, stack, x0, z, w, lins, tol)
     wall = time.perf_counter() - t0
 
-    failed = [r for r in results if isinstance(r, Exception)]
+    failed = [
+        _named(res, stage, s)
+        for s, res in zip(subsystems, results)
+        if isinstance(res, Exception)
+    ]
     if failed and not degrade:
         raise failed[0]
     subnets = dse.sub1 if stage == "step1" else dse.sub2

@@ -51,12 +51,13 @@ class EstimationResult:
         Iterations that assembled and factored a fresh gain (``pcg`` /
         ``lsqr``: every iteration).  The others solved against a frozen
         operator: the Gauss-Newton loop's held factor in the linear tail,
-        or a condensed Step-2 round's held gain factor.  0 for estimators
+        or a held factor from an estimator's store (the flat start's, a
+        Step-2 round's carried one).  0 for estimators
         outside the Gauss-Newton loop.
     factored_at:
         ``(Vm, Va)`` where the Gauss-Newton loop took this solve's last
         gain factorization (``None``: it factored none) — the
-        linearization point a condensed Step 2 adopts that factor at.
+        point a DSE Step-2 round carries that factor to the next at.
     """
 
     converged: bool

@@ -33,8 +33,8 @@ the one factor used K times).  Either way a block's step is bit for bit
 that of the block solved alone, and a block that fails does so alone.  A
 block may instead be solved against a frozen operator (:class:`_HeldFactor`)
 — a factor the kernel kept from an earlier call, or one an estimator's
-store holds, as the condensed DSE Step 2's are — in which case nothing is
-filled, assembled or factored for it; it keeps the factor in its mode's
+store holds, as a DSE Step-2 round's carried factor — in which case
+nothing is filled, assembled or factored for it; it keeps the factor in its mode's
 form (the band, the packed dense triangle, or the SuperLU object), or —
 where a held step must be the bits a fresh one would be — in the form the
 live factor solves with.
@@ -328,7 +328,7 @@ class _HeldFactor:
     tail (:meth:`NormalEquations.step_blocks`' ``hold``); beyond one call
     only an estimator's store holds them
     (:class:`~repro.estimation.wls.HeldFactors`: the flat start's, and
-    the factor a DSE Step-2 round carries or freezes).  A band factor is
+    the factor a DSE Step-2 round carries).  A band factor is
     held as a copy of its band array (with the
     shared RCM order) and solved with the same ``dpbtrs`` as the live
     factor; a sparse one keeps the SuperLU object its factorisation
@@ -641,8 +641,7 @@ class NormalEquations:
 
         A block in ``operators`` is solved against that frozen operator —
         a factor held from an earlier call, or a caller's — and nothing is
-        assembled or factored for it; a frozen-gain round is the call where
-        every active block has one.  Every other active block factors
+        assembled or factored for it.  Every other active block factors
         afresh, from ``data`` and ``weights`` (``W``'s diagonal), which
         cover those blocks alone: for a pattern's blocks a vector of their
         Jacobian entries back to back in block order

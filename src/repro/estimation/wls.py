@@ -25,13 +25,9 @@ from .results import EstimationResult
 from .solvers import GainSolveError, GainSolver, NormalEquations, _HeldFactor
 
 __all__ = [
-    "DIVERGED", "EstimationError", "HeldFactors", "InputError", "WlsEstimator",
+    "EstimationError", "HeldFactors", "InputError", "WlsEstimator",
     "check_rows", "check_tol", "estimate_state",
 ]
-
-#: A frozen-gain block whose step norm (pu / rad) passes this is diverging:
-#: its operator is too far from where the iteration runs to contract.
-DIVERGED = 1e3
 
 
 class EstimationError(RuntimeError):
@@ -86,7 +82,7 @@ class HeldFactors:
     (``None``: the set's own).  One factor is held per kind of point: the
     flat start's, in the form the live factor solves with (a step from it
     is a fresh factor's bits), and the last ``(Vm, Va)`` one's — the
-    factor a Step-2 round carries or freezes — held packed
+    factor a Step-2 round carries — held packed
     (:class:`~repro.estimation.solvers._HeldFactor`).  ``count`` is the
     factors taken, ``seconds`` the wall time taking them: gain passes and
     factorizations on a miss (:meth:`WlsEstimator._held`), and adoptions
@@ -432,7 +428,6 @@ class WlsEstimator:
         tol: float | list[float] = 1e-8,
         max_iter: int = 25,
         reference_angle: float = 0.0,
-        operators: list | None = None,
         carried: list | None = None,
     ) -> list[EstimationResult | EstimationError]:
         """One Gauss-Newton loop over every block; one outcome per block.
@@ -512,15 +507,6 @@ class WlsEstimator:
         in the block's kernel factor, keyed at its ``factored_at`` on its
         weights — the point of the next call.
 
-        ``operators`` turns the loop into the frozen-gain iteration of the
-        condensed DSE Step 2: one frozen gain operator per block (a union's
-        members, or a plain estimator's one problem) — the held factor of
-        the block's gain at the caller's linearization point — supplies
-        every step of the block, so no iteration fills, assembles or
-        factors anything.  The caller's operators are never dropped;
-        convergence is then linear, and a block whose step norm passes
-        :data:`DIVERGED` stops unconverged (the caller owns the fallback).
-
         A ``tol`` (or a per-block one) that is not finite and > 0, or a
         negative ``max_iter``, raises ``ValueError`` before anything runs;
         ``max_iter=0`` returns the start's residuals unsolved.  A block
@@ -544,12 +530,8 @@ class WlsEstimator:
         if whatif and len(self._blocks) != 1:
             raise ValueError("branch status is per replica of a plain estimator")
         replicas = whatif or nb > len(self._blocks)
-        if operators is not None and (replicas or len(operators) != nb):
-            raise ValueError("need one frozen operator per block, no replicas")
-        if carried is not None and (
-            operators is not None or replicas or len(carried) != nb
-        ):
-            raise ValueError("need one carried point per block, no operators or replicas")
+        if carried is not None and (replicas or len(carried) != nb):
+            raise ValueError("need one carried point per block, no replicas")
         tols = [tol] * nb if np.ndim(tol) == 0 else list(tol)
         if len(tols) != nb:
             raise ValueError(f"need one tol, or one per block ({nb})")
@@ -625,15 +607,13 @@ class WlsEstimator:
         # where each block's last factorization was taken: a snapshot of
         # the states and the block's column in it (replicas)
         factored: list[tuple | None] = [None] * nb
-        # Frozen gain operators by block: the caller's (a condensed round's,
-        # every block's, stopped at DIVERGED) or the loop's own — a held
-        # factor for iteration 1 (a carried point's or the flat start's),
-        # or a block's factor held through its linear tail.
-        frozen = operators is not None
-        ops = dict(enumerate(operators)) if frozen else {}
+        # Held gain factors by block: a store's for iteration 1 (a carried
+        # point's or the flat start's), or a block's own held through its
+        # linear tail.
+        ops = {}
         roots = [float(np.sqrt(t)) for t in tols]
         flat = set()
-        if not frozen and max_iter:
+        if max_iter:
             points = list(carried or [None] * nb)
             for b in range(nb):
                 if results[b] is not None:
@@ -759,13 +739,11 @@ class WlsEstimator:
                 step_norms[b].append(steps[b])
                 if steps[b] < tols[b]:
                     finish(b, True)
-                elif frozen and steps[b] > DIVERGED:
-                    finish(b, False)
                 else:
                     running.append(b)
             # a held factor lives while its block runs and contracts (a
             # carried one has no step to contract from after iteration 1)
-            for b in [] if frozen else list(ops):
+            for b in list(ops):
                 if b not in running or (
                     b not in factoring and len(step_norms[b]) > 1
                     and step_norms[b][-1] >= step_norms[b][-2]
@@ -795,15 +773,14 @@ class WlsEstimator:
 
         if obs.enabled():
             reg = obs.metrics()
-            solver = "lu" if operators is None else "frozen"
-            reg.histogram("wls.estimate.seconds", solver=solver).observe(
+            reg.histogram("wls.estimate.seconds", solver="lu").observe(
                 time.perf_counter() - t_start
             )
             done = [res for res in results if isinstance(res, EstimationResult)]
-            reg.counter("wls.iterations_total", solver=solver).inc(
+            reg.counter("wls.iterations_total", solver="lu").inc(
                 sum(res.iterations for res in done)
             )
-            reg.counter("wls.factorizations_total", solver=solver).inc(
+            reg.counter("wls.factorizations_total", solver="lu").inc(
                 sum(res.factorizations for res in done)
             )
         return results

@@ -1,13 +1,14 @@
 """The condensed Step 2 as rounds: how many iterations it takes, where its
-gain is frozen, and that the stacked frozen-gain loop is the per-block one.
+carried gain factors are taken, and that the stacked loop is the
+per-block one.
 
-Round 0 of a condensed frame is the exact Gauss-Newton solve; every later
-round iterates with the gain factor frozen where round 0's loop last
-factored it — the factor that loop leaves, adopted — and starts where the
-previous round stopped.  A stage that names every
-subsystem runs those rounds as one masked loop over the union of the
-subsystems; a partial job set runs them block by block — through the same
-loop, so on the same bits.
+``condense=True`` changes only the wire form: every round of a condensed
+frame is the exact Gauss-Newton solve of the reference, each round after
+the first starting where the previous round stopped and from the gain
+factor that round last took — the factor its loop leaves, adopted.  A
+stage that names every subsystem runs a round as one masked loop over the
+union of the subsystems; a partial job set runs it block by block —
+through the same loop, so on the same bits.
 """
 
 import numpy as np
@@ -19,12 +20,12 @@ from repro.core.runtime import LiveDseRuntime
 from repro.dse import (
     DistributedStateEstimator,
     SubsystemStepper,
-    condensation,
     decompose,
     decompose_by_areas,
     dse_pmu_placement,
 )
-from repro.estimation.wls import EstimationError, WlsEstimator
+from repro.dse.stepper import SolveFailure, solve_stage
+from repro.estimation.wls import WlsEstimator
 from repro.grid import run_ac_power_flow
 from repro.grid.cases import synthetic_grid
 from repro.measurements import full_placement, generate_measurements
@@ -61,10 +62,6 @@ def _iterations(res):
     ])
 
 
-def _fallbacks(dse):
-    return sum(dse._step2_cache[s][0].fallbacks for s in range(dse.dec.m))
-
-
 def _gap(a, b):
     return max(np.abs(a.Vm - b.Vm).max(), np.abs(a.Va - b.Va).max())
 
@@ -75,11 +72,11 @@ def _gap(a, b):
 
 class TestIterationCounts:
     def test_wecc37_frame(self, dse_wecc):
-        """Before the warm start was left alone and the gain frozen at the
-        round-0 solution, these two frames took 1 008 / 1 024 reference and
-        2 410 / 2 237 condensed Step-2 iterations (now 645 / 651 and
-        733 / 747), up to 53 of them on one stiff area in every round
-        (now 7 in round 0, 5 or fewer after)."""
+        """Before the warm start was left alone, these two frames took
+        1 008 / 1 024 reference Step-2 iterations (now 645 / 651), up to 53
+        of them on one stiff area in every round.  The frozen-gain rounds
+        the condensed mode once ran took 733 / 747; it now runs the
+        reference rounds, iteration for iteration."""
         dec, ms = dse_wecc
         ref = DistributedStateEstimator(dec, ms)
         con = DistributedStateEstimator(dec, ms, condense=True)
@@ -89,17 +86,13 @@ class TestIterationCounts:
             assert r.rounds == c.rounds == 7
             it_ref, it_con = _iterations(r), _iterations(c)
             assert it_ref.sum() <= 750
-            assert it_con.sum() <= 900
-            assert it_con.max() <= 12
-            per_round = it_con.sum(axis=1)
-            assert np.array_equal(it_con[0], it_ref[0])     # round 0 is exact
-            assert np.all(np.diff(per_round[1:]) <= 0)
-            assert _gap(r, c) <= 1e-9
-        assert _fallbacks(con) == 0
+            assert it_ref.max() <= 12
+            assert np.array_equal(it_con, it_ref)
+            assert _gap(r, c) == 0.0
 
     def test_ieee118_frame(self, dse118):
         """Totals on these two frames before the change: 110 / 110
-        reference, 177 / 166 condensed (now 104 / 100 and 113 / 107)."""
+        reference (now 104 / 100), the same in the condensed mode."""
         dec, ms = dse118
         ref = DistributedStateEstimator(dec, ms)
         con = DistributedStateEstimator(dec, ms, condense=True)
@@ -107,10 +100,9 @@ class TestIterationCounts:
             z = _frame(ms, seed)
             r, c = ref.run(z=z, rounds=3), con.run(z=z, rounds=3)
             assert _iterations(r).sum() <= 110
-            assert _iterations(c).sum() <= 120
-            assert _iterations(c).max() <= 12
-            assert _gap(r, c) <= 1e-9
-        assert _fallbacks(con) == 0
+            assert _iterations(r).max() <= 12
+            assert np.array_equal(_iterations(c), _iterations(r))
+            assert _gap(r, c) == 0.0
 
     def test_one_round_is_the_reference_run(self, dse118):
         """Round 0 is the exact solve from the same start: with one round
@@ -124,7 +116,7 @@ class TestIterationCounts:
 
 
 # ---------------------------------------------------------------------------
-# (2) stacked frozen rounds == per-block frozen rounds, bit for bit
+# (2) stacked rounds == per-block rounds, bit for bit
 # ---------------------------------------------------------------------------
 
 def _frames(dec, ms, solve=None):
@@ -165,75 +157,63 @@ class TestStackedEqualsPerBlock:
     def test_wecc37_per_block(self, dse_wecc, job_by_job):
         dec, ms = dse_wecc
         stacked = _frames(dec, ms)
-        assert _iterations(stacked[1])[1:].max() > 1     # frozen rounds iterate
+        assert _iterations(stacked[1])[1:].max() > 1     # later rounds iterate
         for got, want in zip(_frames(dec, ms, job_by_job), stacked, strict=True):
             assert_same_frame(got, want)
 
 
 # ---------------------------------------------------------------------------
-# (3) a block that does not converge, or cannot be solved, is alone in it
+# (3) a block that cannot be solved is alone in it
 # ---------------------------------------------------------------------------
 
+def _rows_reading_bus(est, k):
+    """The rows of ``est``'s set whose measurement function reads bus
+    ``k``'s voltage: without them no row observes it."""
+    n = est.net.n_bus
+    H = est._jacobian_at(np.full(n, 1.02), np.linspace(0.0, 0.1, n)).tocsc()
+    return np.unique(H[:, np.isin(est._keep, [k, n + k])].indices)
+
+
 class TestBlockFailsAlone:
-    def test_capped_block_falls_back_alone(self, dse118):
-        dec, ms = dse118
-        z = _frame(ms, 7)
-        plain = SubsystemStepper(
-            DistributedStateEstimator(dec, ms, condense=True), range(dec.m), z=z
-        )
-        dse = DistributedStateEstimator(dec, ms, condense=True)
-        forced, stiff = SubsystemStepper(dse, range(dec.m), z=z), 4
-        cond = dse._step2_cache[stiff][0]
-        cond.max_iter = 1           # no frozen round converges in one step
-        for st in (plain, forced):
-            st.step1()
-            st.step2_round(0)
-        z2, _, x0 = dse._step2_inputs(
-            stiff, forced.Vm, forced.Va, forced.known, forced.last2, z, None
-        )
-        for st in (plain, forced):
-            st.step2_round(1)
-
-        assert cond.fallbacks == 1 and _fallbacks(dse) == 1
-        got = forced.records[stiff].step2_results[1]
-        alone = cond.est.estimate(x0=x0, z=z2, tol=forced.tol)
-        assert np.array_equal(got.Vm, alone.Vm) and np.array_equal(got.Va, alone.Va)
-        assert got.iterations == alone.iterations > 1
-        for s in set(range(dec.m)) - {stiff}:
-            g = forced.records[s].step2_results[1]
-            w = plain.records[s].step2_results[1]
-            assert np.array_equal(g.Vm, w.Vm) and np.array_equal(g.Va, w.Va)
-            assert g.step_norms == w.step_norms
-
     def test_gain_that_does_not_factor_fails_its_block_alone(self, dse118):
-        """A frozen gain that is not positive definite leaves its block an
-        operator that fails typed, and no key; the other blocks run on."""
+        """A carried round whose gain is not positive definite for one
+        subsystem — every row reading one of its interior buses removed —
+        fails that block alone, typed and named, and keys no factor for
+        it; the other blocks run on, on the bits of the clean round."""
         dec, ms = dse118
         dse = DistributedStateEstimator(dec, ms, condense=True)
-        res = dse.run(rounds=2)
-        conds = [dse._step2_cache[s][0] for s in range(dec.m)]
-        x0 = [res.records[s].step2_results[0].factored_at for s in range(dec.m)]
+        st = SubsystemStepper(dse, range(dec.m), z=_frame(ms, 7))
+        st.step1()
+        st.step2_round(0)
         bad = 3
-        lins = list(x0)
-        lins[bad] = (np.full_like(x0[bad][0], 1e-160), x0[bad][1])   # no voltage
-        counts = [c.est.factors.count for c in conds]
-        results = condensation.frozen_round(
-            dse._stacks["step2"], conds, x0=x0, z=[None] * dec.m,
-            weights=[None] * dec.m, lin_points=lins,
+        est = dse._est2(bad)
+        interior = np.setdiff1d(dec.buses(bad), dec.boundary_buses(bad))[0]
+        w = est.mset.weights
+        w[_rows_reading_bus(est, dse.sub2[bad][1][interior])] = 0.0
+        jobs = st.step2_jobs(1)
+        assert all(job[-1] is not None for job in jobs)     # every block carried
+        poisoned = [
+            (*job[:4], w, job[5]) if job[0] == bad else job for job in jobs
+        ]
+        count = est.factors.count
+        got = solve_stage(dse, "step2", poisoned, st.tol, degrade=True)
+        want = solve_stage(dse, "step2", jobs, st.tol, degrade=True)
+        assert isinstance(got[bad][0], SolveFailure)
+        assert got[bad][0].message.startswith(
+            "EstimationError('subsystem 3 step2: normal-equation solve failed: "
+            "gain matrix is not positive definite"
         )
-        assert isinstance(results[bad], EstimationError)
-        assert "frozen gain: gain matrix is not positive definite" in str(results[bad])
-        assert conds[bad].est.factors.get(lins[bad]) is None
-        assert [c.est.factors.count for c in conds] == counts
-        assert all(
-            res.converged for s, res in enumerate(results) if s != bad
-        )
-        assert _fallbacks(dse) == 0
+        assert est.factors.get(jobs[bad][-1], w) is None
+        assert est.factors.count == count
+        for s in set(range(dec.m)) - {bad}:
+            g, c = got[s][0], want[s][0]
+            assert np.array_equal(g.Vm, c.Vm) and np.array_equal(g.Va, c.Va)
+            assert g.step_norms == c.step_norms
 
     def test_poisoned_area_degrades_alone_and_freezes_late(self, dse118):
-        """A NaN in one area's Step-2 telemetry degrades that area only; its
-        gain is frozen where its first round that succeeds last factored,
-        and that round's factor is the one it holds."""
+        """A NaN in one area's Step-2 telemetry degrades that area only; it
+        carries a gain factor from its first round that succeeds on, the
+        one that round's loop last took."""
         dec, ms = dse118
         dse = DistributedStateEstimator(
             dec, ms, condense=True, degrade_on_failure=True
@@ -246,6 +226,9 @@ class TestBlockFailsAlone:
         st.step2_round(0)
         st.step2_round(1)
         assert [s for s, rec in st.records.items() if rec.degraded] == [bad]
+        assert st.records[bad].failures[0].startswith(
+            "step2 round 0: InputError('subsystem 0 step2: z row"
+        )
         assert sorted(st.carry) == [s for s in range(dec.m) if s != bad]
         assert st.records[bad].step2_results == []
         assert all(len(st.records[s].step2_results) == 2 for s in st.carry)
@@ -255,22 +238,24 @@ class TestBlockFailsAlone:
         first = st.records[bad].step2_results[0]
         assert st.carry[bad] is first.factored_at
         assert dse._est2(bad).factors.get(st.carry[bad]) is not None
-        st.step2_round(3)           # every block frozen again: one loop
+        st.step2_round(3)           # every block carried again: one loop
         assert len(st.records[bad].step2_results) == 2
-        assert _fallbacks(dse) == 0
         assert np.all(np.isfinite(st.Vm)) and np.all(np.isfinite(st.Va))
 
 
 # ---------------------------------------------------------------------------
-# (4) the linearization point: round 0's last factored state, one factor per
-# frame
+# (4) the carried point: where round 0 last factored, one factor per frame
 # ---------------------------------------------------------------------------
 
 class TestLinearizationPoint:
     def test_frozen_at_the_round0_solution(self, dse118):
+        """On a clean IEEE-118 frame the rounds after the first factor
+        nothing: every subsystem carries round 0's last factor — taken
+        within a step below √tol of round 0's solution — to the frame's
+        end, and a frame takes one factor per subsystem."""
         dec, ms = dse118
         dse = DistributedStateEstimator(dec, ms, condense=True)
-        conds = [dse._step2_cache[s][0] for s in range(dec.m)]
+        stores = [dse._est2(s).factors for s in range(dec.m)]
 
         def frame(z):
             st = SubsystemStepper(dse, range(dec.m), z=z)
@@ -280,27 +265,25 @@ class TestLinearizationPoint:
             return st
 
         st = frame(_frame(ms, 9))
-        for s, cond in enumerate(conds):
-            # the state round 0 last factored at: its held tail's, whose
-            # step was below √tol
+        for s, store in enumerate(stores):
             first = st.records[s].step2_results[0]
             assert st.carry[s] is first.factored_at
             assert np.abs(st.carry[s][0] - first.Vm).max() <= 2e-4
             assert np.abs(st.carry[s][1] - first.Va).max() <= 2e-4
-            assert cond.est.factors.get(st.carry[s]) is not None
-        assert [c.est.factors.count for c in conds] == [1] * dec.m
+            assert store.get(st.carry[s]) is not None
+        assert [f.count for f in stores] == [1] * dec.m
         frame(_frame(ms, 9))            # the same frame again: store hits
-        assert [c.est.factors.count for c in conds] == [1] * dec.m
+        assert [f.count for f in stores] == [1] * dec.m
         st = frame(_frame(ms, 10))      # a new frame: one factor each
-        assert [c.est.factors.count for c in conds] == [2] * dec.m
+        assert [f.count for f in stores] == [2] * dec.m
         assert all(st.records[s].factor_time > 0.0 for s in range(dec.m))
 
 
 class TestCondensationPass:
-    """A frame's operators are the factors its exact round 0 left, adopted
-    with no gain pass; a host that did not run that round refactors in one
+    """A frame's carried factors are the ones its loops left, adopted with
+    no gain pass; a host that did not run those rounds refactors in one
     gain pass over the Step-2 stack, restricted to the subsystems whose
-    linearization point moved, on the same bits."""
+    carried point it misses, on the same bits."""
 
     @pytest.fixture()
     def passes(self, monkeypatch):
@@ -317,9 +300,10 @@ class TestCondensationPass:
 
     @pytest.mark.parametrize("case", ["dse118", "dse_wecc"])
     def test_one_gain_pass_per_frame(self, case, request, passes):
-        """A clean frame makes no gain pass at all: every subsystem adopts
-        round 0's last factor, the one its own estimator gives at the
-        factor's key — which is what a successor that refactors gets."""
+        """A clean frame makes no gain pass at all: every carried factor
+        was adopted where a loop last factored, and is the one its own
+        estimator gives at the factor's key — which is what a successor
+        that refactors gets."""
         dec, ms = request.getfixturevalue(case)
         dse = DistributedStateEstimator(dec, ms, condense=True)
         stores = [dse._est2(s).factors for s in range(dec.m)]
@@ -329,9 +313,13 @@ class TestCondensationPass:
         time0 = [f.seconds for f in stores]
         z = _frame(ms, 5)
         res = dse.run(z=z)
-        # no gain assembled: every frozen round finds every key held
+        # no gain assembled: every carried round finds its key held
         assert passes == []
-        assert [f.count - n for f, n in zip(stores, count0)] == [1] * dec.m
+        taken = [f.count - n for f, n in zip(stores, count0)]
+        assert taken == [
+            sum(r.factored_at is not None for r in res.records[s].step2_results)
+            for s in range(dec.m)
+        ]
         # the records' factor times are the adoptions' copies
         spent = [f.seconds - t for f, t in zip(stores, time0)]
         assert all(t > 0.0 for t in spent)
@@ -340,23 +328,25 @@ class TestCondensationPass:
         # key, in the form its block's mode holds: the band or the packed
         # triangle
         for s, held in enumerate(stores):
-            key = res.records[s].step2_results[0].factored_at
+            key = _last_factored_at(res.records[s])
             spd, _ = dse._est2(s).factor_at(*key)
             fresh = spd._chol if spd.mode == "band" else spd.lower_packed()
             assert held.get(key).mode == spd.mode
             assert np.array_equal(held.get(key)._factor, fresh)
         # the same frame again: every key hits, no pass at all
         passes.clear()
+        count1 = [f.count for f in stores]
         again = dse.run(z=z)
         assert passes == []
-        assert [f.count - n for f, n in zip(stores, count0)] == [1] * dec.m
         assert np.array_equal(again.Vm, res.Vm) and np.array_equal(again.Va, res.Va)
+        if case == "dse118":        # one factor per subsystem and frame
+            assert taken == [1] * dec.m and count1 == [f.count for f in stores]
 
     def test_a_host_without_round0_refactors_in_one_pass(self, dse118, passes):
         """A host that restores every subsystem from checkpoints on a DSE
-        that never ran the frame's round 0 holds no operator: one gain pass
-        over its Step-2 stack refactors them all at the checkpointed
-        points, on the adopting donor's bits."""
+        that never ran the frame's round 0 holds no carried factor: one
+        gain pass over its Step-2 stack refactors them all at the
+        checkpointed points, on the adopting donor's bits."""
         dec, ms = dse118
         donor_dse = DistributedStateEstimator(dec, ms, condense=True)
         heir_dse = DistributedStateEstimator(dec, ms, condense=True)
@@ -384,17 +374,17 @@ class TestCondensationPass:
 
     def test_adopted_checkpoints_skip_the_pass(self, dse118, passes):
         """A host that adopts every subsystem from its checkpoint runs the
-        stacked frozen round on the donor's operators: nothing refactors,
+        stacked round on the donor's carried factors: nothing refactors,
         and the round is the donor's, bit for bit."""
         dec, ms = dse118
         dse = DistributedStateEstimator(dec, ms, condense=True)
-        conds = [dse._step2_cache[s][0] for s in range(dec.m)]
+        stores = [dse._est2(s).factors for s in range(dec.m)]
         z = _frame(ms, 6)
         donor = SubsystemStepper(dse, range(dec.m), z=z)
         donor.step1()
         for rnd in (0, 1):
             donor.step2_round(rnd)
-        counts = [c.est.factors.count for c in conds]
+        counts = [f.count for f in stores]
         assert counts == [1] * dec.m
         heir = SubsystemStepper(dse, [], z=z)
         for s in range(dec.m):
@@ -402,13 +392,18 @@ class TestCondensationPass:
                 subsystem=s, site=0, epoch=0, round=1, **donor.checkpoint(s)
             )
             heir.adopt(SubsystemCheckpoint.from_payload(ck.to_payload()))
-        assert all(c.est.factors.get(heir.carry[s]) for s, c in enumerate(conds))
+        assert all(f.get(heir.carry[s]) for s, f in enumerate(stores))
         passes.clear()
         heir.step2_round(2)
         assert passes == []
-        assert [c.est.factors.count for c in conds] == counts
+        assert [f.count for f in stores] == counts
         donor.step2_round(2)
         assert np.array_equal(heir.Vm, donor.Vm) and np.array_equal(heir.Va, donor.Va)
+
+
+def _last_factored_at(rec):
+    """The point of the last factor a subsystem's Step-2 rounds took."""
+    return [r.factored_at for r in rec.step2_results if r.factored_at is not None][-1]
 
 
 # ---------------------------------------------------------------------------
@@ -428,14 +423,15 @@ def test_stacked_rounds_feed_the_condensed_metrics(dse118):
         }
     finally:
         obs.configure(enabled=False, reset=True)
-    frozen = int(_iterations(res)[1:].sum())
-    assert got["wls.iterations_total", "frozen"] == frozen > 0
-    assert got["wls.estimate.seconds", "frozen"] == 2     # one per frozen round
-    # every operator is round 0's factor, adopted: nothing refactors
+    step1 = sum(rec.step1_result.iterations for rec in res.records.values())
+    assert got["wls.iterations_total", "lu"] == step1 + int(_iterations(res).sum())
+    assert got["wls.estimate.seconds", "lu"] == 4     # Step 1 and three rounds
+    assert not any(key[1:] == ("frozen",) for key in got)
+    # every carried factor is a loop's, adopted: nothing refactors
     assert ("dse.condensation.factorizations_total",) not in got
     assert [dse._est2(s).factors.count for s in range(dec.m)] == [1] * dec.m
     assert got["dse.step2.solve.seconds", "condensed"] == 3 * dec.m
-    assert ("dse.condensation.fallbacks_total",) not in got
+    assert got["dse.exchange_bytes", "condensed"] == res.total_bytes_exchanged
     subs = [d for d in spans if d["name"] == "dse.step2.subsystem"]
     assert len(subs) == 3 * dec.m and all(d["attrs"]["apportioned"] for d in subs)
     # shares of a round follow the paper's weight, buses x iterations
@@ -449,51 +445,49 @@ def test_stacked_rounds_feed_the_condensed_metrics(dse118):
 
 
 def test_frozen_round_fills_no_jacobian(dse118, monkeypatch):
-    """Once its operators are condensed, a frozen round takes each
-    iteration's right-hand side from the gradient: no Jacobian is filled,
-    weighted or contracted, and the round is the one it was."""
+    """A stacked round whose every block starts from its carried factor
+    and contracts on it takes each iteration's right-hand side from the
+    gradient: no Jacobian is filled, weighted or contracted, and the round
+    is the one it was."""
     from repro.estimation.solvers import NormalEquations
     from repro.measurements.functions import JacobianStructure
 
     dec, ms = dse118
     dse = DistributedStateEstimator(dec, ms, condense=True)
     res = dse.run(z=_frame(ms, 13), rounds=2)
-    conds = [dse._step2_cache[s][0] for s in range(dec.m)]
     lins = [res.records[s].step2_results[0].factored_at for s in range(dec.m)]
-    x0 = [(vm + 1e-4, va) for vm, va in lins]
-    args = dict(x0=x0, z=[None] * dec.m, weights=[None] * dec.m, lin_points=lins)
-    want = condensation.frozen_round(dse._stacks["step2"], conds, **args)
+    x0 = [(vm + 1e-5, va) for vm, va in lins]
+    args = dict(x0=x0, carried=lins)
+    stack = dse._stacks["step2"]
+    want = stack.estimate_blocks(**args)
+    assert all(w.factorizations == 0 for w in want)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a frozen round filled the Jacobian")
+        raise AssertionError("a carried round filled the Jacobian")
 
     monkeypatch.setattr(JacobianStructure, "fill_data", refuse)
     monkeypatch.setattr(NormalEquations, "weighted", refuse)
     monkeypatch.setattr(NormalEquations, "rhs", refuse)
-    got = condensation.frozen_round(dse._stacks["step2"], conds, **args)
-    assert _fallbacks(dse) == 0
+    got = stack.estimate_blocks(**args)
     for g, w in zip(got, want):
         assert g.converged and g.iterations > 1
         assert np.array_equal(g.Vm, w.Vm) and np.array_equal(g.Va, w.Va)
         assert g.step_norms == w.step_norms
 
 
-def test_frozen_loop_argument_checks(dse118):
+def test_carried_loop_argument_checks(dse118):
     dec, ms = dse118
-    dse = DistributedStateEstimator(dec, ms, condense=True)
-    cond = dse._step2_cache[0][0]
-    never = condensation._Unfactored("the frozen gain was never factored")
-    with pytest.raises(ValueError, match="one frozen operator per block"):
-        cond.est.estimate_blocks(x0=[None, None], operators=[never] * 2)
+    est = DistributedStateEstimator(dec, ms, condense=True)._est2(0)
+    with pytest.raises(ValueError, match="one carried point per block"):
+        est.estimate_blocks(x0=[None, None], carried=[None])
+    with pytest.raises(ValueError, match="one carried point per block"):
+        est.estimate_blocks(x0=[None, None], carried=[None, None])  # replicas
     with pytest.raises(ValueError, match="one tol"):
-        cond.est.estimate_blocks(x0=[None], tol=[1e-8, 1e-8])
-    # an operator that was never factored fails its block, typed
-    (res,) = cond.est.estimate_blocks(x0=[None], operators=[never])
-    assert isinstance(res, EstimationError) and "never factored" in str(res)
+        est.estimate_blocks(x0=[None], tol=[1e-8, 1e-8])
 
 
 # ---------------------------------------------------------------------------
-# (6) the frozen operator is the inverse of the gain frozen at the point
+# (6) a carried factor is the inverse of the gain at its point
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -505,15 +499,15 @@ def dse118_4(net118, pf118):
     "case, areas", [("dse118_4", [0, 1, 2, 3]), ("dse_wecc", [0, 18, 36])]
 )
 def test_frozen_operator_inverts_the_gain(case, areas, request):
-    """After a condensed frame, each subsystem's operator solves the gain
-    its own estimator assembles at the frozen point, as a dense solve does."""
+    """After a condensed frame, each subsystem's held factor solves the
+    gain its own estimator assembles at the factor's point, as a dense
+    solve does."""
     dec, ms = request.getfixturevalue(case)
     dse = DistributedStateEstimator(dec, ms, condense=True)
     res = dse.run(z=_frame(ms, 11))
     rng = np.random.default_rng(12)
     for s in areas:
-        est, key = dse._est2(s), res.records[s].step2_results[0].factored_at
-        assert est.factors.count == 1
+        est, key = dse._est2(s), _last_factored_at(res.records[s])
         kernel, _, gain = est.gain_at(*key)
         G = kernel.spd.matrix(gain).toarray()
         rhs = rng.standard_normal(est.n_states)

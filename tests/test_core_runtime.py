@@ -164,9 +164,9 @@ class TestLiveRuntime:
         """Every update bound for site 0 is dropped for the first
         ``cut_rounds`` rounds of a condensed frame.  The frame completes
         with those rounds degraded; a round in which site 0 still has not
-        heard a neighbour runs exact while the others run frozen, so it is
-        solved job by job instead of stacked.  The next frame runs on a
-        fresh deployment and is the in-process DSE bit for bit."""
+        heard a neighbour starts its block fresh in the same stacked loop
+        as the others' carried ones.  The next frame runs on a fresh
+        deployment and is the in-process DSE bit for bit."""
         import repro.dse.stepper as stepper
 
         dec, ms, _ = live_setup
@@ -188,7 +188,7 @@ class TestLiveRuntime:
                 hit = live.run(z=frames[0])
             assert hit.degraded == {0: list(range(cut_rounds))}
             assert all(e.startswith("site 0 round ") for e in hit.errors)
-            assert len(stacked) == 1 + hit.rounds - (cut_rounds - 1)
+            assert len(stacked) == 1 + hit.rounds
             assert live._deployment is None
             stacked.clear()
             res = live.run(z=frames[1])

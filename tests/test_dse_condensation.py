@@ -1,19 +1,21 @@
-"""Tests for the Schur-complement boundary condensation of DSE Step 2.
+"""Tests for the boundary condensation of DSE Step 2's exchange.
 
-Covers the condensed solver against the reference gain solve, condensed
-DSE parity with the reference path across update scopes,
-the compact condensed wire form (pack/unpack, live round-trip, byte
+Covers the Schur-complement gain solver against the reference gain solve,
+the condensed DSE against the reference path (the same states, iterations
+and factorizations on every hosting: ``condense=`` picks only the wire
+form), the compact condensed wire form (pack/unpack, live round-trip, byte
 accounting) and the interaction with the fault/degraded paths.
 """
 
 import numpy as np
 import pytest
 
-from repro import faults
+from repro import faults, obs
 from repro.core import LiveDseRuntime
 from repro.dse import (
     DistributedStateEstimator,
     decompose,
+    decompose_by_areas,
     dse_pmu_placement,
     neighbor_publication_sets,
 )
@@ -54,6 +56,25 @@ def setup118(net118, pf118):
     plac = full_placement(net118).merged_with(dse_pmu_placement(dec))
     ms = generate_measurements(net118, plac, pf118, rng=rng)
     return dec, ms
+
+
+@pytest.fixture(scope="module")
+def setup118_9(net118, pf118):
+    dec = decompose(net118, 9, seed=0)
+    rng = np.random.default_rng(7)
+    plac = full_placement(net118).merged_with(dse_pmu_placement(dec))
+    return dec, generate_measurements(net118, plac, pf118, rng=rng)
+
+
+@pytest.fixture(scope="module")
+def setup_wecc():
+    """The 37-area grid of the ``wecc37_condensed`` benchmark workload."""
+    net = synthetic_grid(n_areas=37, buses_per_area=40, seed=11)
+    pf = run_ac_power_flow(net, flat_start=True)
+    dec = decompose_by_areas(net)
+    rng = np.random.default_rng(7)
+    plac = full_placement(net).merged_with(dse_pmu_placement(dec))
+    return dec, generate_measurements(net, plac, pf, rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +144,41 @@ class TestSchurGainSolver:
 # Condensed DSE parity with the reference Step 2
 # ---------------------------------------------------------------------------
 
+def _hosted_frame(how, dec, ms, condense, job_by_job):
+    """One cold frame hosted ``how``: ``(Vm, Va, iterations,
+    factorizations, store counts)`` — the last three from the
+    ``wls.*_total`` counters and the Step-2 estimators' held-factor stores
+    (``None`` on the uncached path, which holds none)."""
+    obs.configure(enabled=True, reset=True)
+    try:
+        if how.startswith("live"):
+            with LiveDseRuntime(
+                dec, ms, condense=condense, use_tcp=how == "live_tcp"
+            ) as live:
+                res = live.run()
+                assert res.errors == [] and not res.degraded
+            dse = live._dse
+        else:
+            dse = DistributedStateEstimator(
+                dec, ms, condense=condense, reuse_structures=how != "uncached"
+            )
+            res = job_by_job(dse) if how == "job_by_job" else dse.run()
+        got = {
+            (m["name"], *m["labels"].values()): m.get("value")
+            for m in obs.metrics().collect()
+        }
+    finally:
+        obs.configure(enabled=False, reset=True)
+    counts = (
+        [dse._est2(s).factors.count for s in range(dec.m)]
+        if dse.reuse_structures else None
+    )
+    return (
+        res.Vm, res.Va, got["wls.iterations_total", "lu"],
+        got["wls.factorizations_total", "lu"], counts,
+    )
+
+
 class TestCondensedParity:
     @pytest.mark.parametrize("scope", ["exchange", "all"])
     @pytest.mark.parametrize("case", ["setup14", "setup118"])
@@ -132,12 +188,25 @@ class TestCondensedParity:
         con = DistributedStateEstimator(
             dec, ms, update_scope=scope, condense=True
         ).run()
-        assert np.max(np.abs(con.Vm - ref.Vm)) <= 1e-8
-        assert np.max(np.abs(con.Va - ref.Va)) <= 1e-8
+        assert np.array_equal(con.Vm, ref.Vm) and np.array_equal(con.Va, ref.Va)
+
+    @pytest.mark.parametrize(
+        "how", ["stacked", "job_by_job", "live_inproc", "live_tcp", "uncached"]
+    )
+    @pytest.mark.parametrize("case", ["setup118_9", "setup_wecc"])
+    def test_condensed_is_the_reference(self, case, how, request, job_by_job):
+        """``condense=True`` is the reference frame on a compact wire: the
+        same states bit for bit, iterations and factorizations, hosted in
+        process (stacked, job by job, uncached) or on live sites."""
+        dec, ms = request.getfixturevalue(case)
+        ref = _hosted_frame(how, dec, ms, False, job_by_job)
+        con = _hosted_frame(how, dec, ms, True, job_by_job)
+        assert np.array_equal(con[0], ref[0]) and np.array_equal(con[1], ref[1])
+        assert con[2:] == ref[2:]
 
     def test_values_only_frames_parity(self, setup118):
         """Repeated values-only z frames through one warm condensed DSE
-        stay within parity of the reference path frame by frame."""
+        are the reference path's, frame by frame, bit for bit."""
         dec, ms = setup118
         rng = np.random.default_rng(11)
         ref = DistributedStateEstimator(dec, ms)
@@ -146,8 +215,8 @@ class TestCondensedParity:
             z = ms.z + rng.normal(0.0, 1e-4, size=len(ms))
             r_ref = ref.run(z=z)
             r_con = con.run(z=z)
-            assert np.max(np.abs(r_con.Vm - r_ref.Vm)) <= 1e-8
-            assert np.max(np.abs(r_con.Va - r_ref.Va)) <= 1e-8
+            assert np.array_equal(r_con.Vm, r_ref.Vm)
+            assert np.array_equal(r_con.Va, r_ref.Va)
 
     def test_factors_once_across_rounds_and_frames(self, setup14):
         dec, ms = setup14
@@ -155,21 +224,12 @@ class TestCondensedParity:
         r1 = dse.run(rounds=3)
         counts = [dse._est2(s).factors.count for s in range(dec.m)]
         assert counts == [1] * dec.m  # one factorization despite many rounds
-        dse.run(rounds=3)  # identical frame: same lin point, no refactor
+        dse.run(rounds=3)  # identical frame: the same points, no refactor
         counts2 = [dse._est2(s).factors.count for s in range(dec.m)]
         assert counts2 == counts
         assert r1.rounds > 1
         for rec in r1.records.values():
-            assert rec.condensed
-            assert rec.n_boundary_states > 0
             assert rec.factor_time >= 0.0
-
-    def test_condense_requires_reuse_structures(self, setup14):
-        dec, ms = setup14
-        with pytest.raises(ValueError, match="reuse_structures"):
-            DistributedStateEstimator(
-                dec, ms, condense=True, reuse_structures=False
-            )
 
 
 # ---------------------------------------------------------------------------

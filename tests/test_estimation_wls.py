@@ -860,8 +860,8 @@ class TestWeightsAreData:
         self, net118, pf118, monkeypatch
     ):
         """The condensed session's screened frame also runs on its kept
-        estimator: the removed row's zero weight is data of the frozen
-        operator's factorization, not a new estimator."""
+        estimator: the removed row's zero weight is data of its carried
+        factors' keys, not a new estimator."""
         import repro.dse.algorithm as algorithm
 
         arch = ArchitecturePrototype.assemble(net118, m_subsystems=9, seed=0)

@@ -2,7 +2,7 @@
 
 A row screened out as bad data stays in the DSE's measurement set and is
 switched off by ``run(weights=)``: the same estimators, the same loop,
-stacked or job by job and on the condensed path, within rounding of a DSE
+stacked or job by job and on either wire form, within rounding of a DSE
 built on the set without the row.  The noise estimate skips it the same way.
 """
 
@@ -53,8 +53,8 @@ def _iterations(res) -> int:
 def test_masked_frame_is_one_frame_on_every_path(gross118, condense, job_by_job):
     """The masked frame is the same bits stacked and job by job, and
     lands within rounding of a DSE built on the set without the row
-    (measured: at most 5.6e-16 on either path); on the condensed path the rounds after
-    the first ran frozen, on one operator per subsystem factored at the
+    (measured: at most 5.6e-16 on either wire form); the rounds after
+    the first ran on one carried factor per subsystem, taken at the
     frame's weights."""
     dec, ms, bad, removed = gross118
     w = ms.weights
@@ -63,12 +63,11 @@ def test_masked_frame_is_one_frame_on_every_path(gross118, condense, job_by_job)
     for path, solve in (("stacked", DistributedStateEstimator.run), ("jobs", job_by_job)):
         dse = DistributedStateEstimator(dec, ms, condense=condense)
         runs[path] = solve(dse, z=bad.z, weights=w)
-        if condense:
-            assert [dse._est2(s).factors.count for s in range(dec.m)] == [1] * dec.m
-            assert all(
-                rec.step2_results[-1].factorizations == 0
-                for rec in runs[path].records.values()
-            )
+        assert [dse._est2(s).factors.count for s in range(dec.m)] == [1] * dec.m
+        assert all(
+            rec.step2_results[-1].factorizations == 0
+            for rec in runs[path].records.values()
+        )
     stacked = runs["stacked"]
     for res in runs.values():
         assert np.array_equal(res.Vm, stacked.Vm)
@@ -80,9 +79,8 @@ def test_masked_frame_is_one_frame_on_every_path(gross118, condense, job_by_job)
     thinned = DistributedStateEstimator(
         dec, bad.subset(keep), condense=condense
     ).run()
-    bound = 1e-10 if condense else 1e-12
-    assert np.max(np.abs(stacked.Vm - thinned.Vm)) <= bound
-    assert np.max(np.abs(stacked.Va - thinned.Va)) <= bound
+    assert np.max(np.abs(stacked.Vm - thinned.Vm)) <= 1e-12
+    assert np.max(np.abs(stacked.Va - thinned.Va)) <= 1e-12
     assert _iterations(stacked) == _iterations(thinned)
     # and the weight is what removed it
     kept = DistributedStateEstimator(dec, ms, condense=condense).run(z=bad.z)

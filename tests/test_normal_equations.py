@@ -323,8 +323,8 @@ def test_symbolic_pass_runs_once_per_estimator(dse118, monkeypatch):
 
     monkeypatch.setattr(NormalEquations, "__init__", counting_init)
     rng = np.random.default_rng(5)
-    # a condensed Step 2 factors its frozen gain through the kernels of the
-    # estimators it wraps: no second kernel for the same pattern
+    # the carried Step-2 factors are taken through the estimators' own
+    # kernels, on either wire form: no second kernel for the same pattern
     for condense in (False, True):
         built.clear()
         dse = DistributedStateEstimator(dec, ms, condense=condense)
@@ -336,25 +336,19 @@ def test_symbolic_pass_runs_once_per_estimator(dse118, monkeypatch):
             x0=(first.Vm, first.Va),
         )
         estimators = [dse._est1[s] for s in range(dec.m)]
-        estimators += [
-            getattr(dse._step2_cache[s][0], "est", dse._step2_cache[s][0])
-            for s in range(dec.m)
-        ]
+        estimators += [dse._est2(s) for s in range(dec.m)]
         assert len(built) == len(estimators)
         assert {id(k) for k in built} == {
             id(e._gain_solver.kernel) for e in estimators
         }
-        if condense:
-            # a frame that moves every linearization point refactors every
-            # frozen gain and builds no kernel
-            conds = [dse._step2_cache[s][0] for s in range(dec.m)]
-            counts = [c.est.factors.count for c in conds]
-            built.clear()
-            dse.run(z=ms.z + ms.sigma * rng.standard_normal(len(ms)))
-            assert built == []
-            assert [
-                c.est.factors.count - n for c, n in zip(conds, counts)
-            ] == [1] * dec.m
+        # a frame that moves every carried point takes one factor per
+        # subsystem (round 0's, adopted) and builds no kernel
+        stores = [dse._est2(s).factors for s in range(dec.m)]
+        counts = [f.count for f in stores]
+        built.clear()
+        dse.run(z=ms.z + ms.sigma * rng.standard_normal(len(ms)))
+        assert built == []
+        assert [f.count - n for f, n in zip(stores, counts)] == [1] * dec.m
 
 
 # ---------------------------------------------------------------------------

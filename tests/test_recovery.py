@@ -39,7 +39,6 @@ from repro.core import ArchitecturePrototype, DseSession, LiveDseRuntime
 from repro.core.runtime import DEGRADED_ROUNDS_RETAINED, LiveSiteStats
 from repro.core.telemetry import FrameReport
 from repro.dse import DistributedStateEstimator, decompose, dse_pmu_placement
-from repro.dse.condensation import CondensedStep2, frozen_round
 from repro.estimation import WlsEstimator
 from repro.faults import FaultInjector, FaultPlan
 from repro.grid import run_ac_power_flow
@@ -516,10 +515,12 @@ class TestLinPointCache:
             net14, full_placement(net14), pf14, rng=rng
         )
         est = WlsEstimator(net14, ms)
-        cs = CondensedStep2(est, np.array([0, 1, 2]))
         lp = (pf14.Vm.copy(), pf14.Va.copy())
         assert est.factors.get(lp) is None
-        frozen_round(est, [cs], x0=[lp], z=[None], weights=[None], lin_points=[lp])
+        # a reference round carrying its factor from ``lp`` takes it there,
+        # and its steps contract on it: nothing else is factored
+        (res,) = est.estimate_blocks(x0=[lp], carried=[lp])
+        assert res.converged and res.factorizations == 0
         held = est.factors.get(lp)
         assert held is not None and est.factors.count == 1
         # a wire round trip preserves the point bit-exactly, so a
@@ -533,12 +534,12 @@ class TestLinPointCache:
         back = SubsystemCheckpoint.from_payload(ck.to_payload())
         assert est.factors.get((back.lin_vm, back.lin_va)) is held
         assert est.factors.get((lp[0] + 1e-12, lp[1])) is None
-        # a frozen round at the restored point refactors nothing
-        frozen_round(
-            est, [cs], x0=[lp], z=[None], weights=[None],
-            lin_points=[(back.lin_vm, back.lin_va)],
+        # a round carried from the restored point refactors nothing
+        (again,) = est.estimate_blocks(
+            x0=[lp], carried=[(back.lin_vm, back.lin_va)]
         )
         assert est.factors.count == 1
+        assert np.array_equal(again.Vm, res.Vm) and np.array_equal(again.Va, res.Va)
 
 
 # ---------------------------------------------------------------------------

@@ -229,9 +229,9 @@ class TestCheckpointAdopt:
     @pytest.mark.parametrize("condense", [False, True])
     def test_adopted_subsystem_continues_bit_identically(self, grid118, condense):
         """(d) ``checkpoint()`` → wire → ``adopt()`` on another host: the
-        promoted subsystem resumes from the donor's warm start and frozen
-        linearization point, so the frame ends on the same bits and no
-        subsystem is condensed a second time."""
+        promoted subsystem resumes from the donor's warm start and carried
+        factor's point, so the frame ends on the same bits and no store
+        takes a factor a second time."""
         dec, ms = grid118
         dse = DistributedStateEstimator(dec, ms, condense=condense)
         z = _frame(ms, 7)
@@ -259,7 +259,7 @@ class TestCheckpointAdopt:
         Vm, Va = assembled(dse, live)
         assert np.array_equal(Vm, want_vm)
         assert np.array_equal(Va, want_va)
-        # the moved subsystem's carried or frozen factor was the donor's:
+        # the moved subsystem's carried factor was the donor's:
         # no store took a factor it did not take the first time
         assert [dse._est2(k).factors.count for k in range(dec.m)] == factors
 

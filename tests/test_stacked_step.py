@@ -25,7 +25,7 @@ from repro.dse import (
     dse_pmu_placement,
 )
 from repro.estimation import solvers
-from repro.estimation.solvers import NormalEquations, SchurGainSolver
+from repro.estimation.solvers import NormalEquations
 from repro.estimation.wls import EstimationError, WlsEstimator
 from repro.grid import run_ac_power_flow
 from repro.grid.cases import synthetic_grid
@@ -210,7 +210,7 @@ class TestStackEqualsMembers:
 @pytest.fixture(scope="module")
 def members118(dse118, job_by_job):
     """The Step-1 and Step-2 estimators of the IEEE-118 / 9 decomposition,
-    each with its own solution and a Schur operator frozen there."""
+    each with its own solution."""
     dec, ms = dse118
     # per-block solves fill the Step-2 cache without touching a stack
     dse = DistributedStateEstimator(dec, ms)
@@ -218,11 +218,7 @@ def members118(dse118, job_by_job):
     out = []
     for s in range(2 * dec.m):
         est = dse._est1[s] if s < dec.m else dse._step2_cache[s - dec.m][0]
-        sol = est.estimate()
-        op = SchurGainSolver(np.arange(0, est.n_states, 7), est.n_states)
-        kernel, _, gain = est.gain_at(sol.Vm, sol.Va)
-        op.factor_gain(kernel, gain)
-        out.append((est, sol, op))
+        out.append((est, est.estimate()))
     return out
 
 
@@ -256,30 +252,30 @@ class TestFinishedBlocksLeaveTheLoop:
         ),
         zeros=st.lists(st.integers(0, 3), min_size=5, max_size=5),
         max_iter=st.integers(1, 10),
-        frozen=st.booleans(),
+        carry=st.booleans(),
         seed=st.integers(0, 2**16),
     )
     def test_every_block_is_its_members_solo_solve(
-        self, members118, picks, starts, zeros, max_iter, frozen, seed
+        self, members118, picks, starts, zeros, max_iter, carry, seed
     ):
         """Blocks that stop at different iterations leave the union's
-        evaluation one by one; every block — on the exact loop and on the
-        ``operators=`` loop — is still its member's own solve, bit for
-        bit."""
+        evaluation one by one; every block — fresh, or starting from a
+        factor carried at its member's solution — is still its member's
+        own solve, bit for bit."""
         chosen = [members118[i] for i in picks]
         x0, z, w = (list(v) for v in zip(*[
             _block_inputs(est, sol, starts[b], seed + b, zeros[b])
-            for b, (est, sol, _) in enumerate(chosen)
+            for b, (est, sol) in enumerate(chosen)
         ]))
-        ops = [op for *_, op in chosen] if frozen else None
-        stack = WlsEstimator.stacked([est for est, *_ in chosen])
+        points = [(sol.Vm, sol.Va) for _, sol in chosen] if carry else None
+        stack = WlsEstimator.stacked([est for est, _ in chosen])
         got = stack.estimate_blocks(
-            x0=x0, z=z, weights=w, operators=ops, max_iter=max_iter
+            x0=x0, z=z, weights=w, carried=points, max_iter=max_iter
         )
-        for b, (est, _, op) in enumerate(chosen):
+        for b, (est, _) in enumerate(chosen):
             (ref,) = est.estimate_blocks(
                 x0=[x0[b]], z=[z[b]], weights=[w[b]],
-                operators=None if ops is None else [op], max_iter=max_iter,
+                carried=None if points is None else [points[b]], max_iter=max_iter,
             )
             if isinstance(ref, EstimationError):
                 assert isinstance(got[b], EstimationError)
@@ -292,7 +288,7 @@ class TestFinishedBlocksLeaveTheLoop:
         """The fill packs the running blocks and the kernel reads that
         packed vector; a vector that does not hold exactly the blocks named
         is refused, not read out of place."""
-        (a, sol, _), (b, *_) = members118[0], members118[1]
+        (a, sol), (b, _) = members118[0], members118[1]
         stack = WlsEstimator.stacked([a, b])
         kernel = stack._kernel()
         structure = stack.model.jacobian_structure(stack._keep)
@@ -363,6 +359,40 @@ class TestPoisonedBlock:
         assert [s for s, rec in ref.records.items() if rec.degraded] == [3]
         assert np.array_equal(res.Vm, ref.Vm) and np.array_equal(res.Va, ref.Va)
         assert res.records[3].failures == ref.records[3].failures
+
+    @pytest.mark.parametrize("degrade", [False, True])
+    def test_a_failed_solve_names_its_subsystem_and_stage(
+        self, net118, pf118, job_by_job, degrade
+    ):
+        """Zero-weighting the 29 injection and PMU-angle rows at subsystem
+        3's buses (IEEE-118 / 9, seed 0) leaves its Step-1 gain singular.
+        The error names subsystem 3 and the stage — raised, or as the
+        degraded record's failure — stacked and job by job alike."""
+        dec, ms = _dse_case(net118, decompose(net118, 9, seed=0), pf118, seed=0)
+        rows = np.concatenate([
+            ms.rows(t)[np.isin(ms.elements(t), dec.buses(3))]
+            for t in (MeasType.P_INJ, MeasType.Q_INJ, MeasType.PMU_VA)
+        ])
+        assert len(rows) == 29
+        w = ms.weights
+        w[rows] = 0.0
+        texts = []
+        for solve in (DistributedStateEstimator.run, job_by_job):
+            dse = DistributedStateEstimator(dec, ms, degrade_on_failure=degrade)
+            if degrade:
+                res = solve(dse, weights=w)
+                assert [s for s, rec in res.records.items() if rec.degraded] == [3]
+                (text,) = res.records[3].failures
+            else:
+                with pytest.raises(EstimationError) as err:
+                    solve(dse, weights=w)
+                text = str(err.value)
+            texts.append(text)
+        assert texts[0] == texts[1]
+        assert (
+            "subsystem 3 step1: normal-equation solve failed: gain matrix is "
+            "not positive definite (dpbtrf info=28)"
+        ) in texts[0]
 
     def test_dse_raises_the_blocks_error_without_degrade(self, dse118):
         dec, ms = dse118
@@ -457,7 +487,7 @@ class TestStackedStages:
         per_block = DistributedStateEstimator(dec, ms)
         job_by_job(per_block)
         assert per_block._stacks == {}
-        # a condensed Step 2 stacks too: round 0 exact, the rest frozen-gain
+        # the condensed wire form stacks the same stages
         condensed = DistributedStateEstimator(dec, ms, condense=True)
         condensed.run()
         assert set(condensed._stacks) == {"step1", "step2"}
